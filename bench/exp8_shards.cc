@@ -11,14 +11,12 @@
 // and cross-checks the determinism contract (identical dependency counts
 // at every shard count).
 //
-// Each shard count runs over two transports: the in-process queue makes
-// the wire overhead — serialization, checksumming, per-batch framing —
-// directly observable without network noise (the gap between the
-// unsharded and 1-shard inproc lines is exactly the price of the seam),
-// and the localhost TCP socket adds the kernel byte-stream on top (the
-// inproc-vs-socket gap is the price of going off-box before any real
-// network latency). With --json <path> the series is written as
-// machine-readable JSON (CI uploads it as BENCH_exp8.json).
+// Every shard count runs over the in-process queue, which makes the wire
+// overhead — serialization, checksumming, per-batch framing — directly
+// observable without network noise: the gap between the unsharded and
+// 1-shard lines is exactly the price of the seam. With --json <path>
+// the series is written as machine-readable JSON (CI uploads it as
+// BENCH_exp8.json).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -34,13 +32,9 @@ namespace bench {
 namespace {
 
 constexpr int kShardCounts[] = {0, 1, 2, 4, 8};  // 0 = unsharded baseline
-constexpr ShardTransport kTransports[] = {ShardTransport::kInProcess,
-                                          ShardTransport::kSocket};
 
 struct ShardPoint {
   int shards = 0;
-  ShardTransport transport = ShardTransport::kInProcess;
-  bool compression = true;
   RunResult run;
   int64_t bytes_shipped = 0;
   int64_t bytes_raw = 0;
@@ -53,8 +47,6 @@ struct ShardPoint {
 /// which must shrink as O(table/row_shards).
 struct RowShardPoint {
   int row_shards = 0;
-  ShardTransport transport = ShardTransport::kInProcess;
-  bool compression = true;
   RunResult run;
   int64_t bytes_shipped = 0;
   int64_t bytes_raw = 0;
@@ -82,69 +74,47 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
   EncodedTable enc = EncodeTable(t);
 
   std::printf("%16s %12s %9s %8s %8s %11s %10s %7s %12s\n",
-              "shards/transport", "wall(s)", "vs base", "#AOC", "#AOFD",
+              "shards", "wall(s)", "vs base", "#AOC", "#AOFD",
               "wire(MiB)", "raw(MiB)", "ratio", "merge.wall");
   double baseline = 0.0;
   int64_t baseline_ocs = -1;
   int64_t baseline_ofds = -1;
   for (int shards : kShardCounts) {
-    for (ShardTransport transport : kTransports) {
-      if (shards == 0 && transport != ShardTransport::kInProcess) {
-        continue;  // the unsharded baseline has no transport dimension
-      }
-      // The compression-off row at 4 shards isolates the codec's
-      // contribution: same frames, raw bodies — the wire(MiB) delta and
-      // the wall-clock delta against the compressed 4-shard row are the
-      // bytes saved and the (de)coding CPU spent.
-      for (bool compression : {true, false}) {
-        if (!compression && shards != 4) continue;
-        DiscoveryOptions options;
-        options.validator = ValidatorKind::kOptimal;
-        options.epsilon = 0.10;
-        options.pool = pool;
-        options.num_shards = shards;
-        options.shard_transport = transport;
-        options.shard_wire_compression = compression;
-        ShardPoint point;
-        point.shards = shards;
-        point.transport = transport;
-        point.compression = compression;
-        point.run = RunDiscoveryWithOptions(enc, options);
-        point.bytes_shipped = point.run.full.stats.shard_bytes_shipped;
-        point.bytes_raw = point.run.full.stats.shard_bytes_raw;
-        point.bytes_wire = point.run.full.stats.shard_bytes_wire;
-        if (shards == 0) {
-          baseline = point.run.seconds;
-          baseline_ocs = point.run.ocs;
-          baseline_ofds = point.run.ofds;
-        }
-        const bool deterministic = point.run.ocs == baseline_ocs &&
-                                   point.run.ofds == baseline_ofds &&
-                                   point.run.full.shard_status.ok();
-        char label[28];
-        if (shards == 0) {
-          std::snprintf(label, sizeof(label), "unsharded");
-        } else {
-          std::snprintf(label, sizeof(label), "%d/%s%s", shards,
-                        ShardTransportToString(transport),
-                        compression ? "" : "-raw");
-        }
-        std::printf(
-            "%16s %12.3f %8.2fx %8lld %8lld %11.2f %10.2f %6.2fx %12.3f%s\n",
-            label, point.run.seconds,
-            point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
-            static_cast<long long>(point.run.ocs),
-            static_cast<long long>(point.run.ofds),
-            static_cast<double>(point.bytes_wire) / (1 << 20),
-            static_cast<double>(point.bytes_raw) / (1 << 20),
-            point.bytes_wire > 0 ? static_cast<double>(point.bytes_raw) /
-                                       static_cast<double>(point.bytes_wire)
-                                 : 0.0,
-            point.run.full.stats.merge_wall_seconds,
-            deterministic ? "" : "  <-- DETERMINISM VIOLATION");
-        series.points.push_back(std::move(point));
-      }
+    DiscoveryOptions options;
+    options.validator = ValidatorKind::kOptimal;
+    options.epsilon = 0.10;
+    options.pool = pool;
+    options.num_shards = shards;
+    ShardPoint point;
+    point.shards = shards;
+    point.run = RunDiscoveryWithOptions(enc, options);
+    point.bytes_shipped = point.run.full.stats.shard_bytes_shipped;
+    point.bytes_raw = point.run.full.stats.shard_bytes_raw;
+    point.bytes_wire = point.run.full.stats.shard_bytes_wire;
+    if (shards == 0) {
+      baseline = point.run.seconds;
+      baseline_ocs = point.run.ocs;
+      baseline_ofds = point.run.ofds;
     }
+    const bool deterministic = point.run.ocs == baseline_ocs &&
+                               point.run.ofds == baseline_ofds &&
+                               point.run.full.shard_status.ok();
+    const std::string label =
+        shards == 0 ? "unsharded" : std::to_string(shards);
+    std::printf(
+        "%16s %12.3f %8.2fx %8lld %8lld %11.2f %10.2f %6.2fx %12.3f%s\n",
+        label.c_str(), point.run.seconds,
+        point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
+        static_cast<long long>(point.run.ocs),
+        static_cast<long long>(point.run.ofds),
+        static_cast<double>(point.bytes_wire) / (1 << 20),
+        static_cast<double>(point.bytes_raw) / (1 << 20),
+        point.bytes_wire > 0 ? static_cast<double>(point.bytes_raw) /
+                                   static_cast<double>(point.bytes_wire)
+                             : 0.0,
+        point.run.full.stats.merge_wall_seconds,
+        deterministic ? "" : "  <-- DETERMINISM VIOLATION");
+    series.points.push_back(std::move(point));
   }
 
   // Row-space sharding: the base-partition build fans out over
@@ -153,53 +123,39 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
   // wire volume is the headline: each shard receives only its own row
   // slice, so max(bytes/shard) must fall as O(table/row_shards).
   std::printf("\n%16s %12s %9s %8s %8s %11s %10s %13s\n",
-              "row-shards/trans", "wall(s)", "vs base", "#AOC", "#AOFD",
+              "row-shards", "wall(s)", "vs base", "#AOC", "#AOFD",
               "wire(MiB)", "raw(MiB)", "max/shard(MiB)");
   for (int row_shards : {1, 2, 4, 8}) {
-    for (ShardTransport transport : kTransports) {
-      for (bool compression : {true, false}) {
-        if (!compression && row_shards != 4) continue;
-        DiscoveryOptions options;
-        options.validator = ValidatorKind::kOptimal;
-        options.epsilon = 0.10;
-        options.pool = pool;
-        options.row_shards = row_shards;
-        options.shard_transport = transport;
-        options.shard_wire_compression = compression;
-        RowShardPoint point;
-        point.row_shards = row_shards;
-        point.transport = transport;
-        point.compression = compression;
-        point.run = RunDiscoveryWithOptions(enc, options);
-        point.bytes_shipped = point.run.full.stats.row_shard_bytes_shipped;
-        point.bytes_raw = point.run.full.stats.row_shard_bytes_raw;
-        point.bytes_wire = point.run.full.stats.row_shard_bytes_wire;
-        point.bytes_per_shard =
-            point.run.full.stats.row_shard_bytes_per_shard;
-        int64_t max_shard = 0;
-        for (int64_t b : point.bytes_per_shard) {
-          if (b > max_shard) max_shard = b;
-        }
-        const bool deterministic = point.run.ocs == baseline_ocs &&
-                                   point.run.ofds == baseline_ofds &&
-                                   point.run.full.shard_status.ok();
-        char label[28];
-        std::snprintf(label, sizeof(label), "%d/%s%s", row_shards,
-                      ShardTransportToString(transport),
-                      compression ? "" : "-raw");
-        std::printf(
-            "%16s %12.3f %8.2fx %8lld %8lld %11.2f %10.2f %13.2f%s\n",
-            label, point.run.seconds,
-            point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
-            static_cast<long long>(point.run.ocs),
-            static_cast<long long>(point.run.ofds),
-            static_cast<double>(point.bytes_wire) / (1 << 20),
-            static_cast<double>(point.bytes_raw) / (1 << 20),
-            static_cast<double>(max_shard) / (1 << 20),
-            deterministic ? "" : "  <-- DETERMINISM VIOLATION");
-        series.row_points.push_back(std::move(point));
-      }
+    DiscoveryOptions options;
+    options.validator = ValidatorKind::kOptimal;
+    options.epsilon = 0.10;
+    options.pool = pool;
+    options.row_shards = row_shards;
+    RowShardPoint point;
+    point.row_shards = row_shards;
+    point.run = RunDiscoveryWithOptions(enc, options);
+    point.bytes_shipped = point.run.full.stats.row_shard_bytes_shipped;
+    point.bytes_raw = point.run.full.stats.row_shard_bytes_raw;
+    point.bytes_wire = point.run.full.stats.row_shard_bytes_wire;
+    point.bytes_per_shard = point.run.full.stats.row_shard_bytes_per_shard;
+    int64_t max_shard = 0;
+    for (int64_t b : point.bytes_per_shard) {
+      if (b > max_shard) max_shard = b;
     }
+    const bool deterministic = point.run.ocs == baseline_ocs &&
+                               point.run.ofds == baseline_ofds &&
+                               point.run.full.shard_status.ok();
+    std::printf(
+        "%16d %12.3f %8.2fx %8lld %8lld %11.2f %10.2f %13.2f%s\n",
+        row_shards, point.run.seconds,
+        point.run.seconds > 0 ? baseline / point.run.seconds : 0.0,
+        static_cast<long long>(point.run.ocs),
+        static_cast<long long>(point.run.ofds),
+        static_cast<double>(point.bytes_wire) / (1 << 20),
+        static_cast<double>(point.bytes_raw) / (1 << 20),
+        static_cast<double>(max_shard) / (1 << 20),
+        deterministic ? "" : "  <-- DETERMINISM VIOLATION");
+    series.row_points.push_back(std::move(point));
   }
   return series;
 }
@@ -223,13 +179,11 @@ int WriteJson(const char* path, const std::vector<DatasetSeries>& all,
       const ShardPoint& p = series.points[i];
       std::fprintf(
           f,
-          "      {\"shards\": %d, \"transport\": \"%s\", "
-          "\"compression\": %s, \"seconds\": %.6f, \"ocs\": %lld, "
+          "      {\"shards\": %d, \"seconds\": %.6f, \"ocs\": %lld, "
           "\"ofds\": %lld, \"bytes_shipped\": %lld, "
           "\"bytes_raw\": %lld, \"bytes_wire\": %lld, "
           "\"merge_wall_seconds\": %.6f, \"frame_bytes\": [",
-          p.shards, ShardTransportToString(p.transport),
-          p.compression ? "true" : "false", p.run.seconds,
+          p.shards, p.run.seconds,
           static_cast<long long>(p.run.ocs),
           static_cast<long long>(p.run.ofds),
           static_cast<long long>(p.bytes_shipped),
@@ -251,13 +205,11 @@ int WriteJson(const char* path, const std::vector<DatasetSeries>& all,
       const RowShardPoint& p = series.row_points[i];
       std::fprintf(
           f,
-          "      {\"row_shards\": %d, \"transport\": \"%s\", "
-          "\"compression\": %s, \"seconds\": %.6f, \"ocs\": %lld, "
+          "      {\"row_shards\": %d, \"seconds\": %.6f, \"ocs\": %lld, "
           "\"ofds\": %lld, \"bytes_shipped\": %lld, "
           "\"bytes_raw\": %lld, \"bytes_wire\": %lld, "
           "\"bytes_per_shard\": [",
-          p.row_shards, ShardTransportToString(p.transport),
-          p.compression ? "true" : "false", p.run.seconds,
+          p.row_shards, p.run.seconds,
           static_cast<long long>(p.run.ocs),
           static_cast<long long>(p.run.ofds),
           static_cast<long long>(p.bytes_shipped),
@@ -289,14 +241,12 @@ int main(int argc, char** argv) {
   const int threads = aod::exec::ThreadPool::HardwareConcurrency();
   std::printf("scale=%.2f (default: 100K rows), hw=%d hardware threads\n",
               Scale(), threads);
-  PrintNote("all shard counts run on one shared pool; counts must match the"
-            " unsharded baseline at every shard count and transport"
-            " (determinism contract). wire(MiB) is total frame bytes both"
-            " directions after the delta/varint codecs, raw(MiB) the same"
-            " traffic with every codec forced raw (ratio = raw/wire); the"
-            " *-raw rows at 4 shards actually ship raw frames. The"
-            " inproc-vs-socket gap is the byte-stream cost of going"
-            " off-box. The row-shards section distributes the base-partition"
+  PrintNote("all shard counts run on one shared pool over the in-process"
+            " transport; counts must match the unsharded baseline at every"
+            " shard count (determinism contract). wire(MiB) is total frame"
+            " bytes both directions after the delta/varint codecs, raw(MiB)"
+            " the same traffic with every codec forced raw (ratio ="
+            " raw/wire). The row-shards section distributes the base-partition"
             " build over contiguous row ranges (traversal unsharded):"
             " max/shard(MiB) is the largest table slice any one shard"
             " received, which must fall as O(table/row_shards).");

@@ -1,13 +1,8 @@
-// Microbenchmark of the partition hot paths: CSR stripped product vs the
-// legacy vector-of-vectors representation, plus validator throughput on
-// generated tables.
-//
-// The legacy algorithm (one heap-allocated bucket per class, a fresh
-// vector-of-vectors per product) is reimplemented here verbatim as the
-// baseline, so the CSR speedup is *recorded by this harness* instead of
-// asserted in a commit message. Output is human-readable on stdout and,
-// with --json <path>, a machine-readable JSON blob (CI uploads it as
-// BENCH_micro_partitions.json).
+// Microbenchmark of the partition hot paths: the CSR stripped product,
+// the derivation planner against the fixed rule, and validator
+// throughput on generated tables. Output is human-readable on stdout
+// and, with --json <path>, a machine-readable JSON blob (CI uploads it
+// as BENCH_micro_partitions.json).
 //
 // Defaults target a 1M-row table; AOD_BENCH_SCALE scales rows like every
 // other harness (CI smoke-runs at a fraction of that).
@@ -33,52 +28,6 @@ namespace aod {
 namespace bench {
 namespace {
 
-/// The pre-CSR representation and product, kept verbatim as the baseline.
-struct LegacyPartition {
-  std::vector<std::vector<int32_t>> classes;
-  int64_t rows_covered = 0;
-
-  static LegacyPartition FromCsr(const StrippedPartition& p) {
-    LegacyPartition out;
-    out.rows_covered = p.rows_covered();
-    for (StrippedPartition::ClassSpan cls : p.classes()) {
-      out.classes.emplace_back(cls.begin(), cls.end());
-    }
-    return out;
-  }
-
-  LegacyPartition Product(const LegacyPartition& other,
-                          std::vector<int32_t>& class_of) const {
-    for (size_t i = 0; i < classes.size(); ++i) {
-      for (int32_t t : classes[i]) {
-        class_of[static_cast<size_t>(t)] = static_cast<int32_t>(i);
-      }
-    }
-    LegacyPartition out;
-    std::vector<std::vector<int32_t>> buckets(classes.size());
-    for (const auto& cls : other.classes) {
-      for (int32_t t : cls) {
-        int32_t c = class_of[static_cast<size_t>(t)];
-        if (c >= 0) buckets[static_cast<size_t>(c)].push_back(t);
-      }
-      for (int32_t t : cls) {
-        int32_t c = class_of[static_cast<size_t>(t)];
-        if (c < 0) continue;
-        auto& bucket = buckets[static_cast<size_t>(c)];
-        if (bucket.size() >= 2) {
-          out.rows_covered += static_cast<int64_t>(bucket.size());
-          out.classes.push_back(std::move(bucket));
-        }
-        bucket.clear();
-      }
-    }
-    for (const auto& cls : classes) {
-      for (int32_t t : cls) class_of[static_cast<size_t>(t)] = -1;
-    }
-    return out;
-  }
-};
-
 /// Runs `fn` until >= min_reps and >= min_seconds; returns seconds/rep.
 template <typename Fn>
 double TimePerRep(int min_reps, double min_seconds, Fn&& fn) {
@@ -95,10 +44,6 @@ struct ProductResult {
   std::string name;
   int64_t out_classes = 0;
   double csr_seconds = 0.0;
-  double legacy_seconds = 0.0;
-  double speedup() const {
-    return csr_seconds > 0.0 ? legacy_seconds / csr_seconds : 0.0;
-  }
 };
 
 ProductResult BenchProduct(const char* name, const EncodedTable& t,
@@ -113,14 +58,6 @@ ProductResult BenchProduct(const char* name, const EncodedTable& t,
   r.csr_seconds = TimePerRep(3, 0.3, [&] {
     StrippedPartition prod = px.Product(py, rows, &scratch);
     if (prod.rows_covered() < 0) std::abort();  // keep the result alive
-  });
-
-  LegacyPartition lx = LegacyPartition::FromCsr(px);
-  LegacyPartition ly = LegacyPartition::FromCsr(py);
-  std::vector<int32_t> class_of(static_cast<size_t>(rows), -1);
-  r.legacy_seconds = TimePerRep(3, 0.3, [&] {
-    LegacyPartition prod = lx.Product(ly, class_of);
-    if (prod.rows_covered < 0) std::abort();
   });
   return r;
 }
@@ -199,9 +136,9 @@ int main(int argc, char** argv) {
   std::printf("rows: %lld (base %lld x AOD_BENCH_SCALE)\n",
               static_cast<long long>(rows), static_cast<long long>(base_rows));
 
-  // -- Partition product: CSR vs legacy vector-of-vectors ----------------
+  // -- Partition product -------------------------------------------------
   // mid: dense classes (128x128 grid, large surviving buckets);
-  // fine: 4096x4096 (many small buckets — allocation-bound for legacy);
+  // fine: 4096x4096 (many small buckets);
   // singleton: high-cardinality product output is almost all singletons.
   std::vector<ProductResult> products;
   {
@@ -229,12 +166,10 @@ int main(int argc, char** argv) {
                                     rows));
   }
 
-  std::printf("\n%-18s %12s %12s %12s %9s\n", "product", "classes",
-              "csr s/rep", "legacy s/rep", "speedup");
+  std::printf("\n%-18s %12s %12s\n", "product", "classes", "csr s/rep");
   for (const ProductResult& r : products) {
-    std::printf("%-18s %12lld %12.5f %12.5f %8.2fx\n", r.name.c_str(),
-                static_cast<long long>(r.out_classes), r.csr_seconds,
-                r.legacy_seconds, r.speedup());
+    std::printf("%-18s %12lld %12.5f\n", r.name.c_str(),
+                static_cast<long long>(r.out_classes), r.csr_seconds);
   }
 
   // -- Derivation planner vs fixed rule ---------------------------------
@@ -316,11 +251,9 @@ int main(int argc, char** argv) {
       const ProductResult& r = products[i];
       std::fprintf(f,
                    "    {\"case\": \"%s\", \"out_classes\": %lld, "
-                   "\"csr_seconds\": %.6f, \"legacy_seconds\": %.6f, "
-                   "\"speedup\": %.3f}%s\n",
+                   "\"csr_seconds\": %.6f}%s\n",
                    r.name.c_str(), static_cast<long long>(r.out_classes),
-                   r.csr_seconds, r.legacy_seconds, r.speedup(),
-                   i + 1 < products.size() ? "," : "");
+                   r.csr_seconds, i + 1 < products.size() ? "," : "");
     }
     std::fprintf(f,
                  "  ],\n  \"derivation\": {\"case\": \"%s\", "

@@ -29,7 +29,7 @@
 //                           runners; partitions and results cross the
 //                           shard seam in the checksummed CSR wire
 //                           format (identical output; 0 = unsharded)
-//     --shard-transport=T   inproc | socket | process: how the shard
+//     --shard-transport=T   inproc | process: how the shard
 //                           seam moves bytes (identical output; process
 //                           spawns shard_runner_main per shard)
 //     --shard-runner=PATH   shard_runner_main binary for the process
@@ -43,8 +43,10 @@
 //     --ods                 compose and print ODs from the OC/OFD parts
 //     --json=out.json       write the result as JSON
 //     --csv=out.csv         write the result as flat CSV
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "data/csv_parser.h"
@@ -99,6 +101,36 @@ struct Args {
   bool ok = true;
 };
 
+/// Parses all of `v` as a number in [lo, hi]. Otherwise prints one line
+/// naming the flag and returns false — a usage error, never a crash in
+/// DiscoverOds' option checks.
+bool ParseNumber(const char* flag, const char* v, double lo, double hi,
+                 double* out) {
+  char* end = nullptr;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !(x >= lo && x <= hi)) {
+    std::fprintf(stderr, "%s: want a number in [%g, %g], got '%s'\n", flag,
+                 lo, hi, v);
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
+bool ParseInteger(const char* flag, const char* v, int64_t lo, int64_t hi,
+                  int64_t* out) {
+  char* end = nullptr;
+  const long long x = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || x < lo || x > hi) {
+    std::fprintf(stderr, "%s: want an integer in [%lld, %lld], got '%s'\n",
+                 flag, static_cast<long long>(lo), static_cast<long long>(hi),
+                 v);
+    return false;
+  }
+  *out = x;
+  return true;
+}
+
 Args ParseArgs(int argc, char** argv) {
   Args args;
   for (int i = 1; i < argc; ++i) {
@@ -107,8 +139,9 @@ Args ParseArgs(int argc, char** argv) {
       size_t len = std::string(prefix).size();
       return arg.rfind(prefix, 0) == 0 ? arg.c_str() + len : nullptr;
     };
+    int64_t n = 0;
     if (const char* v = value_of("--epsilon=")) {
-      args.epsilon = std::atof(v);
+      args.ok &= ParseNumber("--epsilon", v, 0.0, 1.0, &args.epsilon);
     } else if (const char* v = value_of("--kinds=")) {
       Result<DependencyKindSet> kinds = DependencyKindSet::Parse(v);
       if (!kinds.ok()) {
@@ -120,18 +153,11 @@ Args ParseArgs(int argc, char** argv) {
         args.kinds_explicit = true;
       }
     } else if (const char* v = value_of("--afd-error=")) {
-      args.afd_error = std::atof(v);
-      if (!(args.afd_error >= 0.0 && args.afd_error <= 1.0)) {
-        std::fprintf(stderr, "--afd-error: want a g1 fraction in [0, 1],"
-                             " got '%s'\n", v);
-        args.ok = false;
-      }
+      args.ok &= ParseNumber("--afd-error", v, 0.0, 1.0, &args.afd_error);
     } else if (const char* v = value_of("--top-k=")) {
-      args.top_k = std::atoll(v);
-      if (args.top_k < 0) {
-        std::fprintf(stderr, "--top-k: want >= 0 (0 = all), got '%s'\n", v);
-        args.ok = false;
-      }
+      args.ok &= ParseInteger("--top-k", v, 0,
+                              std::numeric_limits<int64_t>::max(),
+                              &args.top_k);
     } else if (const char* v = value_of("--max-rows=")) {
       args.max_rows = std::atoll(v);
     } else if (const char* v = value_of("--validator=")) {
@@ -139,24 +165,33 @@ Args ParseArgs(int argc, char** argv) {
       if (kind == "optimal") args.validator = ValidatorKind::kOptimal;
       else if (kind == "iterative") args.validator = ValidatorKind::kIterative;
       else if (kind == "exact") args.validator = ValidatorKind::kExact;
-      else args.ok = false;
+      else {
+        std::fprintf(stderr, "--validator: want optimal | iterative | "
+                             "exact, got '%s'\n", v);
+        args.ok = false;
+      }
     } else if (arg == "--bidirectional") {
       args.bidirectional = true;
     } else if (const char* v = value_of("--threads=")) {
-      args.threads = std::atoi(v);
+      args.ok &= ParseInteger("--threads", v, 0, 1024, &n);
+      args.threads = static_cast<int>(n);
     } else if (arg == "--no-planner") {
       args.planner = false;
     } else if (const char* v = value_of("--memory-budget-mb=")) {
-      args.memory_budget_mb = std::atoll(v);
+      args.ok &= ParseInteger("--memory-budget-mb", v, 0,
+                              std::numeric_limits<int64_t>::max() >> 20,
+                              &args.memory_budget_mb);
     } else if (const char* v = value_of("--shards=")) {
-      args.shards = std::atoi(v);
+      args.ok &= ParseInteger("--shards", v, 0, 1024, &n);
+      args.shards = static_cast<int>(n);
     } else if (const char* v = value_of("--shard-transport=")) {
       std::string kind = v;
       if (kind == "inproc") args.shard_transport = ShardTransport::kInProcess;
-      else if (kind == "socket") args.shard_transport = ShardTransport::kSocket;
       else if (kind == "process") {
         args.shard_transport = ShardTransport::kProcess;
       } else {
+        std::fprintf(stderr, "--shard-transport: want inproc | process, "
+                             "got '%s'\n", v);
         args.ok = false;
       }
     } else if (const char* v = value_of("--shard-runner=")) {
@@ -255,9 +290,7 @@ int main(int argc, char** argv) {
                  "error: shard validation failed unrecoverably after "
                  "%lld retries (transport %s): %s\n",
                  static_cast<long long>(result.stats.shard_retries),
-                 args.shard_transport == ShardTransport::kProcess ? "process"
-                 : args.shard_transport == ShardTransport::kSocket ? "socket"
-                                                                   : "inproc",
+                 ShardTransportToString(args.shard_transport),
                  result.shard_status.ToString().c_str());
     return 1;
   }
@@ -307,12 +340,10 @@ int main(int argc, char** argv) {
     // Next to the codec summary above: what the supervisor absorbed —
     // all zeros on a healthy run.
     std::printf(
-        "shard supervision: %lld retries, %lld respawns, speculation "
-        "%lld won / %lld lost, %lld fallback shards, %lld footers lost\n",
+        "shard supervision: %lld retries, %lld respawns, %lld fallback "
+        "shards, %lld footers lost\n",
         static_cast<long long>(result.stats.shard_retries),
         static_cast<long long>(result.stats.shard_respawns),
-        static_cast<long long>(result.stats.shard_speculative_wins),
-        static_cast<long long>(result.stats.shard_speculative_losses),
         static_cast<long long>(result.stats.shard_fallback_shards),
         static_cast<long long>(result.stats.shard_footers_missing));
   }

@@ -181,7 +181,6 @@ struct Driver {
       shard::RowShardStats rstats;
       Result<std::vector<StrippedPartition>> bases =
           shard::ComputeRowShardedBases(table, options.row_shards, rtopts,
-                                        options.shard_wire_compression,
                                         &rstats);
       result.stats.row_shards_used = options.row_shards;
       result.stats.row_shard_bytes_per_shard =
@@ -246,7 +245,6 @@ struct Driver {
       ropts.sampler_config = options.sampler_config;
       ropts.partition_memory_budget_bytes =
           options.partition_memory_budget_bytes;
-      ropts.wire_compression = options.shard_wire_compression;
       shard::ShardTransportOptions topts;
       topts.transport = options.shard_transport;
       topts.runner_path = options.shard_runner_path;
@@ -254,9 +252,6 @@ struct Driver {
       topts.channel_decorator = options.shard_channel_decorator;
       topts.supervision.max_retries = options.shard_max_retries;
       topts.supervision.retry_backoff_ms = options.shard_retry_backoff_ms;
-      topts.supervision.speculation_factor =
-          options.shard_speculation_factor;
-      topts.supervision.fallback_inproc = options.shard_fallback_inproc;
       if (options.time_budget_seconds > 0) {
         // Clamp every shard-seam wait (and backoff park) to the run
         // budget: a dead runner costs at most the remaining budget, not
@@ -974,9 +969,6 @@ struct Driver {
       // Supervision observability: every recovery the run survived.
       result.stats.shard_retries = coordinator->shard_retries();
       result.stats.shard_respawns = coordinator->shard_respawns();
-      result.stats.shard_speculative_wins = coordinator->speculative_wins();
-      result.stats.shard_speculative_losses =
-          coordinator->speculative_losses();
       result.stats.shard_fallback_shards = coordinator->fallback_shards();
       result.stats.shard_footers_missing = coordinator->footers_missing();
     } else {
@@ -1012,8 +1004,6 @@ const char* ShardTransportToString(ShardTransport transport) {
   switch (transport) {
     case ShardTransport::kInProcess:
       return "inproc";
-    case ShardTransport::kSocket:
-      return "socket";
     case ShardTransport::kProcess:
       return "process";
   }

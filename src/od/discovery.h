@@ -69,18 +69,14 @@ const char* ValidatorKindToString(ValidatorKind kind);
 
 /// How candidate batches reach the shard runners when num_shards >= 1
 /// (src/shard/, "Shard transports" in ARCHITECTURE.md). Discovery output
-/// is bit-identical across all three — the transport moves bytes, the
-/// frames carry exact bit patterns, and the merge is key-ordered.
+/// is bit-identical across both — the transport moves bytes, the frames
+/// carry exact bit patterns, and the merge is key-ordered.
 enum class ShardTransport {
   /// Mutex/cv frame queues; runners on the shared pool (the default).
   kInProcess = 0,
-  /// Localhost TCP between the coordinator and in-process runners: the
-  /// full byte-transport path (length framing, partial reads) without
-  /// process-spawn overhead.
-  kSocket = 1,
   /// One spawned shard_runner_main process per shard over localhost TCP;
   /// the config, rank-encoded table and base partitions ship at startup.
-  kProcess = 2,
+  kProcess = 1,
 };
 
 const char* ShardTransportToString(ShardTransport transport);
@@ -105,7 +101,7 @@ struct DiscoveryOptions {
   /// (0 = keep everything, in merge order). When set, the result list is
   /// sorted by the deterministic interestingness ranking (score desc,
   /// then level, kind, attributes) and truncated — identical for any
-  /// thread count, shard count, transport and compression setting. Stats
+  /// thread count, shard count and transport. Stats
   /// still count every discovered dependency.
   int64_t top_k = 0;
   ValidatorKind validator = ValidatorKind::kOptimal;
@@ -208,12 +204,12 @@ struct DiscoveryOptions {
   /// (partition/partition_stitch.h) merges the per-range fragments back
   /// into the canonical base partitions — bit-identical to the
   /// unsharded FromColumn bases, so dependency output is unchanged for
-  /// any row_shards x threads x transport x compression combination
-  /// (gated in tests/parallel_determinism_test). The stitched bases
-  /// feed the unsharded driver's cache preload or, with num_shards >=
-  /// 1, the candidate-space coordinator's bootstrap. Runs over
-  /// shard_transport with the same runner binary (kProcess) or inline
-  /// serving (kInProcess/kSocket); fail-stop via
+  /// any row_shards x threads x transport combination (gated in
+  /// tests/parallel_determinism_test). The stitched bases feed the
+  /// unsharded driver's cache preload or, with num_shards >= 1, the
+  /// candidate-space coordinator's bootstrap. Runs over shard_transport
+  /// with the same runner binary (kProcess) or inline serving
+  /// (kInProcess); fail-stop via
   /// DiscoveryResult::shard_status (no retry ladder — the phase is a
   /// short bounded prologue).
   int row_shards = 0;
@@ -232,35 +228,20 @@ struct DiscoveryOptions {
   /// set, each wait is additionally clamped to the budget's remaining
   /// time, so a dead runner cannot overshoot a budgeted run.
   double shard_io_timeout_seconds = 300.0;
-  /// Re-attempts allowed per shard per level before the shard degrades
-  /// (or, with fallback off, the run aborts): a failed attempt is torn
-  /// down and a fresh one — respawned process, reconnected socket —
-  /// is re-seeded from the coordinator's encode-once bootstrap frames
-  /// and the level is re-executed. 0 disables ALL supervision (retry,
-  /// speculation, fallback): any shard fault is the typed fail-stop
-  /// abort via DiscoveryResult::shard_status, exactly the pre-supervision
+  /// Re-attempts allowed per shard per level before the shard degrades:
+  /// a failed attempt is torn down, a fresh runner process is re-seeded
+  /// from the coordinator's encode-once bootstrap frames and the level
+  /// is re-executed; once the budget is spent on the process transport,
+  /// that shard's slice runs in-process on the coordinator's pool for
+  /// the rest of the run. 0 disables ALL supervision (retry, fallback):
+  /// any shard fault is the typed fail-stop abort via
+  /// DiscoveryResult::shard_status, exactly the pre-supervision
   /// behavior. Output stays bit-identical under any fault schedule that
   /// completes (src/shard/supervisor.h).
   int shard_max_retries = 2;
   /// Base backoff before a shard's first re-attempt; doubles per
   /// attempt with deterministic jitter, capped at 2s.
   double shard_retry_backoff_ms = 25.0;
-  /// Straggler speculation (0 = off): once at least half the shards
-  /// finished a level, a shard still running past this factor times the
-  /// median shard latency gets one backup attempt; whichever attempt
-  /// finishes first wins, and exactly one attempt's reply is merged.
-  /// Needs a pool and shard_max_retries >= 1.
-  double shard_speculation_factor = 0.0;
-  /// After the per-level retry budget is exhausted on the socket or
-  /// process transport, execute that shard's slice in-process on the
-  /// coordinator's pool (for the rest of the run) instead of aborting.
-  bool shard_fallback_inproc = true;
-  /// Encode shard frames with the delta/varint codecs (wire.h). Output
-  /// is bit-identical with compression on or off — the codecs are
-  /// lossless and decode-side validation is shared — so this is purely
-  /// a bytes-vs-CPU knob; DiscoveryStats reports both shard_bytes_raw
-  /// and shard_bytes_wire so the ratio is observable per run.
-  bool shard_wire_compression = true;
   /// Test seam: wraps every coordinator-side shard channel (e.g. in the
   /// fault-injecting FlakyChannel decorator). Identity when empty.
   std::function<std::unique_ptr<shard::ShardChannel>(

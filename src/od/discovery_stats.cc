@@ -153,16 +153,12 @@ std::string DiscoveryStats::ToString() const {
                         2) +
                     " MiB raw)\n"
               : "")
-      << (shard_retries + shard_respawns + shard_speculative_wins +
-                      shard_speculative_losses + shard_fallback_shards +
+      << (shard_retries + shard_respawns + shard_fallback_shards +
                       shard_footers_missing >
                   0
               ? "  shard recovery: " + std::to_string(shard_retries) +
                     " retries, " + std::to_string(shard_respawns) +
-                    " respawns, speculation " +
-                    std::to_string(shard_speculative_wins) + " won / " +
-                    std::to_string(shard_speculative_losses) + " lost, " +
-                    std::to_string(shard_fallback_shards) +
+                    " respawns, " + std::to_string(shard_fallback_shards) +
                     " shards fell back in-process, " +
                     std::to_string(shard_footers_missing) +
                     " footers lost\n"

@@ -82,13 +82,8 @@ struct DiscoveryStats {
   /// Level re-attempts across all shards (each respawn-and-re-execute
   /// after a fault counts once).
   int64_t shard_retries = 0;
-  /// Fresh transport attempts built after the first per shard —
-  /// respawned processes / reconnected sockets, including speculative
-  /// backups.
+  /// Runner processes respawned after the first per shard.
   int64_t shard_respawns = 0;
-  /// Speculative backup attempts that beat (lost to) their primary.
-  int64_t shard_speculative_wins = 0;
-  int64_t shard_speculative_losses = 0;
   /// Shards that degraded to in-process execution after retry
   /// exhaustion and stayed there for the rest of the run.
   int64_t shard_fallback_shards = 0;

@@ -210,7 +210,8 @@ namespace {
 /// Version 2: the per-kind OC/OFD record lists became one unified list of
 /// kind-tagged DiscoveredDependency records, and DiscoveryStats gained
 /// the FD/AFD counter block.
-constexpr uint16_t kResultBlobVersion = 2;
+/// Version 3: DiscoveryStats lost its backup-attempt win/loss counters.
+constexpr uint16_t kResultBlobVersion = 3;
 
 void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutDouble(s.total_seconds);
@@ -238,8 +239,6 @@ void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   }
   w.PutVarintI64(s.shard_retries);
   w.PutVarintI64(s.shard_respawns);
-  w.PutVarintI64(s.shard_speculative_wins);
-  w.PutVarintI64(s.shard_speculative_losses);
   w.PutVarintI64(s.shard_fallback_shards);
   w.PutVarintI64(s.shard_footers_missing);
   w.PutVarintI64(s.partition_bytes_peak);
@@ -324,8 +323,6 @@ Status GetStats(shard::WireReader& r, DiscoveryStats* s) {
   }
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_retries));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_respawns));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_speculative_wins));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_speculative_losses));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_fallback_shards));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_footers_missing));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->partition_bytes_peak));

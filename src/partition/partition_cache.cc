@@ -62,18 +62,28 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(
 
 std::shared_ptr<const StrippedPartition> PartitionCache::Get(
     AttributeSet set, const DerivationPlan* plan) {
+  if (get_hook_) get_hook_(GetEvent::kEnter, set);
   Shard& shard = ShardFor(set);
   std::promise<PartitionPtr> promise;
+  PartitionFuture existing;
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(set);
     if (it != shard.map.end()) {
-      PartitionFuture future = it->second;
-      // get() outside the lock: a pending future blocks until the
-      // computing thread resolves it.
-      return future.get();
+      existing = it->second;
+    } else {
+      shard.map.emplace(set, promise.get_future().share());
     }
-    shard.map.emplace(set, promise.get_future().share());
+  }
+  if (existing.valid()) {
+    // Wait with the stripe unlocked: the thread computing `set` may need
+    // another key of this stripe (its base or a single) and would block
+    // forever behind a waiter that held the lock.
+    if (get_hook_ && existing.wait_for(std::chrono::seconds(0)) !=
+                         std::future_status::ready) {
+      get_hook_(GetEvent::kWaitPending, set);
+    }
+    return existing.get();
   }
   // Level-0/1 partitions are preloaded and never evicted, so a miss is
   // always a derivable set.

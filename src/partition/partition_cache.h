@@ -24,7 +24,9 @@
 // driver materializes partitions on the thread pool. The key space is
 // striped over independently locked shards, and each key is computed
 // exactly once: the first requester installs a shared_future and computes
-// outside the shard lock, later requesters block on the future. Catalog
+// outside the shard lock, later requesters copy the future under the lock
+// and wait on it after releasing the lock (never wait while holding one: the
+// computing thread may need another key of the same stripe). Catalog
 // mutation (PublishCost, eviction) must not run concurrently with
 // planner-consulting Gets; the driver calls both only between phases.
 // Eviction additionally requires all futures resolved.
@@ -33,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -174,6 +177,21 @@ class PartitionCache {
   /// Number of partitions currently materialized.
   int64_t cached_count() const;
 
+  /// The lock stripe `set` lives in; two keys with the same stripe share
+  /// one map mutex.
+  static size_t StripeOf(AttributeSet set) {
+    return AttributeSetHash{}(set) % kShardCount;
+  }
+
+  /// Test seam: observes Get on entry (before any cache lock) and just
+  /// before it blocks on a key another thread is still computing. Set it
+  /// before any concurrent Get; empty (the default) costs one branch.
+  enum class GetEvent { kEnter, kWaitPending };
+  void set_get_hook_for_testing(
+      std::function<void(GetEvent, AttributeSet)> hook) {
+    get_hook_ = std::move(hook);
+  }
+
  private:
   using PartitionPtr = std::shared_ptr<const StrippedPartition>;
   using PartitionFuture = std::shared_future<PartitionPtr>;
@@ -187,11 +205,9 @@ class PartitionCache {
   };
   static constexpr size_t kShardCount = 16;
 
-  Shard& ShardFor(AttributeSet set) {
-    return shards_[AttributeSetHash{}(set) % kShardCount];
-  }
+  Shard& ShardFor(AttributeSet set) { return shards_[StripeOf(set)]; }
   const Shard& ShardFor(AttributeSet set) const {
-    return shards_[AttributeSetHash{}(set) % kShardCount];
+    return shards_[StripeOf(set)];
   }
 
   /// Installs an already-resolved entry (constructor preloads).
@@ -216,6 +232,7 @@ class PartitionCache {
   const EncodedTable* table_;
   Shard shards_[kShardCount];
   bool planner_enabled_ = true;
+  std::function<void(GetEvent, AttributeSet)> get_hook_;
   std::atomic<int64_t> products_computed_{0};
   std::atomic<int64_t> planner_derivations_{0};
   std::atomic<int64_t> planner_cost_estimated_{0};

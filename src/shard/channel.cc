@@ -11,8 +11,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/endian.h"
@@ -430,167 +428,6 @@ Result<int> SocketListener::AcceptFd(double timeout_seconds) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return fd;
-}
-
-Result<LoopbackChannelPair> ConnectLoopbackPair(double timeout_seconds,
-                                                ChannelOptions options) {
-  // The loopback connect completes out of the listen backlog, so
-  // connect-then-accept on one thread is safe; the listener lives only
-  // for this handshake.
-  AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
-                       SocketListener::Bind());
-  LoopbackChannelPair pair;
-  AOD_ASSIGN_OR_RETURN(pair.near,
-                       SocketShardChannel::Connect("127.0.0.1",
-                                                   listener->port(),
-                                                   timeout_seconds, options));
-  AOD_ASSIGN_OR_RETURN(int accepted_fd, listener->AcceptFd(timeout_seconds));
-  pair.far = SocketShardChannel::Adopt(accepted_fd, options);
-  return pair;
-}
-
-// ------------------------------------------------------------------- file --
-
-namespace fs = std::filesystem;
-
-FileShardChannel::FileShardChannel(std::string directory, Role role,
-                                   ChannelOptions options)
-    : directory_(std::move(directory)), role_(role), options_(options) {}
-
-std::string FileShardChannel::FramePath(int64_t seq) const {
-  char name[32];
-  std::snprintf(name, sizeof(name), "frame-%09lld",
-                static_cast<long long>(seq));
-  return directory_ + "/" + name;
-}
-
-Status FileShardChannel::Send(std::vector<uint8_t> frame) {
-  if (role_ != Role::kSender) {
-    return Status::Internal("send on the receiver end of a file channel");
-  }
-  int64_t seq;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) return Status::Closed("send on closed shard channel");
-    seq = send_seq_++;
-    bytes_sent_ += static_cast<int64_t>(frame.size());
-  }
-  const std::string tmp = directory_ + "/.inflight-" + std::to_string(seq);
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot create spool frame " + tmp);
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size()));
-    if (!out.flush()) return Status::IoError("short write to " + tmp);
-  }
-  std::error_code ec;
-  fs::rename(tmp, FramePath(seq), ec);  // atomic publish
-  if (ec) return Status::IoError("spool rename failed: " + ec.message());
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> FileShardChannel::Receive() {
-  const bool bounded = options_.receive_timeout_seconds > 0.0;
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             options_.receive_timeout_seconds));
-  const std::string marker = directory_ + "/closed";
-  for (;;) {
-    int64_t seq;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return Status::Closed("shard channel closed");
-      seq = recv_seq_;
-    }
-    const std::string path = FramePath(seq);
-    std::error_code ec;
-    if (fs::exists(path, ec)) {
-      const auto len = fs::file_size(path, ec);
-      if (ec) return Status::IoError("spool stat failed: " + ec.message());
-      if (options_.max_frame_bytes > 0 &&
-          len > static_cast<uint64_t>(options_.max_frame_bytes)) {
-        return Status::ParseError("frame exceeds max_frame_bytes");
-      }
-      if (len < kFrameHeaderBytes) {
-        return Status::ParseError("torn spool frame (shorter than header)");
-      }
-      std::vector<uint8_t> frame(static_cast<size_t>(len));
-      {
-        std::ifstream in(path, std::ios::binary);
-        if (!in.read(reinterpret_cast<char*>(frame.data()),
-                     static_cast<std::streamsize>(frame.size()))) {
-          return Status::IoError("spool read failed: " + path);
-        }
-      }
-      if (endian::LoadU64(frame.data() + 8) !=
-          frame.size() - kFrameHeaderBytes) {
-        return Status::ParseError("torn spool frame (size mismatch)");
-      }
-      fs::remove(path, ec);  // consumed; spool stays bounded
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++recv_seq_;
-      bytes_received_ += static_cast<int64_t>(frame.size());
-      return frame;
-    }
-    if (fs::exists(marker, ec)) {
-      // The marker is published after every frame file, so a missing
-      // frame below the recorded count means the spool was tampered
-      // with, not that we raced the sender.
-      std::ifstream in(marker, std::ios::binary);
-      uint8_t buf[8] = {0};
-      in.read(reinterpret_cast<char*>(buf), sizeof(buf));
-      const int64_t count = static_cast<int64_t>(endian::LoadU64(buf));
-      if (seq >= count) {
-        // Clean close: every frame was consumed, so nothing of post-
-        // mortem value remains. Remove the marker and the directory
-        // (non-recursive — an unexpectedly non-empty directory stays,
-        // exactly the case worth inspecting). Error returns above leave
-        // the spool untouched.
-        in.close();
-        fs::remove(marker, ec);
-        ec.clear();
-        fs::remove(directory_, ec);
-        return Status::Closed("shard channel closed (spool drained)");
-      }
-      return Status::ParseError("spool frame missing below closed count");
-    }
-    if (bounded && Clock::now() >= deadline) {
-      return Status::IoError("shard channel receive timed out");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-}
-
-void FileShardChannel::Close() {
-  int64_t count;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) return;
-    closed_ = true;
-    count = send_seq_;
-  }
-  if (role_ != Role::kSender) return;
-  std::vector<uint8_t> payload;
-  endian::AppendU64(&payload, static_cast<uint64_t>(count));
-  const std::string tmp = directory_ + "/.inflight-closed";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(payload.data()),
-              static_cast<std::streamsize>(payload.size()));
-  }
-  std::error_code ec;
-  fs::rename(tmp, directory_ + "/closed", ec);
-}
-
-int64_t FileShardChannel::bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_sent_;
-}
-
-int64_t FileShardChannel::bytes_received() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_received_;
 }
 
 }  // namespace shard

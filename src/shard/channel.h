@@ -5,8 +5,8 @@
 // in one direction; a coordinator/runner pair uses two — an inbox and an
 // outbox — or one full-duplex stream endpoint serving as both. The
 // interface is deliberately minimal (send, blocking receive, close) so
-// that the in-process queue, the localhost TCP socket and the spool-
-// directory file transport are interchangeable without touching the
+// that the in-process queue and the byte-stream transport (a localhost
+// TCP socket or a pipe pair) are interchangeable without touching the
 // coordinator, the runner, or any encoder: everything protocol-level
 // lives in the frames themselves (versioning, typing, checksums).
 //
@@ -179,10 +179,10 @@ class InProcessChannel final : public ShardChannel {
 /// clean EOF at a frame boundary yields kClosed.
 ///
 /// Send never blocks on the peer: frames are handed to a dedicated
-/// writer thread with an unbounded queue, so a coordinator and an
-/// in-process runner sharing one thread can exchange arbitrarily large
-/// frames without deadlocking on kernel socket buffers. A write error
-/// is latched and surfaced by the next Send.
+/// writer thread with an unbounded queue, so a coordinator can queue a
+/// whole conversation of arbitrarily large frames before its peer reads
+/// any of them without deadlocking on kernel socket buffers. A write
+/// error is latched and surfaced by the next Send.
 class SocketShardChannel final : public ShardChannel {
  public:
   /// Connects to host:port (blocking, bounded by timeout_seconds).
@@ -254,24 +254,8 @@ class SocketShardChannel final : public ShardChannel {
   std::thread writer_;
 };
 
-/// A freshly connected localhost TCP endpoint pair. This is the
-/// reconnectable-endpoint seam of the shard supervisor: every
-/// (re)establishment of a socket-transport attempt builds its own pair
-/// — own ephemeral listener, connect, accept, listener dropped — so
-/// concurrent respawns and speculative backup attempts never contend on
-/// a shared accept queue or adopt each other's connections.
-struct LoopbackChannelPair {
-  /// The connecting side (the coordinator keeps this one).
-  std::unique_ptr<SocketShardChannel> near;
-  /// The accepted side (handed to the in-process runner).
-  std::unique_ptr<SocketShardChannel> far;
-};
-
-Result<LoopbackChannelPair> ConnectLoopbackPair(double timeout_seconds,
-                                                ChannelOptions options = {});
-
-/// Accepts coordinator-side connections for socket/process transports
-/// and for the serving layer. Binds 127.0.0.1 on an ephemeral port (or
+/// Accepts coordinator-side connections for the process transport and
+/// for the serving layer. Binds 127.0.0.1 on an ephemeral port (or
 /// a requested one); never listens off-loopback.
 class SocketListener {
  public:
@@ -289,52 +273,6 @@ class SocketListener {
   SocketListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
   const int fd_;
   const uint16_t port_;
-};
-
-/// Spool-directory transport for batch/offline topologies: each frame
-/// is one file, written atomically (temp file + rename) under an
-/// ascending sequence name, consumed (and deleted) in sequence order by
-/// the receiver. Close publishes a `closed` marker carrying the final
-/// frame count, so a receiver that drained the spool returns kClosed
-/// instead of polling forever. One directory carries one direction; a
-/// coordinator/runner pair uses two directories.
-///
-/// A frame file shorter than its own header, or whose length disagrees
-/// with the header's declared payload size, is rejected as a torn spool
-/// frame (kParseError) — the atomic rename makes this unreachable
-/// through this API, so seeing one means the spool was tampered with.
-///
-/// On a clean close — the receiver drains the spool down to the closed
-/// marker — the receiver removes the marker and the (now empty) spool
-/// directory itself. Any error path leaves the directory and its
-/// remaining files in place for post-mortem inspection.
-class FileShardChannel final : public ShardChannel {
- public:
-  enum class Role { kSender, kReceiver };
-
-  /// `directory` must exist. The sender creates its files inside it.
-  FileShardChannel(std::string directory, Role role,
-                   ChannelOptions options = {});
-  AOD_DISALLOW_COPY_AND_ASSIGN(FileShardChannel);
-
-  Status Send(std::vector<uint8_t> frame) override;
-  Result<std::vector<uint8_t>> Receive() override;
-  void Close() override;
-  int64_t bytes_sent() const override;
-  int64_t bytes_received() const override;
-
- private:
-  std::string FramePath(int64_t seq) const;
-
-  const std::string directory_;
-  const Role role_;
-  const ChannelOptions options_;
-  mutable std::mutex mutex_;
-  int64_t send_seq_ = 0;
-  int64_t recv_seq_ = 0;
-  int64_t bytes_sent_ = 0;
-  int64_t bytes_received_ = 0;
-  bool closed_ = false;
 };
 
 }  // namespace shard

@@ -1,17 +1,9 @@
 #include "shard/coordinator.h"
 
-#include <sys/wait.h>
-
-#include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <csignal>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "common/macros.h"
-#include "common/stopwatch.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "partition/attribute_set.h"
@@ -19,13 +11,6 @@
 
 namespace aod {
 namespace shard {
-namespace {
-
-/// Floor on the straggler threshold: hedging a level whose median shard
-/// finished in microseconds would respawn constantly for nothing.
-constexpr double kMinHedgeSeconds = 0.05;
-
-}  // namespace
 
 ShardCoordinator::ShardCoordinator(
     const EncodedTable* table, const ShardTransportOptions& transport_options,
@@ -50,17 +35,16 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
 Status ShardCoordinator::Init(
     int num_shards, const ShardRunnerOptions& runner_options,
     const std::vector<StrippedPartition>* base_partitions) {
-  const bool compress = runner_options.wire_compression;
   // Everything a fresh attempt needs, encoded — and checksummed — once:
-  // the same bytes bootstrap the first attempt, every respawn and every
-  // speculative backup, so re-seeding costs sends, not re-encodes.
+  // the same bytes bootstrap the first attempt and every respawn, so
+  // re-seeding costs sends, not re-encodes.
   bootstrap_.table = table_;
   bootstrap_.runner_options = runner_options;
   bootstrap_.num_shards = num_shards;
   bootstrap_.pool_workers = pool_ != nullptr ? pool_->num_workers() : 1;
   if (transport_.transport == ShardTransport::kProcess) {
     bootstrap_.table_frame =
-        EncodeTableBlock(*table_, compress, &bootstrap_.table_counts);
+        EncodeTableBlock(*table_, /*compress=*/true, &bootstrap_.table_counts);
   }
   // One kPartitionBlock per base (level-1) partition, shipped to every
   // shard as a single kBatch envelope — one syscall per seeding instead
@@ -84,7 +68,7 @@ Status ShardCoordinator::Init(
         base_partitions != nullptr
             ? (*base_partitions)[static_cast<size_t>(a)]
             : StrippedPartition::FromColumn(table_->column(a)),
-        compress, &bootstrap_.base_counts));
+        /*compress=*/true, &bootstrap_.base_counts));
   }
   bootstrap_.base_frames = k;
   if (k == 1) {
@@ -119,228 +103,30 @@ int ShardCoordinator::ShardOf(uint64_t context_bits, int num_shards) {
 Status ShardCoordinator::ValidateBatch(
     const std::vector<WireCandidate>& candidates,
     const std::function<bool()>& cancel,
-    std::vector<WireOutcome>* completed) {
-  // Staged locally so a failure never leaves a partial batch in
-  // `completed` — the no-partial-batch contract of this overload.
-  std::vector<WireOutcome> collected;
-  AOD_RETURN_NOT_OK(ValidateBatch(
-      candidates, cancel,
-      [&collected](WireOutcome o) { collected.push_back(std::move(o)); }));
-  for (WireOutcome& o : collected) completed->push_back(std::move(o));
-  return Status::OK();
-}
-
-Status ShardCoordinator::ValidateBatch(
-    const std::vector<WireCandidate>& candidates,
-    const std::function<bool()>& cancel,
     const std::function<void(WireOutcome)>& fold) {
   const int n = num_shards();
   std::vector<std::vector<WireCandidate>> batches(static_cast<size_t>(n));
   for (const WireCandidate& c : candidates) {
     batches[static_cast<size_t>(ShardOf(c.context_bits, n))].push_back(c);
   }
-
-  // One result cell per shard for the level. A cell is claimed exactly
-  // once — by the primary attempt or its speculative backup, whichever
-  // finishes first — under the level mutex; the loser's reply is never
-  // folded. That single-claim rule is the speculation dedupe: outcomes
-  // are pure functions of the batch, so the winner's buffered reply is
-  // byte-identical to what the loser would have produced.
-  struct LevelCell {
-    bool done = false;
-    bool backup_launched = false;
-    bool backup_won = false;
-    Status status;
-    std::vector<WireOutcome> outcomes;
-    double completed_seconds = 0.0;
-  };
-  std::vector<LevelCell> cells(static_cast<size_t>(n));
-  std::mutex mutex;
-  std::condition_variable cv;
-  int completed = 0;
-  Stopwatch level_sw;
-
-  const bool speculate = !strict() && pool_ != nullptr &&
-                         transport_.supervision.speculation_factor > 0.0;
-
   // Each shard's ship/validate/receive round is one task: chunk decode
   // and (supervised) retry ladders overlap across shards, while the
   // serial shard-order fold below keeps delivery deterministic.
+  std::vector<Status> statuses(batches.size());
+  std::vector<std::vector<WireOutcome>> replies(batches.size());
   exec::TaskGroup group(pool_);
-  for (int s = 0; s < n; ++s) {
-    ShardSupervisor* sup = supervisors_[static_cast<size_t>(s)].get();
-    LevelCell* cell = &cells[static_cast<size_t>(s)];
-    const std::vector<WireCandidate>* batch =
-        &batches[static_cast<size_t>(s)];
-    group.Run([sup, cell, batch, &cancel, &mutex, &cv, &completed,
-               &level_sw] {
-      const auto abandoned = [cell, &mutex] {
-        std::lock_guard<std::mutex> lock(mutex);
-        return cell->done;
-      };
-      std::vector<WireOutcome> buffered;
-      Status st = sup->ExecuteLevel(*batch, cancel, abandoned, &buffered);
-      bool won = false;
-      bool raced_backup = false;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!cell->done) {
-          cell->done = true;
-          cell->status = std::move(st);
-          cell->outcomes = std::move(buffered);
-          cell->completed_seconds = level_sw.ElapsedSeconds();
-          ++completed;
-          won = true;
-          raced_backup = cell->backup_launched;
-        }
-      }
-      cv.notify_all();
-      if (won && raced_backup) sup->AbortOther(/*winner_is_backup=*/false);
+  for (size_t s = 0; s < batches.size(); ++s) {
+    group.Run([this, s, &batches, &cancel, &statuses, &replies] {
+      statuses[s] =
+          supervisors_[s]->ExecuteLevel(batches[s], cancel, &replies[s]);
     });
   }
-
-  if (speculate) {
-    // The straggler monitor: once at least half the shards finished the
-    // level, any shard still running past factor x the median latency
-    // gets one backup attempt. Runs on the calling thread; the tasks
-    // above run on the pool meanwhile.
-    std::unique_lock<std::mutex> lock(mutex);
-    while (completed < n) {
-      cv.wait_for(lock, std::chrono::milliseconds(20));
-      if (completed >= n || (cancel && cancel())) break;
-      std::vector<double> done_seconds;
-      for (const LevelCell& cell : cells) {
-        if (cell.done) done_seconds.push_back(cell.completed_seconds);
-      }
-      if (done_seconds.size() * 2 < static_cast<size_t>(n)) continue;
-      std::sort(done_seconds.begin(), done_seconds.end());
-      const double median = done_seconds[done_seconds.size() / 2];
-      const double threshold =
-          std::max(transport_.supervision.speculation_factor * median,
-                   kMinHedgeSeconds);
-      if (level_sw.ElapsedSeconds() < threshold) continue;
-      std::vector<int> launch;
-      for (int s = 0; s < n; ++s) {
-        LevelCell& cell = cells[static_cast<size_t>(s)];
-        if (!cell.done && !cell.backup_launched) {
-          cell.backup_launched = true;
-          launch.push_back(s);
-        }
-      }
-      if (launch.empty()) continue;
-      lock.unlock();
-      for (int s : launch) {
-        ShardSupervisor* sup = supervisors_[static_cast<size_t>(s)].get();
-        LevelCell* cell = &cells[static_cast<size_t>(s)];
-        const std::vector<WireCandidate>* batch =
-            &batches[static_cast<size_t>(s)];
-        group.Run([sup, cell, batch, &cancel, &mutex, &cv, &completed,
-                   &level_sw] {
-          const auto abandoned = [cell, &mutex] {
-            std::lock_guard<std::mutex> lock(mutex);
-            return cell->done;
-          };
-          std::vector<WireOutcome> buffered;
-          const Status st =
-              sup->ExecuteLevelBackup(*batch, cancel, abandoned, &buffered);
-          // A backup claims the cell only on success — a backup that
-          // fails (or was aborted by the primary's win) is just a loss,
-          // never the level's verdict.
-          bool won = false;
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (st.ok() && !cell->done) {
-              cell->done = true;
-              cell->backup_won = true;
-              cell->status = Status::OK();
-              cell->outcomes = std::move(buffered);
-              cell->completed_seconds = level_sw.ElapsedSeconds();
-              ++completed;
-              won = true;
-            }
-          }
-          cv.notify_all();
-          if (won) sup->AbortOther(/*winner_is_backup=*/true);
-        });
-      }
-      lock.lock();
-    }
-  }
   group.Wait();
-
-  // Post-join, single-threaded: adopt winning backups / discard losing
-  // ones, then fold exactly one claimed reply per shard in shard order
-  // (ascending slots within a shard) — deterministic regardless of
-  // which attempt won or in what order shards finished.
-  for (int s = 0; s < n; ++s) {
-    const LevelCell& cell = cells[static_cast<size_t>(s)];
-    supervisors_[static_cast<size_t>(s)]->ResolveLevel(cell.backup_launched,
-                                                       cell.backup_won);
-  }
-  for (const LevelCell& cell : cells) {
-    AOD_RETURN_NOT_OK(cell.status);
-  }
-  for (LevelCell& cell : cells) {
-    for (WireOutcome& o : cell.outcomes) fold(std::move(o));
+  for (const Status& st : statuses) AOD_RETURN_NOT_OK(st);
+  for (std::vector<WireOutcome>& reply : replies) {
+    for (WireOutcome& o : reply) fold(std::move(o));
   }
   return Status::OK();
-}
-
-void ShardCoordinator::ReapAll(std::vector<ShardReapJob> jobs,
-                               const std::function<void(Status)>& record) {
-  if (jobs.empty()) return;
-  // ONE deadline for the whole fleet: a healthy child exits after
-  // answering the shutdown (or on EOF once its socket closed); the
-  // wedged ones — stuck without reading, so they never see EOF — are
-  // all killed in a single escalation pass once the shared deadline
-  // lapses, so shutdown costs at most one I/O timeout total, not one
-  // per child.
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(transport_.io_timeout_seconds));
-  std::vector<char> done(jobs.size(), 0);
-  size_t remaining = jobs.size();
-  bool escalated = false;
-  while (remaining > 0) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (done[i]) continue;
-      int wstatus = 0;
-      // After the SIGKILL pass the waits block — SIGKILL converges, so
-      // they cannot hang.
-      const pid_t reaped =
-          ::waitpid(jobs[i].pid, &wstatus, escalated ? 0 : WNOHANG);
-      if (reaped == 0) continue;
-      done[i] = 1;
-      --remaining;
-      if (reaped < 0) {
-        record(Status::IoError("waitpid failed for shard runner"));
-        continue;
-      }
-      const bool killed_here = escalated && WIFSIGNALED(wstatus) &&
-                               WTERMSIG(wstatus) == SIGKILL;
-      if (!killed_here &&
-          (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
-        record(Status::Internal(
-            "shard runner exited abnormally (status " +
-            std::to_string(WIFEXITED(wstatus) ? WEXITSTATUS(wstatus)
-                                              : -WTERMSIG(wstatus)) +
-            ")"));
-      }
-    }
-    if (remaining == 0 || escalated) break;
-    if (std::chrono::steady_clock::now() >= deadline) {
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (done[i]) continue;
-        ::kill(jobs[i].pid, SIGKILL);
-        record(Status::Internal(
-            "shard runner unresponsive at shutdown; killed"));
-      }
-      escalated = true;
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
 }
 
 Status ShardCoordinator::Finish() {
@@ -356,7 +142,6 @@ Status ShardCoordinator::Finish() {
   // (footers_missing). The supervisor methods themselves return OK for
   // tolerated faults, so `record` only ever sees strict-mode errors and
   // genuine supervised-mode breakage.
-  const auto swallow = [](Status) {};
 
   // Shutdown handshake, pushed to every shard even if one fails — each
   // link must reach its terminal state before the channels close.
@@ -380,14 +165,24 @@ Status ShardCoordinator::Finish() {
   for (auto& sup : supervisors_) {
     sup->CloseChannels();
   }
-  std::vector<ShardReapJob> jobs;
+  // ONE reap deadline for the whole fleet: a healthy child exits after
+  // answering the shutdown (or on EOF once its socket closed); a wedged
+  // one — stuck without reading, so it never sees EOF — is killed once
+  // the shared deadline lapses, so shutdown costs at most one I/O
+  // timeout total, not one per child. Abnormal exits count in strict
+  // mode only.
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(transport_.io_timeout_seconds));
   for (auto& sup : supervisors_) {
-    sup->ReleaseProcesses(&jobs);
-  }
-  if (strict()) {
-    ReapAll(std::move(jobs), record);
-  } else {
-    ReapAll(std::move(jobs), swallow);
+    const pid_t pid = sup->ReleaseProcess();
+    if (pid < 0) continue;
+    const Status reaped = KillAndReap(
+        pid, std::chrono::duration<double>(deadline -
+                                           std::chrono::steady_clock::now())
+                 .count());
+    if (strict()) record(reaped);
   }
   finish_status_ = result;
   return finish_status_;
@@ -486,18 +281,6 @@ int64_t ShardCoordinator::shard_retries() const {
 int64_t ShardCoordinator::shard_respawns() const {
   int64_t total = 0;
   for (const auto& sup : supervisors_) total += sup->respawns();
-  return total;
-}
-
-int64_t ShardCoordinator::speculative_wins() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->speculative_wins();
-  return total;
-}
-
-int64_t ShardCoordinator::speculative_losses() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->speculative_losses();
   return total;
 }
 

@@ -23,8 +23,7 @@
 //                   slots in shard order;
 //   supervision     each shard's level execution runs under its
 //                   ShardSupervisor (src/shard/supervisor.h): failures
-//                   are retried with backoff and a fresh attempt,
-//                   stragglers can be speculatively re-executed, and a
+//                   are retried with backoff and a fresh attempt, and a
 //                   shard whose transport stays broken degrades to
 //                   in-process execution instead of aborting the run;
 //   Finish()        the shutdown handshake: a kShutdown frame per
@@ -34,9 +33,6 @@
 //
 // Transports (ShardTransportOptions::transport):
 //   kInProcess  mutex/cv frame queues; runners on the shared pool.
-//   kSocket     localhost TCP between coordinator and in-process
-//               runners — the full byte-transport path (length framing,
-//               partial reads, writer threads) without process overhead.
 //   kProcess    one spawned shard_runner_main per shard, connected over
 //               localhost TCP; validation parallelism across processes.
 //
@@ -52,9 +48,9 @@
 // Determinism: the assignment rule is a pure hash of the context set, a
 // runner's outcomes are pure functions of its batch (canonical
 // partition values, deterministic fixed-rule derivation, seeded
-// sampler), replayed and speculated attempts receive byte-identical
-// inputs, and exactly one attempt's buffered reply per shard is folded
-// — in shard order, ascending slots within a shard — so sharded
+// sampler), replayed attempts receive byte-identical inputs, and
+// exactly one attempt's buffered reply per shard is folded — in shard
+// order, ascending slots within a shard — so sharded
 // discovery output is bit-identical to the unsharded run for any shard
 // count, any thread count, any transport, and any fault schedule that
 // completes (gated by tests/parallel_determinism_test,
@@ -66,7 +62,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <sys/types.h>
 #include <vector>
 
 #include "common/status.h"
@@ -84,7 +79,7 @@ class ThreadPool;
 
 namespace shard {
 
-// ShardTransport (the {inproc, socket, process} selector) lives in
+// ShardTransport (the {inproc, process} selector) lives in
 // od/discovery.h next to the other DiscoveryOptions vocabulary — this
 // header reaches it through shard_runner.h.
 
@@ -100,7 +95,7 @@ struct ShardTransportOptions {
   double io_timeout_seconds = 300.0;
   /// Receiver-side frame size cap (see ChannelOptions).
   int64_t max_frame_bytes = 1LL << 30;
-  /// Retry/speculation/fallback policy (src/shard/supervisor.h);
+  /// Retry/fallback policy (src/shard/supervisor.h);
   /// supervision.max_retries == 0 is strict fail-stop mode.
   ShardSupervisionOptions supervision;
   /// Test seam: wraps every coordinator-side channel endpoint (e.g. in a
@@ -143,22 +138,13 @@ class ShardCoordinator {
   /// Validates one level's candidates across the shards: splits
   /// `candidates` by ShardOf, runs every shard's ship/validate/receive
   /// round as one supervised task (concurrent across shards on the
-  /// pool), and appends each shard's completed outcomes to `completed`
-  /// in shard order — only once every shard's reply decoded cleanly, so
-  /// a failure never leaves a partial batch behind. Candidates a shard
-  /// did not finish before cancellation are simply absent — the
-  /// driver's merge treats their slots as undone.
-  Status ValidateBatch(const std::vector<WireCandidate>& candidates,
-                       const std::function<bool()>& cancel,
-                       std::vector<WireOutcome>* completed);
-
-  /// The fold form: `fold` is invoked per outcome — shard order
-  /// outside, ascending slots within a shard — after every shard's
-  /// level completed. Replies are buffered per shard while in flight
-  /// (chunk decode overlaps across shards on the pool); buffering is
-  /// what lets a speculated level fold exactly one winning attempt's
-  /// outcomes, keeping the merge bit-identical under any fault
-  /// schedule. Nothing is folded on a non-OK return.
+  /// pool), and — only once every shard's reply decoded cleanly —
+  /// invokes `fold` per outcome, shard order outside, ascending slots
+  /// within a shard. Replies are buffered per shard while in flight, so
+  /// a retried level folds exactly one attempt's outcomes and nothing is
+  /// folded on a non-OK return. Candidates a shard did not finish before
+  /// cancellation are simply absent — the driver's merge treats their
+  /// slots as undone.
   Status ValidateBatch(const std::vector<WireCandidate>& candidates,
                        const std::function<bool()>& cancel,
                        const std::function<void(WireOutcome)>& fold);
@@ -212,8 +198,6 @@ class ShardCoordinator {
   // shards. Meaningful any time; stable once Finish returned.
   int64_t shard_retries() const;
   int64_t shard_respawns() const;
-  int64_t speculative_wins() const;
-  int64_t speculative_losses() const;
   /// Shards currently degraded to in-process execution.
   int64_t fallback_shards() const;
   /// Shards whose stats footer was lost to a tolerated shutdown fault.
@@ -229,10 +213,6 @@ class ShardCoordinator {
   bool strict() const {
     return transport_.supervision.max_retries <= 0;
   }
-  /// The shared-deadline reap pass (see Finish). Errors are recorded
-  /// through `record` in strict mode only.
-  void ReapAll(std::vector<ShardReapJob> jobs,
-               const std::function<void(Status)>& record);
 
   const EncodedTable* table_;
   const ShardTransportOptions transport_;

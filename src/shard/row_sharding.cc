@@ -1,21 +1,10 @@
 #include "shard/row_sharding.h"
 
-#include <spawn.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/macros.h"
-
-extern char** environ;
+#include "shard/supervisor.h"
 
 namespace aod {
 namespace shard {
@@ -96,25 +85,6 @@ Status DrainShardReply(ShardChannel* from, int shard, const RowRange& range,
   return Status::OK();
 }
 
-/// Bounded orderly reap of a spawned runner: poll-wait for exit, SIGKILL
-/// on timeout so a wedged child can never leak past the phase.
-void ReapRunner(pid_t pid, double timeout_seconds) {
-  if (pid < 0) return;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  for (;;) {
-    int wstatus = 0;
-    const pid_t r = ::waitpid(pid, &wstatus, WNOHANG);
-    if (r == pid || (r < 0 && errno != EINTR)) return;
-    if (std::chrono::steady_clock::now() >= deadline) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, &wstatus, 0);
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-}
-
 }  // namespace
 
 Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
@@ -143,7 +113,7 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
   for (int a = 0; a < k; ++a) {
     frames.push_back(EncodePartitionFragment(
         FragmentFromSlice(slice.table.column(a), slice.row_offset, a),
-        config.wire_compression, &encoded));
+        /*compress=*/true, &encoded));
   }
   if (frames.size() == 1) {
     AOD_RETURN_NOT_OK(out->Send(std::move(frames[0])));
@@ -175,8 +145,7 @@ Status ServeRowShard(ShardChannel* in, ShardChannel* out) {
 
 Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
     const EncodedTable& table, int row_shards,
-    const ShardTransportOptions& transport, bool wire_compression,
-    RowShardStats* stats) {
+    const ShardTransportOptions& transport, RowShardStats* stats) {
   AOD_CHECK_MSG(row_shards >= 1, "row sharding needs >= 1 shard");
   const int64_t num_rows = table.num_rows();
   const int k = table.num_columns();
@@ -210,12 +179,11 @@ Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
 
     WireRunnerConfig config;
     config.shard_id = static_cast<uint32_t>(s);
-    config.wire_compression = wire_compression;
     config.row_begin = range.begin;
     config.row_end = range.end;
     std::vector<uint8_t> config_frame = EncodeConfigBlock(config);
     std::vector<uint8_t> slice_frame = EncodeTableSlice(
-        table, range.begin, range.end, wire_compression, &st->slice_counts);
+        table, range.begin, range.end, /*compress=*/true, &st->slice_counts);
     st->table_bytes_per_shard[static_cast<size_t>(s)] =
         static_cast<int64_t>(slice_frame.size());
 
@@ -234,70 +202,26 @@ Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
         st->bytes_shipped_total += to.bytes_sent() + from.bytes_sent();
         break;
       }
-      case ShardTransport::kSocket: {
-        AOD_ASSIGN_OR_RETURN(
-            LoopbackChannelPair pair,
-            ConnectLoopbackPair(transport.io_timeout_seconds, copts));
-        AOD_RETURN_NOT_OK(pair.near->Send(std::move(config_frame)));
-        AOD_RETURN_NOT_OK(pair.near->Send(std::move(slice_frame)));
-        AOD_RETURN_NOT_OK(pair.near->Send(EncodeShutdown()));
-        // The socket writer threads decouple the two directions, so the
-        // inline runner and this drain cannot deadlock on kernel buffers.
-        AOD_RETURN_NOT_OK(ServeRowShard(pair.far.get(), pair.far.get()));
-        AOD_RETURN_NOT_OK(DrainShardReply(pair.near.get(), s, range, k,
-                                          num_rows, &fragments, st));
-        st->bytes_shipped_total +=
-            pair.near->bytes_sent() + pair.near->bytes_received();
-        pair.near->Close();
-        pair.far->Close();
-        break;
-      }
       case ShardTransport::kProcess: {
-        std::string path = transport.runner_path;
-        if (path.empty()) {
-          const char* env = std::getenv("AOD_SHARD_RUNNER");
-          if (env != nullptr) path = env;
-        }
-        if (path.empty()) {
-          return Status::InvalidArgument(
-              "process transport needs ShardTransportOptions::runner_path "
-              "or $AOD_SHARD_RUNNER");
-        }
-        AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
-                             SocketListener::Bind());
-        const std::string endpoint =
-            "--connect=127.0.0.1:" + std::to_string(listener->port());
-        const std::string timeout =
-            "--timeout=" + std::to_string(transport.io_timeout_seconds);
-        char* argv[] = {const_cast<char*>(path.c_str()),
-                        const_cast<char*>(endpoint.c_str()),
-                        const_cast<char*>(timeout.c_str()), nullptr};
-        pid_t pid = -1;
-        const int rc =
-            ::posix_spawn(&pid, path.c_str(), nullptr, nullptr, argv, environ);
-        if (rc != 0) {
-          return Status::IoError("cannot spawn shard runner '" + path +
-                                 "': " + std::strerror(rc));
-        }
+        AOD_ASSIGN_OR_RETURN(
+            SpawnedRunner runner,
+            SpawnRunner(transport.runner_path, transport.io_timeout_seconds,
+                        copts));
         // Run the conversation, then reap unconditionally — an error
         // path must not leak the child.
+        ShardChannel* channel = runner.channel.get();
         Status conversation = [&]() -> Status {
-          AOD_ASSIGN_OR_RETURN(
-              int accepted_fd,
-              listener->AcceptFd(transport.io_timeout_seconds));
-          std::unique_ptr<SocketShardChannel> channel =
-              SocketShardChannel::Adopt(accepted_fd, copts);
           AOD_RETURN_NOT_OK(channel->Send(std::move(config_frame)));
           AOD_RETURN_NOT_OK(channel->Send(std::move(slice_frame)));
           AOD_RETURN_NOT_OK(channel->Send(EncodeShutdown()));
-          AOD_RETURN_NOT_OK(DrainShardReply(channel.get(), s, range, k,
-                                            num_rows, &fragments, st));
+          AOD_RETURN_NOT_OK(DrainShardReply(channel, s, range, k, num_rows,
+                                            &fragments, st));
           st->bytes_shipped_total +=
               channel->bytes_sent() + channel->bytes_received();
-          channel->Close();
           return Status::OK();
         }();
-        ReapRunner(pid, transport.io_timeout_seconds);
+        channel->Close();
+        KillAndReap(runner.pid, transport.io_timeout_seconds);
         AOD_RETURN_NOT_OK(conversation);
         break;
       }

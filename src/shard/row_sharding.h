@@ -21,10 +21,9 @@
 //                           kBatch envelope when there are several),
 //                           then the kStatsFooter terminal frame
 //
-// Sends never block on any transport (unbounded send queues), so the
-// coordinator pre-sends the whole conversation and — for the inproc and
-// socket transports — serves the runner inline on its own thread. The
-// row phase is fail-stop: shards run sequentially, any transport or
+// Sends never block on either transport (unbounded send queues), so the
+// coordinator pre-sends the whole conversation and — for the inproc
+// transport — serves the runner inline on its own thread. The row phase is fail-stop: shards run sequentially, any transport or
 // decode error aborts the phase with a typed Status (surfaced as
 // DiscoveryResult::shard_status), and there is no retry/supervision
 // ladder — the phase is a short bounded prologue, not a long-lived
@@ -34,8 +33,8 @@
 // the stitch is a pure function of the fragments, and
 // StitchPartitions output is pinned bit-identical to FromColumn on the
 // full table — so row-sharded discovery output is bit-identical to
-// unsharded for any row_shards × threads × transport × compression
-// point (gated in tests/parallel_determinism_test).
+// unsharded for any row_shards × threads × transport point (gated in
+// tests/parallel_determinism_test).
 #ifndef AOD_SHARD_ROW_SHARDING_H_
 #define AOD_SHARD_ROW_SHARDING_H_
 
@@ -93,13 +92,12 @@ struct RowShardStats {
 /// synthesized locally.
 Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
     const EncodedTable& table, int row_shards,
-    const ShardTransportOptions& transport, bool wire_compression,
-    RowShardStats* stats = nullptr);
+    const ShardTransportOptions& transport, RowShardStats* stats = nullptr);
 
 /// Runner side of one fragment conversation, config frame onward:
 /// decodes the kConfigBlock (must carry a row range), then delegates to
 /// ServeRowShardAfterConfig. Used by the coordinator to serve inproc
-/// and socket shards inline.
+/// shards inline.
 Status ServeRowShard(ShardChannel* in, ShardChannel* out);
 
 /// Runner side after the config is already decoded (shard_runner_main

@@ -158,7 +158,6 @@ int ShardRunnerMain(int argc, char** argv) {
   options.sampler_config.seed = config->sampler_seed;
   options.partition_memory_budget_bytes =
       config->partition_memory_budget_bytes;
-  options.wire_compression = config->wire_compression;
   options.kinds = DependencyKindSet(config->kinds);
   options.afd_error = config->afd_error;
 

@@ -165,8 +165,7 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
         std::make_move_iterator(completed.begin() + begin),
         std::make_move_iterator(completed.begin() + end));
     const bool final_chunk = end == completed.size();
-    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(
-        chunk, final_chunk, options_.wire_compression)));
+    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(chunk, final_chunk)));
     begin = end;
   } while (begin < completed.size());
   AOD_RETURN_NOT_OK(sender.Flush());

@@ -69,10 +69,6 @@ struct ShardRunnerOptions {
   /// Partition byte budget *per shard*, enforced on the runner's cache
   /// after every batch (0 = unlimited).
   int64_t partition_memory_budget_bytes = 0;
-  /// Encode result frames with the compressed codecs (wire.h). Decoders
-  /// always accept both codecs — this only controls what this runner
-  /// emits, mirroring DiscoveryOptions::shard_wire_compression.
-  bool wire_compression = true;
 };
 
 class ShardRunner {

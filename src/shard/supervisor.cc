@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -41,6 +42,75 @@ constexpr double kMinIoSeconds = 0.05;
 
 }  // namespace
 
+Result<SpawnedRunner> SpawnRunner(const std::string& runner_path,
+                                  double timeout_seconds,
+                                  const ChannelOptions& options) {
+  std::string path = runner_path;
+  if (path.empty()) {
+    const char* env = std::getenv("AOD_SHARD_RUNNER");
+    if (env != nullptr) path = env;
+  }
+  if (path.empty()) {
+    return Status::InvalidArgument(
+        "process transport needs ShardTransportOptions::runner_path or "
+        "$AOD_SHARD_RUNNER");
+  }
+  AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
+                       SocketListener::Bind());
+  const std::string endpoint =
+      "--connect=127.0.0.1:" + std::to_string(listener->port());
+  const std::string timeout = "--timeout=" + std::to_string(timeout_seconds);
+  char* argv[] = {const_cast<char*>(path.c_str()),
+                  const_cast<char*>(endpoint.c_str()),
+                  const_cast<char*>(timeout.c_str()), nullptr};
+  SpawnedRunner spawned;
+  const int rc = ::posix_spawn(&spawned.pid, path.c_str(), nullptr, nullptr,
+                               argv, environ);
+  if (rc != 0) {
+    return Status::IoError("cannot spawn shard runner '" + path +
+                           "': " + std::strerror(rc));
+  }
+  Result<int> accepted = listener->AcceptFd(timeout_seconds);
+  if (!accepted.ok()) {
+    KillAndReap(spawned.pid, 0.0);
+    return accepted.status();
+  }
+  spawned.channel = SocketShardChannel::Adopt(*accepted, options);
+  return spawned;
+}
+
+Status KillAndReap(pid_t pid, double timeout_seconds) {
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(std::max(0.0, timeout_seconds)));
+  int wstatus = 0;
+  bool killed = false;
+  for (;;) {
+    const pid_t reaped = ::waitpid(pid, &wstatus, killed ? 0 : WNOHANG);
+    if (reaped == pid) break;
+    if (reaped < 0 && errno == EINTR) continue;
+    if (reaped < 0) return Status::IoError("waitpid failed for shard runner");
+    if (std::chrono::steady_clock::now() >= deadline) {
+      ::kill(pid, SIGKILL);
+      killed = true;
+      continue;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  if (killed && WIFSIGNALED(wstatus) && WTERMSIG(wstatus) == SIGKILL) {
+    return Status::Internal("shard runner unresponsive; killed");
+  }
+  if (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0) {
+    return Status::Internal(
+        "shard runner exited abnormally (status " +
+        std::to_string(WIFEXITED(wstatus) ? WEXITSTATUS(wstatus)
+                                          : -WTERMSIG(wstatus)) +
+        ")");
+  }
+  return Status::OK();
+}
+
 ShardSupervisor::ShardSupervisor(int shard_id,
                                  const ShardBootstrap* bootstrap,
                                  const ShardTransportOptions* transport,
@@ -58,8 +128,7 @@ ShardSupervisor::~ShardSupervisor() {
   // Owners run the Finish sequence first; this is the last-resort path
   // (e.g. a failed Create) — kill and reap whatever is still alive so a
   // supervisor never leaks a child.
-  Teardown(&backup_);
-  Teardown(&current_);
+  Teardown();
 }
 
 double ShardSupervisor::DeadlineRemaining() const {
@@ -93,17 +162,13 @@ std::unique_ptr<ShardChannel> ShardSupervisor::Decorate(
 
 void ShardSupervisor::AddTypeCounts(FrameType type,
                                     const CodecByteCounts& counts) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
   by_type_[static_cast<size_t>(type)].Add(counts);
 }
 
-Status ShardSupervisor::BuildAttempt(bool force_inproc,
-                                     std::unique_ptr<Attempt>* out) {
-  auto attempt = std::make_unique<Attempt>();
-  attempt->id = ++attempt_seq_;
-  attempt->fallback = force_inproc;
-  *out = std::move(attempt);
-  Attempt* a = out->get();
+Status ShardSupervisor::BuildAttempt(bool force_inproc) {
+  current_ = std::make_unique<Attempt>();
+  Attempt* a = current_.get();
+  a->id = ++attempt_seq_;
 
   ChannelOptions copts;
   copts.max_frame_bytes = transport_->max_frame_bytes;
@@ -112,108 +177,60 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc,
   ShardRunnerOptions ropts = bootstrap_->runner_options;
   ropts.attempt_id = a->id;
 
-  const ShardTransport transport =
-      force_inproc ? ShardTransport::kInProcess : transport_->transport;
-  switch (transport) {
-    case ShardTransport::kInProcess: {
-      // The degraded fallback runs *outside* the configured transport's
-      // failure domain, so its channels are deliberately undecorated —
-      // the decorator models that transport's faults (ARCHITECTURE.md,
-      // "Failure domains and supervision").
-      if (force_inproc) {
-        a->to = std::make_unique<InProcessChannel>(copts);
-        a->from = std::make_unique<InProcessChannel>(copts);
-      } else {
-        a->to = Decorate(std::make_unique<InProcessChannel>(copts));
-        a->from = Decorate(std::make_unique<InProcessChannel>(copts));
-      }
-      a->to_shard = a->to.get();
-      a->from_shard = a->from.get();
-      a->runner = std::make_unique<ShardRunner>(shard_id_, bootstrap_->table,
-                                                ropts, a->to_shard,
-                                                a->from_shard, pool_);
-      break;
+  if (force_inproc || transport_->transport == ShardTransport::kInProcess) {
+    // The degraded fallback runs *outside* the configured transport's
+    // failure domain, so its channels are deliberately undecorated —
+    // the decorator models that transport's faults (ARCHITECTURE.md,
+    // "Failure domains and supervision").
+    if (force_inproc) {
+      a->to = std::make_unique<InProcessChannel>(copts);
+      a->from = std::make_unique<InProcessChannel>(copts);
+    } else {
+      a->to = Decorate(std::make_unique<InProcessChannel>(copts));
+      a->from = Decorate(std::make_unique<InProcessChannel>(copts));
     }
-    case ShardTransport::kSocket: {
-      AOD_ASSIGN_OR_RETURN(LoopbackChannelPair pair,
-                           ConnectLoopbackPair(BoundedIoTimeout(), copts));
-      a->to = Decorate(std::move(pair.near));
-      a->to_shard = a->to.get();
-      a->from_shard = a->to.get();
-      a->runner_side = std::move(pair.far);
-      a->runner = std::make_unique<ShardRunner>(shard_id_, bootstrap_->table,
-                                                ropts, a->runner_side.get(),
-                                                a->runner_side.get(), pool_);
-      break;
-    }
-    case ShardTransport::kProcess: {
-      std::string path = transport_->runner_path;
-      if (path.empty()) {
-        const char* env = std::getenv("AOD_SHARD_RUNNER");
-        if (env != nullptr) path = env;
-      }
-      if (path.empty()) {
-        return Status::InvalidArgument(
-            "process transport needs ShardTransportOptions::runner_path or "
-            "$AOD_SHARD_RUNNER");
-      }
-      // Every attempt binds its own ephemeral listener: concurrent
-      // respawns and speculative backups must never adopt each other's
-      // connections out of a shared accept queue.
-      AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
-                           SocketListener::Bind());
-      const std::string endpoint =
-          "--connect=127.0.0.1:" + std::to_string(listener->port());
-      const std::string timeout =
-          "--timeout=" + std::to_string(BoundedIoTimeout());
-      char* argv[] = {const_cast<char*>(path.c_str()),
-                      const_cast<char*>(endpoint.c_str()),
-                      const_cast<char*>(timeout.c_str()), nullptr};
-      pid_t pid = -1;
-      const int rc =
-          ::posix_spawn(&pid, path.c_str(), nullptr, nullptr, argv, environ);
-      if (rc != 0) {
-        return Status::IoError("cannot spawn shard runner '" + path +
-                               "': " + std::strerror(rc));
-      }
-      a->pid = pid;
-      AOD_ASSIGN_OR_RETURN(int accepted_fd,
-                           listener->AcceptFd(BoundedIoTimeout()));
-      a->to = Decorate(SocketShardChannel::Adopt(accepted_fd, copts));
-      a->to_shard = a->to.get();
-      a->from_shard = a->to.get();
+    a->to_shard = a->to.get();
+    a->from_shard = a->from.get();
+    a->runner = std::make_unique<ShardRunner>(shard_id_, bootstrap_->table,
+                                              ropts, a->to_shard,
+                                              a->from_shard, pool_);
+  } else {
+    AOD_ASSIGN_OR_RETURN(
+        SpawnedRunner spawned,
+        SpawnRunner(transport_->runner_path, BoundedIoTimeout(), copts));
+    a->pid = spawned.pid;
+    a->to = Decorate(std::move(spawned.channel));
+    a->to_shard = a->to.get();
+    a->from_shard = a->to.get();
 
-      // Bootstrap frames the runner process consumes before its serve
-      // loop: the validation config (stamped with this attempt's id),
-      // then the rank-encoded table — both re-sent verbatim from the
-      // coordinator's encode-once bootstrap on every respawn.
-      WireRunnerConfig config;
-      config.shard_id = static_cast<uint32_t>(shard_id_);
-      config.attempt_id = a->id;
-      config.validator = static_cast<uint8_t>(ropts.validator);
-      config.epsilon = ropts.epsilon;
-      config.collect_removal_sets = ropts.collect_removal_sets;
-      config.enable_sampling_filter = ropts.enable_sampling_filter;
-      config.sampler_sample_size = ropts.sampler_config.sample_size;
-      config.sampler_reject_margin = ropts.sampler_config.reject_margin;
-      config.sampler_seed = ropts.sampler_config.seed;
-      config.partition_memory_budget_bytes =
-          ropts.partition_memory_budget_bytes;
-      config.wire_compression = ropts.wire_compression;
-      config.kinds = ropts.kinds.bits();
-      config.afd_error = ropts.afd_error;
-      // N children each as wide as the coordinator would oversubscribe
-      // the machine N-fold; give each its slice of the pool instead.
-      config.num_threads = static_cast<uint32_t>(
-          std::max(1, bootstrap_->pool_workers / bootstrap_->num_shards));
-      AOD_RETURN_NOT_OK(a->to_shard->Send(EncodeConfigBlock(config)));
-      AOD_RETURN_NOT_OK(a->to_shard->Send(bootstrap_->table_frame));
-      AddTypeCounts(FrameType::kTableBlock, bootstrap_->table_counts);
-      break;
-    }
+    // Bootstrap frames the runner process consumes before its serve
+    // loop: the validation config (stamped with this attempt's id),
+    // then the rank-encoded table — both re-sent verbatim from the
+    // coordinator's encode-once bootstrap on every respawn.
+    WireRunnerConfig config;
+    config.shard_id = static_cast<uint32_t>(shard_id_);
+    config.attempt_id = a->id;
+    config.validator = static_cast<uint8_t>(ropts.validator);
+    config.epsilon = ropts.epsilon;
+    config.collect_removal_sets = ropts.collect_removal_sets;
+    config.enable_sampling_filter = ropts.enable_sampling_filter;
+    config.sampler_sample_size = ropts.sampler_config.sample_size;
+    config.sampler_reject_margin = ropts.sampler_config.reject_margin;
+    config.sampler_seed = ropts.sampler_config.seed;
+    config.partition_memory_budget_bytes =
+        ropts.partition_memory_budget_bytes;
+    config.kinds = ropts.kinds.bits();
+    config.afd_error = ropts.afd_error;
+    // N children each as wide as the coordinator would oversubscribe
+    // the machine N-fold; give each its slice of the pool instead.
+    config.num_threads = static_cast<uint32_t>(
+        std::max(1, bootstrap_->pool_workers / bootstrap_->num_shards));
+    AOD_RETURN_NOT_OK(a->to_shard->Send(EncodeConfigBlock(config)));
+    AOD_RETURN_NOT_OK(a->to_shard->Send(bootstrap_->table_frame));
+    AddTypeCounts(FrameType::kTableBlock, bootstrap_->table_counts);
   }
   a->receiver = std::make_unique<LogicalFrameReceiver>(a->from_shard);
-  if (a->id > 1 && !a->fallback) ++respawns_;
+  if (a->id > 1 && !force_inproc) ++respawns_;
   return Status::OK();
 }
 
@@ -235,27 +252,17 @@ Status ShardSupervisor::SeedAttempt(Attempt* attempt,
 
 Status ShardSupervisor::EstablishCurrent(bool force_inproc,
                                          const std::function<bool()>& cancel) {
-  std::unique_ptr<Attempt> attempt;
-  const Status built = BuildAttempt(force_inproc, &attempt);
-  // Installed even on failure: a half-built attempt may hold a spawned
-  // pid that strict-mode Finish must still reap (supervised retries
-  // tear it down instead).
-  {
-    std::lock_guard<std::mutex> lock(attempts_mutex_);
-    current_ = std::move(attempt);
-  }
-  AOD_RETURN_NOT_OK(built);
+  AOD_RETURN_NOT_OK(BuildAttempt(force_inproc));
   return SeedAttempt(current_.get(), cancel);
 }
 
 Status ShardSupervisor::ExecuteLevelOnce(
-    Attempt* attempt, const std::vector<WireCandidate>& batch,
-    const std::function<bool()>& cancel,
-    const std::function<bool()>& abandoned,
-    std::vector<WireOutcome>* out) {
+    const std::vector<WireCandidate>& batch,
+    const std::function<bool()>& cancel, std::vector<WireOutcome>* out) {
+  Attempt* attempt = current_.get();
   CodecByteCounts encode_counts;
-  AOD_RETURN_NOT_OK(attempt->to_shard->Send(EncodeCandidateBatch(
-      batch, bootstrap_->runner_options.wire_compression, &encode_counts)));
+  AOD_RETURN_NOT_OK(attempt->to_shard->Send(
+      EncodeCandidateBatch(batch, /*compress=*/true, &encode_counts)));
   ++attempt->frames_sent;
   AddTypeCounts(FrameType::kCandidateBatch, encode_counts);
   if (attempt->runner != nullptr) {
@@ -268,11 +275,6 @@ Status ShardSupervisor::ExecuteLevelOnce(
   size_t chunks = 0;
   CodecByteCounts decode_counts;
   for (;;) {
-    if (abandoned && abandoned()) {
-      // Never user-surfaced: the level is already done via the sibling
-      // attempt; the supervisor just stops driving this one.
-      return Status::Closed("attempt superseded by a faster sibling");
-    }
     if (++chunks > max_chunks) {
       return Status::ParseError("shard result stream never finalized");
     }
@@ -289,8 +291,7 @@ Status ShardSupervisor::ExecuteLevelOnce(
 }
 
 void ShardSupervisor::Backoff(int attempt_try,
-                              const std::function<bool()>& cancel,
-                              const std::function<bool()>& abandoned) {
+                              const std::function<bool()>& cancel) {
   const double base = supervision_.retry_backoff_ms / 1000.0;
   if (base <= 0.0) return;
   // Deterministic jitter in [0.5, 1.0): a function of (shard, attempt)
@@ -312,49 +313,28 @@ void ShardSupervisor::Backoff(int attempt_try,
                      std::chrono::duration_cast<
                          std::chrono::steady_clock::duration>(
                          std::chrono::duration<double>(sleep_seconds));
-  // Sliced so a cancellation or a sibling's win ends the park promptly.
+  // Sliced so a cancellation ends the park promptly.
   while (std::chrono::steady_clock::now() < until) {
     if (cancel && cancel()) return;
-    if (abandoned && abandoned()) return;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
 }
 
-void ShardSupervisor::Teardown(std::unique_ptr<Attempt>* slot) {
-  std::unique_ptr<Attempt> attempt;
-  {
-    std::lock_guard<std::mutex> lock(attempts_mutex_);
-    attempt = std::move(*slot);
-  }
-  DestroyAttempt(std::move(attempt));
-}
-
-void ShardSupervisor::DestroyAttempt(std::unique_ptr<Attempt> attempt) {
+void ShardSupervisor::Teardown() {
+  std::unique_ptr<Attempt> attempt = std::move(current_);
   if (attempt == nullptr) return;
   if (attempt->to_shard != nullptr) {
     attempt->to_shard->Close();
     if (attempt->from_shard != attempt->to_shard) {
       attempt->from_shard->Close();
     }
+    retired_bytes_ += attempt->to_shard->bytes_sent() +
+                      attempt->from_shard->bytes_received();
   }
-  if (attempt->runner_side != nullptr) attempt->runner_side->Close();
+  // A torn-down child is not asked nicely: it may be wedged mid-frame,
+  // and its replacement is already on the way.
   if (attempt->pid >= 0) {
-    // A torn-down child is not asked nicely: it may be wedged mid-frame,
-    // and its replacement is already on the way. SIGKILL converges, so
-    // the blocking reap cannot hang.
-    ::kill(attempt->pid, SIGKILL);
-    int wstatus = 0;
-    ::waitpid(attempt->pid, &wstatus, 0);
-    attempt->pid = -1;
-  }
-  int64_t bytes = 0;
-  if (attempt->to_shard != nullptr) bytes += attempt->to_shard->bytes_sent();
-  if (attempt->from_shard != nullptr) {
-    bytes += attempt->from_shard->bytes_received();
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    retired_bytes_ += bytes;
+    KillAndReap(attempt->pid, 0.0);
   }
 }
 
@@ -363,7 +343,7 @@ Status ShardSupervisor::Start() {
   for (int attempt_try = 0;; ++attempt_try) {
     if (attempt_try > 0) {
       ++retries_;
-      Backoff(attempt_try, {}, {});
+      Backoff(attempt_try, {});
       // Backoff is clamped to the remaining run deadline, so on a tight
       // budget the park wakes *at* the deadline; another establish
       // attempt would still cost its bounded I/O floor. Surface the
@@ -372,139 +352,72 @@ Status ShardSupervisor::Start() {
     }
     st = EstablishCurrent(/*force_inproc=*/false, {});
     if (st.ok()) return st;
-    if (strict()) return st;  // partial attempt stays for the Finish reap
-    Teardown(&current_);
+    if (strict()) return st;  // partial attempt stays for Finish
+    Teardown();
     if (DeadlineExpired()) return st;
     if (attempt_try >= supervision_.max_retries) {
-      if (supervision_.fallback_inproc &&
-          transport_->transport != ShardTransport::kInProcess) {
-        const Status fallback = EstablishCurrent(/*force_inproc=*/true, {});
-        if (fallback.ok()) {
-          fell_back_ = true;
-          return fallback;
-        }
-        Teardown(&current_);
-        return fallback;
+      if (transport_->transport == ShardTransport::kInProcess) return st;
+      const Status fallback = EstablishCurrent(/*force_inproc=*/true, {});
+      if (fallback.ok()) {
+        fell_back_ = true;
+      } else {
+        Teardown();
       }
-      return st;
+      return fallback;
     }
   }
 }
 
 Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
                                      const std::function<bool()>& cancel,
-                                     const std::function<bool()>& abandoned,
                                      std::vector<WireOutcome>* out) {
   Status st = Status::OK();
   for (int attempt_try = 0;; ++attempt_try) {
     if (attempt_try > 0) {
       ++retries_;
-      Backoff(attempt_try, cancel, abandoned);
+      Backoff(attempt_try, cancel);
       // Same rule as Start: a backoff that woke at the clamped deadline
       // must not buy one more attempt (each attempt is bounded below by
       // the I/O-timeout floor, so overshoot compounds per retry).
       if (DeadlineExpired()) return st;
     }
-    st = Status::OK();
-    {
-      std::lock_guard<std::mutex> lock(attempts_mutex_);
-      if (current_ == nullptr) st = Status::Internal("no live shard attempt");
-    }
-    if (!st.ok()) {
-      // A previous level tore the attempt down (or Start never
-      // succeeded — unreachable through the coordinator, which aborts
-      // Create on a failed Start): re-establish before executing.
-      st = EstablishCurrent(fell_back_, cancel);
-    }
+    // A previous level may have torn the attempt down: re-establish
+    // before executing.
+    st = current_ == nullptr ? EstablishCurrent(fell_back_, cancel)
+                             : Status::OK();
     if (st.ok()) {
       std::vector<WireOutcome> buffered;
-      st = ExecuteLevelOnce(current_.get(), batch, cancel, abandoned,
-                            &buffered);
+      st = ExecuteLevelOnce(batch, cancel, &buffered);
       if (st.ok()) {
         *out = std::move(buffered);
         return st;
       }
     }
     if (strict()) return st;  // PR 5 contract: first fault surfaces as-is
-    if (abandoned && abandoned()) return st;
-    Teardown(&current_);
+    Teardown();
     if (cancel && cancel()) return st;
     if (DeadlineExpired()) return st;
     if (attempt_try >= supervision_.max_retries) {
-      // Retry budget exhausted on the configured transport — degrade to
+      // Retry budget exhausted on the process transport — degrade to
       // executing this shard's slice in-process rather than aborting
       // the run. One successful fallback pins the shard in-process for
       // the rest of the run (the transport already proved persistent).
-      if (supervision_.fallback_inproc &&
-          transport_->transport != ShardTransport::kInProcess &&
-          !fell_back_) {
-        Status fallback = EstablishCurrent(/*force_inproc=*/true, cancel);
-        if (fallback.ok()) {
-          std::vector<WireOutcome> buffered;
-          fallback = ExecuteLevelOnce(current_.get(), batch, cancel,
-                                      abandoned, &buffered);
-          if (fallback.ok()) {
-            fell_back_ = true;
-            *out = std::move(buffered);
-            return fallback;
-          }
-        }
-        Teardown(&current_);
-        return fallback;
+      if (transport_->transport == ShardTransport::kInProcess || fell_back_) {
+        return st;
       }
-      return st;
+      Status fallback = EstablishCurrent(/*force_inproc=*/true, cancel);
+      if (fallback.ok()) {
+        std::vector<WireOutcome> buffered;
+        fallback = ExecuteLevelOnce(batch, cancel, &buffered);
+        if (fallback.ok()) {
+          fell_back_ = true;
+          *out = std::move(buffered);
+          return fallback;
+        }
+      }
+      Teardown();
+      return fallback;
     }
-  }
-}
-
-Status ShardSupervisor::ExecuteLevelBackup(
-    const std::vector<WireCandidate>& batch,
-    const std::function<bool()>& cancel,
-    const std::function<bool()>& abandoned,
-    std::vector<WireOutcome>* out) {
-  std::unique_ptr<Attempt> attempt;
-  const Status built = BuildAttempt(fell_back_, &attempt);
-  Attempt* raw = attempt.get();
-  {
-    // Installed even half-built (pid reap parity with EstablishCurrent);
-    // from here the primary's winning task can see — and Close — it.
-    std::lock_guard<std::mutex> lock(attempts_mutex_);
-    backup_ = std::move(attempt);
-  }
-  AOD_RETURN_NOT_OK(built);
-  if (abandoned && abandoned()) {
-    return Status::Closed("attempt superseded by a faster sibling");
-  }
-  AOD_RETURN_NOT_OK(SeedAttempt(raw, cancel));
-  return ExecuteLevelOnce(raw, batch, cancel, abandoned, out);
-}
-
-void ShardSupervisor::AbortOther(bool winner_is_backup) {
-  // Close only — never destroy: the losing task still holds its raw
-  // attempt pointer. Close is thread-safe and wakes a blocked receive
-  // with kClosed, so the loser unblocks now instead of at its timeout;
-  // ResolveLevel destroys after both tasks joined.
-  std::lock_guard<std::mutex> lock(attempts_mutex_);
-  Attempt* loser = winner_is_backup ? current_.get() : backup_.get();
-  if (loser == nullptr) return;
-  if (loser->to_shard != nullptr) {
-    loser->to_shard->Close();
-    if (loser->from_shard != loser->to_shard) loser->from_shard->Close();
-  }
-  if (loser->runner_side != nullptr) loser->runner_side->Close();
-}
-
-void ShardSupervisor::ResolveLevel(bool backup_launched, bool backup_won) {
-  if (!backup_launched) return;
-  if (backup_won) {
-    ++speculative_wins_;
-    Teardown(&current_);
-    std::lock_guard<std::mutex> lock(attempts_mutex_);
-    current_ = std::move(backup_);
-    if (current_ != nullptr && current_->fallback) fell_back_ = true;
-  } else {
-    ++speculative_losses_;
-    Teardown(&backup_);
   }
 }
 
@@ -595,40 +508,29 @@ Status ShardSupervisor::CollectFooter() {
 }
 
 void ShardSupervisor::CloseChannels() {
-  std::lock_guard<std::mutex> lock(attempts_mutex_);
-  for (Attempt* a : {current_.get(), backup_.get()}) {
-    if (a == nullptr || a->to_shard == nullptr) continue;
-    a->to_shard->Close();
-    if (a->from_shard != a->to_shard) a->from_shard->Close();
-  }
+  Attempt* a = current_.get();
+  if (a == nullptr || a->to_shard == nullptr) return;
+  a->to_shard->Close();
+  if (a->from_shard != a->to_shard) a->from_shard->Close();
 }
 
-void ShardSupervisor::ReleaseProcesses(std::vector<ShardReapJob>* jobs) {
-  std::lock_guard<std::mutex> lock(attempts_mutex_);
-  for (Attempt* a : {current_.get(), backup_.get()}) {
-    if (a == nullptr || a->pid < 0) continue;
-    jobs->push_back(ShardReapJob{a->pid});
-    a->pid = -1;
-  }
+pid_t ShardSupervisor::ReleaseProcess() {
+  if (current_ == nullptr) return -1;
+  const pid_t pid = current_->pid;
+  current_->pid = -1;
+  return pid;
 }
 
 int64_t ShardSupervisor::bytes_shipped() const {
-  int64_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    total = retired_bytes_;
-  }
-  std::lock_guard<std::mutex> lock(attempts_mutex_);
-  for (const Attempt* a : {current_.get(), backup_.get()}) {
-    if (a == nullptr) continue;
-    if (a->to_shard != nullptr) total += a->to_shard->bytes_sent();
-    if (a->from_shard != nullptr) total += a->from_shard->bytes_received();
+  int64_t total = retired_bytes_;
+  const Attempt* a = current_.get();
+  if (a != nullptr && a->to_shard != nullptr) {
+    total += a->to_shard->bytes_sent() + a->from_shard->bytes_received();
   }
   return total;
 }
 
 CodecByteCounts ShardSupervisor::type_byte_counts(FrameType type) const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
   return by_type_[static_cast<size_t>(type)];
 }
 

@@ -1,30 +1,20 @@
-// Per-shard supervision: retry, respawn, speculate, degrade.
+// Per-shard supervision: retry, respawn, degrade.
 //
 // PR 5/6 made every transport fault fail-stop: one torn frame or dead
 // runner aborted the whole run with DiscoveryResult::shard_status,
 // throwing away all sibling shards' work. A ShardSupervisor turns shard
 // failure into a retried, bounded, observable event — the MapReduce
-// re-execution + backup-task model applied to the shard seam:
+// re-execution model applied to the shard seam:
 //
 //   retry / respawn   a failed level (or failed establishment) tears the
-//                     attempt down and builds a fresh one — new process
-//                     or socket, re-seeded from the coordinator's
+//                     attempt down and builds a fresh one — a new runner
+//                     process, re-seeded from the coordinator's
 //                     encode-once bootstrap frames — after an
 //                     exponential backoff with deterministic jitter,
 //                     up to max_retries re-attempts per level;
-//   speculation       when the coordinator decides a shard is a
-//                     straggler (>= factor x the median shard latency
-//                     for the level), it launches one backup attempt
-//                     beside the primary and takes whichever finishes
-//                     first. Outcomes are pure functions of the batch,
-//                     so either attempt's reply is bit-identical; the
-//                     coordinator folds exactly one winner per shard
-//                     (dedup by the level's result cell, keyed by the
-//                     existing deterministic slot keys), so the merge
-//                     never sees duplicates;
-//   degradation       once the retry budget is exhausted on the socket
-//                     or process transport, the shard's candidate slice
-//                     executes in-process on the coordinator's pool (an
+//   degradation       once the retry budget is exhausted on the process
+//                     transport, the shard's candidate slice executes
+//                     in-process on the coordinator's pool (an
 //                     undecorated InProcessChannel attempt seeded from
 //                     the same bootstrap frames) instead of aborting.
 //
@@ -33,30 +23,25 @@
 // footer, so a superseded attempt's footer is distinguishable from the
 // live one.
 //
-// Strict mode: max_retries == 0 disables all three mechanisms and
-// preserves the PR 5/6 failure contract exactly — any fault is a typed
+// Strict mode: max_retries == 0 disables both mechanisms and preserves
+// the pre-supervision failure contract exactly — any fault is a typed
 // non-OK status, never a hang, never a partially merged level
 // (tests/shard_channel_conformance_test pins this with retries pinned
 // to 0).
 //
-// Threading: a supervisor's primary-path methods (Start, ExecuteLevel,
-// Finish-phase calls) are driven by one task at a time. Speculation
-// adds exactly two cross-thread touch points, both internal: the backup
-// attempt lives in its own slot, and AbortOther() closes the losing
-// attempt's channels from the winning task (channel Close is
-// thread-safe and wakes blocked receivers). Attempt lifetime is guarded
-// by a mutex so a Close from the winner never races a teardown.
+// Threading: one task at a time drives a supervisor (Start, one
+// ExecuteLevel per level, the Finish-phase calls); its counters are read
+// after those tasks joined.
 #ifndef AOD_SHARD_SUPERVISOR_H_
 #define AOD_SHARD_SUPERVISOR_H_
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -75,23 +60,41 @@ namespace shard {
 
 struct ShardTransportOptions;
 
+/// A spawned shard_runner_main process and the accepted connection to it.
+struct SpawnedRunner {
+  pid_t pid = -1;
+  std::unique_ptr<SocketShardChannel> channel;
+};
+
+/// The one runner-spawn path of the process transport: resolves the
+/// binary (`runner_path`, else $AOD_SHARD_RUNNER), binds an ephemeral
+/// loopback listener of its own — concurrent respawns never adopt each
+/// other's connections out of a shared accept queue — spawns the runner
+/// pointed at it and accepts its connection, every wait bounded by
+/// `timeout_seconds`. A child that never connects is killed and reaped
+/// before the error returns.
+Result<SpawnedRunner> SpawnRunner(const std::string& runner_path,
+                                  double timeout_seconds,
+                                  const ChannelOptions& options);
+
+/// The one reap path for runner processes: waits up to `timeout_seconds`
+/// (<= 0: not at all) for `pid` to exit, then SIGKILLs it (SIGKILL
+/// converges, so the final blocking wait cannot hang). OK for a clean
+/// exit 0; otherwise a typed error saying whether the child was killed
+/// here or exited abnormally.
+Status KillAndReap(pid_t pid, double timeout_seconds);
+
 /// The supervision policy, fixed for a run (DiscoveryOptions carries the
 /// user-facing knobs).
 struct ShardSupervisionOptions {
   /// Re-attempts allowed per level (and for the initial establishment)
-  /// before the shard degrades or the run aborts. 0 = strict mode: no
-  /// retry, no speculation, no fallback — the PR 5 fail-stop contract.
+  /// before the shard degrades to in-process execution. 0 = strict mode:
+  /// no retry, no fallback — the pre-supervision fail-stop contract.
   int max_retries = 2;
   /// Base backoff before the first re-attempt; doubles per attempt with
   /// deterministic (hash-of-(shard, attempt)) jitter, capped at 2s and
   /// at the run deadline.
   double retry_backoff_ms = 25.0;
-  /// Straggler hedging: >= this factor x the median shard latency of
-  /// the level launches one backup attempt (0 = off). Needs a pool.
-  double speculation_factor = 0.0;
-  /// After retry exhaustion on socket/process transports, execute the
-  /// shard's slice in-process instead of aborting.
-  bool fallback_inproc = true;
   /// Absolute deadline of the discovery run (time_point::min() = none).
   /// Every per-attempt receive timeout, accept timeout and backoff
   /// sleep is clamped to the time remaining, so a dead runner cannot
@@ -122,11 +125,6 @@ struct ShardBootstrap {
   int pool_workers = 1;
 };
 
-/// One process reaped by the coordinator's shared-deadline reap pass.
-struct ShardReapJob {
-  pid_t pid = -1;
-};
-
 class ShardSupervisor {
  public:
   /// All pointers are borrowed and must outlive the supervisor.
@@ -139,39 +137,20 @@ class ShardSupervisor {
 
   /// Establishes and seeds the first attempt, with the full retry +
   /// fallback ladder in supervised mode. In strict mode a failure is
-  /// returned as-is and the partially built attempt (possibly holding a
-  /// spawned pid) is kept for the Finish-phase reap.
+  /// returned as-is and the partially built attempt is kept for the
+  /// Finish phase.
   Status Start();
 
   /// Ships `batch`, pumps an in-process runner if the attempt has one,
   /// and receives the chunked reply into `out` (ascending slot order).
   /// On failure: teardown, backoff, respawn, re-execute — up to
   /// max_retries re-attempts — then the in-process fallback; only when
-  /// all of that is exhausted does the error surface. `abandoned` is
-  /// polled between steps so a superseded primary (its backup already
-  /// won) stops promptly. Empty batches still make the round trip: the
-  /// request/reply cadence is one frame per shard per level.
+  /// all of that is exhausted does the error surface. Empty batches
+  /// still make the round trip: the request/reply cadence is one frame
+  /// per shard per level.
   Status ExecuteLevel(const std::vector<WireCandidate>& batch,
                       const std::function<bool()>& cancel,
-                      const std::function<bool()>& abandoned,
                       std::vector<WireOutcome>* out);
-
-  /// The speculative backup: one fresh attempt (no retries — a backup
-  /// that fails is simply a loss), executed beside the primary.
-  Status ExecuteLevelBackup(const std::vector<WireCandidate>& batch,
-                            const std::function<bool()>& cancel,
-                            const std::function<bool()>& abandoned,
-                            std::vector<WireOutcome>* out);
-
-  /// Called by the level's winning task: closes the losing attempt's
-  /// channels so a blocked receive wakes now instead of at its timeout.
-  void AbortOther(bool winner_is_backup);
-
-  /// Post-join reconciliation of a speculated level (single-threaded):
-  /// adopts the backup as the current attempt if it won (tearing the
-  /// superseded primary down), otherwise discards it; counts the
-  /// win/loss.
-  void ResolveLevel(bool backup_launched, bool backup_won);
 
   // --- Finish phase (driven by ShardCoordinator::Finish, in order) ---
   /// Ships the kShutdown frame on the current attempt.
@@ -185,18 +164,15 @@ class ShardSupervisor {
   /// (the level work is already merged) and counts it instead.
   Status CollectFooter();
   void CloseChannels();
-  /// Hands every still-live runner process over for the coordinator's
-  /// shared-deadline reap; the supervisor forgets the pids.
-  void ReleaseProcesses(std::vector<ShardReapJob>* jobs);
+  /// Hands a still-live runner process (or -1) over for the
+  /// coordinator's shared-deadline reap; the supervisor forgets the pid.
+  pid_t ReleaseProcess();
 
-  // --- Observability (read after tasks joined; atomics for the two
-  // counters speculation can touch cross-thread) ---
+  // --- Observability (read after the driving tasks joined) ---
   int shard_id() const { return shard_id_; }
   bool strict() const { return supervision_.max_retries <= 0; }
-  int64_t retries() const { return retries_.load(); }
-  int64_t respawns() const { return respawns_.load(); }
-  int64_t speculative_wins() const { return speculative_wins_; }
-  int64_t speculative_losses() const { return speculative_losses_; }
+  int64_t retries() const { return retries_; }
+  int64_t respawns() const { return respawns_; }
   bool fell_back() const { return fell_back_; }
   bool footer_missing() const { return footer_missing_; }
   bool footer_valid() const { return footer_valid_; }
@@ -211,11 +187,8 @@ class ShardSupervisor {
   /// (which borrows channel pointers) dies first.
   struct Attempt {
     uint32_t id = 0;
-    /// True for the degraded in-process fallback (undecorated channels).
-    bool fallback = false;
     std::unique_ptr<ShardChannel> to;
     std::unique_ptr<ShardChannel> from;
-    std::unique_ptr<ShardChannel> runner_side;
     ShardChannel* to_shard = nullptr;
     ShardChannel* from_shard = nullptr;
     std::unique_ptr<LogicalFrameReceiver> receiver;
@@ -234,31 +207,27 @@ class ShardSupervisor {
   std::unique_ptr<ShardChannel> Decorate(std::unique_ptr<ShardChannel> ch);
   void AddTypeCounts(FrameType type, const CodecByteCounts& counts);
 
-  /// Builds one attempt (connect/spawn/bootstrap-send). On failure the
-  /// partially built attempt is still handed back through `out` so the
-  /// caller can keep it for reaping (strict) or tear it down (retry).
-  Status BuildAttempt(bool force_inproc, std::unique_ptr<Attempt>* out);
+  /// Builds one attempt (spawn or in-process runner, bootstrap-send) and
+  /// installs it as current_ — even on failure, so strict mode keeps the
+  /// half-built attempt for the Finish phase and a retry tears it down.
+  Status BuildAttempt(bool force_inproc);
   /// Ships the base partitions and, for attempts with an in-process
   /// runner, pumps them into the runner's cache.
   Status SeedAttempt(Attempt* attempt, const std::function<bool()>& cancel);
-  /// BuildAttempt + install as current_ + SeedAttempt.
+  /// BuildAttempt + SeedAttempt.
   Status EstablishCurrent(bool force_inproc,
                           const std::function<bool()>& cancel);
-  /// One send/pump/receive round for a level on one attempt.
-  Status ExecuteLevelOnce(Attempt* attempt,
-                          const std::vector<WireCandidate>& batch,
+  /// One send/pump/receive round for a level on the current attempt.
+  Status ExecuteLevelOnce(const std::vector<WireCandidate>& batch,
                           const std::function<bool()>& cancel,
-                          const std::function<bool()>& abandoned,
                           std::vector<WireOutcome>* out);
   /// Exponential backoff with deterministic jitter before re-attempt
-  /// `attempt_try`; returns early on cancel/abandon/deadline.
-  void Backoff(int attempt_try, const std::function<bool()>& cancel,
-               const std::function<bool()>& abandoned);
-  /// Swaps the slot empty under the attempt mutex, then closes channels,
-  /// SIGKILLs + reaps a live process, and folds the attempt's channel
-  /// byte counters into retired_bytes_.
-  void Teardown(std::unique_ptr<Attempt>* slot);
-  void DestroyAttempt(std::unique_ptr<Attempt> attempt);
+  /// `attempt_try`; returns early on cancel/deadline.
+  void Backoff(int attempt_try, const std::function<bool()>& cancel);
+  /// Closes the current attempt's channels, kills + reaps a live
+  /// process, and folds the attempt's channel byte counters into
+  /// retired_bytes_.
+  void Teardown();
 
   const int shard_id_;
   const ShardBootstrap* const bootstrap_;
@@ -266,25 +235,14 @@ class ShardSupervisor {
   const ShardSupervisionOptions supervision_;
   exec::ThreadPool* const pool_;
 
-  /// Guards current_/backup_ pointer identity against AbortOther from
-  /// the winning task; the owning task still uses the raw attempt
-  /// outside the lock (channel ops are thread-safe, destruction always
-  /// goes through Teardown's swap-then-destroy).
-  mutable std::mutex attempts_mutex_;
   std::unique_ptr<Attempt> current_;
-  std::unique_ptr<Attempt> backup_;
-  std::atomic<uint32_t> attempt_seq_{0};
+  uint32_t attempt_seq_ = 0;
 
-  /// Guards the codec byte counters (primary and backup tasks both
-  /// encode/decode).
-  mutable std::mutex stats_mutex_;
   CodecByteCounts by_type_[static_cast<size_t>(FrameType::kBatch) + 1];
   int64_t retired_bytes_ = 0;
 
-  std::atomic<int64_t> retries_{0};
-  std::atomic<int64_t> respawns_{0};
-  int64_t speculative_wins_ = 0;
-  int64_t speculative_losses_ = 0;
+  int64_t retries_ = 0;
+  int64_t respawns_ = 0;
   bool fell_back_ = false;
   bool footer_missing_ = false;
   bool footer_valid_ = false;

@@ -959,7 +959,6 @@ std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config) {
   writer.PutU64(config.sampler_seed);
   writer.PutI64(config.partition_memory_budget_bytes);
   writer.PutU32(config.num_threads);
-  writer.PutU8(config.wire_compression ? 1 : 0);
   writer.PutU32(config.kinds);
   writer.PutDouble(config.afd_error);
   writer.PutI64(config.row_begin);
@@ -975,7 +974,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   WireRunnerConfig config;
   uint8_t removal = 0;
   uint8_t sampling = 0;
-  uint8_t compression = 0;
   AOD_RETURN_NOT_OK(reader.GetU32(&config.shard_id));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.attempt_id));
   AOD_RETURN_NOT_OK(reader.GetU8(&config.validator));
@@ -987,7 +985,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.GetU64(&config.sampler_seed));
   AOD_RETURN_NOT_OK(reader.GetI64(&config.partition_memory_budget_bytes));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.num_threads));
-  AOD_RETURN_NOT_OK(reader.GetU8(&compression));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.kinds));
   AOD_RETURN_NOT_OK(reader.GetDouble(&config.afd_error));
   AOD_RETURN_NOT_OK(reader.GetI64(&config.row_begin));
@@ -995,7 +992,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   config.collect_removal_sets = removal != 0;
   config.enable_sampling_filter = sampling != 0;
-  config.wire_compression = compression != 0;
   if (config.validator > 2) {
     return Status::ParseError("unknown validator kind " +
                               std::to_string(config.validator));

@@ -36,8 +36,8 @@
 // cross a socket as one write (see channel.h's BatchingFrameSender).
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
-// frames, and a socket or file transport can replace the in-process
-// queue without touching any encoder or decoder.
+// frames, and a byte-stream transport can replace the in-process queue
+// without touching any encoder or decoder.
 #ifndef AOD_SHARD_WIRE_H_
 #define AOD_SHARD_WIRE_H_
 
@@ -73,7 +73,9 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// the shard's assigned row range, and kPartitionFragment ships one
 /// attribute's rank-keyed equivalence classes over that range back to
 /// the class-stitching reducer (partition/partition_stitch.h).
-inline constexpr uint16_t kWireVersion = 5;
+/// Version 6: the config block drops its compression byte — every encoder
+/// picks the smaller of raw and compressed per frame.
+inline constexpr uint16_t kWireVersion = 6;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -349,7 +351,7 @@ struct WireRunnerConfig {
   uint32_t shard_id = 0;
   /// Which supervised (re)establishment of this shard the config belongs
   /// to: 0 for the first attempt, bumped by the coordinator on every
-  /// respawn/reconnect and on speculative backup attempts. The runner
+  /// respawn. The runner
   /// echoes it in its stats footer so the coordinator can reject a
   /// footer that belongs to an abandoned attempt.
   uint32_t attempt_id = 0;
@@ -365,8 +367,6 @@ struct WireRunnerConfig {
   /// Worker threads for the runner's own pool (process transport only;
   /// determinism does not depend on it).
   uint32_t num_threads = 1;
-  /// Whether the runner's own encoders (result chunks) may compress.
-  bool wire_compression = true;
   /// DependencyKindSet::bits() of the kinds this runner must validate;
   /// decoders reject an empty or unknown-bit mask. The runner refuses
   /// candidate batches naming kinds outside this set.

@@ -184,8 +184,6 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
                                     {"result", 800, 700}};
   result.stats.shard_retries = 4;
   result.stats.shard_respawns = 2;
-  result.stats.shard_speculative_wins = 1;
-  result.stats.shard_speculative_losses = 1;
   result.stats.shard_fallback_shards = 1;
   result.stats.shard_footers_missing = 2;
   result.timed_out = true;
@@ -223,8 +221,6 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   EXPECT_EQ(s.shard_frame_bytes[1].bytes_wire, 700);
   EXPECT_EQ(s.shard_retries, 4);
   EXPECT_EQ(s.shard_respawns, 2);
-  EXPECT_EQ(s.shard_speculative_wins, 1);
-  EXPECT_EQ(s.shard_speculative_losses, 1);
   EXPECT_EQ(s.shard_fallback_shards, 1);
   EXPECT_EQ(s.shard_footers_missing, 2);
   EXPECT_EQ(s.nodes_processed, result.stats.nodes_processed);
@@ -260,6 +256,22 @@ TEST(ResultIoTest, BinaryBlobRejectsTruncationAndCorruption) {
   std::vector<uint8_t> wrong_version = blob;
   wrong_version[0] ^= 0xFF;
   EXPECT_FALSE(DeserializeResult(wrong_version).ok());
+}
+
+TEST(ResultIoTest, BinaryBlobWithPreviousVersionIsRejectedTyped) {
+  // Version 2 blobs still carried the backup-attempt win/loss counters; a
+  // v3 decoder must refuse one outright (typed ParseError) rather than
+  // read its stats block shifted by two fields.
+  EncodedTable t = testing_util::PaperEncoded();
+  std::vector<uint8_t> blob = SerializeResult(DiscoverOds(t, {}));
+  ASSERT_GE(blob.size(), 2u);
+  blob[0] = 2;  // the version is the leading little-endian u16
+  blob[1] = 0;
+  Result<DiscoveryResult> r = DeserializeResult(blob);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("version 2"), std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(ResultIoTest, BinaryBlobRoundTripsMixedKindRecords) {

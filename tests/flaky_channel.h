@@ -8,10 +8,7 @@
 //   kShortRead    Receive truncates the delivered frame;
 //   kCorruptByte  Receive flips one payload byte;
 //   kDropFrame    Send silently discards the frame (the peer sees
-//                 nothing — the *timeout* path, not the decode path);
-//   kStallReceive Receive parks for `stall_ms` before forwarding the
-//                 frame intact — a straggling-but-healthy shard (the
-//                 *speculation* path: no error is ever surfaced).
+//                 nothing — the *timeout* path, not the decode path).
 //
 // In pass-through mode (kNone, the default) the decorator is perfectly
 // transparent, which is itself a tested property: the full sharded
@@ -22,9 +19,7 @@
 #define AOD_TESTS_FLAKY_CHANNEL_H_
 
 #include <atomic>
-#include <chrono>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,7 +36,6 @@ class FlakyChannel final : public shard::ShardChannel {
     kShortRead,
     kCorruptByte,
     kDropFrame,
-    kStallReceive,
   };
 
   struct Plan {
@@ -49,8 +43,6 @@ class FlakyChannel final : public shard::ShardChannel {
     /// Frames forwarded cleanly (in the faulted direction) before the
     /// fault fires; the fault fires once.
     int trigger_after = 0;
-    /// How long kStallReceive parks before forwarding.
-    int stall_ms = 0;
     /// Shared across decorated channels so a fleet of links injects one
     /// fault total, wherever it lands first. Optional.
     std::atomic<int>* shared_budget = nullptr;
@@ -71,9 +63,6 @@ class FlakyChannel final : public shard::ShardChannel {
   }
 
   Result<std::vector<uint8_t>> Receive() override {
-    if (Due(Fault::kStallReceive)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(plan_.stall_ms));
-    }
     Result<std::vector<uint8_t>> frame = inner_->Receive();
     if (!frame.ok()) return frame;
     if (Due(Fault::kShortRead)) {

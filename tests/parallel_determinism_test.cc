@@ -4,12 +4,8 @@
 // polarity modes and datasets (see ARCHITECTURE.md).
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -81,20 +77,14 @@ std::string Fingerprint(const DiscoveryResult& result) {
   return out;
 }
 
-/// Same discovery idiom as shard_process_e2e_test: the runner binary
-/// sits next to the test binary in the build root; AOD_SHARD_RUNNER
-/// overrides. Empty when neither resolves (the process-transport leg of
-/// the row-shard matrix is then skipped, matching the e2e suite).
-std::string RunnerBinaryPath() {
-  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const std::string sibling =
-      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
-          .string();
-  return std::filesystem::exists(sibling) ? sibling : "";
+/// The shard transports a transport loop covers: inproc always, process
+/// when the runner binary resolves (otherwise that leg is skipped).
+std::vector<ShardTransport> ShardTransports() {
+  std::vector<ShardTransport> transports = {ShardTransport::kInProcess};
+  if (!testing_util::RunnerBinaryPath().empty()) {
+    transports.push_back(ShardTransport::kProcess);
+  }
+  return transports;
 }
 
 struct DeterminismParam {
@@ -321,12 +311,12 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
 
 TEST(ParallelDeterminismTest, RowShardedDiscoveryMatchesUnshardedBitExactly) {
   // The row-sharding tentpole's acceptance gate: row_shards {1,2,4} ×
-  // threads {1,4,hw} × transports {inproc,socket,process} × compression
-  // {on,off} — the stitched bases are bit-identical to FromColumn, so
-  // the *full* fingerprint (stats included) must equal the unsharded
-  // run's: the row phase only adds its own byte-accounting counters,
-  // which this test checks separately. Per-shard table bytes must shrink
-  // as the shard count grows (each shard receives O(rows/row_shards)).
+  // threads {1,4,hw} × transports {inproc,process} — the stitched bases
+  // are bit-identical to FromColumn, so the *full* fingerprint (stats
+  // included) must equal the unsharded run's: the row phase only adds
+  // its own byte-accounting counters, which this test checks
+  // separately. Per-shard table bytes must shrink as the shard count
+  // grows (each shard receives O(rows/row_shards)).
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -339,56 +329,40 @@ TEST(ParallelDeterminismTest, RowShardedDiscoveryMatchesUnshardedBitExactly) {
   EXPECT_TRUE(unsharded.stats.row_shard_bytes_per_shard.empty());
   const std::string expected_full = Fingerprint(unsharded);
 
-  const std::string runner = RunnerBinaryPath();
-  std::vector<ShardTransport> transports = {ShardTransport::kInProcess,
-                                            ShardTransport::kSocket};
-  if (!runner.empty()) transports.push_back(ShardTransport::kProcess);
-  options.shard_runner_path = runner;
+  options.shard_runner_path = testing_util::RunnerBinaryPath();
 
   int64_t max_shard_bytes_at_1 = 0;
   for (int row_shards : {1, 2, 4}) {
-    for (ShardTransport transport : transports) {
-      for (bool compress : {true, false}) {
-        SCOPED_TRACE("row_shards=" + std::to_string(row_shards) + " " +
-                     ShardTransportToString(transport) +
-                     (compress ? "" : " raw wire"));
-        options.row_shards = row_shards;
-        options.shard_transport = transport;
-        options.shard_wire_compression = compress;
-        for (int threads : {1, 4, 0}) {
-          options.num_threads = threads;
-          DiscoveryResult run = DiscoverOds(enc, options);
-          ASSERT_TRUE(run.shard_status.ok())
-              << "threads=" << threads << ": "
-              << run.shard_status.ToString();
-          EXPECT_EQ(Fingerprint(run), expected_full)
-              << "threads=" << threads;
-          EXPECT_EQ(run.stats.row_shards_used, row_shards);
-          ASSERT_EQ(run.stats.row_shard_bytes_per_shard.size(),
-                    static_cast<size_t>(row_shards));
-          EXPECT_GT(run.stats.row_shard_bytes_shipped, 0);
+    for (ShardTransport transport : ShardTransports()) {
+      SCOPED_TRACE("row_shards=" + std::to_string(row_shards) + " " +
+                   ShardTransportToString(transport));
+      options.row_shards = row_shards;
+      options.shard_transport = transport;
+      for (int threads : {1, 4, 0}) {
+        options.num_threads = threads;
+        DiscoveryResult run = DiscoverOds(enc, options);
+        ASSERT_TRUE(run.shard_status.ok())
+            << "threads=" << threads << ": " << run.shard_status.ToString();
+        EXPECT_EQ(Fingerprint(run), expected_full) << "threads=" << threads;
+        EXPECT_EQ(run.stats.row_shards_used, row_shards);
+        ASSERT_EQ(run.stats.row_shard_bytes_per_shard.size(),
+                  static_cast<size_t>(row_shards));
+        EXPECT_GT(run.stats.row_shard_bytes_shipped, 0);
+        for (int64_t b : run.stats.row_shard_bytes_per_shard) {
+          EXPECT_GT(b, 0);
+        }
+        EXPECT_LE(run.stats.row_shard_bytes_wire,
+                  run.stats.row_shard_bytes_raw);
+        if (transport == ShardTransport::kInProcess && threads == 1) {
+          int64_t max_bytes = 0;
           for (int64_t b : run.stats.row_shard_bytes_per_shard) {
-            EXPECT_GT(b, 0);
+            max_bytes = std::max(max_bytes, b);
           }
-          if (compress) {
-            EXPECT_LE(run.stats.row_shard_bytes_wire,
-                      run.stats.row_shard_bytes_raw);
-          } else {
-            EXPECT_EQ(run.stats.row_shard_bytes_wire,
-                      run.stats.row_shard_bytes_raw);
-          }
-          if (transport == ShardTransport::kInProcess && !compress &&
-              threads == 1) {
-            int64_t max_bytes = 0;
-            for (int64_t b : run.stats.row_shard_bytes_per_shard) {
-              max_bytes = std::max(max_bytes, b);
-            }
-            if (row_shards == 1) max_shard_bytes_at_1 = max_bytes;
-            // O(table/row_shards): four shards each see well under half
-            // of what the single shard saw.
-            if (row_shards == 4) {
-              EXPECT_LT(max_bytes, max_shard_bytes_at_1 / 2 + 64);
-            }
+          if (row_shards == 1) max_shard_bytes_at_1 = max_bytes;
+          // O(table/row_shards): four shards each see well under half
+          // of what the single shard saw.
+          if (row_shards == 4) {
+            EXPECT_LT(max_bytes, max_shard_bytes_at_1 / 2 + 64);
           }
         }
       }
@@ -499,10 +473,11 @@ TEST(ParallelDeterminismTest, MixedKindRunsAreThreadAndShardInvariant) {
   }
 }
 
-TEST(ParallelDeterminismTest, MixedKindSocketAndCompressionInvariance) {
-  // Transport × codec for non-OD kinds: the kind tag crosses the v4
-  // wire in candidate and outcome frames; socket framing and the
-  // delta/varint codecs must not perturb a single byte of the output.
+TEST(ParallelDeterminismTest, MixedKindTransportInvariance) {
+  // Transport dimension for non-OD kinds: the kind tag crosses the wire
+  // in candidate and outcome frames; the process transport's socket
+  // framing and the delta/varint codecs must not perturb a single byte
+  // of the output.
   Table t = GenerateNcVoterTable(300, 6, 7);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -512,17 +487,13 @@ TEST(ParallelDeterminismTest, MixedKindSocketAndCompressionInvariance) {
   options.num_threads = 2;
   const std::string expected = OutputFingerprint(DiscoverOds(enc, options));
   options.num_shards = 2;
-  for (ShardTransport transport :
-       {ShardTransport::kInProcess, ShardTransport::kSocket}) {
+  options.shard_runner_path = testing_util::RunnerBinaryPath();
+  for (ShardTransport transport : ShardTransports()) {
     SCOPED_TRACE(ShardTransportToString(transport));
     options.shard_transport = transport;
-    for (bool compress : {true, false}) {
-      options.shard_wire_compression = compress;
-      DiscoveryResult run = DiscoverOds(enc, options);
-      ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
-      EXPECT_EQ(OutputFingerprint(run), expected)
-          << "compression=" << compress;
-    }
+    DiscoveryResult run = DiscoverOds(enc, options);
+    ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+    EXPECT_EQ(OutputFingerprint(run), expected);
   }
 }
 
@@ -573,21 +544,24 @@ TEST(ParallelDeterminismTest, InterestingnessScoresRankEveryDependency) {
   }
 }
 
-TEST(ParallelDeterminismTest, SocketTransportMatchesInProcessBitExactly) {
-  // The off-box seam's determinism gate (transport dimension): the
-  // localhost TCP transport — real length framing, partial reads,
-  // writer threads — must reproduce the in-process transport's full
-  // fingerprint (stats included) and the unsharded output, for every
-  // shard count. Byte volume must match too: the same frames cross
-  // either seam. The process transport variant lives in
-  // shard_process_e2e_test (it needs the runner binary).
+TEST(ParallelDeterminismTest, ProcessTransportMatchesInProcessBitExactly) {
+  // The off-box seam's determinism gate (transport dimension): runner
+  // processes over localhost TCP — real length framing, partial reads,
+  // writer threads, stats footers — must reproduce the in-process
+  // transport's full fingerprint (stats included) and the unsharded
+  // output, for every shard count. Byte volume is not compared: the
+  // process transport also ships the config and table frames.
+  const std::string runner = testing_util::RunnerBinaryPath();
+  if (runner.empty()) GTEST_SKIP() << "shard_runner_main not found";
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
   options.epsilon = 0.1;
   options.collect_removal_sets = true;
   options.num_threads = 2;
-  const std::string expected_output = OutputFingerprint(DiscoverOds(enc, options));
+  options.shard_runner_path = runner;
+  const std::string expected_output =
+      OutputFingerprint(DiscoverOds(enc, options));
 
   for (int shards : {1, 2, 4}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
@@ -595,29 +569,24 @@ TEST(ParallelDeterminismTest, SocketTransportMatchesInProcessBitExactly) {
     options.shard_transport = ShardTransport::kInProcess;
     DiscoveryResult inproc = DiscoverOds(enc, options);
     ASSERT_TRUE(inproc.shard_status.ok());
-    options.shard_transport = ShardTransport::kSocket;
-    DiscoveryResult socket = DiscoverOds(enc, options);
-    ASSERT_TRUE(socket.shard_status.ok()) << socket.shard_status.ToString();
-    EXPECT_EQ(Fingerprint(socket), Fingerprint(inproc));
-    EXPECT_EQ(OutputFingerprint(socket), expected_output);
-    EXPECT_EQ(socket.stats.shard_bytes_shipped,
-              inproc.stats.shard_bytes_shipped);
+    options.shard_transport = ShardTransport::kProcess;
+    DiscoveryResult process = DiscoverOds(enc, options);
+    ASSERT_TRUE(process.shard_status.ok()) << process.shard_status.ToString();
+    EXPECT_EQ(Fingerprint(process), Fingerprint(inproc));
+    EXPECT_EQ(OutputFingerprint(process), expected_output);
     // Footer-fed partition counters arrived over either transport.
-    EXPECT_EQ(socket.stats.partitions_computed,
+    EXPECT_EQ(process.stats.partitions_computed,
               inproc.stats.partitions_computed);
-    EXPECT_GT(socket.stats.partition_bytes_peak, 0);
+    EXPECT_GT(process.stats.partition_bytes_peak, 0);
   }
 }
 
-TEST(ParallelDeterminismTest, WireCompressionIsOutputInvariant) {
-  // The codec dimension of the determinism matrix: the delta/varint
-  // codecs are lossless and decode through the same validation gate as
-  // raw frames, so the *full* fingerprint (stats included) must be
-  // identical with compression on and off, for every transport and
-  // shard count — compression is purely a bytes-vs-CPU knob. The byte
-  // accounting must show it working: wire < raw when on (the shipped
-  // partitions and batches compress on these shapes), wire == raw when
-  // every codec is forced raw.
+TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
+  // The codec dimension of the byte accounting: every encoder picks the
+  // smaller of raw and compressed per frame, so on these shapes (the
+  // shipped partitions and batches compress) the wire volume must come
+  // in under the all-raw baseline, for every transport and shard count,
+  // with the output unchanged.
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -627,34 +596,19 @@ TEST(ParallelDeterminismTest, WireCompressionIsOutputInvariant) {
   const std::string expected_output =
       OutputFingerprint(DiscoverOds(enc, options));
 
-  for (ShardTransport transport :
-       {ShardTransport::kInProcess, ShardTransport::kSocket}) {
+  options.shard_runner_path = testing_util::RunnerBinaryPath();
+  for (ShardTransport transport : ShardTransports()) {
     for (int shards : {1, 4}) {
       SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
                    " num_shards=" + std::to_string(shards));
       options.shard_transport = transport;
       options.num_shards = shards;
-
-      options.shard_wire_compression = true;
-      DiscoveryResult compressed = DiscoverOds(enc, options);
-      ASSERT_TRUE(compressed.shard_status.ok())
-          << compressed.shard_status.ToString();
-      EXPECT_EQ(OutputFingerprint(compressed), expected_output);
-      EXPECT_LT(compressed.stats.shard_bytes_wire,
-                compressed.stats.shard_bytes_raw);
-      EXPECT_EQ(compressed.stats.shard_bytes_wire,
-                compressed.stats.shard_bytes_shipped);
-      EXPECT_FALSE(compressed.stats.shard_frame_bytes.empty());
-
-      options.shard_wire_compression = false;
-      DiscoveryResult raw = DiscoverOds(enc, options);
-      ASSERT_TRUE(raw.shard_status.ok()) << raw.shard_status.ToString();
-      EXPECT_EQ(Fingerprint(raw), Fingerprint(compressed));
-      EXPECT_EQ(raw.stats.shard_bytes_wire, raw.stats.shard_bytes_raw);
-      // Raw volume is codec-independent: both runs ship the same frames,
-      // so the all-raw baseline they report must agree.
-      EXPECT_EQ(raw.stats.shard_bytes_raw, compressed.stats.shard_bytes_raw);
-      options.shard_wire_compression = true;
+      DiscoveryResult run = DiscoverOds(enc, options);
+      ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+      EXPECT_EQ(OutputFingerprint(run), expected_output);
+      EXPECT_LT(run.stats.shard_bytes_wire, run.stats.shard_bytes_raw);
+      EXPECT_EQ(run.stats.shard_bytes_wire, run.stats.shard_bytes_shipped);
+      EXPECT_FALSE(run.stats.shard_frame_bytes.empty());
     }
   }
 }
@@ -679,8 +633,8 @@ TEST(ParallelDeterminismTest, PassThroughFlakyDecoratorKeepsContract) {
     return std::make_unique<testing_util::FlakyChannel>(
         std::move(inner), testing_util::FlakyChannel::Plan{});
   };
-  for (ShardTransport transport :
-       {ShardTransport::kInProcess, ShardTransport::kSocket}) {
+  options.shard_runner_path = testing_util::RunnerBinaryPath();
+  for (ShardTransport transport : ShardTransports()) {
     SCOPED_TRACE(ShardTransportToString(transport));
     options.shard_transport = transport;
     DiscoveryResult wrapped = DiscoverOds(enc, options);

@@ -273,33 +273,29 @@ TEST(PartitionStitchTest, StructurallyInvalidFragmentsRejected) {
 
 TEST(RowShardingTest, ComputeRowShardedBasesMatchesFromColumn) {
   EncodedTable t = testing_util::RandomEncodedTable(150, 3, 5, 41);
+  shard::ShardTransportOptions topts;
+  topts.transport = ShardTransport::kInProcess;
   for (int shards : {1, 2, 4, 9}) {
-    for (bool compress : {false, true}) {
-      shard::ShardTransportOptions topts;
-      topts.transport = ShardTransport::kInProcess;
-      shard::RowShardStats stats;
-      Result<std::vector<StrippedPartition>> bases =
-          shard::ComputeRowShardedBases(t, shards, topts, compress, &stats);
-      ASSERT_TRUE(bases.ok()) << bases.status().ToString();
-      ASSERT_EQ(bases->size(), static_cast<size_t>(t.num_columns()));
-      for (int a = 0; a < t.num_columns(); ++a) {
-        EXPECT_EQ((*bases)[static_cast<size_t>(a)].Serialize(),
-                  StrippedPartition::FromColumn(t.column(a)).Serialize());
-      }
-      EXPECT_EQ(stats.row_shards, shards);
-      ASSERT_EQ(stats.table_bytes_per_shard.size(),
-                static_cast<size_t>(shards));
-      EXPECT_GT(stats.bytes_shipped_total, 0);
+    shard::RowShardStats stats;
+    Result<std::vector<StrippedPartition>> bases =
+        shard::ComputeRowShardedBases(t, shards, topts, &stats);
+    ASSERT_TRUE(bases.ok()) << bases.status().ToString();
+    ASSERT_EQ(bases->size(), static_cast<size_t>(t.num_columns()));
+    for (int a = 0; a < t.num_columns(); ++a) {
+      EXPECT_EQ((*bases)[static_cast<size_t>(a)].Serialize(),
+                StrippedPartition::FromColumn(t.column(a)).Serialize());
     }
+    EXPECT_EQ(stats.row_shards, shards);
+    ASSERT_EQ(stats.table_bytes_per_shard.size(),
+              static_cast<size_t>(shards));
+    EXPECT_GT(stats.bytes_shipped_total, 0);
   }
 
   // The point of the axis: per-shard table bytes shrink as O(rows/N).
-  shard::ShardTransportOptions topts;
-  topts.transport = ShardTransport::kInProcess;
   shard::RowShardStats one;
   shard::RowShardStats four;
-  ASSERT_TRUE(shard::ComputeRowShardedBases(t, 1, topts, false, &one).ok());
-  ASSERT_TRUE(shard::ComputeRowShardedBases(t, 4, topts, false, &four).ok());
+  ASSERT_TRUE(shard::ComputeRowShardedBases(t, 1, topts, &one).ok());
+  ASSERT_TRUE(shard::ComputeRowShardedBases(t, 4, topts, &four).ok());
   for (int64_t per_shard : four.table_bytes_per_shard) {
     // A quarter of the rows plus fixed per-column framing overhead.
     EXPECT_LT(per_shard, one.table_bytes_per_shard[0] / 2);

@@ -1,7 +1,12 @@
 // Tests for src/partition: attribute sets, stripped partitions, cache.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "data/encoder.h"
 #include "partition/attribute_set.h"
@@ -363,6 +368,90 @@ TEST(PartitionCacheTest, FixedRuleWorklistHandlesDeepMisses) {
   EXPECT_TRUE(cache.Contains(AttributeSet::Of({0, 1, 2})));  // memoized
   cache.Get(AttributeSet::Of({0, 1, 2, 3}));
   EXPECT_EQ(cache.products_computed(), 7);  // intermediate was cached
+}
+
+TEST(PartitionCacheTest, WaiterOnPendingKeyDoesNotBlockItsProducer) {
+  // A producer claims X and, mid-derivation, needs Y from the same lock
+  // stripe; a waiter asks for X while it is still pending. A waiter that
+  // blocked on X with the stripe locked would starve the producer of Y
+  // forever. The hooks force exactly that interleaving: the producer
+  // parks before fetching Y until the waiter is about to block on X.
+  constexpr int kCols = 10;
+  AttributeSet x, y;
+  bool found = false;
+  for (int a = 0; a < kCols && !found; ++a) {
+    for (int b = a + 1; b < kCols && !found; ++b) {
+      for (int c = b + 1; c < kCols && !found; ++c) {
+        x = AttributeSet::Of({a, b, c});
+        y = AttributeSet::Of({a, b});
+        found = PartitionCache::StripeOf(x) == PartitionCache::StripeOf(y);
+      }
+    }
+  }
+  ASSERT_TRUE(found) << "no same-stripe (X, X minus max) pair";
+
+  // Shared with the threads by ownership: if the cache deadlocks, the
+  // threads are detached and this state must outlive the test.
+  struct State {
+    explicit State(EncodedTable t) : table(std::move(t)), cache(&table) {}
+    EncodedTable table;
+    PartitionCache cache;
+    std::promise<void> producer_parked, waiter_blocking;
+    std::promise<void> producer_done, waiter_done;
+    std::atomic<bool> parked_once{false}, blocking_once{false};
+  };
+  auto state = std::make_shared<State>(
+      testing_util::RandomEncodedTable(300, kCols, 3, 21));
+  std::future<void> waiter_blocking = state->waiter_blocking.get_future();
+  State* raw = state.get();
+  state->cache.set_get_hook_for_testing(
+      [raw, x, y, blocking = waiter_blocking.share()](
+          PartitionCache::GetEvent event, AttributeSet set) {
+        using Event = PartitionCache::GetEvent;
+        if (event == Event::kEnter && set == y &&
+            !raw->parked_once.exchange(true)) {
+          raw->producer_parked.set_value();
+          blocking.wait_for(std::chrono::seconds(10));
+        } else if (event == Event::kWaitPending && set == x &&
+                   !raw->blocking_once.exchange(true)) {
+          raw->waiter_blocking.set_value();
+        }
+      });
+
+  DerivationPlan plan;
+  plan.base = y;
+  plan.singles = {x.Last()};
+  std::future<void> parked = state->producer_parked.get_future();
+  std::future<void> producer_done = state->producer_done.get_future();
+  std::future<void> waiter_done = state->waiter_done.get_future();
+  std::thread producer([state, x, plan] {
+    state->cache.Get(x, &plan);
+    state->producer_done.set_value();
+  });
+  ASSERT_EQ(parked.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  std::thread waiter([state, x] {
+    state->cache.Get(x);
+    state->waiter_done.set_value();
+  });
+
+  const bool finished =
+      producer_done.wait_for(std::chrono::seconds(10)) ==
+          std::future_status::ready &&
+      waiter_done.wait_for(std::chrono::seconds(10)) ==
+          std::future_status::ready;
+  if (!finished) {
+    producer.detach();
+    waiter.detach();
+    FAIL() << "Get deadlocked: the waiter on a pending key held the stripe "
+              "its producer needed";
+  }
+  producer.join();
+  waiter.join();
+  PartitionCache reference(&state->table);
+  EXPECT_EQ(state->cache.Get(x)->row_ids(), reference.Get(x)->row_ids());
+  EXPECT_EQ(state->cache.Get(x)->class_offsets(),
+            reference.Get(x)->class_offsets());
 }
 
 }  // namespace

@@ -242,8 +242,9 @@ TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
   status.total_fds = 6;
   status.total_afds = 4;
   {
-    Result<shard::DecodedFrame> f =
-        shard::DecodeFrame(EncodeJobStatus(status));
+    // DecodedFrame views the encoded bytes, so they must outlive it.
+    const std::vector<uint8_t> bytes = EncodeJobStatus(status);
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(bytes);
     ASSERT_TRUE(f.ok());
     Result<serve::WireJobStatus> back = serve::DecodeJobStatus(*f);
     ASSERT_TRUE(back.ok());
@@ -260,7 +261,8 @@ TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
   error.request_id = 5;
   error.status = Status::Overloaded("queue full");
   {
-    Result<shard::DecodedFrame> f = shard::DecodeFrame(EncodeJobError(error));
+    const std::vector<uint8_t> bytes = EncodeJobError(error);
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(bytes);
     ASSERT_TRUE(f.ok());
     Result<serve::WireJobError> back = serve::DecodeJobError(*f);
     ASSERT_TRUE(back.ok());
@@ -272,8 +274,8 @@ TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
   chunk.final_chunk = false;
   chunk.blob_bytes = {1, 2, 3, 4, 5};
   {
-    Result<shard::DecodedFrame> f =
-        shard::DecodeFrame(EncodeJobResultChunk(chunk));
+    const std::vector<uint8_t> bytes = EncodeJobResultChunk(chunk);
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(bytes);
     ASSERT_TRUE(f.ok());
     Result<serve::WireJobResultChunk> back =
         serve::DecodeJobResultChunk(*f);
@@ -283,7 +285,8 @@ TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
     EXPECT_EQ(back->blob_bytes, chunk.blob_bytes);
   }
   {
-    Result<shard::DecodedFrame> f = shard::DecodeFrame(serve::EncodeCancel(99));
+    const std::vector<uint8_t> bytes = serve::EncodeCancel(99);
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(bytes);
     ASSERT_TRUE(f.ok());
     Result<uint64_t> id = serve::DecodeCancel(*f);
     ASSERT_TRUE(id.ok());
@@ -362,8 +365,8 @@ TEST(ServeWireTest, DecodersRejectStructuralViolations) {
     submit.options = options;
     submit.table_frame =
         shard::EncodeTableBlock(testing_util::PaperEncoded());
-    Result<shard::DecodedFrame> f =
-        shard::DecodeFrame(serve::EncodeJobSubmit(submit));
+    const std::vector<uint8_t> bytes = serve::EncodeJobSubmit(submit);
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(bytes);
     ASSERT_TRUE(f.ok());
     Result<serve::WireJobSubmit> r = serve::DecodeJobSubmit(*f);
     ASSERT_FALSE(r.ok()) << "decoded despite " << want;

@@ -1,24 +1,20 @@
-// One observable contract, three transports.
+// One observable contract, every channel endpoint.
 //
-// Every ShardChannel implementation — the in-process queue, the
-// localhost TCP / pipe stream, and the spool-directory file exchange —
-// must be interchangeable under the coordinator, so one parameterized
-// suite holds them all to the same contract: exact in-order delivery,
-// frame reassembly across partial reads, drain-then-kClosed shutdown
-// (including waking a *blocked* receiver), typed oversized-frame
-// rejection, and typed receive timeouts. Byte-level fault tests (EOF
-// mid-frame, stream desync, torn spool files) follow per transport, and
-// the FlakyChannel fault-injection tests at the bottom pin the
-// coordinator's failure contract: every injected fault yields a typed
-// error from DiscoverOds — no hang, no crash, no partially merged
+// Every ShardChannel implementation — the in-process queue and the
+// localhost TCP / pipe stream — must be interchangeable under the
+// coordinator, so one parameterized suite holds them all to the same
+// contract: exact in-order delivery, frame reassembly across partial
+// reads, drain-then-kClosed shutdown (including waking a *blocked*
+// receiver), typed oversized-frame rejection, and typed receive
+// timeouts. Byte-level stream fault tests (EOF mid-frame, stream desync)
+// follow, and the FlakyChannel fault-injection tests at the bottom pin
+// the coordinator's failure contract: every injected fault yields a
+// typed error from DiscoverOds — no hang, no crash, no partially merged
 // level.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <string>
@@ -36,14 +32,11 @@ namespace aod {
 namespace {
 
 using shard::ChannelOptions;
-using shard::FileShardChannel;
 using shard::InProcessChannel;
 using shard::ShardChannel;
 using shard::SocketListener;
 using shard::SocketShardChannel;
 using testing_util::FlakyChannel;
-
-namespace fs = std::filesystem;
 
 /// A connected sender/receiver pair of one transport, plus everything
 /// that keeps it alive.
@@ -52,25 +45,7 @@ struct Endpoints {
   ShardChannel* receiver = nullptr;
   std::vector<std::unique_ptr<ShardChannel>> owned;
   std::unique_ptr<SocketListener> listener;
-  std::string spool_dir;
-
-  ~Endpoints() {
-    owned.clear();
-    if (!spool_dir.empty()) {
-      std::error_code ec;
-      fs::remove_all(spool_dir, ec);
-    }
-  }
 };
-
-std::string FreshSpoolDir() {
-  static std::atomic<int> counter{0};
-  std::string dir = ::testing::TempDir() + "aod_spool_" +
-                    std::to_string(::getpid()) + "_" +
-                    std::to_string(counter.fetch_add(1));
-  fs::create_directories(dir);
-  return dir;
-}
 
 using EndpointFactory =
     std::function<std::unique_ptr<Endpoints>(ChannelOptions)>;
@@ -116,20 +91,6 @@ std::unique_ptr<Endpoints> MakePipe(ChannelOptions options) {
   endpoints->receiver = read_end.get();
   endpoints->owned.push_back(std::move(write_end));
   endpoints->owned.push_back(std::move(read_end));
-  return endpoints;
-}
-
-std::unique_ptr<Endpoints> MakeFile(ChannelOptions options) {
-  auto endpoints = std::make_unique<Endpoints>();
-  endpoints->spool_dir = FreshSpoolDir();
-  auto sender = std::make_unique<FileShardChannel>(
-      endpoints->spool_dir, FileShardChannel::Role::kSender, options);
-  auto receiver = std::make_unique<FileShardChannel>(
-      endpoints->spool_dir, FileShardChannel::Role::kReceiver, options);
-  endpoints->sender = sender.get();
-  endpoints->receiver = receiver.get();
-  endpoints->owned.push_back(std::move(sender));
-  endpoints->owned.push_back(std::move(receiver));
   return endpoints;
 }
 
@@ -217,7 +178,7 @@ TEST_P(ShardChannelConformanceTest, LocalCloseWakesBlockedReceiver) {
   // The other half of never-strand: closing the *receiver's own*
   // endpoint (local teardown, not peer shutdown) must also wake a
   // blocked Receive with kClosed — stream endpoints use a self-pipe
-  // for this, queues their cv, the spool its closed flag.
+  // for this, queues their cv.
   ChannelOptions options;
   options.receive_timeout_seconds = 30.0;
   auto endpoints = GetParam().factory(options);
@@ -265,8 +226,7 @@ INSTANTIATE_TEST_SUITE_P(
     Transports, ShardChannelConformanceTest,
     ::testing::Values(TransportParam{"inproc", MakeInProcess},
                       TransportParam{"tcp", MakeTcp},
-                      TransportParam{"pipe", MakePipe},
-                      TransportParam{"file", MakeFile}),
+                      TransportParam{"pipe", MakePipe}),
     [](const ::testing::TestParamInfo<TransportParam>& info) {
       return info.param.name;
     });
@@ -379,71 +339,6 @@ TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
   ::close(devnull[0]);
 }
 
-TEST(FileChannelFaultTest, TornSpoolFrameIsRejected) {
-  const std::string dir = FreshSpoolDir();
-  ChannelOptions options;
-  options.receive_timeout_seconds = 5.0;
-  FileShardChannel receiver(dir, FileShardChannel::Role::kReceiver, options);
-  // A frame file whose length disagrees with its declared payload size —
-  // unreachable through the channel API (atomic rename), so it means
-  // spool tampering.
-  std::vector<uint8_t> frame = TestFrame(100);
-  frame.resize(frame.size() - 40);
-  {
-    std::ofstream out(dir + "/frame-000000000", std::ios::binary);
-    out.write(reinterpret_cast<const char*>(frame.data()),
-              static_cast<std::streamsize>(frame.size()));
-  }
-  Result<std::vector<uint8_t>> got = receiver.Receive();
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-  // The error path keeps the spool for post-mortem inspection — only a
-  // clean drain removes it.
-  EXPECT_TRUE(fs::exists(dir));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-}
-
-TEST(FileChannelFaultTest, CleanCloseRemovesSpoolDirectory) {
-  const std::string dir = FreshSpoolDir();
-  ChannelOptions options;
-  options.receive_timeout_seconds = 5.0;
-  {
-    FileShardChannel sender(dir, FileShardChannel::Role::kSender, options);
-    ASSERT_TRUE(sender.Send(TestFrame(50)).ok());
-    ASSERT_TRUE(sender.Send(TestFrame(60)).ok());
-    sender.Close();
-  }
-  FileShardChannel receiver(dir, FileShardChannel::Role::kReceiver, options);
-  ASSERT_TRUE(receiver.Receive().ok());
-  ASSERT_TRUE(receiver.Receive().ok());
-  // Draining past the closed count returns kClosed *and* removes the
-  // spool directory — a finished exchange leaves nothing on disk.
-  Result<std::vector<uint8_t>> after = receiver.Receive();
-  ASSERT_FALSE(after.ok());
-  EXPECT_EQ(after.status().code(), StatusCode::kClosed);
-  EXPECT_FALSE(fs::exists(dir));
-}
-
-TEST(FileChannelFaultTest, MissingFrameBelowClosedCountIsRejected) {
-  const std::string dir = FreshSpoolDir();
-  ChannelOptions options;
-  options.receive_timeout_seconds = 5.0;
-  {
-    FileShardChannel sender(dir, FileShardChannel::Role::kSender, options);
-    ASSERT_TRUE(sender.Send(TestFrame(50)).ok());
-    ASSERT_TRUE(sender.Send(TestFrame(60)).ok());
-    sender.Close();
-  }
-  ASSERT_TRUE(fs::remove(dir + "/frame-000000000"));
-  FileShardChannel receiver(dir, FileShardChannel::Role::kReceiver, options);
-  Result<std::vector<uint8_t>> got = receiver.Receive();
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-}
-
 // -------------------------------------- coordinator fault injection --
 
 /// A fault-injection discovery run: every coordinator-side endpoint is
@@ -456,6 +351,7 @@ DiscoveryResult RunWithFault(const EncodedTable& table,
   options.num_threads = 2;
   options.num_shards = 2;
   options.shard_transport = transport;
+  options.shard_runner_path = testing_util::RunnerBinaryPath();
   // Short timeout: a dropped frame must surface as a typed timeout in
   // test time, not in the production default.
   options.shard_io_timeout_seconds = 1.0;
@@ -474,7 +370,15 @@ DiscoveryResult RunWithFault(const EncodedTable& table,
 }
 
 class CoordinatorFaultInjectionTest
-    : public ::testing::TestWithParam<ShardTransport> {};
+    : public ::testing::TestWithParam<ShardTransport> {
+ protected:
+  void SetUp() override {
+    if (GetParam() == ShardTransport::kProcess &&
+        testing_util::RunnerBinaryPath().empty()) {
+      GTEST_SKIP() << "shard_runner_main not found next to the test binary";
+    }
+  }
+};
 
 TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
   Table t = GenerateNcVoterTable(200, 5, 7);
@@ -488,25 +392,27 @@ TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
 
   // Triggers place each fault mid-run, after at least one level merged
   // cleanly. Send-side faults count the coordinator's physical sends —
-  // the 5 base partitions ship as ONE kBatch envelope, then the level-1
-  // candidate batch — so with trigger 2 the fault lands on the level-2
-  // batch under either transport. Receive-side faults depend on the
-  // decoration topology: with inproc channels the *runner's* inbox is a
-  // decorated endpoint too (the base envelope + 2 batches pass as 3
-  // physical receives, the level-3 batch is mangled), while the socket
-  // decorates only the coordinator endpoint (2 reply chunks pass, the
-  // level-3 reply is mangled).
-  const int receive_trigger =
-      GetParam() == ShardTransport::kInProcess ? 3 : 2;
+  // process runners first get the config and table frames, then the 5
+  // base partitions ship as ONE kBatch envelope, then the level-1
+  // candidate batch — so the send trigger lands the fault on the
+  // level-2 batch under either transport. Receive-side faults depend on
+  // the decoration topology: with inproc channels the *runner's* inbox
+  // is a decorated endpoint too (the base envelope + 2 batches pass as 3
+  // physical receives, the level-3 batch is mangled), while the process
+  // transport decorates only the coordinator's socket (2 reply chunks
+  // pass, the level-3 reply is mangled).
+  const bool inproc = GetParam() == ShardTransport::kInProcess;
+  const int send_trigger = inproc ? 2 : 4;
+  const int receive_trigger = inproc ? 3 : 2;
   struct FaultCase {
     FlakyChannel::Fault fault;
     int trigger_after;
   };
   const FaultCase faults[] = {
-      {FlakyChannel::Fault::kTornWrite, 2},
+      {FlakyChannel::Fault::kTornWrite, send_trigger},
       {FlakyChannel::Fault::kShortRead, receive_trigger},
       {FlakyChannel::Fault::kCorruptByte, receive_trigger},
-      {FlakyChannel::Fault::kDropFrame, 2}};
+      {FlakyChannel::Fault::kDropFrame, send_trigger}};
   for (const FaultCase& c : faults) {
     SCOPED_TRACE(static_cast<int>(c.fault));
     FlakyChannel::Plan plan;
@@ -541,7 +447,7 @@ TEST_P(CoordinatorFaultInjectionTest, FaultDuringBaseShippingIsTyped) {
   EncodedTable enc = EncodeTable(t);
   FlakyChannel::Plan plan;
   plan.fault = FlakyChannel::Fault::kTornWrite;
-  plan.trigger_after = 0;  // the base-partition envelope itself is torn
+  plan.trigger_after = 0;  // the first bootstrap frame itself is torn
   DiscoveryResult faulted = RunWithFault(enc, GetParam(), plan);
   ASSERT_FALSE(faulted.shard_status.ok());
   EXPECT_TRUE(faulted.dependencies.empty());
@@ -549,7 +455,7 @@ TEST_P(CoordinatorFaultInjectionTest, FaultDuringBaseShippingIsTyped) {
 
 INSTANTIATE_TEST_SUITE_P(Transports, CoordinatorFaultInjectionTest,
                          ::testing::Values(ShardTransport::kInProcess,
-                                           ShardTransport::kSocket),
+                                           ShardTransport::kProcess),
                          [](const ::testing::TestParamInfo<ShardTransport>&
                                 info) {
                            return ShardTransportToString(info.param);

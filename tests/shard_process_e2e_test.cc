@@ -1,8 +1,8 @@
 // End-to-end off-box sharding: spawn real shard_runner_main processes,
-// run discovery over the socket and process transports, and diff the
-// output byte-for-byte against the unsharded run. This is the
-// acceptance gate of the off-box seam: shard_transport ∈ {inproc,
-// socket, process} × num_shards ∈ {1, 2, 4} must be bit-identical, the
+// run discovery over the process transport, and diff the output
+// byte-for-byte against the unsharded run. This is the acceptance gate
+// of the off-box seam: shard_transport ∈ {inproc, process} ×
+// num_shards ∈ {1, 2, 4} must be bit-identical, the
 // stats footers must deliver the shard-side counters, and a runner that
 // cannot start must surface as a typed error, not a hang or a crash.
 //
@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 
 #include "gen/ncvoter_generator.h"
@@ -23,18 +22,6 @@
 
 namespace aod {
 namespace {
-
-std::string RunnerBinaryPath() {
-  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const std::string sibling =
-      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
-          .string();
-  return std::filesystem::exists(sibling) ? sibling : "";
-}
 
 void AppendDouble(std::string* out, double v) {
   char buf[48];
@@ -62,7 +49,7 @@ std::string OutputFingerprint(const DiscoveryResult& result) {
 }
 
 TEST(ShardProcessE2eTest, AllTransportsMatchUnshardedBitExactly) {
-  const std::string runner = RunnerBinaryPath();
+  const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
   }
@@ -79,32 +66,27 @@ TEST(ShardProcessE2eTest, AllTransportsMatchUnshardedBitExactly) {
 
   options.shard_runner_path = runner;
   for (ShardTransport transport :
-       {ShardTransport::kInProcess, ShardTransport::kSocket,
-        ShardTransport::kProcess}) {
+       {ShardTransport::kInProcess, ShardTransport::kProcess}) {
     options.shard_transport = transport;
     for (int shards : {1, 2, 4}) {
-      for (bool compression : {true, false}) {
-        SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
-                     " x shards=" + std::to_string(shards) +
-                     (compression ? "" : " x raw wire"));
-        options.num_shards = shards;
-        options.shard_wire_compression = compression;
-        DiscoveryResult sharded = DiscoverOds(enc, options);
-        ASSERT_TRUE(sharded.shard_status.ok())
-            << sharded.shard_status.ToString();
-        EXPECT_EQ(OutputFingerprint(sharded), expected);
-        EXPECT_EQ(sharded.stats.shards_used, shards);
-        EXPECT_GT(sharded.stats.shard_bytes_shipped, 0);
-        // Stats footers delivered the shard-side partition counters.
-        EXPECT_GT(sharded.stats.partitions_computed, 0);
-        EXPECT_GT(sharded.stats.partition_bytes_peak, 0);
-      }
+      SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
+                   " x shards=" + std::to_string(shards));
+      options.num_shards = shards;
+      DiscoveryResult sharded = DiscoverOds(enc, options);
+      ASSERT_TRUE(sharded.shard_status.ok())
+          << sharded.shard_status.ToString();
+      EXPECT_EQ(OutputFingerprint(sharded), expected);
+      EXPECT_EQ(sharded.stats.shards_used, shards);
+      EXPECT_GT(sharded.stats.shard_bytes_shipped, 0);
+      // Stats footers delivered the shard-side partition counters.
+      EXPECT_GT(sharded.stats.partitions_computed, 0);
+      EXPECT_GT(sharded.stats.partition_bytes_peak, 0);
     }
   }
 }
 
 TEST(ShardProcessE2eTest, ProcessTransportShipsTheTable) {
-  const std::string runner = RunnerBinaryPath();
+  const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
   }
@@ -199,7 +181,7 @@ TEST(ShardProcessE2eTest, MissingRunnerBinaryFallsBackInProcess) {
 }
 
 TEST(ShardProcessE2eTest, RunnerKilledMidLevelIsRespawnedBitExactly) {
-  const std::string runner = RunnerBinaryPath();
+  const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
   }
@@ -242,7 +224,7 @@ TEST(ShardProcessE2eTest, RunnerKilledMidLevelIsRespawnedBitExactly) {
 }
 
 TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackInProcess) {
-  const std::string runner = RunnerBinaryPath();
+  const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
   }
@@ -281,14 +263,12 @@ TEST(ShardProcessE2eTest, IoTimeoutIsClampedToTheRunDeadline) {
   options.num_shards = 1;
   options.shard_transport = ShardTransport::kProcess;
   options.shard_runner_path = "/bin/true";  // never speaks the protocol
-  // A generous I/O timeout clamped by a 1-second run budget: each
-  // accept/receive wait must shrink to the remaining budget instead of
-  // parking for 30 s per attempt.
+  // A generous I/O timeout clamped by a 1-second run budget: the accept
+  // wait must shrink to the remaining budget instead of parking for
+  // 30 s. Strict mode, so the failure surfaces instead of falling back.
   options.shard_io_timeout_seconds = 30.0;
   options.time_budget_seconds = 1.0;
-  options.shard_max_retries = 1;
-  options.shard_retry_backoff_ms = 1.0;
-  options.shard_fallback_inproc = false;
+  options.shard_max_retries = 0;
   const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
   const double elapsed =

@@ -3,26 +3,24 @@
 // The strict-mode contract — any fault is a typed fail-stop abort — is
 // pinned by tests/shard_channel_conformance_test.cc. This suite pins
 // the supervised contract on top of it: with shard_max_retries >= 1 the
-// same faults are absorbed by the retry / respawn / speculation /
-// fallback ladder and the run COMPLETES, bit-identical to the unsharded
-// run, with the recovery visible in the supervision counters.
+// same faults are absorbed by the retry / respawn / fallback ladder and
+// the run COMPLETES, bit-identical to the unsharded run, with the
+// recovery visible in the supervision counters.
 //
 //   - the fault sweep injects one fault fleet-wide (shared budget) per
-//     run, across every fault kind x frame position x {socket, process};
+//     run, across every fault kind x frame position over spawned runner
+//     processes;
 //   - the attempt-1-vs-2 tests fault the first AND second attempt of
 //     one shard, forcing the ladder two rungs deep;
 //   - the persistent-fault test breaks every attempt so the shards must
-//     degrade to in-process execution;
-//   - the speculation test stalls (but never breaks) one shard so a
-//     backup attempt races it and wins.
+//     degrade to in-process execution.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -39,18 +37,6 @@ namespace {
 
 using shard::ShardChannel;
 using testing_util::FlakyChannel;
-
-std::string RunnerBinaryPath() {
-  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const std::string sibling =
-      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
-          .string();
-  return std::filesystem::exists(sibling) ? sibling : "";
-}
 
 void AppendDouble(std::string* out, double v) {
   char buf[48];
@@ -77,7 +63,6 @@ std::string OutputFingerprint(const DiscoveryResult& result) {
 
 int64_t RecoveryTotal(const DiscoveryStats& stats) {
   return stats.shard_retries + stats.shard_respawns +
-         stats.shard_speculative_wins + stats.shard_speculative_losses +
          stats.shard_fallback_shards + stats.shard_footers_missing;
 }
 
@@ -97,16 +82,22 @@ DiscoveryOptions SupervisedOptions(ShardTransport transport,
   return options;
 }
 
-class ShardSupervisorTest
-    : public ::testing::TestWithParam<ShardTransport> {
+/// Supervised runs over spawned runner processes. A missing runner
+/// binary fails the suite (so the supervision gate cannot pass without
+/// running) unless AOD_ALLOW_MISSING_SHARD_RUNNER is set.
+class ShardSupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (GetParam() == ShardTransport::kProcess) {
-      runner_ = RunnerBinaryPath();
-      if (runner_.empty()) {
-        GTEST_SKIP() << "shard_runner_main not found next to the test binary";
-      }
+    runner_ = testing_util::RunnerBinaryPath();
+    if (!runner_.empty()) return;
+    if (std::getenv("AOD_ALLOW_MISSING_SHARD_RUNNER") != nullptr) {
+      GTEST_SKIP() << "shard_runner_main not found next to the test binary";
     }
+    FAIL() << "shard_runner_main not found next to the test binary; build "
+              "it or set AOD_SHARD_RUNNER";
+  }
+  DiscoveryOptions Options() const {
+    return SupervisedOptions(ShardTransport::kProcess, runner_);
   }
   std::string runner_;
 };
@@ -117,7 +108,7 @@ class ShardSupervisorTest
 // chunks and the shutdown handshake): the run must complete with output
 // bit-identical to the unsharded run, and whenever the fault actually
 // fired the supervisor must have visibly recovered.
-TEST_P(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
+TEST_F(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -136,7 +127,7 @@ TEST_P(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
                    " trigger=" + std::to_string(trigger));
       std::atomic<int> budget{1};  // one fault total, wherever it lands
-      DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+      DiscoveryOptions options = Options();
       options.shard_channel_decorator =
           [&](std::unique_ptr<ShardChannel> inner)
           -> std::unique_ptr<ShardChannel> {
@@ -165,7 +156,7 @@ TEST_P(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
 // level — and the merged output must not change. Decorated channels are
 // created serially in shard order, then one per re-attempt, so creation
 // index identifies the attempt deterministically.
-TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
+TEST_F(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -175,13 +166,12 @@ TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
   ASSERT_TRUE(unsharded.shard_status.ok());
 
-  // Sends before the first candidate batch: socket attempts ship only
-  // the base-partition envelope; process attempts ship config + table +
-  // bases. Tearing the next send faults the level's candidate batch.
-  const int clean_sends =
-      GetParam() == ShardTransport::kProcess ? 3 : 1;
+  // Sends before the first candidate batch: process attempts ship
+  // config + table + bases. Tearing the next send faults the level's
+  // candidate batch.
+  const int clean_sends = 3;
   std::atomic<int> created{0};
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = Options();
   options.shard_channel_decorator =
       [&](std::unique_ptr<ShardChannel> inner)
       -> std::unique_ptr<ShardChannel> {
@@ -208,7 +198,7 @@ TEST_P(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
 // succeed: both shards must exhaust the retry budget and degrade to
 // in-process execution — which is NOT decorated (the fallback leaves
 // the transport's failure domain) — and complete bit-identically.
-TEST_P(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
+TEST_F(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -218,7 +208,7 @@ TEST_P(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
   DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
   ASSERT_TRUE(unsharded.shard_status.ok());
 
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = Options();
   options.shard_max_retries = 1;
   options.shard_channel_decorator =
       [](std::unique_ptr<ShardChannel> inner)
@@ -237,10 +227,10 @@ TEST_P(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
 
 // Strict mode must not recover: the same persistent fault with
 // shard_max_retries == 0 is the pre-supervision typed fail-stop.
-TEST_P(ShardSupervisorTest, StrictModeStillFailsStop) {
+TEST_F(ShardSupervisorTest, StrictModeStillFailsStop) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = Options();
   options.shard_max_retries = 0;
   options.shard_channel_decorator =
       [](std::unique_ptr<ShardChannel> inner)
@@ -257,10 +247,10 @@ TEST_P(ShardSupervisorTest, StrictModeStillFailsStop) {
 }
 
 // A job mining all four kinds at once (OC + OFD + FD + AFD) rides the
-// same ladder: a fault on each transport is retried away and the merged
+// same ladder: a fault on the transport is retried away and the merged
 // mixed-kind output — kind tags, g1 errors and ranking included — is
 // bit-identical to the unsharded mixed-kind run.
-TEST_P(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
+TEST_F(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -276,7 +266,7 @@ TEST_P(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
             0);
 
   std::atomic<int> budget{1};
-  DiscoveryOptions options = SupervisedOptions(GetParam(), runner_);
+  DiscoveryOptions options = Options();
   options.kinds = DependencyKindSet::All();
   options.afd_error = 0.05;
   options.shard_channel_decorator =
@@ -295,13 +285,6 @@ TEST_P(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
     EXPECT_GT(RecoveryTotal(result.stats), 0);
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Transports, ShardSupervisorTest,
-    ::testing::Values(ShardTransport::kSocket, ShardTransport::kProcess),
-    [](const ::testing::TestParamInfo<ShardTransport>& info) {
-      return std::string(ShardTransportToString(info.param));
-    });
 
 // A transient fault on the in-process transport: no process or socket
 // to rebuild, and no fallback rung (the transport IS in-process) — the
@@ -372,46 +355,6 @@ TEST(ShardSupervisorInprocTest, TightBudgetBoundsBackoffParks) {
   // surfaced as a partial result, or the persistent fault as a typed
   // error — never a hang (the bound above) or a crash.
   EXPECT_TRUE(result.timed_out || !result.shard_status.ok());
-}
-
-// Straggler speculation: one shard's receive path stalls for ~2.5 s on
-// an otherwise healthy link. Once its sibling finished the level, the
-// supervisor launches a backup attempt past speculation_factor x the
-// median shard latency; the backup wins, exactly one attempt's reply is
-// merged, and the output must not change.
-TEST(ShardSupervisorSpeculationTest, StalledShardIsHedgedAndBeaten) {
-  Table t = GenerateNcVoterTable(150, 4, 9);
-  EncodedTable enc = EncodeTable(t);
-
-  DiscoveryOptions unsharded_options;
-  unsharded_options.epsilon = 0.1;
-  unsharded_options.num_threads = 2;
-  DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
-  ASSERT_TRUE(unsharded.shard_status.ok());
-
-  std::atomic<int> budget{1};  // exactly one stall, fleet-wide
-  DiscoveryOptions options =
-      SupervisedOptions(ShardTransport::kSocket, "");
-  options.num_threads = 4;
-  options.shard_io_timeout_seconds = 30.0;  // the stall is not a timeout
-  options.shard_speculation_factor = 2.0;
-  options.shard_channel_decorator =
-      [&](std::unique_ptr<ShardChannel> inner)
-      -> std::unique_ptr<ShardChannel> {
-    FlakyChannel::Plan plan;
-    plan.fault = FlakyChannel::Fault::kStallReceive;
-    plan.trigger_after = 1;
-    plan.stall_ms = 2500;
-    plan.shared_budget = &budget;
-    return std::make_unique<FlakyChannel>(std::move(inner), plan);
-  };
-  DiscoveryResult result = DiscoverOds(enc, options);
-  ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
-  EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
-  if (budget.load() <= 0) {
-    EXPECT_GE(result.stats.shard_speculative_wins, 1);
-  }
-  EXPECT_EQ(result.stats.shard_fallback_shards, 0);
 }
 
 }  // namespace

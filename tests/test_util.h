@@ -2,9 +2,14 @@
 #ifndef AOD_TESTS_TEST_UTIL_H_
 #define AOD_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "data/encoder.h"
@@ -15,6 +20,21 @@
 
 namespace aod {
 namespace testing_util {
+
+/// The shard_runner_main binary for process-transport tests: it sits
+/// next to the test binary in the build root; AOD_SHARD_RUNNER
+/// overrides. Empty when neither resolves (process legs then skip).
+inline std::string RunnerBinaryPath() {
+  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) return "";
+  buf[n] = '\0';
+  const std::string sibling =
+      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
+          .string();
+  return std::filesystem::exists(sibling) ? sibling : "";
+}
 
 /// The paper's Table 1 (employee salaries). Column indices:
 /// 0 pos, 1 exp, 2 sal, 3 taxGrp, 4 perc, 5 tax, 6 bonus.
