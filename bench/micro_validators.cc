@@ -93,6 +93,44 @@ void BM_ValidateAocOptimal(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateAocOptimal)->Range(1 << 10, 1 << 16)->Complexity();
 
+// The shape of a level-2 candidate whose context is the whole relation:
+// one 60K-row class, low-cardinality A, high-cardinality B independent of
+// A, so the candidate is invalid at epsilon 0.1. The class sort dominates;
+// the LNDS pass stops inside the class once the threshold is crossed.
+void BM_ValidateAocOptimalWholeRelation(benchmark::State& state) {
+  Table raw = GenerateTable(
+      {{.name = "a", .kind = ColumnKind::kUniformInt, .cardinality = 16},
+       {.name = "b", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 16}},
+      60000, 11);
+  EncodedTable t = EncodeTable(raw);
+  auto whole = StrippedPartition::WholeRelation(t.num_rows());
+  ValidatorScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValidateAocOptimal(
+        t, whole, 0, 1, 0.10, t.num_rows(), {}, &scratch));
+  }
+}
+BENCHMARK(BM_ValidateAocOptimalWholeRelation);
+
+// Many small classes (60K rows over 2000 context values): the candidate
+// is invalid and early exit fires after a prefix of the classes, so only
+// the classes reached are ever sorted.
+void BM_ValidateAocOptimalManyClasses(benchmark::State& state) {
+  Table raw = GenerateTable(
+      {{.name = "ctx", .kind = ColumnKind::kUniformInt, .cardinality = 2000},
+       {.name = "a", .kind = ColumnKind::kUniformInt, .cardinality = 64},
+       {.name = "b", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 16}},
+      60000, 12);
+  EncodedTable t = EncodeTable(raw);
+  auto partition = StrippedPartition::FromColumn(t.column(0));
+  ValidatorScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValidateAocOptimal(
+        t, partition, 1, 2, 0.10, t.num_rows(), {}, &scratch));
+  }
+}
+BENCHMARK(BM_ValidateAocOptimalManyClasses);
+
 void BM_ValidateAocIterative(benchmark::State& state) {
   EncodedTable t = MakePairTable(state.range(0));
   auto whole = StrippedPartition::WholeRelation(t.num_rows());

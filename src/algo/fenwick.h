@@ -13,10 +13,14 @@ namespace aod {
 /// counter (algo/inversions.h). Indices are 0-based externally.
 class FenwickTree {
  public:
+  /// A size-0 tree holds no storage, so an idle InversionScratch (and
+  /// with it a default ValidatorScratch) costs no allocation.
   explicit FenwickTree(int64_t size)
-      : tree_(static_cast<size_t>(size) + 1, 0) {}
+      : tree_(size > 0 ? static_cast<size_t>(size) + 1 : 0, 0) {}
 
-  int64_t size() const { return static_cast<int64_t>(tree_.size()) - 1; }
+  int64_t size() const {
+    return tree_.empty() ? 0 : static_cast<int64_t>(tree_.size()) - 1;
+  }
 
   /// Adds `delta` at position `index`.
   void Add(int64_t index, int64_t delta) {

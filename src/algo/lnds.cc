@@ -1,29 +1,37 @@
 #include "algo/lnds.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace aod {
 namespace {
 
-/// Shared patience-DP core. `kStrict` selects LIS (strictly increasing)
-/// vs LNDS (non-decreasing).
+/// Shared patience-DP core: removals |xs| - L, L the length of a longest
+/// strictly increasing (`kStrict`) or non-decreasing subsequence, stopping
+/// once the removals provably exceed `budget` (see LndsRemovals).
 template <bool kStrict>
-int64_t LengthImpl(const std::vector<int32_t>& xs) {
-  std::vector<int32_t> tails;  // tails[k] = min tail value of length k+1.
-  tails.reserve(xs.size());
+int64_t RemovalsImpl(std::span<const int32_t> xs, int64_t budget,
+                     std::vector<int32_t>& tails) {
+  tails.clear();  // tails[k] = min tail value of length k+1.
+  int64_t seen = 0;
   for (int32_t x : xs) {
-    typename std::vector<int32_t>::iterator it;
-    if constexpr (kStrict) {
-      it = std::lower_bound(tails.begin(), tails.end(), x);
-    } else {
-      it = std::upper_bound(tails.begin(), tails.end(), x);
-    }
-    if (it == tails.end()) {
+    ++seen;
+    // Extending the longest run is the common case on nearly sorted
+    // projections; it needs no search.
+    if (tails.empty() || (kStrict ? tails.back() < x : tails.back() <= x)) {
       tails.push_back(x);
-    } else {
-      *it = x;
+      continue;
     }
+    auto it = kStrict ? std::lower_bound(tails.begin(), tails.end(), x)
+                      : std::upper_bound(tails.begin(), tails.end(), x);
+    *it = x;
+    const int64_t removals = seen - static_cast<int64_t>(tails.size());
+    if (removals > budget) return removals;
   }
-  return static_cast<int64_t>(tails.size());
+  return static_cast<int64_t>(xs.size() - tails.size());
 }
+
+constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
 template <bool kStrict>
 std::vector<int32_t> IndicesImpl(const std::vector<int32_t>& xs) {
@@ -63,11 +71,24 @@ std::vector<int32_t> IndicesImpl(const std::vector<int32_t>& xs) {
 }  // namespace
 
 int64_t LndsLength(const std::vector<int32_t>& xs) {
-  return LengthImpl<false>(xs);
+  std::vector<int32_t> tails;
+  return LndsLength(xs, tails);
+}
+
+int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails) {
+  return static_cast<int64_t>(xs.size()) -
+         RemovalsImpl<false>(xs, kNoBudget, tails);
+}
+
+int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
+                     std::vector<int32_t>& tails) {
+  return RemovalsImpl<false>(xs, budget, tails);
 }
 
 int64_t LisLength(const std::vector<int32_t>& xs) {
-  return LengthImpl<true>(xs);
+  std::vector<int32_t> tails;
+  return static_cast<int64_t>(xs.size()) -
+         RemovalsImpl<true>(xs, kNoBudget, tails);
 }
 
 std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs) {

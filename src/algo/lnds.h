@@ -3,19 +3,34 @@
 // The heart of the paper's Algorithm 2: after sorting an equivalence class
 // by [A ASC, B ASC], the tuples *not* on a longest non-decreasing
 // subsequence (LNDS) of the B-projection form a minimal removal set for
-// the AOC candidate (paper Thm. 3.3). The patience-style DP below is the
+// the AOC candidate (paper Thm. 3.3). The patience-style DP in lnds.cc is the
 // classic O(m log m) method descending from Fredman [2].
 #ifndef AOD_ALGO_LNDS_H_
 #define AOD_ALGO_LNDS_H_
 
-#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace aod {
 
 /// Length of a longest non-decreasing subsequence of `xs`.
 int64_t LndsLength(const std::vector<int32_t>& xs);
+
+/// The same over a span, with the patience-DP `tails` owned by the caller:
+/// `tails` is cleared on entry and only grows, so once it has reached the
+/// largest LNDS seen the call performs no heap allocation.
+int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails);
+
+/// |xs| - LNDS(xs), the removal count of one class (Alg. 2 line 5), with
+/// an in-class early exit. After the first i+1 elements, (i+1) - |tails|
+/// is a lower bound on the removals of the whole sequence, since
+/// LNDS(xs) <= LNDS(prefix) + (elements not yet read). The scan stops as
+/// soon as that bound exceeds `budget`: the result is exact when it is
+/// <= `budget` and is otherwise `budget + 1`, a lower bound.
+/// Allocation-free like the span LndsLength.
+int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
+                     std::vector<int32_t>& tails);
 
 /// Length of a longest strictly increasing subsequence of `xs`.
 int64_t LisLength(const std::vector<int32_t>& xs);
@@ -30,45 +45,6 @@ std::vector<int32_t> LisIndices(const std::vector<int32_t>& xs);
 /// positions. Equivalent to complementing LndsIndices but fused to avoid
 /// a second pass.
 std::vector<int32_t> LndsComplement(const std::vector<int32_t>& xs);
-
-/// Generic LNDS over an index range with a custom `leq(a, b)` meaning
-/// xs[a] <= xs[b] in the caller's element order. Needed by the list-based
-/// OD validator where elements are lexicographic tuples. `leq` must be a
-/// total preorder. Returns positions (ascending) of one LNDS of the
-/// sequence 0..n-1.
-///
-/// O(m log m) comparisons: the tails array is maintained over positions,
-/// and binary search uses `leq` only.
-template <typename Leq>
-std::vector<int32_t> LndsIndicesBy(int32_t n, Leq leq) {
-  // tails[k] = position of the smallest-possible tail of a non-decreasing
-  // subsequence of length k+1; prev[] threads the reconstruction.
-  std::vector<int32_t> tails;
-  std::vector<int32_t> prev(static_cast<size_t>(n), -1);
-  tails.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    // Find first k with xs[tails[k]] > xs[i], i.e. NOT leq(tails[k], i).
-    auto it = std::upper_bound(tails.begin(), tails.end(), i,
-                               [&](int32_t pos, int32_t tail) {
-                                 return !leq(tail, pos);
-                               });
-    if (it == tails.end()) {
-      prev[static_cast<size_t>(i)] = tails.empty() ? -1 : tails.back();
-      tails.push_back(i);
-    } else {
-      prev[static_cast<size_t>(i)] =
-          it == tails.begin() ? -1 : *(it - 1);
-      *it = i;
-    }
-  }
-  std::vector<int32_t> out(tails.size());
-  int32_t cur = tails.empty() ? -1 : tails.back();
-  for (size_t k = tails.size(); k-- > 0;) {
-    out[k] = cur;
-    cur = prev[static_cast<size_t>(cur)];
-  }
-  return out;
-}
 
 }  // namespace aod
 

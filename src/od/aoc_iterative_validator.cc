@@ -1,8 +1,7 @@
 #include "od/aoc_iterative_validator.h"
 
-#include <algorithm>
-
 #include "algo/inversions.h"
+#include "od/class_order.h"
 
 namespace aod {
 namespace {
@@ -10,9 +9,9 @@ namespace {
 /// View over one equivalence class during the greedy removal loop; all
 /// arrays are scratch-owned and re-sliced per class.
 struct ClassState {
-  std::vector<int32_t>* rows;       // sorted by [A ASC, B ASC]
+  std::vector<int32_t>* rows;       // sorted by [A ASC, B ASC] (row ids on)
   std::vector<int32_t>* ra;         // A-ranks in sorted order
-  std::vector<int32_t>* rb;         // B-ranks in sorted order (dense)
+  std::vector<int32_t>* rb;         // B-projection in sorted order (dense)
   std::vector<int64_t>* swap_cnt;   // swaps each live tuple participates in
   std::vector<uint8_t>* alive;
 };
@@ -29,41 +28,26 @@ ValidationOutcome ValidateAocIterative(
     const EncodedTable& table, const StrippedPartition& context_partition,
     int a, int b, double epsilon, int64_t table_rows,
     const ValidatorOptions& options, ValidatorScratch* scratch) {
-  const auto& ranks_a = table.ranks(a);
-  const auto& ranks_b = table.ranks(b);
   const int64_t card_b = table.column(b).cardinality;
   const int64_t max_removals = MaxRemovals(epsilon, table_rows);
   // Bidirectional polarity: reverse B's rank order (see ValidatorOptions).
-  // Dense flip (card-1 - r) instead of negation keeps the values valid
-  // Fenwick indices for the allocation-free swap counter.
-  const int32_t sign = options.opposite_polarity ? -1 : 1;
-  auto rb_of = [&](int32_t row) {
-    int32_t r = ranks_b[static_cast<size_t>(row)];
-    return sign > 0 ? r : static_cast<int32_t>(card_b - 1) - r;
-  };
+  // The dense flip (card-1 - r) keeps the B-projection valid Fenwick
+  // indices for the allocation-free swap counter.
+  const ClassOrder order(table, a, b,
+                         {.opposite = options.opposite_polarity,
+                          .row_ids = options.collect_removal_set,
+                          .ranks_a = true});
 
   ValidationOutcome out;
   ValidatorScratch local;
   ValidatorScratch& sc = scratch == nullptr ? local : *scratch;
-  ClassState st{&sc.rows(), &sc.ranks_a(), &sc.ranks_b(), &sc.swap_counts(),
-                &sc.alive()};
+  ClassState st{&sc.rows(), &sc.ranks_a(), &sc.projection(),
+                &sc.swap_counts(), &sc.alive()};
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
     // Line 3: order the class by [A ASC, B ASC].
-    st.rows->assign(cls.begin(), cls.end());
-    std::sort(st.rows->begin(), st.rows->end(), [&](int32_t s, int32_t t) {
-      int32_t sa = ranks_a[static_cast<size_t>(s)];
-      int32_t ta = ranks_a[static_cast<size_t>(t)];
-      if (sa != ta) return sa < ta;
-      return rb_of(s) < rb_of(t);
-    });
-    const size_t m = st.rows->size();
-    st.ra->resize(m);
-    st.rb->resize(m);
+    order.Sort(cls, &sc);
+    const size_t m = cls.size();
     st.swap_cnt->resize(m);
-    for (size_t i = 0; i < m; ++i) {
-      (*st.ra)[i] = ranks_a[static_cast<size_t>((*st.rows)[i])];
-      (*st.rb)[i] = rb_of((*st.rows)[i]);
-    }
     // Line 4: per-tuple swap counts. With ties broken by B, equal-A pairs
     // never invert, so the inversion participation of the B-projection is
     // exactly the swap count (the paper computes the same quantity with a

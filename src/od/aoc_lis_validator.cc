@@ -1,8 +1,9 @@
 #include "od/aoc_lis_validator.h"
 
-#include <algorithm>
+#include <limits>
 
 #include "algo/lnds.h"
+#include "od/class_order.h"
 
 namespace aod {
 namespace {
@@ -15,45 +16,37 @@ ValidationOutcome ValidateLis(const EncodedTable& table,
                               const ValidatorOptions& options,
                               bool descending_ties,
                               ValidatorScratch* scratch) {
-  const auto& ranks_a = table.ranks(a);
-  const auto& ranks_b = table.ranks(b);
   const int64_t max_removals = MaxRemovals(epsilon, table_rows);
-  // Bidirectional polarity (see ValidatorOptions): reversing B's rank
-  // order reduces A asc ~ B desc to the unidirectional problem.
-  const int32_t sign = options.opposite_polarity ? -1 : 1;
+  // Line 3 of Algorithm 2: order each class by [A ASC, B ASC] (B DESC
+  // within A-ties for the OD variant). Bidirectional polarity (see
+  // ValidatorOptions): reversing B's rank order reduces A asc ~ B desc to
+  // the unidirectional problem.
+  const ClassOrder order(table, a, b,
+                         {.opposite = options.opposite_polarity,
+                          .descending_ties = descending_ties,
+                          .row_ids = options.collect_removal_set});
 
   ValidationOutcome out;
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
-  std::vector<int32_t>& rows = s.rows();
-  std::vector<int32_t>& projection = s.projection();
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    rows.assign(cls.begin(), cls.end());
-    // Line 3 of Algorithm 2: order the class by [A ASC, B ASC]
-    // (B DESC within A-ties for the OD variant).
-    std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t t) {
-      int32_t sa = ranks_a[static_cast<size_t>(s)];
-      int32_t ta = ranks_a[static_cast<size_t>(t)];
-      if (sa != ta) return sa < ta;
-      int32_t sb = sign * ranks_b[static_cast<size_t>(s)];
-      int32_t tb = sign * ranks_b[static_cast<size_t>(t)];
-      return descending_ties ? sb > tb : sb < tb;
-    });
-    projection.resize(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      projection[i] = sign * ranks_b[static_cast<size_t>(rows[i])];
-    }
+    order.Sort(cls, &s);
+    const std::vector<int32_t>& projection = s.projection();
     // Line 4: longest non-decreasing subsequence of the B-projection;
     // Line 5: the complement is the removal set for this class.
     if (options.collect_removal_set) {
       std::vector<int32_t> removed_positions = LndsComplement(projection);
       out.removal_size += static_cast<int64_t>(removed_positions.size());
       for (int32_t pos : removed_positions) {
-        out.removal_rows.push_back(rows[static_cast<size_t>(pos)]);
+        out.removal_rows.push_back(s.rows()[static_cast<size_t>(pos)]);
       }
     } else {
-      out.removal_size +=
-          static_cast<int64_t>(projection.size()) - LndsLength(projection);
+      // With early exit the scan stops inside the class once the
+      // threshold is provably crossed; removal_size is then a lower bound.
+      const int64_t budget = options.early_exit
+                                 ? max_removals - out.removal_size
+                                 : std::numeric_limits<int64_t>::max();
+      out.removal_size += LndsRemovals(projection, budget, s.tails());
     }
     if (options.early_exit && out.removal_size > max_removals) {
       out.valid = false;

@@ -1,0 +1,148 @@
+#include "od/class_order.h"
+
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <type_traits>
+
+namespace aod {
+namespace {
+
+/// Classes at least this large are radix-sorted; below it std::sort on the
+/// keys wins over the per-pass bucket setup.
+constexpr size_t kRadixMinRows = 256;
+constexpr int kDigitBits = 8;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+
+/// Bits needed for values in [0, bound).
+int BitsFor(int64_t bound) {
+  return bound <= 1 ? 0 : std::bit_width(static_cast<uint64_t>(bound - 1));
+}
+
+/// LSD radix sort of `keys` over their low `key_bits` bits, `tmp` being the
+/// second buffer. One counting pass builds every digit's histogram; a
+/// digit on which all keys agree is skipped, so a class that is constant
+/// in A (or in the high B bits) pays only for the bits that vary.
+template <typename Key>
+void RadixSort(std::vector<Key>& keys, std::vector<Key>& tmp, int key_bits) {
+  constexpr int kMaxDigits = (sizeof(Key) * 8 + kDigitBits - 1) / kDigitBits;
+  const int digits = (key_bits + kDigitBits - 1) / kDigitBits;
+  const size_t n = keys.size();
+  std::array<std::array<uint32_t, kBuckets>, kMaxDigits> counts{};
+  for (Key k : keys) {
+    for (int d = 0; d < digits; ++d) {
+      ++counts[d][(k >> (d * kDigitBits)) & (kBuckets - 1)];
+    }
+  }
+  tmp.resize(n);
+  Key* src = keys.data();
+  Key* dst = tmp.data();
+  for (int d = 0; d < digits; ++d) {
+    const int shift = d * kDigitBits;
+    auto& count = counts[d];
+    if (count[(src[0] >> shift) & (kBuckets - 1)] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t& c : count) {
+      const uint32_t here = c;
+      c = sum;
+      sum += here;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      dst[count[(src[i] >> shift) & (kBuckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != keys.data()) keys.swap(tmp);
+}
+
+}  // namespace
+
+ClassOrder::ClassOrder(const EncodedTable& table, int a, int b,
+                       Options options)
+    : ranks_a_(table.ranks(a).data()),
+      ranks_b_(table.ranks(b).data()),
+      card_b_(table.column(b).cardinality),
+      options_(options),
+      flip_key_b_(options.opposite != options.descending_ties),
+      b_bits_(BitsFor(table.column(b).cardinality)),
+      row_bits_(options.row_ids ? BitsFor(table.num_rows()) : 0),
+      key_bits_(BitsFor(table.column(a).cardinality) + b_bits_ + row_bits_),
+      // Pairs hold the A-B word (at most 62 bits) and the row id apart.
+      width_(key_bits_ <= 32   ? KeyWidth::k32
+             : key_bits_ <= 64 ? KeyWidth::k64
+                               : KeyWidth::kPair) {}
+
+void ClassOrder::Sort(std::span<const int32_t> rows,
+                      ValidatorScratch* s) const {
+  switch (width_) {
+    case KeyWidth::k32:
+      SortAs(rows, s->keys32(), s->keys32_tmp(), s);
+      break;
+    case KeyWidth::k64:
+      SortAs(rows, s->keys64(), s->keys64_tmp(), s);
+      break;
+    case KeyWidth::kPair:
+      SortAs(rows, s->key_pairs(), s->key_pairs(), s);
+      break;
+  }
+}
+
+template <typename Key>
+void ClassOrder::SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
+                        std::vector<Key>& tmp, ValidatorScratch* s) const {
+  constexpr bool kPacked = std::is_integral_v<Key>;
+  const size_t m = rows.size();
+  keys.resize(m);
+  const int32_t b_top = card_b_ - 1;
+  for (size_t i = 0; i < m; ++i) {
+    const int32_t r = rows[i];
+    const int32_t rb = ranks_b_[r];
+    const uint64_t ab = (static_cast<uint64_t>(ranks_a_[r]) << b_bits_) |
+                        static_cast<uint64_t>(flip_key_b_ ? b_top - rb : rb);
+    if constexpr (kPacked) {
+      // row_bits_ == 0 without row ids, leaving the row field empty.
+      keys[i] = static_cast<Key>((ab << row_bits_) |
+                                 (options_.row_ids ? static_cast<uint64_t>(r)
+                                                   : 0));
+    } else {
+      keys[i] = Key{ab, static_cast<uint32_t>(r)};
+    }
+  }
+  if constexpr (kPacked) {
+    if (m >= kRadixMinRows) {
+      RadixSort(keys, tmp, key_bits_);
+    } else {
+      std::sort(keys.begin(), keys.end());
+    }
+  } else {
+    std::sort(keys.begin(), keys.end());
+  }
+
+  // Decode. Everything is read from the keys, so `rows` may alias
+  // s->rows().
+  const uint64_t b_mask = (uint64_t{1} << b_bits_) - 1;
+  const uint64_t row_mask = (uint64_t{1} << row_bits_) - 1;
+  std::vector<int32_t>& projection = s->projection();
+  projection.resize(m);
+  if (options_.row_ids) s->rows().resize(m);
+  if (options_.ranks_a) s->ranks_a().resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    uint64_t ab;
+    uint32_t row;
+    if constexpr (kPacked) {
+      ab = static_cast<uint64_t>(keys[i]) >> row_bits_;
+      row = static_cast<uint32_t>(keys[i] & row_mask);
+    } else {
+      ab = keys[i].first;
+      row = keys[i].second;
+    }
+    const int32_t key_b = static_cast<int32_t>(ab & b_mask);
+    projection[i] = options_.descending_ties ? b_top - key_b : key_b;
+    if (options_.row_ids) s->rows()[i] = static_cast<int32_t>(row);
+    if (options_.ranks_a) {
+      s->ranks_a()[i] = static_cast<int32_t>(ab >> b_bits_);
+    }
+  }
+}
+
+}  // namespace aod

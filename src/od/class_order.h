@@ -1,0 +1,71 @@
+// The class-ordering kernel shared by every OC validator.
+//
+// Line 3 of the paper's Algorithm 2 orders each context class by
+// [A ASC, B ASC] before the LNDS pass. ClassOrder does that with one packed
+// integer key per row — (rank_A, tie-adjusted B[, row id]), highest bits
+// first — so the sort compares plain integers instead of chasing two rank
+// arrays per comparison. Large classes use an LSD radix sort over the
+// occupied bit width; small ones use std::sort on the keys. Keys are 32 bits
+// wide when the field widths fit, 64 otherwise; when even 64 bits cannot
+// hold A, B and the row id, the same kernel sorts (A-B word, row id) pairs.
+#ifndef AOD_OD_CLASS_ORDER_H_
+#define AOD_OD_CLASS_ORDER_H_
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "data/encoder.h"
+#include "od/validator_scratch.h"
+
+namespace aod {
+
+class ClassOrder {
+ public:
+  struct Options {
+    /// Reverse B's rank order (the bidirectional polarity A asc ~ B desc):
+    /// the projection is card_B-1-rank_B instead of rank_B.
+    bool opposite = false;
+    /// Break A-ties by the projected B *descending* (the canonical-OD
+    /// variant of Sec. 3.3).
+    bool descending_ties = false;
+    /// Append the row id to the key, which makes the order total:
+    /// (A, B, row id). Sort() then also emits the sorted rows.
+    bool row_ids = false;
+    /// Also emit the A-ranks in sorted order.
+    bool ranks_a = false;
+  };
+
+  enum class KeyWidth { k32, k64, kPair };
+
+  ClassOrder(const EncodedTable& table, int a, int b, Options options);
+
+  /// Orders `rows` by (A ASC, tie-adjusted B ASC[, row id ASC]) and writes
+  /// the projection of B in that order to `s->projection()`; with
+  /// `row_ids` the sorted rows go to `s->rows()` and with `ranks_a` the
+  /// A-ranks to `s->ranks_a()`. `rows` may alias `s->rows()`. Allocates
+  /// only while the scratch buffers grow.
+  void Sort(std::span<const int32_t> rows, ValidatorScratch* s) const;
+
+  /// The key representation this instance sorts (exposed for tests).
+  KeyWidth key_width() const { return width_; }
+
+ private:
+  template <typename Key>
+  void SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
+              std::vector<Key>& tmp, ValidatorScratch* s) const;
+
+  const int32_t* ranks_a_;
+  const int32_t* ranks_b_;
+  int32_t card_b_;
+  Options options_;
+  bool flip_key_b_;  // key stores card_B-1-rank_B instead of rank_B
+  int b_bits_;
+  int row_bits_;
+  int key_bits_;     // width of the packed (A, B[, row id]) key
+  KeyWidth width_;
+};
+
+}  // namespace aod
+
+#endif  // AOD_OD_CLASS_ORDER_H_

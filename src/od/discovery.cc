@@ -825,6 +825,9 @@ struct Driver {
       // tasks, so in-flight tasks never read planner state.
       phase_clock.Restart();
       int64_t merged_nodes = 0;
+      // Without a pool the prefetch runs inline inside this loop; that
+      // time is partition derivation, not merge, so it is moved over.
+      double inline_prefetch_seconds = 0.0;
       for (size_t i = 0; i < keys.size(); ++i) {
         const NodePlan& plan = plans[i];
         const size_t total = plan.ofd_targets.size() + plan.oc_pairs.size() +
@@ -853,6 +856,7 @@ struct Driver {
           DerivationPlan derivation;
           const bool planned = options.enable_derivation_planner;
           if (planned) derivation = cache.PlanDerivation(key);
+          Stopwatch run_clock;
           prefetch_group->Run(
               [this, key, derivation = std::move(derivation), planned] {
                 if (OverBudget()) return;
@@ -861,9 +865,14 @@ struct Driver {
                 partition_nanos.fetch_add(sw.ElapsedNanos(),
                                           std::memory_order_relaxed);
               });
+          if (pool == nullptr) {
+            inline_prefetch_seconds += run_clock.ElapsedSeconds();
+          }
         }
       }
-      result.stats.merge_wall_seconds += phase_clock.ElapsedSeconds();
+      result.stats.merge_wall_seconds +=
+          phase_clock.ElapsedSeconds() - inline_prefetch_seconds;
+      result.stats.partition_wall_seconds += inline_prefetch_seconds;
       // Deadline-coherent totals: only merged nodes — the ones whose
       // candidates and dependencies the result actually reports — are
       // counted, and a level (or a whole run) that merged nothing leaves

@@ -33,7 +33,8 @@ struct DiscoveryStats {
   // partition_wall_seconds counts only the residual synchronization —
   // catalog publication blocking on stragglers plus the explicit waits
   // before budget enforcement and at the end of the run — not a
-  // dedicated materialization barrier.
+  // dedicated materialization barrier. Without a pool the prefetch runs
+  // inline in the merge loop; that time counts here, not as merge.
   double candidate_wall_seconds = 0.0;
   double validation_wall_seconds = 0.0;
   double partition_wall_seconds = 0.0;

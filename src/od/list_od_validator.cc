@@ -1,120 +1,114 @@
 #include "od/list_od_validator.h"
 
-#include <algorithm>
 #include <numeric>
 
-#include "algo/lnds.h"
+#include "od/aoc_lis_validator.h"
+#include "od/class_order.h"
+#include "od/oc_validator.h"
+#include "partition/stripped_partition.h"
 
 namespace aod {
 namespace {
 
-/// Lexicographic three-way comparison of rows s, t over an attribute list.
-int CompareOnList(const EncodedTable& table, const std::vector<int>& attrs,
-                  int32_t s, int32_t t) {
-  for (int a : attrs) {
-    int32_t sv = table.ranks(a)[static_cast<size_t>(s)];
-    int32_t tv = table.ranks(a)[static_cast<size_t>(t)];
-    if (sv != tv) return sv < tv ? -1 : 1;
-  }
-  return 0;
-}
-
-/// Rows 0..n-1 sorted ascending by X, ties broken by Y (ascending or
-/// descending as requested) — the ordering step shared by all validators.
-/// Fills the caller's (typically scratch-pooled) `rows` buffer.
-void SortRows(const EncodedTable& table, const ListOd& od, bool y_descending,
-              std::vector<int32_t>& rows) {
-  rows.resize(static_cast<size_t>(table.num_rows()));
-  std::iota(rows.begin(), rows.end(), 0);
-  std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t t) {
-    int cx = CompareOnList(table, od.lhs, s, t);
-    if (cx != 0) return cx < 0;
-    int cy = CompareOnList(table, od.rhs, s, t);
-    return y_descending ? cy > 0 : cy < 0;
-  });
-}
-
-ValidationOutcome ApproxImpl(const EncodedTable& table, const ListOd& od,
-                             double epsilon, const ValidatorOptions& options,
-                             bool y_descending, ValidatorScratch* scratch) {
+/// Dense ranks of every row's tuple over `attrs` in lexicographic order
+/// (an empty list ranks every row 0). One class-order pass per attribute
+/// refines the ranks of the prefix by the next attribute.
+EncodedColumn TupleRanks(const EncodedTable& table,
+                         const std::vector<int>& attrs, ValidatorScratch& s) {
   const int64_t n = table.num_rows();
-  ValidatorScratch local;
-  ValidatorScratch& s = scratch == nullptr ? local : *scratch;
-  std::vector<int32_t>& rows = s.rows();
-  SortRows(table, od, y_descending, rows);
-  // LNDS of the Y-projection, elements compared lexicographically.
-  std::vector<int32_t> kept =
-      LndsIndicesBy(static_cast<int32_t>(rows.size()), [&](int32_t p,
-                                                           int32_t q) {
-        return CompareOnList(table, od.rhs, rows[static_cast<size_t>(p)],
-                             rows[static_cast<size_t>(q)]) <= 0;
-      });
-  ValidationOutcome out;
-  out.removal_size = n - static_cast<int64_t>(kept.size());
-  out.approx_factor =
-      n == 0 ? 0.0 : static_cast<double>(out.removal_size) /
-                         static_cast<double>(n);
-  out.valid = out.removal_size <= MaxRemovals(epsilon, n);
-  if (options.collect_removal_set) {
-    size_t k = 0;
-    for (int32_t i = 0; i < static_cast<int32_t>(rows.size()); ++i) {
-      if (k < kept.size() && kept[k] == i) {
-        ++k;
-      } else {
-        out.removal_rows.push_back(rows[static_cast<size_t>(i)]);
+  EncodedColumn out;
+  out.ranks.assign(static_cast<size_t>(n), 0);
+  out.cardinality = 1;
+  std::vector<int32_t> all_rows(static_cast<size_t>(n));
+  std::iota(all_rows.begin(), all_rows.end(), 0);
+  for (int a : attrs) {
+    EncodedColumn next;
+    next.ranks = table.ranks(a);
+    next.cardinality = table.column(a).cardinality;
+    const EncodedTable prefix_and_next({std::move(out), std::move(next)}, n);
+    const ClassOrder order(prefix_and_next, 0, 1,
+                           {.row_ids = true, .ranks_a = true});
+    order.Sort(all_rows, &s);
+    out = EncodedColumn{};
+    out.ranks.resize(static_cast<size_t>(n));
+    int32_t rank = -1;
+    for (size_t i = 0; i < all_rows.size(); ++i) {
+      if (i == 0 || s.ranks_a()[i] != s.ranks_a()[i - 1] ||
+          s.projection()[i] != s.projection()[i - 1]) {
+        ++rank;
       }
+      out.ranks[static_cast<size_t>(s.rows()[i])] = rank;
     }
+    out.cardinality = rank + 1;
   }
   return out;
+}
+
+/// The list dependency as a canonical one over the whole relation: column
+/// 0 holds the lhs tuple ranks, column 1 the rhs tuple ranks.
+EncodedTable TupleRankTable(const EncodedTable& table, const ListOd& od,
+                            ValidatorScratch& s) {
+  return EncodedTable(
+      {TupleRanks(table, od.lhs, s), TupleRanks(table, od.rhs, s)},
+      table.num_rows());
+}
+
+/// List dependencies have no polarity, and both approximate validators
+/// report the full minimal removal set.
+ValidatorOptions ListOptions(const ValidatorOptions& options) {
+  ValidatorOptions list = options;
+  list.early_exit = false;
+  list.opposite_polarity = false;
+  return list;
 }
 
 }  // namespace
 
 bool ValidateListOdExact(const EncodedTable& table, const ListOd& od,
                          ValidatorScratch* scratch) {
-  // r |= X -> Y iff, after sorting by X, (a) X-equal tuples are Y-equal
-  // (no splits) and (b) the Y-projection is non-decreasing (no swaps).
+  // r |= X -> Y iff, with X-ties ordered by Y descending, the Y-projection
+  // is non-decreasing: no swap and no split.
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
-  std::vector<int32_t>& rows = s.rows();
-  SortRows(table, od, /*y_descending=*/false, rows);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    int cx = CompareOnList(table, od.lhs, rows[i - 1], rows[i]);
-    int cy = CompareOnList(table, od.rhs, rows[i - 1], rows[i]);
-    if (cx == 0 && cy != 0) return false;  // split
-    if (cy > 0) return false;              // swap
-  }
-  return true;
+  const EncodedTable ranks = TupleRankTable(table, od, s);
+  const int64_t n = table.num_rows();
+  return ValidateAodOptimal(ranks, StrippedPartition::WholeRelation(n), 0, 1,
+                            0.0, n, {}, &s)
+      .valid;
 }
 
 bool ValidateListOcExact(const EncodedTable& table, const ListOd& od,
                          ValidatorScratch* scratch) {
-  // X ~ Y iff no swap exists: with ties broken by Y ascending, the OC
-  // holds iff the Y-projection of the X-sorted order is non-decreasing.
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
-  std::vector<int32_t>& rows = s.rows();
-  SortRows(table, od, /*y_descending=*/false, rows);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    if (CompareOnList(table, od.rhs, rows[i - 1], rows[i]) > 0) return false;
-  }
-  return true;
+  const EncodedTable ranks = TupleRankTable(table, od, s);
+  return ValidateOcExact(
+      ranks, StrippedPartition::WholeRelation(table.num_rows()), 0, 1,
+      /*opposite=*/false, &s);
 }
 
 ValidationOutcome ValidateListOdApprox(const EncodedTable& table,
                                        const ListOd& od, double epsilon,
                                        const ValidatorOptions& options,
                                        ValidatorScratch* scratch) {
-  return ApproxImpl(table, od, epsilon, options, /*y_descending=*/true,
-                    scratch);
+  ValidatorScratch local;
+  ValidatorScratch& s = scratch == nullptr ? local : *scratch;
+  const EncodedTable ranks = TupleRankTable(table, od, s);
+  const int64_t n = table.num_rows();
+  return ValidateAodOptimal(ranks, StrippedPartition::WholeRelation(n), 0, 1,
+                            epsilon, n, ListOptions(options), &s);
 }
 
 ValidationOutcome ValidateListOcApprox(const EncodedTable& table,
                                        const ListOd& od, double epsilon,
                                        const ValidatorOptions& options,
                                        ValidatorScratch* scratch) {
-  return ApproxImpl(table, od, epsilon, options, /*y_descending=*/false,
-                    scratch);
+  ValidatorScratch local;
+  ValidatorScratch& s = scratch == nullptr ? local : *scratch;
+  const EncodedTable ranks = TupleRankTable(table, od, s);
+  const int64_t n = table.num_rows();
+  return ValidateAocOptimal(ranks, StrippedPartition::WholeRelation(n), 0, 1,
+                            epsilon, n, ListOptions(options), &s);
 }
 
 }  // namespace aod

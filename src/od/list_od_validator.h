@@ -5,7 +5,10 @@
 // ascending lexicographic order of X and breaking ties with the
 // *descending* (OD) or *ascending* (OC) lexicographic order of Y, then
 // removing the complement of a longest non-decreasing subsequence of the
-// Y-projection (tuples over Y compared lexicographically).
+// Y-projection (tuples over Y compared lexicographically). The tuples of
+// X and of Y are rank-encoded densely in lexicographic order, which turns
+// the list dependency into a canonical one over the whole relation; the
+// canonical validators then run on the two rank columns.
 #ifndef AOD_OD_LIST_OD_VALIDATOR_H_
 #define AOD_OD_LIST_OD_VALIDATOR_H_
 
@@ -17,7 +20,7 @@
 namespace aod {
 
 /// True iff r |= lhs -> rhs exactly (Def. 2.2). `scratch` (optional)
-/// pools the whole-table row sort buffer across calls.
+/// pools the sort buffers across calls.
 bool ValidateListOdExact(const EncodedTable& table, const ListOd& od,
                          ValidatorScratch* scratch = nullptr);
 
@@ -25,7 +28,9 @@ bool ValidateListOdExact(const EncodedTable& table, const ListOd& od,
 bool ValidateListOcExact(const EncodedTable& table, const ListOd& od,
                          ValidatorScratch* scratch = nullptr);
 
-/// Approximate list-based OD validation with a minimal removal set.
+/// Approximate list-based OD validation with a minimal removal set. The
+/// full set is always measured: `options.early_exit` and
+/// `options.opposite_polarity` do not apply to list dependencies.
 ValidationOutcome ValidateListOdApprox(const EncodedTable& table,
                                        const ListOd& od, double epsilon,
                                        const ValidatorOptions& options = {},

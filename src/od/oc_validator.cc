@@ -3,41 +3,14 @@
 #include <algorithm>
 
 #include "algo/inversions.h"
+#include "od/class_order.h"
 
 namespace aod {
-namespace {
-
-/// Sorts the rows of `cls` by (rank_a ASC, sign*rank_b ASC) into `rows`
-/// and writes the sign-adjusted B-projection of the sorted order into
-/// `projection`. sign = -1 checks the bidirectional polarity
-/// a asc ~ b desc.
-void SortedBProjection(const std::vector<int32_t>& ranks_a,
-                       const std::vector<int32_t>& ranks_b,
-                       StrippedPartition::ClassSpan cls, int32_t sign,
-                       std::vector<int32_t>& rows,
-                       std::vector<int32_t>& projection) {
-  rows.assign(cls.begin(), cls.end());
-  std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t t) {
-    int32_t sa = ranks_a[static_cast<size_t>(s)];
-    int32_t ta = ranks_a[static_cast<size_t>(t)];
-    if (sa != ta) return sa < ta;
-    return sign * ranks_b[static_cast<size_t>(s)] <
-           sign * ranks_b[static_cast<size_t>(t)];
-  });
-  projection.resize(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    projection[i] = sign * ranks_b[static_cast<size_t>(rows[i])];
-  }
-}
-
-}  // namespace
 
 bool ValidateOcExact(const EncodedTable& table,
                      const StrippedPartition& context_partition, int a,
                      int b, bool opposite, ValidatorScratch* scratch) {
-  const auto& ranks_a = table.ranks(a);
-  const auto& ranks_b = table.ranks(b);
-  const int32_t sign = opposite ? -1 : 1;
+  const ClassOrder class_order(table, a, b, {.opposite = opposite});
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
 
@@ -77,8 +50,7 @@ bool ValidateOcExact(const EncodedTable& table,
   }
 
   for (int32_t ci : order) {
-    SortedBProjection(ranks_a, ranks_b, context_partition.cls(ci), sign,
-                      s.rows(), s.projection());
+    class_order.Sort(context_partition.cls(ci), &s);
     const std::vector<int32_t>& projection = s.projection();
     // With ties broken by B, the OC holds on this class iff the
     // B-projection is non-decreasing (any descent certifies a swap).
@@ -92,14 +64,12 @@ bool ValidateOcExact(const EncodedTable& table,
 int64_t CountOcSwaps(const EncodedTable& table,
                      const StrippedPartition& context_partition, int a,
                      int b) {
-  const auto& ranks_a = table.ranks(a);
-  const auto& ranks_b = table.ranks(b);
+  const ClassOrder class_order(table, a, b, {});
+  ValidatorScratch s;
   int64_t swaps = 0;
-  std::vector<int32_t> rows;
-  std::vector<int32_t> projection;
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    SortedBProjection(ranks_a, ranks_b, cls, 1, rows, projection);
-    swaps += CountInversions(projection);
+    class_order.Sort(cls, &s);
+    swaps += CountInversions(s.projection());
   }
   return swaps;
 }

@@ -1,9 +1,10 @@
 #include "od/repair.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "algo/lnds.h"
 #include "common/macros.h"
+#include "od/class_order.h"
 
 namespace aod {
 
@@ -35,29 +36,18 @@ std::string RepairPlan::ToString(const EncodedTable& table,
 RepairPlan SuggestOcRepairs(const EncodedTable& table,
                             const StrippedPartition& context_partition,
                             const CanonicalOc& oc) {
-  const auto& ranks_a = table.ranks(oc.a);
   const auto& ranks_b = table.ranks(oc.b);
   const EncodedColumn& col_b = table.column(oc.b);
-  const int32_t sign = oc.opposite ? -1 : 1;
+  const ClassOrder order(table, oc.a, oc.b,
+                         {.opposite = oc.opposite, .row_ids = true});
 
   RepairPlan plan;
   plan.oc = oc;
-  std::vector<int32_t> rows;
-  std::vector<int32_t> projection;
+  ValidatorScratch s;
+  const std::vector<int32_t>& rows = s.rows();
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    rows.assign(cls.begin(), cls.end());
-    std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t t) {
-      int32_t sa = ranks_a[static_cast<size_t>(s)];
-      int32_t ta = ranks_a[static_cast<size_t>(t)];
-      if (sa != ta) return sa < ta;
-      return sign * ranks_b[static_cast<size_t>(s)] <
-             sign * ranks_b[static_cast<size_t>(t)];
-    });
-    projection.resize(rows.size());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      projection[i] = sign * ranks_b[static_cast<size_t>(rows[i])];
-    }
-    std::vector<int32_t> kept = LndsIndices(projection);
+    order.Sort(cls, &s);
+    std::vector<int32_t> kept = LndsIndices(s.projection());
     // Walk removed positions; bracket each with the nearest kept
     // neighbours (kept is ascending).
     size_t k = 0;

@@ -10,6 +10,7 @@
 #define AOD_OD_VALIDATOR_SCRATCH_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "algo/inversions.h"
@@ -18,15 +19,27 @@ namespace aod {
 
 class ValidatorScratch {
  public:
-  /// Row-id sort buffer (the [A ASC, B ASC] ordering of one class).
+  /// Row-id buffer: the sorted rows of one class (ClassOrder with row
+  /// ids), or a filtered class before it is sorted.
   std::vector<int32_t>& rows() { return rows_; }
   /// B-projection of the sorted class.
   std::vector<int32_t>& projection() { return projection_; }
   /// Class-index ordering buffer (largest-first iteration).
   std::vector<int32_t>& order() { return order_; }
-  /// A-ranks / B-ranks of the sorted class (iterative validator).
+  /// A-ranks of the sorted class (iterative validator).
   std::vector<int32_t>& ranks_a() { return ranks_a_; }
-  std::vector<int32_t>& ranks_b() { return ranks_b_; }
+  /// Packed (A, B[, row id]) sort keys of one class and the radix sort's
+  /// second buffer (ClassOrder): 32 or 64 bits wide, or (A-B word, row id)
+  /// pairs when 64 bits cannot hold the row id.
+  std::vector<uint32_t>& keys32() { return keys32_; }
+  std::vector<uint32_t>& keys32_tmp() { return keys32_tmp_; }
+  std::vector<uint64_t>& keys64() { return keys64_; }
+  std::vector<uint64_t>& keys64_tmp() { return keys64_tmp_; }
+  std::vector<std::pair<uint64_t, uint32_t>>& key_pairs() {
+    return key_pairs_;
+  }
+  /// Patience-DP tails for the allocation-free LndsLength/LndsRemovals.
+  std::vector<int32_t>& tails() { return tails_; }
   /// Per-tuple swap counts and liveness (iterative validator).
   std::vector<int64_t>& swap_counts() { return swap_counts_; }
   std::vector<uint8_t>& alive() { return alive_; }
@@ -49,7 +62,12 @@ class ValidatorScratch {
   std::vector<int32_t> projection_;
   std::vector<int32_t> order_;
   std::vector<int32_t> ranks_a_;
-  std::vector<int32_t> ranks_b_;
+  std::vector<uint32_t> keys32_;
+  std::vector<uint32_t> keys32_tmp_;
+  std::vector<uint64_t> keys64_;
+  std::vector<uint64_t> keys64_tmp_;
+  std::vector<std::pair<uint64_t, uint32_t>> key_pairs_;
+  std::vector<int32_t> tails_;
   std::vector<int64_t> swap_counts_;
   std::vector<uint8_t> alive_;
   std::vector<int32_t> value_counts_;

@@ -110,27 +110,6 @@ TEST(LisTest, ClassicCases) {
   }
 }
 
-TEST(LndsByTest, GenericMatchesSpecialized) {
-  Rng rng(5);
-  for (int trial = 0; trial < 50; ++trial) {
-    int n = static_cast<int>(rng.UniformInt(0, 60));
-    std::vector<int32_t> xs;
-    for (int i = 0; i < n; ++i) {
-      xs.push_back(static_cast<int32_t>(rng.UniformInt(0, 12)));
-    }
-    auto generic = LndsIndicesBy(
-        static_cast<int32_t>(xs.size()), [&](int32_t a, int32_t b) {
-          return xs[static_cast<size_t>(a)] <= xs[static_cast<size_t>(b)];
-        });
-    ASSERT_EQ(static_cast<int64_t>(generic.size()), LndsLength(xs));
-    for (size_t i = 1; i < generic.size(); ++i) {
-      ASSERT_LT(generic[i - 1], generic[i]);
-      ASSERT_LE(xs[static_cast<size_t>(generic[i - 1])],
-                xs[static_cast<size_t>(generic[i])]);
-    }
-  }
-}
-
 // Property suite: LNDS against the O(m^2) DP oracle; reconstruction is a
 // valid non-decreasing subsequence of maximal length.
 class LndsPropertyTest
@@ -157,6 +136,18 @@ TEST_P(LndsPropertyTest, MatchesQuadraticOracle) {
     }
     std::vector<int32_t> removed = LndsComplement(xs);
     ASSERT_EQ(removed.size() + kept.size(), xs.size());
+
+    // The span form with a reused tails buffer, and the in-class bound:
+    // exact within the budget, budget + 1 (a lower bound) beyond it.
+    std::vector<int32_t> tails = {99, 98};  // stale contents are ignored
+    ASSERT_EQ(LndsLength(std::span<const int32_t>(xs), tails), expect);
+    const int64_t full = n - expect;
+    for (int64_t budget : {int64_t{0}, full / 2, full - 1, full, full + 3}) {
+      if (budget < 0) continue;
+      const int64_t got = LndsRemovals(xs, budget, tails);
+      ASSERT_EQ(got, full <= budget ? full : budget + 1)
+          << "budget=" << budget << " full=" << full;
+    }
   }
 }
 

@@ -177,6 +177,26 @@ TEST(ParallelDeterminismTest, SamplingFilterIsThreadCountInvariant) {
   EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), expected);
 }
 
+TEST(ParallelDeterminismTest, SerialRunCountsInlinePrefetchAsPartitionWall) {
+  // Without a pool the merge loop derives each survivor's partition
+  // inline. That time belongs to the partition phase: it contains every
+  // derivation's CPU time, so the partition wall clock cannot be smaller.
+  // The move is timing-only; the counters match a pooled run.
+  EncodedTable enc = EncodeTable(GenerateFlightTable(3000, 8, 5));
+  DiscoveryOptions options;
+  options.epsilon = 0.1;
+  options.num_threads = 1;
+  DiscoveryResult serial = DiscoverOds(enc, options);
+  ASSERT_EQ(serial.stats.threads_used, 1);
+  ASSERT_GT(serial.stats.partitions_computed, 0);
+  EXPECT_GT(serial.stats.partition_wall_seconds, 0.0);
+  EXPECT_GE(serial.stats.partition_wall_seconds + 1e-9,
+            serial.stats.partition_seconds);
+  EXPECT_GE(serial.stats.merge_wall_seconds, 0.0);
+  options.num_threads = 4;
+  EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), Fingerprint(serial));
+}
+
 /// Output-only fingerprint (both dependency lists, all payload fields):
 /// what must hold even across options that legitimately change product
 /// counters, i.e. planner on/off and memory budgets.

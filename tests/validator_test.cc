@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
+#include "algo/lnds.h"
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
+#include "od/class_order.h"
 #include "od/oc_validator.h"
 #include "od/ofd_validator.h"
 #include "partition/partition_cache.h"
@@ -389,6 +392,191 @@ TEST_P(AocLargeAgreementTest, IterativeUpperBoundsOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AocLargeAgreementTest,
                          ::testing::Values(201, 202, 203, 204));
+
+// -------------------------- Class-order kernel vs the comparator sort --
+
+/// The comparator sort the OC validators used before the packed-key
+/// kernel, kept as the reference: each class sorted by A, then sign*B (B
+/// DESC within A-ties for the OD variant), then row id, followed by one
+/// LNDS pass per class.
+struct ReferenceOutcome {
+  bool valid = true;
+  int64_t removal_size = 0;
+  std::vector<int32_t> removal_rows;
+};
+
+ReferenceOutcome ReferenceLis(const EncodedTable& t,
+                              const StrippedPartition& partition, int a,
+                              int b, double epsilon, bool opposite,
+                              bool descending_ties) {
+  const auto& ranks_a = t.ranks(a);
+  const auto& ranks_b = t.ranks(b);
+  const int32_t sign = opposite ? -1 : 1;
+  ReferenceOutcome out;
+  for (StrippedPartition::ClassSpan cls : partition.classes()) {
+    std::vector<int32_t> rows(cls.begin(), cls.end());
+    std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t u) {
+      const size_t si = static_cast<size_t>(s);
+      const size_t ui = static_cast<size_t>(u);
+      if (ranks_a[si] != ranks_a[ui]) return ranks_a[si] < ranks_a[ui];
+      const int32_t sb = sign * ranks_b[si];
+      const int32_t ub = sign * ranks_b[ui];
+      if (sb != ub) return descending_ties ? sb > ub : sb < ub;
+      return s < u;
+    });
+    std::vector<int32_t> projection;
+    for (int32_t r : rows) {
+      projection.push_back(sign * ranks_b[static_cast<size_t>(r)]);
+    }
+    out.removal_size +=
+        static_cast<int64_t>(projection.size()) - LndsLength(projection);
+    for (int32_t pos : LndsComplement(projection)) {
+      out.removal_rows.push_back(rows[static_cast<size_t>(pos)]);
+    }
+  }
+  out.valid = out.removal_size <= MaxRemovals(epsilon, t.num_rows());
+  return out;
+}
+
+/// The same ranks with every column's cardinality declared as `card`, so
+/// the kernel packs wider keys (the ranks stay in range).
+EncodedTable WithDeclaredCardinality(const EncodedTable& t, int32_t card) {
+  std::vector<EncodedColumn> columns;
+  for (int c = 0; c < t.num_columns(); ++c) {
+    columns.push_back(t.column(c));
+    columns.back().cardinality = card;
+  }
+  return EncodedTable(std::move(columns), t.num_rows());
+}
+
+/// Every (polarity, AOC/AOD, epsilon, collect, early exit) combination of
+/// the optimal validators against the reference, plus the exact OC.
+void CheckKernelAgainstReference(const EncodedTable& t,
+                                 const StrippedPartition& partition, int a,
+                                 int b, ValidatorScratch* scratch) {
+  const int64_t n = t.num_rows();
+  for (bool opposite : {false, true}) {
+    for (bool aod : {false, true}) {
+      for (double epsilon : {0.0, 0.05, 0.2, 1.0}) {
+        const ReferenceOutcome ref =
+            ReferenceLis(t, partition, a, b, epsilon, opposite, aod);
+        const int64_t max_removals = MaxRemovals(epsilon, n);
+        for (bool collect : {false, true}) {
+          for (bool early : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "a=" << a << " b=" << b << " opposite="
+                         << opposite << " aod=" << aod << " eps=" << epsilon
+                         << " collect=" << collect << " early=" << early);
+            ValidatorOptions opts;
+            opts.collect_removal_set = collect;
+            opts.early_exit = early;
+            opts.opposite_polarity = opposite;
+            const ValidationOutcome got =
+                aod ? ValidateAodOptimal(t, partition, a, b, epsilon, n,
+                                         opts, scratch)
+                    : ValidateAocOptimal(t, partition, a, b, epsilon, n,
+                                         opts, scratch);
+            ASSERT_EQ(got.valid, ref.valid);
+            if (got.early_exit) {
+              ASSERT_TRUE(early);
+              ASSERT_GT(got.removal_size, max_removals);
+              ASSERT_LE(got.removal_size, ref.removal_size);
+            } else {
+              ASSERT_EQ(got.removal_size, ref.removal_size);
+            }
+            if (!collect) continue;
+            // Class-granular exit: the collected rows are a prefix of the
+            // reference's, and all of them without an exit.
+            ASSERT_LE(got.removal_rows.size(), ref.removal_rows.size());
+            ASSERT_TRUE(std::equal(got.removal_rows.begin(),
+                                   got.removal_rows.end(),
+                                   ref.removal_rows.begin()));
+            if (!got.early_exit) {
+              ASSERT_EQ(got.removal_rows.size(), ref.removal_rows.size());
+            }
+          }
+        }
+      }
+    }
+    const bool exact_holds =
+        ReferenceLis(t, partition, a, b, 0.0, opposite, false)
+            .removal_size == 0;
+    ASSERT_EQ(ValidateOcExact(t, partition, a, b, opposite, scratch),
+              exact_holds);
+  }
+}
+
+class ClassOrderKernelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ClassOrderKernelTest, MatchesComparatorReference) {
+  ValidatorScratch scratch;  // shared across key widths and calls
+  for (int64_t card : {3, 40}) {
+    // 900 rows: classes of ~300 under a 3-valued context reach the radix
+    // path, the 40-valued column's small ones take std::sort.
+    const EncodedTable natural =
+        testing_util::RandomEncodedTable(900, 3, card, GetParam());
+    const EncodedTable wide = WithDeclaredCardinality(natural, 1 << 20);
+    ASSERT_EQ(ClassOrder(natural, 1, 2, {}).key_width(),
+              ClassOrder::KeyWidth::k32);
+    ASSERT_EQ(ClassOrder(wide, 1, 2, {}).key_width(),
+              ClassOrder::KeyWidth::k64);
+    for (const EncodedTable* t : {&natural, &wide}) {
+      const StrippedPartition whole =
+          StrippedPartition::WholeRelation(t->num_rows());
+      const StrippedPartition by_c0 =
+          NaivePartition(*t, AttributeSet::Of({0}));
+      for (const StrippedPartition* p : {&whole, &by_c0}) {
+        CheckKernelAgainstReference(*t, *p, 1, 2, &scratch);
+        CheckKernelAgainstReference(*t, *p, 2, 1, &scratch);
+      }
+    }
+    // The iterative validator's greedy removal count does not depend on
+    // how rows with equal (A, B) are ordered, so the row-id keys (collect
+    // on) and the plain keys agree.
+    const EncodedTable small =
+        testing_util::RandomEncodedTable(150, 2, card, GetParam());
+    const StrippedPartition whole = StrippedPartition::WholeRelation(150);
+    for (bool opposite : {false, true}) {
+      ValidatorOptions plain;
+      plain.early_exit = false;
+      plain.opposite_polarity = opposite;
+      ValidatorOptions collect = plain;
+      collect.collect_removal_set = true;
+      const ValidationOutcome p =
+          ValidateAocIterative(small, whole, 0, 1, 1.0, 150, plain, &scratch);
+      const ValidationOutcome c = ValidateAocIterative(small, whole, 0, 1,
+                                                       1.0, 150, collect,
+                                                       &scratch);
+      ASSERT_EQ(p.removal_size, c.removal_size);
+      ASSERT_EQ(static_cast<int64_t>(c.removal_rows.size()), c.removal_size);
+    }
+  }
+}
+
+TEST_P(ClassOrderKernelTest, WiderThan64BitsFallsBackToPairs) {
+  // Cardinalities declared near 2^31: A and B take 31 bits each, so the
+  // row id no longer fits a 64-bit key and the kernel sorts pairs.
+  ValidatorScratch scratch;
+  for (int64_t card : {2, 5}) {
+    const EncodedTable huge = WithDeclaredCardinality(
+        testing_util::RandomEncodedTable(40, 3, card, GetParam()),
+        std::numeric_limits<int32_t>::max());
+    ASSERT_EQ(ClassOrder(huge, 1, 2, {}).key_width(),
+              ClassOrder::KeyWidth::k64);
+    ASSERT_EQ(ClassOrder(huge, 1, 2, {.row_ids = true}).key_width(),
+              ClassOrder::KeyWidth::kPair);
+    const StrippedPartition whole = StrippedPartition::WholeRelation(40);
+    const StrippedPartition by_c0 =
+        NaivePartition(huge, AttributeSet::Of({0}));
+    for (const StrippedPartition* p : {&whole, &by_c0}) {
+      CheckKernelAgainstReference(huge, *p, 1, 2, &scratch);
+      CheckKernelAgainstReference(huge, *p, 2, 1, &scratch);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClassOrderKernelTest,
+                         ::testing::Values(301, 302, 303));
 
 // MaxRemovals boundary semantics.
 TEST(MaxRemovalsTest, FloorWithGuard) {
