@@ -1,5 +1,7 @@
 // Microbenchmark of the partition hot paths: the CSR stripped product,
-// the derivation planner against the fixed rule, and validator
+// the derivation planner against the structural "fixed" rule
+// Π_X = Π_{X\{max}} · Π_{{max}} (written out as explicit products; the
+// cache itself only plans), and validator
 // throughput on generated tables. Output is human-readable on stdout
 // and, with --json <path>, a machine-readable JSON blob (CI uploads it
 // as BENCH_micro_partitions.json).

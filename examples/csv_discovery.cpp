@@ -20,8 +20,6 @@
 //     --bidirectional       also search A asc ~ B desc polarity
 //     --threads=N           parallel validation workers (0 = all cores;
 //                           results are identical for any thread count)
-//     --no-planner          derive partitions by the fixed rule instead
-//                           of the cost-based planner (identical output)
 //     --memory-budget-mb=N  partition cache byte budget; coldest derived
 //                           partitions are evicted and re-derived on
 //                           demand (identical output)
@@ -87,7 +85,6 @@ struct Args {
   ValidatorKind validator = ValidatorKind::kOptimal;
   bool bidirectional = false;
   int threads = 1;
-  bool planner = true;
   int64_t memory_budget_mb = 0;
   int shards = 0;
   ShardTransport shard_transport = ShardTransport::kInProcess;
@@ -175,8 +172,6 @@ Args ParseArgs(int argc, char** argv) {
     } else if (const char* v = value_of("--threads=")) {
       args.ok &= ParseInteger("--threads", v, 0, 1024, &n);
       args.threads = static_cast<int>(n);
-    } else if (arg == "--no-planner") {
-      args.planner = false;
     } else if (const char* v = value_of("--memory-budget-mb=")) {
       args.ok &= ParseInteger("--memory-budget-mb", v, 0,
                               std::numeric_limits<int64_t>::max() >> 20,
@@ -258,7 +253,6 @@ int main(int argc, char** argv) {
   options.validator = args.validator;
   options.bidirectional = args.bidirectional;
   options.num_threads = args.threads;
-  options.enable_derivation_planner = args.planner;
   options.partition_memory_budget_bytes = args.memory_budget_mb << 20;
   options.num_shards = args.shards;
   options.shard_transport = args.shard_transport;

@@ -12,10 +12,8 @@
 #include "exec/parallel_for.h"
 #include "exec/task_group.h"
 #include "exec/thread_pool.h"
-#include "od/interestingness.h"
 #include "od/lattice.h"
 #include "od/validator_registry.h"
-#include "od/validator_scratch.h"
 #include "partition/partition_cache.h"
 #include "shard/coordinator.h"
 #include "shard/row_sharding.h"
@@ -69,12 +67,8 @@ struct Candidate {
 };
 
 /// Outcome slot, written exclusively by the worker that claimed the
-/// candidate and read only after the phase join.
-struct CandidateOutcome {
-  ValidationOutcome outcome;
-  double interestingness = 0.0;
-  /// CPU time of this one validation (merged into the summed-CPU stats).
-  double seconds = 0.0;
+/// candidate (or the shard fold) and read only after the phase join.
+struct CandidateOutcome : CandidateVerdict {
   uint8_t done = 0;
 };
 
@@ -109,14 +103,14 @@ struct Driver {
   bool ofd_enabled;
   bool fd_enabled;
   bool afd_enabled;
-  double epsilon;
   PartitionCache cache;
   DiscoveryResult result;
   Stopwatch total_clock;
   std::atomic<bool> deadline_hit{false};
   std::atomic<bool> cancel_hit{false};
 
-  std::unique_ptr<AocSampler> sampler;
+  /// Unsharded validation; with sharding each runner owns its own.
+  CandidateValidator validator;
   /// Pool the run executes on: borrowed from options.pool, created for
   /// the run when only num_threads is set, or null for a serial run.
   std::unique_ptr<exec::ThreadPool> owned_pool;
@@ -133,7 +127,7 @@ struct Driver {
   std::vector<AttributeSet> pending_costs;
   /// Sharded validation (options.num_shards >= 1): candidate batches go
   /// out and results come back over the CSR wire format via the selected
-  /// transport; the driver's own cache, sampler and prefetch pipeline
+  /// transport; the driver's own cache, validator and prefetch pipeline
   /// sit idle — partitions live shard-side. Null in unsharded runs and
   /// when coordinator setup failed (coordinator_status says why).
   std::unique_ptr<shard::ShardCoordinator> coordinator;
@@ -147,12 +141,6 @@ struct Driver {
   std::vector<StrippedPartition> row_bases;
   Status row_shard_status;
 
-  /// Validator scratch is pooled like PartitionScratch: a worker borrows
-  /// one instance per validation task, so steady-state validation does no
-  /// heap allocation regardless of class count or candidate count.
-  std::mutex vscratch_mutex;
-  std::vector<std::unique_ptr<ValidatorScratch>> free_vscratch;
-
   Driver(const EncodedTable& t, const DiscoveryOptions& o)
       : table(t),
         options(o),
@@ -161,8 +149,13 @@ struct Driver {
         ofd_enabled(o.kinds.Contains(DependencyKind::kOfd)),
         fd_enabled(o.kinds.Contains(DependencyKind::kFd)),
         afd_enabled(o.kinds.Contains(DependencyKind::kAfd)),
-        epsilon(o.validator == ValidatorKind::kExact ? 0.0 : o.epsilon),
-        cache(&t, PartitionCache::DeferBasePartitions{}) {
+        cache(&t, PartitionCache::DeferBasePartitions{}),
+        // A sharded run's driver never validates, so it builds no sampler.
+        validator(&t, o.validator, o.epsilon, o.afd_error,
+                  o.collect_removal_sets,
+                  o.enable_sampling_filter && o.num_shards < 1
+                      ? &o.sampler_config
+                      : nullptr) {
     // Base partitions are built exactly once per run: into this cache
     // for unsharded validation, or by the coordinator (which ships them
     // to the shard caches) when sharding is on — the driver cache then
@@ -214,13 +207,6 @@ struct Driver {
       }
       row_bases.clear();
     }
-    if (options.enable_sampling_filter &&
-        options.validator == ValidatorKind::kOptimal &&
-        options.num_shards < 1) {
-      // With sharding each runner owns an identically seeded sampler; a
-      // coordinator-side instance would never be consulted.
-      sampler = std::make_unique<AocSampler>(&table, options.sampler_config);
-    }
     int threads = options.num_threads == 0
                       ? exec::ThreadPool::HardwareConcurrency()
                       : std::max(1, options.num_threads);
@@ -232,7 +218,6 @@ struct Driver {
       pool = owned_pool.get();
     }
     prefetch_group = std::make_unique<exec::TaskGroup>(pool);
-    cache.set_planner_enabled(options.enable_derivation_planner);
     result.stats.threads_used = threads;
     if (options.num_shards >= 1) {
       shard::ShardRunnerOptions ropts;
@@ -308,31 +293,6 @@ struct Driver {
     opts.grain = grain;
     opts.cancel = [this] { return OverBudget(); };
     return opts;
-  }
-
-  /// Context partition lookup. Contexts were eagerly materialized while
-  /// processing the level below, so this is normally a pure cache hit;
-  /// Get() stays safe (and value-deterministic) either way.
-  std::shared_ptr<const StrippedPartition> Lookup(AttributeSet set) {
-    return cache.Get(set);
-  }
-
-  std::unique_ptr<ValidatorScratch> AcquireValidatorScratch() {
-    {
-      std::lock_guard<std::mutex> lock(vscratch_mutex);
-      if (!free_vscratch.empty()) {
-        std::unique_ptr<ValidatorScratch> scratch =
-            std::move(free_vscratch.back());
-        free_vscratch.pop_back();
-        return scratch;
-      }
-    }
-    return std::make_unique<ValidatorScratch>();
-  }
-
-  void ReleaseValidatorScratch(std::unique_ptr<ValidatorScratch> scratch) {
-    std::lock_guard<std::mutex> lock(vscratch_mutex);
-    free_vscratch.push_back(std::move(scratch));
   }
 
   /// Phase 1 (parallel over nodes): candidate generation against the
@@ -444,37 +404,14 @@ struct Driver {
     return plan;
   }
 
-  /// Phase 2 (parallel over candidates): one validation through the
-  /// kind-keyed registry, writing only its own outcome slot.
+  /// Phase 2 (parallel over candidates): one validation, writing only
+  /// its own outcome slot. Contexts were prefetched while the level below
+  /// merged, so the Get is normally a cache hit; it stays safe (and
+  /// value-deterministic) either way.
   void ValidateCandidate(const Candidate& c, CandidateOutcome* out) {
-    auto partition = Lookup(c.context);
-    std::unique_ptr<ValidatorScratch> scratch = AcquireValidatorScratch();
-
-    ValidationRequest request;
-    request.table = &table;
-    request.context_partition = partition.get();
-    request.kind = c.kind;
-    request.target = c.target;
-    request.pair = c.oc_pair;
-    request.algorithm = options.validator;
-    request.epsilon = epsilon;
-    request.afd_error = options.afd_error;
-    request.table_rows = table.num_rows();
-    request.options.collect_removal_set = options.collect_removal_sets;
-    request.sampler = sampler.get();
-    request.scratch = scratch.get();
-
-    Stopwatch sw;
-    DependencyVerdict verdict = ValidateDependency(request);
-    out->outcome.valid = verdict.valid;
-    out->outcome.approx_factor = verdict.error;
-    out->outcome.removal_size = verdict.removal_size;
-    out->outcome.early_exit = verdict.early_exit;
-    out->outcome.removal_rows = std::move(verdict.removal_rows);
-    out->seconds = sw.ElapsedSeconds();
-    ReleaseValidatorScratch(std::move(scratch));
-    out->interestingness =
-        InterestingnessScore(*partition, c.context.size(), table.num_rows());
+    auto partition = cache.Get(c.context);
+    static_cast<CandidateVerdict&>(*out) = validator.Validate(
+        c.context, *partition, c.kind, c.target, c.oc_pair);
     out->done = 1;
   }
 
@@ -505,11 +442,11 @@ struct Driver {
       } else {
         found.a = c.target;
       }
-      found.error = out.outcome.approx_factor;
-      found.removal_size = out.outcome.removal_size;
+      found.error = out.error;
+      found.removal_size = out.removal_size;
       found.level = level;
       found.interestingness = out.interestingness;
-      found.removal_rows = std::move(out.outcome.removal_rows);
+      found.removal_rows = std::move(out.removal_rows);
       result.dependencies.push_back(std::move(found));
     };
 
@@ -519,7 +456,7 @@ struct Driver {
       CandidateOutcome& out = outcomes[slot];
       result.stats.ofd_validation_seconds += out.seconds;
       ++result.stats.ofd_candidates_validated;
-      if (!out.outcome.valid) continue;
+      if (!out.valid) continue;
 
       result.stats.RecordOfdAtLevel(level);
       record(DependencyKind::kOfd, candidates[slot], out);
@@ -535,7 +472,7 @@ struct Driver {
       CandidateOutcome& out = outcomes[slot];
       result.stats.oc_validation_seconds += out.seconds;
       ++result.stats.oc_candidates_validated;
-      if (out.outcome.valid) {
+      if (out.valid) {
         result.stats.RecordOcAtLevel(level);
         record(DependencyKind::kOc, candidates[slot], out);
       } else {
@@ -550,7 +487,7 @@ struct Driver {
       CandidateOutcome& out = outcomes[slot];
       result.stats.fd_validation_seconds += out.seconds;
       ++result.stats.fd_candidates_validated;
-      if (!out.outcome.valid) continue;
+      if (!out.valid) continue;
       result.stats.RecordFdAtLevel(level);
       record(DependencyKind::kFd, candidates[slot], out);
       // The same TANE rule, against the FD group's own candidate set.
@@ -562,7 +499,7 @@ struct Driver {
       CandidateOutcome& out = outcomes[slot];
       result.stats.afd_validation_seconds += out.seconds;
       ++result.stats.afd_candidates_validated;
-      if (!out.outcome.valid) continue;
+      if (!out.valid) continue;
       result.stats.RecordAfdAtLevel(level);
       record(DependencyKind::kAfd, candidates[slot], out);
       // Sound for AFDs because g1 is monotone non-increasing in the LHS:
@@ -724,13 +661,12 @@ struct Driver {
           w.opposite = c.oc_pair.opposite;
           wire.push_back(w);
         }
-        // Receive-overlapped folding: outcomes land in their slots as
-        // each result chunk decodes, while later shards' bytes are still
-        // in flight — the slot keys are deterministic, so fold order
-        // never affects the merge below. Slots come from (possibly
-        // separate-process) runners, so they cross a trust boundary: a
-        // skewed or misbehaving runner must yield a typed abort, not a
-        // CHECK crash.
+        // Outcomes land in their slots once every shard has replied (the
+        // supervisor buffers each shard's whole reply); the slot keys are
+        // deterministic, so fold order never affects the merge below.
+        // Slots come from (possibly separate-process) runners, so they
+        // cross a trust boundary: a skewed or misbehaving runner must
+        // yield a typed abort, not a CHECK crash.
         Status fold_status;
         Status st = coordinator->ValidateBatch(
             wire, [this] { return OverBudget(); },
@@ -760,11 +696,11 @@ struct Driver {
                 return;
               }
               CandidateOutcome& out = outcomes[static_cast<size_t>(o.slot)];
-              out.outcome.valid = o.valid;
-              out.outcome.early_exit = o.early_exit;
-              out.outcome.removal_size = o.removal_size;
-              out.outcome.approx_factor = o.approx_factor;
-              out.outcome.removal_rows = std::move(o.removal_rows);
+              out.valid = o.valid;
+              out.early_exit = o.early_exit;
+              out.removal_size = o.removal_size;
+              out.error = o.approx_factor;
+              out.removal_rows = std::move(o.removal_rows);
               out.interestingness = o.interestingness;
               out.seconds = o.seconds;
               out.done = 1;
@@ -800,8 +736,7 @@ struct Driver {
       // not of scheduling. Skipped once the deadline is hit: the catalog
       // no longer matters and publishing could trigger derivations.
       phase_clock.Restart();
-      if (options.enable_derivation_planner && coordinator == nullptr &&
-          !OverBudget()) {
+      if (coordinator == nullptr && !OverBudget()) {
         for (AttributeSet key : pending_costs) cache.PublishCost(key);
       }
       pending_costs.clear();
@@ -853,15 +788,13 @@ struct Driver {
             current.Find(keys[i]) != nullptr) {
           const AttributeSet key = keys[i];
           pending_costs.push_back(key);
-          DerivationPlan derivation;
-          const bool planned = options.enable_derivation_planner;
-          if (planned) derivation = cache.PlanDerivation(key);
+          DerivationPlan derivation = cache.PlanDerivation(key);
           Stopwatch run_clock;
           prefetch_group->Run(
-              [this, key, derivation = std::move(derivation), planned] {
+              [this, key, derivation = std::move(derivation)] {
                 if (OverBudget()) return;
                 Stopwatch sw;
-                cache.Get(key, planned ? &derivation : nullptr);
+                cache.Get(key, &derivation);
                 partition_nanos.fetch_add(sw.ElapsedNanos(),
                                           std::memory_order_relaxed);
               });
@@ -934,21 +867,22 @@ struct Driver {
     if (coordinator != nullptr) {
       // The shutdown handshake: every shard answers with its stats
       // footer, the single mechanism partition-side counters cross the
-      // seam by — in-process and remote runners alike. The planner
-      // counters stay 0 (shards derive by the fixed rule).
+      // seam by — in-process and remote runners alike.
       Status finish = coordinator->Finish();
       if (result.shard_status.ok() && !finish.ok()) {
         result.shard_status = std::move(finish);
       }
-      result.stats.partition_seconds = coordinator->partition_seconds();
-      result.stats.partitions_computed = coordinator->products_computed();
-      result.stats.partitions_evicted = coordinator->partitions_evicted();
-      result.stats.partition_bytes_evicted =
-          coordinator->partition_bytes_evicted();
-      result.stats.partition_bytes_peak =
-          std::max(result.stats.partition_bytes_peak,
-                   coordinator->partition_bytes_peak());
-      result.stats.partition_bytes_final = coordinator->partition_bytes_final();
+      const shard::ShardStatsFooter footers = coordinator->FooterTotals();
+      result.stats.partition_seconds = footers.partition_seconds;
+      result.stats.partitions_computed = footers.products_computed;
+      result.stats.planner_derivations = footers.planner_derivations;
+      result.stats.planner_cost_estimated = footers.planner_cost_estimated;
+      result.stats.planner_cost_realized = footers.planner_cost_realized;
+      result.stats.partitions_evicted = footers.partitions_evicted;
+      result.stats.partition_bytes_evicted = footers.partition_bytes_evicted;
+      result.stats.partition_bytes_peak = std::max(
+          result.stats.partition_bytes_peak, footers.partition_bytes_peak);
+      result.stats.partition_bytes_final = footers.partition_bytes_final;
       result.stats.shard_bytes_shipped = coordinator->bytes_shipped_total();
       result.stats.shard_bytes_per_shard.resize(
           static_cast<size_t>(coordinator->num_shards()));

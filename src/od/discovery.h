@@ -169,12 +169,6 @@ struct DiscoveryOptions {
   /// decaying in sampler_config.sample_size.
   bool enable_sampling_filter = false;
   SamplerConfig sampler_config;
-  /// Derive context partitions through the cache's cost-based planner
-  /// (cheapest published base, canonical values) instead of the fixed
-  /// Π_{X\{max}} · Π_{{max}} rule. Dependency output is bit-identical
-  /// either way (canonical normal form); only the product schedule — and
-  /// so partition wall time and the product counter — changes.
-  bool enable_derivation_planner = true;
   /// Byte budget for materialized partitions (0 = unlimited). When the
   /// cache exceeds it at a level boundary, the coldest derived partitions
   /// are evicted in deterministic order and re-derived on demand through

@@ -211,7 +211,9 @@ namespace {
 /// kind-tagged DiscoveredDependency records, and DiscoveryStats gained
 /// the FD/AFD counter block.
 /// Version 3: DiscoveryStats lost its backup-attempt win/loss counters.
-constexpr uint16_t kResultBlobVersion = 3;
+/// Version 4: the row-shard counters (row_shards_used and its byte
+/// accounting) are carried too.
+constexpr uint16_t kResultBlobVersion = 4;
 
 void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutDouble(s.total_seconds);
@@ -241,6 +243,12 @@ void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutVarintI64(s.shard_respawns);
   w.PutVarintI64(s.shard_fallback_shards);
   w.PutVarintI64(s.shard_footers_missing);
+  w.PutVarintI64(s.row_shards_used);
+  w.PutVarint(s.row_shard_bytes_per_shard.size());
+  for (int64_t b : s.row_shard_bytes_per_shard) w.PutVarintI64(b);
+  w.PutVarintI64(s.row_shard_bytes_shipped);
+  w.PutVarintI64(s.row_shard_bytes_raw);
+  w.PutVarintI64(s.row_shard_bytes_wire);
   w.PutVarintI64(s.partition_bytes_peak);
   w.PutVarintI64(s.partition_bytes_evicted);
   w.PutVarintI64(s.partition_bytes_final);
@@ -325,6 +333,12 @@ Status GetStats(shard::WireReader& r, DiscoveryStats* s) {
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_respawns));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_fallback_shards));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_footers_missing));
+  AOD_RETURN_NOT_OK(r.GetVarintI64(&v));
+  s->row_shards_used = static_cast<int>(v);
+  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->row_shard_bytes_per_shard));
+  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->row_shard_bytes_shipped));
+  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->row_shard_bytes_raw));
+  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->row_shard_bytes_wire));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->partition_bytes_peak));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->partition_bytes_evicted));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->partition_bytes_final));

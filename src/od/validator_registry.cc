@@ -1,8 +1,10 @@
 #include "od/validator_registry.h"
 
+#include "common/stopwatch.h"
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
 #include "od/fd_validator.h"
+#include "od/interestingness.h"
 #include "od/oc_validator.h"
 #include "od/ofd_validator.h"
 
@@ -74,6 +76,58 @@ DependencyVerdict ValidateDependency(const ValidationRequest& request) {
                                        vopts, request.scratch));
   }
   return DependencyVerdict{};
+}
+
+CandidateValidator::CandidateValidator(const EncodedTable* table,
+                                       ValidatorKind algorithm,
+                                       double epsilon, double afd_error,
+                                       bool collect_removal_sets,
+                                       const SamplerConfig* sampler_config) {
+  template_.table = table;
+  template_.algorithm = algorithm;
+  template_.epsilon = algorithm == ValidatorKind::kExact ? 0.0 : epsilon;
+  template_.afd_error = afd_error;
+  template_.table_rows = table->num_rows();
+  template_.options.collect_removal_set = collect_removal_sets;
+  if (sampler_config != nullptr && algorithm == ValidatorKind::kOptimal) {
+    // Seeded: every site given the same config draws the same sample, so
+    // fast-reject decisions match across the driver and all shards.
+    sampler_ = std::make_unique<AocSampler>(table, *sampler_config);
+    template_.sampler = sampler_.get();
+  }
+}
+
+CandidateVerdict CandidateValidator::Validate(
+    AttributeSet context, const StrippedPartition& partition,
+    DependencyKind kind, int target, AttributePair pair) {
+  std::unique_ptr<ValidatorScratch> scratch;
+  {
+    std::lock_guard<std::mutex> lock(scratch_mutex_);
+    if (!free_scratch_.empty()) {
+      scratch = std::move(free_scratch_.back());
+      free_scratch_.pop_back();
+    }
+  }
+  if (scratch == nullptr) scratch = std::make_unique<ValidatorScratch>();
+
+  ValidationRequest request = template_;
+  request.context_partition = &partition;
+  request.kind = kind;
+  request.target = target;
+  request.pair = pair;
+  request.scratch = scratch.get();
+
+  CandidateVerdict out;
+  Stopwatch sw;
+  static_cast<DependencyVerdict&>(out) = ValidateDependency(request);
+  out.seconds = sw.ElapsedSeconds();
+  {
+    std::lock_guard<std::mutex> lock(scratch_mutex_);
+    free_scratch_.push_back(std::move(scratch));
+  }
+  out.interestingness = InterestingnessScore(partition, context.size(),
+                                             template_.table_rows);
+  return out;
 }
 
 }  // namespace aod

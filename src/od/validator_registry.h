@@ -20,11 +20,15 @@
 // The dispatch is a pure function of the request (the sampler, when
 // present, is seeded per run), which is what lets a shard runner and the
 // in-process driver produce bit-identical outcomes from the same
-// candidate.
+// candidate. CandidateValidator wraps the dispatch in the per-run
+// environment both call sites need (pooled scratch, the seeded sampler,
+// the exact validator's ε = 0), so neither keeps its own copy.
 #ifndef AOD_OD_VALIDATOR_REGISTRY_H_
 #define AOD_OD_VALIDATOR_REGISTRY_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "data/encoder.h"
@@ -41,7 +45,7 @@ namespace aod {
 /// Everything one validation needs. `target` is the RHS attribute for
 /// kOfd/kFd/kAfd; `pair` is the OC pair for kOc (its polarity rides in
 /// pair.opposite). `epsilon` must already be zeroed for the exact
-/// validator (the driver and runner both do this once per run).
+/// validator (CandidateValidator does this once per run).
 struct ValidationRequest {
   const EncodedTable* table = nullptr;
   const StrippedPartition* context_partition = nullptr;
@@ -76,6 +80,44 @@ struct DependencyVerdict {
 /// function never touches shared mutable state, so concurrent calls on
 /// distinct scratch instances are safe.
 DependencyVerdict ValidateDependency(const ValidationRequest& request);
+
+/// A verdict plus what every caller reports with it.
+struct CandidateVerdict : DependencyVerdict {
+  /// InterestingnessScore of the candidate's context partition.
+  double interestingness = 0.0;
+  /// CPU time of the validation alone.
+  double seconds = 0.0;
+};
+
+/// The per-candidate validation routine of one discovery run, shared by
+/// the in-process driver and every shard runner. It owns the request
+/// template (ε zeroed for ValidatorKind::kExact), the seeded sampler and
+/// a free list of ValidatorScratch — one instance is borrowed per call,
+/// so steady-state validation does no heap allocation. Validate is
+/// thread-safe.
+class CandidateValidator {
+ public:
+  /// `sampler_config` non-null enables the sampling fast-reject, which
+  /// only the optimal validator consults.
+  CandidateValidator(const EncodedTable* table, ValidatorKind algorithm,
+                     double epsilon, double afd_error,
+                     bool collect_removal_sets,
+                     const SamplerConfig* sampler_config);
+
+  /// Validates one candidate in `context`, whose partition is
+  /// `partition`; `target` is the RHS of the target kinds, `pair` the OC
+  /// pair.
+  CandidateVerdict Validate(AttributeSet context,
+                            const StrippedPartition& partition,
+                            DependencyKind kind, int target,
+                            AttributePair pair);
+
+ private:
+  ValidationRequest template_;
+  std::unique_ptr<AocSampler> sampler_;
+  std::mutex scratch_mutex_;
+  std::vector<std::unique_ptr<ValidatorScratch>> free_scratch_;
+};
 
 }  // namespace aod
 

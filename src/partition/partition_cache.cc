@@ -88,14 +88,9 @@ std::shared_ptr<const StrippedPartition> PartitionCache::Get(
   // Level-0/1 partitions are preloaded and never evicted, so a miss is
   // always a derivable set.
   AOD_CHECK(set.size() >= 2);
-  PartitionPtr value;
-  if (plan != nullptr) {
-    value = ExecutePlan(set, *plan);
-  } else if (planner_enabled_) {
-    value = ExecutePlan(set, PlanDerivation(set));
-  } else {
-    value = ComputeFixed(set);
-  }
+  PartitionPtr value = plan != nullptr
+                           ? ExecutePlan(set, *plan)
+                           : ExecutePlan(set, PlanDerivation(set));
   promise.set_value(value);
   return value;
 }
@@ -160,63 +155,6 @@ PartitionCache::PartitionPtr PartitionCache::ExecutePlan(
   return current;
 }
 
-PartitionCache::PartitionPtr PartitionCache::ComputeFixed(AttributeSet set) {
-  // The caller has already claimed `set`'s map entry; walk down the fixed
-  // chain X\{max} ⊃ X\{max, max'} ⊃ ..., claiming each missing
-  // intermediate, until a cached subset is found. Claims then resolve
-  // bottom-up, one product each — the iterative form of the old
-  // recursion, so |X| no longer grows the stack.
-  struct Claim {
-    AttributeSet set;
-    std::promise<PartitionPtr> promise;
-  };
-  std::vector<Claim> claims;
-  PartitionPtr base;
-  AttributeSet cur = set.Without(set.Last());
-  while (true) {
-    Shard& shard = ShardFor(cur);
-    PartitionFuture future;
-    bool found = false;
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      auto it = shard.map.find(cur);
-      if (it != shard.map.end()) {
-        future = it->second;
-        found = true;
-      } else {
-        claims.emplace_back();
-        claims.back().set = cur;
-        shard.map.emplace(cur, claims.back().promise.get_future().share());
-      }
-    }
-    if (found) {
-      base = future.get();
-      break;
-    }
-    // Singletons are preloaded, so the walk terminates before size 1.
-    AOD_CHECK(cur.size() >= 2);
-    cur = cur.Without(cur.Last());
-  }
-
-  std::unique_ptr<PartitionScratch> scratch = AcquireScratch();
-  auto derive_step = [&](AttributeSet key) {
-    PartitionPtr single = Get(AttributeSet().With(key.Last()));
-    PartitionPtr value = std::make_shared<StrippedPartition>(
-        base->Product(*single, table_->num_rows(), scratch.get()));
-    products_computed_.fetch_add(1, std::memory_order_relaxed);
-    bytes_resident_.fetch_add(value->bytes(), std::memory_order_relaxed);
-    return value;
-  };
-  for (auto it = claims.rbegin(); it != claims.rend(); ++it) {
-    PartitionPtr value = derive_step(it->set);
-    it->promise.set_value(value);
-    base = std::move(value);
-  }
-  PartitionPtr result = derive_step(set);
-  ReleaseScratch(std::move(scratch));
-  return result;
-}
-
 bool PartitionCache::Contains(AttributeSet set) const {
   const Shard& shard = ShardFor(set);
   PartitionFuture future;
@@ -278,31 +216,6 @@ int64_t PartitionCache::EnforceBudget(int64_t budget_bytes) {
   }
   partitions_evicted_.fetch_add(static_cast<int64_t>(evicted),
                                 std::memory_order_relaxed);
-  bytes_resident_.fetch_sub(freed, std::memory_order_relaxed);
-  return freed;
-}
-
-int64_t PartitionCache::EvictSmallerThan(int below) {
-  int64_t freed = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.map.begin(); it != shard.map.end();) {
-      int sz = it->first.size();
-      if (sz > 1 && sz < below) {
-        // Futures are resolved here (eviction runs between phases), so
-        // the value — and its exact size — is available.
-        freed += it->second.get()->bytes();
-        {
-          std::lock_guard<std::mutex> catalog_lock(catalog_mutex_);
-          catalog_.erase(it->first);
-        }
-        partitions_evicted_.fetch_add(1, std::memory_order_relaxed);
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
   bytes_resident_.fetch_sub(freed, std::memory_order_relaxed);
   return freed;
 }

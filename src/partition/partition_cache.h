@@ -5,20 +5,19 @@
 // stripped products of cached subsets, and evicts derived partitions
 // against a byte budget, re-deriving on demand.
 //
-// Derivation is *planned*, not fixed. Because every partition value is in
-// canonical normal form (see StrippedPartition), Π_X has the same bytes
-// no matter which subset chain produced it, so the cache is free to pick
-// the cheapest one: PlanDerivation chooses, among the subsets published
-// to its cost catalog, the base partition minimizing the estimated
-// product cost (rows_covered as the proxy — one product scans the left
-// operand once and the right operand twice), then extends it with the
-// remaining single-attribute partitions in ascending order. The catalog
+// Derivation is *planned*. Because every partition value is in canonical
+// normal form (see StrippedPartition), Π_X has the same bytes no matter
+// which subset chain produced it, so the cache is free to pick the
+// cheapest one: PlanDerivation chooses, among the subsets published to
+// its cost catalog, the base partition minimizing the estimated product
+// cost (rows_covered as the proxy — one product scans the left operand
+// once and the right operand twice), then extends it with the remaining
+// single-attribute partitions in ascending order — a loop, not a
+// recursion, so deep attribute sets cannot grow the stack. The catalog
 // is updated only at deterministic points (the driver publishes each
-// completed level's survivors between phases), so plans — and therefore
-// the product counter — are identical for any thread count. With the
-// planner disabled, the legacy fixed rule Π_X = Π_{X\{max(X)}} ·
-// Π_{{max(X)}} applies, executed by an explicit worklist (no recursion,
-// so deep attribute sets cannot grow the stack).
+// completed level's survivors between phases, a shard runner its batch
+// contexts between batches), so plans — and therefore the product
+// counter — are identical for any thread count.
 //
 // Concurrency. Get() is safe to call from any number of threads — the
 // driver materializes partitions on the thread pool. The key space is
@@ -28,7 +27,8 @@
 // and wait on it after releasing the lock (never wait while holding one: the
 // computing thread may need another key of the same stripe). Catalog
 // mutation (PublishCost, eviction) must not run concurrently with
-// planner-consulting Gets; the driver calls both only between phases.
+// planner-consulting Gets; the driver calls both only between phases, a
+// shard runner only between batches.
 // Eviction additionally requires all futures resolved.
 #ifndef AOD_PARTITION_PARTITION_CACHE_H_
 #define AOD_PARTITION_PARTITION_CACHE_H_
@@ -85,8 +85,7 @@ class PartitionCache {
 
   /// Returns Π_X, computing and memoizing it if absent. Thread-safe;
   /// concurrent requests for the same key compute it once and share the
-  /// result. A miss derives via the cost-based planner (or the fixed rule
-  /// when the planner is disabled).
+  /// result. A miss derives via PlanDerivation.
   std::shared_ptr<const StrippedPartition> Get(AttributeSet set);
 
   /// Get with a precomputed derivation plan, used by the driver's
@@ -109,14 +108,10 @@ class PartitionCache {
 
   /// Publishes Π_X's realized cost (rows_covered) to the planner catalog,
   /// materializing Π_X first if needed. The driver calls this for each
-  /// completed level's survivors between phases — the only point catalog
+  /// completed level's survivors between phases, a shard runner for each
+  /// resident context of a finished batch — the only points catalog
   /// contents change outside eviction, which keeps plans deterministic.
   void PublishCost(AttributeSet set);
-
-  /// Whether Get() misses derive via PlanDerivation (default) or the
-  /// fixed structural rule Π_X = Π_{X\{max}} · Π_{{max}}.
-  void set_planner_enabled(bool enabled) { planner_enabled_ = enabled; }
-  bool planner_enabled() const { return planner_enabled_; }
 
   /// Evicts derived partitions (set size >= 2) until bytes_resident()
   /// fits `budget_bytes`, coldest first in deterministic (level
@@ -131,16 +126,6 @@ class PartitionCache {
   /// unlimited (no-op). Must not run concurrently with Get. Returns the
   /// exact number of bytes released.
   int64_t EnforceBudget(int64_t budget_bytes);
-
-  /// Drops every cached partition over sets of size in (1, below); the
-  /// empty-set and single-attribute partitions are retained permanently.
-  /// Must not run concurrently with Get. Returns the exact number of
-  /// bytes released (per StrippedPartition::bytes()). The driver now
-  /// manages memory through EnforceBudget; this level-based form remains
-  /// for embedders running their own level-wise traversals (and the
-  /// tests that pin its semantics) — both paths maintain the same
-  /// catalog/byte/eviction bookkeeping.
-  int64_t EvictSmallerThan(int below);
 
   /// Exact bytes held by all materialized partitions (CSR payload +
   /// object headers, per StrippedPartition::bytes()). Entries still being
@@ -157,7 +142,7 @@ class PartitionCache {
   int64_t products_computed() const {
     return products_computed_.load(std::memory_order_relaxed);
   }
-  /// Keys derived by executing a cost-based plan (vs the fixed rule).
+  /// Keys derived, one executed plan each.
   int64_t planner_derivations() const {
     return planner_derivations_.load(std::memory_order_relaxed);
   }
@@ -170,7 +155,7 @@ class PartitionCache {
   int64_t planner_cost_realized() const {
     return planner_cost_realized_.load(std::memory_order_relaxed);
   }
-  /// Partitions dropped by EnforceBudget/EvictSmallerThan.
+  /// Partitions dropped by EnforceBudget.
   int64_t partitions_evicted() const {
     return partitions_evicted_.load(std::memory_order_relaxed);
   }
@@ -217,12 +202,6 @@ class PartitionCache {
   /// single, counting estimated vs realized cost.
   PartitionPtr ExecutePlan(AttributeSet set, const DerivationPlan& plan);
 
-  /// Fixed-rule derivation via an explicit worklist: walks X ⊃ X\{max} ⊃
-  /// ... down to the first cached subset, claiming each missing
-  /// intermediate's future, then derives back up — one product per
-  /// claimed key, constant stack depth regardless of |X|.
-  PartitionPtr ComputeFixed(AttributeSet set);
-
   /// Scratch buffers are pooled: a computing thread borrows one for the
   /// duration of a derivation, so steady-state materialization allocates
   /// no translation tables regardless of worker count.
@@ -231,7 +210,6 @@ class PartitionCache {
 
   const EncodedTable* table_;
   Shard shards_[kShardCount];
-  bool planner_enabled_ = true;
   std::function<void(GetEvent, AttributeSet)> get_hook_;
   std::atomic<int64_t> products_computed_{0};
   std::atomic<int64_t> planner_derivations_{0};

@@ -51,7 +51,6 @@ WireJobOptions WireJobOptionsFrom(const DiscoveryOptions& options) {
   wire.sampler_sample_size = options.sampler_config.sample_size;
   wire.sampler_reject_margin = options.sampler_config.reject_margin;
   wire.sampler_seed = options.sampler_config.seed;
-  wire.enable_derivation_planner = options.enable_derivation_planner;
   wire.partition_memory_budget_bytes = options.partition_memory_budget_bytes;
   wire.deadline_seconds = options.time_budget_seconds;
   return wire;
@@ -72,7 +71,6 @@ DiscoveryOptions ToDiscoveryOptions(const WireJobOptions& wire) {
   options.sampler_config.sample_size = wire.sampler_sample_size;
   options.sampler_config.reject_margin = wire.sampler_reject_margin;
   options.sampler_config.seed = wire.sampler_seed;
-  options.enable_derivation_planner = wire.enable_derivation_planner;
   options.partition_memory_budget_bytes = wire.partition_memory_budget_bytes;
   options.time_budget_seconds = wire.deadline_seconds;
   return options;
@@ -95,7 +93,6 @@ std::vector<uint8_t> EncodeJobSubmit(const WireJobSubmit& submit) {
   w.PutVarintI64(o.sampler_sample_size);
   w.PutDouble(o.sampler_reject_margin);
   w.PutU64(o.sampler_seed);
-  w.PutU8(o.enable_derivation_planner ? 1 : 0);
   w.PutVarintI64(o.partition_memory_budget_bytes);
   w.PutDouble(o.deadline_seconds);
   w.PutVarint(submit.table_frame.size());
@@ -140,8 +137,6 @@ Result<WireJobSubmit> DecodeJobSubmit(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(r.GetVarintI64(&o.sampler_sample_size));
   AOD_RETURN_NOT_OK(r.GetDouble(&o.sampler_reject_margin));
   AOD_RETURN_NOT_OK(r.GetU64(&o.sampler_seed));
-  AOD_RETURN_NOT_OK(r.GetU8(&flag));
-  o.enable_derivation_planner = flag != 0;
   AOD_RETURN_NOT_OK(r.GetVarintI64(&o.partition_memory_budget_bytes));
   AOD_RETURN_NOT_OK(r.GetDouble(&o.deadline_seconds));
   if (!(o.epsilon >= 0.0 && o.epsilon <= 1.0)) {

@@ -80,7 +80,6 @@ struct WireJobOptions {
   int64_t sampler_sample_size = 2000;
   double sampler_reject_margin = 0.5;
   uint64_t sampler_seed = 7;
-  bool enable_derivation_planner = true;
   int64_t partition_memory_budget_bytes = 0;
   /// Per-job wall-clock deadline in seconds (0 = none). The server
   /// additionally caps it at its own max_job_seconds and enforces it

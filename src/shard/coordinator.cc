@@ -203,13 +203,9 @@ int64_t ShardCoordinator::bytes_raw_total() const {
   // site reported saving: shard footers cover the coordinator→shard
   // frames (partitions, candidates, table), the coordinator's own
   // result-chunk decodes cover the reply direction.
-  int64_t total = bytes_shipped_total();
-  for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) {
-      total += sup->footer().bytes_decoded_raw -
-               sup->footer().bytes_decoded_wire;
-    }
-  }
+  const ShardStatsFooter footers = FooterTotals();
+  int64_t total = bytes_shipped_total() + footers.bytes_decoded_raw -
+                  footers.bytes_decoded_wire;
   const CodecByteCounts results =
       type_byte_counts(FrameType::kResultBatch);
   total += results.raw - results.wire;
@@ -224,50 +220,23 @@ CodecByteCounts ShardCoordinator::type_byte_counts(FrameType type) const {
   return total;
 }
 
-int64_t ShardCoordinator::products_computed() const {
-  int64_t total = 0;
+ShardStatsFooter ShardCoordinator::FooterTotals() const {
+  ShardStatsFooter total;
   for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) total += sup->footer().products_computed;
-  }
-  return total;
-}
-
-int64_t ShardCoordinator::partitions_evicted() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) total += sup->footer().partitions_evicted;
-  }
-  return total;
-}
-
-int64_t ShardCoordinator::partition_bytes_evicted() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) total += sup->footer().partition_bytes_evicted;
-  }
-  return total;
-}
-
-int64_t ShardCoordinator::partition_bytes_final() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) total += sup->footer().partition_bytes_final;
-  }
-  return total;
-}
-
-int64_t ShardCoordinator::partition_bytes_peak() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) total += sup->footer().partition_bytes_peak;
-  }
-  return total;
-}
-
-double ShardCoordinator::partition_seconds() const {
-  double total = 0.0;
-  for (const auto& sup : supervisors_) {
-    if (sup->footer_valid()) total += sup->footer().partition_seconds;
+    if (!sup->footer_valid()) continue;
+    const ShardStatsFooter& f = sup->footer();
+    total.frames_served += f.frames_served;
+    total.products_computed += f.products_computed;
+    total.planner_derivations += f.planner_derivations;
+    total.planner_cost_estimated += f.planner_cost_estimated;
+    total.planner_cost_realized += f.planner_cost_realized;
+    total.partitions_evicted += f.partitions_evicted;
+    total.partition_bytes_evicted += f.partition_bytes_evicted;
+    total.partition_bytes_final += f.partition_bytes_final;
+    total.partition_bytes_peak += f.partition_bytes_peak;
+    total.bytes_decoded_raw += f.bytes_decoded_raw;
+    total.bytes_decoded_wire += f.bytes_decoded_wire;
+    total.partition_seconds += f.partition_seconds;
   }
   return total;
 }

@@ -47,7 +47,7 @@
 //
 // Determinism: the assignment rule is a pure hash of the context set, a
 // runner's outcomes are pure functions of its batch (canonical
-// partition values, deterministic fixed-rule derivation, seeded
+// partition values, deterministic planned derivation, seeded
 // sampler), replayed attempts receive byte-identical inputs, and
 // exactly one attempt's buffered reply per shard is folded — in shard
 // order, ascending slots within a shard — so sharded
@@ -183,16 +183,11 @@ class ShardCoordinator {
   /// bootstrap framing overhead is not attributed here.
   CodecByteCounts type_byte_counts(FrameType type) const;
 
-  // Aggregates over the collected stats footers (DiscoveryStats feeds);
-  // shards whose footer never arrived (transport failure) contribute 0.
-  int64_t products_computed() const;
-  int64_t partitions_evicted() const;
-  int64_t partition_bytes_evicted() const;
-  int64_t partition_bytes_final() const;
-  int64_t partition_bytes_peak() const;
-  /// Summed shard-side derivation wall time (see
-  /// ShardRunner::partition_seconds).
-  double partition_seconds() const;
+  /// Every counter of the collected stats footers, summed over the
+  /// shards (DiscoveryStats feeds); shards whose footer never arrived
+  /// (transport failure) contribute 0, and the identity fields stay 0.
+  /// partition_seconds sums ShardRunner::partition_seconds.
+  ShardStatsFooter FooterTotals() const;
 
   // Supervision observability (DiscoveryStats feeds), summed over the
   // shards. Meaningful any time; stable once Finish returned.

@@ -6,8 +6,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "exec/parallel_for.h"
-#include "od/interestingness.h"
-#include "od/validator_registry.h"
 
 namespace aod {
 namespace shard {
@@ -19,25 +17,16 @@ ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
     : shard_id_(shard_id),
       table_(table),
       options_(options),
-      epsilon_(options.validator == ValidatorKind::kExact ? 0.0
-                                                          : options.epsilon),
       inbox_(inbox),
       outbox_(outbox),
       receiver_(inbox),
       pool_(pool),
-      cache_(table, PartitionCache::DeferBasePartitions{}) {
+      cache_(table, PartitionCache::DeferBasePartitions{}),
+      validator_(table, options.validator, options.epsilon,
+                 options.afd_error, options.collect_removal_sets,
+                 options.enable_sampling_filter ? &options.sampler_config
+                                                : nullptr) {
   AOD_CHECK(table != nullptr && inbox != nullptr && outbox != nullptr);
-  // Shard-local derivation uses the fixed rule: with no coordinator-side
-  // catalog to consult, the worklist derivation is the deterministic
-  // choice, and its per-key memoization makes the product counter a pure
-  // function of the batch contents (ARCHITECTURE.md).
-  cache_.set_planner_enabled(false);
-  if (options_.enable_sampling_filter &&
-      options_.validator == ValidatorKind::kOptimal) {
-    // Same seeded sample as any other site given the same config, so
-    // fast-reject decisions match the unsharded run bit for bit.
-    sampler_ = std::make_unique<AocSampler>(table_, options_.sampler_config);
-  }
 }
 
 Status ShardRunner::ServeOne(const std::function<bool()>& cancel,
@@ -101,13 +90,18 @@ ShardStatsFooter ShardRunner::FooterStats() const {
   footer.attempt_id = options_.attempt_id;
   footer.frames_served = frames_served_;
   footer.products_computed = cache_.products_computed();
+  footer.planner_derivations = cache_.planner_derivations();
+  footer.planner_cost_estimated = cache_.planner_cost_estimated();
+  footer.planner_cost_realized = cache_.planner_cost_realized();
   footer.partitions_evicted = cache_.partitions_evicted();
   footer.partition_bytes_evicted = bytes_evicted_;
   footer.partition_bytes_final = cache_.bytes_resident();
   footer.partition_bytes_peak = bytes_peak_;
   footer.bytes_decoded_raw = decoded_counts_.raw;
   footer.bytes_decoded_wire = decoded_counts_.wire;
-  footer.partition_seconds = partition_seconds();
+  footer.partition_seconds =
+      static_cast<double>(partition_nanos_.load(std::memory_order_relaxed)) /
+      1e9;
   return footer;
 }
 
@@ -152,10 +146,9 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
     if (done[i]) completed.push_back(std::move(outcomes[i]));
   }
 
-  // Stream the reply as bounded chunks (last one final-flagged) through
-  // the coalescing sender: the coordinator starts folding early chunks
-  // while later candidates' bytes are still in flight, and several tiny
-  // chunks ride one envelope instead of paying per-frame overhead.
+  // Reply as chunks of at most kChunkOutcomes outcomes (last one
+  // final-flagged), which bound the frame size; the coalescing sender
+  // lets several small chunks ride one envelope.
   constexpr size_t kChunkOutcomes = 512;
   BatchingFrameSender sender(outbox_);
   size_t begin = 0;
@@ -171,20 +164,23 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
   AOD_RETURN_NOT_OK(sender.Flush());
 
   // The batch's ParallelFor has joined, so every cache future is
-  // resolved — the precondition budget enforcement (and an exact
-  // residency sample) needs.
+  // resolved — the precondition cost publishing, budget enforcement and
+  // an exact residency sample need. Publishing the batch's resident
+  // contexts lets the next batch's misses derive from them; the catalog
+  // changes only here, between batches, so plans (and the product
+  // counter) are pure functions of the served batches, as in the
+  // driver. A context a cancelled batch never reached is not resident,
+  // and publishing it would derive it.
+  for (const WireCandidate& c : batch) {
+    const AttributeSet context(c.context_bits);
+    if (cache_.Contains(context)) cache_.PublishCost(context);
+  }
   SampleResidency();
   if (options_.partition_memory_budget_bytes > 0) {
     bytes_evicted_ += cache_.EnforceBudget(
         options_.partition_memory_budget_bytes);
   }
   return Status::OK();
-}
-
-double ShardRunner::partition_seconds() const {
-  return static_cast<double>(
-             partition_nanos_.load(std::memory_order_relaxed)) /
-         1e9;
 }
 
 void ShardRunner::ValidateOne(const WireCandidate& candidate,
@@ -199,28 +195,9 @@ void ShardRunner::ValidateOne(const WireCandidate& candidate,
     partition_nanos_.fetch_add(derive_sw.ElapsedNanos(),
                                std::memory_order_relaxed);
   }
-  std::unique_ptr<ValidatorScratch> scratch = AcquireScratch();
-
-  ValidationRequest request;
-  request.table = table_;
-  request.context_partition = partition.get();
-  request.kind = candidate.kind;
-  request.target = candidate.target;
-  request.pair =
-      AttributePair{candidate.pair_a, candidate.pair_b, candidate.opposite};
-  request.algorithm = options_.validator;
-  request.epsilon = epsilon_;
-  request.afd_error = options_.afd_error;
-  request.table_rows = table_->num_rows();
-  request.options.collect_removal_set = options_.collect_removal_sets;
-  request.sampler = sampler_.get();
-  request.scratch = scratch.get();
-
-  Stopwatch sw;
-  DependencyVerdict verdict = ValidateDependency(request);
-  out->seconds = sw.ElapsedSeconds();
-  ReleaseScratch(std::move(scratch));
-
+  CandidateVerdict verdict = validator_.Validate(
+      context, *partition, candidate.kind, candidate.target,
+      AttributePair{candidate.pair_a, candidate.pair_b, candidate.opposite});
   out->slot = candidate.slot;
   out->kind = candidate.kind;
   out->valid = verdict.valid;
@@ -228,26 +205,8 @@ void ShardRunner::ValidateOne(const WireCandidate& candidate,
   out->removal_size = verdict.removal_size;
   out->approx_factor = verdict.error;
   out->removal_rows = std::move(verdict.removal_rows);
-  out->interestingness =
-      InterestingnessScore(*partition, context.size(), table_->num_rows());
-}
-
-std::unique_ptr<ValidatorScratch> ShardRunner::AcquireScratch() {
-  {
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!free_scratch_.empty()) {
-      std::unique_ptr<ValidatorScratch> scratch =
-          std::move(free_scratch_.back());
-      free_scratch_.pop_back();
-      return scratch;
-    }
-  }
-  return std::make_unique<ValidatorScratch>();
-}
-
-void ShardRunner::ReleaseScratch(std::unique_ptr<ValidatorScratch> scratch) {
-  std::lock_guard<std::mutex> lock(scratch_mutex_);
-  free_scratch_.push_back(std::move(scratch));
+  out->interestingness = verdict.interestingness;
+  out->seconds = verdict.seconds;
 }
 
 }  // namespace shard

@@ -3,10 +3,11 @@
 // A ShardRunner owns a *wire-seeded* partition cache: its base (level-1)
 // partitions arrive as kPartitionBlock frames from the coordinator, not
 // from the table, and larger context partitions are derived shard-locally
-// through the deterministic fixed rule. Each kCandidateBatch frame it
-// receives is validated (in parallel on the shared pool, cooperatively
-// cancellable) and answered with one kResultBatch frame carrying exact
-// bit patterns of every outcome field.
+// through the cache's cost planner, whose catalog the runner publishes
+// between batches. Each kCandidateBatch frame it receives is validated
+// (in parallel on the shared pool, cooperatively cancellable) and
+// answered with kResultBatch chunks carrying exact bit patterns of every
+// outcome field.
 //
 // In-process runners share the EncodedTable by pointer — rank columns are
 // immutable — while everything candidate- or partition-shaped crosses the
@@ -16,23 +17,23 @@
 //
 // Determinism: a runner's outcomes are pure functions of (table, batch,
 // shipped base partitions) — canonical partition values make the derived
-// contexts byte-identical to any other derivation site, validators are
-// pure, and the per-run sampler is seeded — so the coordinator's merged
-// output is bit-identical to an unsharded run (see ARCHITECTURE.md).
+// contexts byte-identical to any other derivation site, and validation
+// goes through the same CandidateValidator as the driver — so the
+// coordinator's merged output is bit-identical to an unsharded run (see
+// ARCHITECTURE.md).
 #ifndef AOD_SHARD_SHARD_RUNNER_H_
 #define AOD_SHARD_SHARD_RUNNER_H_
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/status.h"
 #include "data/encoder.h"
 #include "od/dependency_kind.h"
 #include "od/discovery.h"
-#include "od/validator_scratch.h"
+#include "od/validator_registry.h"
 #include "partition/partition_cache.h"
 #include "shard/channel.h"
 #include "shard/wire.h"
@@ -54,8 +55,7 @@ struct ShardRunnerOptions {
   /// coordinator can reject a superseded attempt's footer. Validation
   /// outcomes never depend on it.
   uint32_t attempt_id = 0;
-  /// Raw threshold; the runner zeroes it for the exact validator, same
-  /// as the discovery driver.
+  /// Raw threshold; CandidateValidator zeroes it for the exact validator.
   double epsilon = 0.1;
   /// Dependency kinds this run may ship to the shard. The runner rejects
   /// whole batches carrying any candidate outside the set — a kind the
@@ -85,11 +85,12 @@ class ShardRunner {
   ///   kPartitionBlock  — decode (canonical-validated) and install into
   ///                      the local cache;
   ///   kCandidateBatch  — validate every candidate (parallel over the
-  ///                      batch, `cancel` polled between candidates) and
-  ///                      stream back the completed outcomes as one or
+  ///                      batch, `cancel` polled between candidates),
+  ///                      send back the completed outcomes as one or
   ///                      more kResultBatch chunks — the last one
-  ///                      carrying the final-chunk flag — then enforce
-  ///                      the per-shard budget;
+  ///                      carrying the final-chunk flag — then publish
+  ///                      the batch's contexts to the planner catalog
+  ///                      and enforce the per-shard budget;
   ///   kShutdown        — reply with the kStatsFooter terminal frame and
   ///                      set `*shutdown` (when given): the conversation
   ///                      is over and no further frame should be served.
@@ -107,22 +108,10 @@ class ShardRunner {
   /// exposed so shard_runner_main's crash-injection test seam can die at
   /// a deterministic point in the conversation.
   int64_t frames_served() const { return frames_served_; }
-  /// Shard-local cache observability, aggregated by the coordinator into
-  /// DiscoveryStats.
-  const PartitionCache& cache() const { return cache_; }
-  /// Bytes released by per-shard budget enforcement so far.
-  int64_t bytes_evicted() const { return bytes_evicted_; }
-  /// Wall time this runner spent deriving context partitions (the
-  /// shard-side analogue of the driver's partition_seconds). Counted
-  /// only when the requesting candidate found its context unresolved, so
-  /// cache hits cost nothing; a waiter racing the computing thread may
-  /// double-count the tail of a derivation — like every timing stat,
-  /// this is outside the determinism contract.
-  double partition_seconds() const;
 
   /// The counters this shard reports in its terminal kStatsFooter frame
-  /// (see wire.h); pure functions of the served batches except for the
-  /// timing field.
+  /// (see wire.h), aggregated by the coordinator into DiscoveryStats;
+  /// pure functions of the served batches except for the timing field.
   ShardStatsFooter FooterStats() const;
 
   /// Folds decode-side byte counts produced outside the serve loop into
@@ -139,18 +128,13 @@ class ShardRunner {
                               const std::function<bool()>& cancel);
   Status HandleShutdown();
   void SampleResidency();
-  /// One validation through the shared kind-keyed registry — the same
-  /// dispatch the discovery driver uses, so sharded and unsharded
-  /// outcomes are bit-identical.
+  /// One validation through the CandidateValidator the discovery driver
+  /// also uses, so sharded and unsharded outcomes are bit-identical.
   void ValidateOne(const WireCandidate& candidate, WireOutcome* out);
-
-  std::unique_ptr<ValidatorScratch> AcquireScratch();
-  void ReleaseScratch(std::unique_ptr<ValidatorScratch> scratch);
 
   const int shard_id_;
   const EncodedTable* table_;
   const ShardRunnerOptions options_;
-  const double epsilon_;
   ShardChannel* inbox_;
   ShardChannel* outbox_;
   /// Unwraps kBatch envelopes from the inbox so frames_served_ counts
@@ -158,17 +142,21 @@ class ShardRunner {
   LogicalFrameReceiver receiver_;
   exec::ThreadPool* pool_;
   PartitionCache cache_;
-  std::unique_ptr<AocSampler> sampler_;
+  CandidateValidator validator_;
   CodecByteCounts decoded_counts_;
+  /// Bytes released by per-shard budget enforcement so far.
   int64_t bytes_evicted_ = 0;
   /// Residency high-water mark, sampled after every installed base and
   /// every served batch (quiescent points, so the sample is exact).
   int64_t bytes_peak_ = 0;
   int64_t frames_served_ = 0;
+  /// Wall time spent deriving context partitions (the shard-side
+  /// analogue of the driver's partition_seconds). Counted only when the
+  /// requesting candidate found its context unresolved, so cache hits
+  /// cost nothing; a waiter racing the computing thread may double-count
+  /// the tail of a derivation — like every timing stat, this is outside
+  /// the determinism contract.
   std::atomic<int64_t> partition_nanos_{0};
-
-  std::mutex scratch_mutex_;
-  std::vector<std::unique_ptr<ValidatorScratch>> free_scratch_;
 };
 
 }  // namespace shard

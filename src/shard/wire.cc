@@ -1476,6 +1476,9 @@ std::vector<uint8_t> EncodeStatsFooter(const ShardStatsFooter& footer) {
   writer.PutU32(footer.attempt_id);
   writer.PutI64(footer.frames_served);
   writer.PutI64(footer.products_computed);
+  writer.PutI64(footer.planner_derivations);
+  writer.PutI64(footer.planner_cost_estimated);
+  writer.PutI64(footer.planner_cost_realized);
   writer.PutI64(footer.partitions_evicted);
   writer.PutI64(footer.partition_bytes_evicted);
   writer.PutI64(footer.partition_bytes_final);
@@ -1496,6 +1499,9 @@ Result<ShardStatsFooter> DecodeStatsFooter(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.GetU32(&footer.attempt_id));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.frames_served));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.products_computed));
+  AOD_RETURN_NOT_OK(reader.GetI64(&footer.planner_derivations));
+  AOD_RETURN_NOT_OK(reader.GetI64(&footer.planner_cost_estimated));
+  AOD_RETURN_NOT_OK(reader.GetI64(&footer.planner_cost_realized));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.partitions_evicted));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.partition_bytes_evicted));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.partition_bytes_final));
@@ -1505,6 +1511,8 @@ Result<ShardStatsFooter> DecodeStatsFooter(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.GetDouble(&footer.partition_seconds));
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   if (footer.frames_served < 0 || footer.products_computed < 0 ||
+      footer.planner_derivations < 0 || footer.planner_cost_estimated < 0 ||
+      footer.planner_cost_realized < 0 ||
       footer.partitions_evicted < 0 || footer.partition_bytes_evicted < 0 ||
       footer.partition_bytes_final < 0 || footer.partition_bytes_peak < 0 ||
       footer.bytes_decoded_raw < 0 || footer.bytes_decoded_wire < 0) {

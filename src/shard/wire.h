@@ -75,7 +75,10 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// the class-stitching reducer (partition/partition_stitch.h).
 /// Version 6: the config block drops its compression byte — every encoder
 /// picks the smaller of raw and compressed per frame.
-inline constexpr uint16_t kWireVersion = 6;
+/// Version 7: runners derive context partitions through the cost planner,
+/// so the stats footer carries the three planner counters; the serve
+/// job-submit options drop their derivation-planner byte.
+inline constexpr uint16_t kWireVersion = 7;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -85,9 +88,9 @@ enum class FrameType : uint16_t {
   /// The candidates assigned to one shard for one lattice level.
   kCandidateBatch = 2,
   /// One chunk of the outcomes a shard completed for one candidate
-  /// batch. A level's reply is a sequence of chunks; the flags byte of
-  /// the last one carries kResultFlagFinalChunk, so the coordinator can
-  /// fold chunks as they arrive instead of barriering on the level.
+  /// batch. A level's reply is a sequence of chunks, which bound the
+  /// frame size; the flags byte of the last one carries
+  /// kResultFlagFinalChunk, so the receiver knows where the reply ends.
   kResultBatch = 3,
   /// The rank-encoded table columns, shipped once at startup to a
   /// runner in its own process (in-process runners share the table by
@@ -471,6 +474,10 @@ struct ShardStatsFooter {
   /// cross-check for the coordinator.
   int64_t frames_served = 0;
   int64_t products_computed = 0;
+  /// PartitionCache's planner counters (see DiscoveryStats).
+  int64_t planner_derivations = 0;
+  int64_t planner_cost_estimated = 0;
+  int64_t planner_cost_realized = 0;
   int64_t partitions_evicted = 0;
   int64_t partition_bytes_evicted = 0;
   int64_t partition_bytes_final = 0;

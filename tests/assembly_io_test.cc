@@ -166,8 +166,9 @@ TEST(ResultIoTest, CsvHasOneRowPerDependency) {
 TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   // A real result with removal sets, then every field that does NOT
   // come out of a local fault-free run forced to a non-default value:
-  // the PR 7 supervision counters, per-shard byte accounting, a non-OK
-  // shard_status and both terminal flags. The blob must carry all of it.
+  // the supervision counters, per-shard and row-shard byte accounting, a
+  // non-OK shard_status and both terminal flags. The blob must carry all
+  // of it.
   EncodedTable t = testing_util::PaperEncoded();
   DiscoveryOptions options;
   options.epsilon = 0.2;
@@ -186,6 +187,11 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   result.stats.shard_respawns = 2;
   result.stats.shard_fallback_shards = 1;
   result.stats.shard_footers_missing = 2;
+  result.stats.row_shards_used = 2;
+  result.stats.row_shard_bytes_per_shard = {7000, 7100};
+  result.stats.row_shard_bytes_shipped = 14100;
+  result.stats.row_shard_bytes_raw = 30000;
+  result.stats.row_shard_bytes_wire = 14100;
   result.timed_out = true;
   result.cancelled = true;
   result.shard_status = Status::IoError("shard 2 never came back");
@@ -223,6 +229,12 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   EXPECT_EQ(s.shard_respawns, 2);
   EXPECT_EQ(s.shard_fallback_shards, 1);
   EXPECT_EQ(s.shard_footers_missing, 2);
+  EXPECT_EQ(s.row_shards_used, 2);
+  EXPECT_EQ(s.row_shard_bytes_per_shard,
+            result.stats.row_shard_bytes_per_shard);
+  EXPECT_EQ(s.row_shard_bytes_shipped, 14100);
+  EXPECT_EQ(s.row_shard_bytes_raw, 30000);
+  EXPECT_EQ(s.row_shard_bytes_wire, 14100);
   EXPECT_EQ(s.nodes_processed, result.stats.nodes_processed);
   EXPECT_EQ(s.ocs_per_level, result.stats.ocs_per_level);
   EXPECT_TRUE(back->timed_out);
@@ -259,18 +271,18 @@ TEST(ResultIoTest, BinaryBlobRejectsTruncationAndCorruption) {
 }
 
 TEST(ResultIoTest, BinaryBlobWithPreviousVersionIsRejectedTyped) {
-  // Version 2 blobs still carried the backup-attempt win/loss counters; a
-  // v3 decoder must refuse one outright (typed ParseError) rather than
-  // read its stats block shifted by two fields.
+  // Version 3 blobs lack the row-shard counters; a v4 decoder must refuse
+  // one outright (typed ParseError) rather than read its stats block
+  // shifted by those fields.
   EncodedTable t = testing_util::PaperEncoded();
   std::vector<uint8_t> blob = SerializeResult(DiscoverOds(t, {}));
   ASSERT_GE(blob.size(), 2u);
-  blob[0] = 2;  // the version is the leading little-endian u16
+  blob[0] = 3;  // the version is the leading little-endian u16
   blob[1] = 0;
   Result<DiscoveryResult> r = DeserializeResult(blob);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
-  EXPECT_NE(r.status().message().find("version 2"), std::string::npos)
+  EXPECT_NE(r.status().message().find("version 3"), std::string::npos)
       << r.status().ToString();
 }
 

@@ -171,7 +171,7 @@ TEST(ConcurrentPartitionCacheTest, ParallelGetsMatchSerialExactly) {
   }
 
   // Hammer a fresh cache from 8 workers; every partition must be
-  // byte-identical to the serial derivation (the fixed-rule guarantee)
+  // byte-identical to the serial derivation (canonical values)
   // and each derived key must be computed exactly once.
   PartitionCache parallel(&t);
   exec::ThreadPool pool(8);
@@ -207,7 +207,7 @@ TEST(ConcurrentPartitionCacheTest, EvictionThenConcurrentRederive) {
   PartitionCache cache(&t);
   cache.Get(AttributeSet::Of({0, 1, 2}));
   std::string before = cache.Get(AttributeSet::Of({0, 1}))->ToString();
-  cache.EvictSmallerThan(4);
+  cache.EnforceBudget(1);  // below the base floor: every derived key goes
   EXPECT_FALSE(cache.Contains(AttributeSet::Of({0, 1})));
   exec::ThreadPool pool(4);
   std::vector<std::string> redone(16);

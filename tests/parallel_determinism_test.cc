@@ -63,6 +63,9 @@ std::string Fingerprint(const DiscoveryResult& result) {
   AppendInt(&out, s.oc_candidates_pruned);
   AppendInt(&out, s.nodes_processed);
   AppendInt(&out, s.partitions_computed);
+  AppendInt(&out, s.planner_derivations);
+  AppendInt(&out, s.planner_cost_estimated);
+  AppendInt(&out, s.planner_cost_realized);
   AppendInt(&out, s.levels_processed);
   for (int64_t v : s.ocs_per_level) AppendInt(&out, v);
   out += '|';
@@ -199,18 +202,17 @@ TEST(ParallelDeterminismTest, SerialRunCountsInlinePrefetchAsPartitionWall) {
 
 /// Output-only fingerprint (both dependency lists, all payload fields):
 /// what must hold even across options that legitimately change product
-/// counters, i.e. planner on/off and memory budgets.
+/// counters, i.e. memory budgets and shard counts.
 std::string OutputFingerprint(const DiscoveryResult& result) {
   std::string full = Fingerprint(result);
   return full.substr(0, full.find("stats:"));
 }
 
 TEST(ParallelDeterminismTest, PlannerThreadsAndBudgetInvariance) {
-  // The planner tentpole's contract: discovery output is bit-identical
-  // across planner on/off, any thread count, and any partition memory
-  // budget (including one tiny enough to force re-derivation every
-  // level). Full stats determinism additionally holds across thread
-  // counts within each configuration.
+  // The planner's contract: discovery output is bit-identical across any
+  // thread count and any partition memory budget (including one tiny
+  // enough to force re-derivation every level). Full stats determinism
+  // additionally holds across thread counts within each configuration.
   Table t = GenerateNcVoterTable(600, 8, 17);
   EncodedTable enc = EncodeTable(t);
 
@@ -228,20 +230,9 @@ TEST(ParallelDeterminismTest, PlannerThreadsAndBudgetInvariance) {
   options.num_threads = 0;  // hardware concurrency
   EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), expected_full);
 
-  // Fixed rule: identical output; product schedule may differ.
-  options.num_threads = 1;
-  options.enable_derivation_planner = false;
-  DiscoveryResult fixed = DiscoverOds(enc, options);
-  EXPECT_EQ(OutputFingerprint(fixed), expected_output);
-  EXPECT_EQ(fixed.stats.planner_derivations, 0);
-  const std::string fixed_full = Fingerprint(fixed);
-  options.num_threads = 4;
-  EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), fixed_full);
-
   // A budget below the base footprint forces eviction (and on-demand
   // re-derivation) at every level boundary; output must not move, and
   // the full fingerprint must still be thread-count invariant.
-  options.enable_derivation_planner = true;
   options.partition_memory_budget_bytes = 1;
   options.num_threads = 1;
   DiscoveryResult budgeted = DiscoverOds(enc, options);
@@ -313,6 +304,9 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
     EXPECT_EQ(base.stats.nodes_processed, unsharded.stats.nodes_processed);
     EXPECT_EQ(base.stats.levels_processed, unsharded.stats.levels_processed);
     EXPECT_GT(base.stats.shard_bytes_shipped, 0);
+    // Runners derive through the planner and report its counters.
+    EXPECT_GT(base.stats.planner_derivations, 0);
+    EXPECT_GT(base.stats.planner_cost_realized, 0);
     ASSERT_EQ(base.stats.shard_bytes_per_shard.size(),
               static_cast<size_t>(shards));
 

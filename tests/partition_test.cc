@@ -246,7 +246,7 @@ TEST(PartitionCacheTest, BytesResidentTracksExactSizes) {
   auto p = cache.Get(AttributeSet::Of({0, 1}));
   EXPECT_EQ(cache.bytes_resident(), base + p->bytes());
   // Eviction returns exactly what it releases.
-  int64_t freed = cache.EvictSmallerThan(3);
+  int64_t freed = cache.EnforceBudget(base);
   EXPECT_EQ(freed, p->bytes());
   EXPECT_EQ(cache.bytes_resident(), base);
 }
@@ -254,9 +254,10 @@ TEST(PartitionCacheTest, BytesResidentTracksExactSizes) {
 TEST(PartitionCacheTest, EvictionKeepsBaseLevels) {
   EncodedTable t = testing_util::RandomEncodedTable(60, 4, 3, 8);
   PartitionCache cache(&t);
-  cache.Get(AttributeSet::Of({0, 1}));
+  auto level2 = cache.Get(AttributeSet::Of({0, 1}));
   cache.Get(AttributeSet::Of({0, 1, 2}));
-  cache.EvictSmallerThan(3);
+  // Room for everything but the level-2 partition: the coldest level goes.
+  cache.EnforceBudget(cache.bytes_resident() - level2->bytes());
   EXPECT_FALSE(cache.Contains(AttributeSet::Of({0, 1})));
   EXPECT_TRUE(cache.Contains(AttributeSet::Of({0, 1, 2})));
   EXPECT_TRUE(cache.Contains(AttributeSet::Of({0})));  // level 1 retained
@@ -318,12 +319,12 @@ TEST(PartitionCacheTest, BudgetEvictionIsColdestFirst) {
   EXPECT_TRUE(cache.Contains(AttributeSet::Of({0, 1, 2})));
 }
 
-TEST(PartitionCacheTest, PlannerPicksCheapBaseAndMatchesFixedRule) {
+TEST(PartitionCacheTest, PlannerPicksCheapBaseAndMatchesProductChain) {
   // Column 2 is low-cardinality (expensive, rows_covered ~ n); columns
   // 0/1 are near-distinct (cheap). The planner derives Π_{012} from a
   // published pair containing the expensive attribute, never re-scanning
-  // it, while the fixed rule products Π_{01} with the expensive single.
-  // Both must land on identical canonical bytes.
+  // it. The result must be byte-identical to the plain product chain
+  // Π_0 · Π_1 · Π_2, which does scan it.
   const int64_t rows = 400;
   std::vector<int64_t> s1, s2, k;
   for (int64_t i = 0; i < rows; ++i) {
@@ -334,7 +335,6 @@ TEST(PartitionCacheTest, PlannerPicksCheapBaseAndMatchesFixedRule) {
   EncodedTable enc = EncodedTableFromInts({"s1", "s2", "k"}, {s1, s2, k});
 
   PartitionCache planned(&enc);
-  planned.set_planner_enabled(true);
   planned.Get(AttributeSet::Of({0, 2}));
   planned.Get(AttributeSet::Of({1, 2}));
   planned.PublishCost(AttributeSet::Of({0, 2}));
@@ -347,27 +347,36 @@ TEST(PartitionCacheTest, PlannerPicksCheapBaseAndMatchesFixedRule) {
   auto via_plan = planned.Get(AttributeSet::Of({0, 1, 2}));
   EXPECT_EQ(planned.planner_derivations(), before + 1);
 
-  PartitionCache fixed(&enc);
-  fixed.set_planner_enabled(false);
-  auto via_fixed = fixed.Get(AttributeSet::Of({0, 1, 2}));
+  PartitionScratch scratch(rows);
+  StrippedPartition chain =
+      StrippedPartition::FromColumn(enc.column(0))
+          .Product(StrippedPartition::FromColumn(enc.column(1)), rows,
+                   &scratch)
+          .Product(StrippedPartition::FromColumn(enc.column(2)), rows,
+                   &scratch);
 
-  EXPECT_EQ(via_plan->row_ids(), via_fixed->row_ids());
-  EXPECT_EQ(via_plan->class_offsets(), via_fixed->class_offsets());
+  EXPECT_EQ(via_plan->row_ids(), chain.row_ids());
+  EXPECT_EQ(via_plan->class_offsets(), chain.class_offsets());
 }
 
-TEST(PartitionCacheTest, FixedRuleWorklistHandlesDeepMisses) {
-  // With nothing cached between the singletons and a deep set, the
-  // worklist must derive (and memoize) every intermediate without
-  // recursing — one product per missing prefix.
+TEST(PartitionCacheTest, PlannerHandlesDeepMisses) {
+  // With only the singletons catalogued, a deep miss is one plan: a
+  // single base extended by the other seven singles in a loop, so |X|
+  // cannot grow the stack. Intermediates are not memoized.
   EncodedTable t = testing_util::RandomEncodedTable(80, 8, 2, 14);
   PartitionCache cache(&t);
-  cache.set_planner_enabled(false);
   AttributeSet deep = AttributeSet::FullSet(8);
-  cache.Get(deep);
-  EXPECT_EQ(cache.products_computed(), 7);  // sizes 2..8
-  EXPECT_TRUE(cache.Contains(AttributeSet::Of({0, 1, 2})));  // memoized
-  cache.Get(AttributeSet::Of({0, 1, 2, 3}));
-  EXPECT_EQ(cache.products_computed(), 7);  // intermediate was cached
+  auto p = cache.Get(deep);
+  EXPECT_EQ(cache.products_computed(), 7);
+  EXPECT_EQ(cache.planner_derivations(), 1);
+  EXPECT_FALSE(cache.Contains(AttributeSet::Of({0, 1, 2})));
+  PartitionCache reference(&t);
+  AttributeSet prefix;
+  for (int a = 0; a < 8; ++a) {
+    prefix = prefix.With(a);
+    if (a > 0) reference.PublishCost(prefix);
+  }
+  EXPECT_EQ(p->Serialize(), reference.Get(deep)->Serialize());
 }
 
 TEST(PartitionCacheTest, WaiterOnPendingKeyDoesNotBlockItsProducer) {

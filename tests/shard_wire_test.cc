@@ -17,6 +17,7 @@
 #include "partition/stripped_partition.h"
 #include "shard/channel.h"
 #include "shard/coordinator.h"
+#include "shard/shard_runner.h"
 #include "shard/wire.h"
 #include "test_util.h"
 
@@ -602,6 +603,9 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   footer.attempt_id = 4;
   footer.frames_served = 12;
   footer.products_computed = 34;
+  footer.planner_derivations = 21;
+  footer.planner_cost_estimated = 5000;
+  footer.planner_cost_realized = 4800;
   footer.partitions_evicted = 2;
   footer.partition_bytes_evicted = 4096;
   footer.partition_bytes_final = 123;
@@ -618,6 +622,9 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   EXPECT_EQ(back->attempt_id, 4u);
   EXPECT_EQ(back->frames_served, 12);
   EXPECT_EQ(back->products_computed, 34);
+  EXPECT_EQ(back->planner_derivations, 21);
+  EXPECT_EQ(back->planner_cost_estimated, 5000);
+  EXPECT_EQ(back->planner_cost_realized, 4800);
   EXPECT_EQ(back->partitions_evicted, 2);
   EXPECT_EQ(back->partition_bytes_evicted, 4096);
   EXPECT_EQ(back->partition_bytes_final, 123);
@@ -671,7 +678,6 @@ TEST(ShardWireTest, WireSeededCacheDerivesIdenticalPartitions) {
   EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 33);
   PartitionCache local(&t);
   PartitionCache seeded(&t, PartitionCache::DeferBasePartitions{});
-  seeded.set_planner_enabled(false);
   for (int a = 0; a < t.num_columns(); ++a) {
     // Through the full frame path, as a shard runner receives them.
     HeldFrame frame(shard::EncodePartitionBlock(
@@ -687,6 +693,39 @@ TEST(ShardWireTest, WireSeededCacheDerivesIdenticalPartitions) {
     EXPECT_EQ(seeded.Get(set)->Serialize(), local.Get(set)->Serialize())
         << set.ToString();
   }
+}
+
+TEST(ShardWireTest, RunnerPublishesBatchContextsBetweenBatches) {
+  // Once a batch is done its contexts join the runner's planner catalog,
+  // so the next batch derives Π_{012} from Π_{01} in one product instead
+  // of extending a single in two.
+  EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 33);
+  InProcessChannel inbox, outbox;
+  shard::ShardRunner runner(0, &t, shard::ShardRunnerOptions{}, &inbox,
+                            &outbox, /*pool=*/nullptr);
+  for (int a = 0; a < t.num_columns(); ++a) {
+    ASSERT_TRUE(inbox
+                    .Send(shard::EncodePartitionBlock(
+                        AttributeSet::Of({a}),
+                        StrippedPartition::FromColumn(t.column(a))))
+                    .ok());
+    ASSERT_TRUE(runner.ServeOne().ok());
+  }
+  auto serve_batch = [&](AttributeSet context) {
+    WireCandidate c;
+    c.context_bits = context.bits();
+    c.kind = DependencyKind::kOfd;
+    c.target = 3;
+    ASSERT_TRUE(inbox.Send(shard::EncodeCandidateBatch({c})).ok());
+    ASSERT_TRUE(runner.ServeOne().ok());
+  };
+  serve_batch(AttributeSet::Of({0, 1}));
+  EXPECT_EQ(runner.FooterStats().products_computed, 1);
+  serve_batch(AttributeSet::Of({0, 1, 2}));
+  const shard::ShardStatsFooter footer = runner.FooterStats();
+  EXPECT_EQ(footer.products_computed, 2);
+  EXPECT_EQ(footer.planner_derivations, 2);
+  EXPECT_LE(footer.planner_cost_realized, footer.planner_cost_estimated);
 }
 
 TEST(ShardWireTest, ShardAssignmentIsStableAndInRange) {

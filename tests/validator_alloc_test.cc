@@ -1,5 +1,6 @@
 // Pins the ValidatorScratch contract: once a scratch has been warmed up on
-// a candidate, validating it again performs no heap allocation.
+// a candidate, validating it again performs no heap allocation — also
+// through CandidateValidator, whose pool must hand the warm scratch back.
 //
 // This binary replaces the global operator new with a counting one, which
 // is why the test lives in a file of its own.
@@ -12,6 +13,7 @@
 
 #include "od/aoc_lis_validator.h"
 #include "od/oc_validator.h"
+#include "od/validator_registry.h"
 #include "test_util.h"
 
 namespace {
@@ -95,6 +97,25 @@ TEST(ValidatorAllocationTest, WarmScratchValidatesWithoutAllocating) {
         }
       }
     }
+  }
+}
+
+TEST(ValidatorAllocationTest, CandidateValidatorReusesPooledScratch) {
+  const EncodedTable t = testing_util::RandomEncodedTable(3000, 3, 40, 7);
+  const StrippedPartition by_c0 = StrippedPartition::FromColumn(t.column(0));
+  const AttributeSet context = AttributeSet::Of({0});
+  for (ValidatorKind algorithm :
+       {ValidatorKind::kOptimal, ValidatorKind::kExact}) {
+    CandidateValidator validator(&t, algorithm, 0.1, 0.05,
+                                 /*collect_removal_sets=*/false,
+                                 /*sampler_config=*/nullptr);
+    const auto call = [&] {
+      validator.Validate(context, by_c0, DependencyKind::kOc, -1,
+                         AttributePair::Of(1, 2, false));
+    };
+    call();  // warm-up: the pool's first scratch grows here
+    EXPECT_EQ(AllocationsDuring(call), 0)
+        << ValidatorKindToString(algorithm);
   }
 }
 
