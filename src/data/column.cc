@@ -7,6 +7,22 @@ namespace aod {
 Column::Column(std::string name, DataType type)
     : name_(std::move(name)), type_(type) {}
 
+void Column::Reserve(int64_t n) {
+  const size_t rows = static_cast<size_t>(n);
+  valid_.reserve(rows);
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.reserve(rows);
+      break;
+    case DataType::kDouble:
+      doubles_.reserve(rows);
+      break;
+    case DataType::kString:
+      strings_.reserve(rows);
+      break;
+  }
+}
+
 void Column::Append(const Value& v) {
   if (v.is_null()) {
     AppendNull();

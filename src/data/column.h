@@ -24,6 +24,10 @@ class Column {
   DataType type() const { return type_; }
   int64_t size() const { return static_cast<int64_t>(valid_.size()); }
 
+  /// Reserves room for `n` rows, so a reader that knows its row count
+  /// fills the column without regrowing it.
+  void Reserve(int64_t n);
+
   /// Appends a value; must be null or match type().
   void Append(const Value& v);
   void AppendNull();

@@ -21,11 +21,14 @@ struct CsvOptions {
   /// is read as string.
   bool infer_types = true;
   /// Stop after this many data rows (-1 = read all). Supports the paper's
-  /// prefix-sampling experiments.
+  /// prefix-sampling experiments. Input past the limit is not examined:
+  /// a malformed record after it is not an error.
   int64_t max_rows = -1;
 };
 
-/// Parses CSV text into a Table. Handles quoted fields with embedded
+/// Parses CSV text into a Table in one columnar pass: fields are recorded
+/// per column as views into `text`, then each column is typed and filled
+/// with every cell parsed once. Handles quoted fields with embedded
 /// delimiters/newlines/CRLF (preserved verbatim) and doubled-quote
 /// escapes; tolerates CRLF and classic-Mac lone-'\r' record endings and
 /// a final record without a trailing newline. Malformed input fails with

@@ -60,10 +60,14 @@ class EncodedTable {
   int64_t num_rows_ = 0;
 };
 
-/// Encodes every column of `table`. O(n log n) per column.
+/// Encodes every column of `table`.
 EncodedTable EncodeTable(const Table& table);
 
-/// Encodes a single column (exposed for tests and custom pipelines).
+/// Encodes a single column (exposed for tests and custom pipelines) with
+/// no comparator sort: int64 and double columns radix-sort order-preserving
+/// 64-bit keys (one pass per byte on which the keys differ); string
+/// columns hash-deduplicate and sort only the distinct strings. Each
+/// dictionary entry is the value at the smallest row id of its group.
 EncodedColumn EncodeColumn(const Column& column);
 
 /// Builds an EncodedTable directly from pre-ranked integer columns — used

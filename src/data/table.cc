@@ -55,6 +55,21 @@ Table Table::FromRows(Schema schema,
   return t;
 }
 
+Table Table::FromColumns(std::vector<Column> columns) {
+  Schema schema;
+  for (const Column& col : columns) schema.AddField({col.name(), col.type()});
+  Table t(std::move(schema));
+  t.num_rows_ = columns.empty() ? 0 : columns[0].size();
+  for (const Column& col : columns) {
+    AOD_CHECK_MSG(col.size() == t.num_rows_,
+                  "column '%s' has %lld rows, expected %lld",
+                  col.name().c_str(), static_cast<long long>(col.size()),
+                  static_cast<long long>(t.num_rows_));
+  }
+  t.columns_ = std::move(columns);
+  return t;
+}
+
 Table Table::Head(int64_t n) const {
   n = std::min(n, num_rows_);
   Table out(schema_);

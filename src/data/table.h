@@ -42,6 +42,10 @@ class Table {
   static Table FromRows(Schema schema,
                         const std::vector<std::vector<Value>>& rows);
 
+  /// Builds a table from finished columns of equal length; the schema is
+  /// the columns' names and types, in order. The CSV reader's output path.
+  static Table FromColumns(std::vector<Column> columns);
+
   /// Copies the first `n` rows (or all rows if n >= num_rows). Mirrors the
   /// paper's row-count scalability sweeps over dataset prefixes.
   Table Head(int64_t n) const;

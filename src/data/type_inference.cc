@@ -1,5 +1,7 @@
 #include "data/type_inference.h"
 
+#include <optional>
+
 #include "common/string_util.h"
 
 namespace aod {
@@ -14,40 +16,107 @@ bool IsNullToken(std::string_view cell) {
          cell == "?";
 }
 
-DataType InferColumnType(const std::vector<std::string>& cells) {
-  bool all_int = true;
-  bool all_numeric = true;
-  bool any_non_null = false;
-  for (const auto& cell : cells) {
-    if (IsNullToken(cell)) continue;
-    any_non_null = true;
-    if (all_int && !ParseInt64(cell).has_value()) all_int = false;
-    if (!all_int && all_numeric && !ParseDouble(cell).has_value()) {
-      all_numeric = false;
-      break;
-    }
+namespace {
+
+/// Fast path for the common numeric cell: a trimmed `cell` matching
+/// -?[0-9]{1,18} exactly. Eighteen digits cannot overflow, and the
+/// magnitude converts to double exactly as strtod rounds the same digits,
+/// so this agrees with ParseInt64 and ParseDouble on every cell it takes.
+bool MatchSmallInt(std::string_view cell, uint64_t* magnitude,
+                   bool* negative) {
+  *negative = !cell.empty() && cell[0] == '-';
+  if (*negative) cell.remove_prefix(1);
+  if (cell.empty() || cell.size() > 18) return false;
+  uint64_t v = 0;
+  for (char c : cell) {
+    const unsigned digit = static_cast<unsigned>(c - '0');
+    if (digit > 9) return false;
+    v = v * 10 + digit;
   }
-  if (!any_non_null) return DataType::kString;
-  if (all_int) return DataType::kInt64;
-  if (all_numeric) return DataType::kDouble;
-  return DataType::kString;
+  *magnitude = v;
+  return true;
 }
 
-Value ParseCell(std::string_view cell, DataType type) {
-  if (IsNullToken(cell)) return Value::Null();
-  switch (type) {
-    case DataType::kInt64: {
-      auto v = ParseInt64(cell);
-      return v.has_value() ? Value(*v) : Value::Null();
+/// Fills `col` from `cells` as int64; false at the first non-null cell
+/// that is not an integer.
+bool FillInts(std::span<const std::string_view> cells, Column* col) {
+  for (std::string_view raw : cells) {
+    const std::string_view cell = TrimWhitespace(raw);
+    uint64_t magnitude;
+    bool negative;
+    if (MatchSmallInt(cell, &magnitude, &negative)) {
+      const auto v = static_cast<int64_t>(magnitude);
+      col->AppendInt(negative ? -v : v);
+      continue;
     }
-    case DataType::kDouble: {
-      auto v = ParseDouble(cell);
-      return v.has_value() ? Value(*v) : Value::Null();
+    if (IsNullToken(cell)) {
+      col->AppendNull();
+      continue;
     }
-    case DataType::kString:
-      return Value(std::string(TrimWhitespace(cell)));
+    const std::optional<int64_t> v = ParseInt64(cell);
+    if (!v.has_value()) return false;
+    col->AppendInt(*v);
   }
-  return Value::Null();
+  return true;
+}
+
+/// Fills `col` from `cells` as double; false at the first non-null cell
+/// that is not a number.
+bool FillDoubles(std::span<const std::string_view> cells, Column* col) {
+  for (std::string_view raw : cells) {
+    const std::string_view cell = TrimWhitespace(raw);
+    uint64_t magnitude;
+    bool negative;
+    if (MatchSmallInt(cell, &magnitude, &negative)) {
+      // Negating after the conversion keeps "-0" as -0.0, like strtod.
+      const auto v = static_cast<double>(magnitude);
+      col->AppendDouble(negative ? -v : v);
+      continue;
+    }
+    if (IsNullToken(cell)) {
+      col->AppendNull();
+      continue;
+    }
+    const std::optional<double> v = ParseDouble(cell);
+    if (!v.has_value()) return false;
+    col->AppendDouble(*v);
+  }
+  return true;
+}
+
+Column FillStrings(std::string name, std::span<const std::string_view> cells) {
+  Column col(std::move(name), DataType::kString);
+  col.Reserve(static_cast<int64_t>(cells.size()));
+  for (std::string_view cell : cells) {
+    if (IsNullToken(cell)) {
+      col.AppendNull();
+    } else {
+      col.AppendString(std::string(TrimWhitespace(cell)));
+    }
+  }
+  return col;
+}
+
+}  // namespace
+
+Column ParseColumn(std::string name, std::span<const std::string_view> cells,
+                   bool infer_types) {
+  const auto n = static_cast<int64_t>(cells.size());
+  if (infer_types) {
+    // Try the narrowest type first; a wider attempt restarts from row 0
+    // and reparses the text, because an int64 "-0" must become -0.0 in a
+    // double column, as strtod reads it.
+    Column col(name, DataType::kInt64);
+    col.Reserve(n);
+    if (FillInts(cells, &col)) {
+      if (col.null_count() < n) return col;
+      return FillStrings(std::move(name), cells);  // all null (or empty)
+    }
+    col = Column(name, DataType::kDouble);  // frees the int64 attempt
+    col.Reserve(n);
+    if (FillDoubles(cells, &col)) return col;
+  }
+  return FillStrings(std::move(name), cells);
 }
 
 }  // namespace aod

@@ -2,11 +2,11 @@
 #ifndef AOD_DATA_TYPE_INFERENCE_H_
 #define AOD_DATA_TYPE_INFERENCE_H_
 
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "data/value.h"
+#include "data/column.h"
 
 namespace aod {
 
@@ -15,16 +15,15 @@ namespace aod {
 /// profiles).
 bool IsNullToken(std::string_view cell);
 
-/// Infers the narrowest type that can represent every non-null cell:
-/// int64 if all parse as integers, else double if all parse as numbers,
-/// else string. An all-null column is typed string.
-DataType InferColumnType(const std::vector<std::string>& cells);
-
-/// Converts one textual cell to a Value of `type`. Null tokens become
-/// Value::Null(); non-null cells that fail to parse as `type` also become
-/// null (dirty data must not abort profiling — the whole point of
-/// *approximate* dependencies is tolerating such cells).
-Value ParseCell(std::string_view cell, DataType type);
+/// Builds one typed column from its textual cells, parsing each cell once.
+///
+/// With `infer_types` the column gets the narrowest type that represents
+/// every non-null cell: int64 if all parse as integers (ParseInt64), else
+/// double if all parse as numbers (ParseDouble), else string. An all-null
+/// (or empty) column is typed string; without `infer_types` every column
+/// is. Null tokens become nulls; string cells are stored trimmed.
+Column ParseColumn(std::string name, std::span<const std::string_view> cells,
+                   bool infer_types);
 
 }  // namespace aod
 

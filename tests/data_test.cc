@@ -1,9 +1,24 @@
 // Tests for src/data: values, schema, columns, tables, CSV, type
-// inference, and the order-preserving rank encoder.
+// inference, and the order-preserving rank encoder, including
+// differential tests of the CSV reader and the encoder against the
+// row-at-a-time reader and comparator-sort encoder they replaced.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "common/string_util.h"
 #include "data/csv_parser.h"
 #include "data/encoder.h"
 #include "data/schema.h"
@@ -180,20 +195,37 @@ TEST(TypeInferenceTest, NullTokens) {
   EXPECT_FALSE(IsNullToken("none"));
 }
 
-TEST(TypeInferenceTest, NarrowestType) {
-  EXPECT_EQ(InferColumnType({"1", "2", ""}), DataType::kInt64);
-  EXPECT_EQ(InferColumnType({"1", "2.5"}), DataType::kDouble);
-  EXPECT_EQ(InferColumnType({"1", "x"}), DataType::kString);
-  EXPECT_EQ(InferColumnType({"", "NULL"}), DataType::kString);
-  EXPECT_EQ(InferColumnType({"-3", "+e"}), DataType::kString);
+DataType ColumnType(std::vector<std::string_view> cells) {
+  return ParseColumn("c", cells, /*infer_types=*/true).type();
 }
 
-TEST(TypeInferenceTest, ParseCellCoercesAndNulls) {
-  EXPECT_EQ(ParseCell("7", DataType::kInt64), Value(int64_t{7}));
-  EXPECT_EQ(ParseCell("2.5", DataType::kDouble), Value(2.5));
-  EXPECT_EQ(ParseCell(" x ", DataType::kString), Value("x"));
-  EXPECT_TRUE(ParseCell("", DataType::kInt64).is_null());
-  EXPECT_TRUE(ParseCell("junk", DataType::kInt64).is_null());
+TEST(TypeInferenceTest, NarrowestType) {
+  EXPECT_EQ(ColumnType({"1", "2", ""}), DataType::kInt64);
+  EXPECT_EQ(ColumnType({"1", "2.5"}), DataType::kDouble);
+  EXPECT_EQ(ColumnType({"1", "x"}), DataType::kString);
+  EXPECT_EQ(ColumnType({"", "NULL"}), DataType::kString);
+  EXPECT_EQ(ColumnType({"-3", "+e"}), DataType::kString);
+}
+
+TEST(TypeInferenceTest, ParseColumnCoercesAndNulls) {
+  Column ints = ParseColumn("c", std::vector<std::string_view>{"7", "", "+8"},
+                            true);
+  EXPECT_EQ(ints.GetValue(0), Value(int64_t{7}));
+  EXPECT_TRUE(ints.GetValue(1).is_null());
+  EXPECT_EQ(ints.GetValue(2), Value(int64_t{8}));
+  Column doubles =
+      ParseColumn("c", std::vector<std::string_view>{"2.5", "NA"}, true);
+  EXPECT_EQ(doubles.GetValue(0), Value(2.5));
+  EXPECT_TRUE(doubles.GetValue(1).is_null());
+  Column strings =
+      ParseColumn("c", std::vector<std::string_view>{" x ", "junk"}, true);
+  EXPECT_EQ(strings.GetValue(0), Value("x"));
+  EXPECT_EQ(strings.GetValue(1), Value("junk"));
+  // Without inference every column is string, nulls still null.
+  Column raw = ParseColumn("c", std::vector<std::string_view>{"7", "?"}, false);
+  EXPECT_EQ(raw.type(), DataType::kString);
+  EXPECT_EQ(raw.GetValue(0), Value("7"));
+  EXPECT_TRUE(raw.GetValue(1).is_null());
 }
 
 // ------------------------------------------------------------------ CSV --
@@ -343,6 +375,398 @@ TEST(CsvTest, ReadMissingFileFails) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
+/// Same type and, for doubles, the same bits (-0.0 is not 0.0 here).
+bool SameValue(const Value& a, const Value& b) {
+  if (a.is_double() || b.is_double()) {
+    return a.is_double() && b.is_double() &&
+           std::bit_cast<uint64_t>(a.as_double()) ==
+               std::bit_cast<uint64_t>(b.as_double());
+  }
+  return a.is_null() == b.is_null() && a.is_int() == b.is_int() &&
+         a.is_string() == b.is_string() && a == b;
+}
+
+TEST(CsvTest, MaxRowsStopsReading) {
+  // Input past the limit is not examined, so a malformed record there is
+  // no error; without the limit it still is.
+  CsvOptions options;
+  options.max_rows = 2;
+  auto t = ParseCsv("a\n1\n2\n\"oops\n", options);
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->num_rows(), 2);
+  EXPECT_EQ(t->GetValue(1, 0), Value(int64_t{2}));
+  options.max_rows = -1;
+  auto full = ParseCsv("a\n1\n2\n\"oops\n", options);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kParseError);
+}
+
+TEST(CsvTest, ReadFileMatchesParse) {
+  const std::string text = "a,b,c\n1,\"x,y\",2.5\r\n-3,\"q\"\"\",NA\n";
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("aod_read_csv_" + std::to_string(::getpid()) + ".csv");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  auto from_file = ReadCsvFile(path.string());
+  std::filesystem::remove(path);
+  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
+  auto parsed = ParseCsv(text).value();
+  ASSERT_EQ(from_file->schema().ToString(), parsed.schema().ToString());
+  ASSERT_EQ(from_file->num_rows(), 2);
+  for (int64_t r = 0; r < parsed.num_rows(); ++r) {
+    for (int c = 0; c < parsed.num_columns(); ++c) {
+      EXPECT_TRUE(SameValue(from_file->GetValue(r, c), parsed.GetValue(r, c)));
+    }
+  }
+}
+
+TEST(CsvTest, ReadPipeMatchesParse) {
+  // A pipe has no size: the reader grows its buffer until end of file.
+  std::string text = "a,b\n";
+  for (int i = 0; i < 20000; ++i) text += std::to_string(i) + ",x\n";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::thread writer([&] {
+    for (size_t done = 0; done < text.size();) {
+      const ssize_t n = ::write(fds[1], text.data() + done, text.size() - done);
+      if (n <= 0) break;
+      done += static_cast<size_t>(n);
+    }
+    ::close(fds[1]);
+  });
+  auto from_pipe = ReadCsvFile("/dev/fd/" + std::to_string(fds[0]));
+  writer.join();
+  ::close(fds[0]);
+  ASSERT_TRUE(from_pipe.ok()) << from_pipe.status().ToString();
+  ASSERT_EQ(from_pipe->num_rows(), 20000);
+  EXPECT_EQ(from_pipe->GetValue(19999, 0), Value(int64_t{19999}));
+}
+
+// ------------------------------------------------ CSV differential oracle --
+//
+// The row-at-a-time reader that preceded the columnar one: tokenize every
+// record into strings, infer each column's type from its cells, then parse
+// each cell again into a Value. Kept here verbatim as the oracle the
+// columnar reader must match cell for cell.
+
+namespace csv_oracle {
+
+Result<std::vector<std::vector<std::string>>> Tokenize(std::string_view text,
+                                                       char delimiter) {
+  std::vector<std::vector<std::string>> records;
+  std::vector<std::string> record;
+  std::string field;
+  bool in_quotes = false;
+  bool field_was_quoted = false;
+  bool any_field = false;
+
+  auto end_field = [&]() {
+    record.push_back(std::move(field));
+    field.clear();
+    field_was_quoted = false;
+    any_field = true;
+  };
+  auto end_record = [&]() {
+    end_field();
+    records.push_back(std::move(record));
+    record.clear();
+    any_field = false;
+  };
+
+  size_t i = 0;
+  const size_t n = text.size();
+  while (i < n) {
+    char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < n && text[i + 1] == '"') {
+          field += '"';
+          i += 2;
+          continue;
+        }
+        in_quotes = false;
+        ++i;
+        continue;
+      }
+      field += c;
+      ++i;
+      continue;
+    }
+    if (c == '"' && field.empty() && !field_was_quoted) {
+      in_quotes = true;
+      field_was_quoted = true;
+      ++i;
+      continue;
+    }
+    if (c == delimiter) {
+      end_field();
+      ++i;
+      continue;
+    }
+    if (c == '\r') {
+      if (i + 1 < n && text[i + 1] == '\n') {
+        ++i;
+        continue;
+      }
+      if (any_field || !field.empty() || field_was_quoted) end_record();
+      ++i;
+      continue;
+    }
+    if (c == '\n') {
+      if (any_field || !field.empty() || field_was_quoted) end_record();
+      ++i;
+      continue;
+    }
+    if (field_was_quoted) {
+      return Status::ParseError("unexpected character after closing quote");
+    }
+    field += c;
+    ++i;
+  }
+  if (in_quotes) return Status::ParseError("unterminated quoted field");
+  if (any_field || !field.empty() || field_was_quoted) end_record();
+  return records;
+}
+
+DataType InferColumnType(const std::vector<std::string>& cells) {
+  bool all_int = true;
+  bool all_numeric = true;
+  bool any_non_null = false;
+  for (const auto& cell : cells) {
+    if (IsNullToken(cell)) continue;
+    any_non_null = true;
+    if (all_int && !ParseInt64(cell).has_value()) all_int = false;
+    if (!all_int && all_numeric && !ParseDouble(cell).has_value()) {
+      all_numeric = false;
+      break;
+    }
+  }
+  if (!any_non_null) return DataType::kString;
+  if (all_int) return DataType::kInt64;
+  if (all_numeric) return DataType::kDouble;
+  return DataType::kString;
+}
+
+Value ParseCell(std::string_view cell, DataType type) {
+  if (IsNullToken(cell)) return Value::Null();
+  switch (type) {
+    case DataType::kInt64: {
+      auto v = ParseInt64(cell);
+      return v.has_value() ? Value(*v) : Value::Null();
+    }
+    case DataType::kDouble: {
+      auto v = ParseDouble(cell);
+      return v.has_value() ? Value(*v) : Value::Null();
+    }
+    case DataType::kString:
+      return Value(std::string(TrimWhitespace(cell)));
+  }
+  return Value::Null();
+}
+
+struct Parsed {
+  Status status;
+  std::vector<std::string> names;
+  std::vector<DataType> types;
+  std::vector<std::vector<Value>> rows;
+};
+
+Parsed ParseCsv(std::string_view text, const CsvOptions& options) {
+  Parsed out;
+  auto tokenized = Tokenize(text, options.delimiter);
+  if (!tokenized.ok()) {
+    out.status = tokenized.status();
+    return out;
+  }
+  const auto& records = *tokenized;
+  if (records.empty()) {
+    out.status = Status::ParseError("no records");
+    return out;
+  }
+  size_t first_data = 0;
+  const size_t width = records[0].size();
+  if (options.has_header) {
+    for (const auto& h : records[0]) {
+      out.names.emplace_back(TrimWhitespace(h));
+    }
+    first_data = 1;
+  } else {
+    for (size_t c = 0; c < width; ++c) {
+      out.names.push_back("c" + std::to_string(c));
+    }
+  }
+  for (size_t c = 0; c < out.names.size(); ++c) {
+    if (out.names[c].empty()) out.names[c] = "c" + std::to_string(c);
+    for (size_t p = 0; p < c; ++p) {
+      if (out.names[p] == out.names[c]) {
+        out.names[c] += "_" + std::to_string(c);
+        break;
+      }
+    }
+  }
+  size_t last_data = records.size();
+  if (options.max_rows >= 0) {
+    last_data = std::min(last_data,
+                         first_data + static_cast<size_t>(options.max_rows));
+  }
+  for (size_t r = first_data; r < last_data; ++r) {
+    if (records[r].size() != width) {
+      out.status = Status::ParseError("ragged row");
+      return out;
+    }
+  }
+  out.types.assign(width, DataType::kString);
+  if (options.infer_types) {
+    for (size_t c = 0; c < width; ++c) {
+      std::vector<std::string> cells;
+      for (size_t r = first_data; r < last_data; ++r) {
+        cells.push_back(records[r][c]);
+      }
+      out.types[c] = InferColumnType(cells);
+    }
+  }
+  for (size_t r = first_data; r < last_data; ++r) {
+    std::vector<Value> row;
+    for (size_t c = 0; c < width; ++c) {
+      row.push_back(ParseCell(records[r][c], out.types[c]));
+    }
+    out.rows.push_back(std::move(row));
+  }
+  return out;
+}
+
+}  // namespace csv_oracle
+
+/// Builds one adversarial CSV input: a few records of pool tokens, with
+/// the quoting, record-end and value edge cases the reader must agree on.
+std::string RandomCsv(Rng* rng, char delimiter) {
+  static const std::vector<std::string> kValues = {
+      "1", "-2", "42", " 42 ", "+7", "-0", "-0.0", "0.0", "007", "0x1A",
+      "1e-400", "1e308", "2.5", "-3.75", ".5", "1.", "inf",
+      "999999999999999999", "-999999999999999999",
+      "1234567890123456789", "9999999999999999999", "-9223372036854775808",
+      "9223372036854775807", "12345678901234567890",
+      "-12345678901234567890", "abc", "x y", "\xc3\xa9t\xc3\xa9", "a\"b",
+      "", " ", "NULL", "null", "NA", "n/a", "N/A", "nan", "NaN", "?", "none",
+      "\"7\"", "\"a,b\"", "\"a|b\"", "\"he said \"\"hi\"\"\"", "\"\"",
+      "\"\"\"\"", "\"line1\nline2\"", "\"x\r\ny\"", "\"cr\ronly\"",
+      "\" 5 \"", "\"NULL\""};
+  static const std::vector<std::string> kInts = {"1", "-2", "42", " 42 ",
+                                                 "+7", "-0", "007", ""};
+  static const std::vector<std::string> kBroken = {"\"x\"y", "\"open",
+                                                   "\"a\"\"b\"c"};
+  static const std::vector<std::string> kEnds = {"\n", "\r\n", "\r"};
+  const int width = static_cast<int>(rng->UniformInt(1, 4));
+  const int records = static_cast<int>(rng->UniformInt(0, 7));
+  std::vector<bool> int_column(static_cast<size_t>(width));
+  for (int c = 0; c < width; ++c) int_column[c] = rng->Bernoulli(0.5);
+  auto pick = [&](const std::vector<std::string>& pool) {
+    return pool[static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(pool.size()) - 1))];
+  };
+  std::string text;
+  for (int r = 0; r < records; ++r) {
+    if (rng->Bernoulli(0.1)) text += pick(kEnds);  // a blank line
+    int fields = width;
+    if (rng->Bernoulli(0.05)) fields += rng->Bernoulli(0.5) ? 1 : -1;
+    for (int c = 0; c < fields; ++c) {
+      if (c > 0) text += delimiter;
+      if (rng->Bernoulli(0.01)) {
+        text += pick(kBroken);
+      } else if (r > 0 && c < width && int_column[c] && rng->Bernoulli(0.9)) {
+        text += pick(kInts);
+      } else {
+        text += pick(kValues);
+      }
+    }
+    if (rng->Bernoulli(0.05)) text += delimiter;  // a trailing delimiter
+    if (r + 1 < records || rng->Bernoulli(0.7)) text += pick(kEnds);
+  }
+  return text;
+}
+
+/// Asserts the columnar reader's output equals the oracle's.
+void ExpectMatchesOracle(const Result<Table>& got,
+                         const csv_oracle::Parsed& want,
+                         const std::string& text) {
+  SCOPED_TRACE("input: \"" + text + "\"");
+  ASSERT_EQ(got.status().code(), want.status.code())
+      << got.status().ToString() << " vs " << want.status.ToString();
+  if (!got.ok()) return;
+  const Table& t = *got;
+  ASSERT_EQ(t.num_columns(), static_cast<int>(want.names.size()));
+  for (int c = 0; c < t.num_columns(); ++c) {
+    EXPECT_EQ(t.schema().field(c).name, want.names[c]);
+    EXPECT_EQ(t.schema().field(c).type, want.types[c]) << "column " << c;
+  }
+  ASSERT_EQ(t.num_rows(), static_cast<int64_t>(want.rows.size()));
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const Value& w = want.rows[static_cast<size_t>(r)][c];
+      EXPECT_TRUE(SameValue(t.GetValue(r, c), w))
+          << "cell (" << r << ", " << c << "): " << t.GetValue(r, c).ToString()
+          << " vs " << w.ToString();
+    }
+  }
+}
+
+TEST(CsvDifferentialTest, MatchesRowAtATimeReader) {
+  Rng rng(20260417);
+  int ok_inputs = 0;
+  for (int i = 0; i < 4000; ++i) {
+    CsvOptions options;
+    options.delimiter = rng.Bernoulli(0.25) ? '|' : ',';
+    options.has_header = !rng.Bernoulli(0.25);
+    options.infer_types = !rng.Bernoulli(0.1);
+    const std::string text = RandomCsv(&rng, options.delimiter);
+    const csv_oracle::Parsed want = csv_oracle::ParseCsv(text, options);
+    ok_inputs += want.status.ok() ? 1 : 0;
+    ExpectMatchesOracle(ParseCsv(text, options), want, text);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // The pool must exercise both outcomes, mostly the successful one.
+  EXPECT_GT(ok_inputs, 2000);
+  EXPECT_LT(ok_inputs, 4000);
+}
+
+TEST(CsvDifferentialTest, MaxRowsIsAPrefix) {
+  Rng rng(77);
+  for (int i = 0; i < 2000; ++i) {
+    CsvOptions options;
+    options.delimiter = rng.Bernoulli(0.25) ? '|' : ',';
+    options.has_header = !rng.Bernoulli(0.25);
+    const std::string text = RandomCsv(&rng, options.delimiter);
+    const Result<Table> full = ParseCsv(text, options);
+    if (!full.ok()) continue;
+    const int64_t n = full->num_rows();
+    for (int64_t k : {int64_t{0}, int64_t{1}, n / 2, n, n + 1}) {
+      options.max_rows = k;
+      SCOPED_TRACE("max_rows=" + std::to_string(k));
+      const Result<Table> prefix = ParseCsv(text, options);
+      ExpectMatchesOracle(prefix, csv_oracle::ParseCsv(text, options), text);
+      ASSERT_TRUE(prefix.ok());
+      ASSERT_EQ(prefix->num_rows(), std::min(k, n));
+      // Types are inferred from the rows read, so a prefix may type a
+      // column narrower; where it does not, the cells are the full parse's.
+      for (int c = 0; c < prefix->num_columns(); ++c) {
+        ASSERT_EQ(prefix->schema().field(c).name,
+                  full->schema().field(c).name);
+        if (prefix->schema().field(c).type != full->schema().field(c).type) {
+          continue;
+        }
+        for (int64_t r = 0; r < prefix->num_rows(); ++r) {
+          EXPECT_TRUE(SameValue(prefix->GetValue(r, c), full->GetValue(r, c)));
+        }
+      }
+    }
+    options.max_rows = -1;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 // -------------------------------------------------------------- Encoder --
 
 TEST(EncoderTest, RanksAreDenseAndOrderPreserving) {
@@ -426,6 +850,204 @@ TEST_P(EncoderPropertyTest, RankOrderMatchesValueOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EncoderPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// ------------------------------------------- Encoder differential oracle --
+
+/// The comparator-sort encoder that preceded the radix/hash kernel: a
+/// stable sort of row ids under the null-aware value order, then dense
+/// ranks with the first (smallest) row of each group as its dictionary
+/// entry.
+EncodedColumn ReferenceEncode(const Column& column) {
+  std::vector<int64_t> order(static_cast<size_t>(column.size()));
+  std::iota(order.begin(), order.end(), 0);
+  auto cmp = [&column](int64_t a, int64_t b) {
+    const bool an = column.IsNull(a);
+    const bool bn = column.IsNull(b);
+    if (an || bn) return an && !bn ? -1 : (an == bn ? 0 : 1);
+    const auto i = static_cast<size_t>(a);
+    const auto j = static_cast<size_t>(b);
+    switch (column.type()) {
+      case DataType::kInt64:
+        return column.ints()[i] < column.ints()[j]
+                   ? -1
+                   : (column.ints()[i] == column.ints()[j] ? 0 : 1);
+      case DataType::kDouble:
+        return column.doubles()[i] < column.doubles()[j]
+                   ? -1
+                   : (column.doubles()[i] == column.doubles()[j] ? 0 : 1);
+      case DataType::kString: {
+        const int c = column.strings()[i].compare(column.strings()[j]);
+        return c < 0 ? -1 : (c == 0 ? 0 : 1);
+      }
+    }
+    return 0;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](int64_t a, int64_t b) { return cmp(a, b) < 0; });
+  EncodedColumn out;
+  out.name = column.name();
+  out.ranks.assign(order.size(), 0);
+  int32_t rank = -1;
+  for (size_t i = 0; i < order.size(); ++i) {
+    if (i == 0 || cmp(order[i - 1], order[i]) != 0) {
+      ++rank;
+      out.dictionary.push_back(column.GetValue(order[i]));
+    }
+    out.ranks[static_cast<size_t>(order[i])] = rank;
+  }
+  out.cardinality = rank + 1;
+  return out;
+}
+
+void ExpectSameEncoding(const EncodedColumn& got, const EncodedColumn& want) {
+  ASSERT_EQ(got.cardinality, want.cardinality);
+  ASSERT_EQ(got.ranks, want.ranks);
+  ASSERT_EQ(got.dictionary.size(), want.dictionary.size());
+  for (size_t i = 0; i < got.dictionary.size(); ++i) {
+    EXPECT_TRUE(SameValue(got.dictionary[i], want.dictionary[i]))
+        << "rank " << i << ": " << got.dictionary[i].ToString() << " vs "
+        << want.dictionary[i].ToString();
+  }
+}
+
+/// Row counts from empty through several radix passes' worth.
+int64_t RandomRowCount(Rng* rng) {
+  switch (rng->UniformInt(0, 4)) {
+    case 0:
+      return rng->UniformInt(0, 2);
+    case 1:
+      return rng->UniformInt(3, 40);
+    case 2:
+      return rng->UniformInt(41, 600);
+    default:
+      return rng->UniformInt(601, 5000);
+  }
+}
+
+TEST(EncoderDifferentialTest, Int64MatchesStableSort) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<int64_t> specials = {kMin, kMin + 1, kMax, kMax - 1,
+                                         -1,   0,        1,    -256};
+  Rng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int64_t n = RandomRowCount(&rng);
+    const double null_p = trial % 10 == 0 ? 1.0 : 0.1 * rng.UniformDouble();
+    // span <= 2^61 keeps UniformInt's hi - lo in range; full-width keys
+    // come from the specials and from raw 64-bit draws.
+    const int64_t span = int64_t{1} << rng.UniformInt(1, 61);
+    const bool full_width = rng.Bernoulli(0.2);
+    Column col("c", DataType::kInt64);
+    for (int64_t r = 0; r < n; ++r) {
+      if (rng.Bernoulli(null_p)) {
+        col.AppendNull();
+      } else if (rng.Bernoulli(0.1)) {
+        col.AppendInt(specials[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(specials.size()) - 1))]);
+      } else if (full_width) {
+        col.AppendInt(static_cast<int64_t>(rng.NextUint64()));
+      } else {
+        col.AppendInt(rng.UniformInt(-span, span));
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameEncoding(EncodeColumn(col), ReferenceEncode(col));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(EncoderDifferentialTest, DoubleMatchesStableSort) {
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> specials = {
+      -0.0,       0.0,        1e308,         -1e308,
+      subnormal,  -subnormal, 3 * subnormal, std::numeric_limits<double>::min(),
+      0.5,        -2.5,       1.0,           -1.0};
+  Rng rng(12);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int64_t n = RandomRowCount(&rng);
+    const double null_p = trial % 10 == 0 ? 1.0 : 0.1 * rng.UniformDouble();
+    Column col("c", DataType::kDouble);
+    for (int64_t r = 0; r < n; ++r) {
+      if (rng.Bernoulli(null_p)) {
+        col.AppendNull();
+      } else if (rng.Bernoulli(0.3)) {
+        col.AppendDouble(specials[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(specials.size()) - 1))]);
+      } else {
+        col.AppendDouble(rng.Normal(0.0, 1e3));
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameEncoding(EncodeColumn(col), ReferenceEncode(col));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(EncoderDifferentialTest, SignedZeroKeepsFirstRowsSign) {
+  // -0.0 == 0.0 share a rank; the dictionary holds whichever came first.
+  for (bool negative_first : {true, false}) {
+    Column col("c", DataType::kDouble);
+    col.AppendDouble(1.0);
+    col.AppendDouble(negative_first ? -0.0 : 0.0);
+    col.AppendDouble(negative_first ? 0.0 : -0.0);
+    const EncodedColumn enc = EncodeColumn(col);
+    EXPECT_EQ(enc.ranks, (std::vector<int32_t>{1, 0, 0}));
+    ASSERT_EQ(enc.cardinality, 2);
+    EXPECT_EQ(std::signbit(enc.dictionary[0].as_double()), negative_first);
+  }
+}
+
+TEST(EncoderDifferentialTest, StringMatchesStableSort) {
+  const std::vector<std::string> specials = {
+      "",   "a",    "ab",   "abc",        std::string("ab\0c", 4),
+      std::string("\0", 1), "\x80", "\xff", "a\xff", "\xc3\xa9", "ab "};
+  Rng rng(13);
+  for (int trial = 0; trial < 300; ++trial) {
+    const int64_t n = RandomRowCount(&rng);
+    const double null_p = trial % 10 == 0 ? 1.0 : 0.1 * rng.UniformDouble();
+    const int64_t alphabet = rng.UniformInt(1, 255);
+    Column col("c", DataType::kString);
+    for (int64_t r = 0; r < n; ++r) {
+      if (rng.Bernoulli(null_p)) {
+        col.AppendNull();
+      } else if (rng.Bernoulli(0.2)) {
+        col.AppendString(specials[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(specials.size()) - 1))]);
+      } else {
+        std::string s = "pre";
+        const int64_t len = rng.UniformInt(0, 4);
+        for (int64_t i = 0; i < len; ++i) {
+          s += static_cast<char>(rng.UniformInt(0, alphabet));
+        }
+        col.AppendString(std::move(s));
+      }
+    }
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectSameEncoding(EncodeColumn(col), ReferenceEncode(col));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(EncoderDifferentialTest, FromIntsMatchesStableSort) {
+  Rng rng(14);
+  for (int trial = 0; trial < 50; ++trial) {
+    const int64_t n = RandomRowCount(&rng);
+    std::vector<std::vector<int64_t>> columns(2);
+    for (auto& values : columns) {
+      const int64_t span = int64_t{1} << rng.UniformInt(1, 61);
+      for (int64_t r = 0; r < n; ++r) {
+        values.push_back(rng.UniformInt(-span, span));
+      }
+    }
+    const EncodedTable enc = EncodedTableFromInts({"x", "y"}, columns);
+    ASSERT_EQ(enc.num_rows(), n);
+    for (int c = 0; c < 2; ++c) {
+      Column col("c", DataType::kInt64);
+      for (int64_t v : columns[static_cast<size_t>(c)]) col.AppendInt(v);
+      ExpectSameEncoding(enc.column(c), ReferenceEncode(col));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace aod
