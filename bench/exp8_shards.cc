@@ -2,19 +2,21 @@
 // wire format.
 //
 // The sharding subsystem (src/shard/) splits each level's candidate
-// space across N in-process shard runners; base partitions ship out and
-// validation results ship back in the versioned, checksummed wire
-// format, and the deterministic key-ordered merge reduces the shard
-// outputs. This harness measures AOD (optimal) discovery wall clock for
-// num_shards ∈ {1, 2, 4, 8} against the unsharded baseline on generated
-// flight/ncvoter data, reports the wire volume (bytes shipped per run),
-// and cross-checks the determinism contract (identical dependency counts
-// at every shard count).
+// space across N spawned shard_runner_main processes connected over
+// localhost TCP; the config, the rank-encoded table and the base
+// partitions ship out and validation results ship back in the
+// versioned, checksummed wire format, and the deterministic key-ordered
+// merge reduces the shard outputs. This harness measures AOD (optimal)
+// discovery wall clock for num_shards ∈ {1, 2, 4, 8} against the
+// unsharded baseline on generated flight/ncvoter data, reports the wire
+// volume (bytes shipped per run), and cross-checks the determinism
+// contract (identical dependency counts at every shard count).
 //
-// Every shard count runs over the in-process queue, which makes the wire
-// overhead — serialization, checksumming, per-batch framing — directly
-// observable without network noise: the gap between the unsharded and
-// 1-shard lines is exactly the price of the seam. With --json <path>
+// The runner binary resolves as for every sharded run: $AOD_SHARD_RUNNER,
+// else shard_runner_main beside this harness (the build puts it there).
+// The gap between the unsharded and 1-shard lines is the whole price of
+// the seam: process startup, table and base shipping, serialization,
+// checksumming and per-batch framing over loopback. With --json <path>
 // the series is written as machine-readable JSON (CI uploads it as
 // BENCH_exp8.json).
 #include <cstdio>
@@ -26,6 +28,7 @@
 #include "exec/thread_pool.h"
 #include "gen/flight_generator.h"
 #include "gen/ncvoter_generator.h"
+#include "shard/supervisor.h"
 
 namespace aod {
 namespace bench {
@@ -62,7 +65,7 @@ struct DatasetSeries {
 };
 
 DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
-                         exec::ThreadPool* pool) {
+                         const std::string& runner, exec::ThreadPool* pool) {
   DatasetSeries series;
   series.name = name;
   series.rows = ScaledRows(base_rows);
@@ -85,6 +88,7 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
     options.epsilon = 0.10;
     options.pool = pool;
     options.num_shards = shards;
+    options.shard_runner_path = runner;
     ShardPoint point;
     point.shards = shards;
     point.run = RunDiscoveryWithOptions(enc, options);
@@ -131,6 +135,7 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
     options.epsilon = 0.10;
     options.pool = pool;
     options.row_shards = row_shards;
+    options.shard_runner_path = runner;
     RowShardPoint point;
     point.row_shards = row_shards;
     point.run = RunDiscoveryWithOptions(enc, options);
@@ -241,8 +246,16 @@ int main(int argc, char** argv) {
   const int threads = aod::exec::ThreadPool::HardwareConcurrency();
   std::printf("scale=%.2f (default: 100K rows), hw=%d hardware threads\n",
               Scale(), threads);
-  PrintNote("all shard counts run on one shared pool over the in-process"
-            " transport; counts must match the unsharded baseline at every"
+  const std::string runner = aod::shard::ResolveRunnerPath("");
+  if (runner.empty()) {
+    std::fprintf(stderr, "exp8_shards: shard_runner_main not found; build it"
+                         " beside this harness or set AOD_SHARD_RUNNER\n");
+    return 1;
+  }
+  std::printf("runner=%s\n", runner.c_str());
+  PrintNote("every shard is a spawned runner process, its validation"
+            " threads a slice of the coordinator's pool; counts must match"
+            " the unsharded baseline at every"
             " shard count (determinism contract). wire(MiB) is total frame"
             " bytes both directions after the delta/varint codecs, raw(MiB)"
             " the same traffic with every codec forced raw (ratio ="
@@ -253,8 +266,10 @@ int main(int argc, char** argv) {
 
   aod::exec::ThreadPool pool(threads);
   std::vector<DatasetSeries> all;
-  all.push_back(RunDataset("flight", /*flight=*/true, 100000, &pool));
-  all.push_back(RunDataset("ncvoter", /*flight=*/false, 100000, &pool));
+  all.push_back(
+      RunDataset("flight", /*flight=*/true, 100000, runner, &pool));
+  all.push_back(
+      RunDataset("ncvoter", /*flight=*/false, 100000, runner, &pool));
   if (json_path != nullptr) return WriteJson(json_path, all, threads);
   return 0;
 }

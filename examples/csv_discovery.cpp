@@ -23,15 +23,14 @@
 //     --memory-budget-mb=N  partition cache byte budget; coldest derived
 //                           partitions are evicted and re-derived on
 //                           demand (identical output)
-//     --shards=N            distribute validation over N logical shard
-//                           runners; partitions and results cross the
-//                           shard seam in the checksummed CSR wire
-//                           format (identical output; 0 = unsharded)
-//     --shard-transport=T   inproc | process: how the shard
-//                           seam moves bytes (identical output; process
-//                           spawns shard_runner_main per shard)
-//     --shard-runner=PATH   shard_runner_main binary for the process
-//                           transport (default: $AOD_SHARD_RUNNER)
+//     --shards=N            distribute validation over N spawned
+//                           shard_runner_main processes; partitions and
+//                           results cross the shard seam in the
+//                           checksummed CSR wire format (identical
+//                           output; 0 = unsharded)
+//     --shard-runner=PATH   shard_runner_main binary (default:
+//                           $AOD_SHARD_RUNNER, else shard_runner_main
+//                           beside this program)
 //     --server=HOST:PORT    don't run locally: submit the job to a
 //                           running discovery_serve daemon and await
 //                           the result (identical output; deadline
@@ -87,7 +86,6 @@ struct Args {
   int threads = 1;
   int64_t memory_budget_mb = 0;
   int shards = 0;
-  ShardTransport shard_transport = ShardTransport::kInProcess;
   std::string shard_runner;
   std::string server_host;
   uint16_t server_port = 0;
@@ -179,16 +177,6 @@ Args ParseArgs(int argc, char** argv) {
     } else if (const char* v = value_of("--shards=")) {
       args.ok &= ParseInteger("--shards", v, 0, 1024, &n);
       args.shards = static_cast<int>(n);
-    } else if (const char* v = value_of("--shard-transport=")) {
-      std::string kind = v;
-      if (kind == "inproc") args.shard_transport = ShardTransport::kInProcess;
-      else if (kind == "process") {
-        args.shard_transport = ShardTransport::kProcess;
-      } else {
-        std::fprintf(stderr, "--shard-transport: want inproc | process, "
-                             "got '%s'\n", v);
-        args.ok = false;
-      }
     } else if (const char* v = value_of("--shard-runner=")) {
       args.shard_runner = v;
     } else if (const char* v = value_of("--server=")) {
@@ -255,7 +243,6 @@ int main(int argc, char** argv) {
   options.num_threads = args.threads;
   options.partition_memory_budget_bytes = args.memory_budget_mb << 20;
   options.num_shards = args.shards;
-  options.shard_transport = args.shard_transport;
   options.shard_runner_path = args.shard_runner;
 
   DiscoveryResult result;
@@ -278,13 +265,12 @@ int main(int argc, char** argv) {
   }
   if (!result.shard_status.ok()) {
     // Reaching here means the fault survived the whole supervision
-    // ladder (retries, backoff, in-process fallback) — or supervision
-    // was disabled. One human-readable line, nonzero exit.
+    // ladder (retries, backoff, fallback to the coordinator) — or
+    // supervision was disabled. One human-readable line, nonzero exit.
     std::fprintf(stderr,
                  "error: shard validation failed unrecoverably after "
-                 "%lld retries (transport %s): %s\n",
+                 "%lld retries: %s\n",
                  static_cast<long long>(result.stats.shard_retries),
-                 ShardTransportToString(args.shard_transport),
                  result.shard_status.ToString().c_str());
     return 1;
   }

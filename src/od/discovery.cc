@@ -126,8 +126,8 @@ struct Driver {
   /// next level's merge start.
   std::vector<AttributeSet> pending_costs;
   /// Sharded validation (options.num_shards >= 1): candidate batches go
-  /// out and results come back over the CSR wire format via the selected
-  /// transport; the driver's own cache, validator and prefetch pipeline
+  /// out to runner processes and results come back over the CSR wire
+  /// format; the driver's own cache, validator and prefetch pipeline
   /// sit idle — partitions live shard-side. Null in unsharded runs and
   /// when coordinator setup failed (coordinator_status says why).
   std::unique_ptr<shard::ShardCoordinator> coordinator;
@@ -168,7 +168,6 @@ struct Driver {
     // the typed status, so a half-stitched base can never be used.
     if (options.row_shards >= 1) {
       shard::ShardTransportOptions rtopts;
-      rtopts.transport = options.shard_transport;
       rtopts.runner_path = options.shard_runner_path;
       rtopts.io_timeout_seconds = options.shard_io_timeout_seconds;
       shard::RowShardStats rstats;
@@ -231,7 +230,6 @@ struct Driver {
       ropts.partition_memory_budget_bytes =
           options.partition_memory_budget_bytes;
       shard::ShardTransportOptions topts;
-      topts.transport = options.shard_transport;
       topts.runner_path = options.shard_runner_path;
       topts.io_timeout_seconds = options.shard_io_timeout_seconds;
       topts.channel_decorator = options.shard_channel_decorator;
@@ -867,7 +865,7 @@ struct Driver {
     if (coordinator != nullptr) {
       // The shutdown handshake: every shard answers with its stats
       // footer, the single mechanism partition-side counters cross the
-      // seam by — in-process and remote runners alike.
+      // seam by (a degraded shard's footer is read off its core).
       Status finish = coordinator->Finish();
       if (result.shard_status.ok() && !finish.ok()) {
         result.shard_status = std::move(finish);
@@ -939,16 +937,6 @@ const char* ValidatorKindToString(ValidatorKind kind) {
       return "AOD (iterative)";
     case ValidatorKind::kOptimal:
       return "AOD (optimal)";
-  }
-  return "?";
-}
-
-const char* ShardTransportToString(ShardTransport transport) {
-  switch (transport) {
-    case ShardTransport::kInProcess:
-      return "inproc";
-    case ShardTransport::kProcess:
-      return "process";
   }
   return "?";
 }

@@ -67,19 +67,14 @@ enum class ValidatorKind {
 
 const char* ValidatorKindToString(ValidatorKind kind);
 
-/// How candidate batches reach the shard runners when num_shards >= 1
-/// (src/shard/, "Shard transports" in ARCHITECTURE.md). Discovery output
-/// is bit-identical across both — the transport moves bytes, the frames
-/// carry exact bit patterns, and the merge is key-ordered.
+/// How candidate batches reach the shard runners: always one spawned
+/// shard_runner_main process per shard over localhost TCP (src/shard/,
+/// "Shard transport" in ARCHITECTURE.md). The enum has this one value
+/// and is kept only so existing callers (perfbench) still build; a
+/// later benchmark change can drop it.
 enum class ShardTransport {
-  /// Mutex/cv frame queues; runners on the shared pool (the default).
-  kInProcess = 0,
-  /// One spawned shard_runner_main process per shard over localhost TCP;
-  /// the config, rank-encoded table and base partitions ship at startup.
-  kProcess = 1,
+  kProcess,
 };
-
-const char* ShardTransportToString(ShardTransport transport);
 
 struct DiscoveryOptions {
   /// Which dependency kinds the traversal searches for. The default is
@@ -179,7 +174,8 @@ struct DiscoveryOptions {
   /// Number of logical shards candidate validation is distributed over
   /// (0 = unsharded in-process validation, the default). With N >= 1 the
   /// candidate space of every lattice level is split by a pure hash of
-  /// the candidate's context set across N shard runners; partitions and
+  /// the candidate's context set across N spawned shard_runner_main
+  /// processes (see shard_runner_path); partitions and
   /// results cross the shard seam in the checksummed CSR wire format
   /// (src/shard/), and the deterministic key-ordered merge reduces the
   /// shard outputs. Dependency lists and all merge-side counters are
@@ -198,24 +194,25 @@ struct DiscoveryOptions {
   /// (partition/partition_stitch.h) merges the per-range fragments back
   /// into the canonical base partitions — bit-identical to the
   /// unsharded FromColumn bases, so dependency output is unchanged for
-  /// any row_shards x threads x transport combination (gated in
+  /// any row_shards x threads combination (gated in
   /// tests/parallel_determinism_test). The stitched bases feed the
   /// unsharded driver's cache preload or, with num_shards >= 1, the
-  /// candidate-space coordinator's bootstrap. Runs over shard_transport
-  /// with the same runner binary (kProcess) or inline serving
-  /// (kInProcess); fail-stop via
+  /// candidate-space coordinator's bootstrap. Each row shard is one
+  /// spawned shard_runner_main; fail-stop via
   /// DiscoveryResult::shard_status (no retry ladder — the phase is a
-  /// short bounded prologue).
+  /// short bounded prologue), a runner that cannot be resolved or
+  /// started included.
   int row_shards = 0;
-  /// Transport the shard seam runs over (only consulted when
-  /// num_shards >= 1). Output is bit-identical across transports; with
-  /// kProcess the time budget is only enforced between levels (remote
-  /// runners validate their batch to completion) and a transport
-  /// failure aborts the run with DiscoveryResult::shard_status set
-  /// instead of crashing.
-  ShardTransport shard_transport = ShardTransport::kInProcess;
-  /// shard_runner_main binary for ShardTransport::kProcess; empty falls
-  /// back to the AOD_SHARD_RUNNER environment variable.
+  /// Has one value, kProcess, and is not consulted: every sharded run
+  /// spawns runner processes. Kept only so perfbench builds until a
+  /// benchmark change drops it. The time budget is enforced between
+  /// levels (runner processes validate their batch to completion), and
+  /// an unrecovered shard failure aborts the run with
+  /// DiscoveryResult::shard_status set instead of crashing.
+  ShardTransport shard_transport = ShardTransport::kProcess;
+  /// shard_runner_main binary for sharded runs (num_shards or
+  /// row_shards >= 1); empty resolves to $AOD_SHARD_RUNNER, then to
+  /// shard_runner_main beside the running executable.
   std::string shard_runner_path;
   /// Bound on every shard-seam connect/accept/receive, so a dead runner
   /// surfaces as a typed error instead of a hang. When a time budget is
@@ -225,9 +222,9 @@ struct DiscoveryOptions {
   /// Re-attempts allowed per shard per level before the shard degrades:
   /// a failed attempt is torn down, a fresh runner process is re-seeded
   /// from the coordinator's encode-once bootstrap frames and the level
-  /// is re-executed; once the budget is spent on the process transport,
-  /// that shard's slice runs in-process on the coordinator's pool for
-  /// the rest of the run. 0 disables ALL supervision (retry, fallback):
+  /// is re-executed; once the budget is spent, that shard's slice is
+  /// validated on the coordinator's pool — directly, with no channel —
+  /// for the rest of the run. 0 disables ALL supervision (retry, fallback):
   /// any shard fault is the typed fail-stop abort via
   /// DiscoveryResult::shard_status, exactly the pre-supervision
   /// behavior. Output stays bit-identical under any fault schedule that

@@ -85,7 +85,7 @@ struct DiscoveryStats {
   int64_t shard_retries = 0;
   /// Runner processes respawned after the first per shard.
   int64_t shard_respawns = 0;
-  /// Shards that degraded to in-process execution after retry
+  /// Shards that degraded to validation on the coordinator after retry
   /// exhaustion and stayed there for the rest of the run.
   int64_t shard_fallback_shards = 0;
   /// Shards whose stats footer was lost to a tolerated shutdown fault

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -57,13 +58,8 @@ Status BatchingFrameSender::Flush() {
   return channel_->Send(std::move(out));
 }
 
-Result<std::vector<uint8_t>> LogicalFrameReceiver::Receive() {
-  if (!pending_.empty()) {
-    std::vector<uint8_t> frame = std::move(pending_.front());
-    pending_.pop_front();
-    return frame;
-  }
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, channel_->Receive());
+Result<std::vector<std::vector<uint8_t>>> SplitLogicalFrames(
+    std::vector<uint8_t> frame) {
   // Cheap peek: only a well-formed header typed kBatch takes the unwrap
   // path; everything else (including garbage) goes to the consumer's
   // own DecodeFrame, which owns the error reporting.
@@ -71,71 +67,24 @@ Result<std::vector<uint8_t>> LogicalFrameReceiver::Receive() {
       endian::LoadU32(frame.data()) != kWireMagic ||
       endian::LoadU16(frame.data() + 6) !=
           static_cast<uint16_t>(FrameType::kBatch)) {
-    return frame;
+    std::vector<std::vector<uint8_t>> one;
+    one.push_back(std::move(frame));
+    return one;
   }
   AOD_ASSIGN_OR_RETURN(DecodedFrame decoded, DecodeFrame(frame));
-  AOD_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> inner,
-                       UnpackBatchEnvelope(decoded));
-  for (std::vector<uint8_t>& f : inner) pending_.push_back(std::move(f));
-  std::vector<uint8_t> first = std::move(pending_.front());
+  return UnpackBatchEnvelope(decoded);
+}
+
+Result<std::vector<uint8_t>> LogicalFrameReceiver::Receive() {
+  if (pending_.empty()) {
+    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, channel_->Receive());
+    AOD_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> frames,
+                         SplitLogicalFrames(std::move(frame)));
+    for (std::vector<uint8_t>& f : frames) pending_.push_back(std::move(f));
+  }
+  std::vector<uint8_t> frame = std::move(pending_.front());
   pending_.pop_front();
-  return first;
-}
-
-// ------------------------------------------------------------- in-process --
-
-Status InProcessChannel::Send(std::vector<uint8_t> frame) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (closed_) return Status::Closed("send on closed shard channel");
-    if (options_.max_frame_bytes > 0 &&
-        static_cast<int64_t>(frame.size()) > options_.max_frame_bytes) {
-      return Status::InvalidArgument("frame exceeds max_frame_bytes");
-    }
-    bytes_sent_ += static_cast<int64_t>(frame.size());
-    frames_.push_back(std::move(frame));
-  }
-  cv_.notify_one();
-  return Status::OK();
-}
-
-Result<std::vector<uint8_t>> InProcessChannel::Receive() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto ready = [this] { return !frames_.empty() || closed_; };
-  if (options_.receive_timeout_seconds > 0.0) {
-    const auto timeout = std::chrono::duration<double>(
-        options_.receive_timeout_seconds);
-    if (!cv_.wait_for(lock, timeout, ready)) {
-      return Status::IoError("shard channel receive timed out");
-    }
-  } else {
-    cv_.wait(lock, ready);
-  }
-  if (frames_.empty()) {
-    return Status::Closed("shard channel closed");
-  }
-  std::vector<uint8_t> frame = std::move(frames_.front());
-  frames_.pop_front();
-  bytes_received_ += static_cast<int64_t>(frame.size());
   return frame;
-}
-
-void InProcessChannel::Close() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    closed_ = true;
-  }
-  cv_.notify_all();
-}
-
-int64_t InProcessChannel::bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_sent_;
-}
-
-int64_t InProcessChannel::bytes_received() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_received_;
 }
 
 // ----------------------------------------------------------------- socket --
@@ -414,14 +363,24 @@ Result<std::unique_ptr<SocketListener>> SocketListener::Bind(uint16_t port) {
 
 SocketListener::~SocketListener() { ::close(fd_); }
 
-Result<int> SocketListener::AcceptFd(double timeout_seconds) {
+Result<int> SocketListener::AcceptFd(
+    double timeout_seconds, const std::function<Status()>& still_waiting) {
+  // Slice length between still_waiting checks: short enough that a child
+  // that died at once costs milliseconds, long enough not to spin.
+  constexpr int kSliceMs = 20;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(timeout_seconds));
   pollfd pfd{fd_, POLLIN, 0};
   for (;;) {
-    const int rc = ::poll(&pfd, 1, static_cast<int>(timeout_seconds * 1000.0));
+    const int left = PollTimeoutMs(true, deadline);
+    const int rc =
+        ::poll(&pfd, 1, still_waiting ? std::min(left, kSliceMs) : left);
     if (rc < 0 && errno == EINTR) continue;
     if (rc < 0) return Status::IoError(ErrnoMessage("poll"));
-    if (rc == 0) return Status::IoError("shard runner never connected");
-    break;
+    if (rc > 0) break;
+    if (left == 0) return Status::IoError("shard runner never connected");
+    if (still_waiting) AOD_RETURN_NOT_OK(still_waiting());
   }
   const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
   if (fd < 0) return Status::IoError(ErrnoMessage("accept"));

@@ -1,16 +1,17 @@
 // Byte-level transport between the shard coordinator and one shard
-// runner.
+// runner process.
 //
-// A ShardChannel moves opaque, already-framed byte vectors (see wire.h)
-// in one direction; a coordinator/runner pair uses two — an inbox and an
-// outbox — or one full-duplex stream endpoint serving as both. The
-// interface is deliberately minimal (send, blocking receive, close) so
-// that the in-process queue and the byte-stream transport (a localhost
-// TCP socket or a pipe pair) are interchangeable without touching the
-// coordinator, the runner, or any encoder: everything protocol-level
-// lives in the frames themselves (versioning, typing, checksums).
+// A ShardChannel moves opaque, already-framed byte vectors (see wire.h).
+// The one production implementation is SocketShardChannel, a
+// full-duplex byte stream over a localhost TCP socket (or a pipe pair);
+// the interface stays minimal (send, blocking receive, close) so that
+// test decorators (tests/flaky_channel.h) can wrap an endpoint without
+// touching the coordinator, the runner, or any encoder: everything
+// protocol-level lives in the frames themselves (versioning, typing,
+// checksums). A shard that degrades to validation on the coordinator
+// uses no channel at all (supervisor.h).
 //
-// Shutdown contract (all implementations):
+// Shutdown contract (every endpoint):
 //   - Close() stops further sends; frames already accepted remain
 //     receivable ("drain" semantics).
 //   - Receive() on a closed-and-drained channel returns StatusCode::
@@ -19,20 +20,21 @@
 //     stream violated the frame format).
 //   - A receiver *blocked* in Receive() when Close() happens wakes up
 //     and returns kClosed; Close never strands a blocked receiver
-//     (tests/shard_channel_conformance_test pins this for every
-//     implementation).
+//     (tests/shard_channel_conformance_test pins this for the TCP and
+//     pipe endpoints).
 //   - Send() after Close() returns kClosed.
 //
-// Every implementation enforces ChannelOptions::max_frame_bytes, so a
-// corrupted or hostile length header is rejected with a typed error
-// before any allocation, and honors receive_timeout_seconds, so a
-// receiver never hangs on a peer that died silently.
+// The stream rejects a frame larger than ChannelOptions::max_frame_bytes
+// from its length header, with a typed error and before any allocation,
+// and honors receive_timeout_seconds, so a receiver never hangs on a
+// peer that died silently.
 #ifndef AOD_SHARD_CHANNEL_H_
 #define AOD_SHARD_CHANNEL_H_
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,14 +50,11 @@ namespace shard {
 /// Receiver-side protection limits, shared by every transport.
 struct ChannelOptions {
   /// Frames whose total size (header + payload) exceeds this are
-  /// rejected with kParseError before the payload is read or allocated
-  /// (on the in-process queue, oversized frames are rejected at Send —
-  /// the frame already exists as a vector there, so the send side is
-  /// the earliest point of refusal).
+  /// rejected with kParseError before the payload is read or allocated.
   int64_t max_frame_bytes = 1LL << 30;
   /// Receive() fails with kIoError once this much time passes without a
-  /// complete frame arriving. 0 = wait forever (the in-process default;
-  /// byte transports should always set a bound).
+  /// complete frame arriving. 0 = wait forever (coordinator and runner
+  /// always set a bound).
   double receive_timeout_seconds = 0.0;
 };
 
@@ -95,8 +94,7 @@ class ShardChannel {
 /// decoder has to accept, only how frames are grouped in transit.
 ///
 /// Envelope boundaries are a pure function of the frame sequence (sizes
-/// against a fixed threshold), which keeps the bit-identical-across-
-/// transports contract intact. Not thread-safe; each link's sender is
+/// against a fixed threshold), so they never depend on timing. Not thread-safe; each link's sender is
 /// driven by one thread.
 class BatchingFrameSender {
  public:
@@ -126,6 +124,14 @@ class BatchingFrameSender {
   std::vector<std::vector<uint8_t>> pending_;
 };
 
+/// The logical frames one physical frame carries: the members of a
+/// kBatch envelope (validated checksum-first via DecodeFrame), else the
+/// frame itself, left for its consumer's DecodeFrame to judge. The one
+/// envelope-unwrap rule, shared by LogicalFrameReceiver and the
+/// supervisor's fallback seeding.
+Result<std::vector<std::vector<uint8_t>>> SplitLogicalFrames(
+    std::vector<uint8_t> frame);
+
 /// Receiver-side mirror of BatchingFrameSender: yields logical frames,
 /// transparently unwrapping kBatch envelopes (validated checksum-first
 /// via DecodeFrame before any inner frame is surfaced). Consumers keep
@@ -143,30 +149,6 @@ class LogicalFrameReceiver {
  private:
   ShardChannel* const channel_;
   std::deque<std::vector<uint8_t>> pending_;
-};
-
-/// The in-process transport: a mutex + condition-variable frame queue.
-/// Any number of senders and receivers; frames arrive in send order.
-class InProcessChannel final : public ShardChannel {
- public:
-  explicit InProcessChannel(ChannelOptions options = {})
-      : options_(options) {}
-  AOD_DISALLOW_COPY_AND_ASSIGN(InProcessChannel);
-
-  Status Send(std::vector<uint8_t> frame) override;
-  Result<std::vector<uint8_t>> Receive() override;
-  void Close() override;
-  int64_t bytes_sent() const override;
-  int64_t bytes_received() const override;
-
- private:
-  const ChannelOptions options_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::vector<uint8_t>> frames_;
-  int64_t bytes_sent_ = 0;
-  int64_t bytes_received_ = 0;
-  bool closed_ = false;
 };
 
 /// Full-duplex stream transport over a pair of file descriptors —
@@ -266,8 +248,13 @@ class SocketListener {
   uint16_t port() const { return port_; }
 
   /// Accepts one connection (poll-bounded); the returned fd is owned by
-  /// the caller (hand it to SocketShardChannel::Adopt).
-  Result<int> AcceptFd(double timeout_seconds);
+  /// the caller (hand it to SocketShardChannel::Adopt). With
+  /// `still_waiting` set, the wait is polled in short slices and the
+  /// check runs between them; a non-OK check ends the wait with its
+  /// status — how SpawnRunner notices a child that exited instead of
+  /// connecting without waiting out the whole timeout.
+  Result<int> AcceptFd(double timeout_seconds,
+                       const std::function<Status()>& still_waiting = {});
 
  private:
   SocketListener(int fd, uint16_t port) : fd_(fd), port_(port) {}

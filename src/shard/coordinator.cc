@@ -42,10 +42,8 @@ Status ShardCoordinator::Init(
   bootstrap_.runner_options = runner_options;
   bootstrap_.num_shards = num_shards;
   bootstrap_.pool_workers = pool_ != nullptr ? pool_->num_workers() : 1;
-  if (transport_.transport == ShardTransport::kProcess) {
-    bootstrap_.table_frame =
-        EncodeTableBlock(*table_, /*compress=*/true, &bootstrap_.table_counts);
-  }
+  bootstrap_.table_frame =
+      EncodeTableBlock(*table_, /*compress=*/true, &bootstrap_.table_counts);
   // One kPartitionBlock per base (level-1) partition, shipped to every
   // shard as a single kBatch envelope — one syscall per seeding instead
   // of one per base. Socket sends are buffered by the channel's writer
@@ -147,17 +145,6 @@ Status ShardCoordinator::Finish() {
   // link must reach its terminal state before the channels close.
   for (auto& sup : supervisors_) {
     record(sup->SendShutdown());
-  }
-  {
-    std::vector<Status> statuses(supervisors_.size());
-    exec::TaskGroup group(pool_);
-    for (size_t s = 0; s < supervisors_.size(); ++s) {
-      ShardSupervisor* sup = supervisors_[s].get();
-      Status* status = &statuses[s];
-      group.Run([sup, status] { *status = sup->PumpShutdownServe(); });
-    }
-    group.Wait();
-    for (Status& st : statuses) record(std::move(st));
   }
   for (auto& sup : supervisors_) {
     record(sup->CollectFooter());

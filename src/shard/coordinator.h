@@ -1,19 +1,18 @@
 // Coordinator of sharded candidate validation (ROADMAP: distributed
 // discovery in the spirit of Saxena et al. [8]).
 //
-// The coordinator owns N shard *supervisors* — each managing a live
-// runner attempt in this process or in a child process — and the
-// shard-assignment rule. The discovery driver keeps its lattice,
+// The coordinator owns N shard *supervisors* — each managing one
+// spawned shard_runner_main process, connected over localhost TCP — and
+// the shard-assignment rule. The discovery driver keeps its lattice,
 // planning phase and serial key-ordered merge; only candidate
 // validation crosses the seam:
 //
-//   construction    every base (level-1) partition is serialized once
-//                   into the shared ShardBootstrap and shipped to every
-//                   shard as kPartitionBlock frames — shard caches are
-//                   wire-seeded, never table-derived. Process runners
-//                   additionally receive a kConfigBlock and a
-//                   kTableBlock first (they share nothing). The same
-//                   encoded frames re-seed every respawned attempt;
+//   construction    the config block, the rank-encoded table and every
+//                   base (level-1) partition are serialized once into
+//                   the shared ShardBootstrap and shipped to every
+//                   shard — shard caches are wire-seeded, never
+//                   table-derived. The same encoded frames re-seed
+//                   every respawned attempt;
 //   per level       candidates are split by ShardOf(context) — all
 //                   candidates sharing a context land on one shard, so
 //                   a context partition is derived (at most) once per
@@ -23,38 +22,36 @@
 //                   slots in shard order;
 //   supervision     each shard's level execution runs under its
 //                   ShardSupervisor (src/shard/supervisor.h): failures
-//                   are retried with backoff and a fresh attempt, and a
-//                   shard whose transport stays broken degrades to
-//                   in-process execution instead of aborting the run;
+//                   are retried with backoff and a fresh process, and a
+//                   shard whose runner stays broken degrades to
+//                   validation on the coordinator — no channel — instead
+//                   of aborting the run;
 //   Finish()        the shutdown handshake: a kShutdown frame per
 //                   shard, answered by the kStatsFooter terminal frame
-//                   carrying the shard's counters, then one
+//                   carrying the shard's counters (a degraded shard's
+//                   footer is read off its core), then one
 //                   shared-deadline reap pass over every runner process.
-//
-// Transports (ShardTransportOptions::transport):
-//   kInProcess  mutex/cv frame queues; runners on the shared pool.
-//   kProcess    one spawned shard_runner_main per shard, connected over
-//               localhost TCP; validation parallelism across processes.
 //
 // Failure contract: with supervision off (supervision.max_retries == 0,
 // "strict mode") any transport, decode or process failure surfaces as a
 // typed non-OK Status from Create/ValidateBatch/Finish — never a hang
 // (receives are timeout-bounded) and never a partially-applied batch.
 // With supervision on, a failure surfaces only after the per-level
-// retry budget, the backoff ladder and the in-process fallback are all
+// retry budget, the backoff ladder and the degraded fallback are all
 // exhausted; DiscoveryResult::shard_status is reserved for those truly
 // unrecoverable states.
 //
 // Determinism: the assignment rule is a pure hash of the context set, a
 // runner's outcomes are pure functions of its batch (canonical
 // partition values, deterministic planned derivation, seeded
-// sampler), replayed attempts receive byte-identical inputs, and
+// sampler), replayed attempts receive byte-identical inputs, a
+// degraded shard validates through the same ShardRunner core, and
 // exactly one attempt's buffered reply per shard is folded — in shard
-// order, ascending slots within a shard — so sharded
-// discovery output is bit-identical to the unsharded run for any shard
-// count, any thread count, any transport, and any fault schedule that
-// completes (gated by tests/parallel_determinism_test,
-// tests/shard_supervisor_test and tests/shard_process_e2e_test).
+// order, ascending slots within a shard — so sharded discovery output
+// is bit-identical to the unsharded run for any shard count, any thread
+// count and any fault schedule that completes (gated by
+// tests/parallel_determinism_test, tests/shard_supervisor_test and
+// tests/shard_process_e2e_test).
 #ifndef AOD_SHARD_COORDINATOR_H_
 #define AOD_SHARD_COORDINATOR_H_
 
@@ -79,14 +76,9 @@ class ThreadPool;
 
 namespace shard {
 
-// ShardTransport (the {inproc, process} selector) lives in
-// od/discovery.h next to the other DiscoveryOptions vocabulary — this
-// header reaches it through shard_runner.h.
-
 struct ShardTransportOptions {
-  ShardTransport transport = ShardTransport::kInProcess;
-  /// Path to the shard_runner_main binary (process transport). Empty
-  /// falls back to the AOD_SHARD_RUNNER environment variable.
+  /// Path to the shard_runner_main binary; empty resolves through
+  /// ResolveRunnerPath ($AOD_SHARD_RUNNER, then beside the executable).
   std::string runner_path;
   /// Bound on connects, accepts and every frame receive. A shard that
   /// dies silently surfaces as a typed timeout, never a hang. Clamped
@@ -99,18 +91,17 @@ struct ShardTransportOptions {
   /// supervision.max_retries == 0 is strict fail-stop mode.
   ShardSupervisionOptions supervision;
   /// Test seam: wraps every coordinator-side channel endpoint (e.g. in a
-  /// fault-injecting decorator). Identity when empty. Fallback attempts
-  /// are NOT decorated — the decorator models the configured transport's
-  /// failure domain, which the in-process fallback leaves.
+  /// fault-injecting decorator). Identity when empty. A degraded shard
+  /// has no channel, so the decorator cannot reach it.
   std::function<std::unique_ptr<ShardChannel>(std::unique_ptr<ShardChannel>)>
       channel_decorator;
 };
 
 class ShardCoordinator {
  public:
-  /// Creates `num_shards` supervised runners over the selected transport
-  /// and ships the base partitions (plus config + table for process
-  /// runners). `pool` (nullable) runs in-process shard work; both
+  /// Creates `num_shards` supervised runner processes and ships each the
+  /// config, the table and the base partitions. `pool` (nullable) runs
+  /// the per-shard level tasks and any degraded shard's validation; both
   /// `table` and `pool` are borrowed and must outlive the coordinator.
   /// Fails with a typed Status on any transport or spawn error that
   /// survives the supervision ladder. `base_partitions` (optional, one
@@ -186,14 +177,14 @@ class ShardCoordinator {
   /// Every counter of the collected stats footers, summed over the
   /// shards (DiscoveryStats feeds); shards whose footer never arrived
   /// (transport failure) contribute 0, and the identity fields stay 0.
-  /// partition_seconds sums ShardRunner::partition_seconds.
+  /// partition_seconds sums the shards' derivation wall time.
   ShardStatsFooter FooterTotals() const;
 
   // Supervision observability (DiscoveryStats feeds), summed over the
   // shards. Meaningful any time; stable once Finish returned.
   int64_t shard_retries() const;
   int64_t shard_respawns() const;
-  /// Shards currently degraded to in-process execution.
+  /// Shards currently degraded to validation on the coordinator.
   int64_t fallback_shards() const;
   /// Shards whose stats footer was lost to a tolerated shutdown fault.
   int64_t footers_missing() const;

@@ -22,11 +22,6 @@ std::vector<RowRange> AssignRowRanges(int64_t num_rows, int row_shards) {
 
 namespace {
 
-/// Receives one frame and validates it down to a typed payload view.
-Result<std::vector<uint8_t>> ReceiveRaw(ShardChannel* in) {
-  return in->Receive();
-}
-
 Status ExpectType(const DecodedFrame& frame, FrameType want,
                   const char* what) {
   if (frame.type != want) {
@@ -88,12 +83,12 @@ Status DrainShardReply(ShardChannel* from, int shard, const RowRange& range,
 }  // namespace
 
 Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
-                                ShardChannel* in, ShardChannel* out) {
+                                ShardChannel* channel) {
   if (config.row_end <= config.row_begin) {
     return Status::InvalidArgument("config carries no row range");
   }
   CodecByteCounts decoded;
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> table_raw, ReceiveRaw(in));
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> table_raw, channel->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame table_frame, DecodeFrame(table_raw));
   AOD_RETURN_NOT_OK(
       ExpectType(table_frame, FrameType::kTableBlock, "a table slice"));
@@ -116,12 +111,12 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
         /*compress=*/true, &encoded));
   }
   if (frames.size() == 1) {
-    AOD_RETURN_NOT_OK(out->Send(std::move(frames[0])));
+    AOD_RETURN_NOT_OK(channel->Send(std::move(frames[0])));
   } else if (frames.size() > 1) {
-    AOD_RETURN_NOT_OK(out->Send(EncodeBatchEnvelope(frames)));
+    AOD_RETURN_NOT_OK(channel->Send(EncodeBatchEnvelope(frames)));
   }
 
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> shutdown_raw, ReceiveRaw(in));
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> shutdown_raw, channel->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame shutdown_frame, DecodeFrame(shutdown_raw));
   AOD_RETURN_NOT_OK(
       ExpectType(shutdown_frame, FrameType::kShutdown, "the shutdown"));
@@ -132,15 +127,7 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
   footer.frames_served = 3;  // config + table slice + shutdown
   footer.bytes_decoded_raw = decoded.raw;
   footer.bytes_decoded_wire = decoded.wire;
-  return out->Send(EncodeStatsFooter(footer));
-}
-
-Status ServeRowShard(ShardChannel* in, ShardChannel* out) {
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, ReceiveRaw(in));
-  AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
-  AOD_RETURN_NOT_OK(ExpectType(frame, FrameType::kConfigBlock, "the config"));
-  AOD_ASSIGN_OR_RETURN(WireRunnerConfig config, DecodeConfigBlock(frame));
-  return ServeRowShardAfterConfig(config, in, out);
+  return channel->Send(EncodeStatsFooter(footer));
 }
 
 Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
@@ -187,45 +174,26 @@ Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
     st->table_bytes_per_shard[static_cast<size_t>(s)] =
         static_cast<int64_t>(slice_frame.size());
 
-    switch (transport.transport) {
-      case ShardTransport::kInProcess: {
-        InProcessChannel to(copts);
-        InProcessChannel from(copts);
-        // Sends never block, so the whole conversation can be queued and
-        // the runner served inline on this thread.
-        AOD_RETURN_NOT_OK(to.Send(std::move(config_frame)));
-        AOD_RETURN_NOT_OK(to.Send(std::move(slice_frame)));
-        AOD_RETURN_NOT_OK(to.Send(EncodeShutdown()));
-        AOD_RETURN_NOT_OK(ServeRowShard(&to, &from));
-        AOD_RETURN_NOT_OK(DrainShardReply(&from, s, range, k, num_rows,
-                                          &fragments, st));
-        st->bytes_shipped_total += to.bytes_sent() + from.bytes_sent();
-        break;
-      }
-      case ShardTransport::kProcess: {
-        AOD_ASSIGN_OR_RETURN(
-            SpawnedRunner runner,
-            SpawnRunner(transport.runner_path, transport.io_timeout_seconds,
-                        copts));
-        // Run the conversation, then reap unconditionally — an error
-        // path must not leak the child.
-        ShardChannel* channel = runner.channel.get();
-        Status conversation = [&]() -> Status {
-          AOD_RETURN_NOT_OK(channel->Send(std::move(config_frame)));
-          AOD_RETURN_NOT_OK(channel->Send(std::move(slice_frame)));
-          AOD_RETURN_NOT_OK(channel->Send(EncodeShutdown()));
-          AOD_RETURN_NOT_OK(DrainShardReply(channel, s, range, k, num_rows,
-                                            &fragments, st));
-          st->bytes_shipped_total +=
-              channel->bytes_sent() + channel->bytes_received();
-          return Status::OK();
-        }();
-        channel->Close();
-        KillAndReap(runner.pid, transport.io_timeout_seconds);
-        AOD_RETURN_NOT_OK(conversation);
-        break;
-      }
-    }
+    AOD_ASSIGN_OR_RETURN(
+        SpawnedRunner runner,
+        SpawnRunner(transport.runner_path, transport.io_timeout_seconds,
+                    copts));
+    // Run the conversation, then reap unconditionally — an error path
+    // must not leak the child.
+    ShardChannel* channel = runner.channel.get();
+    Status conversation = [&]() -> Status {
+      AOD_RETURN_NOT_OK(channel->Send(std::move(config_frame)));
+      AOD_RETURN_NOT_OK(channel->Send(std::move(slice_frame)));
+      AOD_RETURN_NOT_OK(channel->Send(EncodeShutdown()));
+      AOD_RETURN_NOT_OK(
+          DrainShardReply(channel, s, range, k, num_rows, &fragments, st));
+      st->bytes_shipped_total +=
+          channel->bytes_sent() + channel->bytes_received();
+      return Status::OK();
+    }();
+    channel->Close();
+    KillAndReap(runner.pid, transport.io_timeout_seconds);
+    AOD_RETURN_NOT_OK(conversation);
   }
 
   std::vector<StrippedPartition> bases;

@@ -13,7 +13,7 @@
 // either the unsharded driver's cache preload or the candidate-space
 // coordinator's bootstrap.
 //
-// The conversation per shard, over any transport:
+// The conversation per shard, with one spawned shard_runner_main:
 //
 //   coordinator -> runner   kConfigBlock (row range set), kTableBlock
 //                           (the row slice), kShutdown
@@ -21,19 +21,20 @@
 //                           kBatch envelope when there are several),
 //                           then the kStatsFooter terminal frame
 //
-// Sends never block on either transport (unbounded send queues), so the
-// coordinator pre-sends the whole conversation and — for the inproc
-// transport — serves the runner inline on its own thread. The row phase is fail-stop: shards run sequentially, any transport or
-// decode error aborts the phase with a typed Status (surfaced as
-// DiscoveryResult::shard_status), and there is no retry/supervision
-// ladder — the phase is a short bounded prologue, not a long-lived
-// conversation worth supervising.
+// Sends never block (the socket channel queues them for its writer
+// thread), so the coordinator pre-sends the whole conversation, then
+// drains the reply. The row phase is fail-stop: shards run
+// sequentially, any spawn, transport or decode error — a runner that
+// cannot be resolved or started included — aborts the phase with a
+// typed Status (surfaced as DiscoveryResult::shard_status), and there is
+// no retry/supervision ladder — the phase is a short bounded prologue,
+// not a long-lived conversation worth supervising.
 //
 // Determinism: fragments are pure functions of (column ranks, range),
 // the stitch is a pure function of the fragments, and
 // StitchPartitions output is pinned bit-identical to FromColumn on the
 // full table — so row-sharded discovery output is bit-identical to
-// unsharded for any row_shards × threads × transport point (gated in
+// unsharded for any row_shards × threads point (gated in
 // tests/parallel_determinism_test).
 #ifndef AOD_SHARD_ROW_SHARDING_H_
 #define AOD_SHARD_ROW_SHARDING_H_
@@ -81,24 +82,18 @@ struct RowShardStats {
 };
 
 /// Runs the whole row-shard phase: assigns ranges, runs one fragment
-/// conversation per shard (sequentially, fail-stop) over the configured
-/// transport, and stitches the fragments into one canonical base
+/// conversation per shard (sequentially, fail-stop) with a spawned
+/// runner, and stitches the fragments into one canonical base
 /// partition per attribute — bit-identical to
-/// StrippedPartition::FromColumn on each column. Only
-/// `transport.transport`, `runner_path`, `io_timeout_seconds` and
-/// `max_frame_bytes` are consulted; supervision and the channel
-/// decorator do not apply to this phase (see file comment).
+/// StrippedPartition::FromColumn on each column. Only `runner_path`,
+/// `io_timeout_seconds` and `max_frame_bytes` are consulted; supervision
+/// and the channel decorator do not apply to this phase (see file
+/// comment).
 /// Empty-range shards are not contacted; their empty fragments are
 /// synthesized locally.
 Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
     const EncodedTable& table, int row_shards,
     const ShardTransportOptions& transport, RowShardStats* stats = nullptr);
-
-/// Runner side of one fragment conversation, config frame onward:
-/// decodes the kConfigBlock (must carry a row range), then delegates to
-/// ServeRowShardAfterConfig. Used by the coordinator to serve inproc
-/// shards inline.
-Status ServeRowShard(ShardChannel* in, ShardChannel* out);
 
 /// Runner side after the config is already decoded (shard_runner_main
 /// enters here): receives the kTableBlock slice, checks it against the
@@ -106,7 +101,7 @@ Status ServeRowShard(ShardChannel* in, ShardChannel* out);
 /// kBatch envelope when there are several), answers the kShutdown with
 /// a kStatsFooter. Does not close the channels.
 Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
-                                ShardChannel* in, ShardChannel* out);
+                                ShardChannel* channel);
 
 }  // namespace shard
 }  // namespace aod

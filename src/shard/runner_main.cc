@@ -121,7 +121,7 @@ int ShardRunnerMain(int argc, char** argv) {
   }
 
   // Bootstrap: config, then the rank-encoded table. Everything after
-  // these two frames is ShardRunner's vocabulary.
+  // these two frames is ShardServeLoop's vocabulary.
   Result<BootstrapFrame> config_raw =
       ReceiveExpected(channel.get(), FrameType::kConfigBlock);
   if (!config_raw.ok()) return Fail(2, "config frame", config_raw.status());
@@ -132,8 +132,7 @@ int ShardRunnerMain(int argc, char** argv) {
   // conversation (partition the table slice, ship fragments, footer)
   // instead of the candidate-validation serve loop.
   if (config->row_end > config->row_begin) {
-    Status served =
-        ServeRowShardAfterConfig(*config, channel.get(), channel.get());
+    Status served = ServeRowShardAfterConfig(*config, channel.get());
     if (!served.ok()) return Fail(3, "row-shard serve", served);
     channel->Close();  // flush the footer before the fds die
     return 0;
@@ -168,23 +167,24 @@ int ShardRunnerMain(int argc, char** argv) {
   }
 
   ShardRunner runner(static_cast<int>(config->shard_id), &*table, options,
-                     channel.get(), channel.get(), pool.get());
-  // The table was decoded before the runner existed; fold its raw/wire
+                     pool.get());
+  ShardServeLoop loop(&runner, channel.get());
+  // The table was decoded before the loop existed; fold its raw/wire
   // bytes into the footer so the coordinator's ratio accounting sees
   // the biggest bootstrap frame too.
-  runner.CreditDecodedBytes(table_counts);
+  loop.CreditDecodedBytes(table_counts);
   Status served;
   const int64_t crash_before = CrashBeforeFrame();
   if (crash_before < 0) {
-    served = runner.Serve();
+    served = loop.Serve();
   } else {
     // Same serve loop, with the crash seam between frames: the
     // coordinator has typically already queued the frame we die before
     // serving, so from its side this is a mid-level loss.
     for (;;) {
-      if (runner.frames_served() + 1 >= crash_before) ::_exit(57);
+      if (loop.frames_served() + 1 >= crash_before) ::_exit(57);
       bool shutdown = false;
-      served = runner.ServeOne({}, &shutdown);
+      served = loop.ServeOne({}, &shutdown);
       if (!served.ok() || shutdown) break;
     }
   }

@@ -1,6 +1,8 @@
 #include "shard/shard_runner.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
@@ -12,72 +14,31 @@ namespace shard {
 
 ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
                          const ShardRunnerOptions& options,
-                         ShardChannel* inbox, ShardChannel* outbox,
                          exec::ThreadPool* pool)
     : shard_id_(shard_id),
       table_(table),
       options_(options),
-      inbox_(inbox),
-      outbox_(outbox),
-      receiver_(inbox),
       pool_(pool),
       cache_(table, PartitionCache::DeferBasePartitions{}),
       validator_(table, options.validator, options.epsilon,
                  options.afd_error, options.collect_removal_sets,
                  options.enable_sampling_filter ? &options.sampler_config
                                                 : nullptr) {
-  AOD_CHECK(table != nullptr && inbox != nullptr && outbox != nullptr);
+  AOD_CHECK(table != nullptr);
 }
 
-Status ShardRunner::ServeOne(const std::function<bool()>& cancel,
-                             bool* shutdown) {
-  if (shutdown != nullptr) *shutdown = false;
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver_.Receive());
-  AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
-  ++frames_served_;
-  switch (frame.type) {
-    case FrameType::kPartitionBlock:
-      return HandlePartitionBlock(frame);
-    case FrameType::kCandidateBatch:
-      return HandleCandidateBatch(frame, cancel);
-    case FrameType::kShutdown:
-      if (shutdown != nullptr) *shutdown = true;
-      return HandleShutdown();
-    case FrameType::kResultBatch:
-    case FrameType::kTableBlock:
-    case FrameType::kConfigBlock:
-    case FrameType::kStatsFooter:
-    case FrameType::kBatch:  // the receiver already unwrapped envelopes
-    case FrameType::kJobSubmit:  // serve-layer vocabulary; never shard-bound
-    case FrameType::kJobStatus:
-    case FrameType::kJobResultBatch:
-    case FrameType::kJobError:
-    case FrameType::kCancel:
-    case FrameType::kPartitionFragment:  // row-shard reply; coordinator-bound
-      break;
-  }
-  return Status::InvalidArgument("unexpected frame type on shard inbox");
-}
-
-Status ShardRunner::Serve(const std::function<bool()>& cancel) {
-  for (;;) {
-    bool shutdown = false;
-    AOD_RETURN_NOT_OK(ServeOne(cancel, &shutdown));
-    if (shutdown) return Status::OK();
-  }
-}
-
-Status ShardRunner::HandlePartitionBlock(const DecodedFrame& frame) {
-  AOD_ASSIGN_OR_RETURN(
-      auto block,
-      DecodePartitionBlock(frame, table_->num_rows(), &decoded_counts_));
-  cache_.Preload(block.first, std::move(block.second));
+void ShardRunner::Preload(AttributeSet attributes,
+                          StrippedPartition partition) {
+  cache_.Preload(attributes, std::move(partition));
   SampleResidency();
-  return Status::OK();
 }
 
-Status ShardRunner::HandleShutdown() {
-  return outbox_->Send(EncodeStatsFooter(FooterStats()));
+Status ShardRunner::PreloadBlock(const DecodedFrame& frame,
+                                 CodecByteCounts* counts) {
+  AOD_ASSIGN_OR_RETURN(
+      auto block, DecodePartitionBlock(frame, table_->num_rows(), counts));
+  Preload(block.first, std::move(block.second));
+  return Status::OK();
 }
 
 void ShardRunner::SampleResidency() {
@@ -88,7 +49,6 @@ ShardStatsFooter ShardRunner::FooterStats() const {
   ShardStatsFooter footer;
   footer.shard_id = static_cast<uint32_t>(shard_id_);
   footer.attempt_id = options_.attempt_id;
-  footer.frames_served = frames_served_;
   footer.products_computed = cache_.products_computed();
   footer.planner_derivations = cache_.planner_derivations();
   footer.planner_cost_estimated = cache_.planner_cost_estimated();
@@ -97,31 +57,15 @@ ShardStatsFooter ShardRunner::FooterStats() const {
   footer.partition_bytes_evicted = bytes_evicted_;
   footer.partition_bytes_final = cache_.bytes_resident();
   footer.partition_bytes_peak = bytes_peak_;
-  footer.bytes_decoded_raw = decoded_counts_.raw;
-  footer.bytes_decoded_wire = decoded_counts_.wire;
   footer.partition_seconds =
       static_cast<double>(partition_nanos_.load(std::memory_order_relaxed)) /
       1e9;
   return footer;
 }
 
-Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
-                                         const std::function<bool()>& cancel) {
-  AOD_ASSIGN_OR_RETURN(std::vector<WireCandidate> batch,
-                       DecodeCandidateBatch(frame, &decoded_counts_));
-
-  // A candidate whose kind this run never enabled is a coordinator bug
-  // (or a corrupted-but-checksum-valid stream), not work to skip: reject
-  // the whole batch before spending any validation time on it.
-  for (const WireCandidate& c : batch) {
-    if (!options_.kinds.Contains(c.kind)) {
-      return Status::InvalidArgument(
-          "candidate batch carries kind '" +
-          std::string(DependencyKindToString(c.kind)) +
-          "' outside the configured set " + options_.kinds.ToString());
-    }
-  }
-
+std::vector<WireOutcome> ShardRunner::ValidateBatch(
+    const std::vector<WireCandidate>& batch,
+    const std::function<bool()>& cancel) {
   // Parallel over the batch on the shared pool (nested fork/join is safe;
   // the coordinator runs each shard as one pool task). Every outcome slot
   // is written by exactly one iteration; `done` marks the candidates that
@@ -138,37 +82,23 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
                     },
                     popts);
 
-  // Reply in batch (= ascending slot) order with whatever completed, so
-  // the frame bytes are deterministic whenever the batch ran to the end.
+  // Batch (= ascending slot) order with whatever completed, so the reply
+  // is deterministic whenever the batch ran to the end.
   std::vector<WireOutcome> completed;
   completed.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     if (done[i]) completed.push_back(std::move(outcomes[i]));
   }
+  return completed;
+}
 
-  // Reply as chunks of at most kChunkOutcomes outcomes (last one
-  // final-flagged), which bound the frame size; the coalescing sender
-  // lets several small chunks ride one envelope.
-  constexpr size_t kChunkOutcomes = 512;
-  BatchingFrameSender sender(outbox_);
-  size_t begin = 0;
-  do {
-    const size_t end = std::min(begin + kChunkOutcomes, completed.size());
-    std::vector<WireOutcome> chunk(
-        std::make_move_iterator(completed.begin() + begin),
-        std::make_move_iterator(completed.begin() + end));
-    const bool final_chunk = end == completed.size();
-    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(chunk, final_chunk)));
-    begin = end;
-  } while (begin < completed.size());
-  AOD_RETURN_NOT_OK(sender.Flush());
-
-  // The batch's ParallelFor has joined, so every cache future is
+void ShardRunner::FinishBatch(const std::vector<WireCandidate>& batch) {
+  // ValidateBatch's ParallelFor has joined, so every cache future is
   // resolved — the precondition cost publishing, budget enforcement and
   // an exact residency sample need. Publishing the batch's resident
   // contexts lets the next batch's misses derive from them; the catalog
   // changes only here, between batches, so plans (and the product
-  // counter) are pure functions of the served batches, as in the
+  // counter) are pure functions of the validated batches, as in the
   // driver. A context a cancelled batch never reached is not resident,
   // and publishing it would derive it.
   for (const WireCandidate& c : batch) {
@@ -180,7 +110,6 @@ Status ShardRunner::HandleCandidateBatch(const DecodedFrame& frame,
     bytes_evicted_ += cache_.EnforceBudget(
         options_.partition_memory_budget_bytes);
   }
-  return Status::OK();
 }
 
 void ShardRunner::ValidateOne(const WireCandidate& candidate,
@@ -207,6 +136,97 @@ void ShardRunner::ValidateOne(const WireCandidate& candidate,
   out->removal_rows = std::move(verdict.removal_rows);
   out->interestingness = verdict.interestingness;
   out->seconds = verdict.seconds;
+}
+
+// ------------------------------------------------------------ serve loop --
+
+ShardServeLoop::ShardServeLoop(ShardRunner* runner, ShardChannel* channel)
+    : runner_(runner), channel_(channel), receiver_(channel) {
+  AOD_CHECK(runner != nullptr && channel != nullptr);
+}
+
+Status ShardServeLoop::ServeOne(const std::function<bool()>& cancel,
+                                bool* shutdown) {
+  if (shutdown != nullptr) *shutdown = false;
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver_.Receive());
+  AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
+  ++frames_served_;
+  switch (frame.type) {
+    case FrameType::kPartitionBlock:
+      return runner_->PreloadBlock(frame, &decoded_counts_);
+    case FrameType::kCandidateBatch:
+      return HandleCandidateBatch(frame, cancel);
+    case FrameType::kShutdown: {
+      if (shutdown != nullptr) *shutdown = true;
+      ShardStatsFooter footer = runner_->FooterStats();
+      footer.frames_served = frames_served_;
+      footer.bytes_decoded_raw = decoded_counts_.raw;
+      footer.bytes_decoded_wire = decoded_counts_.wire;
+      return channel_->Send(EncodeStatsFooter(footer));
+    }
+    case FrameType::kResultBatch:
+    case FrameType::kTableBlock:
+    case FrameType::kConfigBlock:
+    case FrameType::kStatsFooter:
+    case FrameType::kBatch:  // the receiver already unwrapped envelopes
+    case FrameType::kJobSubmit:  // serve-layer vocabulary; never shard-bound
+    case FrameType::kJobStatus:
+    case FrameType::kJobResultBatch:
+    case FrameType::kJobError:
+    case FrameType::kCancel:
+    case FrameType::kPartitionFragment:  // row-shard reply; coordinator-bound
+      break;
+  }
+  return Status::InvalidArgument("unexpected frame type on shard inbox");
+}
+
+Status ShardServeLoop::Serve(const std::function<bool()>& cancel) {
+  for (;;) {
+    bool shutdown = false;
+    AOD_RETURN_NOT_OK(ServeOne(cancel, &shutdown));
+    if (shutdown) return Status::OK();
+  }
+}
+
+Status ShardServeLoop::HandleCandidateBatch(
+    const DecodedFrame& frame, const std::function<bool()>& cancel) {
+  AOD_ASSIGN_OR_RETURN(std::vector<WireCandidate> batch,
+                       DecodeCandidateBatch(frame, &decoded_counts_));
+
+  // A candidate whose kind this run never enabled is a coordinator bug
+  // (or a corrupted-but-checksum-valid stream), not work to skip: reject
+  // the whole batch before spending any validation time on it.
+  const DependencyKindSet& kinds = runner_->options().kinds;
+  for (const WireCandidate& c : batch) {
+    if (!kinds.Contains(c.kind)) {
+      return Status::InvalidArgument(
+          "candidate batch carries kind '" +
+          std::string(DependencyKindToString(c.kind)) +
+          "' outside the configured set " + kinds.ToString());
+    }
+  }
+  std::vector<WireOutcome> completed = runner_->ValidateBatch(batch, cancel);
+
+  // Reply as chunks of at most kChunkOutcomes outcomes (last one
+  // final-flagged), which bound the frame size; the coalescing sender
+  // lets several small chunks ride one envelope.
+  constexpr size_t kChunkOutcomes = 512;
+  BatchingFrameSender sender(channel_);
+  size_t begin = 0;
+  do {
+    const size_t end = std::min(begin + kChunkOutcomes, completed.size());
+    std::vector<WireOutcome> chunk(
+        std::make_move_iterator(completed.begin() + begin),
+        std::make_move_iterator(completed.begin() + end));
+    const bool final_chunk = end == completed.size();
+    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(chunk, final_chunk)));
+    begin = end;
+  } while (begin < completed.size());
+  AOD_RETURN_NOT_OK(sender.Flush());
+  // Publish and evict after the reply is on its way, so the
+  // coordinator's wait for this level never includes eviction time.
+  runner_->FinishBatch(batch);
+  return Status::OK();
 }
 
 }  // namespace shard

@@ -1,32 +1,30 @@
-// One logical shard of the sharded discovery subsystem.
+// One logical shard of the sharded discovery subsystem, in two layers.
 //
-// A ShardRunner owns a *wire-seeded* partition cache: its base (level-1)
-// partitions arrive as kPartitionBlock frames from the coordinator, not
-// from the table, and larger context partitions are derived shard-locally
-// through the cache's cost planner, whose catalog the runner publishes
-// between batches. Each kCandidateBatch frame it receives is validated
-// (in parallel on the shared pool, cooperatively cancellable) and
-// answered with kResultBatch chunks carrying exact bit patterns of every
-// outcome field.
+// ShardRunner is the channel-free core: a *wire-seeded* partition cache
+// whose base (level-1) partitions are installed with Preload — decoded
+// off kPartitionBlock frames, never derived from the table — plus the
+// CandidateValidator the discovery driver also uses. Larger context
+// partitions are derived shard-locally through the cache's cost
+// planner, whose catalog FinishBatch publishes between batches. The
+// supervisor's degraded fallback drives this core directly on the
+// coordinator, with no channel and no frame round trip.
 //
-// In-process runners share the EncodedTable by pointer — rank columns are
-// immutable — while everything candidate- or partition-shaped crosses the
-// channel as bytes. That keeps the seam honest: promoting a runner to its
-// own process requires shipping the encoded columns once at startup and
-// swapping the channel implementation, nothing else.
+// ShardServeLoop is the wire side of a runner process: it receives
+// frames from a channel, decodes them, calls the core and encodes the
+// replies (kResultBatch chunks carrying exact bit patterns of every
+// outcome field, then the kStatsFooter on shutdown).
 //
 // Determinism: a runner's outcomes are pure functions of (table, batch,
-// shipped base partitions) — canonical partition values make the derived
-// contexts byte-identical to any other derivation site, and validation
-// goes through the same CandidateValidator as the driver — so the
-// coordinator's merged output is bit-identical to an unsharded run (see
-// ARCHITECTURE.md).
+// installed base partitions) — canonical partition values make the
+// derived contexts byte-identical to any other derivation site, and
+// validation goes through the same CandidateValidator as the driver —
+// so the coordinator's merged output is bit-identical to an unsharded
+// run (see ARCHITECTURE.md).
 #ifndef AOD_SHARD_SHARD_RUNNER_H_
 #define AOD_SHARD_SHARD_RUNNER_H_
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -57,9 +55,10 @@ struct ShardRunnerOptions {
   uint32_t attempt_id = 0;
   /// Raw threshold; CandidateValidator zeroes it for the exact validator.
   double epsilon = 0.1;
-  /// Dependency kinds this run may ship to the shard. The runner rejects
-  /// whole batches carrying any candidate outside the set — a kind the
-  /// coordinator never enabled is a protocol violation, not a skip.
+  /// Dependency kinds this run may ship to the shard. The serve loop
+  /// rejects whole batches carrying any candidate outside the set — a
+  /// kind the coordinator never enabled is a protocol violation, not a
+  /// skip.
   DependencyKindSet kinds = DependencyKindSet::OdDefault();
   /// Maximum g1 error for kAfd candidates (DiscoveryOptions::afd_error).
   double afd_error = 0.05;
@@ -73,60 +72,44 @@ struct ShardRunnerOptions {
 
 class ShardRunner {
  public:
-  /// `inbox`/`outbox` are borrowed and must outlive the runner; `pool`
-  /// may be nullptr for serial execution.
+  /// `table` is borrowed and must outlive the runner; `pool` may be
+  /// nullptr for serial execution.
   ShardRunner(int shard_id, const EncodedTable* table,
-              const ShardRunnerOptions& options, ShardChannel* inbox,
-              ShardChannel* outbox, exec::ThreadPool* pool);
+              const ShardRunnerOptions& options, exec::ThreadPool* pool);
+  AOD_DISALLOW_COPY_AND_ASSIGN(ShardRunner);
 
-  /// Receives one *logical* frame from the inbox (kBatch envelopes are
-  /// unwrapped transparently; each inner frame is one ServeOne) and
-  /// handles it:
-  ///   kPartitionBlock  — decode (canonical-validated) and install into
-  ///                      the local cache;
-  ///   kCandidateBatch  — validate every candidate (parallel over the
-  ///                      batch, `cancel` polled between candidates),
-  ///                      send back the completed outcomes as one or
-  ///                      more kResultBatch chunks — the last one
-  ///                      carrying the final-chunk flag — then publish
-  ///                      the batch's contexts to the planner catalog
-  ///                      and enforce the per-shard budget;
-  ///   kShutdown        — reply with the kStatsFooter terminal frame and
-  ///                      set `*shutdown` (when given): the conversation
-  ///                      is over and no further frame should be served.
-  /// Any decode or channel failure surfaces as a non-OK Status.
-  Status ServeOne(const std::function<bool()>& cancel = {},
-                  bool* shutdown = nullptr);
+  /// Installs one base partition into the local cache.
+  void Preload(AttributeSet attributes, StrippedPartition partition);
 
-  /// Serves frames until the shutdown handshake or a failure. The serve
-  /// loop of shard_runner_main; in-process coordinators call ServeOne to
-  /// keep the one-frame-per-level cadence instead.
-  Status Serve(const std::function<bool()>& cancel = {});
+  /// Decodes one kPartitionBlock frame (canonical-validated) and
+  /// Preloads it — the one place a base shipment is turned into cache
+  /// entries, for the serve loop and the supervisor's fallback alike.
+  /// `counts` (optional) accumulates the decoded raw/wire bytes.
+  Status PreloadBlock(const DecodedFrame& frame,
+                      CodecByteCounts* counts = nullptr);
 
-  int shard_id() const { return shard_id_; }
-  /// Logical frames served so far (the footer's cross-check counter);
-  /// exposed so shard_runner_main's crash-injection test seam can die at
-  /// a deterministic point in the conversation.
-  int64_t frames_served() const { return frames_served_; }
+  /// Validates every candidate (parallel over the batch on the pool,
+  /// `cancel` polled between candidates) and returns the completed
+  /// outcomes in batch order — all of them unless cancelled.
+  std::vector<WireOutcome> ValidateBatch(
+      const std::vector<WireCandidate>& batch,
+      const std::function<bool()>& cancel = {});
 
-  /// The counters this shard reports in its terminal kStatsFooter frame
-  /// (see wire.h), aggregated by the coordinator into DiscoveryStats;
-  /// pure functions of the served batches except for the timing field.
+  /// Closes a validated batch: publishes its resident contexts to the
+  /// planner catalog and enforces the per-shard budget. Call once after
+  /// every ValidateBatch, before the next one — the serve loop does so
+  /// after the reply is sent.
+  void FinishBatch(const std::vector<WireCandidate>& batch);
+
+  /// The partition-side counters of the kStatsFooter (see wire.h); pure
+  /// functions of the validated batches except for the timing field.
+  /// The wire-side fields (frames served, decoded bytes) stay 0 here —
+  /// ShardServeLoop fills them in.
   ShardStatsFooter FooterStats() const;
 
-  /// Folds decode-side byte counts produced outside the serve loop into
-  /// the footer's raw/wire totals — runner_main decodes the kTableBlock
-  /// before the runner exists and credits it here, so the coordinator's
-  /// compression-ratio accounting sees the table bytes too.
-  void CreditDecodedBytes(const CodecByteCounts& counts) {
-    decoded_counts_.Add(counts);
-  }
+  const ShardRunnerOptions& options() const { return options_; }
 
  private:
-  Status HandlePartitionBlock(const DecodedFrame& frame);
-  Status HandleCandidateBatch(const DecodedFrame& frame,
-                              const std::function<bool()>& cancel);
-  Status HandleShutdown();
   void SampleResidency();
   /// One validation through the CandidateValidator the discovery driver
   /// also uses, so sharded and unsharded outcomes are bit-identical.
@@ -135,21 +118,14 @@ class ShardRunner {
   const int shard_id_;
   const EncodedTable* table_;
   const ShardRunnerOptions options_;
-  ShardChannel* inbox_;
-  ShardChannel* outbox_;
-  /// Unwraps kBatch envelopes from the inbox so frames_served_ counts
-  /// logical frames — the unit the coordinator's cross-check uses.
-  LogicalFrameReceiver receiver_;
   exec::ThreadPool* pool_;
   PartitionCache cache_;
   CandidateValidator validator_;
-  CodecByteCounts decoded_counts_;
   /// Bytes released by per-shard budget enforcement so far.
   int64_t bytes_evicted_ = 0;
   /// Residency high-water mark, sampled after every installed base and
-  /// every served batch (quiescent points, so the sample is exact).
+  /// every validated batch (quiescent points, so the sample is exact).
   int64_t bytes_peak_ = 0;
-  int64_t frames_served_ = 0;
   /// Wall time spent deriving context partitions (the shard-side
   /// analogue of the driver's partition_seconds). Counted only when the
   /// requesting candidate found its context unresolved, so cache hits
@@ -157,6 +133,59 @@ class ShardRunner {
   /// the tail of a derivation — like every timing stat, this is outside
   /// the determinism contract.
   std::atomic<int64_t> partition_nanos_{0};
+};
+
+/// The serve loop of shard_runner_main: one channel (full duplex), one
+/// core. Decodes, calls the core, encodes — nothing else.
+class ShardServeLoop {
+ public:
+  /// `runner` and `channel` are borrowed and must outlive the loop.
+  ShardServeLoop(ShardRunner* runner, ShardChannel* channel);
+  AOD_DISALLOW_COPY_AND_ASSIGN(ShardServeLoop);
+
+  /// Receives one *logical* frame (kBatch envelopes are unwrapped
+  /// transparently; each inner frame is one ServeOne) and handles it:
+  ///   kPartitionBlock  — PreloadBlock;
+  ///   kCandidateBatch  — reject the whole batch if any candidate's kind
+  ///                      is outside the configured set, else
+  ///                      ValidateBatch, send the completed outcomes
+  ///                      back as one or more kResultBatch chunks (the
+  ///                      last one carrying the final-chunk flag), then
+  ///                      FinishBatch;
+  ///   kShutdown        — reply with the kStatsFooter terminal frame and
+  ///                      set `*shutdown` (when given): the conversation
+  ///                      is over and no further frame should be served.
+  /// Any decode or channel failure surfaces as a non-OK Status.
+  Status ServeOne(const std::function<bool()>& cancel = {},
+                  bool* shutdown = nullptr);
+
+  /// Serves frames until the shutdown handshake or a failure.
+  Status Serve(const std::function<bool()>& cancel = {});
+
+  /// Logical frames served so far (the footer's cross-check counter);
+  /// exposed so shard_runner_main's crash-injection test seam can die at
+  /// a deterministic point in the conversation.
+  int64_t frames_served() const { return frames_served_; }
+
+  /// Folds decode-side byte counts produced outside the loop into the
+  /// footer's raw/wire totals — runner_main decodes the kTableBlock
+  /// before the loop exists and credits it here, so the coordinator's
+  /// compression-ratio accounting sees the table bytes too.
+  void CreditDecodedBytes(const CodecByteCounts& counts) {
+    decoded_counts_.Add(counts);
+  }
+
+ private:
+  Status HandleCandidateBatch(const DecodedFrame& frame,
+                              const std::function<bool()>& cancel);
+
+  ShardRunner* const runner_;
+  ShardChannel* const channel_;
+  /// Unwraps kBatch envelopes so frames_served_ counts logical frames —
+  /// the unit the coordinator's cross-check uses.
+  LogicalFrameReceiver receiver_;
+  CodecByteCounts decoded_counts_;
+  int64_t frames_served_ = 0;
 };
 
 }  // namespace shard

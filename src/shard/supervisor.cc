@@ -9,7 +9,9 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -42,18 +44,30 @@ constexpr double kMinIoSeconds = 0.05;
 
 }  // namespace
 
+std::string ResolveRunnerPath(const std::string& runner_path) {
+  if (!runner_path.empty()) return runner_path;
+  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) {
+    if (*env != '\0') return env;
+  }
+  char buf[4096];
+  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) return "";
+  buf[n] = '\0';
+  const std::filesystem::path sibling =
+      std::filesystem::path(buf).parent_path() / "shard_runner_main";
+  std::error_code ec;
+  return std::filesystem::exists(sibling, ec) ? sibling.string() : "";
+}
+
 Result<SpawnedRunner> SpawnRunner(const std::string& runner_path,
                                   double timeout_seconds,
                                   const ChannelOptions& options) {
-  std::string path = runner_path;
-  if (path.empty()) {
-    const char* env = std::getenv("AOD_SHARD_RUNNER");
-    if (env != nullptr) path = env;
-  }
+  const std::string path = ResolveRunnerPath(runner_path);
   if (path.empty()) {
     return Status::InvalidArgument(
-        "process transport needs ShardTransportOptions::runner_path or "
-        "$AOD_SHARD_RUNNER");
+        "no shard runner: set ShardTransportOptions::runner_path or "
+        "$AOD_SHARD_RUNNER, or build shard_runner_main beside the "
+        "executable");
   }
   AOD_ASSIGN_OR_RETURN(std::unique_ptr<SocketListener> listener,
                        SocketListener::Bind());
@@ -70,9 +84,25 @@ Result<SpawnedRunner> SpawnRunner(const std::string& runner_path,
     return Status::IoError("cannot spawn shard runner '" + path +
                            "': " + std::strerror(rc));
   }
-  Result<int> accepted = listener->AcceptFd(timeout_seconds);
+  // A child that exits instead of connecting (wrong binary, crash at
+  // startup) is noticed between poll slices, not after the full timeout.
+  bool reaped = false;
+  Result<int> accepted =
+      listener->AcceptFd(timeout_seconds, [&]() -> Status {
+        int wstatus = 0;
+        if (::waitpid(spawned.pid, &wstatus, WNOHANG) != spawned.pid) {
+          return Status::OK();
+        }
+        reaped = true;
+        return Status::IoError(
+            "shard runner '" + path + "' exited before connecting (" +
+            (WIFEXITED(wstatus)
+                 ? "exit status " + std::to_string(WEXITSTATUS(wstatus))
+                 : "signal " + std::to_string(WTERMSIG(wstatus))) +
+            ")");
+      });
   if (!accepted.ok()) {
-    KillAndReap(spawned.pid, 0.0);
+    if (!reaped) KillAndReap(spawned.pid, 0.0);
     return accepted.status();
   }
   spawned.channel = SocketShardChannel::Adopt(*accepted, options);
@@ -152,20 +182,12 @@ double ShardSupervisor::BoundedIoTimeout() const {
                   std::max(kMinIoSeconds, remaining));
 }
 
-std::unique_ptr<ShardChannel> ShardSupervisor::Decorate(
-    std::unique_ptr<ShardChannel> ch) {
-  if (transport_->channel_decorator) {
-    return transport_->channel_decorator(std::move(ch));
-  }
-  return ch;
-}
-
 void ShardSupervisor::AddTypeCounts(FrameType type,
                                     const CodecByteCounts& counts) {
   by_type_[static_cast<size_t>(type)].Add(counts);
 }
 
-Status ShardSupervisor::BuildAttempt(bool force_inproc) {
+Status ShardSupervisor::EstablishCurrent() {
   current_ = std::make_unique<Attempt>();
   Attempt* a = current_.get();
   a->id = ++attempt_seq_;
@@ -173,101 +195,59 @@ Status ShardSupervisor::BuildAttempt(bool force_inproc) {
   ChannelOptions copts;
   copts.max_frame_bytes = transport_->max_frame_bytes;
   copts.receive_timeout_seconds = BoundedIoTimeout();
+  AOD_ASSIGN_OR_RETURN(
+      SpawnedRunner spawned,
+      SpawnRunner(transport_->runner_path, BoundedIoTimeout(), copts));
+  a->pid = spawned.pid;
+  a->channel = transport_->channel_decorator
+                   ? transport_->channel_decorator(std::move(spawned.channel))
+                   : std::move(spawned.channel);
+  a->receiver = std::make_unique<LogicalFrameReceiver>(a->channel.get());
 
-  ShardRunnerOptions ropts = bootstrap_->runner_options;
-  ropts.attempt_id = a->id;
+  // Bootstrap frames the runner process consumes before its serve loop:
+  // the validation config (stamped with this attempt's id), then the
+  // rank-encoded table — both re-sent verbatim from the coordinator's
+  // encode-once bootstrap on every respawn.
+  const ShardRunnerOptions& ropts = bootstrap_->runner_options;
+  WireRunnerConfig config;
+  config.shard_id = static_cast<uint32_t>(shard_id_);
+  config.attempt_id = a->id;
+  config.validator = static_cast<uint8_t>(ropts.validator);
+  config.epsilon = ropts.epsilon;
+  config.collect_removal_sets = ropts.collect_removal_sets;
+  config.enable_sampling_filter = ropts.enable_sampling_filter;
+  config.sampler_sample_size = ropts.sampler_config.sample_size;
+  config.sampler_reject_margin = ropts.sampler_config.reject_margin;
+  config.sampler_seed = ropts.sampler_config.seed;
+  config.partition_memory_budget_bytes = ropts.partition_memory_budget_bytes;
+  config.kinds = ropts.kinds.bits();
+  config.afd_error = ropts.afd_error;
+  // N children each as wide as the coordinator would oversubscribe the
+  // machine N-fold; give each its slice of the pool instead.
+  config.num_threads = static_cast<uint32_t>(
+      std::max(1, bootstrap_->pool_workers / bootstrap_->num_shards));
+  AOD_RETURN_NOT_OK(a->channel->Send(EncodeConfigBlock(config)));
+  AOD_RETURN_NOT_OK(a->channel->Send(bootstrap_->table_frame));
+  AddTypeCounts(FrameType::kTableBlock, bootstrap_->table_counts);
+  if (a->id > 1) ++respawns_;
 
-  if (force_inproc || transport_->transport == ShardTransport::kInProcess) {
-    // The degraded fallback runs *outside* the configured transport's
-    // failure domain, so its channels are deliberately undecorated —
-    // the decorator models that transport's faults (ARCHITECTURE.md,
-    // "Failure domains and supervision").
-    if (force_inproc) {
-      a->to = std::make_unique<InProcessChannel>(copts);
-      a->from = std::make_unique<InProcessChannel>(copts);
-    } else {
-      a->to = Decorate(std::make_unique<InProcessChannel>(copts));
-      a->from = Decorate(std::make_unique<InProcessChannel>(copts));
-    }
-    a->to_shard = a->to.get();
-    a->from_shard = a->from.get();
-    a->runner = std::make_unique<ShardRunner>(shard_id_, bootstrap_->table,
-                                              ropts, a->to_shard,
-                                              a->from_shard, pool_);
-  } else {
-    AOD_ASSIGN_OR_RETURN(
-        SpawnedRunner spawned,
-        SpawnRunner(transport_->runner_path, BoundedIoTimeout(), copts));
-    a->pid = spawned.pid;
-    a->to = Decorate(std::move(spawned.channel));
-    a->to_shard = a->to.get();
-    a->from_shard = a->to.get();
-
-    // Bootstrap frames the runner process consumes before its serve
-    // loop: the validation config (stamped with this attempt's id),
-    // then the rank-encoded table — both re-sent verbatim from the
-    // coordinator's encode-once bootstrap on every respawn.
-    WireRunnerConfig config;
-    config.shard_id = static_cast<uint32_t>(shard_id_);
-    config.attempt_id = a->id;
-    config.validator = static_cast<uint8_t>(ropts.validator);
-    config.epsilon = ropts.epsilon;
-    config.collect_removal_sets = ropts.collect_removal_sets;
-    config.enable_sampling_filter = ropts.enable_sampling_filter;
-    config.sampler_sample_size = ropts.sampler_config.sample_size;
-    config.sampler_reject_margin = ropts.sampler_config.reject_margin;
-    config.sampler_seed = ropts.sampler_config.seed;
-    config.partition_memory_budget_bytes =
-        ropts.partition_memory_budget_bytes;
-    config.kinds = ropts.kinds.bits();
-    config.afd_error = ropts.afd_error;
-    // N children each as wide as the coordinator would oversubscribe
-    // the machine N-fold; give each its slice of the pool instead.
-    config.num_threads = static_cast<uint32_t>(
-        std::max(1, bootstrap_->pool_workers / bootstrap_->num_shards));
-    AOD_RETURN_NOT_OK(a->to_shard->Send(EncodeConfigBlock(config)));
-    AOD_RETURN_NOT_OK(a->to_shard->Send(bootstrap_->table_frame));
-    AddTypeCounts(FrameType::kTableBlock, bootstrap_->table_counts);
-  }
-  a->receiver = std::make_unique<LogicalFrameReceiver>(a->from_shard);
-  if (a->id > 1 && !force_inproc) ++respawns_;
-  return Status::OK();
-}
-
-Status ShardSupervisor::SeedAttempt(Attempt* attempt,
-                                    const std::function<bool()>& cancel) {
   if (bootstrap_->base_frames == 0) return Status::OK();
-  AOD_RETURN_NOT_OK(attempt->to_shard->Send(bootstrap_->base_shipment));
+  AOD_RETURN_NOT_OK(a->channel->Send(bootstrap_->base_shipment));
   // The envelope counts as its inner frames — the unit the footer
   // cross-check compares against frames_served.
-  attempt->frames_sent += bootstrap_->base_frames;
+  a->frames_sent += bootstrap_->base_frames;
   AddTypeCounts(FrameType::kPartitionBlock, bootstrap_->base_counts);
-  if (attempt->runner != nullptr) {
-    for (int i = 0; i < bootstrap_->base_frames; ++i) {
-      AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
-    }
-  }
   return Status::OK();
-}
-
-Status ShardSupervisor::EstablishCurrent(bool force_inproc,
-                                         const std::function<bool()>& cancel) {
-  AOD_RETURN_NOT_OK(BuildAttempt(force_inproc));
-  return SeedAttempt(current_.get(), cancel);
 }
 
 Status ShardSupervisor::ExecuteLevelOnce(
-    const std::vector<WireCandidate>& batch,
-    const std::function<bool()>& cancel, std::vector<WireOutcome>* out) {
+    const std::vector<WireCandidate>& batch, std::vector<WireOutcome>* out) {
   Attempt* attempt = current_.get();
   CodecByteCounts encode_counts;
-  AOD_RETURN_NOT_OK(attempt->to_shard->Send(
+  AOD_RETURN_NOT_OK(attempt->channel->Send(
       EncodeCandidateBatch(batch, /*compress=*/true, &encode_counts)));
   ++attempt->frames_sent;
   AddTypeCounts(FrameType::kCandidateBatch, encode_counts);
-  if (attempt->runner != nullptr) {
-    AOD_RETURN_NOT_OK(attempt->runner->ServeOne(cancel));
-  }
   // Chunked reply: a well-formed reply is at most |batch|+1 chunks
   // (every chunk but the final carries at least one outcome), so a
   // babbling runner is a typed protocol error, not a loop.
@@ -287,6 +267,24 @@ Status ShardSupervisor::ExecuteLevelOnce(
     if (chunk.final_chunk) break;
   }
   AddTypeCounts(FrameType::kResultBatch, decode_counts);
+  return Status::OK();
+}
+
+Status ShardSupervisor::Degrade() {
+  // The base shipment is the bootstrap's own encode-once bytes: decoding
+  // it here costs the degraded shard what a respawn's runner would pay,
+  // and the healthy path keeps no second copy of the bases around.
+  auto core = std::make_unique<ShardRunner>(
+      shard_id_, bootstrap_->table, bootstrap_->runner_options, pool_);
+  if (bootstrap_->base_frames > 0) {
+    AOD_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> frames,
+                         SplitLogicalFrames(bootstrap_->base_shipment));
+    for (const std::vector<uint8_t>& bytes : frames) {
+      AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(bytes));
+      AOD_RETURN_NOT_OK(core->PreloadBlock(frame));
+    }
+  }
+  fallback_ = std::move(core);
   return Status::OK();
 }
 
@@ -323,13 +321,10 @@ void ShardSupervisor::Backoff(int attempt_try,
 void ShardSupervisor::Teardown() {
   std::unique_ptr<Attempt> attempt = std::move(current_);
   if (attempt == nullptr) return;
-  if (attempt->to_shard != nullptr) {
-    attempt->to_shard->Close();
-    if (attempt->from_shard != attempt->to_shard) {
-      attempt->from_shard->Close();
-    }
-    retired_bytes_ += attempt->to_shard->bytes_sent() +
-                      attempt->from_shard->bytes_received();
+  if (attempt->channel != nullptr) {
+    attempt->channel->Close();
+    retired_bytes_ += attempt->channel->bytes_sent() +
+                      attempt->channel->bytes_received();
   }
   // A torn-down child is not asked nicely: it may be wedged mid-frame,
   // and its replacement is already on the way.
@@ -350,21 +345,12 @@ Status ShardSupervisor::Start() {
       // fault that triggered the retry instead of overshooting.
       if (DeadlineExpired()) return st;
     }
-    st = EstablishCurrent(/*force_inproc=*/false, {});
+    st = EstablishCurrent();
     if (st.ok()) return st;
     if (strict()) return st;  // partial attempt stays for Finish
     Teardown();
     if (DeadlineExpired()) return st;
-    if (attempt_try >= supervision_.max_retries) {
-      if (transport_->transport == ShardTransport::kInProcess) return st;
-      const Status fallback = EstablishCurrent(/*force_inproc=*/true, {});
-      if (fallback.ok()) {
-        fell_back_ = true;
-      } else {
-        Teardown();
-      }
-      return fallback;
-    }
+    if (attempt_try >= supervision_.max_retries) return Degrade();
   }
 }
 
@@ -373,6 +359,13 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
                                      std::vector<WireOutcome>* out) {
   Status st = Status::OK();
   for (int attempt_try = 0;; ++attempt_try) {
+    if (fallback_ != nullptr) {
+      // Degraded: the transport already proved persistently broken, so
+      // the shard validates on the coordinator for the rest of the run.
+      *out = fallback_->ValidateBatch(batch, cancel);
+      fallback_->FinishBatch(batch);
+      return Status::OK();
+    }
     if (attempt_try > 0) {
       ++retries_;
       Backoff(attempt_try, cancel);
@@ -383,53 +376,35 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
     }
     // A previous level may have torn the attempt down: re-establish
     // before executing.
-    st = current_ == nullptr ? EstablishCurrent(fell_back_, cancel)
-                             : Status::OK();
+    st = current_ == nullptr ? EstablishCurrent() : Status::OK();
     if (st.ok()) {
       std::vector<WireOutcome> buffered;
-      st = ExecuteLevelOnce(batch, cancel, &buffered);
+      st = ExecuteLevelOnce(batch, &buffered);
       if (st.ok()) {
         *out = std::move(buffered);
         return st;
       }
     }
-    if (strict()) return st;  // PR 5 contract: first fault surfaces as-is
+    if (strict()) return st;  // fail-stop: the first fault surfaces as-is
     Teardown();
     if (cancel && cancel()) return st;
     if (DeadlineExpired()) return st;
-    if (attempt_try >= supervision_.max_retries) {
-      // Retry budget exhausted on the process transport — degrade to
-      // executing this shard's slice in-process rather than aborting
-      // the run. One successful fallback pins the shard in-process for
-      // the rest of the run (the transport already proved persistent).
-      if (transport_->transport == ShardTransport::kInProcess || fell_back_) {
-        return st;
-      }
-      Status fallback = EstablishCurrent(/*force_inproc=*/true, cancel);
-      if (fallback.ok()) {
-        std::vector<WireOutcome> buffered;
-        fallback = ExecuteLevelOnce(batch, cancel, &buffered);
-        if (fallback.ok()) {
-          fell_back_ = true;
-          *out = std::move(buffered);
-          return fallback;
-        }
-      }
-      Teardown();
-      return fallback;
-    }
+    // Retry budget exhausted: degrade rather than abort the run; the
+    // next loop turn validates this level on the coordinator.
+    if (attempt_try >= supervision_.max_retries) AOD_RETURN_NOT_OK(Degrade());
   }
 }
 
 Status ShardSupervisor::SendShutdown() {
+  if (fallback_ != nullptr) return Status::OK();  // footer read directly
   Attempt* a = current_.get();
-  if (a == nullptr || a->to_shard == nullptr) {
-    // Nothing live to hand a footer back — strict half-init parity:
-    // the old coordinator skipped channel-less links too.
+  if (a == nullptr || a->channel == nullptr) {
+    // Nothing live to hand a footer back (a strict-mode half-built
+    // attempt): count the footer as missing.
     footer_missing_ = true;
     return Status::OK();
   }
-  const Status st = a->to_shard->Send(EncodeShutdown());
+  const Status st = a->channel->Send(EncodeShutdown());
   if (st.ok()) {
     ++a->frames_sent;
     return st;
@@ -439,28 +414,16 @@ Status ShardSupervisor::SendShutdown() {
   return Status::OK();
 }
 
-Status ShardSupervisor::PumpShutdownServe() {
-  Attempt* a = current_.get();
-  if (a == nullptr || a->runner == nullptr || footer_missing_) {
+Status ShardSupervisor::CollectFooter() {
+  if (fallback_ != nullptr) {
+    footer_ = fallback_->FooterStats();
+    footer_valid_ = true;
     return Status::OK();
   }
-  const Status st = a->runner->ServeOne();
-  if (st.ok() || strict()) return st;
-  footer_missing_ = true;
-  return Status::OK();
-}
-
-Status ShardSupervisor::CollectFooter() {
   Attempt* a = current_.get();
-  if (a == nullptr || a->from_shard == nullptr || footer_missing_) {
+  if (a == nullptr || a->channel == nullptr || footer_missing_) {
     footer_missing_ = true;
     return Status::OK();
-  }
-  // A half-initialized attempt (failed bootstrap in strict mode) has
-  // its channels but never got a receiver; give it one so the drain
-  // below still unwraps envelopes.
-  if (a->receiver == nullptr) {
-    a->receiver = std::make_unique<LogicalFrameReceiver>(a->from_shard);
   }
   // A mid-level abort can leave result frames queued ahead of the
   // footer — a whole level's worth of reply chunks; drain non-footer
@@ -509,9 +472,7 @@ Status ShardSupervisor::CollectFooter() {
 
 void ShardSupervisor::CloseChannels() {
   Attempt* a = current_.get();
-  if (a == nullptr || a->to_shard == nullptr) return;
-  a->to_shard->Close();
-  if (a->from_shard != a->to_shard) a->from_shard->Close();
+  if (a != nullptr && a->channel != nullptr) a->channel->Close();
 }
 
 pid_t ShardSupervisor::ReleaseProcess() {
@@ -524,8 +485,8 @@ pid_t ShardSupervisor::ReleaseProcess() {
 int64_t ShardSupervisor::bytes_shipped() const {
   int64_t total = retired_bytes_;
   const Attempt* a = current_.get();
-  if (a != nullptr && a->to_shard != nullptr) {
-    total += a->to_shard->bytes_sent() + a->from_shard->bytes_received();
+  if (a != nullptr && a->channel != nullptr) {
+    total += a->channel->bytes_sent() + a->channel->bytes_received();
   }
   return total;
 }

@@ -1,9 +1,7 @@
 // Per-shard supervision: retry, respawn, degrade.
 //
-// PR 5/6 made every transport fault fail-stop: one torn frame or dead
-// runner aborted the whole run with DiscoveryResult::shard_status,
-// throwing away all sibling shards' work. A ShardSupervisor turns shard
-// failure into a retried, bounded, observable event — the MapReduce
+// A ShardSupervisor turns shard failure into a retried, bounded,
+// observable event instead of a run-wide abort — the MapReduce
 // re-execution model applied to the shard seam:
 //
 //   retry / respawn   a failed level (or failed establishment) tears the
@@ -12,20 +10,21 @@
 //                     encode-once bootstrap frames — after an
 //                     exponential backoff with deterministic jitter,
 //                     up to max_retries re-attempts per level;
-//   degradation       once the retry budget is exhausted on the process
-//                     transport, the shard's candidate slice executes
-//                     in-process on the coordinator's pool (an
-//                     undecorated InProcessChannel attempt seeded from
-//                     the same bootstrap frames) instead of aborting.
+//   degradation       once the retry budget is exhausted, the shard's
+//                     candidate slices are validated on the coordinator
+//                     for the rest of the run: a channel-free ShardRunner
+//                     core, seeded by decoding the bootstrap base
+//                     shipment already in memory, called directly — no
+//                     channel, no frame round trip — and its footer is
+//                     read directly too.
 //
 // Attempt identity crosses the wire: each (re)establishment carries a
 // fresh attempt_id in its config block, echoed by the runner's stats
 // footer, so a superseded attempt's footer is distinguishable from the
 // live one.
 //
-// Strict mode: max_retries == 0 disables both mechanisms and preserves
-// the pre-supervision failure contract exactly — any fault is a typed
-// non-OK status, never a hang, never a partially merged level
+// Strict mode: max_retries == 0 disables both mechanisms — any fault is
+// a typed non-OK status, never a hang, never a partially merged level
 // (tests/shard_channel_conformance_test pins this with retries pinned
 // to 0).
 //
@@ -66,13 +65,20 @@ struct SpawnedRunner {
   std::unique_ptr<SocketShardChannel> channel;
 };
 
-/// The one runner-spawn path of the process transport: resolves the
-/// binary (`runner_path`, else $AOD_SHARD_RUNNER), binds an ephemeral
-/// loopback listener of its own — concurrent respawns never adopt each
-/// other's connections out of a shared accept queue — spawns the runner
-/// pointed at it and accepts its connection, every wait bounded by
-/// `timeout_seconds`. A child that never connects is killed and reaped
-/// before the error returns.
+/// The one runner-resolution rule: `runner_path` when non-empty, else
+/// $AOD_SHARD_RUNNER, else shard_runner_main beside the running
+/// executable (/proc/self/exe) when that file exists. Empty when nothing
+/// resolves.
+std::string ResolveRunnerPath(const std::string& runner_path);
+
+/// The one runner-spawn path: resolves the binary (ResolveRunnerPath),
+/// binds an ephemeral loopback listener of its own — concurrent
+/// respawns never adopt each other's connections out of a shared accept
+/// queue — spawns the runner pointed at it and accepts its connection,
+/// the wait bounded by `timeout_seconds`. A child that exits before
+/// connecting fails the spawn at once with a typed IoError naming its
+/// exit status; one that never connects is killed and reaped before the
+/// timeout error returns.
 Result<SpawnedRunner> SpawnRunner(const std::string& runner_path,
                                   double timeout_seconds,
                                   const ChannelOptions& options);
@@ -88,8 +94,8 @@ Status KillAndReap(pid_t pid, double timeout_seconds);
 /// user-facing knobs).
 struct ShardSupervisionOptions {
   /// Re-attempts allowed per level (and for the initial establishment)
-  /// before the shard degrades to in-process execution. 0 = strict mode:
-  /// no retry, no fallback — the pre-supervision fail-stop contract.
+  /// before the shard degrades to validation on the coordinator.
+  /// 0 = strict mode: no retry, no fallback — fail-stop.
   int max_retries = 2;
   /// Base backoff before the first re-attempt; doubles per attempt with
   /// deterministic (hash-of-(shard, attempt)) jitter, capped at 2s and
@@ -108,13 +114,13 @@ struct ShardSupervisionOptions {
 /// encoded (and checksummed) once per run, not once per attempt.
 struct ShardBootstrap {
   const EncodedTable* table = nullptr;
-  /// kTableBlock for process runners (empty otherwise) + its codec
-  /// byte counts, credited per shipment.
+  /// kTableBlock + its codec byte counts, credited per shipment.
   std::vector<uint8_t> table_frame;
   CodecByteCounts table_counts;
   /// The base (level-1) partitions: one kBatch envelope of
   /// `base_frames` kPartitionBlock frames (or the single frame when
-  /// base_frames == 1).
+  /// base_frames == 1). A degraded shard decodes its cache from these
+  /// same bytes.
   std::vector<uint8_t> base_shipment;
   CodecByteCounts base_counts;
   int base_frames = 0;
@@ -141,13 +147,13 @@ class ShardSupervisor {
   /// Finish phase.
   Status Start();
 
-  /// Ships `batch`, pumps an in-process runner if the attempt has one,
-  /// and receives the chunked reply into `out` (ascending slot order).
-  /// On failure: teardown, backoff, respawn, re-execute — up to
-  /// max_retries re-attempts — then the in-process fallback; only when
-  /// all of that is exhausted does the error surface. Empty batches
-  /// still make the round trip: the request/reply cadence is one frame
-  /// per shard per level.
+  /// Ships `batch` and receives the chunked reply into `out` (ascending
+  /// slot order). On failure: teardown, backoff, respawn, re-execute —
+  /// up to max_retries re-attempts — then degradation to validation on
+  /// the coordinator; only a failure in strict mode, on cancellation or
+  /// past the run deadline surfaces. Empty batches still make the round
+  /// trip: the request/reply cadence is one frame per shard per level.
+  /// A degraded shard validates `batch` directly.
   Status ExecuteLevel(const std::vector<WireCandidate>& batch,
                       const std::function<bool()>& cancel,
                       std::vector<WireOutcome>* out);
@@ -155,13 +161,11 @@ class ShardSupervisor {
   // --- Finish phase (driven by ShardCoordinator::Finish, in order) ---
   /// Ships the kShutdown frame on the current attempt.
   Status SendShutdown();
-  /// One ServeOne for an attempt with an in-process runner (answers the
-  /// shutdown with the stats footer).
-  Status PumpShutdownServe();
   /// Drains stale reply frames (bounded) and decodes the stats footer,
-  /// validating served-frame count and attempt id. Strict mode returns
-  /// the PR 5 typed errors; supervised mode tolerates a lost footer
-  /// (the level work is already merged) and counts it instead.
+  /// validating served-frame count and attempt id; a degraded shard's
+  /// footer is read off its core. Strict mode returns typed errors;
+  /// supervised mode tolerates a lost footer (the level work is already
+  /// merged) and counts it instead.
   Status CollectFooter();
   void CloseChannels();
   /// Hands a still-live runner process (or -1) over for the
@@ -173,7 +177,7 @@ class ShardSupervisor {
   bool strict() const { return supervision_.max_retries <= 0; }
   int64_t retries() const { return retries_; }
   int64_t respawns() const { return respawns_; }
-  bool fell_back() const { return fell_back_; }
+  bool fell_back() const { return fallback_ != nullptr; }
   bool footer_missing() const { return footer_missing_; }
   bool footer_valid() const { return footer_valid_; }
   const ShardStatsFooter& footer() const { return footer_; }
@@ -182,18 +186,14 @@ class ShardSupervisor {
   CodecByteCounts type_byte_counts(FrameType type) const;
 
  private:
-  /// One (re)establishment: channels, receiver, in-process runner or
-  /// spawned process. Channel storage precedes the runner so the runner
-  /// (which borrows channel pointers) dies first.
+  /// One (re)establishment: a spawned runner process and its channel.
   struct Attempt {
     uint32_t id = 0;
-    std::unique_ptr<ShardChannel> to;
-    std::unique_ptr<ShardChannel> from;
-    ShardChannel* to_shard = nullptr;
-    ShardChannel* from_shard = nullptr;
-    std::unique_ptr<LogicalFrameReceiver> receiver;
-    std::unique_ptr<ShardRunner> runner;  // null for process attempts
     pid_t pid = -1;
+    /// Null until the spawn connected (a strict-mode failed spawn keeps
+    /// a channel-less attempt for the Finish phase).
+    std::unique_ptr<ShardChannel> channel;
+    std::unique_ptr<LogicalFrameReceiver> receiver;
     /// Frames this attempt was sent that its runner serves (bases +
     /// batches + shutdown) — the footer cross-check is per attempt.
     int64_t frames_sent = 0;
@@ -204,23 +204,17 @@ class ShardSupervisor {
   /// receive still gets a beat to drain an already-arrived frame.
   double BoundedIoTimeout() const;
   bool DeadlineExpired() const;
-  std::unique_ptr<ShardChannel> Decorate(std::unique_ptr<ShardChannel> ch);
   void AddTypeCounts(FrameType type, const CodecByteCounts& counts);
 
-  /// Builds one attempt (spawn or in-process runner, bootstrap-send) and
+  /// Builds one attempt (spawn, config + table, base shipment) and
   /// installs it as current_ — even on failure, so strict mode keeps the
   /// half-built attempt for the Finish phase and a retry tears it down.
-  Status BuildAttempt(bool force_inproc);
-  /// Ships the base partitions and, for attempts with an in-process
-  /// runner, pumps them into the runner's cache.
-  Status SeedAttempt(Attempt* attempt, const std::function<bool()>& cancel);
-  /// BuildAttempt + SeedAttempt.
-  Status EstablishCurrent(bool force_inproc,
-                          const std::function<bool()>& cancel);
-  /// One send/pump/receive round for a level on the current attempt.
+  Status EstablishCurrent();
+  /// One send/receive round for a level on the current attempt.
   Status ExecuteLevelOnce(const std::vector<WireCandidate>& batch,
-                          const std::function<bool()>& cancel,
                           std::vector<WireOutcome>* out);
+  /// Degrades the shard: builds fallback_ from the bootstrap bytes.
+  Status Degrade();
   /// Exponential backoff with deterministic jitter before re-attempt
   /// `attempt_try`; returns early on cancel/deadline.
   void Backoff(int attempt_try, const std::function<bool()>& cancel);
@@ -237,13 +231,15 @@ class ShardSupervisor {
 
   std::unique_ptr<Attempt> current_;
   uint32_t attempt_seq_ = 0;
+  /// The degraded shard's channel-free core; non-null once the shard
+  /// fell back, for the rest of the run.
+  std::unique_ptr<ShardRunner> fallback_;
 
   CodecByteCounts by_type_[static_cast<size_t>(FrameType::kBatch) + 1];
   int64_t retired_bytes_ = 0;
 
   int64_t retries_ = 0;
   int64_t respawns_ = 0;
-  bool fell_back_ = false;
   bool footer_missing_ = false;
   bool footer_valid_ = false;
   ShardStatsFooter footer_;

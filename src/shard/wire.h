@@ -36,8 +36,7 @@
 // cross a socket as one write (see channel.h's BatchingFrameSender).
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
-// frames, and a byte-stream transport can replace the in-process queue
-// without touching any encoder or decoder.
+// frames, and no encoder or decoder knows which endpoint carries them.
 #ifndef AOD_SHARD_WIRE_H_
 #define AOD_SHARD_WIRE_H_
 
@@ -92,9 +91,8 @@ enum class FrameType : uint16_t {
   /// frame size; the flags byte of the last one carries
   /// kResultFlagFinalChunk, so the receiver knows where the reply ends.
   kResultBatch = 3,
-  /// The rank-encoded table columns, shipped once at startup to a
-  /// runner in its own process (in-process runners share the table by
-  /// pointer and never see this frame).
+  /// The rank-encoded table columns, shipped once at startup to every
+  /// runner process (a row shard receives only its slice).
   kTableBlock = 4,
   /// The runner's validation configuration, shipped before the table.
   kConfigBlock = 5,
@@ -367,8 +365,8 @@ struct WireRunnerConfig {
   double sampler_reject_margin = 0.5;
   uint64_t sampler_seed = 7;
   int64_t partition_memory_budget_bytes = 0;
-  /// Worker threads for the runner's own pool (process transport only;
-  /// determinism does not depend on it).
+  /// Worker threads for the runner's own pool (determinism does not
+  /// depend on it).
   uint32_t num_threads = 1;
   /// DependencyKindSet::bits() of the kinds this runner must validate;
   /// decoders reject an empty or unknown-bit mask. The runner refuses

@@ -273,6 +273,7 @@ TEST(DiscoveryTest, MaxLhsArityIsPrefixConsistent) {
   options.num_shards = 2;
   DiscoveryResult sharded = DiscoverOds(enc, options);
   ASSERT_TRUE(sharded.shard_status.ok());
+  testing_util::ExpectServedByRunners(sharded);
   EXPECT_EQ(sharded.CountOfKind(DependencyKind::kOc),
             bounded.CountOfKind(DependencyKind::kOc));
   EXPECT_EQ(sharded.CountOfKind(DependencyKind::kOfd),

@@ -3,8 +3,8 @@
 // Wraps any ShardChannel and, after `trigger_after` cleanly forwarded
 // frames in the faulted direction, injects exactly one fault:
 //
-//   kTornWrite    Send forwards only a prefix of the frame — a torn
-//                 write as a framed-queue transport observes it;
+//   kTornWrite    Send forwards only a prefix of the frame — on a byte
+//                 stream the peer then misframes the bytes that follow;
 //   kShortRead    Receive truncates the delivered frame;
 //   kCorruptByte  Receive flips one payload byte;
 //   kDropFrame    Send silently discards the frame (the peer sees

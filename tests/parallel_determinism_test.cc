@@ -80,16 +80,6 @@ std::string Fingerprint(const DiscoveryResult& result) {
   return out;
 }
 
-/// The shard transports a transport loop covers: inproc always, process
-/// when the runner binary resolves (otherwise that leg is skipped).
-std::vector<ShardTransport> ShardTransports() {
-  std::vector<ShardTransport> transports = {ShardTransport::kInProcess};
-  if (!testing_util::RunnerBinaryPath().empty()) {
-    transports.push_back(ShardTransport::kProcess);
-  }
-  return transports;
-}
-
 struct DeterminismParam {
   const char* dataset;
   ValidatorKind validator;
@@ -293,6 +283,7 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
     options.num_shards = shards;
     options.num_threads = 1;
     DiscoveryResult base = DiscoverOds(enc, options);
+    testing_util::ExpectServedByRunners(base);
     EXPECT_EQ(base.stats.shards_used, shards);
     EXPECT_EQ(OutputFingerprint(base), expected_output);
     EXPECT_EQ(base.stats.oc_candidates_validated,
@@ -314,10 +305,12 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
     const int64_t bytes_shipped = base.stats.shard_bytes_shipped;
     options.num_threads = 4;
     DiscoveryResult four = DiscoverOds(enc, options);
+    testing_util::ExpectServedByRunners(four);
     EXPECT_EQ(Fingerprint(four), full);
     EXPECT_EQ(four.stats.shard_bytes_shipped, bytes_shipped);
     options.num_threads = 0;  // hardware concurrency
     DiscoveryResult hw = DiscoverOds(enc, options);
+    testing_util::ExpectServedByRunners(hw);
     EXPECT_EQ(Fingerprint(hw), full);
     EXPECT_EQ(hw.stats.shard_bytes_shipped, bytes_shipped);
   }
@@ -325,7 +318,7 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
 
 TEST(ParallelDeterminismTest, RowShardedDiscoveryMatchesUnshardedBitExactly) {
   // The row-sharding tentpole's acceptance gate: row_shards {1,2,4} ×
-  // threads {1,4,hw} × transports {inproc,process} — the stitched bases
+  // threads {1,4,hw}, each row shard a spawned runner — the stitched bases
   // are bit-identical to FromColumn, so the *full* fingerprint (stats
   // included) must equal the unsharded run's: the row phase only adds
   // its own byte-accounting counters, which this test checks
@@ -347,37 +340,33 @@ TEST(ParallelDeterminismTest, RowShardedDiscoveryMatchesUnshardedBitExactly) {
 
   int64_t max_shard_bytes_at_1 = 0;
   for (int row_shards : {1, 2, 4}) {
-    for (ShardTransport transport : ShardTransports()) {
-      SCOPED_TRACE("row_shards=" + std::to_string(row_shards) + " " +
-                   ShardTransportToString(transport));
-      options.row_shards = row_shards;
-      options.shard_transport = transport;
-      for (int threads : {1, 4, 0}) {
-        options.num_threads = threads;
-        DiscoveryResult run = DiscoverOds(enc, options);
-        ASSERT_TRUE(run.shard_status.ok())
-            << "threads=" << threads << ": " << run.shard_status.ToString();
-        EXPECT_EQ(Fingerprint(run), expected_full) << "threads=" << threads;
-        EXPECT_EQ(run.stats.row_shards_used, row_shards);
-        ASSERT_EQ(run.stats.row_shard_bytes_per_shard.size(),
-                  static_cast<size_t>(row_shards));
-        EXPECT_GT(run.stats.row_shard_bytes_shipped, 0);
+    SCOPED_TRACE("row_shards=" + std::to_string(row_shards));
+    options.row_shards = row_shards;
+    for (int threads : {1, 4, 0}) {
+      options.num_threads = threads;
+      DiscoveryResult run = DiscoverOds(enc, options);
+      ASSERT_TRUE(run.shard_status.ok())
+          << "threads=" << threads << ": " << run.shard_status.ToString();
+      testing_util::ExpectServedByRunners(run);
+      EXPECT_EQ(Fingerprint(run), expected_full) << "threads=" << threads;
+      EXPECT_EQ(run.stats.row_shards_used, row_shards);
+      ASSERT_EQ(run.stats.row_shard_bytes_per_shard.size(),
+                static_cast<size_t>(row_shards));
+      EXPECT_GT(run.stats.row_shard_bytes_shipped, 0);
+      for (int64_t b : run.stats.row_shard_bytes_per_shard) {
+        EXPECT_GT(b, 0);
+      }
+      EXPECT_LE(run.stats.row_shard_bytes_wire, run.stats.row_shard_bytes_raw);
+      if (threads == 1) {
+        int64_t max_bytes = 0;
         for (int64_t b : run.stats.row_shard_bytes_per_shard) {
-          EXPECT_GT(b, 0);
+          max_bytes = std::max(max_bytes, b);
         }
-        EXPECT_LE(run.stats.row_shard_bytes_wire,
-                  run.stats.row_shard_bytes_raw);
-        if (transport == ShardTransport::kInProcess && threads == 1) {
-          int64_t max_bytes = 0;
-          for (int64_t b : run.stats.row_shard_bytes_per_shard) {
-            max_bytes = std::max(max_bytes, b);
-          }
-          if (row_shards == 1) max_shard_bytes_at_1 = max_bytes;
-          // O(table/row_shards): four shards each see well under half
-          // of what the single shard saw.
-          if (row_shards == 4) {
-            EXPECT_LT(max_bytes, max_shard_bytes_at_1 / 2 + 64);
-          }
+        if (row_shards == 1) max_shard_bytes_at_1 = max_bytes;
+        // O(table/row_shards): four shards each see well under half
+        // of what the single shard saw.
+        if (row_shards == 4) {
+          EXPECT_LT(max_bytes, max_shard_bytes_at_1 / 2 + 64);
         }
       }
     }
@@ -402,11 +391,13 @@ TEST(ParallelDeterminismTest, RowShardsComposeWithCandidateShards) {
   options.num_shards = 2;
   DiscoveryResult sharded = DiscoverOds(enc, options);
   ASSERT_TRUE(sharded.shard_status.ok());
+  testing_util::ExpectServedByRunners(sharded);
   EXPECT_EQ(OutputFingerprint(sharded), expected_output);
 
   options.row_shards = 2;
   DiscoveryResult both = DiscoverOds(enc, options);
   ASSERT_TRUE(both.shard_status.ok()) << both.shard_status.ToString();
+  testing_util::ExpectServedByRunners(both);
   EXPECT_EQ(Fingerprint(both), Fingerprint(sharded));
   EXPECT_EQ(both.stats.shard_bytes_shipped,
             sharded.stats.shard_bytes_shipped);
@@ -429,7 +420,9 @@ TEST(ParallelDeterminismTest, ShardedMatchesAcrossValidatorsAndPolarity) {
     const std::string expected =
         OutputFingerprint(DiscoverOds(enc, options));
     options.num_shards = 4;
-    EXPECT_EQ(OutputFingerprint(DiscoverOds(enc, options)), expected)
+    DiscoveryResult sharded = DiscoverOds(enc, options);
+    testing_util::ExpectServedByRunners(sharded);
+    EXPECT_EQ(OutputFingerprint(sharded), expected)
         << ValidatorKindToString(validator);
   }
 }
@@ -447,7 +440,9 @@ TEST(ParallelDeterminismTest, ShardedSamplingFilterMatchesUnsharded) {
   const std::string expected = OutputFingerprint(DiscoverOds(enc, options));
   options.num_shards = 4;
   options.num_threads = 4;
-  EXPECT_EQ(OutputFingerprint(DiscoverOds(enc, options)), expected);
+  DiscoveryResult sharded = DiscoverOds(enc, options);
+  testing_util::ExpectServedByRunners(sharded);
+  EXPECT_EQ(OutputFingerprint(sharded), expected);
 }
 
 TEST(ParallelDeterminismTest, MixedKindRunsAreThreadAndShardInvariant) {
@@ -477,6 +472,7 @@ TEST(ParallelDeterminismTest, MixedKindRunsAreThreadAndShardInvariant) {
         options.num_threads = threads;
         DiscoveryResult run = DiscoverOds(enc, options);
         ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+        testing_util::ExpectServedByRunners(run);
         EXPECT_EQ(OutputFingerprint(run), expected_output)
             << "threads=" << threads;
         if (shards == 0) {
@@ -488,10 +484,10 @@ TEST(ParallelDeterminismTest, MixedKindRunsAreThreadAndShardInvariant) {
 }
 
 TEST(ParallelDeterminismTest, MixedKindTransportInvariance) {
-  // Transport dimension for non-OD kinds: the kind tag crosses the wire
-  // in candidate and outcome frames; the process transport's socket
-  // framing and the delta/varint codecs must not perturb a single byte
-  // of the output.
+  // Wire dimension for non-OD kinds: the kind tag crosses the wire in
+  // candidate and outcome frames; the runner processes' socket framing
+  // and the delta/varint codecs must not perturb a single byte of the
+  // output.
   Table t = GenerateNcVoterTable(300, 6, 7);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -502,13 +498,10 @@ TEST(ParallelDeterminismTest, MixedKindTransportInvariance) {
   const std::string expected = OutputFingerprint(DiscoverOds(enc, options));
   options.num_shards = 2;
   options.shard_runner_path = testing_util::RunnerBinaryPath();
-  for (ShardTransport transport : ShardTransports()) {
-    SCOPED_TRACE(ShardTransportToString(transport));
-    options.shard_transport = transport;
-    DiscoveryResult run = DiscoverOds(enc, options);
-    ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
-    EXPECT_EQ(OutputFingerprint(run), expected);
-  }
+  DiscoveryResult run = DiscoverOds(enc, options);
+  ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+  testing_util::ExpectServedByRunners(run);
+  EXPECT_EQ(OutputFingerprint(run), expected);
 }
 
 TEST(ParallelDeterminismTest, InterestingnessScoresRankEveryDependency) {
@@ -552,19 +545,21 @@ TEST(ParallelDeterminismTest, InterestingnessScoresRankEveryDependency) {
     options.num_shards = 4;
     DiscoveryResult sharded = DiscoverOds(enc, options);
     ASSERT_TRUE(sharded.shard_status.ok());
+    testing_util::ExpectServedByRunners(sharded);
     EXPECT_EQ(OutputFingerprint(sharded),
               expected.substr(0, expected.find("stats:")))
         << "threads=" << threads;
   }
 }
 
-TEST(ParallelDeterminismTest, ProcessTransportMatchesInProcessBitExactly) {
-  // The off-box seam's determinism gate (transport dimension): runner
-  // processes over localhost TCP — real length framing, partial reads,
-  // writer threads, stats footers — must reproduce the in-process
-  // transport's full fingerprint (stats included) and the unsharded
-  // output, for every shard count. Byte volume is not compared: the
-  // process transport also ships the config and table frames.
+TEST(ParallelDeterminismTest, ProcessTransportMatchesUnshardedBitExactly) {
+  // The shard seam's determinism gate: runner processes over localhost
+  // TCP — real length framing, partial reads, writer threads, stats
+  // footers — must reproduce the unsharded output for every shard
+  // count, with the footer-fed partition counters delivered. A run whose
+  // every shard degrades to validation on the coordinator must then
+  // reproduce the healthy run's *full* fingerprint, stats included: the
+  // degraded core is the same ShardRunner a runner process serves.
   const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) GTEST_SKIP() << "shard_runner_main not found";
   Table t = GenerateNcVoterTable(400, 6, 11);
@@ -580,18 +575,34 @@ TEST(ParallelDeterminismTest, ProcessTransportMatchesInProcessBitExactly) {
   for (int shards : {1, 2, 4}) {
     SCOPED_TRACE("num_shards=" + std::to_string(shards));
     options.num_shards = shards;
-    options.shard_transport = ShardTransport::kInProcess;
-    DiscoveryResult inproc = DiscoverOds(enc, options);
-    ASSERT_TRUE(inproc.shard_status.ok());
-    options.shard_transport = ShardTransport::kProcess;
+    options.shard_max_retries = 2;
+    options.shard_io_timeout_seconds = 300.0;
+    options.shard_channel_decorator = nullptr;
     DiscoveryResult process = DiscoverOds(enc, options);
     ASSERT_TRUE(process.shard_status.ok()) << process.shard_status.ToString();
-    EXPECT_EQ(Fingerprint(process), Fingerprint(inproc));
+    testing_util::ExpectServedByRunners(process);
     EXPECT_EQ(OutputFingerprint(process), expected_output);
-    // Footer-fed partition counters arrived over either transport.
-    EXPECT_EQ(process.stats.partitions_computed,
-              inproc.stats.partitions_computed);
+    EXPECT_GT(process.stats.partitions_computed, 0);
     EXPECT_GT(process.stats.partition_bytes_peak, 0);
+
+    // Every runner's first send is torn: each shard degrades at startup
+    // and validates every level on the coordinator.
+    options.shard_max_retries = 1;
+    options.shard_retry_backoff_ms = 1.0;
+    options.shard_io_timeout_seconds = 5.0;
+    options.shard_channel_decorator =
+        [](std::unique_ptr<shard::ShardChannel> inner)
+        -> std::unique_ptr<shard::ShardChannel> {
+      testing_util::FlakyChannel::Plan plan;
+      plan.fault = testing_util::FlakyChannel::Fault::kTornWrite;
+      return std::make_unique<testing_util::FlakyChannel>(std::move(inner),
+                                                          plan);
+    };
+    DiscoveryResult degraded = DiscoverOds(enc, options);
+    ASSERT_TRUE(degraded.shard_status.ok())
+        << degraded.shard_status.ToString();
+    EXPECT_EQ(degraded.stats.shard_fallback_shards, shards);
+    EXPECT_EQ(Fingerprint(degraded), Fingerprint(process));
   }
 }
 
@@ -599,8 +610,8 @@ TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
   // The codec dimension of the byte accounting: every encoder picks the
   // smaller of raw and compressed per frame, so on these shapes (the
   // shipped partitions and batches compress) the wire volume must come
-  // in under the all-raw baseline, for every transport and shard count,
-  // with the output unchanged.
+  // in under the all-raw baseline, for every shard count, with the
+  // output unchanged.
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -611,19 +622,16 @@ TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
       OutputFingerprint(DiscoverOds(enc, options));
 
   options.shard_runner_path = testing_util::RunnerBinaryPath();
-  for (ShardTransport transport : ShardTransports()) {
-    for (int shards : {1, 4}) {
-      SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
-                   " num_shards=" + std::to_string(shards));
-      options.shard_transport = transport;
-      options.num_shards = shards;
-      DiscoveryResult run = DiscoverOds(enc, options);
-      ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
-      EXPECT_EQ(OutputFingerprint(run), expected_output);
-      EXPECT_LT(run.stats.shard_bytes_wire, run.stats.shard_bytes_raw);
-      EXPECT_EQ(run.stats.shard_bytes_wire, run.stats.shard_bytes_shipped);
-      EXPECT_FALSE(run.stats.shard_frame_bytes.empty());
-    }
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    options.num_shards = shards;
+    DiscoveryResult run = DiscoverOds(enc, options);
+    ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+    testing_util::ExpectServedByRunners(run);
+    EXPECT_EQ(OutputFingerprint(run), expected_output);
+    EXPECT_LT(run.stats.shard_bytes_wire, run.stats.shard_bytes_raw);
+    EXPECT_EQ(run.stats.shard_bytes_wire, run.stats.shard_bytes_shipped);
+    EXPECT_FALSE(run.stats.shard_frame_bytes.empty());
   }
 }
 
@@ -648,14 +656,10 @@ TEST(ParallelDeterminismTest, PassThroughFlakyDecoratorKeepsContract) {
         std::move(inner), testing_util::FlakyChannel::Plan{});
   };
   options.shard_runner_path = testing_util::RunnerBinaryPath();
-  for (ShardTransport transport : ShardTransports()) {
-    SCOPED_TRACE(ShardTransportToString(transport));
-    options.shard_transport = transport;
-    DiscoveryResult wrapped = DiscoverOds(enc, options);
-    ASSERT_TRUE(wrapped.shard_status.ok())
-        << wrapped.shard_status.ToString();
-    EXPECT_EQ(OutputFingerprint(wrapped), expected);
-  }
+  DiscoveryResult wrapped = DiscoverOds(enc, options);
+  ASSERT_TRUE(wrapped.shard_status.ok()) << wrapped.shard_status.ToString();
+  testing_util::ExpectServedByRunners(wrapped);
+  EXPECT_EQ(OutputFingerprint(wrapped), expected);
 }
 
 TEST(ParallelDeterminismTest, ShardedBudgetForcesEvictionWithoutOutputDrift) {
@@ -670,6 +674,7 @@ TEST(ParallelDeterminismTest, ShardedBudgetForcesEvictionWithoutOutputDrift) {
   options.num_shards = 2;
   options.partition_memory_budget_bytes = 1;
   DiscoveryResult budgeted = DiscoverOds(enc, options);
+  testing_util::ExpectServedByRunners(budgeted);
   EXPECT_EQ(OutputFingerprint(budgeted), expected);
   EXPECT_GT(budgeted.stats.partitions_evicted, 0);
   EXPECT_GT(budgeted.stats.partition_bytes_evicted, 0);

@@ -269,12 +269,13 @@ TEST(PartitionStitchTest, StructurallyInvalidFragmentsRejected) {
                 "partial coverage");
 }
 
-// ---------------------------------------- the whole phase, in process --
+// ------------------------------- the whole phase, over runner processes --
 
 TEST(RowShardingTest, ComputeRowShardedBasesMatchesFromColumn) {
   EncodedTable t = testing_util::RandomEncodedTable(150, 3, 5, 41);
   shard::ShardTransportOptions topts;
-  topts.transport = ShardTransport::kInProcess;
+  topts.runner_path = testing_util::RunnerBinaryPath();
+  topts.io_timeout_seconds = 30.0;
   for (int shards : {1, 2, 4, 9}) {
     shard::RowShardStats stats;
     Result<std::vector<StrippedPartition>> bases =

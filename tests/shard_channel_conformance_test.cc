@@ -1,16 +1,15 @@
 // One observable contract, every channel endpoint.
 //
-// Every ShardChannel implementation — the in-process queue and the
-// localhost TCP / pipe stream — must be interchangeable under the
-// coordinator, so one parameterized suite holds them all to the same
-// contract: exact in-order delivery, frame reassembly across partial
-// reads, drain-then-kClosed shutdown (including waking a *blocked*
-// receiver), typed oversized-frame rejection, and typed receive
-// timeouts. Byte-level stream fault tests (EOF mid-frame, stream desync)
-// follow, and the FlakyChannel fault-injection tests at the bottom pin
-// the coordinator's failure contract: every injected fault yields a
-// typed error from DiscoverOds — no hang, no crash, no partially merged
-// level.
+// Every SocketShardChannel endpoint — a localhost TCP socket and a pipe
+// pair — must behave the same under the coordinator, so one
+// parameterized suite holds both to the channel contract: exact in-order
+// delivery, frame reassembly across partial reads, drain-then-kClosed
+// shutdown (including waking a *blocked* receiver), typed oversized-
+// frame rejection, and typed receive timeouts. Byte-level stream fault
+// tests (EOF mid-frame, stream desync) follow, and the FlakyChannel
+// fault-injection tests at the bottom pin the coordinator's failure
+// contract: every injected fault yields a typed error from DiscoverOds —
+// no hang, no crash, no partially merged level.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -32,7 +31,6 @@ namespace aod {
 namespace {
 
 using shard::ChannelOptions;
-using shard::InProcessChannel;
 using shard::ShardChannel;
 using shard::SocketListener;
 using shard::SocketShardChannel;
@@ -49,15 +47,6 @@ struct Endpoints {
 
 using EndpointFactory =
     std::function<std::unique_ptr<Endpoints>(ChannelOptions)>;
-
-std::unique_ptr<Endpoints> MakeInProcess(ChannelOptions options) {
-  auto endpoints = std::make_unique<Endpoints>();
-  auto channel = std::make_unique<InProcessChannel>(options);
-  endpoints->sender = channel.get();
-  endpoints->receiver = channel.get();
-  endpoints->owned.push_back(std::move(channel));
-  return endpoints;
-}
 
 std::unique_ptr<Endpoints> MakeTcp(ChannelOptions options) {
   auto endpoints = std::make_unique<Endpoints>();
@@ -157,8 +146,7 @@ TEST_P(ShardChannelConformanceTest, CloseDrainsQueuedFramesThenReportsClosed) {
 TEST_P(ShardChannelConformanceTest, CloseWakesBlockedReceiver) {
   // The shutdown-while-blocked-receive story: a receiver parked inside
   // Receive() must wake with kClosed when the sender closes — never
-  // strand. (For the in-process queue this used to be undocumented and
-  // untested; it is now part of the channel contract, see channel.h.)
+  // strand (part of the channel contract, see channel.h).
   ChannelOptions options;
   options.receive_timeout_seconds = 30.0;
   auto endpoints = GetParam().factory(options);
@@ -178,7 +166,7 @@ TEST_P(ShardChannelConformanceTest, LocalCloseWakesBlockedReceiver) {
   // The other half of never-strand: closing the *receiver's own*
   // endpoint (local teardown, not peer shutdown) must also wake a
   // blocked Receive with kClosed — stream endpoints use a self-pipe
-  // for this, queues their cv.
+  // for this.
   ChannelOptions options;
   options.receive_timeout_seconds = 30.0;
   auto endpoints = GetParam().factory(options);
@@ -198,18 +186,13 @@ TEST_P(ShardChannelConformanceTest, OversizedFrameRejectedWithTypedError) {
   options.max_frame_bytes = 4096;
   options.receive_timeout_seconds = 10.0;
   auto endpoints = GetParam().factory(options);
-  // The in-process queue refuses at Send (the frame exists as a vector
-  // there); byte transports accept the send and refuse at Receive from
-  // the length header, before allocating the payload.
-  Status sent = endpoints->sender->Send(TestFrame(8192));
-  if (sent.ok()) {
-    Result<std::vector<uint8_t>> got = endpoints->receiver->Receive();
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kParseError)
-        << got.status().ToString();
-  } else {
-    EXPECT_EQ(sent.code(), StatusCode::kInvalidArgument) << sent.ToString();
-  }
+  // The stream accepts the send and refuses at Receive from the length
+  // header, before allocating the payload.
+  ASSERT_TRUE(endpoints->sender->Send(TestFrame(8192)).ok());
+  Result<std::vector<uint8_t>> got = endpoints->receiver->Receive();
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kParseError)
+      << got.status().ToString();
 }
 
 TEST_P(ShardChannelConformanceTest, ReceiveTimeoutIsTypedNotAHang) {
@@ -224,8 +207,7 @@ TEST_P(ShardChannelConformanceTest, ReceiveTimeoutIsTypedNotAHang) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transports, ShardChannelConformanceTest,
-    ::testing::Values(TransportParam{"inproc", MakeInProcess},
-                      TransportParam{"tcp", MakeTcp},
+    ::testing::Values(TransportParam{"tcp", MakeTcp},
                       TransportParam{"pipe", MakePipe}),
     [](const ::testing::TestParamInfo<TransportParam>& info) {
       return info.param.name;
@@ -344,20 +326,18 @@ TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
 /// A fault-injection discovery run: every coordinator-side endpoint is
 /// wrapped in a FlakyChannel armed with `plan`.
 DiscoveryResult RunWithFault(const EncodedTable& table,
-                             ShardTransport transport,
                              FlakyChannel::Plan plan) {
   DiscoveryOptions options;
   options.epsilon = 0.1;
   options.num_threads = 2;
   options.num_shards = 2;
-  options.shard_transport = transport;
   options.shard_runner_path = testing_util::RunnerBinaryPath();
   // Short timeout: a dropped frame must surface as a typed timeout in
   // test time, not in the production default.
   options.shard_io_timeout_seconds = 1.0;
   // Strict mode: this suite pins the PRE-supervision failure contract —
-  // any injected fault is a typed fail-stop abort, byte for byte the
-  // behavior shard_max_retries == 0 promises. The supervised-recovery
+  // any injected fault is a typed fail-stop abort, the behavior
+  // shard_max_retries == 0 promises. The supervised-recovery
   // matrix (same faults, run completes) lives in
   // tests/shard_supervisor_test.cc.
   options.shard_max_retries = 0;
@@ -369,18 +349,16 @@ DiscoveryResult RunWithFault(const EncodedTable& table,
   return DiscoverOds(table, options);
 }
 
-class CoordinatorFaultInjectionTest
-    : public ::testing::TestWithParam<ShardTransport> {
+class CoordinatorFaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (GetParam() == ShardTransport::kProcess &&
-        testing_util::RunnerBinaryPath().empty()) {
+    if (testing_util::RunnerBinaryPath().empty()) {
       GTEST_SKIP() << "shard_runner_main not found next to the test binary";
     }
   }
 };
 
-TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
+TEST_F(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
   Table t = GenerateNcVoterTable(200, 5, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -392,18 +370,13 @@ TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
 
   // Triggers place each fault mid-run, after at least one level merged
   // cleanly. Send-side faults count the coordinator's physical sends —
-  // process runners first get the config and table frames, then the 5
-  // base partitions ship as ONE kBatch envelope, then the level-1
-  // candidate batch — so the send trigger lands the fault on the
-  // level-2 batch under either transport. Receive-side faults depend on
-  // the decoration topology: with inproc channels the *runner's* inbox
-  // is a decorated endpoint too (the base envelope + 2 batches pass as 3
-  // physical receives, the level-3 batch is mangled), while the process
-  // transport decorates only the coordinator's socket (2 reply chunks
-  // pass, the level-3 reply is mangled).
-  const bool inproc = GetParam() == ShardTransport::kInProcess;
-  const int send_trigger = inproc ? 2 : 4;
-  const int receive_trigger = inproc ? 3 : 2;
+  // runners first get the config and table frames, then the 5 base
+  // partitions ship as ONE kBatch envelope, then the level-1 candidate
+  // batch — so the send trigger lands the fault on the level-2 batch.
+  // Receive-side faults count the coordinator socket's reply frames: 2
+  // reply chunks pass, the level-3 reply is mangled.
+  const int send_trigger = 4;
+  const int receive_trigger = 2;
   struct FaultCase {
     FlakyChannel::Fault fault;
     int trigger_after;
@@ -418,7 +391,7 @@ TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
     FlakyChannel::Plan plan;
     plan.fault = c.fault;
     plan.trigger_after = c.trigger_after;
-    DiscoveryResult faulted = RunWithFault(enc, GetParam(), plan);
+    DiscoveryResult faulted = RunWithFault(enc, plan);
 
     // Typed error, never a hang (the run returned) and never a crash.
     ASSERT_FALSE(faulted.shard_status.ok());
@@ -442,24 +415,16 @@ TEST_P(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
   }
 }
 
-TEST_P(CoordinatorFaultInjectionTest, FaultDuringBaseShippingIsTyped) {
+TEST_F(CoordinatorFaultInjectionTest, FaultDuringBaseShippingIsTyped) {
   Table t = GenerateNcVoterTable(120, 4, 3);
   EncodedTable enc = EncodeTable(t);
   FlakyChannel::Plan plan;
   plan.fault = FlakyChannel::Fault::kTornWrite;
   plan.trigger_after = 0;  // the first bootstrap frame itself is torn
-  DiscoveryResult faulted = RunWithFault(enc, GetParam(), plan);
+  DiscoveryResult faulted = RunWithFault(enc, plan);
   ASSERT_FALSE(faulted.shard_status.ok());
   EXPECT_TRUE(faulted.dependencies.empty());
 }
-
-INSTANTIATE_TEST_SUITE_P(Transports, CoordinatorFaultInjectionTest,
-                         ::testing::Values(ShardTransport::kInProcess,
-                                           ShardTransport::kProcess),
-                         [](const ::testing::TestParamInfo<ShardTransport>&
-                                info) {
-                           return ShardTransportToString(info.param);
-                         });
 
 }  // namespace
 }  // namespace aod

@@ -34,7 +34,6 @@ using shard::CodecByteCounts;
 using shard::DecodedFrame;
 using shard::DecodeFrame;
 using shard::FrameType;
-using shard::InProcessChannel;
 using shard::LogicalFrameReceiver;
 using shard::WireCandidate;
 using shard::WireOutcome;
@@ -641,10 +640,18 @@ TEST(ShardCodecTest, MalformedEnvelopesAreTypedErrors) {
 
 // ------------------------------------- batching sender + receiver --
 
+/// A socket link with a receive bound, so a broken test fails instead of
+/// hanging.
+testing_util::ChannelPair TestLink() {
+  shard::ChannelOptions copts;
+  copts.receive_timeout_seconds = 10.0;
+  return testing_util::SocketChannelPair(copts);
+}
+
 TEST(ShardCodecTest, BatchingSenderCoalescesAndReceiverUnwraps) {
   Rng rng(71);
-  InProcessChannel channel;
-  BatchingFrameSender sender(&channel);
+  testing_util::ChannelPair link = TestLink();
+  BatchingFrameSender sender(link.near.get());
   std::vector<std::vector<uint8_t>> sent;
   for (int i = 0; i < 5; ++i) {
     sent.push_back(shard::EncodeCandidateBatch(
@@ -656,15 +663,15 @@ TEST(ShardCodecTest, BatchingSenderCoalescesAndReceiverUnwraps) {
   EXPECT_EQ(sender.pending_frames(), 0u);
 
   // Exactly ONE physical frame crossed the channel...
-  Result<std::vector<uint8_t>> physical = channel.Receive();
+  Result<std::vector<uint8_t>> physical = link.far->Receive();
   ASSERT_TRUE(physical.ok());
   HeldFrame envelope(*physical);
   ASSERT_TRUE(envelope.ok());
   EXPECT_EQ((*envelope).type, FrameType::kBatch);
 
   // ...which the logical receiver yields as the original sequence.
-  ASSERT_TRUE(channel.Send(std::move(*physical)).ok());
-  LogicalFrameReceiver receiver(&channel);
+  ASSERT_TRUE(link.near->Send(std::move(*physical)).ok());
+  LogicalFrameReceiver receiver(link.far.get());
   for (size_t i = 0; i < sent.size(); ++i) {
     Result<std::vector<uint8_t>> logical = receiver.Receive();
     ASSERT_TRUE(logical.ok()) << i;
@@ -673,27 +680,27 @@ TEST(ShardCodecTest, BatchingSenderCoalescesAndReceiverUnwraps) {
 }
 
 TEST(ShardCodecTest, BatchingSenderSingleFrameGoesUnwrapped) {
-  InProcessChannel channel;
-  BatchingFrameSender sender(&channel);
+  testing_util::ChannelPair link = TestLink();
+  BatchingFrameSender sender(link.near.get());
   const std::vector<uint8_t> frame = shard::EncodeShutdown();
   ASSERT_TRUE(sender.Add(frame).ok());
   ASSERT_TRUE(sender.Flush().ok());
   ASSERT_TRUE(sender.Flush().ok());  // empty flush is a no-op
-  Result<std::vector<uint8_t>> got = channel.Receive();
+  Result<std::vector<uint8_t>> got = link.far->Receive();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, frame);  // no envelope around a lone frame
 }
 
 TEST(ShardCodecTest, BatchingSenderAutoFlushesAtThreshold) {
-  InProcessChannel channel;
-  BatchingFrameSender sender(&channel, /*flush_threshold_bytes=*/256);
+  testing_util::ChannelPair link = TestLink();
+  BatchingFrameSender sender(link.near.get(), /*flush_threshold_bytes=*/256);
   std::vector<uint8_t> big(300, 0x7f);
   shard::WireWriter writer;
   writer.PutBytes(big.data(), big.size());
   ASSERT_TRUE(sender.Add(writer.SealFrame(FrameType::kCandidateBatch)).ok());
   // Crossing the threshold flushed eagerly — nothing left pending.
   EXPECT_EQ(sender.pending_frames(), 0u);
-  EXPECT_TRUE(channel.Receive().ok());
+  EXPECT_TRUE(link.far->Receive().ok());
 }
 
 TEST(ShardCodecTest, FlakyChannelFaultsOverBatchedFramesAreTyped) {
@@ -705,13 +712,12 @@ TEST(ShardCodecTest, FlakyChannelFaultsOverBatchedFramesAreTyped) {
 
   for (FlakyChannel::Fault fault :
        {FlakyChannel::Fault::kCorruptByte, FlakyChannel::Fault::kShortRead}) {
-    shard::ChannelOptions copts;
-    copts.receive_timeout_seconds = 1.0;
+    testing_util::ChannelPair link = TestLink();
     FlakyChannel::Plan plan;
     plan.fault = fault;
     plan.trigger_after = 0;
-    FlakyChannel channel(std::make_unique<InProcessChannel>(copts), plan);
-    BatchingFrameSender sender(&channel);
+    FlakyChannel receiving_end(std::move(link.far), plan);
+    BatchingFrameSender sender(link.near.get());
     for (const std::vector<uint8_t>& f : inner) {
       ASSERT_TRUE(sender.Add(f).ok());
     }
@@ -719,7 +725,7 @@ TEST(ShardCodecTest, FlakyChannelFaultsOverBatchedFramesAreTyped) {
     // The mangled envelope must surface as a typed error from the
     // logical receiver (its checksum validation precedes unwrapping),
     // never as a hang or a half-unwrapped sequence.
-    LogicalFrameReceiver receiver(&channel);
+    LogicalFrameReceiver receiver(&receiving_end);
     Result<std::vector<uint8_t>> got = receiver.Receive();
     ASSERT_FALSE(got.ok());
     EXPECT_EQ(got.status().code(), StatusCode::kParseError)

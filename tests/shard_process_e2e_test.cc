@@ -1,19 +1,20 @@
-// End-to-end off-box sharding: spawn real shard_runner_main processes,
-// run discovery over the process transport, and diff the output
-// byte-for-byte against the unsharded run. This is the acceptance gate
-// of the off-box seam: shard_transport ∈ {inproc, process} ×
-// num_shards ∈ {1, 2, 4} must be bit-identical, the
-// stats footers must deliver the shard-side counters, and a runner that
-// cannot start must surface as a typed error, not a hang or a crash.
+// End-to-end sharding: spawn real shard_runner_main processes, run
+// discovery over them, and diff the output byte-for-byte against the
+// unsharded run. This is the acceptance gate of the shard seam:
+// num_shards ∈ {1, 2, 4} must be bit-identical, the stats footers must
+// deliver the shard-side counters, and a runner that cannot start must
+// surface as a typed error, not a hang or a crash.
 //
 // The runner binary is found next to this test binary (both live in the
 // build root); AOD_SHARD_RUNNER overrides.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 #include "gen/ncvoter_generator.h"
@@ -48,7 +49,35 @@ std::string OutputFingerprint(const DiscoveryResult& result) {
   return out;
 }
 
-TEST(ShardProcessE2eTest, AllTransportsMatchUnshardedBitExactly) {
+/// A runner that starts, stays alive and never connects: a shell script
+/// that execs `sleep`. Only the accept timeout can end its spawn — the
+/// dead-child check never fires — so the tests below pin the timeout
+/// path itself. Removed when the test ends.
+class StallingRunner {
+ public:
+  StallingRunner()
+      : path_(::testing::TempDir() + "/aod_stalling_runner_" +
+              std::to_string(static_cast<long long>(::getpid())) + ".sh") {
+    {
+      std::ofstream out(path_);
+      out << "#!/bin/sh\nexec sleep 60\n";
+    }
+    ::chmod(path_.c_str(), 0755);
+  }
+  ~StallingRunner() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(ShardProcessE2eTest, ShardedRunsMatchUnshardedBitExactly) {
   const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
@@ -65,27 +94,22 @@ TEST(ShardProcessE2eTest, AllTransportsMatchUnshardedBitExactly) {
   const std::string expected = OutputFingerprint(unsharded);
 
   options.shard_runner_path = runner;
-  for (ShardTransport transport :
-       {ShardTransport::kInProcess, ShardTransport::kProcess}) {
-    options.shard_transport = transport;
-    for (int shards : {1, 2, 4}) {
-      SCOPED_TRACE(std::string(ShardTransportToString(transport)) +
-                   " x shards=" + std::to_string(shards));
-      options.num_shards = shards;
-      DiscoveryResult sharded = DiscoverOds(enc, options);
-      ASSERT_TRUE(sharded.shard_status.ok())
-          << sharded.shard_status.ToString();
-      EXPECT_EQ(OutputFingerprint(sharded), expected);
-      EXPECT_EQ(sharded.stats.shards_used, shards);
-      EXPECT_GT(sharded.stats.shard_bytes_shipped, 0);
-      // Stats footers delivered the shard-side partition counters.
-      EXPECT_GT(sharded.stats.partitions_computed, 0);
-      EXPECT_GT(sharded.stats.partition_bytes_peak, 0);
-    }
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    options.num_shards = shards;
+    DiscoveryResult sharded = DiscoverOds(enc, options);
+    ASSERT_TRUE(sharded.shard_status.ok()) << sharded.shard_status.ToString();
+    testing_util::ExpectServedByRunners(sharded);
+    EXPECT_EQ(OutputFingerprint(sharded), expected);
+    EXPECT_EQ(sharded.stats.shards_used, shards);
+    EXPECT_GT(sharded.stats.shard_bytes_shipped, 0);
+    // Stats footers delivered the shard-side partition counters.
+    EXPECT_GT(sharded.stats.partitions_computed, 0);
+    EXPECT_GT(sharded.stats.partition_bytes_peak, 0);
   }
 }
 
-TEST(ShardProcessE2eTest, ProcessTransportShipsTheTable) {
+TEST(ShardProcessE2eTest, RunnersReceiveTheTable) {
   const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
@@ -94,26 +118,23 @@ TEST(ShardProcessE2eTest, ProcessTransportShipsTheTable) {
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
   options.epsilon = 0.1;
-  options.num_shards = 2;
   options.num_threads = 1;
-
-  options.shard_transport = ShardTransport::kInProcess;
-  DiscoveryResult inproc = DiscoverOds(enc, options);
-  ASSERT_TRUE(inproc.shard_status.ok());
-
-  options.shard_transport = ShardTransport::kProcess;
   options.shard_runner_path = runner;
-  DiscoveryResult process = DiscoverOds(enc, options);
-  ASSERT_TRUE(process.shard_status.ok()) << process.shard_status.ToString();
-
-  // Identical output, heavier wire: the process runners additionally
-  // received a config block and the full rank-encoded table.
-  EXPECT_EQ(OutputFingerprint(process), OutputFingerprint(inproc));
-  EXPECT_GT(process.stats.shard_bytes_shipped,
-            inproc.stats.shard_bytes_shipped);
-  // Shard-local derivation schedules are transport-independent.
-  EXPECT_EQ(process.stats.partitions_computed,
-            inproc.stats.partitions_computed);
+  // Wire bytes of the kTableBlock frames one run shipped.
+  const auto table_wire = [&](int shards) -> int64_t {
+    options.num_shards = shards;
+    DiscoveryResult result = DiscoverOds(enc, options);
+    testing_util::ExpectServedByRunners(result);
+    for (const auto& f : result.stats.shard_frame_bytes) {
+      if (f.frame_type == "table") return f.bytes_wire;
+    }
+    return 0;
+  };
+  // Every runner is bootstrapped with the full rank-encoded table: one
+  // table frame per shard.
+  const int64_t one = table_wire(1);
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(table_wire(2), 2 * one);
 }
 
 TEST(ShardProcessE2eTest, MissingRunnerBinaryIsTypedNotACrash) {
@@ -121,33 +142,78 @@ TEST(ShardProcessE2eTest, MissingRunnerBinaryIsTypedNotACrash) {
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
   options.num_shards = 2;
-  options.shard_transport = ShardTransport::kProcess;
   options.shard_runner_path = "/nonexistent/aod_shard_runner";
   options.shard_io_timeout_seconds = 1.0;
   // Strict mode: with supervision on, a missing binary degrades to
-  // in-process execution and the run *completes* — that contract is
-  // pinned by MissingRunnerBinaryFallsBackInProcess below.
+  // validation on the coordinator and the run *completes* — that
+  // contract is pinned by MissingRunnerBinaryFallsBackToTheCoordinator below.
   options.shard_max_retries = 0;
   DiscoveryResult result = DiscoverOds(enc, options);
   ASSERT_FALSE(result.shard_status.ok());
   EXPECT_TRUE(result.dependencies.empty());
 }
 
-TEST(ShardProcessE2eTest, RunnerThatNeverConnectsTimesOutTyped) {
+TEST(ShardProcessE2eTest, RowShardPhaseWithoutARunnerIsTyped) {
+  // The row phase has no fallback: a runner that cannot be spawned is
+  // the phase's typed fail-stop, and the traversal never starts.
   Table t = GenerateNcVoterTable(60, 3, 5);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
-  options.num_shards = 1;
-  options.shard_transport = ShardTransport::kProcess;
-  // Spawns fine, exits immediately, never speaks the protocol: the
-  // accept must time out with a typed error, not hang.
-  options.shard_runner_path = "/bin/true";
-  options.shard_io_timeout_seconds = 0.5;
-  options.shard_max_retries = 0;  // strict: pin the typed fail-stop
+  options.row_shards = 2;
+  options.shard_runner_path = "/nonexistent/aod_shard_runner";
+  options.shard_io_timeout_seconds = 1.0;
   DiscoveryResult result = DiscoverOds(enc, options);
   ASSERT_FALSE(result.shard_status.ok());
   EXPECT_EQ(result.shard_status.code(), StatusCode::kIoError)
       << result.shard_status.ToString();
+  EXPECT_TRUE(result.dependencies.empty());
+}
+
+TEST(ShardProcessE2eTest, RunnerThatNeverConnectsTimesOutTyped) {
+  Table t = GenerateNcVoterTable(60, 3, 5);
+  EncodedTable enc = EncodeTable(t);
+  StallingRunner stalling;
+  DiscoveryOptions options;
+  options.num_shards = 1;
+  // Spawns fine, stays alive, never speaks the protocol: the accept wait
+  // must end at the I/O timeout with a typed error, not hang.
+  options.shard_runner_path = stalling.path();
+  options.shard_io_timeout_seconds = 0.5;
+  options.shard_max_retries = 0;  // strict: pin the typed fail-stop
+  const auto start = std::chrono::steady_clock::now();
+  DiscoveryResult result = DiscoverOds(enc, options);
+  const double elapsed = SecondsSince(start);
+  ASSERT_FALSE(result.shard_status.ok());
+  EXPECT_EQ(result.shard_status.code(), StatusCode::kIoError)
+      << result.shard_status.ToString();
+  EXPECT_NE(result.shard_status.message().find("never connected"),
+            std::string::npos)
+      << result.shard_status.ToString();
+  EXPECT_GE(elapsed, 0.4) << "the accept wait ended before its timeout";
+  EXPECT_LT(elapsed, 5.0);
+}
+
+TEST(ShardProcessE2eTest, RunnerThatExitsBeforeConnectingFailsFast) {
+  // A runner that exits at once must not cost the whole I/O timeout
+  // (here 30 s; 300 s by default, per retry): the spawn notices the
+  // dead child between accept polls and fails with its exit status.
+  Table t = GenerateNcVoterTable(60, 3, 5);
+  EncodedTable enc = EncodeTable(t);
+  DiscoveryOptions options;
+  options.num_shards = 1;
+  options.shard_runner_path = "/bin/true";
+  options.shard_io_timeout_seconds = 30.0;
+  options.shard_max_retries = 0;  // strict; no time budget
+  const auto start = std::chrono::steady_clock::now();
+  DiscoveryResult result = DiscoverOds(enc, options);
+  const double elapsed = SecondsSince(start);
+  ASSERT_FALSE(result.shard_status.ok());
+  EXPECT_EQ(result.shard_status.code(), StatusCode::kIoError)
+      << result.shard_status.ToString();
+  EXPECT_NE(result.shard_status.message().find("exit status 0"),
+            std::string::npos)
+      << result.shard_status.ToString();
+  EXPECT_LT(elapsed, 5.0);
 }
 
 // ---------------------------------------------------------------------
@@ -156,7 +222,7 @@ TEST(ShardProcessE2eTest, RunnerThatNeverConnectsTimesOutTyped) {
 // run is bit-identical to the unsharded one.
 // ---------------------------------------------------------------------
 
-TEST(ShardProcessE2eTest, MissingRunnerBinaryFallsBackInProcess) {
+TEST(ShardProcessE2eTest, MissingRunnerBinaryFallsBackToTheCoordinator) {
   Table t = GenerateNcVoterTable(120, 4, 5);
   EncodedTable enc = EncodeTable(t);
 
@@ -167,7 +233,6 @@ TEST(ShardProcessE2eTest, MissingRunnerBinaryFallsBackInProcess) {
   ASSERT_TRUE(unsharded.shard_status.ok());
 
   options.num_shards = 2;
-  options.shard_transport = ShardTransport::kProcess;
   options.shard_runner_path = "/nonexistent/aod_shard_runner";
   options.shard_io_timeout_seconds = 1.0;
   options.shard_max_retries = 1;
@@ -175,7 +240,7 @@ TEST(ShardProcessE2eTest, MissingRunnerBinaryFallsBackInProcess) {
   DiscoveryResult result = DiscoverOds(enc, options);
   ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
   EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
-  // Every shard exhausted its retries and degraded in-process.
+  // Every shard exhausted its retries and degraded to the coordinator.
   EXPECT_EQ(result.stats.shard_fallback_shards, 2);
   EXPECT_GT(result.stats.shard_retries, 0);
 }
@@ -197,7 +262,6 @@ TEST(ShardProcessE2eTest, RunnerKilledMidLevelIsRespawnedBitExactly) {
   const std::string expected = OutputFingerprint(unsharded);
 
   options.num_shards = 2;
-  options.shard_transport = ShardTransport::kProcess;
   options.shard_runner_path = runner;
   options.shard_io_timeout_seconds = 5.0;
   options.shard_retry_backoff_ms = 1.0;
@@ -223,7 +287,7 @@ TEST(ShardProcessE2eTest, RunnerKilledMidLevelIsRespawnedBitExactly) {
   EXPECT_EQ(result.stats.shard_fallback_shards, 0);
 }
 
-TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackInProcess) {
+TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackToTheCoordinator) {
   const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
@@ -238,7 +302,6 @@ TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackInProcess) {
   ASSERT_TRUE(unsharded.shard_status.ok());
 
   options.num_shards = 2;
-  options.shard_transport = ShardTransport::kProcess;
   options.shard_runner_path = runner;
   options.shard_io_timeout_seconds = 5.0;
   options.shard_max_retries = 1;
@@ -254,15 +317,18 @@ TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackInProcess) {
   EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
   EXPECT_EQ(result.stats.shard_fallback_shards, 2);
   EXPECT_GT(result.stats.shard_retries, 0);
+  // The degraded cores' footers are read directly, never lost.
+  EXPECT_EQ(result.stats.shard_footers_missing, 0);
+  EXPECT_GT(result.stats.partitions_computed, 0);
 }
 
 TEST(ShardProcessE2eTest, IoTimeoutIsClampedToTheRunDeadline) {
   Table t = GenerateNcVoterTable(60, 3, 5);
   EncodedTable enc = EncodeTable(t);
+  StallingRunner stalling;
   DiscoveryOptions options;
   options.num_shards = 1;
-  options.shard_transport = ShardTransport::kProcess;
-  options.shard_runner_path = "/bin/true";  // never speaks the protocol
+  options.shard_runner_path = stalling.path();  // never connects
   // A generous I/O timeout clamped by a 1-second run budget: the accept
   // wait must shrink to the remaining budget instead of parking for
   // 30 s. Strict mode, so the failure surfaces instead of falling back.
@@ -271,10 +337,11 @@ TEST(ShardProcessE2eTest, IoTimeoutIsClampedToTheRunDeadline) {
   options.shard_max_retries = 0;
   const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  const double elapsed = SecondsSince(start);
   ASSERT_FALSE(result.shard_status.ok());
+  EXPECT_NE(result.shard_status.message().find("never connected"),
+            std::string::npos)
+      << result.shard_status.ToString();
   EXPECT_LT(elapsed, 10.0) << "I/O waits were not clamped to the budget";
 }
 

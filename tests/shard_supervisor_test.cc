@@ -13,7 +13,7 @@
 //   - the attempt-1-vs-2 tests fault the first AND second attempt of
 //     one shard, forcing the ladder two rungs deep;
 //   - the persistent-fault test breaks every attempt so the shards must
-//     degrade to in-process execution.
+//     degrade to validation on the coordinator.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -66,22 +66,6 @@ int64_t RecoveryTotal(const DiscoveryStats& stats) {
          stats.shard_fallback_shards + stats.shard_footers_missing;
 }
 
-/// Base options for a supervised 2-shard run over `transport`: tight
-/// backoff so retries are cheap, a 1 s I/O bound so DropFrame surfaces
-/// fast, and the default retry budget.
-DiscoveryOptions SupervisedOptions(ShardTransport transport,
-                                   const std::string& runner) {
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.num_shards = 2;
-  options.num_threads = 2;
-  options.shard_transport = transport;
-  options.shard_runner_path = runner;
-  options.shard_io_timeout_seconds = 1.0;
-  options.shard_retry_backoff_ms = 1.0;
-  return options;
-}
-
 /// Supervised runs over spawned runner processes. A missing runner
 /// binary fails the suite (so the supervision gate cannot pass without
 /// running) unless AOD_ALLOW_MISSING_SHARD_RUNNER is set.
@@ -96,8 +80,18 @@ class ShardSupervisorTest : public ::testing::Test {
     FAIL() << "shard_runner_main not found next to the test binary; build "
               "it or set AOD_SHARD_RUNNER";
   }
+  /// A supervised 2-shard run: tight backoff so retries are cheap, a
+  /// 1 s I/O bound so DropFrame surfaces fast, and the default retry
+  /// budget.
   DiscoveryOptions Options() const {
-    return SupervisedOptions(ShardTransport::kProcess, runner_);
+    DiscoveryOptions options;
+    options.epsilon = 0.1;
+    options.num_shards = 2;
+    options.num_threads = 2;
+    options.shard_runner_path = runner_;
+    options.shard_io_timeout_seconds = 1.0;
+    options.shard_retry_backoff_ms = 1.0;
+    return options;
   }
   std::string runner_;
 };
@@ -194,11 +188,12 @@ TEST_F(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   EXPECT_EQ(result.stats.shard_fallback_shards, 0);
 }
 
-// Every attempt's first send is torn, so no transport attempt can ever
+// Every attempt's first send is torn, so no runner attempt can ever
 // succeed: both shards must exhaust the retry budget and degrade to
-// in-process execution — which is NOT decorated (the fallback leaves
-// the transport's failure domain) — and complete bit-identically.
-TEST_F(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
+// validation on the coordinator — which has no channel for the
+// decorator to reach — and complete bit-identically, with the degraded
+// cores' footers read directly.
+TEST_F(ShardSupervisorTest, PersistentFaultDegradesEveryShardToTheCoordinator) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -223,6 +218,8 @@ TEST_F(ShardSupervisorTest, PersistentFaultDegradesEveryShardInProcess) {
   EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
   EXPECT_EQ(result.stats.shard_fallback_shards, 2);
   EXPECT_GT(result.stats.shard_retries, 0);
+  EXPECT_EQ(result.stats.shard_footers_missing, 0);
+  EXPECT_GT(result.stats.partitions_computed, 0);
 }
 
 // Strict mode must not recover: the same persistent fault with
@@ -286,10 +283,10 @@ TEST_F(ShardSupervisorTest, MixedKindJobRecoversBitExactly) {
   }
 }
 
-// A transient fault on the in-process transport: no process or socket
-// to rebuild, and no fallback rung (the transport IS in-process) — the
-// ladder is pure retry, and it must still converge bit-identically.
-TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
+// A single transient fault early in the conversation: one retry with a
+// respawned runner absorbs it, no shard degrades, and the output
+// converges bit-identically.
+TEST_F(ShardSupervisorTest, TransientFaultIsRetriedWithoutFallback) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
@@ -300,8 +297,7 @@ TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
   ASSERT_TRUE(unsharded.shard_status.ok());
 
   std::atomic<int> budget{1};
-  DiscoveryOptions options =
-      SupervisedOptions(ShardTransport::kInProcess, "");
+  DiscoveryOptions options = Options();
   options.shard_channel_decorator =
       [&](std::unique_ptr<ShardChannel> inner)
       -> std::unique_ptr<ShardChannel> {
@@ -325,12 +321,11 @@ TEST(ShardSupervisorInprocTest, TransientFaultRetriesInPlace) {
 // every park to the remaining deadline and exits the ladder the moment
 // the deadline expires, instead of sleeping out the configured backoff
 // schedule (which alone would cost many seconds across shards).
-TEST(ShardSupervisorInprocTest, TightBudgetBoundsBackoffParks) {
+TEST_F(ShardSupervisorTest, TightBudgetBoundsBackoffParks) {
   Table t = GenerateNcVoterTable(120, 4, 7);
   EncodedTable enc = EncodeTable(t);
 
-  DiscoveryOptions options =
-      SupervisedOptions(ShardTransport::kInProcess, "");
+  DiscoveryOptions options = Options();
   options.shard_retry_backoff_ms = 30000.0;  // absurd on purpose
   options.time_budget_seconds = 0.4;
   options.shard_channel_decorator =

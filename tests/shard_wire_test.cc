@@ -40,7 +40,6 @@ struct HeldFrame {
   const DecodedFrame& operator*() const { return *decoded; }
 };
 using shard::FrameType;
-using shard::InProcessChannel;
 using shard::WireCandidate;
 using shard::WireOutcome;
 
@@ -653,25 +652,6 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   EXPECT_FALSE(shard::DecodeStatsFooter(*shutdown).ok());
 }
 
-// ---------------------------------------------------------- channel --
-
-TEST(ShardWireTest, InProcessChannelDeliversInOrderAndCloses) {
-  InProcessChannel channel;
-  EXPECT_TRUE(channel.Send({1, 2, 3}).ok());
-  EXPECT_TRUE(channel.Send({4}).ok());
-  EXPECT_EQ(channel.bytes_sent(), 4);
-  Result<std::vector<uint8_t>> first = channel.Receive();
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(*first, (std::vector<uint8_t>{1, 2, 3}));
-  channel.Close();
-  // Queued frames remain receivable after Close; then Receive errors.
-  Result<std::vector<uint8_t>> second = channel.Receive();
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, (std::vector<uint8_t>{4}));
-  EXPECT_FALSE(channel.Receive().ok());
-  EXPECT_FALSE(channel.Send({5}).ok());
-}
-
 // ------------------------------------------- wire-seeded cache parity --
 
 TEST(ShardWireTest, WireSeededCacheDerivesIdenticalPartitions) {
@@ -700,24 +680,36 @@ TEST(ShardWireTest, RunnerPublishesBatchContextsBetweenBatches) {
   // so the next batch derives Π_{012} from Π_{01} in one product instead
   // of extending a single in two.
   EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 33);
-  InProcessChannel inbox, outbox;
-  shard::ShardRunner runner(0, &t, shard::ShardRunnerOptions{}, &inbox,
-                            &outbox, /*pool=*/nullptr);
+  shard::ChannelOptions copts;
+  copts.receive_timeout_seconds = 10.0;
+  testing_util::ChannelPair link = testing_util::SocketChannelPair(copts);
+  shard::ShardRunner runner(0, &t, shard::ShardRunnerOptions{},
+                            /*pool=*/nullptr);
+  shard::ShardServeLoop loop(&runner, link.far.get());
   for (int a = 0; a < t.num_columns(); ++a) {
-    ASSERT_TRUE(inbox
-                    .Send(shard::EncodePartitionBlock(
+    ASSERT_TRUE(link.near
+                    ->Send(shard::EncodePartitionBlock(
                         AttributeSet::Of({a}),
                         StrippedPartition::FromColumn(t.column(a))))
                     .ok());
-    ASSERT_TRUE(runner.ServeOne().ok());
+    ASSERT_TRUE(loop.ServeOne().ok());
   }
   auto serve_batch = [&](AttributeSet context) {
     WireCandidate c;
     c.context_bits = context.bits();
     c.kind = DependencyKind::kOfd;
     c.target = 3;
-    ASSERT_TRUE(inbox.Send(shard::EncodeCandidateBatch({c})).ok());
-    ASSERT_TRUE(runner.ServeOne().ok());
+    ASSERT_TRUE(link.near->Send(shard::EncodeCandidateBatch({c})).ok());
+    ASSERT_TRUE(loop.ServeOne().ok());
+    // The reply is one final-flagged result chunk carrying the outcome.
+    Result<std::vector<uint8_t>> reply = link.near->Receive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    HeldFrame frame(*reply);
+    ASSERT_TRUE(frame.ok());
+    auto chunk = shard::DecodeResultBatch(*frame);
+    ASSERT_TRUE(chunk.ok());
+    EXPECT_TRUE(chunk->final_chunk);
+    EXPECT_EQ(chunk->outcomes.size(), 1u);
   };
   serve_batch(AttributeSet::Of({0, 1}));
   EXPECT_EQ(runner.FooterStats().products_computed, 1);

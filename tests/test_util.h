@@ -2,38 +2,58 @@
 #ifndef AOD_TESTS_TEST_UTIL_H_
 #define AOD_TESTS_TEST_UTIL_H_
 
-#include <unistd.h>
+#include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "data/encoder.h"
 #include "data/table.h"
 #include "gen/random.h"
+#include "od/discovery.h"
 #include "partition/attribute_set.h"
 #include "partition/stripped_partition.h"
+#include "shard/channel.h"
+#include "shard/supervisor.h"
 
 namespace aod {
 namespace testing_util {
 
-/// The shard_runner_main binary for process-transport tests: it sits
-/// next to the test binary in the build root; AOD_SHARD_RUNNER
-/// overrides. Empty when neither resolves (process legs then skip).
-inline std::string RunnerBinaryPath() {
-  if (const char* env = std::getenv("AOD_SHARD_RUNNER")) return env;
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  const std::string sibling =
-      (std::filesystem::path(buf).parent_path() / "shard_runner_main")
-          .string();
-  return std::filesystem::exists(sibling) ? sibling : "";
+/// The shard_runner_main binary sharded tests spawn, by the library's
+/// own resolution rule ($AOD_SHARD_RUNNER, else beside the test binary).
+/// Empty when nothing resolves.
+inline std::string RunnerBinaryPath() { return shard::ResolveRunnerPath(""); }
+
+/// The guard of every healthy-path sharded test: the run completed on
+/// its runner processes — no retry, respawn, lost footer or shard
+/// degraded to the coordinator. Without it a broken runner could pass
+/// a bit-exactness check, because the fallback's output is identical.
+inline void ExpectServedByRunners(const DiscoveryResult& result) {
+  EXPECT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
+  EXPECT_EQ(result.stats.shard_fallback_shards, 0);
+  EXPECT_EQ(result.stats.shard_retries, 0);
+  EXPECT_EQ(result.stats.shard_respawns, 0);
+  EXPECT_EQ(result.stats.shard_footers_missing, 0);
+}
+
+/// Both ends of a connected local stream socket, each wrapped as a
+/// SocketShardChannel — a coordinator/runner link without a process.
+struct ChannelPair {
+  std::unique_ptr<shard::SocketShardChannel> near;
+  std::unique_ptr<shard::SocketShardChannel> far;
+};
+
+inline ChannelPair SocketChannelPair(shard::ChannelOptions options = {}) {
+  int fds[2];
+  AOD_CHECK(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0);
+  return {shard::SocketShardChannel::Adopt(fds[0], options),
+          shard::SocketShardChannel::Adopt(fds[1], options)};
 }
 
 /// The paper's Table 1 (employee salaries). Column indices:
