@@ -11,10 +11,13 @@
 #ifndef AOD_BENCH_BENCH_UTIL_H_
 #define AOD_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "data/encoder.h"
@@ -72,6 +75,28 @@ inline RunResult RunDiscoveryWithOptions(const EncodedTable& table,
   out.oc_validation_share = result.stats.OcValidationShare();
   out.full = std::move(result);
   return out;
+}
+
+/// Timed calls behind every point of a scaling series.
+inline constexpr int kTimedRepeats = 3;
+
+/// One untimed warm-up call (page cache, allocator, pool workers, the
+/// runner binary), then kTimedRepeats timed calls; returns the timed run
+/// with the median wall clock. Without the warm-up the first point of a
+/// series runs cold, and every later point reads as a super-linear
+/// speedup over it.
+inline RunResult RunDiscoveryWarmMedian(const EncodedTable& table,
+                                        const DiscoveryOptions& options) {
+  RunDiscoveryWithOptions(table, options);
+  std::vector<RunResult> runs;
+  for (int i = 0; i < kTimedRepeats; ++i) {
+    runs.push_back(RunDiscoveryWithOptions(table, options));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const RunResult& a, const RunResult& b) {
+              return a.seconds < b.seconds;
+            });
+  return std::move(runs[kTimedRepeats / 2]);
 }
 
 inline RunResult RunDiscovery(const EncodedTable& table, ValidatorKind kind,

@@ -10,7 +10,9 @@
 // cross-checks the determinism contract (identical dependency counts at
 // every thread count). One pool per thread count is created up front and
 // reused across datasets, exercising pool reuse through
-// DiscoveryOptions::pool.
+// DiscoveryOptions::pool. Every point, the 1-thread baseline included, is
+// the median of kTimedRepeats timed runs after one untimed warm-up, so no
+// point pays for a cold start the others skip.
 //
 // Speedup is bounded by the machine: on N hardware threads, counts above
 // N add scheduling overhead but no parallelism (the printed "hw" line
@@ -56,7 +58,7 @@ void RunDataset(const char* name, bool flight, int64_t base_rows,
     } else {
       options.num_threads = 1;
     }
-    RunResult r = RunDiscoveryWithOptions(enc, options);
+    RunResult r = RunDiscoveryWarmMedian(enc, options);
     if (i == 0) {
       baseline = r.seconds;
       baseline_ocs = r.ocs;
@@ -84,6 +86,8 @@ int main() {
   PrintHeaderLine("Exp-7: scalability in the number of worker threads");
   std::printf("scale=%.2f (default: 100K rows), hw=%d hardware threads\n",
               Scale(), aod::exec::ThreadPool::HardwareConcurrency());
+  std::printf("each point: median of %d timed runs after 1 warm-up\n",
+              kTimedRepeats);
   PrintNote("speedup is wall-clock vs the 1-thread run of the same table;"
             " counts must match at every thread count (determinism"
             " contract).");

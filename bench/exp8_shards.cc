@@ -16,7 +16,9 @@
 // else shard_runner_main beside this harness (the build puts it there).
 // The gap between the unsharded and 1-shard lines is the whole price of
 // the seam: process startup, table and base shipping, serialization,
-// checksumming and per-batch framing over loopback. With --json <path>
+// checksumming and per-batch framing over loopback. Every point is the
+// median of kTimedRepeats timed runs after one untimed warm-up, so the
+// unsharded baseline does not run cold. With --json <path>
 // the series is written as machine-readable JSON (CI uploads it as
 // BENCH_exp8.json).
 #include <cstdio>
@@ -91,7 +93,7 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
     options.shard_runner_path = runner;
     ShardPoint point;
     point.shards = shards;
-    point.run = RunDiscoveryWithOptions(enc, options);
+    point.run = RunDiscoveryWarmMedian(enc, options);
     point.bytes_shipped = point.run.full.stats.shard_bytes_shipped;
     point.bytes_raw = point.run.full.stats.shard_bytes_raw;
     point.bytes_wire = point.run.full.stats.shard_bytes_wire;
@@ -138,7 +140,7 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
     options.shard_runner_path = runner;
     RowShardPoint point;
     point.row_shards = row_shards;
-    point.run = RunDiscoveryWithOptions(enc, options);
+    point.run = RunDiscoveryWarmMedian(enc, options);
     point.bytes_shipped = point.run.full.stats.row_shard_bytes_shipped;
     point.bytes_raw = point.run.full.stats.row_shard_bytes_raw;
     point.bytes_wire = point.run.full.stats.row_shard_bytes_wire;
@@ -252,12 +254,14 @@ int main(int argc, char** argv) {
                          " beside this harness or set AOD_SHARD_RUNNER\n");
     return 1;
   }
-  std::printf("runner=%s\n", runner.c_str());
+  std::printf("runner=%s\neach point: median of %d timed runs after 1"
+              " warm-up\n",
+              runner.c_str(), kTimedRepeats);
   PrintNote("every shard is a spawned runner process, its validation"
             " threads a slice of the coordinator's pool; counts must match"
             " the unsharded baseline at every"
             " shard count (determinism contract). wire(MiB) is total frame"
-            " bytes both directions after the delta/varint codecs, raw(MiB)"
+            " bytes both directions after the wire codecs, raw(MiB)"
             " the same traffic with every codec forced raw (ratio ="
             " raw/wire). The row-shards section distributes the base-partition"
             " build over contiguous row ranges (traversal unsharded):"

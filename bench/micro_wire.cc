@@ -1,20 +1,22 @@
 // Micro-benchmark of the shard wire codecs (src/shard/wire.{h,cc}).
 //
-// For each codec-bearing frame type — partition CSR blocks, candidate
-// batches, result batches, and the rank-encoded table block — this
-// harness measures encode and decode throughput (MiB/s of *raw* payload
-// processed, so raw and compressed rows are directly comparable) and
-// the compression ratio (raw frame bytes / wire frame bytes). Shapes
-// mirror what actually crosses the seam in exp8: low-cardinality base
-// partitions with long ascending runs (the canonical normal form the
-// delta/varint codec exploits), derived partitions with more classes,
-// per-level candidate batches with near-sequential slots, and result
-// chunks with and without removal rows.
+// For each frame type that ships bulk data this harness measures encode
+// and decode throughput (MiB/s of *raw* payload processed, so raw and
+// compressed rows are directly comparable) and the compression ratio
+// (raw frame bytes / wire frame bytes). Partition blocks and partition
+// fragments run both codecs, raw and delta-varint; the table block runs
+// its packed rank tiers against raw i32 columns; candidate and result
+// batches have one spelling, raw. Shapes mirror what crosses the seam:
+// a low-cardinality base partition with long ascending runs (the
+// canonical normal form delta-varint exploits), one row shard's
+// fragment of the same column, a level's candidate batch with
+// sequential slots, and result chunks with and without removal rows.
 //
 // With --json <path> the series is written as machine-readable JSON (CI
 // uploads it as BENCH_micro_wire.json).
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -22,6 +24,7 @@
 #include "data/encoder.h"
 #include "gen/random.h"
 #include "partition/attribute_set.h"
+#include "partition/partition_stitch.h"
 #include "partition/stripped_partition.h"
 #include "shard/wire.h"
 
@@ -71,115 +74,29 @@ double MibPerSecond(int64_t raw_bytes, double seconds_per_iter) {
   return static_cast<double>(raw_bytes) / (1 << 20) / seconds_per_iter;
 }
 
-CodecRow MeasurePartition(const std::string& shape,
-                          const StrippedPartition& p, int64_t rows,
-                          bool compression) {
+/// Measures one frame shape. `encode(counts)` seals the frame, adding its
+/// raw/wire split to `counts` when that is non-null; `decode(frame)`
+/// returns whether the decoder accepted it.
+template <typename Encode, typename Decode>
+CodecRow Measure(const char* frame_type, const std::string& shape,
+                 bool compression, const Encode& encode,
+                 const Decode& decode) {
   CodecRow row;
-  row.frame_type = "partition";
-  row.shape = shape;
-  row.compression = compression;
-  const AttributeSet set = AttributeSet::Of({0});
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodePartitionBlock(set, p, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodePartitionBlock(set, p, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodePartitionBlock(*decoded, rows);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
-}
-
-CodecRow MeasureCandidates(const std::string& shape,
-                           const std::vector<WireCandidate>& batch,
-                           bool compression) {
-  CodecRow row;
-  row.frame_type = "candidate";
+  row.frame_type = frame_type;
   row.shape = shape;
   row.compression = compression;
   CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodeCandidateBatch(batch, compression, &counts);
+  const std::vector<uint8_t> frame = encode(&counts);
   row.raw_bytes = counts.raw;
   row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodeCandidateBatch(batch, compression).size();
-        (void)sink;
-      }));
+  row.encode_mib_s = MibPerSecond(counts.raw, TimePerIteration([&] {
+    volatile size_t sink = encode(nullptr).size();
+    (void)sink;
+  }));
   Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
   AOD_CHECK(decoded.ok());
   row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodeCandidateBatch(*decoded);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
-}
-
-CodecRow MeasureResults(const std::string& shape,
-                        const std::vector<WireOutcome>& outcomes,
-                        bool compression) {
-  CodecRow row;
-  row.frame_type = "result";
-  row.shape = shape;
-  row.compression = compression;
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodeResultBatch(outcomes, true, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodeResultBatch(outcomes, true, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodeResultBatch(*decoded);
-        AOD_CHECK(back.ok());
-      }));
-  return row;
-}
-
-CodecRow MeasureTable(const std::string& shape, const EncodedTable& table,
-                      bool compression) {
-  CodecRow row;
-  row.frame_type = "table";
-  row.shape = shape;
-  row.compression = compression;
-  CodecByteCounts counts;
-  std::vector<uint8_t> frame =
-      shard::EncodeTableBlock(table, compression, &counts);
-  row.raw_bytes = counts.raw;
-  row.wire_bytes = counts.wire;
-  row.encode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        volatile size_t sink =
-            shard::EncodeTableBlock(table, compression).size();
-        (void)sink;
-      }));
-  Result<DecodedFrame> decoded = shard::DecodeFrame(frame);
-  AOD_CHECK(decoded.ok());
-  row.decode_mib_s = MibPerSecond(
-      counts.raw, TimePerIteration([&] {
-        auto back = shard::DecodeTableBlock(*decoded);
-        AOD_CHECK(back.ok());
-      }));
+      counts.raw, TimePerIteration([&] { AOD_CHECK(decode(*decoded)); }));
   return row;
 }
 
@@ -245,6 +162,75 @@ std::vector<WireOutcome> MakeOutcomes(int64_t n, bool removal_rows) {
   return out;
 }
 
+std::vector<CodecRow> MeasureShapes(int64_t rows) {
+  // Workload shapes. Base: one low-cardinality column partition (what
+  // the coordinator ships to every shard). Fragment: the second half of
+  // the same column, as one of two row shards returns it. Level batch:
+  // 2000 sequential candidates; result chunks at the runner's
+  // 512-outcome grain.
+  EncodedTable base_table = RandomEncodedTable(rows, 1, 16, 42);
+  const EncodedColumn& base_column = base_table.column(0);
+  const StrippedPartition base = StrippedPartition::FromColumn(base_column);
+  const AttributeSet base_set = AttributeSet::Of({0});
+  const PartitionFragment fragment =
+      FragmentFromColumn(base_column, rows / 2, rows, /*attribute=*/0);
+  EncodedTable wide_table = RandomEncodedTable(rows / 10 + 1, 10, 300, 99);
+  const std::vector<WireCandidate> batch = MakeCandidates(2000);
+  const std::pair<std::string, std::vector<WireOutcome>> result_chunks[] = {
+      {"chunk_512", MakeOutcomes(512, false)},
+      {"chunk_512_removal", MakeOutcomes(512, true)},
+  };
+
+  std::vector<CodecRow> all;
+  for (bool compression : {true, false}) {
+    all.push_back(Measure(
+        "partition", "base_card16", compression,
+        [&](CodecByteCounts* counts) {
+          return shard::EncodePartitionBlock(base_set, base, compression,
+                                             counts);
+        },
+        [&](const DecodedFrame& f) {
+          return shard::DecodePartitionBlock(f, rows).ok();
+        }));
+    all.push_back(Measure(
+        "fragment", "half_card16", compression,
+        [&](CodecByteCounts* counts) {
+          return shard::EncodePartitionFragment(fragment, compression,
+                                                counts);
+        },
+        [&](const DecodedFrame& f) {
+          return shard::DecodePartitionFragment(f, rows).ok();
+        }));
+    all.push_back(Measure(
+        "table", "table_10col_card300", compression,
+        [&](CodecByteCounts* counts) {
+          return shard::EncodeTableBlock(wide_table, compression, counts);
+        },
+        [&](const DecodedFrame& f) {
+          return shard::DecodeTableBlock(f).ok();
+        }));
+  }
+  all.push_back(Measure(
+      "candidate", "level_batch_2k", /*compression=*/false,
+      [&](CodecByteCounts* counts) {
+        return shard::EncodeCandidateBatch(batch, counts);
+      },
+      [&](const DecodedFrame& f) {
+        return shard::DecodeCandidateBatch(f).ok();
+      }));
+  for (const auto& [shape, outcomes] : result_chunks) {
+    all.push_back(Measure(
+        "result", shape, /*compression=*/false,
+        [&](CodecByteCounts* counts) {
+          return shard::EncodeResultBatch(outcomes, true, counts);
+        },
+        [&](const DecodedFrame& f) {
+          return shard::DecodeResultBatch(f).ok();
+        }));
+  }
+  return all;
+}
+
 int WriteJson(const char* path, const std::vector<CodecRow>& rows) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -279,9 +265,6 @@ int WriteJson(const char* path, const std::vector<CodecRow>& rows) {
 
 int main(int argc, char** argv) {
   using namespace aod::bench;
-  using aod::EncodedTable;
-  using aod::PartitionScratch;
-  using aod::StrippedPartition;
 
   const char* json_path = JsonPathArg(argc, argv);
   PrintHeaderLine("micro_wire: shard codec throughput + compression ratio");
@@ -289,35 +272,7 @@ int main(int argc, char** argv) {
   std::printf("scale=%.2f (%lld-row shapes)\n", Scale(),
               static_cast<long long>(rows));
 
-  // Workload shapes. Base: one low-cardinality column partition (what
-  // Init ships to every shard). Derived: a two-column product (more,
-  // smaller classes — what budgeted re-derivation re-ships). Level
-  // batch: ~2000 near-sequential candidates; result chunks at the
-  // runner's 512-outcome grain.
-  EncodedTable base_table = RandomEncodedTable(rows, 2, 16, 42);
-  StrippedPartition base =
-      StrippedPartition::FromColumn(base_table.column(0));
-  PartitionScratch scratch(rows);
-  StrippedPartition derived =
-      base.Product(StrippedPartition::FromColumn(base_table.column(1)), rows,
-                   &scratch);
-  EncodedTable wide_table = RandomEncodedTable(rows / 10 + 1, 10, 300, 99);
-
-  std::vector<CodecRow> all;
-  for (bool compression : {true, false}) {
-    all.push_back(MeasurePartition("base_card16", base, rows, compression));
-    all.push_back(
-        MeasurePartition("derived_product", derived, rows, compression));
-    all.push_back(
-        MeasureCandidates("level_batch_2k", MakeCandidates(2000),
-                          compression));
-    all.push_back(MeasureResults("chunk_512", MakeOutcomes(512, false),
-                                 compression));
-    all.push_back(MeasureResults("chunk_512_removal",
-                                 MakeOutcomes(512, true), compression));
-    all.push_back(MeasureTable("table_10col_card300", wide_table,
-                               compression));
-  }
+  const std::vector<CodecRow> all = MeasureShapes(rows);
 
   std::printf("%10s %20s %6s %12s %12s %7s %12s %12s\n", "frame", "shape",
               "codec", "raw(KiB)", "wire(KiB)", "ratio", "enc MiB/s",
@@ -325,7 +280,9 @@ int main(int argc, char** argv) {
   for (const CodecRow& r : all) {
     std::printf("%10s %20s %6s %12.1f %12.1f %6.2fx %12.1f %12.1f\n",
                 r.frame_type.c_str(), r.shape.c_str(),
-                r.compression ? "delta" : "raw",
+                !r.compression             ? "raw"
+                : r.frame_type == "table" ? "packed"
+                                          : "delta",
                 static_cast<double>(r.raw_bytes) / 1024,
                 static_cast<double>(r.wire_bytes) / 1024, Ratio(r),
                 r.encode_mib_s, r.decode_mib_s);

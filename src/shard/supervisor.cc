@@ -245,7 +245,7 @@ Status ShardSupervisor::ExecuteLevelOnce(
   Attempt* attempt = current_.get();
   CodecByteCounts encode_counts;
   AOD_RETURN_NOT_OK(attempt->channel->Send(
-      EncodeCandidateBatch(batch, /*compress=*/true, &encode_counts)));
+      EncodeCandidateBatch(batch, &encode_counts)));
   ++attempt->frames_sent;
   AddTypeCounts(FrameType::kCandidateBatch, encode_counts);
   // Chunked reply: a well-formed reply is at most |batch|+1 chunks

@@ -1,6 +1,5 @@
 #include "shard/wire.h"
 
-#include <algorithm>
 #include <cstring>
 #include <limits>
 
@@ -328,187 +327,6 @@ Status ExpandCompressedCsr(WireReader* reader, int64_t num_rows,
   return Status::OK();
 }
 
-/// How many bits a class label needs: 0 when every label is 0 (a single
-/// class), else the width of the largest label.
-int LabelBits(int64_t num_classes) {
-  int bits = 0;
-  uint64_t max_label = num_classes > 0
-                           ? static_cast<uint64_t>(num_classes) - 1
-                           : 0;
-  while (max_label != 0) {
-    ++bits;
-    max_label >>= 1;
-  }
-  return bits;
-}
-
-/// Appends the class-label body: varint num_classes / covered rows /
-/// bitmap bits, the coverage bitmap over [0, max_row], then per covered
-/// row (ascending) its class index at LabelBits() bits, LSB first.
-/// Canonical order (classes sorted by first row, ascending in-class
-/// rows) makes the inverse exact. Bails out at `budget` like the delta
-/// encoder.
-bool TryCompressPartitionLabels(const StrippedPartition& p, size_t budget,
-                                WireWriter* body) {
-  const std::vector<int32_t>& offsets = p.class_offsets();
-  const std::vector<int32_t>& rows = p.row_ids();
-  const int64_t num_classes = p.num_classes();
-  body->PutVarint(static_cast<uint64_t>(num_classes));
-  body->PutVarint(rows.size());
-  if (rows.empty()) {
-    body->PutVarint(0);
-    return body->payload().size() < budget;
-  }
-  // Canonical in-class rows ascend, so the global max row is the max of
-  // the per-class last elements.
-  int32_t max_row = 0;
-  for (int64_t c = 0; c < num_classes; ++c) {
-    max_row = std::max(
-        max_row, rows[static_cast<size_t>(offsets[static_cast<size_t>(c) + 1]) - 1]);
-  }
-  const uint64_t bitmap_bits = static_cast<uint64_t>(max_row) + 1;
-  body->PutVarint(bitmap_bits);
-  const int label_bits = LabelBits(num_classes);
-  const size_t bitmap_bytes = static_cast<size_t>((bitmap_bits + 7) / 8);
-  const size_t label_bytes =
-      (rows.size() * static_cast<size_t>(label_bits) + 7) / 8;
-  if (body->payload().size() + bitmap_bytes + label_bytes >= budget) {
-    return false;  // cost threshold: never ship a body >= the raw CSR
-  }
-  // Row -> class label, then one ascending sweep fills both bit streams.
-  std::vector<int32_t> label_of_row(static_cast<size_t>(bitmap_bits), -1);
-  for (int64_t c = 0; c < num_classes; ++c) {
-    for (int32_t i = offsets[static_cast<size_t>(c)];
-         i < offsets[static_cast<size_t>(c) + 1]; ++i) {
-      label_of_row[static_cast<size_t>(rows[static_cast<size_t>(i)])] =
-          static_cast<int32_t>(c);
-    }
-  }
-  std::vector<uint8_t> bitmap(bitmap_bytes, 0);
-  std::vector<uint8_t> labels(label_bytes, 0);
-  size_t label_pos = 0;  // bit cursor into `labels`
-  for (uint64_t r = 0; r < bitmap_bits; ++r) {
-    const int32_t label = label_of_row[static_cast<size_t>(r)];
-    if (label < 0) continue;
-    bitmap[static_cast<size_t>(r / 8)] |=
-        static_cast<uint8_t>(1u << (r % 8));
-    for (int b = 0; b < label_bits; ++b, ++label_pos) {
-      if ((static_cast<uint32_t>(label) >> b) & 1u) {
-        labels[label_pos / 8] |= static_cast<uint8_t>(1u << (label_pos % 8));
-      }
-    }
-  }
-  body->PutBytes(bitmap.data(), bitmap.size());
-  body->PutBytes(labels.data(), labels.size());
-  return body->payload().size() < budget;
-}
-
-/// Expands a class-label body back into the exact raw CSR bytes, with
-/// the same single validation gate as the delta codec: sizes come from
-/// a counting pass over the labels, the placing pass groups rows by
-/// class, and StrippedPartition::Deserialize then enforces canonical
-/// form on the result.
-Status ExpandLabelCsr(WireReader* reader, int64_t num_rows,
-                      std::vector<uint8_t>* csr) {
-  uint64_t classes = 0;
-  uint64_t rows = 0;
-  uint64_t bitmap_bits = 0;
-  AOD_RETURN_NOT_OK(reader->GetVarint(&classes));
-  AOD_RETURN_NOT_OK(reader->GetVarint(&rows));
-  AOD_RETURN_NOT_OK(reader->GetVarint(&bitmap_bits));
-  if (num_rows < 0 || rows > static_cast<uint64_t>(num_rows) ||
-      bitmap_bits > static_cast<uint64_t>(num_rows)) {
-    return Status::ParseError("partition claims more covered rows than the "
-                              "table holds");
-  }
-  if (classes > rows / 2) {
-    return Status::ParseError("partition claims more classes than 2-row "
-                              "classes fit in its rows");
-  }
-  if (rows > 0 && bitmap_bits == 0) {
-    return Status::ParseError("partition covers rows but declares an empty "
-                              "bitmap");
-  }
-  const size_t bitmap_bytes = static_cast<size_t>((bitmap_bits + 7) / 8);
-  const int label_bits = LabelBits(static_cast<int64_t>(classes));
-  const size_t label_bytes =
-      (static_cast<size_t>(rows) * static_cast<size_t>(label_bits) + 7) / 8;
-  if (reader->remaining() != bitmap_bytes + label_bytes) {
-    return Status::ParseError("partition label body size mismatch");
-  }
-  const uint8_t* bitmap = reader->cursor();
-  const uint8_t* labels = bitmap + bitmap_bytes;
-  // Padding bits past bitmap_bits (and past the last label) must be
-  // zero: one partition, one byte string.
-  if (bitmap_bits % 8 != 0 && bitmap_bytes > 0 &&
-      (bitmap[bitmap_bytes - 1] >> (bitmap_bits % 8)) != 0) {
-    return Status::ParseError("partition bitmap has nonzero padding");
-  }
-  const size_t label_total_bits =
-      static_cast<size_t>(rows) * static_cast<size_t>(label_bits);
-  if (label_total_bits % 8 != 0 && label_bytes > 0 &&
-      (labels[label_bytes - 1] >> (label_total_bits % 8)) != 0) {
-    return Status::ParseError("partition labels have nonzero padding");
-  }
-  uint64_t covered = 0;
-  for (size_t i = 0; i < bitmap_bytes; ++i) {
-    covered += static_cast<uint64_t>(__builtin_popcount(bitmap[i]));
-  }
-  if (covered != rows) {
-    return Status::ParseError("partition bitmap popcount does not match its "
-                              "covered rows");
-  }
-  auto label_at = [labels, label_bits](uint64_t index) {
-    uint64_t label = 0;
-    uint64_t bit = index * static_cast<uint64_t>(label_bits);
-    for (int b = 0; b < label_bits; ++b, ++bit) {
-      label |= static_cast<uint64_t>((labels[bit / 8] >> (bit % 8)) & 1u)
-               << b;
-    }
-    return label;
-  };
-  // Counting pass -> offsets; any label >= classes is typed here.
-  std::vector<int64_t> sizes(static_cast<size_t>(classes), 0);
-  for (uint64_t i = 0; i < rows; ++i) {
-    const uint64_t label = label_at(i);
-    if (label >= classes) {
-      return Status::ParseError("partition label outside its class count");
-    }
-    ++sizes[static_cast<size_t>(label)];
-  }
-  csr->clear();
-  csr->reserve(16 + (classes > 0 ? (static_cast<size_t>(classes) + 1) * 4 : 0) +
-               static_cast<size_t>(rows) * 4);
-  endian::AppendU64(csr, classes);
-  endian::AppendU64(csr, rows);
-  std::vector<int64_t> cursor(static_cast<size_t>(classes), 0);
-  if (classes > 0) {
-    endian::AppendI32(csr, 0);
-    int64_t offset = 0;
-    for (uint64_t c = 0; c < classes; ++c) {
-      cursor[static_cast<size_t>(c)] = offset;
-      offset += sizes[static_cast<size_t>(c)];
-      endian::AppendI32(csr, static_cast<int32_t>(offset));
-    }
-  }
-  // Placing pass: ascending bitmap sweep keeps in-class rows ascending.
-  std::vector<int32_t> row_ids(static_cast<size_t>(rows), 0);
-  uint64_t index = 0;
-  for (uint64_t r = 0; r < bitmap_bits; ++r) {
-    if (((bitmap[static_cast<size_t>(r / 8)] >> (r % 8)) & 1u) == 0) {
-      continue;
-    }
-    const uint64_t label = label_at(index++);
-    row_ids[static_cast<size_t>(cursor[static_cast<size_t>(label)]++)] =
-        static_cast<int32_t>(r);
-  }
-  for (uint64_t i = 0; i < rows; ++i) {
-    endian::AppendI32(csr, row_ids[static_cast<size_t>(i)]);
-  }
-  reader->Skip(bitmap_bytes + label_bytes);
-  return Status::OK();
-}
-
 }  // namespace
 
 std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
@@ -518,25 +336,10 @@ std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
   const std::vector<uint8_t> csr = partition.Serialize();
   WireWriter writer;
   writer.PutU64(set.bits());
-  WireWriter delta_body;
-  WireWriter label_body;
-  const bool delta_ok =
-      compress && TryCompressPartitionBody(partition, csr.size(), &delta_body);
-  // The label attempt is additionally bounded by the delta body: it only
-  // matters if it beats both raw and delta.
-  const bool label_ok =
-      compress &&
-      TryCompressPartitionLabels(
-          partition,
-          delta_ok ? std::min(csr.size(), delta_body.payload().size())
-                   : csr.size(),
-          &label_body);
-  if (label_ok) {
-    writer.PutU8(kCodecClassLabel);
-    writer.PutBytes(label_body.payload().data(), label_body.payload().size());
-  } else if (delta_ok) {
+  WireWriter body;
+  if (compress && TryCompressPartitionBody(partition, csr.size(), &body)) {
     writer.PutU8(kCodecDeltaVarint);
-    writer.PutBytes(delta_body.payload().data(), delta_body.payload().size());
+    writer.PutBytes(body.payload().data(), body.payload().size());
   } else {
     writer.PutU8(kCodecRaw);
     writer.PutBytes(csr.data(), csr.size());
@@ -570,13 +373,9 @@ Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
                                        num_rows, &consumed));
     reader.Skip(consumed);
     raw_csr_bytes = consumed;
-  } else if (codec == kCodecDeltaVarint || codec == kCodecClassLabel) {
+  } else if (codec == kCodecDeltaVarint) {
     std::vector<uint8_t> csr;
-    if (codec == kCodecDeltaVarint) {
-      AOD_RETURN_NOT_OK(ExpandCompressedCsr(&reader, num_rows, &csr));
-    } else {
-      AOD_RETURN_NOT_OK(ExpandLabelCsr(&reader, num_rows, &csr));
-    }
+    AOD_RETURN_NOT_OK(ExpandCompressedCsr(&reader, num_rows, &csr));
     size_t consumed = 0;
     AOD_ASSIGN_OR_RETURN(
         partition,
@@ -601,51 +400,6 @@ Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
 
 namespace {
 
-/// Fixed-width candidate body: u64 count + 30 bytes each (version 4
-/// replaced the version-1 is_ofd byte with the DependencyKind id at the
-/// same offset, keeping the record width).
-void AppendRawCandidates(const std::vector<WireCandidate>& candidates,
-                         WireWriter* writer) {
-  writer->PutU64(candidates.size());
-  for (const WireCandidate& c : candidates) {
-    writer->PutU64(c.slot);
-    writer->PutU64(c.context_bits);
-    writer->PutU8(static_cast<uint8_t>(c.kind));
-    writer->PutI32(c.target);
-    writer->PutI32(c.pair_a);
-    writer->PutI32(c.pair_b);
-    writer->PutU8(c.opposite ? 1 : 0);
-  }
-}
-
-bool TryCompressCandidates(const std::vector<WireCandidate>& candidates,
-                           size_t budget, WireWriter* body) {
-  body->PutVarint(candidates.size());
-  int64_t prev_slot = 0;
-  for (const WireCandidate& c : candidates) {
-    body->PutVarintI64(static_cast<int64_t>(c.slot) - prev_slot);
-    prev_slot = static_cast<int64_t>(c.slot);
-    body->PutVarint(c.context_bits);
-    // Two kind bits + the polarity bit; anything above bit 2 is unknown.
-    body->PutU8(static_cast<uint8_t>(static_cast<uint8_t>(c.kind) |
-                                     (c.opposite ? 4 : 0)));
-    body->PutVarintI64(c.target);
-    body->PutVarintI64(c.pair_a);
-    body->PutVarintI64(c.pair_b);
-    if (body->payload().size() >= budget) return false;
-  }
-  return true;
-}
-
-Status CheckedI32(int64_t v, int32_t* out) {
-  if (v < std::numeric_limits<int32_t>::min() ||
-      v > std::numeric_limits<int32_t>::max()) {
-    return Status::ParseError("wire value outside int32 range");
-  }
-  *out = static_cast<int32_t>(v);
-  return Status::OK();
-}
-
 Status CheckedKind(uint8_t v, DependencyKind* out) {
   if (v >= kNumDependencyKinds) {
     return Status::ParseError("unknown dependency kind id " +
@@ -658,24 +412,21 @@ Status CheckedKind(uint8_t v, DependencyKind* out) {
 }  // namespace
 
 std::vector<uint8_t> EncodeCandidateBatch(
-    const std::vector<WireCandidate>& candidates, bool compress,
-    CodecByteCounts* counts) {
-  const size_t raw_body = 8 + 30 * candidates.size();
-  WireWriter body;
-  const bool compressed =
-      compress && !candidates.empty() &&
-      TryCompressCandidates(candidates, raw_body, &body);
+    const std::vector<WireCandidate>& candidates, CodecByteCounts* counts) {
   WireWriter writer;
-  if (compressed) {
-    writer.PutU8(kCandidateFlagCompressed);
-    writer.PutBytes(body.payload().data(), body.payload().size());
-  } else {
-    writer.PutU8(0);
-    AppendRawCandidates(candidates, &writer);
+  writer.PutU64(candidates.size());
+  for (const WireCandidate& c : candidates) {
+    writer.PutU64(c.slot);
+    writer.PutU64(c.context_bits);
+    writer.PutU8(static_cast<uint8_t>(c.kind));
+    writer.PutI32(c.target);
+    writer.PutI32(c.pair_a);
+    writer.PutI32(c.pair_b);
+    writer.PutU8(c.opposite ? 1 : 0);
   }
   std::vector<uint8_t> frame = writer.SealFrame(FrameType::kCandidateBatch);
   if (counts != nullptr) {
-    counts->raw += static_cast<int64_t>(kFrameHeaderBytes + 1 + raw_body);
+    counts->raw += static_cast<int64_t>(frame.size());
     counts->wire += static_cast<int64_t>(frame.size());
   }
   return frame;
@@ -687,159 +438,58 @@ Result<std::vector<WireCandidate>> DecodeCandidateBatch(
     return Status::ParseError("frame is not a candidate batch");
   }
   WireReader reader(frame.payload, frame.size);
-  uint8_t flags = 0;
-  AOD_RETURN_NOT_OK(reader.GetU8(&flags));
-  if ((flags & ~kCandidateFlagCompressed) != 0) {
-    return Status::ParseError("unknown candidate batch flags");
+  uint64_t count = 0;
+  AOD_RETURN_NOT_OK(reader.GetU64(&count));
+  // Per-candidate encoding is 30 bytes (2 u64 + 3 i32 + 2 u8).
+  if (count > reader.remaining() / 30) {
+    return Status::ParseError("candidate batch longer than its payload");
   }
   std::vector<WireCandidate> out;
-  if ((flags & kCandidateFlagCompressed) != 0) {
-    uint64_t count = 0;
-    AOD_RETURN_NOT_OK(reader.GetVarint(&count));
-    // Minimum compressed candidate is 6 bytes; reject counts the payload
-    // cannot hold before reserving.
-    if (count > reader.remaining() / 6) {
-      return Status::ParseError("candidate batch longer than its payload");
-    }
-    out.reserve(static_cast<size_t>(count));
-    int64_t prev_slot = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-      WireCandidate c;
-      int64_t slot_delta = 0;
-      AOD_RETURN_NOT_OK(reader.GetVarintI64(&slot_delta));
-      const int64_t slot = prev_slot + slot_delta;
-      if (slot < 0) {
-        return Status::ParseError("candidate slot out of range");
-      }
-      prev_slot = slot;
-      c.slot = static_cast<uint64_t>(slot);
-      AOD_RETURN_NOT_OK(reader.GetVarint(&c.context_bits));
-      uint8_t packed = 0;
-      AOD_RETURN_NOT_OK(reader.GetU8(&packed));
-      if ((packed & ~7u) != 0) {
-        return Status::ParseError("unknown candidate flag bits");
-      }
-      AOD_RETURN_NOT_OK(
-          CheckedKind(static_cast<uint8_t>(packed & 3u), &c.kind));
-      c.opposite = (packed & 4) != 0;
-      int64_t v = 0;
-      AOD_RETURN_NOT_OK(reader.GetVarintI64(&v));
-      AOD_RETURN_NOT_OK(CheckedI32(v, &c.target));
-      AOD_RETURN_NOT_OK(reader.GetVarintI64(&v));
-      AOD_RETURN_NOT_OK(CheckedI32(v, &c.pair_a));
-      AOD_RETURN_NOT_OK(reader.GetVarintI64(&v));
-      AOD_RETURN_NOT_OK(CheckedI32(v, &c.pair_b));
-      out.push_back(c);
-    }
-  } else {
-    uint64_t count = 0;
-    AOD_RETURN_NOT_OK(reader.GetU64(&count));
-    // Per-candidate raw encoding is 30 bytes (2 u64 + 3 i32 + 2 u8).
-    if (count > reader.remaining() / 30) {
-      return Status::ParseError("candidate batch longer than its payload");
-    }
-    out.reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      WireCandidate c;
-      uint8_t kind = 0;
-      uint8_t opposite = 0;
-      AOD_RETURN_NOT_OK(reader.GetU64(&c.slot));
-      AOD_RETURN_NOT_OK(reader.GetU64(&c.context_bits));
-      AOD_RETURN_NOT_OK(reader.GetU8(&kind));
-      AOD_RETURN_NOT_OK(reader.GetI32(&c.target));
-      AOD_RETURN_NOT_OK(reader.GetI32(&c.pair_a));
-      AOD_RETURN_NOT_OK(reader.GetI32(&c.pair_b));
-      AOD_RETURN_NOT_OK(reader.GetU8(&opposite));
-      AOD_RETURN_NOT_OK(CheckedKind(kind, &c.kind));
-      c.opposite = opposite != 0;
-      out.push_back(c);
-    }
+  out.reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    WireCandidate c;
+    uint8_t kind = 0;
+    uint8_t opposite = 0;
+    AOD_RETURN_NOT_OK(reader.GetU64(&c.slot));
+    AOD_RETURN_NOT_OK(reader.GetU64(&c.context_bits));
+    AOD_RETURN_NOT_OK(reader.GetU8(&kind));
+    AOD_RETURN_NOT_OK(reader.GetI32(&c.target));
+    AOD_RETURN_NOT_OK(reader.GetI32(&c.pair_a));
+    AOD_RETURN_NOT_OK(reader.GetI32(&c.pair_b));
+    AOD_RETURN_NOT_OK(reader.GetU8(&opposite));
+    AOD_RETURN_NOT_OK(CheckedKind(kind, &c.kind));
+    c.opposite = opposite != 0;
+    out.push_back(c);
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   if (counts != nullptr) {
-    counts->raw +=
-        static_cast<int64_t>(kFrameHeaderBytes + 1 + 8 + 30 * out.size());
-    counts->wire += static_cast<int64_t>(kFrameHeaderBytes + frame.size);
+    const int64_t bytes = static_cast<int64_t>(kFrameHeaderBytes + frame.size);
+    counts->raw += bytes;
+    counts->wire += bytes;
   }
   return out;
 }
 
-namespace {
-
-void AppendRawOutcomes(const std::vector<WireOutcome>& outcomes,
-                       WireWriter* writer) {
-  writer->PutU64(outcomes.size());
-  for (const WireOutcome& o : outcomes) {
-    writer->PutU64(o.slot);
-    writer->PutU8(static_cast<uint8_t>(o.kind));
-    writer->PutU8(o.valid ? 1 : 0);
-    writer->PutU8(o.early_exit ? 1 : 0);
-    writer->PutI64(o.removal_size);
-    writer->PutDouble(o.approx_factor);
-    writer->PutDouble(o.interestingness);
-    writer->PutDouble(o.seconds);
-    writer->PutI32Array(o.removal_rows);
-  }
-}
-
-bool TryCompressOutcomes(const std::vector<WireOutcome>& outcomes,
-                         size_t budget, WireWriter* body) {
-  body->PutVarint(outcomes.size());
-  int64_t prev_slot = 0;
-  for (const WireOutcome& o : outcomes) {
-    body->PutVarintI64(static_cast<int64_t>(o.slot) - prev_slot);
-    prev_slot = static_cast<int64_t>(o.slot);
-    // valid | early_exit<<1 | kind<<2; bits above 3 are unknown.
-    body->PutU8(static_cast<uint8_t>(
-        (o.valid ? 1 : 0) | (o.early_exit ? 2 : 0) |
-        (static_cast<uint8_t>(o.kind) << 2)));
-    body->PutVarintI64(o.removal_size);
-    // Doubles stay as raw bit patterns: mantissa bits are incompressible
-    // and the determinism contract requires the exact value.
-    body->PutDouble(o.approx_factor);
-    body->PutDouble(o.interestingness);
-    body->PutDouble(o.seconds);
-    body->PutVarint(o.removal_rows.size());
-    int32_t prev_row = 0;
-    for (int32_t r : o.removal_rows) {
-      body->PutVarintI64(static_cast<int64_t>(r) - prev_row);
-      prev_row = r;
-    }
-    if (body->payload().size() >= budget) return false;
-  }
-  return true;
-}
-
-int64_t RawResultBodyBytes(const std::vector<WireOutcome>& outcomes) {
-  int64_t raw = 8;
-  for (const WireOutcome& o : outcomes) {
-    raw += 51 + 4 * static_cast<int64_t>(o.removal_rows.size());
-  }
-  return raw;
-}
-
-}  // namespace
-
 std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
-                                       bool final_chunk, bool compress,
+                                       bool final_chunk,
                                        CodecByteCounts* counts) {
-  const int64_t raw_body = RawResultBodyBytes(outcomes);
-  WireWriter body;
-  const bool compressed =
-      compress && !outcomes.empty() &&
-      TryCompressOutcomes(outcomes, static_cast<size_t>(raw_body), &body);
   WireWriter writer;
-  uint8_t flags = final_chunk ? kResultFlagFinalChunk : 0;
-  if (compressed) flags |= kResultFlagCompressed;
-  writer.PutU8(flags);
-  if (compressed) {
-    writer.PutBytes(body.payload().data(), body.payload().size());
-  } else {
-    AppendRawOutcomes(outcomes, &writer);
+  writer.PutU8(final_chunk ? kResultFlagFinalChunk : 0);
+  writer.PutU64(outcomes.size());
+  for (const WireOutcome& o : outcomes) {
+    writer.PutU64(o.slot);
+    writer.PutU8(static_cast<uint8_t>(o.kind));
+    writer.PutU8(o.valid ? 1 : 0);
+    writer.PutU8(o.early_exit ? 1 : 0);
+    writer.PutI64(o.removal_size);
+    writer.PutDouble(o.approx_factor);
+    writer.PutDouble(o.interestingness);
+    writer.PutDouble(o.seconds);
+    writer.PutI32Array(o.removal_rows);
   }
   std::vector<uint8_t> frame = writer.SealFrame(FrameType::kResultBatch);
   if (counts != nullptr) {
-    counts->raw += static_cast<int64_t>(kFrameHeaderBytes) + 1 + raw_body;
+    counts->raw += static_cast<int64_t>(frame.size());
     counts->wire += static_cast<int64_t>(frame.size());
   }
   return frame;
@@ -853,95 +503,43 @@ Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame,
   WireReader reader(frame.payload, frame.size);
   uint8_t flags = 0;
   AOD_RETURN_NOT_OK(reader.GetU8(&flags));
-  if ((flags & ~(kResultFlagFinalChunk | kResultFlagCompressed)) != 0) {
+  if ((flags & ~kResultFlagFinalChunk) != 0) {
     return Status::ParseError("unknown result batch flags");
   }
   WireResultChunk chunk;
   chunk.final_chunk = (flags & kResultFlagFinalChunk) != 0;
+  uint64_t count = 0;
+  AOD_RETURN_NOT_OK(reader.GetU64(&count));
+  // 51 bytes per outcome before its (possibly empty) removal-row array.
+  if (count > reader.remaining() / 51) {
+    return Status::ParseError("result batch longer than its payload");
+  }
   std::vector<WireOutcome>& out = chunk.outcomes;
-  if ((flags & kResultFlagCompressed) != 0) {
-    uint64_t count = 0;
-    AOD_RETURN_NOT_OK(reader.GetVarint(&count));
-    // Minimum compressed outcome is 28 bytes (three raw doubles).
-    if (count > reader.remaining() / 28) {
-      return Status::ParseError("result batch longer than its payload");
-    }
-    out.reserve(static_cast<size_t>(count));
-    int64_t prev_slot = 0;
-    for (uint64_t i = 0; i < count; ++i) {
-      WireOutcome o;
-      int64_t slot_delta = 0;
-      AOD_RETURN_NOT_OK(reader.GetVarintI64(&slot_delta));
-      const int64_t slot = prev_slot + slot_delta;
-      if (slot < 0) {
-        return Status::ParseError("result slot out of range");
-      }
-      prev_slot = slot;
-      o.slot = static_cast<uint64_t>(slot);
-      uint8_t packed = 0;
-      AOD_RETURN_NOT_OK(reader.GetU8(&packed));
-      if ((packed & ~0xFu) != 0) {
-        return Status::ParseError("unknown outcome flag bits");
-      }
-      o.valid = (packed & 1) != 0;
-      o.early_exit = (packed & 2) != 0;
-      AOD_RETURN_NOT_OK(
-          CheckedKind(static_cast<uint8_t>((packed >> 2) & 3u), &o.kind));
-      AOD_RETURN_NOT_OK(reader.GetVarintI64(&o.removal_size));
-      AOD_RETURN_NOT_OK(reader.GetDouble(&o.approx_factor));
-      AOD_RETURN_NOT_OK(reader.GetDouble(&o.interestingness));
-      AOD_RETURN_NOT_OK(reader.GetDouble(&o.seconds));
-      uint64_t rows = 0;
-      AOD_RETURN_NOT_OK(reader.GetVarint(&rows));
-      if (rows > reader.remaining()) {
-        return Status::ParseError("removal rows longer than their payload");
-      }
-      o.removal_rows.reserve(static_cast<size_t>(rows));
-      int64_t prev_row = 0;
-      for (uint64_t r = 0; r < rows; ++r) {
-        int64_t delta = 0;
-        AOD_RETURN_NOT_OK(reader.GetVarintI64(&delta));
-        int32_t row = 0;
-        AOD_RETURN_NOT_OK(CheckedI32(prev_row + delta, &row));
-        o.removal_rows.push_back(row);
-        prev_row = row;
-      }
-      out.push_back(std::move(o));
-    }
-  } else {
-    uint64_t count = 0;
-    AOD_RETURN_NOT_OK(reader.GetU64(&count));
-    // 51 bytes per raw outcome before its (possibly empty) removal-row
-    // array.
-    if (count > reader.remaining() / 51) {
-      return Status::ParseError("result batch longer than its payload");
-    }
-    out.reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      WireOutcome o;
-      uint8_t kind = 0;
-      uint8_t valid = 0;
-      uint8_t early_exit = 0;
-      AOD_RETURN_NOT_OK(reader.GetU64(&o.slot));
-      AOD_RETURN_NOT_OK(reader.GetU8(&kind));
-      AOD_RETURN_NOT_OK(CheckedKind(kind, &o.kind));
-      AOD_RETURN_NOT_OK(reader.GetU8(&valid));
-      AOD_RETURN_NOT_OK(reader.GetU8(&early_exit));
-      AOD_RETURN_NOT_OK(reader.GetI64(&o.removal_size));
-      AOD_RETURN_NOT_OK(reader.GetDouble(&o.approx_factor));
-      AOD_RETURN_NOT_OK(reader.GetDouble(&o.interestingness));
-      AOD_RETURN_NOT_OK(reader.GetDouble(&o.seconds));
-      AOD_RETURN_NOT_OK(reader.GetI32Array(&o.removal_rows));
-      o.valid = valid != 0;
-      o.early_exit = early_exit != 0;
-      out.push_back(std::move(o));
-    }
+  out.reserve(static_cast<size_t>(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    WireOutcome o;
+    uint8_t kind = 0;
+    uint8_t valid = 0;
+    uint8_t early_exit = 0;
+    AOD_RETURN_NOT_OK(reader.GetU64(&o.slot));
+    AOD_RETURN_NOT_OK(reader.GetU8(&kind));
+    AOD_RETURN_NOT_OK(CheckedKind(kind, &o.kind));
+    AOD_RETURN_NOT_OK(reader.GetU8(&valid));
+    AOD_RETURN_NOT_OK(reader.GetU8(&early_exit));
+    AOD_RETURN_NOT_OK(reader.GetI64(&o.removal_size));
+    AOD_RETURN_NOT_OK(reader.GetDouble(&o.approx_factor));
+    AOD_RETURN_NOT_OK(reader.GetDouble(&o.interestingness));
+    AOD_RETURN_NOT_OK(reader.GetDouble(&o.seconds));
+    AOD_RETURN_NOT_OK(reader.GetI32Array(&o.removal_rows));
+    o.valid = valid != 0;
+    o.early_exit = early_exit != 0;
+    out.push_back(std::move(o));
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   if (counts != nullptr) {
-    counts->raw += static_cast<int64_t>(kFrameHeaderBytes) + 1 +
-                   RawResultBodyBytes(out);
-    counts->wire += static_cast<int64_t>(kFrameHeaderBytes + frame.size);
+    const int64_t bytes = static_cast<int64_t>(kFrameHeaderBytes + frame.size);
+    counts->raw += bytes;
+    counts->wire += bytes;
   }
   return chunk;
 }
@@ -1017,14 +615,12 @@ namespace {
 /// Rank codec selection: a pure function of the column's cardinality
 /// (and the compress switch), so both sides of the seam can predict it.
 /// Ranks are dense dictionary codes in [0, cardinality): domains that
-/// fit one or two bytes pack at fixed narrow width; mid-size domains
-/// (<= 2^21, i.e. at most 3 varint bytes) use varints; anything larger
-/// stays raw — a varint of a large rank can exceed 4 bytes.
+/// fit one or two bytes pack at fixed narrow width; anything larger
+/// ships raw i32.
 uint8_t SelectRankCodec(int32_t cardinality, bool compress) {
   if (!compress) return kRankCodecRaw;
   if (cardinality <= (1 << 8)) return kRankCodecByte;
   if (cardinality <= (1 << 16)) return kRankCodecShort;
-  if (cardinality <= (1 << 21)) return kRankCodecVarint;
   return kRankCodecRaw;
 }
 
@@ -1066,11 +662,6 @@ std::vector<uint8_t> EncodeTableSlice(const EncodedTable& table,
       case kRankCodecShort:
         for (size_t i = lo; i < hi; ++i) {
           writer.PutU16(static_cast<uint16_t>(col.ranks[i]));
-        }
-        break;
-      case kRankCodecVarint:
-        for (size_t i = lo; i < hi; ++i) {
-          writer.PutVarint(static_cast<uint64_t>(col.ranks[i]));
         }
         break;
       default:
@@ -1160,20 +751,6 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
           uint16_t v = 0;
           AOD_RETURN_NOT_OK(reader.GetU16(&v));
           col.ranks.push_back(v);
-        }
-        break;
-      }
-      case kRankCodecVarint: {
-        if (count > reader.remaining()) {
-          return Status::ParseError("rank column longer than its payload");
-        }
-        col.ranks.reserve(static_cast<size_t>(count));
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t v = 0;
-          AOD_RETURN_NOT_OK(reader.GetVarint(&v));
-          int32_t rank = 0;
-          AOD_RETURN_NOT_OK(CheckedI32(static_cast<int64_t>(v), &rank));
-          col.ranks.push_back(rank);
         }
         break;
       }

@@ -19,21 +19,21 @@
 // the payload, and every payload read is bounds-checked, so a truncated
 // or corrupted buffer yields a clean ParseError, never a misparse.
 //
-// Version 2 adds a compressed-payload layer under the frame header. The
-// bulky payloads (partition CSR arrays, table rank columns, candidate
-// and result batches) carry a *flags byte* that says how the body is
-// encoded: raw fixed-width (exactly the version-1 layout after the
-// flags byte) or a delta/varint form that exploits the canonical CSR
-// normal form — row ids ascend within each class and class offsets are
-// monotone, so deltas are small and LEB128 varints shrink them 3–6×.
-// The encoder picks the smaller of the two (a compressed attempt aborts
-// the moment it outgrows the raw body — the cheap cost threshold that
-// keeps incompressible payloads raw), and the flags byte makes every
+// Every payload has at most two spellings: raw fixed-width, and a
+// compressed form only where a measurement showed it pays. Partition
+// blocks and partition fragments carry a codec byte selecting raw or
+// delta-varint, which exploits the canonical CSR normal form — row ids
+// ascend within each class and class offsets are monotone, so deltas
+// are small and LEB128 varints shrink them 3–6×. The delta attempt
+// aborts the moment it reaches the raw body's size (the cost threshold
+// that keeps incompressible payloads raw), and the codec byte makes the
 // frame self-describing: a decoder never needs to know what the encoder
-// chose. The checksum always covers the on-wire (possibly compressed)
-// payload bytes. Version 2 also adds kBatch: an envelope frame whose
-// payload is a sequence of complete inner frames, so many small frames
-// cross a socket as one write (see channel.h's BatchingFrameSender).
+// chose. Table blocks pick a per-column rank width from the column's
+// cardinality. Candidate and result batches always ship raw. The
+// checksum covers the on-wire (possibly compressed) payload bytes. kBatch
+// is an envelope frame whose payload is a sequence of complete inner
+// frames, so many small frames cross a socket as one write (see
+// channel.h's BatchingFrameSender).
 //
 // The frame layer is transport-agnostic: ShardChannel moves opaque
 // frames, and no encoder or decoder knows which endpoint carries them.
@@ -77,7 +77,11 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// Version 7: runners derive context partitions through the cost planner,
 /// so the stats footer carries the three planner counters; the serve
 /// job-submit options drop their derivation-planner byte.
-inline constexpr uint16_t kWireVersion = 7;
+/// Version 8: only the codecs with a measured win remain. The class-label
+/// partition codec, the compressed candidate and result bodies and the
+/// varint rank tier are gone; the candidate batch drops its flags byte.
+/// Their retired ids and flag bits are typed parse errors.
+inline constexpr uint16_t kWireVersion = 8;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -88,7 +92,7 @@ enum class FrameType : uint16_t {
   kCandidateBatch = 2,
   /// One chunk of the outcomes a shard completed for one candidate
   /// batch. A level's reply is a sequence of chunks, which bound the
-  /// frame size; the flags byte of the last one carries
+  /// frame size; the leading flags byte of the last one carries
   /// kResultFlagFinalChunk, so the receiver knows where the reply ends.
   kResultBatch = 3,
   /// The rank-encoded table columns, shipped once at startup to every
@@ -107,7 +111,9 @@ enum class FrameType : uint16_t {
   /// u32 count, then per inner frame u64 length + the frame bytes,
   /// header included). Inner frames are ordinary checksummed frames and
   /// must not themselves be kBatch. One envelope counts as its inner
-  /// frames for the frames_served conversation cross-check.
+  /// frames for the frames_served conversation cross-check. Envelopes
+  /// are framing, not a payload codec: the codec measurement that
+  /// retired the other compressed forms did not cover them.
   kBatch = 8,
 
   // --- The serving vocabulary (src/serve/) ---------------------------
@@ -147,39 +153,32 @@ enum class FrameType : uint16_t {
   kPartitionFragment = 14,
 };
 
-// Payload codec identifiers — the per-frame flags byte. "Raw" is always
-// exactly the version-1 fixed-width layout after the flags byte, so the
-// codec choice never changes what a decoded message contains.
-/// kPartitionBlock body codecs. The encoder builds both compressed
-/// bodies (bounded by the raw size) and ships the smallest:
-/// delta-varint wins when in-class row gaps are small (low-cardinality
-/// columns, long runs); class-label wins for mid-cardinality columns,
-/// where a bit-packed label costs log2(classes) bits per row while a
-/// gap delta already needs two varint bytes.
+// Payload codec identifiers. "Raw" is always the fixed-width layout, so
+// the codec choice never changes what a decoded message contains. Any
+// other id, including one an earlier version used, is a typed
+// ParseError.
+/// kPartitionBlock and kPartitionFragment body codecs: raw, or
+/// delta-varint when it comes in under the raw size. Delta-varint stays
+/// because it measurably saves memory: shipping every partition and
+/// fragment raw raised the shard-proc benchmark's peak RSS from 60.1 to
+/// 72.2 MiB, and fragments alone from 61.3 to 67.7 MiB.
 inline constexpr uint8_t kCodecRaw = 0;
 inline constexpr uint8_t kCodecDeltaVarint = 1;
-/// Coverage bitmap over [0, max_row], then for each covered row (in
-/// ascending row order) its class index, bit-packed at
-/// ceil(log2(num_classes)) bits, LSB first.
-inline constexpr uint8_t kCodecClassLabel = 2;
-/// Per-column rank codecs inside kTableBlock. Ranks are already dense
-/// dictionary codes in [0, cardinality), so small domains pack into
-/// fixed narrow widths (the dictionary path) and mid-size domains into
-/// varints; the selection is a pure function of the cardinality.
+/// Per-column rank codecs inside kTableBlock. Ranks are dense dictionary
+/// codes in [0, cardinality), so small domains pack into one or two
+/// bytes; larger domains ship raw i32. The selection is a pure function
+/// of the cardinality. The narrow tiers stay because the serve-mix and
+/// shard-proc benchmarks ship every table through them.
 inline constexpr uint8_t kRankCodecRaw = 0;
-inline constexpr uint8_t kRankCodecByte = 1;    // cardinality <= 2^8
-inline constexpr uint8_t kRankCodecShort = 2;   // cardinality <= 2^16
-inline constexpr uint8_t kRankCodecVarint = 3;  // cardinality <= 2^21
-/// kResultBatch flag bits.
+inline constexpr uint8_t kRankCodecByte = 1;   // cardinality <= 2^8
+inline constexpr uint8_t kRankCodecShort = 2;  // cardinality <= 2^16
+/// kResultBatch flag bits; any other bit is a typed ParseError.
 inline constexpr uint8_t kResultFlagFinalChunk = 0x01;
-inline constexpr uint8_t kResultFlagCompressed = 0x02;
-/// kCandidateBatch flag bits.
-inline constexpr uint8_t kCandidateFlagCompressed = 0x01;
 
 /// FNV-1a 64 over `size` bytes — the frame checksum.
 uint64_t WireChecksum(const uint8_t* data, size_t size);
 
-/// Raw vs. on-wire byte accounting for one or more codec-bearing frames:
+/// Raw vs. on-wire byte accounting for one or more frames:
 /// `raw` is what the frame(s) would occupy with every codec forced to
 /// raw (header included), `wire` is what actually crossed the channel.
 /// Encoders and decoders compute identical values from the same message,
@@ -272,12 +271,12 @@ Result<DecodedFrame> DecodeFrame(const std::vector<uint8_t>& frame);
 
 // ---------------------------------------------------------------------------
 // Message vocabulary. One encode/decode pair per FrameType; decoders
-// reject type mismatches and any structural violation. Every encoder of
-// a codec-bearing frame takes `compress` (false forces the raw codec —
-// the determinism matrix runs both ways) and an optional `counts`
-// accumulator for the raw/wire byte split; decoders accept either codec
-// regardless (frames are self-describing) and can report the same
-// counts from their side of the seam.
+// reject type mismatches and any structural violation. Encoders of the
+// frames that ship bytes take an optional `counts` accumulator for the
+// raw/wire byte split, and decoders can report the same counts from
+// their side of the seam. The partition, fragment and table encoders
+// also take `compress` (false forces raw); decoders accept either
+// codec regardless, since frames are self-describing.
 
 /// One candidate assigned to a shard. `slot` is the candidate's index in
 /// the coordinator's flattened per-level array — results are keyed by it,
@@ -320,6 +319,9 @@ struct WireResultChunk {
   bool final_chunk = true;
 };
 
+/// Ships delta-varint unless that body would reach the raw CSR size.
+/// `compress` = false forces raw: the benchmark's codec replay calls both
+/// values, and corruption sweeps use false to reach the raw decode branch.
 std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
                                           const StrippedPartition& partition,
                                           bool compress = true,
@@ -332,15 +334,20 @@ Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
     const DecodedFrame& frame, int64_t num_rows,
     CodecByteCounts* counts = nullptr);
 
+/// Raw only: u64 count, then a 30-byte record per candidate. A
+/// compressed body measured no time or memory win on the shard-proc
+/// benchmark, only fewer bytes on a local socket.
 std::vector<uint8_t> EncodeCandidateBatch(
-    const std::vector<WireCandidate>& candidates, bool compress = true,
+    const std::vector<WireCandidate>& candidates,
     CodecByteCounts* counts = nullptr);
 Result<std::vector<WireCandidate>> DecodeCandidateBatch(
     const DecodedFrame& frame, CodecByteCounts* counts = nullptr);
 
+/// Raw only, for the same reason as candidate batches: the flags byte
+/// (kResultFlagFinalChunk is its one defined bit), u64 count, then per
+/// outcome 51 fixed bytes plus its removal-row array.
 std::vector<uint8_t> EncodeResultBatch(const std::vector<WireOutcome>& outcomes,
                                        bool final_chunk = true,
-                                       bool compress = true,
                                        CodecByteCounts* counts = nullptr);
 Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame,
                                           CodecByteCounts* counts = nullptr);
@@ -392,7 +399,9 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame);
 /// validators are pure integer work, so the decoded table carries empty
 /// dictionaries. Decoding validates every rank against its declared
 /// cardinality and every column length against num_rows. Each column
-/// carries its own rank codec byte (see kRankCodec*).
+/// carries its own rank codec byte (see kRankCodec*). `compress` =
+/// false forces raw i32 columns — the branch high-cardinality columns
+/// take in production, which corruption sweeps reach this way.
 std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table,
                                       bool compress = true,
                                       CodecByteCounts* counts = nullptr);
@@ -432,7 +441,9 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
 /// kCodecDeltaVarint (rank deltas, class sizes, first-row-delta + in-
 /// class gaps; bails to raw past the raw size). A compressed body is
 /// expanded back to the raw bytes before the shared
-/// PartitionFragment::Deserialize validation gate.
+/// PartitionFragment::Deserialize validation gate. `compress` = false
+/// forces the raw branch that incompressible fragments take in
+/// production, so corruption sweeps can reach it.
 std::vector<uint8_t> EncodePartitionFragment(const PartitionFragment& fragment,
                                              bool compress = true,
                                              CodecByteCounts* counts = nullptr);
@@ -480,9 +491,9 @@ struct ShardStatsFooter {
   int64_t partition_bytes_evicted = 0;
   int64_t partition_bytes_final = 0;
   int64_t partition_bytes_peak = 0;
-  /// Raw vs. on-wire bytes of every codec-bearing frame this shard
-  /// decoded (partitions, candidate batches, and — for process runners
-  /// — the table block). The coordinator folds these into the run's
+  /// Raw vs. on-wire bytes of the partition, candidate-batch and table
+  /// frames this shard decoded (a candidate batch is always raw, so its
+  /// two counts are equal). The coordinator folds these into the run's
   /// shard_bytes_raw so the compression ratio is observable per run.
   int64_t bytes_decoded_raw = 0;
   int64_t bytes_decoded_wire = 0;

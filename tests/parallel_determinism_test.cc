@@ -607,11 +607,13 @@ TEST(ParallelDeterminismTest, ProcessTransportMatchesUnshardedBitExactly) {
 }
 
 TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
-  // The codec dimension of the byte accounting: every encoder picks the
-  // smaller of raw and compressed per frame, so on these shapes (the
-  // shipped partitions and batches compress) the wire volume must come
-  // in under the all-raw baseline, for every shard count, with the
-  // output unchanged.
+  // The codec dimension of the byte accounting, per frame type. Partition
+  // and table frames carry codecs that pay on these shapes (delta-varint
+  // CSR bodies, byte-wide rank columns), so they come in under their
+  // all-raw baseline; candidate and result batches always ship raw, so
+  // their wire bytes equal their raw bytes. The run as a whole therefore
+  // ships less than all-raw, for every shard count, with the output
+  // unchanged.
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -632,6 +634,20 @@ TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
     EXPECT_LT(run.stats.shard_bytes_wire, run.stats.shard_bytes_raw);
     EXPECT_EQ(run.stats.shard_bytes_wire, run.stats.shard_bytes_shipped);
     EXPECT_FALSE(run.stats.shard_frame_bytes.empty());
+    std::map<std::string, DiscoveryStats::FrameTypeBytes> by_type;
+    for (const DiscoveryStats::FrameTypeBytes& fb :
+         run.stats.shard_frame_bytes) {
+      by_type[fb.frame_type] = fb;
+    }
+    for (const char* type : {"candidate", "result"}) {
+      ASSERT_EQ(by_type.count(type), 1u) << type;
+      EXPECT_GT(by_type[type].bytes_wire, 0) << type;
+      EXPECT_EQ(by_type[type].bytes_wire, by_type[type].bytes_raw) << type;
+    }
+    for (const char* type : {"partition", "table"}) {
+      ASSERT_EQ(by_type.count(type), 1u) << type;
+      EXPECT_LT(by_type[type].bytes_wire, by_type[type].bytes_raw) << type;
+    }
   }
 }
 

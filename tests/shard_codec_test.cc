@@ -1,15 +1,16 @@
-// The version-2 payload codecs: delta/varint partition and batch
-// bodies, dictionary-packed table ranks, kBatch envelopes and the
-// batching sender/receiver pair.
+// The payload codecs: raw and delta-varint partition bodies,
+// dictionary-packed table ranks, raw candidate and result batches,
+// kBatch envelopes and the batching sender/receiver pair.
 //
 // The contract under test has three legs. (1) Losslessness: for every
 // message and every codec choice, compressed and raw frames decode to
 // identical objects — compression may never change what a shard
 // computes. (2) Economy: a compressed frame is never larger than its
 // raw sibling (the encoder's bail-out threshold). (3) Hostility: a
-// corrupted, truncated or structurally invalid compressed payload is a
-// typed ParseError — never an out-of-bounds read (the suite runs under
-// ASan/UBSan in CI), a crash, or a silently wrong decode.
+// corrupted, truncated or structurally invalid payload — and any codec
+// id or flag bit the format does not define — is a typed ParseError:
+// never an out-of-bounds read (the suite runs under ASan/UBSan in CI),
+// a crash, or a silently wrong decode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -133,7 +134,8 @@ TEST_P(ShardCodecFuzzTest, RandomPartitionsRoundTripBothCodecs) {
   Rng rng(GetParam() * 7919 + 1);
   const int64_t rows = 1 + static_cast<int64_t>(rng.UniformInt(0, 400));
   // Half the seeds stay low-cardinality (delta-codec territory), half
-  // push into the label codec's regime.
+  // push to mid cardinality, where in-class gaps grow and the delta
+  // attempt may bail to raw.
   const int64_t cardinality =
       1 + rng.UniformInt(0, GetParam() % 2 == 0 ? 12 : 160);
   EncodedTable t = testing_util::RandomEncodedTable(
@@ -163,26 +165,6 @@ TEST(ShardCodecTest, CompressedPartitionShrinksTypicalCsr) {
       << raw.size() << " -> " << compressed.size();
 }
 
-TEST(ShardCodecTest, MidCardinalityPartitionUsesLabelCodec) {
-  // Cardinality ~1000 means in-class gaps average ~1000 — two varint
-  // bytes per row for the delta codec — while a bit-packed class label
-  // needs only 10 bits plus the coverage bitmap. The encoder must pick
-  // the label body and still beat raw by well over 2x.
-  EncodedTable t = testing_util::RandomEncodedTable(20000, 1, 1000, 7);
-  StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
-  const std::vector<uint8_t> compressed =
-      shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
-  const std::vector<uint8_t> raw = shard::EncodePartitionBlock(
-      AttributeSet::Of({0}), p, /*compress=*/false);
-  // flags byte: frame header (24) + attribute set (8), then the codec.
-  ASSERT_GT(compressed.size(), 33u);
-  EXPECT_EQ(compressed[32], shard::kCodecClassLabel);
-  EXPECT_LT(compressed.size() * 2, raw.size())
-      << "expected > 2x via bit-packed labels, got " << raw.size() << " -> "
-      << compressed.size();
-  ExpectPartitionCodecEquivalence(p, 20000);
-}
-
 TEST(ShardCodecTest, CorruptedCompressedPartitionIsTypedAtEveryByte) {
   EncodedTable t = testing_util::RandomEncodedTable(300, 2, 4, 17);
   StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
@@ -204,28 +186,7 @@ TEST(ShardCodecTest, CorruptedCompressedPartitionIsTypedAtEveryByte) {
   }
 }
 
-TEST(ShardCodecTest, CorruptedLabelPartitionIsTypedAtEveryByte) {
-  // Cardinality 100 over 400 rows selects the class-label codec, so this
-  // sweep drives the bitmap/label decoder with every 1-byte mutation.
-  EncodedTable t = testing_util::RandomEncodedTable(400, 1, 100, 23);
-  StrippedPartition p = StrippedPartition::FromColumn(t.column(0));
-  const std::vector<uint8_t> frame =
-      shard::EncodePartitionBlock(AttributeSet::Of({0}), p);
-  ASSERT_EQ(frame[32], shard::kCodecClassLabel);
-  HeldFrame pristine(frame);
-  ASSERT_TRUE(pristine.ok());
-  ASSERT_TRUE(shard::DecodePartitionBlock(*pristine, 400).ok());
-  const size_t payload = frame.size() - shard::kFrameHeaderBytes;
-  for (size_t i = 0; i < payload; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(frame, i));
-    ASSERT_TRUE(bad.ok()) << "reseal failed at byte " << i;
-    auto decoded = shard::DecodePartitionBlock(*bad, 400);
-    if (!decoded.ok()) continue;
-    EXPECT_TRUE(decoded->second.IsCanonical()) << "byte " << i;
-  }
-}
-
-// ---------------------------------------- candidate + result codecs --
+// ----------------------------------------- candidate + result batches --
 
 std::vector<WireCandidate> RandomCandidates(Rng* rng, size_t n) {
   std::vector<WireCandidate> out;
@@ -246,33 +207,6 @@ std::vector<WireCandidate> RandomCandidates(Rng* rng, size_t n) {
     out.push_back(c);
   }
   return out;
-}
-
-TEST(ShardCodecTest, CandidateBatchCodecsAreEquivalent) {
-  Rng rng(99);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{300}}) {
-    const std::vector<WireCandidate> batch = RandomCandidates(&rng, n);
-    HeldFrame compressed(shard::EncodeCandidateBatch(batch));
-    HeldFrame raw(shard::EncodeCandidateBatch(batch, /*compress=*/false));
-    ASSERT_TRUE(compressed.ok());
-    ASSERT_TRUE(raw.ok());
-    EXPECT_LE(compressed.bytes.size(), raw.bytes.size());
-    auto back_c = shard::DecodeCandidateBatch(*compressed);
-    auto back_r = shard::DecodeCandidateBatch(*raw);
-    ASSERT_TRUE(back_c.ok()) << back_c.status().ToString();
-    ASSERT_TRUE(back_r.ok());
-    ASSERT_EQ(back_c->size(), n);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ((*back_c)[i].slot, batch[i].slot);
-      EXPECT_EQ((*back_c)[i].context_bits, batch[i].context_bits);
-      EXPECT_EQ((*back_c)[i].kind, batch[i].kind);
-      EXPECT_EQ((*back_c)[i].target, batch[i].target);
-      EXPECT_EQ((*back_c)[i].pair_a, batch[i].pair_a);
-      EXPECT_EQ((*back_c)[i].pair_b, batch[i].pair_b);
-      EXPECT_EQ((*back_c)[i].opposite, batch[i].opposite);
-      EXPECT_EQ((*back_r)[i].slot, batch[i].slot);
-    }
-  }
 }
 
 std::vector<WireOutcome> RandomOutcomes(Rng* rng, size_t n, bool rows) {
@@ -301,66 +235,78 @@ std::vector<WireOutcome> RandomOutcomes(Rng* rng, size_t n, bool rows) {
   return out;
 }
 
-TEST(ShardCodecTest, ResultBatchCodecsAreBitExactEquivalent) {
-  Rng rng(1234);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{200}}) {
-    for (bool rows : {false, true}) {
-      const std::vector<WireOutcome> outcomes = RandomOutcomes(&rng, n, rows);
-      HeldFrame compressed(
-          shard::EncodeResultBatch(outcomes, /*final_chunk=*/false));
-      HeldFrame raw(shard::EncodeResultBatch(outcomes, /*final_chunk=*/false,
-                                             /*compress=*/false));
-      ASSERT_TRUE(compressed.ok());
-      ASSERT_TRUE(raw.ok());
-      EXPECT_LE(compressed.bytes.size(), raw.bytes.size());
-      auto back_c = shard::DecodeResultBatch(*compressed);
-      auto back_r = shard::DecodeResultBatch(*raw);
-      ASSERT_TRUE(back_c.ok()) << back_c.status().ToString();
-      ASSERT_TRUE(back_r.ok());
-      EXPECT_FALSE(back_c->final_chunk);
-      EXPECT_FALSE(back_r->final_chunk);
-      ASSERT_EQ(back_c->outcomes.size(), n);
-      for (size_t i = 0; i < n; ++i) {
-        const WireOutcome& c = back_c->outcomes[i];
-        const WireOutcome& r = back_r->outcomes[i];
-        EXPECT_EQ(c.slot, outcomes[i].slot);
-        EXPECT_EQ(c.kind, outcomes[i].kind);
-        EXPECT_EQ(c.valid, outcomes[i].valid);
-        EXPECT_EQ(c.early_exit, outcomes[i].early_exit);
-        EXPECT_EQ(r.kind, outcomes[i].kind);
-        EXPECT_EQ(c.removal_size, outcomes[i].removal_size);
-        // Doubles must survive bit-exactly through *both* codecs.
-        EXPECT_EQ(c.approx_factor, outcomes[i].approx_factor);
-        EXPECT_EQ(c.interestingness, outcomes[i].interestingness);
-        EXPECT_EQ(c.seconds, outcomes[i].seconds);
-        EXPECT_EQ(c.removal_rows, outcomes[i].removal_rows);
-        EXPECT_EQ(r.approx_factor, outcomes[i].approx_factor);
-        EXPECT_EQ(r.removal_rows, outcomes[i].removal_rows);
-      }
-    }
-  }
-}
-
-TEST(ShardCodecTest, CorruptedCompressedBatchesAreTypedAtEveryByte) {
+TEST(ShardCodecTest, CorruptedBatchesAreTypedAtEveryByte) {
   Rng rng(555);
+  const std::vector<WireCandidate> candidates = RandomCandidates(&rng, 40);
+  const std::vector<WireOutcome> outcomes = RandomOutcomes(&rng, 30, true);
   const std::vector<uint8_t> candidate_frame =
-      shard::EncodeCandidateBatch(RandomCandidates(&rng, 40));
-  const std::vector<uint8_t> result_frame =
-      shard::EncodeResultBatch(RandomOutcomes(&rng, 30, true));
+      shard::EncodeCandidateBatch(candidates);
+  const std::vector<uint8_t> result_frame = shard::EncodeResultBatch(outcomes);
+
+  // The pristine frames round-trip every field, doubles bit-exactly.
+  HeldFrame candidate_pristine(candidate_frame);
+  ASSERT_TRUE(candidate_pristine.ok());
+  auto candidates_back = shard::DecodeCandidateBatch(*candidate_pristine);
+  ASSERT_TRUE(candidates_back.ok()) << candidates_back.status().ToString();
+  ASSERT_EQ(candidates_back->size(), candidates.size());
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const WireCandidate& c = (*candidates_back)[i];
+    EXPECT_EQ(c.slot, candidates[i].slot);
+    EXPECT_EQ(c.context_bits, candidates[i].context_bits);
+    EXPECT_EQ(c.kind, candidates[i].kind);
+    EXPECT_EQ(c.target, candidates[i].target);
+    EXPECT_EQ(c.pair_a, candidates[i].pair_a);
+    EXPECT_EQ(c.pair_b, candidates[i].pair_b);
+    EXPECT_EQ(c.opposite, candidates[i].opposite);
+  }
+  HeldFrame result_pristine(result_frame);
+  ASSERT_TRUE(result_pristine.ok());
+  auto outcomes_back = shard::DecodeResultBatch(*result_pristine);
+  ASSERT_TRUE(outcomes_back.ok()) << outcomes_back.status().ToString();
+  ASSERT_EQ(outcomes_back->outcomes.size(), outcomes.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const WireOutcome& o = outcomes_back->outcomes[i];
+    EXPECT_EQ(o.slot, outcomes[i].slot);
+    EXPECT_EQ(o.kind, outcomes[i].kind);
+    EXPECT_EQ(o.valid, outcomes[i].valid);
+    EXPECT_EQ(o.early_exit, outcomes[i].early_exit);
+    EXPECT_EQ(o.removal_size, outcomes[i].removal_size);
+    EXPECT_EQ(o.approx_factor, outcomes[i].approx_factor);
+    EXPECT_EQ(o.interestingness, outcomes[i].interestingness);
+    EXPECT_EQ(o.seconds, outcomes[i].seconds);
+    EXPECT_EQ(o.removal_rows, outcomes[i].removal_rows);
+  }
+
+  // Every 1-byte mutation is a typed rejection or changes only field
+  // values: a damaged count or removal-row length misaligns the
+  // fixed-width body, which then no longer ends where the payload does.
+  // Never OOB, never a crash.
   for (size_t i = 0;
        i < candidate_frame.size() - shard::kFrameHeaderBytes; ++i) {
     HeldFrame bad(CorruptPayloadResealed(candidate_frame, i));
     ASSERT_TRUE(bad.ok());
-    // Either a typed rejection or a structurally plausible batch — the
-    // point is no OOB and no crash; accepted mutations are the ones
-    // that only changed candidate field values.
-    shard::DecodeCandidateBatch(*bad).status();
+    auto decoded = shard::DecodeCandidateBatch(*bad);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+      continue;
+    }
+    EXPECT_EQ(decoded->size(), candidates.size()) << "byte " << i;
   }
   for (size_t i = 0; i < result_frame.size() - shard::kFrameHeaderBytes;
        ++i) {
     HeldFrame bad(CorruptPayloadResealed(result_frame, i));
     ASSERT_TRUE(bad.ok());
-    shard::DecodeResultBatch(*bad).status();
+    auto decoded = shard::DecodeResultBatch(*bad);
+    if (!decoded.ok()) {
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+      continue;
+    }
+    ASSERT_EQ(decoded->outcomes.size(), outcomes.size()) << "byte " << i;
+    for (size_t k = 0; k < outcomes.size(); ++k) {
+      EXPECT_EQ(decoded->outcomes[k].removal_rows.size(),
+                outcomes[k].removal_rows.size())
+          << "byte " << i;
+    }
   }
 }
 
@@ -380,17 +326,16 @@ std::vector<uint8_t> SetPayloadByteResealed(const std::vector<uint8_t>& frame,
   return bad;
 }
 
-TEST(ShardCodecTest, UnknownKindIdsAreTypedInBothBatchCodecs) {
-  // Raw candidate body: u8 flags, u64 count, then 30-byte records with
-  // the kind byte 16 bytes in (after slot + context). Every id outside
-  // the four known kinds must be a typed rejection naming the id.
+TEST(ShardCodecTest, UnknownKindIdsAreTypedInCandidateAndResultBatches) {
+  // Candidate body: u64 count, then 30-byte records with the kind byte 16
+  // bytes in (after slot + context). Every id outside the four known
+  // kinds must be a typed rejection naming the id.
   Rng rng(808);
-  const std::vector<uint8_t> raw_candidates = shard::EncodeCandidateBatch(
-      RandomCandidates(&rng, 3), /*compress=*/false);
-  const size_t candidate_kind_at = 1 + 8 + 16;
+  const std::vector<uint8_t> candidates =
+      shard::EncodeCandidateBatch(RandomCandidates(&rng, 3));
+  const size_t candidate_kind_at = 8 + 16;
   for (uint8_t id : {uint8_t{4}, uint8_t{17}, uint8_t{255}}) {
-    HeldFrame bad(SetPayloadByteResealed(raw_candidates, candidate_kind_at,
-                                         id));
+    HeldFrame bad(SetPayloadByteResealed(candidates, candidate_kind_at, id));
     ASSERT_TRUE(bad.ok());
     auto r = shard::DecodeCandidateBatch(*bad);
     ASSERT_FALSE(r.ok()) << "kind id " << static_cast<int>(id) << " parsed";
@@ -400,13 +345,12 @@ TEST(ShardCodecTest, UnknownKindIdsAreTypedInBothBatchCodecs) {
         << r.status().ToString();
   }
 
-  // Raw outcome body: u8 flags, u64 count, then slot + the kind byte.
-  const std::vector<uint8_t> raw_outcomes = shard::EncodeResultBatch(
-      RandomOutcomes(&rng, 2, false), /*final_chunk=*/true,
-      /*compress=*/false);
+  // Outcome body: u8 flags, u64 count, then slot + the kind byte.
+  const std::vector<uint8_t> outcomes = shard::EncodeResultBatch(
+      RandomOutcomes(&rng, 2, false), /*final_chunk=*/true);
   const size_t outcome_kind_at = 1 + 8 + 8;
   for (uint8_t id : {uint8_t{4}, uint8_t{9}}) {
-    HeldFrame bad(SetPayloadByteResealed(raw_outcomes, outcome_kind_at, id));
+    HeldFrame bad(SetPayloadByteResealed(outcomes, outcome_kind_at, id));
     ASSERT_TRUE(bad.ok());
     auto r = shard::DecodeResultBatch(*bad);
     ASSERT_FALSE(r.ok());
@@ -414,55 +358,79 @@ TEST(ShardCodecTest, UnknownKindIdsAreTypedInBothBatchCodecs) {
               std::string::npos)
         << r.status().ToString();
   }
+}
 
-  // The compressed codecs pack the kind into two bits, so an unknown id
-  // is structurally unrepresentable there — what CAN go wrong is a set
-  // bit above the defined ones, and that too must be a typed error.
-  WireCandidate c;
-  c.slot = 0;
-  c.context_bits = 1;
-  c.kind = DependencyKind::kOc;
-  c.target = -1;
-  c.pair_a = 0;
-  c.pair_b = 2;
-  const std::vector<uint8_t> packed_candidates =
-      shard::EncodeCandidateBatch({c});
-  ASSERT_EQ(packed_candidates[shard::kFrameHeaderBytes],
-            shard::kCandidateFlagCompressed);
-  // Payload: flags, count varint, slot-delta varint, context varint,
-  // then the kind|polarity byte at offset 4.
+TEST(ShardCodecTest, RetiredCodecIdsAreTypedErrors) {
+  // Each frame below is well formed under a codec an earlier wire version
+  // defined, sealed at the current version: the decoders must reject the
+  // retired id or flag bit by name, not misparse the body.
+  auto expect_rejected = [](const Status& status, const std::string& want) {
+    ASSERT_FALSE(status.ok()) << "decoded despite " << want;
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << status.ToString();
+    EXPECT_NE(status.message().find(want), std::string::npos)
+        << status.ToString();
+  };
+
+  // Partition codec 2 (class labels): classes {0, 2} and {1, 3} as a
+  // coverage bitmap over rows 0..3 and one label bit per covered row.
   {
-    HeldFrame bad(SetPayloadByteResealed(packed_candidates, 4, 0x08));
-    ASSERT_TRUE(bad.ok());
-    auto r = shard::DecodeCandidateBatch(*bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("unknown candidate flag bits"),
-              std::string::npos)
-        << r.status().ToString();
+    shard::WireWriter w;
+    w.PutU64(AttributeSet::Of({0}).bits());
+    w.PutU8(2);
+    w.PutVarint(2);  // classes
+    w.PutVarint(4);  // covered rows
+    w.PutVarint(4);  // bitmap bits
+    w.PutU8(0x0f);   // rows 0..3 covered
+    w.PutU8(0x0a);   // labels 0, 1, 0, 1
+    HeldFrame frame(w.SealFrame(FrameType::kPartitionBlock));
+    ASSERT_TRUE(frame.ok());
+    expect_rejected(shard::DecodePartitionBlock(*frame, 4).status(),
+                    "unknown partition codec 2");
   }
 
-  WireOutcome o;
-  o.slot = 0;
-  o.kind = DependencyKind::kAfd;
-  o.valid = true;
-  o.removal_size = 2;
-  o.approx_factor = 0.125;
-  o.interestingness = 0.5;
-  const std::vector<uint8_t> packed_outcomes =
-      shard::EncodeResultBatch({o}, /*final_chunk=*/false);
-  ASSERT_EQ(packed_outcomes[shard::kFrameHeaderBytes],
-            shard::kResultFlagCompressed);
-  // Payload: flags, count varint, slot-delta varint, then the packed
-  // valid|early_exit|kind byte at offset 3.
+  // Result flag bit 0x02 (compressed body): one outcome as slot delta,
+  // packed flags, removal size, three raw doubles, no removal rows.
   {
-    HeldFrame bad(SetPayloadByteResealed(packed_outcomes, 3, 0x10));
-    ASSERT_TRUE(bad.ok());
-    auto r = shard::DecodeResultBatch(*bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_NE(r.status().message().find("unknown outcome flag bits"),
-              std::string::npos)
-        << r.status().ToString();
+    shard::WireWriter w;
+    w.PutU8(shard::kResultFlagFinalChunk | 0x02);
+    w.PutVarint(1);       // count
+    w.PutVarintI64(0);    // slot delta
+    w.PutU8(0x01);        // valid, kOc
+    w.PutVarintI64(0);    // removal size
+    w.PutDouble(0.0);     // approx factor
+    w.PutDouble(1.0);     // interestingness
+    w.PutDouble(0.0);     // seconds
+    w.PutVarint(0);       // removal rows
+    HeldFrame frame(w.SealFrame(FrameType::kResultBatch));
+    ASSERT_TRUE(frame.ok());
+    expect_rejected(shard::DecodeResultBatch(*frame).status(),
+                    "unknown result batch flags");
   }
+
+  // Rank codec 3 (varints): a two-row, one-column table.
+  {
+    shard::WireWriter w;
+    w.PutI64(2);  // total rows
+    w.PutU32(1);  // columns
+    w.PutI64(0);  // row offset
+    w.PutI64(2);  // slice rows
+    w.PutString("c0");
+    w.PutI32(2);  // cardinality
+    w.PutU8(3);
+    w.PutU64(2);
+    w.PutVarint(0);
+    w.PutVarint(1);
+    HeldFrame frame(w.SealFrame(FrameType::kTableBlock));
+    ASSERT_TRUE(frame.ok());
+    expect_rejected(shard::DecodeTableBlock(*frame).status(),
+                    "unknown rank codec 3");
+  }
+
+  // A version-7 frame fails the version check before any payload decode.
+  std::vector<uint8_t> v7 = shard::EncodeCandidateBatch({});
+  v7[4] = 7;
+  v7[5] = 0;
+  expect_rejected(DecodeFrame(v7).status(), "unsupported wire version 7");
 }
 
 TEST(ShardCodecTest, ConfigBlockRejectsBadKindSetsAndThresholds) {
@@ -515,9 +483,9 @@ TEST(ShardCodecTest, ConfigBlockRejectsBadKindSetsAndThresholds) {
 // ------------------------------------------------------ table codecs --
 
 TEST(ShardCodecTest, TableRankCodecTiersRoundTripExactly) {
-  // Cardinalities straddling the byte/short/varint tier boundaries; a
+  // Cardinalities straddling the byte/short tier boundaries; a
   // single-row table pins the smallest shape.
-  for (int64_t cardinality : {1, 2, 255, 256, 257, 65535, 65536, 70000}) {
+  for (int64_t cardinality : {1, 2, 255, 256, 257, 65535, 65536}) {
     const int64_t rows = cardinality > 1000 ? cardinality + 10 : 400;
     EncodedTable t = testing_util::RandomEncodedTable(
         rows, 2, cardinality, static_cast<uint64_t>(cardinality) * 3 + 1);
@@ -537,12 +505,31 @@ TEST(ShardCodecTest, TableRankCodecTiersRoundTripExactly) {
       }
     }
   }
-  EncodedTable single = testing_util::RandomEncodedTable(1, 3, 1, 9);
-  HeldFrame frame(shard::EncodeTableBlock(single));
+
+  // One value past the short tier ships as raw i32 even with compression
+  // on: the frame is exactly the raw frame, and it round-trips.
+  std::vector<int64_t> wide;
+  for (int64_t v = 0; v < 65537; ++v) wide.push_back((v * 7919) % 65537);
+  EncodedTable t = EncodedTableFromInts({"c0"}, {wide});
+  ASSERT_EQ(t.column(0).cardinality, 65537);
+  const std::vector<uint8_t> compressed = shard::EncodeTableBlock(t);
+  EXPECT_EQ(compressed, shard::EncodeTableBlock(t, /*compress=*/false));
+  // Payload: 28 bytes of row framing, then the name (u64 length + "c0")
+  // and the i32 cardinality ahead of the codec byte.
+  EXPECT_EQ(compressed[shard::kFrameHeaderBytes + 28 + 8 + 2 + 4],
+            shard::kRankCodecRaw);
+  HeldFrame frame(compressed);
   ASSERT_TRUE(frame.ok());
   Result<EncodedTable> back = shard::DecodeTableBlock(*frame);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_rows(), 1);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->ranks(0), t.ranks(0));
+
+  EncodedTable single = testing_util::RandomEncodedTable(1, 3, 1, 9);
+  HeldFrame single_frame(shard::EncodeTableBlock(single));
+  ASSERT_TRUE(single_frame.ok());
+  Result<EncodedTable> single_back = shard::DecodeTableBlock(*single_frame);
+  ASSERT_TRUE(single_back.ok());
+  EXPECT_EQ(single_back->num_rows(), 1);
 }
 
 TEST(ShardCodecTest, CorruptedCompressedTableIsTypedAtEveryByte) {

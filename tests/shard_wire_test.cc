@@ -271,6 +271,13 @@ TEST(ShardWireTest, CandidateBatchRoundTrip) {
   EXPECT_EQ((*back)[1].pair_a, 0);
   EXPECT_EQ((*back)[1].pair_b, 5);
   EXPECT_TRUE((*back)[1].opposite);
+
+  HeldFrame empty(shard::EncodeCandidateBatch({}));
+  ASSERT_TRUE(empty.ok());
+  Result<std::vector<WireCandidate>> none =
+      shard::DecodeCandidateBatch(*empty);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
 }
 
 TEST(ShardWireTest, ResultBatchRoundTripIsBitExact) {
@@ -316,6 +323,15 @@ TEST(ShardWireTest, ResultBatchRoundTripIsBitExact) {
   EXPECT_FALSE(open->final_chunk);
   ASSERT_EQ(open->outcomes.size(), 2u);
   EXPECT_EQ(open->outcomes[0].approx_factor, o.approx_factor);
+
+  // An empty final chunk is how a runner answers a level it had no
+  // outcomes for.
+  HeldFrame empty(shard::EncodeResultBatch({}, /*final_chunk=*/true));
+  ASSERT_TRUE(empty.ok());
+  Result<shard::WireResultChunk> none = shard::DecodeResultBatch(*empty);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->final_chunk);
+  EXPECT_TRUE(none->outcomes.empty());
 }
 
 TEST(ShardWireTest, ConfigBlockRoundTripAndRejection) {
