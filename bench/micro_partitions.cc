@@ -1,10 +1,10 @@
 // Microbenchmark of the partition hot paths: the CSR stripped product,
-// the derivation planner against the structural "fixed" rule
-// Π_X = Π_{X\{max}} · Π_{{max}} (written out as explicit products; the
-// cache itself only plans), and validator
-// throughput on generated tables. Output is human-readable on stdout
-// and, with --json <path>, a machine-readable JSON blob (CI uploads it
-// as BENCH_micro_partitions.json).
+// the product kernel's two entry points on the same inputs (the
+// rank-column probe the cache runs against the generic Product(other),
+// which labels Π_other's rows first; the run aborts if their results
+// differ), and validator throughput on generated tables. Output is
+// human-readable on stdout and, with --json <path>, a machine-readable
+// JSON blob (CI uploads it as BENCH_micro_partitions.json).
 //
 // Defaults target a 1M-row table; AOD_BENCH_SCALE scales rows like every
 // other harness (CI smoke-runs at a fraction of that).
@@ -22,8 +22,6 @@
 #include "od/oc_validator.h"
 #include "od/ofd_validator.h"
 #include "od/validator_scratch.h"
-#include "partition/attribute_set.h"
-#include "partition/partition_cache.h"
 #include "partition/stripped_partition.h"
 
 namespace aod {
@@ -69,52 +67,45 @@ struct ValidationResult {
   double seconds = 0.0;  // per validation call over the whole partition
 };
 
-struct DerivationResult {
+struct KernelResult {
   std::string name;
-  AttributeSet planner_base;
-  double fixed_seconds = 0.0;
-  double planner_seconds = 0.0;
+  int64_t base_rows = 0;   // rows covered by the base partition
+  int64_t other_rows = 0;  // rows covered by Π_other
+  double generic_seconds = 0.0;
+  double probe_seconds = 0.0;
   double speedup() const {
-    return planner_seconds > 0.0 ? fixed_seconds / planner_seconds : 0.0;
+    return probe_seconds > 0.0 ? generic_seconds / probe_seconds : 0.0;
   }
 };
 
-/// Planner vs fixed rule on a skewed-cardinality workload: two
-/// near-distinct attributes (cheap, almost all singleton classes) and one
-/// low-cardinality attribute at the highest index (expensive, covers
-/// every row). Mid-discovery cache state: all pairs published. The fixed
-/// rule must derive Π_{s1,s2,k} as Π_{s1,s2} · Π_k — scanning the
-/// expensive single — while the planner starts from a published pair
-/// that already contains k and extends it with a near-singleton single.
-DerivationResult BenchDerivation(const EncodedTable& t, int64_t rows) {
-  DerivationResult r;
+/// Π_base · Π_k through both entry points of the one product kernel, on a
+/// skewed-cardinality table: the base is a near-distinct attribute
+/// (almost all singletons, few covered rows) and k a low-cardinality
+/// attribute covering every row. The probe reads only the base's rows;
+/// Product(other) also labels and resets every row of Π_k. Aborts unless
+/// both produce the same partition.
+KernelResult BenchKernel(const EncodedTable& t, int64_t rows) {
+  KernelResult r;
   r.name = "skewed_cardinality";
-  const AttributeSet target = AttributeSet::Of({0, 1, 2});
-
-  PartitionCache cache(&t);
-  for (uint64_t bits : {0b011u, 0b101u, 0b110u}) {
-    cache.PublishCost(AttributeSet(bits));
-  }
-  DerivationPlan plan = cache.PlanDerivation(target);
-  r.planner_base = plan.base;
-
-  auto base_fixed = cache.Get(AttributeSet::Of({0, 1}));
-  auto base_planned = cache.Get(plan.base);
-  std::vector<std::shared_ptr<const StrippedPartition>> singles;
-  for (int a = 0; a < 3; ++a) singles.push_back(cache.Get(AttributeSet().With(a)));
+  const auto base = StrippedPartition::FromColumn(t.column(0));
+  const auto other = StrippedPartition::FromColumn(t.column(1));
+  r.base_rows = base.rows_covered();
+  r.other_rows = other.rows_covered();
   PartitionScratch scratch(rows);
-
-  r.fixed_seconds = TimePerRep(3, 0.3, [&] {
-    StrippedPartition prod = base_fixed->Product(*singles[2], rows, &scratch);
+  const StrippedPartition generic = base.Product(other, rows, &scratch);
+  const StrippedPartition probe = base.ProductWithColumn(t.column(1), &scratch);
+  if (generic.row_ids() != probe.row_ids() ||
+      generic.class_offsets() != probe.class_offsets()) {
+    std::fprintf(stderr, "probe and generic product differ\n");
+    std::abort();
+  }
+  r.generic_seconds = TimePerRep(3, 0.3, [&] {
+    StrippedPartition prod = base.Product(other, rows, &scratch);
     if (prod.rows_covered() < 0) std::abort();
   });
-  r.planner_seconds = TimePerRep(3, 0.3, [&] {
-    std::shared_ptr<const StrippedPartition> cur = base_planned;
-    for (int a : plan.singles) {
-      cur = std::make_shared<StrippedPartition>(
-          cur->Product(*singles[static_cast<size_t>(a)], rows, &scratch));
-    }
-    if (cur->rows_covered() < 0) std::abort();
+  r.probe_seconds = TimePerRep(3, 0.3, [&] {
+    StrippedPartition prod = base.ProductWithColumn(t.column(1), &scratch);
+    if (prod.rows_covered() < 0) std::abort();
   });
   return r;
 }
@@ -174,25 +165,22 @@ int main(int argc, char** argv) {
                 static_cast<long long>(r.out_classes), r.csr_seconds);
   }
 
-  // -- Derivation planner vs fixed rule ---------------------------------
-  // s1/s2 near-distinct (cheap), k low-cardinality at the highest index
-  // (the fixed rule's mandatory single).
-  DerivationResult derivation = [&] {
+  // -- Probe kernel vs generic Product(other) ---------------------------
+  // s near-distinct (a cheap base), k low-cardinality (covers every row).
+  KernelResult kernel = [&] {
     Table raw = GenerateTable(
-        {{.name = "s1", .kind = ColumnKind::kUniformInt,
-          .cardinality = 32 * rows},
-         {.name = "s2", .kind = ColumnKind::kUniformInt,
+        {{.name = "s", .kind = ColumnKind::kUniformInt,
           .cardinality = 32 * rows},
          {.name = "k", .kind = ColumnKind::kUniformInt, .cardinality = 4}},
         rows, 10);
-    return BenchDerivation(EncodeTable(raw), rows);
+    return BenchKernel(EncodeTable(raw), rows);
   }();
-  std::printf("\n%-18s %16s %14s %14s %9s\n", "derivation", "planner base",
-              "fixed s/rep", "planner s/rep", "speedup");
-  std::printf("%-18s %16s %14.5f %14.5f %8.2fx\n", derivation.name.c_str(),
-              derivation.planner_base.ToString().c_str(),
-              derivation.fixed_seconds, derivation.planner_seconds,
-              derivation.speedup());
+  std::printf("\n%-18s %10s %10s %14s %14s %9s\n", "kernel", "base rows",
+              "other rows", "generic s/rep", "probe s/rep", "speedup");
+  std::printf("%-18s %10lld %10lld %14.5f %14.5f %8.2fx\n",
+              kernel.name.c_str(), static_cast<long long>(kernel.base_rows),
+              static_cast<long long>(kernel.other_rows),
+              kernel.generic_seconds, kernel.probe_seconds, kernel.speedup());
 
   // -- Validator throughput on a realistic context ----------------------
   // ctx (cardinality 256) is the context partition; a ~ b is an OC with a
@@ -258,13 +246,14 @@ int main(int argc, char** argv) {
                    r.csr_seconds, i + 1 < products.size() ? "," : "");
     }
     std::fprintf(f,
-                 "  ],\n  \"derivation\": {\"case\": \"%s\", "
-                 "\"planner_base\": \"%s\", \"fixed_seconds\": %.6f, "
-                 "\"planner_seconds\": %.6f, \"speedup\": %.3f},\n",
-                 derivation.name.c_str(),
-                 derivation.planner_base.ToString().c_str(),
-                 derivation.fixed_seconds, derivation.planner_seconds,
-                 derivation.speedup());
+                 "  ],\n  \"kernel\": {\"case\": \"%s\", "
+                 "\"base_rows\": %lld, \"other_rows\": %lld, "
+                 "\"generic_seconds\": %.6f, \"probe_seconds\": %.6f, "
+                 "\"speedup\": %.3f},\n",
+                 kernel.name.c_str(), static_cast<long long>(kernel.base_rows),
+                 static_cast<long long>(kernel.other_rows),
+                 kernel.generic_seconds, kernel.probe_seconds,
+                 kernel.speedup());
     std::fprintf(f, "  \"validations\": [\n");
     for (size_t i = 0; i < validations.size(); ++i) {
       const ValidationResult& v = validations[i];

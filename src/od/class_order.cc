@@ -1,9 +1,10 @@
 #include "od/class_order.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <type_traits>
+
+#include "algo/radix_sort.h"
 
 namespace aod {
 namespace {
@@ -12,47 +13,10 @@ namespace {
 /// keys wins over the per-pass bucket setup.
 constexpr size_t kRadixMinRows = 256;
 constexpr int kDigitBits = 8;
-constexpr size_t kBuckets = size_t{1} << kDigitBits;
 
 /// Bits needed for values in [0, bound).
 int BitsFor(int64_t bound) {
   return bound <= 1 ? 0 : std::bit_width(static_cast<uint64_t>(bound - 1));
-}
-
-/// LSD radix sort of `keys` over their low `key_bits` bits, `tmp` being the
-/// second buffer. One counting pass builds every digit's histogram; a
-/// digit on which all keys agree is skipped, so a class that is constant
-/// in A (or in the high B bits) pays only for the bits that vary.
-template <typename Key>
-void RadixSort(std::vector<Key>& keys, std::vector<Key>& tmp, int key_bits) {
-  constexpr int kMaxDigits = (sizeof(Key) * 8 + kDigitBits - 1) / kDigitBits;
-  const int digits = (key_bits + kDigitBits - 1) / kDigitBits;
-  const size_t n = keys.size();
-  std::array<std::array<uint32_t, kBuckets>, kMaxDigits> counts{};
-  for (Key k : keys) {
-    for (int d = 0; d < digits; ++d) {
-      ++counts[d][(k >> (d * kDigitBits)) & (kBuckets - 1)];
-    }
-  }
-  tmp.resize(n);
-  Key* src = keys.data();
-  Key* dst = tmp.data();
-  for (int d = 0; d < digits; ++d) {
-    const int shift = d * kDigitBits;
-    auto& count = counts[d];
-    if (count[(src[0] >> shift) & (kBuckets - 1)] == n) continue;
-    uint32_t sum = 0;
-    for (uint32_t& c : count) {
-      const uint32_t here = c;
-      c = sum;
-      sum += here;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      dst[count[(src[i] >> shift) & (kBuckets - 1)]++] = src[i];
-    }
-    std::swap(src, dst);
-  }
-  if (src != keys.data()) keys.swap(tmp);
 }
 
 }  // namespace
@@ -110,7 +74,7 @@ void ClassOrder::SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
   }
   if constexpr (kPacked) {
     if (m >= kRadixMinRows) {
-      RadixSort(keys, tmp, key_bits_);
+      RadixSort<kDigitBits>(keys, tmp, 0, key_bits_);
     } else {
       std::sort(keys.begin(), keys.end());
     }

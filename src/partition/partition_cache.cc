@@ -15,7 +15,6 @@ PartitionCache::PartitionCache(const EncodedTable* table,
   PutReady(AttributeSet(),
            std::make_shared<StrippedPartition>(
                StrippedPartition::WholeRelation(table_->num_rows())));
-  single_cost_.resize(static_cast<size_t>(table_->num_columns()), 0);
 }
 
 PartitionCache::PartitionCache(const EncodedTable* table)
@@ -23,7 +22,6 @@ PartitionCache::PartitionCache(const EncodedTable* table)
   for (int a = 0; a < table_->num_columns(); ++a) {
     auto partition = std::make_shared<StrippedPartition>(
         StrippedPartition::FromColumn(table_->column(a)));
-    single_cost_[static_cast<size_t>(a)] = partition->rows_covered();
     catalog_.emplace(AttributeSet().With(a), partition->rows_covered());
     PutReady(AttributeSet().With(a), std::move(partition));
   }
@@ -32,7 +30,11 @@ PartitionCache::PartitionCache(const EncodedTable* table)
 void PartitionCache::Preload(AttributeSet set, StrippedPartition partition) {
   auto value = std::make_shared<StrippedPartition>(std::move(partition));
   if (set.size() == 1) {
-    single_cost_[static_cast<size_t>(set.First())] = value->rows_covered();
+    // Products probe the rank column instead of this value, so a
+    // preloaded Π_{a} must be exactly what that column yields.
+    AOD_DCHECK(value->Serialize() ==
+               StrippedPartition::FromColumn(table_->column(set.First()))
+                   .Serialize());
     std::lock_guard<std::mutex> lock(catalog_mutex_);
     catalog_[set] = value->rows_covered();
   }
@@ -106,11 +108,8 @@ DerivationPlan PartitionCache::PlanDerivation(AttributeSet set) const {
   std::lock_guard<std::mutex> lock(catalog_mutex_);
   for (const auto& [base, base_cost] : catalog_) {
     if (base.empty() || base == set || !set.ContainsAll(base)) continue;
-    const AttributeSet remaining = set.Difference(base);
-    const int steps = remaining.size();
-    int64_t est = static_cast<int64_t>(steps) * base_cost;
-    remaining.ForEach(
-        [&](int a) { est += 2 * single_cost_[static_cast<size_t>(a)]; });
+    const int steps = set.Difference(base).size();
+    const int64_t est = 2 * static_cast<int64_t>(steps) * base_cost;
     std::tuple<int64_t, int, uint64_t> key{est, steps, base.bits()};
     if (!have_best || key < best_key) {
       have_best = true;
@@ -140,10 +139,10 @@ PartitionCache::PartitionPtr PartitionCache::ExecutePlan(
   std::unique_ptr<PartitionScratch> scratch = AcquireScratch();
   int64_t realized = 0;
   for (int a : plan.singles) {
-    PartitionPtr single = Get(AttributeSet().With(a));
-    realized += current->rows_covered() + 2 * single->rows_covered();
+    // The kernel probes the rank column; Π_{a} itself is never read.
+    realized += 2 * current->rows_covered();
     current = std::make_shared<StrippedPartition>(
-        current->Product(*single, table_->num_rows(), scratch.get()));
+        current->ProductWithColumn(table_->column(a), scratch.get()));
     products_computed_.fetch_add(1, std::memory_order_relaxed);
   }
   ReleaseScratch(std::move(scratch));

@@ -10,10 +10,18 @@
 // which subset chain produced it, so the cache is free to pick the
 // cheapest one: PlanDerivation chooses, among the subsets published to
 // its cost catalog, the base partition minimizing the estimated product
-// cost (rows_covered as the proxy — one product scans the left operand
-// once and the right operand twice), then extends it with the remaining
-// single-attribute partitions in ascending order — a loop, not a
-// recursion, so deep attribute sets cannot grow the stack. The catalog
+// cost (rows_covered as the proxy — one product reads the base's covered
+// rows twice and never the single-attribute side), then extends it with
+// the remaining attributes in ascending order — a loop, not a recursion,
+// so deep attribute sets cannot grow the stack.
+//
+// Products probe rank columns. Every cache holds the full EncodedTable,
+// and a product with the single attribute {a} buckets the base's rows by
+// table->ranks(a) (StrippedPartition::ProductWithColumn) instead of
+// reading Π_{a}. That is sound only while each resident Π_{a} is exactly
+// FromColumn(table->column(a)) — preloaded ones included (row-shard
+// stitched bases, warm bases, wire-decoded blocks); Preload checks it in
+// debug builds. The catalog
 // is updated only at deterministic points (the driver publishes each
 // completed level's survivors between phases, a shard runner its batch
 // contexts between batches), so plans — and therefore the product
@@ -49,15 +57,16 @@
 namespace aod {
 
 /// A derivation recipe for one requested partition: start from the cached
-/// Π_base and product with the single-attribute partitions of `singles`
-/// in ascending order. Produced by PartitionCache::PlanDerivation; the
+/// Π_base and product with the single attributes of `singles` in
+/// ascending order. Produced by PartitionCache::PlanDerivation; the
 /// driver precomputes plans on its own thread (against a stable catalog)
 /// and hands them to prefetch tasks.
 struct DerivationPlan {
   AttributeSet base;
   std::vector<int> singles;
-  /// Estimated cost in scanned rows: |singles| * cost(base) +
-  /// 2 * sum(cost(single)). Recorded against realized cost in stats.
+  /// Estimated cost in scanned rows: 2 * |singles| * cost(base). Each
+  /// product reads its base's covered rows twice, and a product never
+  /// grows them, so the realized cost recorded in stats never exceeds it.
   int64_t estimated_cost = 0;
 };
 
@@ -78,9 +87,11 @@ class PartitionCache {
   /// Installs an externally produced partition (wire-decoded, typically)
   /// as the resident value for `set`, replacing any existing entry. The
   /// value must be in canonical normal form — every consumer relies on
-  /// the canonical-value contract (the wire decoder enforces this).
-  /// Single-attribute installs also seed the planner's single-cost table
-  /// and catalog. Must not run concurrently with Get.
+  /// the canonical-value contract (the wire decoder enforces this). A
+  /// single-attribute value must equal FromColumn of the table's column,
+  /// since products probe the column in its place (AOD_DCHECK); such
+  /// installs also seed the planner catalog. Must not run concurrently
+  /// with Get.
   void Preload(AttributeSet set, StrippedPartition partition);
 
   /// Returns Π_X, computing and memoizing it if absent. Thread-safe;
@@ -102,8 +113,8 @@ class PartitionCache {
   /// Chooses the cheapest derivation of Π_X from the cost catalog:
   /// minimize estimated cost, tie-broken by larger base (fewer products)
   /// then smaller bit pattern — a pure function of (X, catalog), so plans
-  /// are deterministic. Single-attribute costs are always available; the
-  /// returned base is resident by the catalog invariant.
+  /// are deterministic. The single-attribute partitions are always
+  /// catalogued; the returned base is resident by the catalog invariant.
   DerivationPlan PlanDerivation(AttributeSet set) const;
 
   /// Publishes Π_X's realized cost (rows_covered) to the planner catalog,
@@ -199,12 +210,12 @@ class PartitionCache {
   void PutReady(AttributeSet set, PartitionPtr value);
 
   /// Executes `plan` for `set`: product the base with each remaining
-  /// single, counting estimated vs realized cost.
+  /// attribute's rank column, counting estimated vs realized cost.
   PartitionPtr ExecutePlan(AttributeSet set, const DerivationPlan& plan);
 
   /// Scratch buffers are pooled: a computing thread borrows one for the
   /// duration of a derivation, so steady-state materialization allocates
-  /// no translation tables regardless of worker count.
+  /// no work arrays regardless of worker count.
   std::unique_ptr<PartitionScratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<PartitionScratch> scratch);
 
@@ -227,8 +238,6 @@ class PartitionCache {
   /// shrunk only by eviction, both driver-called between phases.
   mutable std::mutex catalog_mutex_;
   std::unordered_map<AttributeSet, int64_t, AttributeSetHash> catalog_;
-  /// Single-attribute costs, indexed by attribute (always available).
-  std::vector<int64_t> single_cost_;
 
   std::mutex scratch_mutex_;
   std::vector<std::unique_ptr<PartitionScratch>> free_scratch_;

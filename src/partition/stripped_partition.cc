@@ -1,7 +1,9 @@
 #include "partition/stripped_partition.h"
 
 #include <algorithm>
+#include <bit>
 
+#include "algo/radix_sort.h"
 #include "common/endian.h"
 #include "common/macros.h"
 
@@ -107,136 +109,159 @@ StrippedPartition StrippedPartition::FromCsr(
   return out;
 }
 
-StrippedPartition StrippedPartition::Product(const StrippedPartition& other,
-                                             int64_t num_rows,
-                                             PartitionScratch* scratch) const {
-  // TANE's STRIPPED_PRODUCT as a two-pass counting sort. Pass 1 sizes the
-  // CSR output exactly; pass 2 computes each surviving bucket's start
-  // offset and scatters row ids directly into place. Output class order is
-  // (other-class index, first occurrence of the self-class within that
-  // other class) and rows keep the other class's order — bit-identical to
-  // the classic per-class bucket algorithm.
-  PartitionScratch local_scratch(scratch == nullptr ? num_rows : 0);
-  PartitionScratch& s = scratch == nullptr ? local_scratch : *scratch;
-  std::vector<int32_t>& class_of = s.class_of();
-  AOD_CHECK_MSG(static_cast<int64_t>(class_of.size()) >= num_rows,
-                "scratch sized for %zu rows, table has %lld", class_of.size(),
-                static_cast<long long>(num_rows));
-  s.EnsureClassCapacity(num_classes());
-  const int64_t other_classes = other.num_classes();
-  // One fresh epoch per `other` class: stamping a bucket's count/start
-  // with the current epoch implicitly empties every bucket of previous
-  // classes (and previous products) with zero reset work.
-  const int64_t epoch0 = s.ReserveEpochs(other_classes + 1);
-  std::vector<int64_t>& bucket_count = s.bucket_counts();
-  std::vector<int64_t>& bucket_start = s.bucket_starts();
+template <bool kSkipUnlabeled>
+StrippedPartition StrippedPartition::ProbeProduct(const int32_t* keys,
+                                                  int64_t key_count,
+                                                  PartitionScratch& s) const {
+  s.EnsureKeyCapacity(key_count);
+  const int64_t base_classes = num_classes();
+  const int64_t epoch0 = s.ReserveEpochs(2 * base_classes);
+  std::vector<int64_t>& bucket = s.buckets();
   std::vector<int32_t>& touched = s.touched();
   std::vector<int32_t>& offsets = s.offsets_tmp();
-
-  const int64_t self_classes = num_classes();
-  for (int64_t c = 0; c < self_classes; ++c) {
-    for (int32_t t : cls(c)) {
-      class_of[static_cast<size_t>(t)] = static_cast<int32_t>(c);
-    }
-  }
-
-  // Count-then-scatter, fused per `other` class. The counting scan logs
-  // each bucket (the subset of the class falling into one `this` class)
-  // in first-touch order; surviving (>= 2 row) buckets get their output
-  // slots assigned in that order — exactly the emission order of the
-  // classic per-class bucket algorithm — and a second scan of the same
-  // (still cache-hot) rows writes them directly into place in the
-  // staging arena. Classes producing no surviving bucket skip the second
-  // scan entirely, which is the common case at deep lattice levels.
-  std::vector<int32_t>& staging = s.rows_tmp(other.rows_covered());
+  std::vector<int32_t>& staging = s.rows_tmp(rows_covered_);
   offsets.clear();
   offsets.push_back(0);
   int64_t out_rows = 0;
-  for (int64_t k = 0; k < other_classes; ++k) {
-    const int64_t epoch = epoch0 + k;
-    const int64_t stamp = epoch << 32;
-    touched.clear();
-    for (int32_t t : other.cls(k)) {
-      int32_t c = class_of[static_cast<size_t>(t)];
-      if (c < 0) continue;
-      int64_t v = bucket_count[static_cast<size_t>(c)];
-      if ((v >> 32) != epoch) {
-        v = stamp;
-        touched.push_back(c);
+  for (int64_t c = 0; c < base_classes; ++c) {
+    const ClassSpan rows = cls(c);
+    if (rows.size() == 2) {
+      // Two-row classes, common at deep levels, need no buckets: the
+      // class survives iff both keys match.
+      const int32_t k = keys[rows[0]];
+      if (k == keys[rows[1]] && (!kSkipUnlabeled || k >= 0)) {
+        staging[static_cast<size_t>(out_rows)] = rows[0];
+        staging[static_cast<size_t>(out_rows) + 1] = rows[1];
+        out_rows += 2;
+        offsets.push_back(static_cast<int32_t>(out_rows));
       }
-      bucket_count[static_cast<size_t>(c)] = v + 1;
+      continue;
     }
+    // Count: each key's bucket size within this class, logging keys in
+    // first-touch order. The class's rows ascend, so that is the order of
+    // the buckets' first rows.
+    const int64_t count_epoch = epoch0 + 2 * c;
+    const int64_t count_stamp = count_epoch << 32;
+    const int64_t slot_stamp = (count_epoch + 1) << 32;
+    touched.clear();
+    for (int32_t t : rows) {
+      const int32_t k = keys[t];
+      if constexpr (kSkipUnlabeled) {
+        if (k < 0) continue;
+      }
+      int64_t v = bucket[static_cast<size_t>(k)];
+      if ((v >> 32) != count_epoch) {
+        v = count_stamp;
+        touched.push_back(k);
+      }
+      bucket[static_cast<size_t>(k)] = v + 1;
+    }
+    // Surviving (>= 2 row) buckets get their output slots in first-touch
+    // order, re-stamped under the slot epoch; size-1 buckets keep the
+    // count epoch and so drop out of the scatter.
     bool any_survivor = false;
-    for (int32_t c : touched) {
-      int64_t n = bucket_count[static_cast<size_t>(c)] & 0xffffffff;
+    for (int32_t k : touched) {
+      const int64_t n = bucket[static_cast<size_t>(k)] & 0xffffffff;
       if (n >= 2) {
-        bucket_start[static_cast<size_t>(c)] = stamp | out_rows;
+        bucket[static_cast<size_t>(k)] = slot_stamp | out_rows;
         out_rows += n;
         offsets.push_back(static_cast<int32_t>(out_rows));
         any_survivor = true;
       }
     }
     if (!any_survivor) continue;
-    for (int32_t t : other.cls(k)) {
-      int32_t c = class_of[static_cast<size_t>(t)];
-      if (c < 0) continue;
-      int64_t v = bucket_start[static_cast<size_t>(c)];
-      if ((v >> 32) == epoch) {
+    // Scatter: a second scan of the same (still cache-hot) rows writes each
+    // surviving bucket's rows into place, ascending.
+    for (int32_t t : rows) {
+      const int32_t k = keys[t];
+      if constexpr (kSkipUnlabeled) {
+        if (k < 0) continue;
+      }
+      const int64_t v = bucket[static_cast<size_t>(k)];
+      if ((v >> 32) == count_epoch + 1) {
         staging[static_cast<size_t>(v & 0xffffffff)] = t;
-        bucket_start[static_cast<size_t>(c)] = v + 1;
+        bucket[static_cast<size_t>(k)] = v + 1;
       }
     }
   }
 
   StrippedPartition out;
   out.rows_covered_ = out_rows;
-  if (out_rows > 0) {
-    // Canonical normal form: emit classes ordered by smallest contained
-    // row id. With canonical inputs each staged class's rows are already
-    // ascending (they are a subsequence of one ascending `other` class),
-    // so its first row is its minimum and only the class order needs
-    // fixing — a sort of class indices, not of rows.
-    const int64_t emitted = static_cast<int64_t>(offsets.size()) - 1;
-    bool in_order = true;
-    for (int64_t c = 1; c < emitted; ++c) {
-      if (staging[static_cast<size_t>(offsets[static_cast<size_t>(c - 1)])] >
-          staging[static_cast<size_t>(offsets[static_cast<size_t>(c)])]) {
-        in_order = false;
-        break;
-      }
-    }
-    if (in_order) {
-      out.class_offsets_.reserve(offsets.size());
-      out.class_offsets_.assign(offsets.begin(), offsets.end());
-      out.row_ids_.reserve(static_cast<size_t>(out_rows));
-      out.row_ids_.assign(staging.begin(),
-                          staging.begin() + static_cast<ptrdiff_t>(out_rows));
-    } else {
-      std::vector<int32_t>& order = s.class_order_tmp();
-      order.resize(static_cast<size_t>(emitted));
-      for (int64_t c = 0; c < emitted; ++c) {
-        order[static_cast<size_t>(c)] = static_cast<int32_t>(c);
-      }
-      std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-        return staging[static_cast<size_t>(offsets[static_cast<size_t>(a)])] <
-               staging[static_cast<size_t>(offsets[static_cast<size_t>(b)])];
-      });
-      out.class_offsets_.reserve(offsets.size());
-      out.class_offsets_.push_back(0);
-      out.row_ids_.reserve(static_cast<size_t>(out_rows));
-      for (int32_t c : order) {
-        out.row_ids_.insert(
-            out.row_ids_.end(),
-            staging.begin() + offsets[static_cast<size_t>(c)],
-            staging.begin() + offsets[static_cast<size_t>(c) + 1]);
-        out.class_offsets_.push_back(
-            static_cast<int32_t>(out.row_ids_.size()));
-      }
+  if (out_rows == 0) return out;
+  // Canonical normal form: classes ordered by smallest contained row id.
+  // Each staged class's rows already ascend, so its first row is its
+  // minimum and only the class order needs fixing. Classes ascend within
+  // each base class but not across base classes; first rows are distinct,
+  // so a radix sort on them alone yields the one canonical order.
+  const int64_t emitted = static_cast<int64_t>(offsets.size()) - 1;
+  const auto first_row = [&](int64_t c) {
+    return staging[static_cast<size_t>(offsets[static_cast<size_t>(c)])];
+  };
+  bool in_order = true;
+  for (int64_t c = 1; c < emitted; ++c) {
+    if (first_row(c - 1) > first_row(c)) {
+      in_order = false;
+      break;
     }
   }
+  out.class_offsets_.reserve(offsets.size());
+  out.row_ids_.reserve(static_cast<size_t>(out_rows));
+  if (in_order) {
+    out.class_offsets_.assign(offsets.begin(), offsets.end());
+    out.row_ids_.assign(staging.begin(),
+                        staging.begin() + static_cast<ptrdiff_t>(out_rows));
+    return out;
+  }
+  // Keys are (first row << 32) | class index; the sort reads only the
+  // row bits in use, in 11-bit digits (two passes up to 4M rows).
+  std::vector<uint64_t>& order = s.order_keys();
+  order.resize(static_cast<size_t>(emitted));
+  uint32_t max_first = 0;
+  for (int64_t c = 0; c < emitted; ++c) {
+    const uint32_t f = static_cast<uint32_t>(first_row(c));
+    max_first = std::max(max_first, f);
+    order[static_cast<size_t>(c)] =
+        (static_cast<uint64_t>(f) << 32) | static_cast<uint64_t>(c);
+  }
+  RadixSort<11>(order, s.order_keys_tmp(), 32,
+                32 + std::bit_width(max_first));
+  out.class_offsets_.push_back(0);
+  for (uint64_t key : order) {
+    const size_t c = static_cast<size_t>(key & 0xffffffff);
+    out.row_ids_.insert(out.row_ids_.end(), staging.begin() + offsets[c],
+                        staging.begin() + offsets[c + 1]);
+    out.class_offsets_.push_back(static_cast<int32_t>(out.row_ids_.size()));
+  }
+  return out;
+}
 
-  // Restore the translation table to all -1 for the next product.
-  for (int32_t t : row_ids_) class_of[static_cast<size_t>(t)] = -1;
+StrippedPartition StrippedPartition::ProductWithColumn(
+    const EncodedColumn& column, PartitionScratch* scratch) const {
+  const int64_t num_rows = static_cast<int64_t>(column.ranks.size());
+  PartitionScratch local_scratch(num_rows);
+  PartitionScratch& s = scratch == nullptr ? local_scratch : *scratch;
+  return ProbeProduct<false>(column.ranks.data(), column.cardinality, s);
+}
+
+StrippedPartition StrippedPartition::Product(const StrippedPartition& other,
+                                             int64_t num_rows,
+                                             PartitionScratch* scratch) const {
+  PartitionScratch local_scratch(num_rows);
+  PartitionScratch& s = scratch == nullptr ? local_scratch : *scratch;
+  AOD_CHECK_MSG(s.num_rows() >= num_rows,
+                "scratch sized for %lld rows, table has %lld",
+                static_cast<long long>(s.num_rows()),
+                static_cast<long long>(num_rows));
+  std::vector<int32_t>& class_of = s.class_of();
+  const int64_t other_classes = other.num_classes();
+  for (int64_t k = 0; k < other_classes; ++k) {
+    for (int32_t t : other.cls(k)) {
+      class_of[static_cast<size_t>(t)] = static_cast<int32_t>(k);
+    }
+  }
+  StrippedPartition out =
+      ProbeProduct<true>(class_of.data(), other_classes, s);
+  for (int32_t t : other.row_ids_) class_of[static_cast<size_t>(t)] = -1;
   return out;
 }
 

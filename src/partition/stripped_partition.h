@@ -43,32 +43,42 @@ namespace aod {
 
 /// Scratch buffers reused across partition products; one per discovery
 /// run (or per concurrent product — see PartitionCache's pool). Holds the
-/// tuple->class translation table plus the counting-sort work arrays, so
-/// a steady-state product performs no heap allocation beyond its own
-/// exactly-sized output.
+/// epoch-stamped bucket array of the probe kernel, the staging arena, the
+/// canonical-restore keys and (allocated on first use, by
+/// Product(other) only) the tuple->class label table, so a steady-state
+/// product performs no heap allocation beyond its own exactly-sized
+/// output.
 class PartitionScratch {
  public:
-  explicit PartitionScratch(int64_t num_rows)
-      : class_of_(static_cast<size_t>(num_rows), -1) {}
+  /// `num_rows` is the table size: the largest row id + 1 any product
+  /// through this scratch may see.
+  explicit PartitionScratch(int64_t num_rows) : num_rows_(num_rows) {}
 
-  std::vector<int32_t>& class_of() { return class_of_; }
+  int64_t num_rows() const { return num_rows_; }
 
-  /// Grows the per-class bucket arrays to cover `num_classes` classes.
-  void EnsureClassCapacity(int64_t num_classes) {
-    if (static_cast<int64_t>(bucket_counts_.size()) < num_classes) {
-      bucket_counts_.resize(static_cast<size_t>(num_classes), 0);
-      bucket_starts_.resize(static_cast<size_t>(num_classes), 0);
+  /// Row -> class label of Product(other)'s right operand; -1 marks a row
+  /// in no class. Every entry is -1 between products.
+  std::vector<int32_t>& class_of() {
+    if (class_of_.empty()) class_of_.assign(static_cast<size_t>(num_rows_), -1);
+    return class_of_;
+  }
+
+  /// Grows the bucket array to cover probe keys [0, key_count).
+  void EnsureKeyCapacity(int64_t key_count) {
+    if (static_cast<int64_t>(buckets_.size()) < key_count) {
+      buckets_.resize(static_cast<size_t>(key_count), 0);
     }
   }
 
-  /// Epoch-stamped bucket state, (epoch << 32) | value. Stamping one
-  /// right-hand class's buckets with a fresh epoch makes every stale
-  /// entry (any older epoch) read as "empty", so the arrays are never
-  /// cleared between classes or between products.
-  std::vector<int64_t>& bucket_counts() { return bucket_counts_; }
-  std::vector<int64_t>& bucket_starts() { return bucket_starts_; }
-  /// First-touch log of the counting pass: the classes hit by the current
-  /// right-hand class, in first-occurrence order (= output class order).
+  /// Epoch-stamped bucket state, one entry per probe key, as
+  /// (epoch << 32) | value. Base class k of a product owns two fresh
+  /// epochs: under the first the value is the bucket's row count, under
+  /// the second its next output slot. A stale entry (any older epoch)
+  /// reads as "empty", so the array is never cleared between classes or
+  /// between products.
+  std::vector<int64_t>& buckets() { return buckets_; }
+  /// First-touch log of the counting pass: the keys hit by the current
+  /// base class, in first-occurrence (= output class) order.
   std::vector<int32_t>& touched() { return touched_; }
   /// Staging buffers for the product's output (copied exactly-sized into
   /// the result once the total is known).
@@ -79,16 +89,17 @@ class PartitionScratch {
     }
     return rows_tmp_;
   }
-  /// Class permutation for the canonical-form reorder pass.
-  std::vector<int32_t>& class_order_tmp() { return class_order_tmp_; }
+  /// (first row, class index) keys of the canonical-order restore and the
+  /// radix sort's second buffer.
+  std::vector<uint64_t>& order_keys() { return order_keys_; }
+  std::vector<uint64_t>& order_keys_tmp() { return order_keys_tmp_; }
 
   /// Reserves `count` fresh epochs and returns the first. Epochs fit the
-  /// high 32 bits of the stamped arrays; on (cumulative) overflow the
-  /// arrays are re-zeroed and the clock restarts.
+  /// high 32 bits of the stamped array; on (cumulative) overflow the
+  /// array is re-zeroed and the clock restarts.
   int64_t ReserveEpochs(int64_t count) {
     if (next_epoch_ + count > std::numeric_limits<int32_t>::max()) {
-      std::fill(bucket_counts_.begin(), bucket_counts_.end(), 0);
-      std::fill(bucket_starts_.begin(), bucket_starts_.end(), 0);
+      std::fill(buckets_.begin(), buckets_.end(), 0);
       next_epoch_ = 1;
     }
     int64_t first = next_epoch_;
@@ -97,13 +108,14 @@ class PartitionScratch {
   }
 
  private:
+  int64_t num_rows_;
   std::vector<int32_t> class_of_;
-  std::vector<int64_t> bucket_counts_;
-  std::vector<int64_t> bucket_starts_;
+  std::vector<int64_t> buckets_;
   std::vector<int32_t> touched_;
   std::vector<int32_t> offsets_tmp_;
   std::vector<int32_t> rows_tmp_;
-  std::vector<int32_t> class_order_tmp_;
+  std::vector<uint64_t> order_keys_;
+  std::vector<uint64_t> order_keys_tmp_;
   int64_t next_epoch_ = 1;
 };
 
@@ -137,26 +149,36 @@ class StrippedPartition {
   static StrippedPartition FromCsr(std::vector<int32_t> row_ids,
                                    std::vector<int32_t> class_offsets);
 
-  /// Stripped product Π_self · Π_other = Π over the union of the two
-  /// attribute sets. O(||self|| + ||other|| + C log C) where C is the
-  /// output class count: a two-pass counting sort per `other` class —
-  /// count buckets and assign their exact output slots, then write row
-  /// ids directly into place — with no per-class buckets and zero
-  /// allocations beyond the exactly-sized result (work arrays, including
-  /// epoch-stamped bucket state that never needs clearing, live in
-  /// `scratch`). When both inputs are canonical the output is canonical
-  /// too: a final pass reorders classes by smallest row id, making the
-  /// result independent of which operand order or derivation path
-  /// produced it (the cache's cost-based planner depends on this).
-  /// `num_rows` is the table size; `scratch` may be nullptr (a temporary
-  /// table is allocated).
+  /// Stripped product Π_self · Π_{a}, where `column` is the rank column
+  /// of the single attribute a: the partition kernel. Each class of this
+  /// partition buckets its rows by rank — count under one epoch, then
+  /// scatter the buckets of >= 2 rows into place under the next — so a
+  /// product costs O(||self|| + C log_2048 n) for C output classes and
+  /// never reads Π_{a}: a row that is a singleton in {a} falls out as a
+  /// size-1 bucket. Within a base class the buckets come out ordered by
+  /// first row; an LSD radix sort over (first row, class index) keys then
+  /// restores canonical order across base classes (skipped when the
+  /// classes are already in order). Requires this partition canonical;
+  /// the output is canonical, hence a pure function of the attribute set.
+  /// Work arrays live in `scratch`, which may be nullptr (a temporary one
+  /// is allocated).
+  StrippedPartition ProductWithColumn(const EncodedColumn& column,
+                                      PartitionScratch* scratch = nullptr)
+      const;
+
+  /// Stripped product Π_self · Π_other of two canonical partitions: a
+  /// thin wrapper over the same kernel. `other`'s rows are labelled with
+  /// their class index in the scratch label table (rows in no class stay
+  /// -1 and are skipped), the kernel probes the labels in place of ranks,
+  /// and the labels are reset. Same output as ProductWithColumn when
+  /// `other` = FromColumn(column). `num_rows` is the table size.
   StrippedPartition Product(const StrippedPartition& other, int64_t num_rows,
                             PartitionScratch* scratch = nullptr) const;
 
   /// Rewrites this partition into canonical normal form: rows ascending
   /// within each class, classes ordered by smallest contained row id.
   /// O(||Π|| log ||Π||); needed only for partitions built from explicit
-  /// classes — FromColumn/WholeRelation/Product output is already
+  /// classes — FromColumn/WholeRelation/product output is already
   /// canonical.
   void Normalize();
 
@@ -243,10 +265,10 @@ class StrippedPartition {
                                                size_t* consumed = nullptr);
 
   /// Sum of class sizes (rows covered by non-singleton classes). Also the
-  /// planner's derivation-cost proxy: one Product pass scans exactly the
-  /// covered rows of each operand (the left side once, the right side
-  /// twice), so rows_covered predicts what extending this partition by
-  /// one more attribute costs.
+  /// planner's derivation-cost proxy: a product reads exactly the covered
+  /// rows of its left operand twice (count, then scatter) and never the
+  /// single-attribute side, so 2 * rows_covered is what extending this
+  /// partition by one more attribute costs.
   int64_t rows_covered() const { return rows_covered_; }
 
   /// TANE's e(Π) = ||Π|| - |Π|: the number of tuples that must change for
@@ -266,6 +288,13 @@ class StrippedPartition {
   std::string ToString() const;
 
  private:
+  /// The product kernel: buckets each class of this partition by
+  /// keys[row] in [0, key_count); with kSkipUnlabeled, rows whose key is
+  /// negative are in no bucket.
+  template <bool kSkipUnlabeled>
+  StrippedPartition ProbeProduct(const int32_t* keys, int64_t key_count,
+                                 PartitionScratch& s) const;
+
   /// Row ids of all classes, concatenated in class order.
   std::vector<int32_t> row_ids_;
   /// class i occupies row_ids_[class_offsets_[i] .. class_offsets_[i+1]).

@@ -6,16 +6,23 @@
 // partition to be *canonical* — classes ordered by smallest contained row
 // id, rows ascending within a class — so that the partition value is
 // independent of the derivation path (the cache's cost-based planner
-// depends on this). These tests pin Product against a reference
-// implementation of the old per-class bucket algorithm followed by
-// normalization, assert the canonical invariants directly, and check
-// path independence across operand orders and derivation chains.
+// depends on this). These tests pin both entry points of the product
+// kernel — the rank-column probe (ProductWithColumn, and through it
+// PartitionCache::Get) and the partition wrapper Product(other) — against
+// a reference implementation of the old per-class bucket algorithm
+// followed by normalization, assert the canonical invariants directly,
+// and check path independence across operand orders and derivation
+// chains.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "data/column.h"
 #include "data/encoder.h"
 #include "partition/attribute_set.h"
+#include "partition/partition_cache.h"
 #include "partition/stripped_partition.h"
 #include "test_util.h"
 
@@ -128,8 +135,18 @@ TEST_P(CsrProductPropertyTest, MatchesReferenceBitForBit) {
   StrippedPartition p012 = p01.Product(p2, rows, &scratch);
   ExpectIdentical(p012, ReferenceProduct(p01, p2, rows));
 
-  // And without scratch (temporary translation table path).
+  // And without scratch (temporary scratch path).
   ExpectIdentical(p0.Product(p1, rows), p01);
+
+  // The rank-column probe, directly and through the cache's planned
+  // derivations of a 2- and a 3-attribute set.
+  ExpectIdentical(p0.ProductWithColumn(t.column(1), &scratch), p01);
+  ExpectIdentical(p01.ProductWithColumn(t.column(2), &scratch), p012);
+  PartitionCache cache(&t);
+  ExpectIdentical(*cache.Get(AttributeSet::Of({0, 1})),
+                  ReferenceProduct(p0, p1, rows));
+  ExpectIdentical(*cache.Get(AttributeSet::Of({0, 1, 2})),
+                  ReferenceProduct(p01, p2, rows));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -140,6 +157,132 @@ INSTANTIATE_TEST_SUITE_P(
         // cardinality 1: one whole-relation class. Large cardinalities
         // make almost every class a singleton (the stripped regime).
         ::testing::Values(1, 2, 5, 25, 400)));
+
+/// Every product route over the first three columns of `t` — the
+/// wrapper, the probe, the cache on {0,1} and {0,1,2}, and a
+/// whole-relation base — against the reference.
+void ExpectAllRoutesMatchReference(const EncodedTable& t) {
+  const int64_t rows = t.num_rows();
+  PartitionScratch scratch(rows);
+  auto p0 = StrippedPartition::FromColumn(t.column(0));
+  auto p1 = StrippedPartition::FromColumn(t.column(1));
+  auto p2 = StrippedPartition::FromColumn(t.column(2));
+  const StrippedPartition want01 = ReferenceProduct(p0, p1, rows);
+  const StrippedPartition want012 = ReferenceProduct(want01, p2, rows);
+  ExpectIdentical(p0.Product(p1, rows, &scratch), want01);
+  ExpectIdentical(p0.ProductWithColumn(t.column(1), &scratch), want01);
+  ExpectIdentical(p1.ProductWithColumn(t.column(0), &scratch), want01);
+  ExpectIdentical(want01.ProductWithColumn(t.column(2), &scratch), want012);
+  PartitionCache cache(&t);
+  ExpectIdentical(*cache.Get(AttributeSet::Of({0, 1})), want01);
+  ExpectIdentical(*cache.Get(AttributeSet::Of({0, 1, 2})), want012);
+  const auto whole = StrippedPartition::WholeRelation(rows);
+  for (int a = 0; a < 3; ++a) {
+    const auto single = StrippedPartition::FromColumn(t.column(a));
+    ExpectIdentical(whole.ProductWithColumn(t.column(a), &scratch), single);
+    ExpectIdentical(whole.Product(single, rows, &scratch),
+                    ReferenceProduct(whole, single, rows));
+  }
+}
+
+/// An int column; -1 entries become nulls (rank 0).
+EncodedColumn IntColumn(const std::string& name,
+                        const std::vector<int64_t>& values) {
+  Column col(name, DataType::kInt64);
+  for (int64_t v : values) {
+    if (v < 0) {
+      col.AppendNull();
+    } else {
+      col.AppendInt(v);
+    }
+  }
+  return EncodeColumn(col);
+}
+
+TEST(PartitionCsrTest, NearKeyColumnMatchesReference) {
+  // Column 0 is a key (cardinality = rows, every bucket a singleton) and
+  // column 1 a key but for one duplicated value.
+  const int64_t rows = 600;
+  std::vector<int64_t> key, near_key, low;
+  for (int64_t i = 0; i < rows; ++i) {
+    key.push_back((i * 7919) % rows);
+    near_key.push_back(i == 17 ? 400 : (i * 31) % rows);
+    low.push_back(i % 5);
+  }
+  EncodedTable t({IntColumn("key", key), IntColumn("near", near_key),
+                  IntColumn("low", low)},
+                 rows);
+  ASSERT_EQ(t.column(0).cardinality, rows);
+  ExpectAllRoutesMatchReference(t);
+}
+
+TEST(PartitionCsrTest, SingletonHeavyProductStripsToNothing) {
+  // (i % 20, i / 20) is unique per row, while each column alone has
+  // classes of 20+ rows: the product keeps no class.
+  const int64_t rows = 400;
+  std::vector<int64_t> lo, hi, mid;
+  for (int64_t i = 0; i < rows; ++i) {
+    lo.push_back(i % 20);
+    hi.push_back(i / 20);
+    mid.push_back(i % 7);
+  }
+  EncodedTable t(
+      {IntColumn("lo", lo), IntColumn("hi", hi), IntColumn("mid", mid)},
+      rows);
+  ExpectAllRoutesMatchReference(t);
+  PartitionCache cache(&t);
+  EXPECT_EQ(cache.Get(AttributeSet::Of({0, 1}))->num_classes(), 0);
+}
+
+TEST(PartitionCsrTest, NullColumnsMatchReference) {
+  // Nulls share rank 0; a mostly-null column and a sparse one.
+  const int64_t rows = 500;
+  std::vector<int64_t> sparse, dense, mixed;
+  for (int64_t i = 0; i < rows; ++i) {
+    sparse.push_back(i % 4 == 0 ? (i * 13) % 9 : -1);
+    dense.push_back(i % 11 == 0 ? -1 : (i * 17) % 23);
+    mixed.push_back(i % 3 == 0 ? -1 : i % 6);
+  }
+  EncodedTable t({IntColumn("sparse", sparse), IntColumn("dense", dense),
+                  IntColumn("mixed", mixed)},
+                 rows);
+  ExpectAllRoutesMatchReference(t);
+}
+
+TEST(PartitionCsrTest, EpochWrapMatchesReference) {
+  // A first product by a key column leaves a count-epoch stamp on every
+  // rank, each under the epoch of the base class holding that rank's row.
+  // The clock is then pushed three epochs short of its limit, so the next
+  // product (two epochs per base class) crosses the wrap and reuses those
+  // epoch numbers: only the wrap's reset keeps the stale stamps from
+  // reading as live buckets.
+  const int64_t rows = 300;
+  std::vector<int64_t> base, key, low;
+  for (int64_t i = 0; i < rows; ++i) {
+    base.push_back(i % 6);
+    key.push_back((i * 7919) % rows);
+    low.push_back((i / 7) % 6);
+  }
+  EncodedTable t(
+      {IntColumn("base", base), IntColumn("key", key), IntColumn("low", low)},
+      rows);
+  PartitionScratch scratch(rows);
+  auto p0 = StrippedPartition::FromColumn(t.column(0));
+  auto p1 = StrippedPartition::FromColumn(t.column(1));
+  auto p2 = StrippedPartition::FromColumn(t.column(2));
+  ExpectIdentical(p0.ProductWithColumn(t.column(1), &scratch),
+                  ReferenceProduct(p0, p1, rows));
+  ASSERT_GE(p0.num_classes(), 2);
+  // The clock stands at 1 + 2C; this leaves it at INT32_MAX - 3.
+  scratch.ReserveEpochs(std::numeric_limits<int32_t>::max() - 4 -
+                        2 * p0.num_classes());
+  ExpectIdentical(p0.ProductWithColumn(t.column(2), &scratch),
+                  ReferenceProduct(p0, p2, rows));
+  // The clock restarted: fresh epochs are small again.
+  EXPECT_LE(scratch.ReserveEpochs(1), 2 * p0.num_classes() + 1);
+  ExpectIdentical(p2.Product(p0, rows, &scratch),
+                  ReferenceProduct(p2, p0, rows));
+}
 
 TEST(PartitionCsrTest, SingletonHeavyProductIsEmpty) {
   // Distinct keys on both sides: every bucket is a singleton.
