@@ -889,9 +889,9 @@ struct Driver {
             coordinator->bytes_shipped(s);
       }
       // Codec accounting: what crossed the wire vs. what the same run
-      // would have shipped all-raw (footer-folded decode counts plus the
-      // coordinator's own encode/decode sites). bytes_raw_total() needs
-      // the footers, so this must come after Finish().
+      // would have shipped all-raw, both counted at the coordinator's
+      // own encode/decode sites; after Finish(), so every frame of the
+      // conversation is in.
       result.stats.shard_bytes_wire = coordinator->bytes_shipped_total();
       result.stats.shard_bytes_raw = coordinator->bytes_raw_total();
       const std::pair<shard::FrameType, const char*> kTypeNames[] = {

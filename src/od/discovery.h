@@ -149,7 +149,11 @@ struct DiscoveryOptions {
   /// analogue of the distributed dependency discovery of Saxena et al.
   /// [8]. The dependency lists and non-timing stats are bit-identical to
   /// the serial run for any thread count (see ARCHITECTURE.md for the
-  /// determinism contract). Ignored when `pool` is set.
+  /// determinism contract). Ignored when `pool` is set. A pool of one
+  /// worker is not the serial run: candidate validation then runs
+  /// inline on the caller, but next-level partition prefetches are
+  /// forked onto the worker, so two threads do work; only the poolless
+  /// run (num_threads = 1, no `pool`) derives partitions inline.
   int num_threads = 1;
   /// Optional externally owned thread pool to run on. Passing one reuses
   /// its (already warm) workers across DiscoverOds calls instead of

@@ -41,7 +41,10 @@ struct DiscoveryStats {
   /// Wall clock of the serial key-ordered merge phase (the cross-shard
   /// reducer when sharding is on), accumulated over levels.
   double merge_wall_seconds = 0.0;
-  /// Worker threads the run executed on (1 = serial).
+  /// Pool workers the run executed on (1 = serial when there is no pool).
+  /// A run on a 1-worker pool also reports 1, yet its partition
+  /// prefetches run on that worker while the caller validates — two
+  /// threads busy (see DiscoveryOptions::num_threads).
   int threads_used = 1;
 
   /// Logical shards validation was distributed over (0 = unsharded).
@@ -53,8 +56,10 @@ struct DiscoveryStats {
   /// The same traffic split by codec outcome: what actually crossed the
   /// wire (post-compression; equals shard_bytes_shipped) vs. what the
   /// identical run would have shipped with every codec forced raw —
-  /// raw/wire is the run's observable compression ratio. Folded from
-  /// the shard stats footers plus the coordinator's own result decodes.
+  /// raw/wire is the run's observable compression ratio. Counted at the
+  /// coordinator's own encode and decode sites, so shard_bytes_raw −
+  /// shard_bytes_wire equals Σ (bytes_raw − bytes_wire) over
+  /// shard_frame_bytes.
   int64_t shard_bytes_raw = 0;
   int64_t shard_bytes_wire = 0;
   /// Frame-level raw/wire bytes by frame type, counted at the

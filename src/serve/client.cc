@@ -13,7 +13,7 @@ using shard::FrameType;
 
 DiscoveryClient::DiscoveryClient(
     std::unique_ptr<shard::SocketShardChannel> channel)
-    : channel_(std::move(channel)), receiver_(channel_.get()) {}
+    : channel_(std::move(channel)) {}
 
 Result<std::unique_ptr<DiscoveryClient>> DiscoveryClient::Connect(
     const std::string& host, uint16_t port, const Options& options) {
@@ -29,10 +29,6 @@ Result<std::unique_ptr<DiscoveryClient>> DiscoveryClient::Connect(
       new DiscoveryClient(std::move(channel)));
 }
 
-Result<std::vector<uint8_t>> DiscoveryClient::NextFrame() {
-  return receiver_.Receive();
-}
-
 Result<uint64_t> DiscoveryClient::Submit(const EncodedTable& table,
                                          const DiscoveryOptions& options,
                                          double deadline_seconds) {
@@ -46,7 +42,7 @@ Result<uint64_t> DiscoveryClient::Submit(const EncodedTable& table,
   // The ack (or rejection) for this request_id; frames belonging to
   // jobs already in flight are folded into their own buffers.
   for (;;) {
-    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, NextFrame());
+    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, channel_->Receive());
     AOD_ASSIGN_OR_RETURN(DecodedFrame frame, shard::DecodeFrame(raw));
     switch (frame.type) {
       case FrameType::kJobStatus: {
@@ -90,7 +86,7 @@ Result<DiscoveryResult> DiscoveryClient::Await(
       done_.erase(it);
       return result;
     }
-    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, NextFrame());
+    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, channel_->Receive());
     AOD_ASSIGN_OR_RETURN(DecodedFrame frame, shard::DecodeFrame(raw));
     switch (frame.type) {
       case FrameType::kJobStatus: {
@@ -134,7 +130,7 @@ Result<WireJobStatus> DiscoveryClient::Query(uint64_t job_id) {
   query.job_id = job_id;
   AOD_RETURN_NOT_OK(channel_->Send(EncodeJobStatus(query)));
   for (;;) {
-    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, NextFrame());
+    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, channel_->Receive());
     AOD_ASSIGN_OR_RETURN(DecodedFrame frame, shard::DecodeFrame(raw));
     switch (frame.type) {
       case FrameType::kJobStatus: {

@@ -76,11 +76,7 @@ class DiscoveryClient {
  private:
   explicit DiscoveryClient(std::unique_ptr<shard::SocketShardChannel> channel);
 
-  /// Receives one decoded frame, failing over the channel's errors.
-  Result<std::vector<uint8_t>> NextFrame();
-
   std::unique_ptr<shard::SocketShardChannel> channel_;
-  shard::LogicalFrameReceiver receiver_;
   uint64_t next_request_id_ = 1;
   /// Completed results that arrived while awaiting a different job.
   std::map<uint64_t, DiscoveryResult> done_;

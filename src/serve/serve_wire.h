@@ -4,8 +4,8 @@
 // (wire.h, FrameType 9-13) over an ordinary ShardChannel, so the job
 // protocol inherits the shard seam's entire robustness stack for free:
 // magic/version/checksum validation, bounded frame sizes, bounds-checked
-// payload reads, kBatch coalescing. This module owns only the payload
-// layouts; nothing here does I/O.
+// payload reads. This module owns only the payload layouts; nothing
+// here does I/O.
 //
 // Conversation shape (one TCP connection, any number of jobs):
 //

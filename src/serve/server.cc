@@ -150,8 +150,6 @@ void DiscoveryServer::AcceptLoop() {
     }
     auto conn = std::make_shared<Connection>();
     conn->channel = std::move(channel);
-    conn->receiver =
-        std::make_unique<shard::LogicalFrameReceiver>(conn->channel.get());
     {
       std::lock_guard<std::mutex> lock(mutex_);
       conn->client_id = next_client_id_++;
@@ -182,7 +180,7 @@ void DiscoveryServer::ReapFinishedReaders() {
 
 void DiscoveryServer::ReaderLoop(const std::shared_ptr<Connection>& conn) {
   for (;;) {
-    Result<std::vector<uint8_t>> raw = conn->receiver->Receive();
+    Result<std::vector<uint8_t>> raw = conn->channel->Receive();
     if (!raw.ok()) {
       // kClosed: orderly disconnect. kIoError: vanished client (crash,
       // kill -9, cut) or idle timeout. kParseError: garbage byte stream

@@ -123,7 +123,6 @@ class DiscoveryServer {
   struct Connection {
     uint64_t client_id = 0;
     std::unique_ptr<shard::SocketShardChannel> channel;
-    std::unique_ptr<shard::LogicalFrameReceiver> receiver;
     std::atomic<bool> alive{true};
     std::atomic<bool> reader_done{false};
     std::thread reader;

@@ -39,54 +39,6 @@ int PollTimeoutMs(bool bounded, Clock::time_point deadline) {
 
 }  // namespace
 
-// --------------------------------------------------------------- batching --
-
-Status BatchingFrameSender::Add(std::vector<uint8_t> frame) {
-  pending_bytes_ += frame.size();
-  pending_.push_back(std::move(frame));
-  if (pending_bytes_ >= threshold_) return Flush();
-  return Status::OK();
-}
-
-Status BatchingFrameSender::Flush() {
-  if (pending_.empty()) return Status::OK();
-  std::vector<uint8_t> out = pending_.size() == 1
-                                 ? std::move(pending_.front())
-                                 : EncodeBatchEnvelope(pending_);
-  pending_.clear();
-  pending_bytes_ = 0;
-  return channel_->Send(std::move(out));
-}
-
-Result<std::vector<std::vector<uint8_t>>> SplitLogicalFrames(
-    std::vector<uint8_t> frame) {
-  // Cheap peek: only a well-formed header typed kBatch takes the unwrap
-  // path; everything else (including garbage) goes to the consumer's
-  // own DecodeFrame, which owns the error reporting.
-  if (frame.size() < kFrameHeaderBytes ||
-      endian::LoadU32(frame.data()) != kWireMagic ||
-      endian::LoadU16(frame.data() + 6) !=
-          static_cast<uint16_t>(FrameType::kBatch)) {
-    std::vector<std::vector<uint8_t>> one;
-    one.push_back(std::move(frame));
-    return one;
-  }
-  AOD_ASSIGN_OR_RETURN(DecodedFrame decoded, DecodeFrame(frame));
-  return UnpackBatchEnvelope(decoded);
-}
-
-Result<std::vector<uint8_t>> LogicalFrameReceiver::Receive() {
-  if (pending_.empty()) {
-    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> frame, channel_->Receive());
-    AOD_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> frames,
-                         SplitLogicalFrames(std::move(frame)));
-    for (std::vector<uint8_t>& f : frames) pending_.push_back(std::move(f));
-  }
-  std::vector<uint8_t> frame = std::move(pending_.front());
-  pending_.pop_front();
-  return frame;
-}
-
 // ----------------------------------------------------------------- socket --
 
 Result<std::unique_ptr<SocketShardChannel>> SocketShardChannel::Connect(
@@ -137,22 +89,11 @@ Result<std::unique_ptr<SocketShardChannel>> SocketShardChannel::Connect(
 std::unique_ptr<SocketShardChannel> SocketShardChannel::Adopt(
     int fd, ChannelOptions options) {
   return std::unique_ptr<SocketShardChannel>(
-      new SocketShardChannel(fd, fd, /*is_socket=*/true, options));
+      new SocketShardChannel(fd, options));
 }
 
-std::unique_ptr<SocketShardChannel> SocketShardChannel::AdoptPair(
-    int read_fd, int write_fd, ChannelOptions options) {
-  return std::unique_ptr<SocketShardChannel>(
-      new SocketShardChannel(read_fd, write_fd, /*is_socket=*/false, options));
-}
-
-SocketShardChannel::SocketShardChannel(int read_fd, int write_fd,
-                                       bool is_socket, ChannelOptions options)
-    : options_(options),
-      read_fd_(read_fd),
-      write_fd_(write_fd),
-      is_socket_(is_socket),
-      writer_([this] { WriterLoop(); }) {
+SocketShardChannel::SocketShardChannel(int fd, ChannelOptions options)
+    : options_(options), fd_(fd), writer_([this] { WriterLoop(); }) {
   if (::pipe2(wake_fds_, O_CLOEXEC | O_NONBLOCK) != 0) {
     wake_fds_[0] = wake_fds_[1] = -1;  // degrade to timeout-bounded waits
   }
@@ -160,9 +101,8 @@ SocketShardChannel::SocketShardChannel(int read_fd, int write_fd,
 
 SocketShardChannel::~SocketShardChannel() {
   Close();
-  if (writer_.joinable()) writer_.join();  // publishes write_fd_closed_
-  ::close(read_fd_);
-  if (write_fd_ != read_fd_ && !write_fd_closed_) ::close(write_fd_);
+  if (writer_.joinable()) writer_.join();
+  ::close(fd_);
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
 }
@@ -180,13 +120,9 @@ void SocketShardChannel::WriterLoop() {
     size_t sent = 0;
     while (sent < frame.size()) {
       // MSG_NOSIGNAL: a peer that died must surface as EPIPE, not kill
-      // the process with SIGPIPE. Pipes cannot take the flag; runner
-      // processes ignore SIGPIPE instead (runner_main).
-      const ssize_t n =
-          is_socket_ ? ::send(write_fd_, frame.data() + sent,
-                              frame.size() - sent, MSG_NOSIGNAL)
-                     : ::write(write_fd_, frame.data() + sent,
-                               frame.size() - sent);
+      // the process with SIGPIPE.
+      const ssize_t n = ::send(fd_, frame.data() + sent, frame.size() - sent,
+                               MSG_NOSIGNAL);
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -202,16 +138,8 @@ void SocketShardChannel::WriterLoop() {
       backlog_bytes_ -= static_cast<int64_t>(frame.size());
     }
   }
-  // Orderly flush complete: signal EOF to the peer's receiver. A pipe
-  // has no half-close, so the fd itself must close here — flagged so
-  // the destructor does not close the (possibly reused) number again.
-  if (is_socket_) {
-    ::shutdown(write_fd_, SHUT_WR);
-  } else {
-    ::close(write_fd_);
-    std::lock_guard<std::mutex> lock(mutex_);
-    write_fd_closed_ = true;
-  }
+  // Orderly flush complete: half-close so the peer's receiver sees EOF.
+  ::shutdown(fd_, SHUT_WR);
 }
 
 Status SocketShardChannel::Send(std::vector<uint8_t> frame) {
@@ -239,7 +167,7 @@ Status SocketShardChannel::ReadFully(uint8_t* out, size_t size, size_t* got) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (closed_) return Status::Closed("shard channel closed");
     }
-    pollfd pfds[2] = {{read_fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
     const nfds_t nfds = wake_fds_[0] >= 0 ? 2 : 1;
     const int rc = ::poll(pfds, nfds, PollTimeoutMs(bounded, deadline));
     if (rc < 0) {
@@ -253,7 +181,7 @@ Status SocketShardChannel::ReadFully(uint8_t* out, size_t size, size_t* got) {
       continue;
     }
     if (pfds[0].revents == 0) continue;  // only the wake pipe fired
-    const ssize_t n = ::read(read_fd_, out + *got, size - *got);
+    const ssize_t n = ::read(fd_, out + *got, size - *got);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) return Status::IoError(ErrnoMessage("shard channel read"));
     if (n == 0) return Status::OK();  // EOF; caller inspects *got

@@ -3,13 +3,14 @@
 //
 // A ShardChannel moves opaque, already-framed byte vectors (see wire.h).
 // The one production implementation is SocketShardChannel, a
-// full-duplex byte stream over a localhost TCP socket (or a pipe pair);
-// the interface stays minimal (send, blocking receive, close) so that
-// test decorators (tests/flaky_channel.h) can wrap an endpoint without
-// touching the coordinator, the runner, or any encoder: everything
-// protocol-level lives in the frames themselves (versioning, typing,
-// checksums). A shard that degrades to validation on the coordinator
-// uses no channel at all (supervisor.h).
+// full-duplex byte stream over one connected socket. The interface
+// stays minimal (send, blocking receive, close) so that test decorators
+// (tests/flaky_channel.h) can wrap an endpoint without touching the
+// coordinator, the runner, or any encoder: everything protocol-level
+// lives in the frames themselves (versioning, typing, checksums). Each
+// Send carries exactly one frame and each Receive returns exactly one.
+// A shard that degrades to validation on the coordinator uses no
+// channel at all (supervisor.h).
 //
 // Shutdown contract (every endpoint):
 //   - Close() stops further sends; frames already accepted remain
@@ -20,8 +21,8 @@
 //     stream violated the frame format).
 //   - A receiver *blocked* in Receive() when Close() happens wakes up
 //     and returns kClosed; Close never strands a blocked receiver
-//     (tests/shard_channel_conformance_test pins this for the TCP and
-//     pipe endpoints).
+//     (tests/shard_channel_conformance_test pins this for a TCP
+//     connection and a Unix socketpair).
 //   - Send() after Close() returns kClosed.
 //
 // The stream rejects a frame larger than ChannelOptions::max_frame_bytes
@@ -84,81 +85,13 @@ class ShardChannel {
   virtual int64_t bytes_received() const = 0;
 };
 
-/// Writer-side frame coalescing: buffers small frames and ships them as
-/// one kBatch envelope, so byte transports pay one syscall + header per
-/// flush instead of per frame. Add() auto-flushes once the buffered
-/// bytes reach the threshold; callers flush explicitly on protocol
-/// boundaries (end of a level's candidates, final result chunk). A
-/// flush of one pending frame sends it unwrapped — the envelope only
-/// exists where it saves something — so batching never changes what a
-/// decoder has to accept, only how frames are grouped in transit.
-///
-/// Envelope boundaries are a pure function of the frame sequence (sizes
-/// against a fixed threshold), so they never depend on timing. Not thread-safe; each link's sender is
-/// driven by one thread.
-class BatchingFrameSender {
- public:
-  static constexpr size_t kDefaultFlushThresholdBytes = 64 * 1024;
-
-  explicit BatchingFrameSender(
-      ShardChannel* channel,
-      size_t flush_threshold_bytes = kDefaultFlushThresholdBytes)
-      : channel_(channel), threshold_(flush_threshold_bytes) {}
-  AOD_DISALLOW_COPY_AND_ASSIGN(BatchingFrameSender);
-
-  /// Buffers one complete frame; flushes if the buffer reaches the
-  /// threshold. A failed flush surfaces here.
-  Status Add(std::vector<uint8_t> frame);
-
-  /// Sends everything buffered: nothing pending is a no-op, one frame
-  /// goes unwrapped, two or more become a single kBatch envelope.
-  Status Flush();
-
-  /// Buffered (unsent) frame count — for tests.
-  size_t pending_frames() const { return pending_.size(); }
-
- private:
-  ShardChannel* const channel_;
-  const size_t threshold_;
-  size_t pending_bytes_ = 0;
-  std::vector<std::vector<uint8_t>> pending_;
-};
-
-/// The logical frames one physical frame carries: the members of a
-/// kBatch envelope (validated checksum-first via DecodeFrame), else the
-/// frame itself, left for its consumer's DecodeFrame to judge. The one
-/// envelope-unwrap rule, shared by LogicalFrameReceiver and the
-/// supervisor's fallback seeding.
-Result<std::vector<std::vector<uint8_t>>> SplitLogicalFrames(
-    std::vector<uint8_t> frame);
-
-/// Receiver-side mirror of BatchingFrameSender: yields logical frames,
-/// transparently unwrapping kBatch envelopes (validated checksum-first
-/// via DecodeFrame before any inner frame is surfaced). Consumers keep
-/// seeing exactly the frame sequence the sender produced, enveloped or
-/// not. Not thread-safe.
-class LogicalFrameReceiver {
- public:
-  explicit LogicalFrameReceiver(ShardChannel* channel) : channel_(channel) {}
-  AOD_DISALLOW_COPY_AND_ASSIGN(LogicalFrameReceiver);
-
-  /// Next logical frame: a pending envelope member if one is queued,
-  /// otherwise whatever the channel delivers (unwrapped on the fly).
-  Result<std::vector<uint8_t>> Receive();
-
- private:
-  ShardChannel* const channel_;
-  std::deque<std::vector<uint8_t>> pending_;
-};
-
-/// Full-duplex stream transport over a pair of file descriptors —
-/// a connected localhost TCP socket (the off-box seam) or a pipe pair
-/// (the stdio mode of shard_runner_main). Frames are length-delimited
-/// by their own wire header: Receive reads the 24-byte header, sanity-
-/// checks magic/version/declared size against max_frame_bytes, then
-/// reads exactly the payload, handling partial reads and EINTR; a byte
-/// stream that ends mid-frame yields kIoError ("EOF mid-frame"), a
-/// clean EOF at a frame boundary yields kClosed.
+/// Full-duplex stream transport over one connected socket — a localhost
+/// TCP connection (the off-box seam) or, in tests, a Unix socketpair.
+/// Frames are length-delimited by their own wire header: Receive reads
+/// the 24-byte header, sanity-checks magic/version/declared size against
+/// max_frame_bytes, then reads exactly the payload, handling partial
+/// reads and EINTR; a byte stream that ends mid-frame yields kIoError
+/// ("EOF mid-frame"), a clean EOF at a frame boundary yields kClosed.
 ///
 /// Send never blocks on the peer: frames are handed to a dedicated
 /// writer thread with an unbounded queue, so a coordinator can queue a
@@ -175,11 +108,6 @@ class SocketShardChannel final : public ShardChannel {
   /// Wraps an already-connected socket; takes ownership of `fd`.
   static std::unique_ptr<SocketShardChannel> Adopt(int fd,
                                                    ChannelOptions options = {});
-
-  /// Wraps a read fd and a write fd (e.g. stdin/stdout of a runner
-  /// process, or the ends of two pipes); takes ownership of both.
-  static std::unique_ptr<SocketShardChannel> AdoptPair(
-      int read_fd, int write_fd, ChannelOptions options = {});
 
   ~SocketShardChannel() override;
   AOD_DISALLOW_COPY_AND_ASSIGN(SocketShardChannel);
@@ -199,8 +127,7 @@ class SocketShardChannel final : public ShardChannel {
   int64_t send_backlog_bytes() const;
 
  private:
-  SocketShardChannel(int read_fd, int write_fd, bool is_socket,
-                     ChannelOptions options);
+  SocketShardChannel(int fd, ChannelOptions options);
 
   void WriterLoop();
   /// Reads exactly `size` bytes with poll-bounded waits. `*got` is the
@@ -210,11 +137,7 @@ class SocketShardChannel final : public ShardChannel {
   Status ReadFully(uint8_t* out, size_t size, size_t* got);
 
   const ChannelOptions options_;
-  const int read_fd_;
-  const int write_fd_;
-  /// Same fd on both sides and shutdown(SHUT_WR) applies (TCP); pipes
-  /// close the write fd instead.
-  const bool is_socket_;
+  const int fd_;
   /// Self-pipe: Close() writes a byte so a Receive blocked in poll on
   /// this endpoint wakes immediately with kClosed.
   int wake_fds_[2] = {-1, -1};
@@ -224,10 +147,6 @@ class SocketShardChannel final : public ShardChannel {
   std::deque<std::vector<uint8_t>> outgoing_;
   Status write_status_;
   bool closed_ = false;
-  /// Set by WriterLoop when the pipe-mode orderly drain closed
-  /// write_fd_ itself (pipes have no half-close); tells the destructor
-  /// not to close the fd number a second time.
-  bool write_fd_closed_ = false;
   int64_t bytes_sent_ = 0;
   int64_t bytes_received_ = 0;
   /// Enqueued-but-unwritten bytes, including a frame mid-write; zeroed

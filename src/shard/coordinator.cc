@@ -44,35 +44,27 @@ Status ShardCoordinator::Init(
   bootstrap_.pool_workers = pool_ != nullptr ? pool_->num_workers() : 1;
   bootstrap_.table_frame =
       EncodeTableBlock(*table_, /*compress=*/true, &bootstrap_.table_counts);
-  // One kPartitionBlock per base (level-1) partition, shipped to every
-  // shard as a single kBatch envelope — one syscall per seeding instead
-  // of one per base. Socket sends are buffered by the channel's writer
-  // thread, so even a serial coordinator cannot deadlock against an
-  // unserved peer.
+  // One kPartitionBlock per base (level-1) partition, each shipped to
+  // every shard as its own frame. Socket sends are buffered by the
+  // channel's writer thread, so even a serial coordinator cannot
+  // deadlock against an unserved peer.
   const int k = table_->num_columns();
   if (base_partitions != nullptr) {
     AOD_CHECK_MSG(static_cast<int>(base_partitions->size()) == k,
                   "preloaded bases cover %d attributes, table has %d",
                   static_cast<int>(base_partitions->size()), k);
   }
-  std::vector<std::vector<uint8_t>> base_frames;
-  base_frames.reserve(static_cast<size_t>(k));
+  bootstrap_.base_frames.reserve(static_cast<size_t>(k));
   for (int a = 0; a < k; ++a) {
     // Preloaded bases (the row-shard phase's stitched partitions) are
     // bit-identical to FromColumn, so the shipped frames — and every
     // attempt they seed — do not depend on which path produced them.
-    base_frames.push_back(EncodePartitionBlock(
+    bootstrap_.base_frames.push_back(EncodePartitionBlock(
         AttributeSet().With(a),
         base_partitions != nullptr
             ? (*base_partitions)[static_cast<size_t>(a)]
             : StrippedPartition::FromColumn(table_->column(a)),
         /*compress=*/true, &bootstrap_.base_counts));
-  }
-  bootstrap_.base_frames = k;
-  if (k == 1) {
-    bootstrap_.base_shipment = std::move(base_frames[0]);
-  } else if (k > 1) {
-    bootstrap_.base_shipment = EncodeBatchEnvelope(base_frames);
   }
 
   supervisors_.reserve(static_cast<size_t>(num_shards));
@@ -186,16 +178,10 @@ int64_t ShardCoordinator::bytes_shipped_total() const {
 }
 
 int64_t ShardCoordinator::bytes_raw_total() const {
-  // Start from the observed wire volume and add back what each decode
-  // site reported saving: shard footers cover the coordinator→shard
-  // frames (partitions, candidates, table), the coordinator's own
-  // result-chunk decodes cover the reply direction.
-  const ShardStatsFooter footers = FooterTotals();
-  int64_t total = bytes_shipped_total() + footers.bytes_decoded_raw -
-                  footers.bytes_decoded_wire;
-  const CodecByteCounts results =
-      type_byte_counts(FrameType::kResultBatch);
-  total += results.raw - results.wire;
+  // The observed wire volume plus what the codecs saved on every frame
+  // the coordinator encoded or decoded (see type_byte_counts).
+  int64_t total = bytes_shipped_total();
+  for (const auto& sup : supervisors_) total += sup->codec_savings();
   return total;
 }
 
@@ -221,8 +207,6 @@ ShardStatsFooter ShardCoordinator::FooterTotals() const {
     total.partition_bytes_evicted += f.partition_bytes_evicted;
     total.partition_bytes_final += f.partition_bytes_final;
     total.partition_bytes_peak += f.partition_bytes_peak;
-    total.bytes_decoded_raw += f.bytes_decoded_raw;
-    total.bytes_decoded_wire += f.bytes_decoded_wire;
     total.partition_seconds += f.partition_seconds;
   }
   return total;

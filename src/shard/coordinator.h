@@ -162,16 +162,16 @@ class ShardCoordinator {
   int64_t bytes_shipped_total() const;
 
   /// What bytes_shipped_total would have been with every codec forced
-  /// raw: the wire total plus the raw-minus-wire savings each decode
-  /// site reported (shard footers for coordinator→shard frames, the
-  /// coordinator's own result-chunk decodes for the reply direction).
-  /// Meaningful once Finish collected the footers.
+  /// raw: the wire total plus Σ (raw − wire) over type_byte_counts.
+  /// Frame types without a codec (config, shutdown, footer) ship raw and
+  /// add nothing.
   int64_t bytes_raw_total() const;
 
-  /// Frame-level raw/wire byte counts per frame type (indexed by the
-  /// FrameType raw value), counted at the coordinator's encode/decode
-  /// sites — the per-frame-type breakdown exp8 reports. Envelope and
-  /// bootstrap framing overhead is not attributed here.
+  /// Frame-level raw/wire byte counts per frame type, counted at the
+  /// coordinator's own sites: table and base frames per shipment (so a
+  /// respawn's re-seeding counts again), candidate batches at encode,
+  /// result chunks at decode — the per-frame-type breakdown exp8
+  /// reports.
   CodecByteCounts type_byte_counts(FrameType type) const;
 
   /// Every counter of the collected stats footers, summed over the

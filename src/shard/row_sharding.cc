@@ -30,20 +30,18 @@ Status ExpectType(const DecodedFrame& frame, FrameType want,
   return Status::OK();
 }
 
-/// Coordinator side of one shard's reply: k fragment frames (possibly
-/// enveloped) for distinct attributes over exactly `range`, then the
-/// stats footer. Appends each fragment to fragments[attribute] — the
-/// outer per-shard loop is sequential, so per-attribute fragments
-/// accumulate in ascending range order, which is what StitchPartitions
-/// requires.
+/// Coordinator side of one shard's reply: k fragment frames for
+/// distinct attributes over exactly `range`, then the stats footer.
+/// Appends each fragment to fragments[attribute] — the outer per-shard
+/// loop is sequential, so per-attribute fragments accumulate in
+/// ascending range order, which is what StitchPartitions requires.
 Status DrainShardReply(ShardChannel* from, int shard, const RowRange& range,
                        int num_columns, int64_t num_rows,
                        std::vector<std::vector<PartitionFragment>>* fragments,
                        RowShardStats* stats) {
-  LogicalFrameReceiver receiver(from);
   std::vector<uint8_t> seen(static_cast<size_t>(num_columns), 0);
   for (int i = 0; i < num_columns; ++i) {
-    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver.Receive());
+    AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, from->Receive());
     AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
     AOD_RETURN_NOT_OK(
         ExpectType(frame, FrameType::kPartitionFragment, "a fragment"));
@@ -64,7 +62,7 @@ Status DrainShardReply(ShardChannel* from, int shard, const RowRange& range,
     (*fragments)[static_cast<size_t>(fragment.attribute)].push_back(
         std::move(fragment));
   }
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver.Receive());
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, from->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
   AOD_RETURN_NOT_OK(
       ExpectType(frame, FrameType::kStatsFooter, "the stats footer"));
@@ -87,13 +85,12 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
   if (config.row_end <= config.row_begin) {
     return Status::InvalidArgument("config carries no row range");
   }
-  CodecByteCounts decoded;
   AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> table_raw, channel->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame table_frame, DecodeFrame(table_raw));
   AOD_RETURN_NOT_OK(
       ExpectType(table_frame, FrameType::kTableBlock, "a table slice"));
   AOD_ASSIGN_OR_RETURN(WireTableSlice slice,
-                       DecodeTableSlice(table_frame, &decoded));
+                       DecodeTableSlice(table_frame));
   if (slice.row_offset != config.row_begin ||
       slice.row_offset + slice.table.num_rows() != config.row_end ||
       slice.total_rows < config.row_end) {
@@ -101,19 +98,9 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
                               "row range");
   }
 
-  const int k = slice.table.num_columns();
-  std::vector<std::vector<uint8_t>> frames;
-  frames.reserve(static_cast<size_t>(k));
-  CodecByteCounts encoded;
-  for (int a = 0; a < k; ++a) {
-    frames.push_back(EncodePartitionFragment(
-        FragmentFromSlice(slice.table.column(a), slice.row_offset, a),
-        /*compress=*/true, &encoded));
-  }
-  if (frames.size() == 1) {
-    AOD_RETURN_NOT_OK(channel->Send(std::move(frames[0])));
-  } else if (frames.size() > 1) {
-    AOD_RETURN_NOT_OK(channel->Send(EncodeBatchEnvelope(frames)));
+  for (int a = 0; a < slice.table.num_columns(); ++a) {
+    AOD_RETURN_NOT_OK(channel->Send(EncodePartitionFragment(
+        FragmentFromSlice(slice.table.column(a), slice.row_offset, a))));
   }
 
   AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> shutdown_raw, channel->Receive());
@@ -125,8 +112,6 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
   footer.shard_id = config.shard_id;
   footer.attempt_id = config.attempt_id;
   footer.frames_served = 3;  // config + table slice + shutdown
-  footer.bytes_decoded_raw = decoded.raw;
-  footer.bytes_decoded_wire = decoded.wire;
   return channel->Send(EncodeStatsFooter(footer));
 }
 

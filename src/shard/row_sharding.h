@@ -17,8 +17,7 @@
 //
 //   coordinator -> runner   kConfigBlock (row range set), kTableBlock
 //                           (the row slice), kShutdown
-//   runner -> coordinator   one kPartitionFragment per attribute (one
-//                           kBatch envelope when there are several),
+//   runner -> coordinator   one kPartitionFragment frame per attribute,
 //                           then the kStatsFooter terminal frame
 //
 // Sends never block (the socket channel queues them for its writer
@@ -97,9 +96,9 @@ Result<std::vector<StrippedPartition>> ComputeRowShardedBases(
 
 /// Runner side after the config is already decoded (shard_runner_main
 /// enters here): receives the kTableBlock slice, checks it against the
-/// config's range, computes one fragment per column, ships them (one
-/// kBatch envelope when there are several), answers the kShutdown with
-/// a kStatsFooter. Does not close the channels.
+/// config's range, computes one fragment per column, ships each as its
+/// own frame, answers the kShutdown with a kStatsFooter. Does not close
+/// the channel.
 Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
                                 ShardChannel* channel);
 

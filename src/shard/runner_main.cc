@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +24,13 @@ int Fail(int code, const char* what, const Status& status) {
   std::fprintf(stderr, "shard_runner_main: %s: %s\n", what,
                status.ToString().c_str());
   return code;
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: shard_runner_main --connect=HOST:PORT "
+               "[--timeout=SECONDS]\n");
+  return 1;
 }
 
 /// A received frame plus the bytes its payload view aliases. The bytes
@@ -51,11 +57,11 @@ Result<BootstrapFrame> ReceiveExpected(ShardChannel* channel,
 /// Test-only crash injection for the supervised-recovery e2e suite:
 /// AOD_TEST_RUNNER_CRASH_BEFORE_FRAME=N makes the runner die abruptly
 /// (no footer, no orderly close — what SIGKILL or an OOM kill looks
-/// like from the coordinator) just before serving its Nth logical
-/// frame. With AOD_TEST_RUNNER_CRASH_ONCE_FLAG=<path> additionally set,
-/// only the one runner process that wins the O_EXCL creation of <path>
-/// crashes — so a fleet of shards loses exactly one attempt and every
-/// respawn runs clean. Returns -1 (never crash) when the seam is off.
+/// like from the coordinator) just before serving its Nth frame. With
+/// AOD_TEST_RUNNER_CRASH_ONCE_FLAG=<path> additionally set, only the one
+/// runner process that wins the O_EXCL creation of <path> crashes — so a
+/// fleet of shards loses exactly one attempt and every respawn runs
+/// clean. Returns -1 (never crash) when the seam is off.
 int64_t CrashBeforeFrame() {
   const char* env = std::getenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME");
   if (env == nullptr) return -1;
@@ -72,53 +78,31 @@ int64_t CrashBeforeFrame() {
 
 int ShardRunnerMain(int argc, char** argv) {
   std::string host;
-  uint16_t port = 0;
-  bool stdio = false;
+  unsigned long port = 0;
   double timeout_seconds = 300.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--connect=", 0) == 0) {
       const std::string endpoint = arg.substr(10);
       const size_t colon = endpoint.rfind(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "shard_runner_main: --connect needs HOST:PORT\n");
-        return 1;
-      }
+      if (colon == std::string::npos) return Usage();
       host = endpoint.substr(0, colon);
-      port = static_cast<uint16_t>(
-          std::strtoul(endpoint.c_str() + colon + 1, nullptr, 10));
-    } else if (arg == "--stdio") {
-      stdio = true;
+      port = std::strtoul(endpoint.c_str() + colon + 1, nullptr, 10);
     } else if (arg.rfind("--timeout=", 0) == 0) {
       timeout_seconds = std::strtod(arg.c_str() + 10, nullptr);
     } else {
-      std::fprintf(stderr,
-                   "usage: shard_runner_main --connect=HOST:PORT | --stdio "
-                   "[--timeout=SECONDS]\n");
-      return 1;
+      return Usage();
     }
   }
-  if (stdio == (port != 0)) {
-    std::fprintf(stderr,
-                 "shard_runner_main: exactly one of --connect/--stdio\n");
-    return 1;
-  }
-  // Pipes cannot carry MSG_NOSIGNAL: a coordinator that died must surface
-  // as a write error on our side, not as SIGPIPE.
-  std::signal(SIGPIPE, SIG_IGN);
+  if (port == 0 || port > 65535) return Usage();
 
   ChannelOptions copts;
   copts.receive_timeout_seconds = timeout_seconds;
-  std::unique_ptr<ShardChannel> channel;
-  if (stdio) {
-    channel = SocketShardChannel::AdoptPair(/*read_fd=*/0, /*write_fd=*/1,
-                                            copts);
-  } else {
-    Result<std::unique_ptr<SocketShardChannel>> connected =
-        SocketShardChannel::Connect(host, port, timeout_seconds, copts);
-    if (!connected.ok()) return Fail(2, "connect", connected.status());
-    channel = std::move(connected).value();
-  }
+  Result<std::unique_ptr<SocketShardChannel>> connected =
+      SocketShardChannel::Connect(host, static_cast<uint16_t>(port),
+                                  timeout_seconds, copts);
+  if (!connected.ok()) return Fail(2, "connect", connected.status());
+  std::unique_ptr<ShardChannel> channel = std::move(connected).value();
 
   // Bootstrap: config, then the rank-encoded table. Everything after
   // these two frames is ShardServeLoop's vocabulary.
@@ -134,16 +118,14 @@ int ShardRunnerMain(int argc, char** argv) {
   if (config->row_end > config->row_begin) {
     Status served = ServeRowShardAfterConfig(*config, channel.get());
     if (!served.ok()) return Fail(3, "row-shard serve", served);
-    channel->Close();  // flush the footer before the fds die
+    channel->Close();  // flush the footer before the socket dies
     return 0;
   }
 
   Result<BootstrapFrame> table_raw =
       ReceiveExpected(channel.get(), FrameType::kTableBlock);
   if (!table_raw.ok()) return Fail(2, "table frame", table_raw.status());
-  CodecByteCounts table_counts;
-  Result<EncodedTable> table = DecodeTableBlock(table_raw->frame,
-                                                &table_counts);
+  Result<EncodedTable> table = DecodeTableBlock(table_raw->frame);
   if (!table.ok()) return Fail(2, "table decode", table.status());
 
   ShardRunnerOptions options;
@@ -169,10 +151,6 @@ int ShardRunnerMain(int argc, char** argv) {
   ShardRunner runner(static_cast<int>(config->shard_id), &*table, options,
                      pool.get());
   ShardServeLoop loop(&runner, channel.get());
-  // The table was decoded before the loop existed; fold its raw/wire
-  // bytes into the footer so the coordinator's ratio accounting sees
-  // the biggest bootstrap frame too.
-  loop.CreditDecodedBytes(table_counts);
   Status served;
   const int64_t crash_before = CrashBeforeFrame();
   if (crash_before < 0) {
@@ -189,7 +167,7 @@ int ShardRunnerMain(int argc, char** argv) {
     }
   }
   if (!served.ok()) return Fail(3, "serve loop", served);
-  channel->Close();  // flush the footer before the fds die
+  channel->Close();  // flush the footer before the socket dies
   return 0;
 }
 

@@ -33,10 +33,9 @@ void ShardRunner::Preload(AttributeSet attributes,
   SampleResidency();
 }
 
-Status ShardRunner::PreloadBlock(const DecodedFrame& frame,
-                                 CodecByteCounts* counts) {
-  AOD_ASSIGN_OR_RETURN(
-      auto block, DecodePartitionBlock(frame, table_->num_rows(), counts));
+Status ShardRunner::PreloadBlock(const DecodedFrame& frame) {
+  AOD_ASSIGN_OR_RETURN(auto block,
+                       DecodePartitionBlock(frame, table_->num_rows()));
   Preload(block.first, std::move(block.second));
   return Status::OK();
 }
@@ -141,34 +140,31 @@ void ShardRunner::ValidateOne(const WireCandidate& candidate,
 // ------------------------------------------------------------ serve loop --
 
 ShardServeLoop::ShardServeLoop(ShardRunner* runner, ShardChannel* channel)
-    : runner_(runner), channel_(channel), receiver_(channel) {
+    : runner_(runner), channel_(channel) {
   AOD_CHECK(runner != nullptr && channel != nullptr);
 }
 
 Status ShardServeLoop::ServeOne(const std::function<bool()>& cancel,
                                 bool* shutdown) {
   if (shutdown != nullptr) *shutdown = false;
-  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, receiver_.Receive());
+  AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, channel_->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
   ++frames_served_;
   switch (frame.type) {
     case FrameType::kPartitionBlock:
-      return runner_->PreloadBlock(frame, &decoded_counts_);
+      return runner_->PreloadBlock(frame);
     case FrameType::kCandidateBatch:
       return HandleCandidateBatch(frame, cancel);
     case FrameType::kShutdown: {
       if (shutdown != nullptr) *shutdown = true;
       ShardStatsFooter footer = runner_->FooterStats();
       footer.frames_served = frames_served_;
-      footer.bytes_decoded_raw = decoded_counts_.raw;
-      footer.bytes_decoded_wire = decoded_counts_.wire;
       return channel_->Send(EncodeStatsFooter(footer));
     }
     case FrameType::kResultBatch:
     case FrameType::kTableBlock:
     case FrameType::kConfigBlock:
     case FrameType::kStatsFooter:
-    case FrameType::kBatch:  // the receiver already unwrapped envelopes
     case FrameType::kJobSubmit:  // serve-layer vocabulary; never shard-bound
     case FrameType::kJobStatus:
     case FrameType::kJobResultBatch:
@@ -191,7 +187,7 @@ Status ShardServeLoop::Serve(const std::function<bool()>& cancel) {
 Status ShardServeLoop::HandleCandidateBatch(
     const DecodedFrame& frame, const std::function<bool()>& cancel) {
   AOD_ASSIGN_OR_RETURN(std::vector<WireCandidate> batch,
-                       DecodeCandidateBatch(frame, &decoded_counts_));
+                       DecodeCandidateBatch(frame));
 
   // A candidate whose kind this run never enabled is a coordinator bug
   // (or a corrupted-but-checksum-valid stream), not work to skip: reject
@@ -208,10 +204,8 @@ Status ShardServeLoop::HandleCandidateBatch(
   std::vector<WireOutcome> completed = runner_->ValidateBatch(batch, cancel);
 
   // Reply as chunks of at most kChunkOutcomes outcomes (last one
-  // final-flagged), which bound the frame size; the coalescing sender
-  // lets several small chunks ride one envelope.
+  // final-flagged), which bound the frame size; each chunk is one frame.
   constexpr size_t kChunkOutcomes = 512;
-  BatchingFrameSender sender(channel_);
   size_t begin = 0;
   do {
     const size_t end = std::min(begin + kChunkOutcomes, completed.size());
@@ -219,10 +213,9 @@ Status ShardServeLoop::HandleCandidateBatch(
         std::make_move_iterator(completed.begin() + begin),
         std::make_move_iterator(completed.begin() + end));
     const bool final_chunk = end == completed.size();
-    AOD_RETURN_NOT_OK(sender.Add(EncodeResultBatch(chunk, final_chunk)));
+    AOD_RETURN_NOT_OK(channel_->Send(EncodeResultBatch(chunk, final_chunk)));
     begin = end;
   } while (begin < completed.size());
-  AOD_RETURN_NOT_OK(sender.Flush());
   // Publish and evict after the reply is on its way, so the
   // coordinator's wait for this level never includes eviction time.
   runner_->FinishBatch(batch);

@@ -82,11 +82,9 @@ class ShardRunner {
   void Preload(AttributeSet attributes, StrippedPartition partition);
 
   /// Decodes one kPartitionBlock frame (canonical-validated) and
-  /// Preloads it — the one place a base shipment is turned into cache
-  /// entries, for the serve loop and the supervisor's fallback alike.
-  /// `counts` (optional) accumulates the decoded raw/wire bytes.
-  Status PreloadBlock(const DecodedFrame& frame,
-                      CodecByteCounts* counts = nullptr);
+  /// Preloads it — the one place a base frame is turned into a cache
+  /// entry, for the serve loop and the supervisor's fallback alike.
+  Status PreloadBlock(const DecodedFrame& frame);
 
   /// Validates every candidate (parallel over the batch on the pool,
   /// `cancel` polled between candidates) and returns the completed
@@ -103,8 +101,7 @@ class ShardRunner {
 
   /// The partition-side counters of the kStatsFooter (see wire.h); pure
   /// functions of the validated batches except for the timing field.
-  /// The wire-side fields (frames served, decoded bytes) stay 0 here —
-  /// ShardServeLoop fills them in.
+  /// frames_served stays 0 here — ShardServeLoop fills it in.
   ShardStatsFooter FooterStats() const;
 
   const ShardRunnerOptions& options() const { return options_; }
@@ -143,8 +140,7 @@ class ShardServeLoop {
   ShardServeLoop(ShardRunner* runner, ShardChannel* channel);
   AOD_DISALLOW_COPY_AND_ASSIGN(ShardServeLoop);
 
-  /// Receives one *logical* frame (kBatch envelopes are unwrapped
-  /// transparently; each inner frame is one ServeOne) and handles it:
+  /// Receives one frame and handles it:
   ///   kPartitionBlock  — PreloadBlock;
   ///   kCandidateBatch  — reject the whole batch if any candidate's kind
   ///                      is outside the configured set, else
@@ -162,18 +158,10 @@ class ShardServeLoop {
   /// Serves frames until the shutdown handshake or a failure.
   Status Serve(const std::function<bool()>& cancel = {});
 
-  /// Logical frames served so far (the footer's cross-check counter);
-  /// exposed so shard_runner_main's crash-injection test seam can die at
-  /// a deterministic point in the conversation.
+  /// Frames served so far (the footer's cross-check counter); exposed
+  /// so shard_runner_main's crash-injection test seam can die at a
+  /// deterministic point in the conversation.
   int64_t frames_served() const { return frames_served_; }
-
-  /// Folds decode-side byte counts produced outside the loop into the
-  /// footer's raw/wire totals — runner_main decodes the kTableBlock
-  /// before the loop exists and credits it here, so the coordinator's
-  /// compression-ratio accounting sees the table bytes too.
-  void CreditDecodedBytes(const CodecByteCounts& counts) {
-    decoded_counts_.Add(counts);
-  }
 
  private:
   Status HandleCandidateBatch(const DecodedFrame& frame,
@@ -181,10 +169,6 @@ class ShardServeLoop {
 
   ShardRunner* const runner_;
   ShardChannel* const channel_;
-  /// Unwraps kBatch envelopes so frames_served_ counts logical frames —
-  /// the unit the coordinator's cross-check uses.
-  LogicalFrameReceiver receiver_;
-  CodecByteCounts decoded_counts_;
   int64_t frames_served_ = 0;
 };
 

@@ -202,7 +202,6 @@ Status ShardSupervisor::EstablishCurrent() {
   a->channel = transport_->channel_decorator
                    ? transport_->channel_decorator(std::move(spawned.channel))
                    : std::move(spawned.channel);
-  a->receiver = std::make_unique<LogicalFrameReceiver>(a->channel.get());
 
   // Bootstrap frames the runner process consumes before its serve loop:
   // the validation config (stamped with this attempt's id), then the
@@ -231,11 +230,10 @@ Status ShardSupervisor::EstablishCurrent() {
   AddTypeCounts(FrameType::kTableBlock, bootstrap_->table_counts);
   if (a->id > 1) ++respawns_;
 
-  if (bootstrap_->base_frames == 0) return Status::OK();
-  AOD_RETURN_NOT_OK(a->channel->Send(bootstrap_->base_shipment));
-  // The envelope counts as its inner frames — the unit the footer
-  // cross-check compares against frames_served.
-  a->frames_sent += bootstrap_->base_frames;
+  for (const std::vector<uint8_t>& base : bootstrap_->base_frames) {
+    AOD_RETURN_NOT_OK(a->channel->Send(base));
+    ++a->frames_sent;
+  }
   AddTypeCounts(FrameType::kPartitionBlock, bootstrap_->base_counts);
   return Status::OK();
 }
@@ -259,7 +257,7 @@ Status ShardSupervisor::ExecuteLevelOnce(
       return Status::ParseError("shard result stream never finalized");
     }
     AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                         attempt->receiver->Receive());
+                         attempt->channel->Receive());
     AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
     AOD_ASSIGN_OR_RETURN(WireResultChunk chunk,
                          DecodeResultBatch(frame, &decode_counts));
@@ -271,18 +269,14 @@ Status ShardSupervisor::ExecuteLevelOnce(
 }
 
 Status ShardSupervisor::Degrade() {
-  // The base shipment is the bootstrap's own encode-once bytes: decoding
-  // it here costs the degraded shard what a respawn's runner would pay,
-  // and the healthy path keeps no second copy of the bases around.
+  // The base frames are the bootstrap's own encode-once bytes: decoding
+  // them here costs the degraded shard what a respawn's runner would
+  // pay, and the healthy path keeps no second copy of the bases around.
   auto core = std::make_unique<ShardRunner>(
       shard_id_, bootstrap_->table, bootstrap_->runner_options, pool_);
-  if (bootstrap_->base_frames > 0) {
-    AOD_ASSIGN_OR_RETURN(std::vector<std::vector<uint8_t>> frames,
-                         SplitLogicalFrames(bootstrap_->base_shipment));
-    for (const std::vector<uint8_t>& bytes : frames) {
-      AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(bytes));
-      AOD_RETURN_NOT_OK(core->PreloadBlock(frame));
-    }
+  for (const std::vector<uint8_t>& bytes : bootstrap_->base_frames) {
+    AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(bytes));
+    AOD_RETURN_NOT_OK(core->PreloadBlock(frame));
   }
   fallback_ = std::move(core);
   return Status::OK();
@@ -427,12 +421,12 @@ Status ShardSupervisor::CollectFooter() {
   }
   // A mid-level abort can leave result frames queued ahead of the
   // footer — a whole level's worth of reply chunks; drain non-footer
-  // logical frames (bounded) instead of misdecoding the first frame
-  // seen as the footer.
+  // frames (bounded) instead of misdecoding the first frame seen as the
+  // footer.
   Result<ShardStatsFooter> footer =
       Status::Internal("stats footer never arrived");
   for (int drained = 0; drained < 4096; ++drained) {
-    Result<std::vector<uint8_t>> raw = a->receiver->Receive();
+    Result<std::vector<uint8_t>> raw = a->channel->Receive();
     if (!raw.ok()) {
       footer = raw.status();
       break;
@@ -493,6 +487,14 @@ int64_t ShardSupervisor::bytes_shipped() const {
 
 CodecByteCounts ShardSupervisor::type_byte_counts(FrameType type) const {
   return by_type_[static_cast<size_t>(type)];
+}
+
+int64_t ShardSupervisor::codec_savings() const {
+  int64_t total = 0;
+  for (const CodecByteCounts& counts : by_type_) {
+    total += counts.raw - counts.wire;
+  }
+  return total;
 }
 
 }  // namespace shard

@@ -14,7 +14,7 @@
 //                     candidate slices are validated on the coordinator
 //                     for the rest of the run: a channel-free ShardRunner
 //                     core, seeded by decoding the bootstrap base
-//                     shipment already in memory, called directly — no
+//                     frames already in memory, called directly — no
 //                     channel, no frame round trip — and its footer is
 //                     read directly too.
 //
@@ -117,13 +117,11 @@ struct ShardBootstrap {
   /// kTableBlock + its codec byte counts, credited per shipment.
   std::vector<uint8_t> table_frame;
   CodecByteCounts table_counts;
-  /// The base (level-1) partitions: one kBatch envelope of
-  /// `base_frames` kPartitionBlock frames (or the single frame when
-  /// base_frames == 1). A degraded shard decodes its cache from these
-  /// same bytes.
-  std::vector<uint8_t> base_shipment;
+  /// The base (level-1) partitions, one kPartitionBlock frame per
+  /// column, sent one by one. A degraded shard decodes its cache from
+  /// these same bytes.
+  std::vector<std::vector<uint8_t>> base_frames;
   CodecByteCounts base_counts;
-  int base_frames = 0;
   /// Per-runner options template; the supervisor stamps attempt_id.
   ShardRunnerOptions runner_options;
   int num_shards = 1;
@@ -184,6 +182,8 @@ class ShardSupervisor {
   /// Wire bytes both directions, live attempt plus every torn-down one.
   int64_t bytes_shipped() const;
   CodecByteCounts type_byte_counts(FrameType type) const;
+  /// Σ (raw − wire) over every frame type's counts.
+  int64_t codec_savings() const;
 
  private:
   /// One (re)establishment: a spawned runner process and its channel.
@@ -193,7 +193,6 @@ class ShardSupervisor {
     /// Null until the spawn connected (a strict-mode failed spawn keeps
     /// a channel-less attempt for the Finish phase).
     std::unique_ptr<ShardChannel> channel;
-    std::unique_ptr<LogicalFrameReceiver> receiver;
     /// Frames this attempt was sent that its runner serves (bases +
     /// batches + shutdown) — the footer cross-check is per attempt.
     int64_t frames_sent = 0;
@@ -206,7 +205,7 @@ class ShardSupervisor {
   bool DeadlineExpired() const;
   void AddTypeCounts(FrameType type, const CodecByteCounts& counts);
 
-  /// Builds one attempt (spawn, config + table, base shipment) and
+  /// Builds one attempt (spawn, config + table, base frames) and
   /// installs it as current_ — even on failure, so strict mode keeps the
   /// half-built attempt for the Finish phase and a retry tears it down.
   Status EstablishCurrent();
@@ -235,7 +234,9 @@ class ShardSupervisor {
   /// fell back, for the rest of the run.
   std::unique_ptr<ShardRunner> fallback_;
 
-  CodecByteCounts by_type_[static_cast<size_t>(FrameType::kBatch) + 1];
+  /// Indexed by FrameType id.
+  CodecByteCounts
+      by_type_[static_cast<size_t>(FrameType::kPartitionFragment) + 1];
   int64_t retired_bytes_ = 0;
 
   int64_t retries_ = 0;

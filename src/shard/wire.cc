@@ -203,6 +203,10 @@ Result<DecodedFrame> DecodeFrame(const uint8_t* data, size_t size) {
                               std::to_string(version));
   }
   const uint16_t raw_type = LoadU16(data + 6);
+  if (raw_type == kRetiredFrameTypeBatch) {
+    return Status::ParseError(
+        "retired wire frame type 8 (batch envelope, wire versions 2-8)");
+  }
   if (raw_type < static_cast<uint16_t>(FrameType::kPartitionBlock) ||
       raw_type > static_cast<uint16_t>(FrameType::kPartitionFragment)) {
     return Status::ParseError("unknown wire frame type " +
@@ -354,7 +358,7 @@ std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
 }
 
 Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
-    const DecodedFrame& frame, int64_t num_rows, CodecByteCounts* counts) {
+    const DecodedFrame& frame, int64_t num_rows) {
   if (frame.type != FrameType::kPartitionBlock) {
     return Status::ParseError("frame is not a partition block");
   }
@@ -364,7 +368,6 @@ Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
   uint8_t codec = 0;
   AOD_RETURN_NOT_OK(reader.GetU8(&codec));
   StrippedPartition partition;
-  size_t raw_csr_bytes = 0;
   if (codec == kCodecRaw) {
     size_t consumed = 0;
     AOD_ASSIGN_OR_RETURN(
@@ -372,7 +375,6 @@ Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
         StrippedPartition::Deserialize(reader.cursor(), reader.remaining(),
                                        num_rows, &consumed));
     reader.Skip(consumed);
-    raw_csr_bytes = consumed;
   } else if (codec == kCodecDeltaVarint) {
     std::vector<uint8_t> csr;
     AOD_RETURN_NOT_OK(ExpandCompressedCsr(&reader, num_rows, &csr));
@@ -384,17 +386,11 @@ Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
     if (consumed != csr.size()) {
       return Status::ParseError("partition body has trailing bytes");
     }
-    raw_csr_bytes = csr.size();
   } else {
     return Status::ParseError("unknown partition codec " +
                               std::to_string(codec));
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  if (counts != nullptr) {
-    counts->raw +=
-        static_cast<int64_t>(kFrameHeaderBytes + 8 + 1 + raw_csr_bytes);
-    counts->wire += static_cast<int64_t>(kFrameHeaderBytes + frame.size);
-  }
   return std::make_pair(AttributeSet(bits), std::move(partition));
 }
 
@@ -433,7 +429,7 @@ std::vector<uint8_t> EncodeCandidateBatch(
 }
 
 Result<std::vector<WireCandidate>> DecodeCandidateBatch(
-    const DecodedFrame& frame, CodecByteCounts* counts) {
+    const DecodedFrame& frame) {
   if (frame.type != FrameType::kCandidateBatch) {
     return Status::ParseError("frame is not a candidate batch");
   }
@@ -462,11 +458,6 @@ Result<std::vector<WireCandidate>> DecodeCandidateBatch(
     out.push_back(c);
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  if (counts != nullptr) {
-    const int64_t bytes = static_cast<int64_t>(kFrameHeaderBytes + frame.size);
-    counts->raw += bytes;
-    counts->wire += bytes;
-  }
   return out;
 }
 
@@ -684,8 +675,7 @@ std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table, bool compress,
   return EncodeTableSlice(table, 0, table.num_rows(), compress, counts);
 }
 
-Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
-                                        CodecByteCounts* counts) {
+Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame) {
   if (frame.type != FrameType::kTableBlock) {
     return Status::ParseError("frame is not a table block");
   }
@@ -706,7 +696,6 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
       row_offset > total_rows - slice_rows) {
     return Status::ParseError("table slice outside its table's rows");
   }
-  int64_t raw_bytes = static_cast<int64_t>(kFrameHeaderBytes) + 8 + 4 + 16;
   std::vector<EncodedColumn> columns;
   columns.reserve(num_columns);
   for (uint32_t c = 0; c < num_columns; ++c) {
@@ -773,15 +762,9 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
         return Status::ParseError("rank outside its declared cardinality");
       }
     }
-    raw_bytes += 8 + static_cast<int64_t>(col.name.size()) + 4 + 1 + 8 +
-                 4 * static_cast<int64_t>(col.ranks.size());
     columns.push_back(std::move(col));
   }
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  if (counts != nullptr) {
-    counts->raw += raw_bytes;
-    counts->wire += static_cast<int64_t>(kFrameHeaderBytes + frame.size);
-  }
   WireTableSlice out;
   out.table = EncodedTable(std::move(columns), slice_rows);
   out.row_offset = row_offset;
@@ -789,16 +772,11 @@ Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
   return out;
 }
 
-Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame,
-                                      CodecByteCounts* counts) {
-  // Count bytes only for an accepted frame: a rejected slice must not
-  // pollute the caller's accounting.
-  CodecByteCounts local;
-  AOD_ASSIGN_OR_RETURN(WireTableSlice slice, DecodeTableSlice(frame, &local));
+Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame) {
+  AOD_ASSIGN_OR_RETURN(WireTableSlice slice, DecodeTableSlice(frame));
   if (slice.row_offset != 0 || slice.total_rows != slice.table.num_rows()) {
     return Status::ParseError("table block is a row slice");
   }
-  if (counts != nullptr) counts->Add(local);
   return std::move(slice.table);
 }
 
@@ -998,55 +976,6 @@ std::vector<uint8_t> EncodeShutdown() {
   return writer.SealFrame(FrameType::kShutdown);
 }
 
-std::vector<uint8_t> EncodeBatchEnvelope(
-    const std::vector<std::vector<uint8_t>>& frames) {
-  WireWriter writer;
-  writer.PutU32(static_cast<uint32_t>(frames.size()));
-  for (const std::vector<uint8_t>& f : frames) {
-    writer.PutU64(f.size());
-    writer.PutBytes(f.data(), f.size());
-  }
-  return writer.SealFrame(FrameType::kBatch);
-}
-
-Result<std::vector<std::vector<uint8_t>>> UnpackBatchEnvelope(
-    const DecodedFrame& frame) {
-  if (frame.type != FrameType::kBatch) {
-    return Status::ParseError("frame is not a batch envelope");
-  }
-  WireReader reader(frame.payload, frame.size);
-  uint32_t count = 0;
-  AOD_RETURN_NOT_OK(reader.GetU32(&count));
-  if (count == 0) {
-    return Status::ParseError("empty batch envelope");
-  }
-  // Each inner frame costs at least a length prefix plus a header.
-  if (count > reader.remaining() / (8 + kFrameHeaderBytes)) {
-    return Status::ParseError("batch envelope longer than its payload");
-  }
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    AOD_RETURN_NOT_OK(reader.GetU64(&len));
-    if (len > reader.remaining()) {
-      return Status::ParseError("batch envelope segment truncated");
-    }
-    if (len < kFrameHeaderBytes) {
-      return Status::ParseError("batch envelope segment shorter than a "
-                                "frame header");
-    }
-    const uint8_t* p = reader.cursor();
-    if (LoadU16(p + 6) == static_cast<uint16_t>(FrameType::kBatch)) {
-      return Status::ParseError("nested batch envelope");
-    }
-    out.emplace_back(p, p + len);
-    reader.Skip(static_cast<size_t>(len));
-  }
-  AOD_RETURN_NOT_OK(reader.ExpectEnd());
-  return out;
-}
-
 std::vector<uint8_t> EncodeStatsFooter(const ShardStatsFooter& footer) {
   WireWriter writer;
   writer.PutU32(footer.shard_id);
@@ -1060,8 +989,6 @@ std::vector<uint8_t> EncodeStatsFooter(const ShardStatsFooter& footer) {
   writer.PutI64(footer.partition_bytes_evicted);
   writer.PutI64(footer.partition_bytes_final);
   writer.PutI64(footer.partition_bytes_peak);
-  writer.PutI64(footer.bytes_decoded_raw);
-  writer.PutI64(footer.bytes_decoded_wire);
   writer.PutDouble(footer.partition_seconds);
   return writer.SealFrame(FrameType::kStatsFooter);
 }
@@ -1083,16 +1010,13 @@ Result<ShardStatsFooter> DecodeStatsFooter(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.partition_bytes_evicted));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.partition_bytes_final));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.partition_bytes_peak));
-  AOD_RETURN_NOT_OK(reader.GetI64(&footer.bytes_decoded_raw));
-  AOD_RETURN_NOT_OK(reader.GetI64(&footer.bytes_decoded_wire));
   AOD_RETURN_NOT_OK(reader.GetDouble(&footer.partition_seconds));
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   if (footer.frames_served < 0 || footer.products_computed < 0 ||
       footer.planner_derivations < 0 || footer.planner_cost_estimated < 0 ||
       footer.planner_cost_realized < 0 ||
       footer.partitions_evicted < 0 || footer.partition_bytes_evicted < 0 ||
-      footer.partition_bytes_final < 0 || footer.partition_bytes_peak < 0 ||
-      footer.bytes_decoded_raw < 0 || footer.bytes_decoded_wire < 0) {
+      footer.partition_bytes_final < 0 || footer.partition_bytes_peak < 0) {
     return Status::ParseError("negative counter in stats footer");
   }
   return footer;

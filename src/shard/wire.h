@@ -30,13 +30,11 @@
 // frame self-describing: a decoder never needs to know what the encoder
 // chose. Table blocks pick a per-column rank width from the column's
 // cardinality. Candidate and result batches always ship raw. The
-// checksum covers the on-wire (possibly compressed) payload bytes. kBatch
-// is an envelope frame whose payload is a sequence of complete inner
-// frames, so many small frames cross a socket as one write (see
-// channel.h's BatchingFrameSender).
+// checksum covers the on-wire (possibly compressed) payload bytes.
 //
-// The frame layer is transport-agnostic: ShardChannel moves opaque
-// frames, and no encoder or decoder knows which endpoint carries them.
+// Every message crosses the channel as its own frame. The frame layer
+// is transport-agnostic: ShardChannel moves opaque frames, and no
+// encoder or decoder knows which endpoint carries them.
 #ifndef AOD_SHARD_WIRE_H_
 #define AOD_SHARD_WIRE_H_
 
@@ -56,7 +54,7 @@ namespace aod {
 namespace shard {
 
 inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
-/// Version 2: compressed payload codecs (flags byte) + kBatch envelopes
+/// Version 2: compressed payload codecs (flags byte) + batch envelopes
 /// + split raw/wire byte accounting in the stats footer.
 /// Version 3: an attempt id in the config block and the stats footer, so
 /// a supervising coordinator that respawned a shard can tell a stale
@@ -81,7 +79,15 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// partition codec, the compressed candidate and result bodies and the
 /// varint rank tier are gone; the candidate batch drops its flags byte.
 /// Their retired ids and flag bits are typed parse errors.
-inline constexpr uint16_t kWireVersion = 8;
+/// Version 9: every message is its own frame. The batch envelope (frame
+/// type 8) is retired and decodes as a typed parse error naming it; the
+/// stats footer drops its two decoded-byte counters, since the
+/// coordinator accounts every seam byte at its own encode and decode
+/// sites.
+inline constexpr uint16_t kWireVersion = 9;
+/// The retired batch-envelope frame id (wire versions 2-8). Ids are never
+/// renumbered, so DecodeFrame names it instead of misreading a frame.
+inline constexpr uint16_t kRetiredFrameTypeBatch = 8;
 inline constexpr size_t kFrameHeaderBytes = 24;
 
 enum class FrameType : uint16_t {
@@ -107,14 +113,7 @@ enum class FrameType : uint16_t {
   /// carrying the shard's DiscoveryStats counters so remote runners
   /// aggregate without object access.
   kStatsFooter = 7,
-  /// An envelope holding a sequence of complete inner frames (payload:
-  /// u32 count, then per inner frame u64 length + the frame bytes,
-  /// header included). Inner frames are ordinary checksummed frames and
-  /// must not themselves be kBatch. One envelope counts as its inner
-  /// frames for the frames_served conversation cross-check. Envelopes
-  /// are framing, not a payload codec: the codec measurement that
-  /// retired the other compressed forms did not cover them.
-  kBatch = 8,
+  // 8 is retired (kRetiredFrameTypeBatch).
 
   // --- The serving vocabulary (src/serve/) ---------------------------
   // The discovery-as-a-service job protocol between a DiscoveryClient
@@ -182,7 +181,8 @@ uint64_t WireChecksum(const uint8_t* data, size_t size);
 /// `raw` is what the frame(s) would occupy with every codec forced to
 /// raw (header included), `wire` is what actually crossed the channel.
 /// Encoders and decoders compute identical values from the same message,
-/// so either side of the seam can account without trusting the other.
+/// so the coordinator counts a frame at whichever end of the link it
+/// sits, without trusting a number the runner reports.
 struct CodecByteCounts {
   int64_t raw = 0;
   int64_t wire = 0;
@@ -264,19 +264,21 @@ struct DecodedFrame {
   size_t size = 0;
 };
 
-/// Validates magic, version, declared payload size and checksum.
+/// Validates magic, version, type (a retired or unknown id is a typed
+/// ParseError), declared payload size and checksum.
 /// The returned view aliases the input bytes, which must outlive it.
 Result<DecodedFrame> DecodeFrame(const uint8_t* data, size_t size);
 Result<DecodedFrame> DecodeFrame(const std::vector<uint8_t>& frame);
 
 // ---------------------------------------------------------------------------
 // Message vocabulary. One encode/decode pair per FrameType; decoders
-// reject type mismatches and any structural violation. Encoders of the
-// frames that ship bytes take an optional `counts` accumulator for the
-// raw/wire byte split, and decoders can report the same counts from
-// their side of the seam. The partition, fragment and table encoders
-// also take `compress` (false forces raw); decoders accept either
-// codec regardless, since frames are self-describing.
+// reject type mismatches and any structural violation. The coordinator
+// accounts the raw/wire byte split of every seam frame at its own
+// sites: encoders of the frames it ships, and decoders of the frames it
+// receives (result batches, partition fragments), take an optional
+// `counts` accumulator. The partition, fragment and table encoders also
+// take `compress` (false forces raw); decoders accept either codec
+// regardless, since frames are self-describing.
 
 /// One candidate assigned to a shard. `slot` is the candidate's index in
 /// the coordinator's flattened per-level array — results are keyed by it,
@@ -331,8 +333,7 @@ std::vector<uint8_t> EncodePartitionBlock(AttributeSet set,
 /// a compressed body is expanded back to the raw CSR bytes first, so
 /// both codecs pass through exactly the same structural validation.
 Result<std::pair<AttributeSet, StrippedPartition>> DecodePartitionBlock(
-    const DecodedFrame& frame, int64_t num_rows,
-    CodecByteCounts* counts = nullptr);
+    const DecodedFrame& frame, int64_t num_rows);
 
 /// Raw only: u64 count, then a 30-byte record per candidate. A
 /// compressed body measured no time or memory win on the shard-proc
@@ -341,7 +342,7 @@ std::vector<uint8_t> EncodeCandidateBatch(
     const std::vector<WireCandidate>& candidates,
     CodecByteCounts* counts = nullptr);
 Result<std::vector<WireCandidate>> DecodeCandidateBatch(
-    const DecodedFrame& frame, CodecByteCounts* counts = nullptr);
+    const DecodedFrame& frame);
 
 /// Raw only, for the same reason as candidate batches: the flags byte
 /// (kResultFlagFinalChunk is its one defined bit), u64 count, then per
@@ -409,8 +410,7 @@ std::vector<uint8_t> EncodeTableBlock(const EncodedTable& table,
 /// bootstrap and the serve path need the whole table, and a partial
 /// slice silently treated as one would corrupt every downstream
 /// partition. Row-shard consumers use DecodeTableSlice.
-Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame,
-                                      CodecByteCounts* counts = nullptr);
+Result<EncodedTable> DecodeTableBlock(const DecodedFrame& frame);
 
 /// A decoded kTableBlock that may cover only [row_offset,
 /// row_offset + table.num_rows()) of a total_rows-row table. The
@@ -432,8 +432,7 @@ std::vector<uint8_t> EncodeTableSlice(const EncodedTable& table,
 /// Validates the slice framing (0 <= row_offset, row_offset + slice rows
 /// <= total_rows) and every rank against its table-global cardinality
 /// (itself bounded by total_rows, not the slice length).
-Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame,
-                                        CodecByteCounts* counts = nullptr);
+Result<WireTableSlice> DecodeTableSlice(const DecodedFrame& frame);
 
 /// One PartitionFragment (partition/partition_stitch.h) as a checksummed
 /// frame: attribute, row range, then a codec byte over the fragment body
@@ -455,18 +454,6 @@ Result<PartitionFragment> DecodePartitionFragment(
 /// An empty-payload kShutdown frame.
 std::vector<uint8_t> EncodeShutdown();
 
-/// Seals `frames` (complete sealed frames, none of them kBatch) into one
-/// kBatch envelope.
-std::vector<uint8_t> EncodeBatchEnvelope(
-    const std::vector<std::vector<uint8_t>>& frames);
-/// Splits a validated kBatch frame back into its inner frames (copies,
-/// so the envelope buffer can die). Rejects empty envelopes, truncated
-/// segments and nested kBatch; each inner frame still carries its own
-/// header + checksum and is fully validated by the consumer's
-/// DecodeFrame.
-Result<std::vector<std::vector<uint8_t>>> UnpackBatchEnvelope(
-    const DecodedFrame& frame);
-
 /// The per-shard DiscoveryStats counters a runner reports in its
 /// terminal frame. Doubles are timing (exempt from the determinism
 /// contract); the integer counters are pure functions of the batches
@@ -478,9 +465,9 @@ struct ShardStatsFooter {
   /// attempt it is finishing so duplicate footers (a superseded attempt
   /// that still managed to answer its shutdown) are distinguishable.
   uint32_t attempt_id = 0;
-  /// Logical frames the runner served (bases + batches + shutdown; an
-  /// envelope counts as its inner frames) — a cheap conversation-length
-  /// cross-check for the coordinator.
+  /// Frames the runner served after its bootstrap (bases + batches +
+  /// shutdown) — a cheap conversation-length cross-check for the
+  /// coordinator.
   int64_t frames_served = 0;
   int64_t products_computed = 0;
   /// PartitionCache's planner counters (see DiscoveryStats).
@@ -491,12 +478,6 @@ struct ShardStatsFooter {
   int64_t partition_bytes_evicted = 0;
   int64_t partition_bytes_final = 0;
   int64_t partition_bytes_peak = 0;
-  /// Raw vs. on-wire bytes of the partition, candidate-batch and table
-  /// frames this shard decoded (a candidate batch is always raw, so its
-  /// two counts are equal). The coordinator folds these into the run's
-  /// shard_bytes_raw so the compression ratio is observable per run.
-  int64_t bytes_decoded_raw = 0;
-  int64_t bytes_decoded_wire = 0;
   double partition_seconds = 0.0;
 };
 

@@ -613,7 +613,8 @@ TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
   // all-raw baseline; candidate and result batches always ship raw, so
   // their wire bytes equal their raw bytes. The run as a whole therefore
   // ships less than all-raw, for every shard count, with the output
-  // unchanged.
+  // unchanged — and the whole saving is the per-type savings: every
+  // byte is accounted at the coordinator's own encode/decode sites.
   Table t = GenerateNcVoterTable(400, 6, 11);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
@@ -635,10 +636,14 @@ TEST(ParallelDeterminismTest, ShardWireAccountingShowsCompression) {
     EXPECT_EQ(run.stats.shard_bytes_wire, run.stats.shard_bytes_shipped);
     EXPECT_FALSE(run.stats.shard_frame_bytes.empty());
     std::map<std::string, DiscoveryStats::FrameTypeBytes> by_type;
+    int64_t per_type_savings = 0;
     for (const DiscoveryStats::FrameTypeBytes& fb :
          run.stats.shard_frame_bytes) {
       by_type[fb.frame_type] = fb;
+      per_type_savings += fb.bytes_raw - fb.bytes_wire;
     }
+    EXPECT_EQ(run.stats.shard_bytes_raw - run.stats.shard_bytes_wire,
+              per_type_savings);
     for (const char* type : {"candidate", "result"}) {
       ASSERT_EQ(by_type.count(type), 1u) << type;
       EXPECT_GT(by_type[type].bytes_wire, 0) << type;

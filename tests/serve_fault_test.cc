@@ -651,6 +651,38 @@ TEST(ServeFaultTest, MalformedFramesFailOnlyTheirOwnConnection) {
   submit.table_frame = shard::EncodeTableBlock(testing_util::PaperEncoded());
   const std::vector<uint8_t> valid = EncodeJobSubmit(submit);
 
+  // A client-sent frame of the retired type 8 (the batch envelope of
+  // wire versions 2-8, wrapping a valid submit), sealed at the current
+  // version: the server rejects exactly that frame and drops exactly
+  // that connection, while a client connected alongside keeps working.
+  {
+    Result<std::unique_ptr<DiscoveryClient>> bystander =
+        DiscoveryClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(bystander.ok()) << bystander.status().ToString();
+    const int64_t rejected_before = server->stats().frames_rejected;
+    shard::WireWriter writer;
+    writer.PutU32(1);
+    writer.PutU64(valid.size());
+    writer.PutBytes(valid.data(), valid.size());
+    const std::vector<uint8_t> retired = writer.SealFrame(
+        static_cast<shard::FrameType>(shard::kRetiredFrameTypeBatch));
+    int fd = RawConnect(server->port());
+    ASSERT_GE(fd, 0);
+    RawSend(fd, retired.data(), retired.size());
+    EXPECT_TRUE(WaitForPeerClose(fd, 10.0));
+    ::close(fd);
+    EXPECT_EQ(server->stats().frames_rejected, rejected_before + 1);
+
+    Result<uint64_t> job =
+        (*bystander)->Submit(testing_util::PaperEncoded(), SmallJobOptions());
+    ASSERT_TRUE(job.ok()) << job.status().ToString();
+    Result<DiscoveryResult> remote = (*bystander)->Await(*job);
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    EXPECT_EQ(OutputFingerprint(*remote),
+              OutputFingerprint(
+                  DiscoverOds(testing_util::PaperEncoded(), SmallJobOptions())));
+  }
+
   // Each hostile payload goes down its own fresh connection; the server
   // must shed that connection (typed error where the stream allows)
   // and keep serving everyone else.

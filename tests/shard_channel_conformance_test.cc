@@ -1,7 +1,7 @@
 // One observable contract, every channel endpoint.
 //
-// Every SocketShardChannel endpoint — a localhost TCP socket and a pipe
-// pair — must behave the same under the coordinator, so one
+// Every SocketShardChannel endpoint — a localhost TCP connection and a
+// Unix socketpair — must behave the same under the coordinator, so one
 // parameterized suite holds both to the channel contract: exact in-order
 // delivery, frame reassembly across partial reads, drain-then-kClosed
 // shutdown (including waking a *blocked* receiver), typed oversized-
@@ -11,6 +11,7 @@
 // contract: every injected fault yields a typed error from DiscoverOds —
 // no hang, no crash, no partially merged level.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -67,20 +68,24 @@ std::unique_ptr<Endpoints> MakeTcp(ChannelOptions options) {
   return endpoints;
 }
 
-std::unique_ptr<Endpoints> MakePipe(ChannelOptions options) {
-  // The stdio path of shard_runner_main: a unidirectional fd pair.
+std::unique_ptr<Endpoints> MakeSocketPair(ChannelOptions options) {
   auto endpoints = std::make_unique<Endpoints>();
-  int fds[2];
-  AOD_CHECK(::pipe(fds) == 0);
-  int devnull[2];
-  AOD_CHECK(::pipe(devnull) == 0);
-  auto write_end = SocketShardChannel::AdoptPair(devnull[0], fds[1], options);
-  auto read_end = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
-  endpoints->sender = write_end.get();
-  endpoints->receiver = read_end.get();
-  endpoints->owned.push_back(std::move(write_end));
-  endpoints->owned.push_back(std::move(read_end));
+  testing_util::ChannelPair pair = testing_util::SocketChannelPair(options);
+  endpoints->sender = pair.near.get();
+  endpoints->receiver = pair.far.get();
+  endpoints->owned.push_back(std::move(pair.near));
+  endpoints->owned.push_back(std::move(pair.far));
   return endpoints;
+}
+
+/// A channel over one end of a Unix socketpair; the test writes raw
+/// bytes into `peer_fd` (and closes it) to forge a hostile stream.
+std::unique_ptr<SocketShardChannel> RawPeerChannel(ChannelOptions options,
+                                                   int* peer_fd) {
+  int fds[2];
+  AOD_CHECK(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0);
+  *peer_fd = fds[1];
+  return SocketShardChannel::Adopt(fds[0], options);
 }
 
 struct TransportParam {
@@ -105,7 +110,7 @@ TEST_P(ShardChannelConformanceTest, DeliversFramesInOrderWithExactBytes) {
   ChannelOptions options;
   options.receive_timeout_seconds = 10.0;
   auto endpoints = GetParam().factory(options);
-  // Sizes straddle typical pipe/socket buffer boundaries so stream
+  // Sizes straddle typical socket buffer boundaries so stream
   // transports must reassemble across partial reads; empty payloads pin
   // the header-only frame boundary.
   const size_t sizes[] = {0, 1, 24, 1000, 65536, 200000, 0, 3};
@@ -208,7 +213,7 @@ TEST_P(ShardChannelConformanceTest, ReceiveTimeoutIsTypedNotAHang) {
 INSTANTIATE_TEST_SUITE_P(
     Transports, ShardChannelConformanceTest,
     ::testing::Values(TransportParam{"tcp", MakeTcp},
-                      TransportParam{"pipe", MakePipe}),
+                      TransportParam{"socketpair", MakeSocketPair}),
     [](const ::testing::TestParamInfo<TransportParam>& info) {
       return info.param.name;
     });
@@ -250,63 +255,52 @@ TEST(SocketChannelFaultTest, EofMidFrameIsTypedNotAHang) {
 }
 
 TEST(SocketChannelFaultTest, DesynchronizedStreamIsRejected) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
   ChannelOptions options;
   options.receive_timeout_seconds = 5.0;
-  int devnull[2];
-  ASSERT_EQ(::pipe(devnull), 0);
-  auto receiver = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
+  int peer = -1;
+  auto receiver = RawPeerChannel(options, &peer);
   // 24 bytes of garbage where a header should be: the channel must
   // refuse to trust the length field of a stream that lost framing.
   std::vector<uint8_t> garbage(shard::kFrameHeaderBytes, 0xab);
-  ASSERT_EQ(::write(fds[1], garbage.data(), garbage.size()),
+  ASSERT_EQ(::write(peer, garbage.data(), garbage.size()),
             static_cast<ssize_t>(garbage.size()));
   Result<std::vector<uint8_t>> got = receiver->Receive();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-  ::close(fds[1]);
-  ::close(devnull[0]);
+  ::close(peer);
 }
 
 TEST(SocketChannelFaultTest, HostileLengthHeaderRejectedWithoutAllocation) {
   // Valid magic and version but a near-UINT64_MAX declared payload: the
   // receiver must reject from the header — wrapping the size arithmetic
   // or trusting it with an allocation would be an OOM bomb.
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  int devnull[2];
-  ASSERT_EQ(::pipe(devnull), 0);
   ChannelOptions options;
   options.receive_timeout_seconds = 5.0;
-  auto receiver = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
+  int peer = -1;
+  auto receiver = RawPeerChannel(options, &peer);
   std::vector<uint8_t> header = TestFrame(0);  // pristine 24-byte header
   header.resize(shard::kFrameHeaderBytes);
   for (int i = 8; i < 16; ++i) header[static_cast<size_t>(i)] = 0xff;
-  ASSERT_EQ(::write(fds[1], header.data(), header.size()),
+  ASSERT_EQ(::write(peer, header.data(), header.size()),
             static_cast<ssize_t>(header.size()));
   Result<std::vector<uint8_t>> got = receiver->Receive();
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kParseError);
-  ::close(fds[1]);
-  ::close(devnull[0]);
+  ::close(peer);
 }
 
 TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
   ChannelOptions options;
   options.receive_timeout_seconds = 10.0;
-  int devnull[2];
-  ASSERT_EQ(::pipe(devnull), 0);
-  auto receiver = SocketShardChannel::AdoptPair(fds[0], devnull[1], options);
+  int peer = -1;
+  auto receiver = RawPeerChannel(options, &peer);
   const std::vector<uint8_t> frame = TestFrame(5000);
   std::thread dripper([&] {
     // 7-byte trickle across frame boundaries: the receiver sees many
     // partial reads and must still reassemble the exact frame.
     for (size_t at = 0; at < frame.size(); at += 7) {
       const size_t n = std::min<size_t>(7, frame.size() - at);
-      ASSERT_EQ(::write(fds[1], frame.data() + at, n),
+      ASSERT_EQ(::write(peer, frame.data() + at, n),
                 static_cast<ssize_t>(n));
       if (at % 700 == 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -317,8 +311,7 @@ TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
   dripper.join();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, frame);
-  ::close(fds[1]);
-  ::close(devnull[0]);
+  ::close(peer);
 }
 
 // -------------------------------------- coordinator fault injection --
@@ -369,13 +362,13 @@ TEST_F(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
   ASSERT_TRUE(clean.shard_status.ok());
 
   // Triggers place each fault mid-run, after at least one level merged
-  // cleanly. Send-side faults count the coordinator's physical sends —
-  // runners first get the config and table frames, then the 5 base
-  // partitions ship as ONE kBatch envelope, then the level-1 candidate
-  // batch — so the send trigger lands the fault on the level-2 batch.
+  // cleanly. Send-side faults count the coordinator's sends — runners
+  // first get the config and table frames, then one frame per base
+  // partition (k of them), then the level-1 candidate batch — so the
+  // send trigger 3 + k lands the fault on the level-2 batch.
   // Receive-side faults count the coordinator socket's reply frames: 2
   // reply chunks pass, the level-3 reply is mangled.
-  const int send_trigger = 4;
+  const int send_trigger = 3 + enc.num_columns();
   const int receive_trigger = 2;
   struct FaultCase {
     FlakyChannel::Fault fault;

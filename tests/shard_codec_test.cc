@@ -1,6 +1,6 @@
 // The payload codecs: raw and delta-varint partition bodies,
-// dictionary-packed table ranks, raw candidate and result batches,
-// kBatch envelopes and the batching sender/receiver pair.
+// dictionary-packed table ranks, raw candidate and result batches, and
+// the typed rejection of every retired codec id and frame type.
 //
 // The contract under test has three legs. (1) Losslessness: for every
 // message and every codec choice, compressed and raw frames decode to
@@ -19,26 +19,21 @@
 #include <vector>
 
 #include "data/encoder.h"
-#include "flaky_channel.h"
 #include "gen/random.h"
 #include "od/dependency_kind.h"
 #include "partition/stripped_partition.h"
-#include "shard/channel.h"
 #include "shard/wire.h"
 #include "test_util.h"
 
 namespace aod {
 namespace {
 
-using shard::BatchingFrameSender;
 using shard::CodecByteCounts;
 using shard::DecodedFrame;
 using shard::DecodeFrame;
 using shard::FrameType;
-using shard::LogicalFrameReceiver;
 using shard::WireCandidate;
 using shard::WireOutcome;
-using testing_util::FlakyChannel;
 
 /// Bytes must outlive the DecodedFrame view (see shard_wire_test.cc).
 struct HeldFrame {
@@ -97,14 +92,6 @@ void ExpectPartitionCodecEquivalence(const StrippedPartition& p,
   EXPECT_EQ(from_compressed->first.bits(), set.bits());
   EXPECT_EQ(from_compressed->second.Serialize(), p.Serialize());
   EXPECT_EQ(from_raw->second.Serialize(), p.Serialize());
-
-  // The decoder reports the same raw/wire split the encoder did.
-  CodecByteCounts decode_counts;
-  ASSERT_TRUE(
-      shard::DecodePartitionBlock(*compressed, num_rows, &decode_counts)
-          .ok());
-  EXPECT_EQ(decode_counts.raw, compressed_counts.raw);
-  EXPECT_EQ(decode_counts.wire, compressed_counts.wire);
 }
 
 TEST(ShardCodecTest, PartitionEdgeShapesRoundTripBothCodecs) {
@@ -426,11 +413,29 @@ TEST(ShardCodecTest, RetiredCodecIdsAreTypedErrors) {
                     "unknown rank codec 3");
   }
 
-  // A version-7 frame fails the version check before any payload decode.
-  std::vector<uint8_t> v7 = shard::EncodeCandidateBatch({});
-  v7[4] = 7;
-  v7[5] = 0;
-  expect_rejected(DecodeFrame(v7).status(), "unsupported wire version 7");
+  // Frame type 8 (the batch envelope of versions 2-8) sealed at the
+  // current version: the frame decoder names the retired type.
+  {
+    shard::WireWriter w;
+    w.PutU32(1);  // one inner frame
+    const std::vector<uint8_t> inner = shard::EncodeShutdown();
+    w.PutU64(inner.size());
+    w.PutBytes(inner.data(), inner.size());
+    const std::vector<uint8_t> frame =
+        w.SealFrame(static_cast<FrameType>(shard::kRetiredFrameTypeBatch));
+    expect_rejected(DecodeFrame(frame).status(),
+                    "retired wire frame type 8 (batch envelope");
+  }
+
+  // Version-7 and version-8 frames fail the version check before any
+  // payload decode.
+  for (uint8_t version : {7, 8}) {
+    std::vector<uint8_t> old = shard::EncodeCandidateBatch({});
+    old[4] = version;
+    old[5] = 0;
+    expect_rejected(DecodeFrame(old).status(),
+                    "unsupported wire version " + std::to_string(version));
+  }
 }
 
 TEST(ShardCodecTest, ConfigBlockRejectsBadKindSetsAndThresholds) {
@@ -542,181 +547,6 @@ TEST(ShardCodecTest, CorruptedCompressedTableIsTypedAtEveryByte) {
     // mutations are typed rejections; the rest only moved rank values
     // within their declared domain. Never OOB, never a crash.
     shard::DecodeTableBlock(*bad).status();
-  }
-}
-
-// -------------------------------------------------- batch envelopes --
-
-TEST(ShardCodecTest, BatchEnvelopeRoundTripsInnerFramesByteExactly) {
-  Rng rng(31);
-  std::vector<std::vector<uint8_t>> inner;
-  inner.push_back(shard::EncodeCandidateBatch(RandomCandidates(&rng, 5)));
-  inner.push_back(shard::EncodeShutdown());
-  inner.push_back(shard::EncodeResultBatch(RandomOutcomes(&rng, 3, false)));
-  HeldFrame envelope(shard::EncodeBatchEnvelope(inner));
-  ASSERT_TRUE(envelope.ok());
-  EXPECT_EQ((*envelope).type, FrameType::kBatch);
-  auto unpacked = shard::UnpackBatchEnvelope(*envelope);
-  ASSERT_TRUE(unpacked.ok()) << unpacked.status().ToString();
-  ASSERT_EQ(unpacked->size(), inner.size());
-  for (size_t i = 0; i < inner.size(); ++i) {
-    EXPECT_EQ((*unpacked)[i], inner[i]) << "inner frame " << i;
-    EXPECT_TRUE(DecodeFrame((*unpacked)[i]).ok());
-  }
-}
-
-TEST(ShardCodecTest, MalformedEnvelopesAreTypedErrors) {
-  Rng rng(32);
-  const std::vector<uint8_t> ok_inner =
-      shard::EncodeCandidateBatch(RandomCandidates(&rng, 2));
-
-  // An empty envelope is unrepresentable through BatchingFrameSender
-  // (zero frames -> no send) and rejected on decode.
-  shard::WireWriter empty;
-  empty.PutU32(0);
-  HeldFrame zero(empty.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(zero.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*zero).ok());
-
-  // Nested envelopes are rejected (one level of wrapping only).
-  HeldFrame nested(shard::EncodeBatchEnvelope(
-      {shard::EncodeBatchEnvelope({ok_inner})}));
-  ASSERT_TRUE(nested.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*nested).ok());
-
-  // A hostile count with no bytes behind it must be rejected from the
-  // declared sizes, not by attempting the allocation.
-  shard::WireWriter hostile;
-  hostile.PutU32(0xffffffff);
-  HeldFrame bomb(hostile.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(bomb.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*bomb).ok());
-
-  // Truncated segment: a declared inner length running past the end.
-  shard::WireWriter torn;
-  torn.PutU32(1);
-  torn.PutU64(ok_inner.size() + 50);
-  torn.PutBytes(ok_inner.data(), ok_inner.size());
-  HeldFrame truncated(torn.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(truncated.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*truncated).ok());
-
-  // An inner segment shorter than a frame header.
-  shard::WireWriter runt;
-  runt.PutU32(1);
-  runt.PutU64(4);
-  runt.PutU32(0xdeadbeef);
-  HeldFrame tiny(runt.SealFrame(FrameType::kBatch));
-  ASSERT_TRUE(tiny.ok());
-  EXPECT_FALSE(shard::UnpackBatchEnvelope(*tiny).ok());
-
-  // Per-byte payload corruption: typed, never OOB.
-  const std::vector<uint8_t> envelope =
-      shard::EncodeBatchEnvelope({ok_inner, ok_inner});
-  for (size_t i = 0; i < envelope.size() - shard::kFrameHeaderBytes; ++i) {
-    HeldFrame bad(CorruptPayloadResealed(envelope, i));
-    ASSERT_TRUE(bad.ok());
-    auto unpacked = shard::UnpackBatchEnvelope(*bad);
-    if (!unpacked.ok()) continue;
-    // Structure survived; the inner checksums then catch value damage.
-    for (const std::vector<uint8_t>& f : *unpacked) {
-      shard::DecodeFrame(f).status();
-    }
-  }
-}
-
-// ------------------------------------- batching sender + receiver --
-
-/// A socket link with a receive bound, so a broken test fails instead of
-/// hanging.
-testing_util::ChannelPair TestLink() {
-  shard::ChannelOptions copts;
-  copts.receive_timeout_seconds = 10.0;
-  return testing_util::SocketChannelPair(copts);
-}
-
-TEST(ShardCodecTest, BatchingSenderCoalescesAndReceiverUnwraps) {
-  Rng rng(71);
-  testing_util::ChannelPair link = TestLink();
-  BatchingFrameSender sender(link.near.get());
-  std::vector<std::vector<uint8_t>> sent;
-  for (int i = 0; i < 5; ++i) {
-    sent.push_back(shard::EncodeCandidateBatch(
-        RandomCandidates(&rng, 1 + static_cast<size_t>(i))));
-    ASSERT_TRUE(sender.Add(sent.back()).ok());
-  }
-  EXPECT_EQ(sender.pending_frames(), 5u);  // small frames: no auto-flush
-  ASSERT_TRUE(sender.Flush().ok());
-  EXPECT_EQ(sender.pending_frames(), 0u);
-
-  // Exactly ONE physical frame crossed the channel...
-  Result<std::vector<uint8_t>> physical = link.far->Receive();
-  ASSERT_TRUE(physical.ok());
-  HeldFrame envelope(*physical);
-  ASSERT_TRUE(envelope.ok());
-  EXPECT_EQ((*envelope).type, FrameType::kBatch);
-
-  // ...which the logical receiver yields as the original sequence.
-  ASSERT_TRUE(link.near->Send(std::move(*physical)).ok());
-  LogicalFrameReceiver receiver(link.far.get());
-  for (size_t i = 0; i < sent.size(); ++i) {
-    Result<std::vector<uint8_t>> logical = receiver.Receive();
-    ASSERT_TRUE(logical.ok()) << i;
-    EXPECT_EQ(*logical, sent[i]) << "logical frame " << i;
-  }
-}
-
-TEST(ShardCodecTest, BatchingSenderSingleFrameGoesUnwrapped) {
-  testing_util::ChannelPair link = TestLink();
-  BatchingFrameSender sender(link.near.get());
-  const std::vector<uint8_t> frame = shard::EncodeShutdown();
-  ASSERT_TRUE(sender.Add(frame).ok());
-  ASSERT_TRUE(sender.Flush().ok());
-  ASSERT_TRUE(sender.Flush().ok());  // empty flush is a no-op
-  Result<std::vector<uint8_t>> got = link.far->Receive();
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, frame);  // no envelope around a lone frame
-}
-
-TEST(ShardCodecTest, BatchingSenderAutoFlushesAtThreshold) {
-  testing_util::ChannelPair link = TestLink();
-  BatchingFrameSender sender(link.near.get(), /*flush_threshold_bytes=*/256);
-  std::vector<uint8_t> big(300, 0x7f);
-  shard::WireWriter writer;
-  writer.PutBytes(big.data(), big.size());
-  ASSERT_TRUE(sender.Add(writer.SealFrame(FrameType::kCandidateBatch)).ok());
-  // Crossing the threshold flushed eagerly — nothing left pending.
-  EXPECT_EQ(sender.pending_frames(), 0u);
-  EXPECT_TRUE(link.far->Receive().ok());
-}
-
-TEST(ShardCodecTest, FlakyChannelFaultsOverBatchedFramesAreTyped) {
-  Rng rng(88);
-  std::vector<std::vector<uint8_t>> inner;
-  for (int i = 0; i < 4; ++i) {
-    inner.push_back(shard::EncodeResultBatch(RandomOutcomes(&rng, 10, true)));
-  }
-
-  for (FlakyChannel::Fault fault :
-       {FlakyChannel::Fault::kCorruptByte, FlakyChannel::Fault::kShortRead}) {
-    testing_util::ChannelPair link = TestLink();
-    FlakyChannel::Plan plan;
-    plan.fault = fault;
-    plan.trigger_after = 0;
-    FlakyChannel receiving_end(std::move(link.far), plan);
-    BatchingFrameSender sender(link.near.get());
-    for (const std::vector<uint8_t>& f : inner) {
-      ASSERT_TRUE(sender.Add(f).ok());
-    }
-    ASSERT_TRUE(sender.Flush().ok());
-    // The mangled envelope must surface as a typed error from the
-    // logical receiver (its checksum validation precedes unwrapping),
-    // never as a hang or a half-unwrapped sequence.
-    LogicalFrameReceiver receiver(&receiving_end);
-    Result<std::vector<uint8_t>> got = receiver.Receive();
-    ASSERT_FALSE(got.ok());
-    EXPECT_EQ(got.status().code(), StatusCode::kParseError)
-        << got.status().ToString();
   }
 }
 

@@ -97,9 +97,11 @@ class ShardSupervisorTest : public ::testing::Test {
 };
 
 // One injected fault, anywhere in the fleet, for every fault kind and a
-// sweep of frame positions (position 0 hits bootstrap shipping — config
-// / table / base frames — later positions hit candidate batches, result
-// chunks and the shutdown handshake): the run must complete with output
+// sweep of frame positions. On the send side, positions 0 and 1 hit the
+// config and table frames, 2 and 4 hit base frames (one per column), and
+// 3 + k — after config, table, the k bases and the level-1 batch — hits
+// the level-2 candidate batch. On the receive side they hit result
+// chunks and the shutdown handshake. The run must complete with output
 // bit-identical to the unsharded run, and whenever the fault actually
 // fired the supervisor must have visibly recovered.
 TEST_F(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
@@ -117,7 +119,7 @@ TEST_F(ShardSupervisorTest, EveryFaultAtEveryPositionRecoversBitExactly) {
       FlakyChannel::Fault::kTornWrite, FlakyChannel::Fault::kShortRead,
       FlakyChannel::Fault::kCorruptByte, FlakyChannel::Fault::kDropFrame};
   for (FlakyChannel::Fault fault : kFaults) {
-    for (int trigger : {0, 1, 2, 4}) {
+    for (int trigger : {0, 1, 2, 4, 3 + enc.num_columns()}) {
       SCOPED_TRACE("fault=" + std::to_string(static_cast<int>(fault)) +
                    " trigger=" + std::to_string(trigger));
       std::atomic<int> budget{1};  // one fault total, wherever it lands
@@ -161,9 +163,9 @@ TEST_F(ShardSupervisorTest, FaultsOnAttemptOneAndTwoBothRecover) {
   ASSERT_TRUE(unsharded.shard_status.ok());
 
   // Sends before the first candidate batch: process attempts ship
-  // config + table + bases. Tearing the next send faults the level's
-  // candidate batch.
-  const int clean_sends = 3;
+  // config + table + one frame per base (k columns). Tearing the next
+  // send faults the level's candidate batch.
+  const int clean_sends = 2 + enc.num_columns();
   std::atomic<int> created{0};
   DiscoveryOptions options = Options();
   options.shard_channel_decorator =

@@ -625,8 +625,6 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   footer.partition_bytes_evicted = 4096;
   footer.partition_bytes_final = 123;
   footer.partition_bytes_peak = 456;
-  footer.bytes_decoded_raw = 9999;
-  footer.bytes_decoded_wire = 1111;
   footer.partition_seconds = 1.0 / 3.0;
 
   HeldFrame frame(shard::EncodeStatsFooter(footer));
@@ -644,8 +642,6 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   EXPECT_EQ(back->partition_bytes_evicted, 4096);
   EXPECT_EQ(back->partition_bytes_final, 123);
   EXPECT_EQ(back->partition_bytes_peak, 456);
-  EXPECT_EQ(back->bytes_decoded_raw, 9999);
-  EXPECT_EQ(back->bytes_decoded_wire, 1111);
   EXPECT_EQ(back->partition_seconds, footer.partition_seconds);
 
   // Negative counters are structurally impossible outputs; reject them.
@@ -654,10 +650,10 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(shard::DecodeStatsFooter(*bad).ok());
   footer.products_computed = 34;
-  footer.bytes_decoded_raw = -5;
-  HeldFrame bad_decoded(shard::EncodeStatsFooter(footer));
-  ASSERT_TRUE(bad_decoded.ok());
-  EXPECT_FALSE(shard::DecodeStatsFooter(*bad_decoded).ok());
+  footer.partition_bytes_peak = -5;
+  HeldFrame bad_peak(shard::EncodeStatsFooter(footer));
+  ASSERT_TRUE(bad_peak.ok());
+  EXPECT_FALSE(shard::DecodeStatsFooter(*bad_peak).ok());
 
   // The shutdown frame is a bare, checksummed header.
   HeldFrame shutdown(shard::EncodeShutdown());
