@@ -116,13 +116,16 @@ int main(int argc, char** argv) {
   std::printf(
       "discovery_serve: done. %lld jobs served (%lld rejected), "
       "%lld connections (%lld refused, %lld dropped), "
-      "table cache %lld hits / %lld misses\n",
+      "table cache %lld hits / %lld misses, "
+      "table refs %lld resolved / %lld unknown\n",
       static_cast<long long>(stats.jobs_admitted),
       static_cast<long long>(stats.jobs_rejected),
       static_cast<long long>(stats.connections_accepted),
       static_cast<long long>(stats.connections_refused),
       static_cast<long long>(stats.connections_dropped),
       static_cast<long long>(stats.table_cache_hits),
-      static_cast<long long>(stats.table_cache_misses));
+      static_cast<long long>(stats.table_cache_misses),
+      static_cast<long long>(stats.table_refs_resolved),
+      static_cast<long long>(stats.table_refs_unknown));
   return 0;
 }

@@ -10,8 +10,9 @@
 #ifndef AOD_COMMON_ENDIAN_H_
 #define AOD_COMMON_ENDIAN_H_
 
-#include <cstdint>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace aod {
@@ -38,15 +39,27 @@ inline uint16_t LoadU16(const uint8_t* in) {
   return static_cast<uint16_t>(in[0] | (in[1] << 8));
 }
 
+// On a little-endian host the wire layout is the native one, so the
+// loads are one memcpy: the compiler does not reliably fold the
+// portable byte loop into a single load, and the frame checksum reads
+// every payload word through LoadU64.
 inline uint32_t LoadU32(const uint8_t* in) {
   uint32_t v = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(&v, in, sizeof(v));
+#else
   for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[i]) << (8 * i);
+#endif
   return v;
 }
 
 inline uint64_t LoadU64(const uint8_t* in) {
   uint64_t v = 0;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  std::memcpy(&v, in, sizeof(v));
+#else
   for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[i]) << (8 * i);
+#endif
   return v;
 }
 

@@ -1,8 +1,10 @@
 #include "serve/client.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "od/result_io.h"
+#include "serve/table_cache.h"
 #include "shard/wire.h"
 
 namespace aod {
@@ -33,10 +35,31 @@ Result<uint64_t> DiscoveryClient::Submit(const EncodedTable& table,
                                          const DiscoveryOptions& options,
                                          double deadline_seconds) {
   WireJobSubmit submit;
-  submit.request_id = next_request_id_++;
   submit.options = WireJobOptionsFrom(options);
   submit.options.deadline_seconds = deadline_seconds;
+  const Digest128 digest = TableDigest(table);
+  auto held = std::find(acked_tables_.begin(), acked_tables_.end(), digest);
+  if (held != acked_tables_.end()) {
+    submit.table_ref = digest;
+    Result<uint64_t> job = SendSubmit(submit);
+    if (job.ok() || job.status().code() != StatusCode::kNotFound) return job;
+    // The server no longer resolves it (evicted): upload once instead.
+    held->reset();
+    submit.table_ref.reset();
+  }
   submit.table_frame = shard::EncodeTableBlock(table);
+  Result<uint64_t> job = SendSubmit(submit);
+  if (job.ok()) RememberTable(digest);
+  return job;
+}
+
+void DiscoveryClient::RememberTable(const Digest128& digest) {
+  acked_tables_[next_acked_slot_] = digest;
+  next_acked_slot_ = (next_acked_slot_ + 1) % acked_tables_.size();
+}
+
+Result<uint64_t> DiscoveryClient::SendSubmit(WireJobSubmit submit) {
+  submit.request_id = next_request_id_++;
   AOD_RETURN_NOT_OK(channel_->Send(EncodeJobSubmit(submit)));
 
   // The ack (or rejection) for this request_id; frames belonging to
@@ -57,24 +80,25 @@ Result<uint64_t> DiscoveryClient::Submit(const EncodedTable& table,
         }
         break;
       }
-      case FrameType::kJobResultBatch: {
-        AOD_ASSIGN_OR_RETURN(WireJobResultChunk chunk,
-                             DecodeJobResultChunk(frame));
-        auto& blob = partial_[chunk.job_id];
-        blob.insert(blob.end(), chunk.blob_bytes.begin(),
-                    chunk.blob_bytes.end());
-        if (chunk.final_chunk) {
-          AOD_ASSIGN_OR_RETURN(DiscoveryResult result,
-                               DeserializeResult(blob));
-          partial_.erase(chunk.job_id);
-          done_.emplace(chunk.job_id, std::move(result));
-        }
+      case FrameType::kJobResultBatch:
+        AOD_RETURN_NOT_OK(FoldResultChunk(frame));
         break;
-      }
       default:
         return Status::ParseError("unexpected frame type from server");
     }
   }
+}
+
+Status DiscoveryClient::FoldResultChunk(const DecodedFrame& frame) {
+  AOD_ASSIGN_OR_RETURN(WireJobResultChunk chunk, DecodeJobResultChunk(frame));
+  auto& blob = partial_[chunk.job_id];
+  blob.insert(blob.end(), chunk.blob_bytes.begin(), chunk.blob_bytes.end());
+  if (chunk.final_chunk) {
+    AOD_ASSIGN_OR_RETURN(DiscoveryResult result, DeserializeResult(blob));
+    partial_.erase(chunk.job_id);
+    done_.emplace(chunk.job_id, std::move(result));
+  }
+  return Status::OK();
 }
 
 Result<DiscoveryResult> DiscoveryClient::Await(
@@ -101,20 +125,9 @@ Result<DiscoveryResult> DiscoveryClient::Await(
         }
         break;
       }
-      case FrameType::kJobResultBatch: {
-        AOD_ASSIGN_OR_RETURN(WireJobResultChunk chunk,
-                             DecodeJobResultChunk(frame));
-        auto& blob = partial_[chunk.job_id];
-        blob.insert(blob.end(), chunk.blob_bytes.begin(),
-                    chunk.blob_bytes.end());
-        if (chunk.final_chunk) {
-          AOD_ASSIGN_OR_RETURN(DiscoveryResult result,
-                               DeserializeResult(blob));
-          partial_.erase(chunk.job_id);
-          done_.emplace(chunk.job_id, std::move(result));
-        }
+      case FrameType::kJobResultBatch:
+        AOD_RETURN_NOT_OK(FoldResultChunk(frame));
         break;
-      }
       default:
         return Status::ParseError("unexpected frame type from server");
     }
@@ -145,20 +158,9 @@ Result<WireJobStatus> DiscoveryClient::Query(uint64_t job_id) {
         }
         break;
       }
-      case FrameType::kJobResultBatch: {
-        AOD_ASSIGN_OR_RETURN(WireJobResultChunk chunk,
-                             DecodeJobResultChunk(frame));
-        auto& blob = partial_[chunk.job_id];
-        blob.insert(blob.end(), chunk.blob_bytes.begin(),
-                    chunk.blob_bytes.end());
-        if (chunk.final_chunk) {
-          AOD_ASSIGN_OR_RETURN(DiscoveryResult result,
-                               DeserializeResult(blob));
-          partial_.erase(chunk.job_id);
-          done_.emplace(chunk.job_id, std::move(result));
-        }
+      case FrameType::kJobResultBatch:
+        AOD_RETURN_NOT_OK(FoldResultChunk(frame));
         break;
-      }
       default:
         return Status::ParseError("unexpected frame type from server");
     }

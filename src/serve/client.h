@@ -18,10 +18,12 @@
 #ifndef AOD_SERVE_CLIENT_H_
 #define AOD_SERVE_CLIENT_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +57,13 @@ class DiscoveryClient {
   /// Returns the job id, or the server's typed rejection. Only the
   /// serializable options subset travels (see WireJobOptions);
   /// `deadline_seconds` (0 = none) rides time_budget_seconds.
+  ///
+  /// A table this connection already uploaded (and the server acked)
+  /// travels as its 16-byte TableDigest instead of the full block. If
+  /// the server no longer resolves the reference (typed kNotFound: the
+  /// table was evicted), Submit forgets it and uploads the block once,
+  /// so the caller never sees that error. References are per
+  /// connection: a fresh client always uploads.
   Result<uint64_t> Submit(const EncodedTable& table,
                           const DiscoveryOptions& options,
                           double deadline_seconds = 0.0);
@@ -73,11 +82,30 @@ class DiscoveryClient {
   /// Sends a bare status query and returns the server's snapshot.
   Result<WireJobStatus> Query(uint64_t job_id);
 
+  /// Test seam: records `digest` as acked on this connection, so the
+  /// next Submit of that table sends a reference the server never saw
+  /// here (say, another connection's upload).
+  void AssumeTableAckedForTest(const Digest128& digest) {
+    RememberTable(digest);
+  }
+
  private:
   explicit DiscoveryClient(std::unique_ptr<shard::SocketShardChannel> channel);
 
+  /// Sends one submission under a fresh request id and waits for its
+  /// ack or rejection.
+  Result<uint64_t> SendSubmit(WireJobSubmit submit);
+  /// Appends a result chunk to its job's blob; a final chunk moves the
+  /// deserialized result to done_.
+  Status FoldResultChunk(const shard::DecodedFrame& frame);
+  void RememberTable(const Digest128& digest);
+
   std::unique_ptr<shard::SocketShardChannel> channel_;
   uint64_t next_request_id_ = 1;
+  /// Digests of tables the server acked on this connection, replaced
+  /// round-robin (Submit sends these by reference).
+  std::array<std::optional<Digest128>, 8> acked_tables_;
+  size_t next_acked_slot_ = 0;
   /// Completed results that arrived while awaiting a different job.
   std::map<uint64_t, DiscoveryResult> done_;
   /// Partial blob accumulation per job.
@@ -85,7 +113,8 @@ class DiscoveryClient {
 };
 
 /// One-call convenience: connect, submit, await, disconnect. What
-/// `csv_discovery --server` uses.
+/// `csv_discovery --server` uses. Its connection carries one job, so the
+/// table is always uploaded in full.
 Result<DiscoveryResult> RunRemoteDiscovery(
     const std::string& host, uint16_t port, const EncodedTable& table,
     const DiscoveryOptions& options, double deadline_seconds = 0.0,

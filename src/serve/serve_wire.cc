@@ -95,8 +95,15 @@ std::vector<uint8_t> EncodeJobSubmit(const WireJobSubmit& submit) {
   w.PutU64(o.sampler_seed);
   w.PutVarintI64(o.partition_memory_budget_bytes);
   w.PutDouble(o.deadline_seconds);
-  w.PutVarint(submit.table_frame.size());
-  w.PutBytes(submit.table_frame.data(), submit.table_frame.size());
+  if (submit.table_ref.has_value()) {
+    w.PutU8(kTableSourceReference);
+    w.PutU64(submit.table_ref->lo);
+    w.PutU64(submit.table_ref->hi);
+  } else {
+    w.PutU8(kTableSourceInline);
+    w.PutVarint(submit.table_frame.size());
+    w.PutBytes(submit.table_frame.data(), submit.table_frame.size());
+  }
   return w.SealFrame(FrameType::kJobSubmit);
 }
 
@@ -141,6 +148,20 @@ Result<WireJobSubmit> DecodeJobSubmit(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(r.GetDouble(&o.deadline_seconds));
   if (!(o.epsilon >= 0.0 && o.epsilon <= 1.0)) {
     return Status::ParseError("job submit: epsilon outside [0, 1]");
+  }
+  uint8_t source = 0;
+  AOD_RETURN_NOT_OK(r.GetU8(&source));
+  if (source == kTableSourceReference) {
+    Digest128 digest;
+    AOD_RETURN_NOT_OK(r.GetU64(&digest.lo));
+    AOD_RETURN_NOT_OK(r.GetU64(&digest.hi));
+    AOD_RETURN_NOT_OK(r.ExpectEnd());
+    submit.table_ref = digest;
+    return submit;
+  }
+  if (source != kTableSourceInline) {
+    return Status::ParseError("job submit: unknown table source " +
+                              std::to_string(source));
   }
   uint64_t table_bytes = 0;
   AOD_RETURN_NOT_OK(r.GetVarint(&table_bytes));

@@ -11,7 +11,7 @@
 //
 //   client                              server
 //   ------                              ------
-//   kJobSubmit(request_id, opts, table)
+//   kJobSubmit(request_id, opts, table block | table digest)
 //                                       kJobStatus(job_id, queued)   (ack)
 //                                    or kJobError(code, msg)         (reject)
 //                                       kJobStatus(job_id, running, level...)*
@@ -28,15 +28,18 @@
 // Every terminal outcome of an *admitted* job is a result blob (even
 // cancelled/timed-out runs: DiscoveryResult carries those flags), so
 // kJobError is reserved for jobs that never ran: admission rejections
-// (kOverloaded, kShuttingDown) and malformed submissions.
+// (kOverloaded, kShuttingDown), malformed submissions, and table
+// references the connection cannot resolve (kNotFound).
 #ifndef AOD_SERVE_SERVE_WIRE_H_
 #define AOD_SERVE_SERVE_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/word_hash.h"
 #include "od/dependency_kind.h"
 #include "od/discovery.h"
 #include "shard/wire.h"
@@ -92,15 +95,31 @@ WireJobOptions WireJobOptionsFrom(const DiscoveryOptions& options);
 /// caller then fills in the environmental fields (pool, cancel, ...).
 DiscoveryOptions ToDiscoveryOptions(const WireJobOptions& wire);
 
-/// One job submission. The table travels as a complete sealed
-/// kTableBlock frame (shard::EncodeTableBlock) nested in the payload —
-/// reusing the shard codec means the ranks arrive validated against
-/// their declared cardinalities, exactly as on the shard seam.
+/// Table-source byte of a kJobSubmit payload; any other value is a
+/// typed ParseError.
+inline constexpr uint8_t kTableSourceInline = 0;
+inline constexpr uint8_t kTableSourceReference = 1;
+
+/// One job submission. The table travels one of two ways:
+///  - inline, as a complete sealed kTableBlock frame
+///    (shard::EncodeTableBlock) nested in the payload — reusing the
+///    shard codec means the ranks arrive validated against their
+///    declared cardinalities, exactly as on the shard seam;
+///  - by reference, as the 16-byte TableDigest of a table uploaded
+///    inline earlier on the *same connection*. References are scoped
+///    per connection: the server resolves only digests it computed
+///    itself from content that connection uploaded, and answers any
+///    other digest (unknown, evicted, or uploaded on another
+///    connection) with a typed kNotFound kJobError, keeping the
+///    connection open. A one-job connection (RunRemoteDiscovery,
+///    `csv_discovery --server`) therefore always uploads.
 struct WireJobSubmit {
   /// Client-chosen token echoed in the ack/rejection, so a client with
   /// several submissions in flight can match answers to questions.
   uint64_t request_id = 0;
   WireJobOptions options;
+  /// Set: the table travels by reference and table_frame is ignored.
+  std::optional<Digest128> table_ref;
   std::vector<uint8_t> table_frame;
 };
 

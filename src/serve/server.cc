@@ -118,6 +118,11 @@ ServerStats DiscoveryServer::stats() const {
   s.jobs_rejected = scheduler_->jobs_rejected();
   s.table_cache_hits = tables_.hits();
   s.table_cache_misses = tables_.misses();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    s.table_refs_resolved = table_refs_resolved_;
+    s.table_refs_unknown = table_refs_unknown_;
+  }
   return s;
 }
 
@@ -232,29 +237,14 @@ Status DiscoveryServer::Dispatch(const std::shared_ptr<Connection>& conn,
 Status DiscoveryServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
                                      const DecodedFrame& frame) {
   AOD_ASSIGN_OR_RETURN(WireJobSubmit submit, DecodeJobSubmit(frame));
-
-  // The nested table frame is validated exactly like on the shard seam.
-  AOD_ASSIGN_OR_RETURN(DecodedFrame table_frame,
-                       shard::DecodeFrame(submit.table_frame.data(),
-                                          submit.table_frame.size()));
-  Result<EncodedTable> table = shard::DecodeTableBlock(table_frame);
-  if (!table.ok()) return table.status();
-  if (table->num_columns() == 0 || table->num_columns() > 64) {
-    // Semantically invalid but well-formed: reject the job, keep the
-    // connection (the client is speaking the protocol correctly).
-    WireJobError error;
-    error.request_id = submit.request_id;
-    error.status = Status::InvalidArgument(
-        "discovery needs 1..64 attributes, got " +
-        std::to_string(table->num_columns()));
-    SendNow(conn, EncodeJobError(error));
-    return Status::OK();
-  }
+  AOD_ASSIGN_OR_RETURN(std::shared_ptr<const TableCache::Entry> table,
+                       SubmittedTable(conn, submit));
+  if (table == nullptr) return Status::OK();
 
   auto job = std::make_shared<ServeJob>();
   job->request_id = submit.request_id;
   job->client_id = conn->client_id;
-  job->table = tables_.Intern(std::move(table).value());
+  job->table = std::move(table);
   job->options = ToDiscoveryOptions(submit.options);
 
   auto gate = std::make_shared<AckGate>();
@@ -298,6 +288,66 @@ Status DiscoveryServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
   SendNow(conn, EncodeJobStatus(ack));
   gate->Open();
   return Status::OK();
+}
+
+Result<std::shared_ptr<const TableCache::Entry>>
+DiscoveryServer::SubmittedTable(const std::shared_ptr<Connection>& conn,
+                                const WireJobSubmit& submit) {
+  // Semantically invalid but well-formed submissions reject the job and
+  // keep the connection: the client is speaking the protocol correctly.
+  auto reject = [&](Status status) {
+    WireJobError error;
+    error.request_id = submit.request_id;
+    error.status = std::move(status);
+    SendNow(conn, EncodeJobError(error));
+    return std::shared_ptr<const TableCache::Entry>();
+  };
+  auto& refs = conn->table_refs;
+  if (submit.table_ref.has_value()) {
+    auto it = std::find_if(refs.begin(), refs.end(), [&](const auto& ref) {
+      return ref.first == *submit.table_ref;
+    });
+    std::shared_ptr<const TableCache::Entry> entry;
+    if (it != refs.end()) {
+      entry = it->second.lock();
+      if (entry != nullptr && tables_.Reuse(*entry)) {
+        std::rotate(it, it + 1, refs.end());  // most recently used last
+      } else {
+        // Evicted from the cache: the reference dies with it, even while
+        // a running job still holds the table.
+        entry.reset();
+        refs.erase(it);
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++(entry != nullptr ? table_refs_resolved_ : table_refs_unknown_);
+    }
+    if (entry != nullptr) return entry;
+    return reject(Status::NotFound(
+        "table reference unknown on this connection; send the table"));
+  }
+
+  // The nested table frame is validated exactly like on the shard seam.
+  AOD_ASSIGN_OR_RETURN(DecodedFrame table_frame,
+                       shard::DecodeFrame(submit.table_frame.data(),
+                                          submit.table_frame.size()));
+  AOD_ASSIGN_OR_RETURN(EncodedTable table,
+                       shard::DecodeTableBlock(table_frame));
+  if (table.num_columns() == 0 || table.num_columns() > 64) {
+    return reject(Status::InvalidArgument(
+        "discovery needs 1..64 attributes, got " +
+        std::to_string(table.num_columns())));
+  }
+  std::shared_ptr<const TableCache::Entry> entry =
+      tables_.Intern(std::move(table));
+  auto it = std::find_if(refs.begin(), refs.end(), [&](const auto& ref) {
+    return ref.first == entry->digest;
+  });
+  if (it != refs.end()) refs.erase(it);
+  refs.emplace_back(entry->digest, entry);
+  if (refs.size() > options_.table_cache_capacity) refs.erase(refs.begin());
+  return entry;
 }
 
 Status DiscoveryServer::HandleStatusQuery(

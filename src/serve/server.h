@@ -26,6 +26,12 @@
 // that a healthy client's results stay bit-identical to direct
 // DiscoverOds throughout the fault storm.
 //
+// Table references: a connection that uploaded a table inline may name
+// it again by its 16-byte TableDigest (serve_wire.h). The server keeps,
+// per connection, the digests it computed itself from that connection's
+// uploads, so a reference can only ever select content the same peer
+// sent; anything else gets a typed kNotFound and the client re-uploads.
+//
 // Lifecycle: Start binds 127.0.0.1 on an ephemeral (or requested) port.
 // RequestDrain (the SIGTERM path) stops admission — new submits get
 // kShuttingDown — while in-flight jobs complete and deliver. Shutdown
@@ -39,12 +45,14 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/status.h"
 #include "exec/thread_pool.h"
 #include "serve/scheduler.h"
+#include "serve/serve_wire.h"
 #include "serve/table_cache.h"
 #include "shard/channel.h"
 
@@ -92,8 +100,14 @@ struct ServerStats {
   int64_t frames_rejected = 0;      // malformed/desynced/unexpected
   int64_t jobs_admitted = 0;
   int64_t jobs_rejected = 0;
+  /// Resolved table references count as hits too: each reuses a
+  /// resident table.
   int64_t table_cache_hits = 0;
   int64_t table_cache_misses = 0;
+  /// Submissions that named their table by digest: resolved on their
+  /// connection, or answered with kNotFound (the client then uploads).
+  int64_t table_refs_resolved = 0;
+  int64_t table_refs_unknown = 0;
 };
 
 class DiscoveryServer {
@@ -129,6 +143,13 @@ class DiscoveryServer {
     /// Serializes multi-frame sequences (result chunk streams) against
     /// other writers on this connection.
     std::mutex send_mutex;
+    /// Table references this connection may use: the digests the server
+    /// computed from tables uploaded inline on it, least recently used
+    /// first, at most table_cache_capacity of them. Weak, so a reference
+    /// never keeps an evicted table alive. Touched only by the reader
+    /// thread.
+    std::vector<std::pair<Digest128, std::weak_ptr<const TableCache::Entry>>>
+        table_refs;
   };
 
   explicit DiscoveryServer(const ServerOptions& options);
@@ -140,6 +161,12 @@ class DiscoveryServer {
                   const std::vector<uint8_t>& raw);
   Status HandleSubmit(const std::shared_ptr<Connection>& conn,
                       const shard::DecodedFrame& frame);
+  /// The submission's table: interned from its inline block (and then
+  /// registered as a reference on `conn`), or resolved from its digest.
+  /// A null entry with OK status means the submission was answered with
+  /// a typed kJobError and the connection stays.
+  Result<std::shared_ptr<const TableCache::Entry>> SubmittedTable(
+      const std::shared_ptr<Connection>& conn, const WireJobSubmit& submit);
   Status HandleStatusQuery(const std::shared_ptr<Connection>& conn,
                            const shard::DecodedFrame& frame);
   /// Best-effort send without backpressure wait (acks, errors, status).
@@ -170,6 +197,8 @@ class DiscoveryServer {
   int64_t connections_refused_ = 0;
   int64_t connections_dropped_ = 0;
   int64_t frames_rejected_ = 0;
+  int64_t table_refs_resolved_ = 0;
+  int64_t table_refs_unknown_ = 0;
 
   std::atomic<bool> stop_accepting_{false};
   std::atomic<bool> shut_down_{false};

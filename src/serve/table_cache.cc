@@ -3,39 +3,35 @@
 #include <algorithm>
 #include <utility>
 
-
 namespace aod {
 namespace serve {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x00000100000001b3ULL;
-
-void FoldBytes(uint64_t* h, const void* data, size_t size) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    *h ^= p[i];
-    *h *= kFnvPrime;
+/// Folds the table's content into one 64-bit half of the digest.
+uint64_t DigestHalf(const EncodedTable& table, uint64_t seed) {
+  uint64_t h = MixWord(seed, static_cast<uint64_t>(table.num_rows()));
+  h = MixWord(h, static_cast<uint64_t>(table.num_columns()));
+  for (int i = 0; i < table.num_columns(); ++i) {
+    const EncodedColumn& col = table.column(i);
+    h = MixWord(h, HashWords(h, reinterpret_cast<const uint8_t*>(
+                                    col.name.data()),
+                             col.name.size()));
+    h = MixWord(h, static_cast<uint64_t>(col.cardinality));
+    h = MixWord(h, HashWords(h, reinterpret_cast<const uint8_t*>(
+                                    col.ranks.data()),
+                             col.ranks.size() * sizeof(int32_t)));
   }
+  return h;
 }
-
-void FoldU64(uint64_t* h, uint64_t v) { FoldBytes(h, &v, sizeof(v)); }
 
 }  // namespace
 
-uint64_t TableFingerprint(const EncodedTable& table) {
-  uint64_t h = kFnvOffset;
-  FoldU64(&h, static_cast<uint64_t>(table.num_rows()));
-  FoldU64(&h, static_cast<uint64_t>(table.num_columns()));
-  for (int i = 0; i < table.num_columns(); ++i) {
-    const EncodedColumn& col = table.column(i);
-    FoldU64(&h, col.name.size());
-    FoldBytes(&h, col.name.data(), col.name.size());
-    FoldU64(&h, static_cast<uint64_t>(col.cardinality));
-    FoldBytes(&h, col.ranks.data(), col.ranks.size() * sizeof(int32_t));
-  }
-  return h;
+Digest128 TableDigest(const EncodedTable& table) {
+  Digest128 d;
+  d.lo = DigestHalf(table, 0x243F6A8885A308D3ULL);
+  d.hi = DigestHalf(table, 0x13198A2E03707344ULL);
+  return d;
 }
 
 bool TableCache::SameContent(const EncodedTable& a, const EncodedTable& b) {
@@ -53,23 +49,27 @@ bool TableCache::SameContent(const EncodedTable& a, const EncodedTable& b) {
   return true;
 }
 
+bool TableCache::TouchLocked(const Entry* entry) {
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+    if (*it == entry) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return true;
+    }
+  }
+  return false;
+}
+
 std::shared_ptr<const TableCache::Entry> TableCache::Intern(
     EncodedTable table) {
-  const uint64_t fp = TableFingerprint(table);
+  const Digest128 digest = TableDigest(table);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(fp);
+    auto it = entries_.find(digest);
     if (it != entries_.end()) {
       for (const auto& entry : it->second) {
         if (SameContent(*entry->table, table)) {
           ++hits_;
-          // Refresh LRU position.
-          for (auto lit = lru_.begin(); lit != lru_.end(); ++lit) {
-            if (lit->second == entry.get()) {
-              lru_.splice(lru_.begin(), lru_, lit);
-              break;
-            }
-          }
+          TouchLocked(entry.get());
           return entry;
         }
       }
@@ -80,6 +80,7 @@ std::shared_ptr<const TableCache::Entry> TableCache::Intern(
   // on it. Two racing submissions of the same new table both build; the
   // second Intern below finds the first's entry and drops its own work.
   auto entry = std::make_shared<Entry>();
+  entry->digest = digest;
   entry->table =
       std::make_shared<const EncodedTable>(std::move(table));
   entry->bases.reserve(entry->table->num_columns());
@@ -93,40 +94,42 @@ std::shared_ptr<const TableCache::Entry> TableCache::Intern(
     in_race_window_hook_ = false;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  auto& bucket = entries_[fp];
+  auto& bucket = entries_[digest];
   for (const auto& existing : bucket) {
     if (SameContent(*existing->table, *entry->table)) {
       ++hits_;
       // A hit is a hit regardless of which path found it: without the
       // refresh, a table that is only ever re-interned through this
       // race-loss path looks idle to the LRU and gets evicted while hot.
-      for (auto lit = lru_.begin(); lit != lru_.end(); ++lit) {
-        if (lit->second == existing.get()) {
-          lru_.splice(lru_.begin(), lru_, lit);
-          break;
-        }
-      }
+      TouchLocked(existing.get());
       return existing;
     }
   }
   ++misses_;
   bucket.push_back(entry);
-  lru_.emplace_front(fp, entry.get());
+  lru_.push_front(entry.get());
   while (lru_.size() > capacity_) {
-    auto [old_fp, old_ptr] = lru_.back();
+    const Entry* old = lru_.back();
     lru_.pop_back();
-    auto bit = entries_.find(old_fp);
+    auto bit = entries_.find(old->digest);
     if (bit != entries_.end()) {
       auto& vec = bit->second;
       vec.erase(std::remove_if(vec.begin(), vec.end(),
-                               [old_ptr](const auto& e) {
-                                 return e.get() == old_ptr;
+                               [old](const auto& e) {
+                                 return e.get() == old;
                                }),
                 vec.end());
       if (vec.empty()) entries_.erase(bit);
     }
   }
   return entry;
+}
+
+bool TableCache::Reuse(const Entry& entry) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!TouchLocked(&entry)) return false;
+  ++hits_;
+  return true;
 }
 
 void TableCache::set_race_window_hook_for_test(std::function<void()> hook) {

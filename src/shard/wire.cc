@@ -5,6 +5,7 @@
 
 #include "common/endian.h"
 #include "common/macros.h"
+#include "common/word_hash.h"
 
 namespace aod {
 namespace shard {
@@ -17,12 +18,7 @@ using endian::StoreU32;
 using endian::StoreU64;
 
 uint64_t WireChecksum(const uint8_t* data, size_t size) {
-  uint64_t h = 14695981039346656037ULL;  // FNV offset basis
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
+  return HashWords(/*seed=*/kWireMagic, data, size);
 }
 
 void WireWriter::PutU16(uint16_t v) { endian::AppendU16(&payload_, v); }

@@ -8,7 +8,7 @@
 //   4       version    u16   kWireVersion; decoders reject anything else
 //   6       type       u16   FrameType
 //   8       size       u64   payload byte count
-//   16      checksum   u64   FNV-1a over the payload bytes
+//   16      checksum   u64   WireChecksum over the payload bytes
 //   24      payload    size bytes
 //
 // All integers are little-endian; doubles ship as their IEEE-754 bit
@@ -84,7 +84,11 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// stats footer drops its two decoded-byte counters, since the
 /// coordinator accounts every seam byte at its own encode and decode
 /// sites.
-inline constexpr uint16_t kWireVersion = 9;
+/// Version 10: the frame checksum folds the payload a word at a time
+/// (HashWords) instead of byte-wise FNV-1a, and kJobSubmit carries a
+/// table-source byte: an inline kTableBlock, or a 128-bit TableDigest
+/// naming a table uploaded earlier on the same connection.
+inline constexpr uint16_t kWireVersion = 10;
 /// The retired batch-envelope frame id (wire versions 2-8). Ids are never
 /// renumbered, so DecodeFrame names it instead of misreading a frame.
 inline constexpr uint16_t kRetiredFrameTypeBatch = 8;
@@ -122,8 +126,8 @@ enum class FrameType : uint16_t {
   // the identical malformed-input protection as the shard seam; the
   // encoders/decoders live in src/serve/serve_wire.{h,cc}.
   /// Client -> server: one discovery job — a DiscoveryOptions subset
-  /// plus the table (inline kTableBlock bytes, or a server-side CSV
-  /// path reference).
+  /// plus the table (inline kTableBlock bytes, or the digest of a table
+  /// this connection uploaded before).
   kJobSubmit = 9,
   /// Server -> client: acceptance + lifecycle/progress updates for one
   /// job (queued/running/done, queue position, level progress). Also
@@ -174,7 +178,9 @@ inline constexpr uint8_t kRankCodecShort = 2;  // cardinality <= 2^16
 /// kResultBatch flag bits; any other bit is a typed ParseError.
 inline constexpr uint8_t kResultFlagFinalChunk = 0x01;
 
-/// FNV-1a 64 over `size` bytes — the frame checksum.
+/// The frame checksum: HashWords (common/word_hash.h) over `size`
+/// bytes. Any change confined to one 8-byte word of the payload, every
+/// single-byte corruption included, always changes it.
 uint64_t WireChecksum(const uint8_t* data, size_t size);
 
 /// Raw vs. on-wire byte accounting for one or more frames:

@@ -1,12 +1,16 @@
-// Tests for src/common: Status/Result, string utilities, stopwatch, logging.
+// Tests for src/common: Status/Result, string utilities, stopwatch,
+// logging, word hashing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/word_hash.h"
 
 namespace aod {
 namespace {
@@ -173,6 +177,34 @@ TEST(LoggingTest, LevelRoundTrip) {
   // Emitting below the level must be a no-op (and must not crash).
   AOD_LOG(kDebug) << "suppressed";
   SetLogLevel(before);
+}
+
+TEST(WordHashTest, EveryChangeInsideOneWordChangesTheHash) {
+  // Lengths cover empty input, a lone tail, the lane loop, the tail-word
+  // loop and a partial last word. Every byte position and several flip
+  // patterns, the full byte included, must change the hash: each step is
+  // a bijection in the state, so this holds for all inputs, not with
+  // high probability.
+  for (size_t size = 0; size <= 75; ++size) {
+    std::vector<uint8_t> data(size);
+    for (size_t i = 0; i < size; ++i) {
+      data[i] = static_cast<uint8_t>(i * 37 + size);
+    }
+    const uint64_t base = HashWords(7, data.data(), size);
+    for (size_t at = 0; at < size; ++at) {
+      for (uint8_t flip : {0x01, 0x80, 0x5A, 0xFF}) {
+        std::vector<uint8_t> bad = data;
+        bad[at] ^= flip;
+        EXPECT_NE(HashWords(7, bad.data(), size), base)
+            << "size " << size << " offset " << at;
+      }
+    }
+    // A different seed or length gives a different function.
+    EXPECT_NE(HashWords(8, data.data(), size), base);
+    if (size > 0) {
+      EXPECT_NE(HashWords(7, data.data(), size - 1), base);
+    }
+  }
 }
 
 }  // namespace

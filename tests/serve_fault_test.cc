@@ -37,6 +37,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -45,6 +46,7 @@
 #include "exec/thread_pool.h"
 #include "gen/flight_generator.h"
 #include "od/discovery.h"
+#include "od/result_io.h"
 #include "serve/client.h"
 #include "serve/scheduler.h"
 #include "serve/serve_wire.h"
@@ -189,6 +191,29 @@ void ExpectHealthyRoundTrip(DiscoveryServer* server,
   EXPECT_EQ(OutputFingerprint(*remote), OutputFingerprint(direct));
 }
 
+/// Re-seals `frame`'s payload after `edit` changes it, so the checksum
+/// is valid and only the payload layout is wrong.
+std::vector<uint8_t> ResealPayload(
+    const std::vector<uint8_t>& frame,
+    const std::function<void(std::vector<uint8_t>*)>& edit) {
+  std::vector<uint8_t> payload(frame.begin() + shard::kFrameHeaderBytes,
+                               frame.end());
+  edit(&payload);
+  shard::WireWriter writer;
+  writer.PutBytes(payload.data(), payload.size());
+  return writer.SealFrame(shard::FrameType::kJobSubmit);
+}
+
+/// A reference-form submit naming `digest`.
+std::vector<uint8_t> ReferenceSubmitFrame(uint64_t request_id,
+                                          const Digest128& digest) {
+  serve::WireJobSubmit submit;
+  submit.request_id = request_id;
+  submit.options = serve::WireJobOptionsFrom(SmallJobOptions());
+  submit.table_ref = digest;
+  return EncodeJobSubmit(submit);
+}
+
 // ------------------------------------------------------ wire codecs --
 
 TEST(ServeWireTest, JobSubmitRoundTrip) {
@@ -222,12 +247,43 @@ TEST(ServeWireTest, JobSubmitRoundTrip) {
   EXPECT_EQ(back->options.top_k, 12);
   EXPECT_EQ(back->table_frame, submit.table_frame);
 
+  EXPECT_FALSE(back->table_ref.has_value());
+
   // The nested table frame is itself decodable.
   Result<shard::DecodedFrame> inner = shard::DecodeFrame(back->table_frame);
   ASSERT_TRUE(inner.ok());
   Result<EncodedTable> table = shard::DecodeTableBlock(*inner);
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table->num_rows(), 9);
+
+  // The reference form carries the 16-byte digest and no table bytes.
+  serve::WireJobSubmit by_ref = submit;
+  by_ref.table_ref = serve::TableDigest(testing_util::PaperEncoded());
+  const std::vector<uint8_t> ref_frame = EncodeJobSubmit(by_ref);
+  EXPECT_LT(ref_frame.size(), frame.size() - submit.table_frame.size() + 17);
+  Result<shard::DecodedFrame> ref_decoded = shard::DecodeFrame(ref_frame);
+  ASSERT_TRUE(ref_decoded.ok());
+  Result<serve::WireJobSubmit> ref_back =
+      serve::DecodeJobSubmit(*ref_decoded);
+  ASSERT_TRUE(ref_back.ok()) << ref_back.status().ToString();
+  EXPECT_EQ(ref_back->request_id, 42u);
+  EXPECT_EQ(ref_back->options.epsilon, 0.25);
+  EXPECT_EQ(ref_back->options.top_k, 12);
+  ASSERT_TRUE(ref_back->table_ref.has_value());
+  EXPECT_EQ(*ref_back->table_ref, *by_ref.table_ref);
+  EXPECT_TRUE(ref_back->table_frame.empty());
+
+  // The digest depends on content, not on the object: an equal table
+  // digests equal, a one-rank change digests differently.
+  const EncodedTable paper = testing_util::PaperEncoded();
+  EXPECT_EQ(serve::TableDigest(paper), *by_ref.table_ref);
+  std::vector<EncodedColumn> columns;
+  for (int i = 0; i < paper.num_columns(); ++i) {
+    columns.push_back(paper.column(i));
+  }
+  columns[0].ranks[0] = columns[0].ranks[0] == 0 ? 1 : 0;
+  EXPECT_NE(serve::TableDigest(EncodedTable(columns, paper.num_rows())),
+            *by_ref.table_ref);
 }
 
 TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
@@ -393,9 +449,66 @@ TEST(ServeWireTest, DecodersRejectStructuralViolations) {
     bad.top_k = -3;
     expect_submit_rejected(bad, "negative top_k");
   }
+  // The wire-v10 table source: an unknown source byte, a digest cut
+  // short, and bytes trailing a reference are each typed rejections.
+  const std::vector<uint8_t> by_ref =
+      ReferenceSubmitFrame(1, serve::TableDigest(testing_util::PaperEncoded()));
+  auto expect_payload_rejected =
+      [&](const std::function<void(std::vector<uint8_t>*)>& edit,
+          const std::string& want) {
+        const std::vector<uint8_t> bad = ResealPayload(by_ref, edit);
+        Result<shard::DecodedFrame> f = shard::DecodeFrame(bad);
+        ASSERT_TRUE(f.ok());
+        Result<serve::WireJobSubmit> r = serve::DecodeJobSubmit(*f);
+        ASSERT_FALSE(r.ok()) << "decoded despite " << want;
+        EXPECT_NE(r.status().message().find(want), std::string::npos)
+            << r.status().ToString();
+      };
+  expect_payload_rejected(
+      [](std::vector<uint8_t>* p) { (*p)[p->size() - 17] = 7; },
+      "unknown table source 7");
+  expect_payload_rejected([](std::vector<uint8_t>* p) { p->pop_back(); },
+                          "truncated");
+  expect_payload_rejected(
+      [](std::vector<uint8_t>* p) { p->resize(p->size() - 9); },
+      "truncated");
+  expect_payload_rejected([](std::vector<uint8_t>* p) { p->push_back(0); },
+                          "trailing bytes");
+  // A submit sealed at wire v9 (before the table source existed) fails
+  // the version check before its payload is read.
+  {
+    std::vector<uint8_t> v9 = by_ref;
+    v9[4] = 9;
+    v9[5] = 0;
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(v9);
+    ASSERT_FALSE(f.ok());
+    EXPECT_NE(f.status().message().find("unsupported wire version 9"),
+              std::string::npos)
+        << f.status().ToString();
+  }
 }
 
 TEST(ServeWireTest, TruncationAndCorruptionNeverMisparse) {
+  // The reference form: every truncation fails frame or payload
+  // validation, and every single-byte flip fails the frame itself — a
+  // flip changes one checksummed word, which WireChecksum always sees.
+  {
+    const std::vector<uint8_t> frame = ReferenceSubmitFrame(
+        1, serve::TableDigest(testing_util::PaperEncoded()));
+    for (size_t len = 0; len < frame.size(); ++len) {
+      std::vector<uint8_t> cut(frame.begin(), frame.begin() + len);
+      Result<shard::DecodedFrame> f = shard::DecodeFrame(cut);
+      if (!f.ok()) continue;
+      EXPECT_FALSE(serve::DecodeJobSubmit(*f).ok()) << "at length " << len;
+    }
+    for (size_t at = 0; at < frame.size(); ++at) {
+      std::vector<uint8_t> bad = frame;
+      bad[at] ^= 0x5A;
+      EXPECT_FALSE(shard::DecodeFrame(bad).ok())
+          << "undetected corruption at offset " << at;
+    }
+  }
+
   serve::WireJobSubmit submit;
   submit.request_id = 1;
   submit.table_frame = shard::EncodeTableBlock(testing_util::PaperEncoded());
@@ -497,6 +610,207 @@ TEST(ServeFaultTest, TableCacheWarmsAcrossJobsWithoutChangingOutput) {
   ServerStats stats = server->stats();
   EXPECT_EQ(stats.table_cache_misses, 1);
   EXPECT_GE(stats.table_cache_hits, 1);
+  server->Shutdown();
+}
+
+// ------------------------------------------------- table references --
+//
+// A resubmitted table travels as its digest, resolved only on the
+// connection that uploaded it. Every path below (resolved, unknown on
+// this connection, evicted) must return results bit-identical to direct
+// DiscoverOds, and the counters must say which path ran.
+
+std::unique_ptr<DiscoveryClient> ConnectClient(DiscoveryServer* server) {
+  Result<std::unique_ptr<DiscoveryClient>> client =
+      DiscoveryClient::Connect("127.0.0.1", server->port());
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  return client.ok() ? std::move(*client) : nullptr;
+}
+
+/// Submit + Await on `client`, asserted bit-identical to the direct run.
+void ExpectClientJobMatchesDirect(DiscoveryClient* client,
+                                  const EncodedTable& table,
+                                  const DiscoveryOptions& options) {
+  Result<uint64_t> job = client->Submit(table, options);
+  ASSERT_TRUE(job.ok()) << job.status().ToString();
+  Result<DiscoveryResult> remote = client->Await(*job);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(OutputFingerprint(*remote),
+            OutputFingerprint(DiscoverOds(table, options)));
+}
+
+TEST(ServeFaultTest, TableRefResubmitsResolveOnTheirConnection) {
+  std::unique_ptr<DiscoveryServer> server = StartServer(ServerOptions{});
+  ASSERT_NE(server, nullptr);
+  std::unique_ptr<DiscoveryClient> client = ConnectClient(server.get());
+  ASSERT_NE(client, nullptr);
+
+  // One upload, then two references with different job options: a
+  // reference selects the table only, never the job.
+  const EncodedTable table = testing_util::RandomEncodedTable(300, 5, 6, 23);
+  DiscoveryOptions bidi = SmallJobOptions();
+  bidi.bidirectional = true;
+  DiscoveryOptions mixed = SmallJobOptions();
+  mixed.kinds = DependencyKindSet::All();
+  for (const DiscoveryOptions& options : {SmallJobOptions(), bidi, mixed}) {
+    ExpectClientJobMatchesDirect(client.get(), table, options);
+  }
+
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.table_refs_resolved, 2);
+  EXPECT_EQ(stats.table_refs_unknown, 0);
+  EXPECT_EQ(stats.table_cache_misses, 1);
+  // A resolved reference reuses the resident table: it counts as a hit.
+  EXPECT_EQ(stats.table_cache_hits, 2);
+  EXPECT_EQ(stats.frames_rejected, 0);
+  server->Shutdown();
+}
+
+TEST(ServeFaultTest, TableRefFromAnotherConnectionIsUnknownHere) {
+  std::unique_ptr<DiscoveryServer> server = StartServer(ServerOptions{});
+  ASSERT_NE(server, nullptr);
+  const EncodedTable table = testing_util::RandomEncodedTable(300, 5, 6, 29);
+
+  std::unique_ptr<DiscoveryClient> uploader = ConnectClient(server.get());
+  ASSERT_NE(uploader, nullptr);
+  ExpectClientJobMatchesDirect(uploader.get(), table, SmallJobOptions());
+
+  // The second connection names the same digest without having uploaded
+  // it: the server refuses the reference, and Submit resends the block.
+  std::unique_ptr<DiscoveryClient> other = ConnectClient(server.get());
+  ASSERT_NE(other, nullptr);
+  other->AssumeTableAckedForTest(serve::TableDigest(table));
+  ExpectClientJobMatchesDirect(other.get(), table, SmallJobOptions());
+
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.table_refs_unknown, 1);
+  EXPECT_EQ(stats.table_refs_resolved, 0);
+  // The resent block found the resident table after a content check.
+  EXPECT_EQ(stats.table_cache_misses, 1);
+  EXPECT_EQ(stats.table_cache_hits, 1);
+  EXPECT_EQ(stats.frames_rejected, 0);
+
+  // The upload registered the digest on the second connection too.
+  ExpectClientJobMatchesDirect(other.get(), table, SmallJobOptions());
+  EXPECT_EQ(server->stats().table_refs_resolved, 1);
+  server->Shutdown();
+}
+
+TEST(ServeFaultTest, TableRefEvictedTableFallsBackToUpload) {
+  ServerOptions options;
+  options.table_cache_capacity = 1;
+  std::unique_ptr<DiscoveryServer> server = StartServer(options);
+  ASSERT_NE(server, nullptr);
+  std::unique_ptr<DiscoveryClient> client = ConnectClient(server.get());
+  ASSERT_NE(client, nullptr);
+
+  const EncodedTable t1 = testing_util::RandomEncodedTable(300, 5, 6, 31);
+  const EncodedTable t2 = testing_util::RandomEncodedTable(300, 5, 6, 37);
+  ExpectClientJobMatchesDirect(client.get(), t1, SmallJobOptions());
+  ExpectClientJobMatchesDirect(client.get(), t2, SmallJobOptions());
+  ExpectClientJobMatchesDirect(client.get(), t1, SmallJobOptions());
+
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.table_refs_unknown, 1);
+  EXPECT_EQ(stats.table_refs_resolved, 0);
+  EXPECT_EQ(stats.table_cache_misses, 3);
+  EXPECT_EQ(stats.table_cache_hits, 0);
+  server->Shutdown();
+}
+
+TEST(ServeFaultTest, TableRefEvictedByAnotherConnectionFallsBack) {
+  // The connection still lists its reference, but another connection's
+  // upload evicted the table from the cache: the weak reference either
+  // expired or points at a table no longer resident, and both are
+  // unknown.
+  ServerOptions options;
+  options.table_cache_capacity = 1;
+  std::unique_ptr<DiscoveryServer> server = StartServer(options);
+  ASSERT_NE(server, nullptr);
+  std::unique_ptr<DiscoveryClient> a = ConnectClient(server.get());
+  std::unique_ptr<DiscoveryClient> b = ConnectClient(server.get());
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+
+  const EncodedTable t1 = testing_util::RandomEncodedTable(300, 5, 6, 41);
+  const EncodedTable t2 = testing_util::RandomEncodedTable(300, 5, 6, 43);
+  ExpectClientJobMatchesDirect(a.get(), t1, SmallJobOptions());
+  ExpectClientJobMatchesDirect(b.get(), t2, SmallJobOptions());
+  ExpectClientJobMatchesDirect(a.get(), t1, SmallJobOptions());
+
+  ServerStats stats = server->stats();
+  EXPECT_EQ(stats.table_refs_unknown, 1);
+  EXPECT_EQ(stats.table_refs_resolved, 0);
+  EXPECT_EQ(stats.table_cache_misses, 3);
+  server->Shutdown();
+}
+
+TEST(ServeFaultTest, TableRefUnknownDigestGetsTypedNotFoundConnectionStays) {
+  std::unique_ptr<DiscoveryServer> server = StartServer(ServerOptions{});
+  ASSERT_NE(server, nullptr);
+  const EncodedTable paper = testing_util::PaperEncoded();
+
+  shard::ChannelOptions copts;
+  copts.receive_timeout_seconds = 30.0;
+  Result<std::unique_ptr<shard::SocketShardChannel>> channel =
+      shard::SocketShardChannel::Connect("127.0.0.1", server->port(), 10.0,
+                                         copts);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  const int64_t rejected_before = server->stats().frames_rejected;
+
+  // A hand-built reference to a table this connection never uploaded.
+  ASSERT_TRUE(
+      (*channel)->Send(ReferenceSubmitFrame(77, serve::TableDigest(paper)))
+          .ok());
+  {
+    Result<std::vector<uint8_t>> raw = (*channel)->Receive();
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(*raw);
+    ASSERT_TRUE(f.ok());
+    ASSERT_EQ(f->type, shard::FrameType::kJobError);
+    Result<serve::WireJobError> error = serve::DecodeJobError(*f);
+    ASSERT_TRUE(error.ok());
+    EXPECT_EQ(error->status.code(), StatusCode::kNotFound);
+    EXPECT_EQ(error->request_id, 77u);
+    EXPECT_EQ(error->job_id, 0u);
+  }
+  EXPECT_EQ(server->stats().frames_rejected, rejected_before);
+  EXPECT_EQ(server->stats().table_refs_unknown, 1);
+
+  // The same connection then runs a full job.
+  serve::WireJobSubmit submit;
+  submit.request_id = 78;
+  submit.options = serve::WireJobOptionsFrom(SmallJobOptions());
+  submit.table_frame = shard::EncodeTableBlock(paper);
+  ASSERT_TRUE((*channel)->Send(EncodeJobSubmit(submit)).ok());
+  uint64_t job_id = 0;
+  std::vector<uint8_t> blob;
+  for (bool final_chunk = false; !final_chunk;) {
+    Result<std::vector<uint8_t>> raw = (*channel)->Receive();
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    Result<shard::DecodedFrame> f = shard::DecodeFrame(*raw);
+    ASSERT_TRUE(f.ok());
+    if (f->type == shard::FrameType::kJobStatus) {
+      Result<serve::WireJobStatus> status = serve::DecodeJobStatus(*f);
+      ASSERT_TRUE(status.ok());
+      if (status->request_id == 78u) job_id = status->job_id;
+      continue;
+    }
+    ASSERT_EQ(f->type, shard::FrameType::kJobResultBatch);
+    Result<serve::WireJobResultChunk> chunk = serve::DecodeJobResultChunk(*f);
+    ASSERT_TRUE(chunk.ok());
+    ASSERT_NE(job_id, 0u) << "result before the ack";
+    EXPECT_EQ(chunk->job_id, job_id);
+    blob.insert(blob.end(), chunk->blob_bytes.begin(),
+                chunk->blob_bytes.end());
+    final_chunk = chunk->final_chunk;
+  }
+  Result<DiscoveryResult> remote = DeserializeResult(blob);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(OutputFingerprint(*remote),
+            OutputFingerprint(DiscoverOds(paper, SmallJobOptions())));
+  EXPECT_EQ(server->stats().frames_rejected, rejected_before);
+  (*channel)->Close();
   server->Shutdown();
 }
 
@@ -638,6 +952,26 @@ TEST(TableCacheTest, RaceLossHitRefreshesLruRecency) {
   EXPECT_EQ(again.get(), entry.get());
   cache.Intern(a);
   EXPECT_EQ(cache.misses(), 5) << "A survived, so something else was evicted";
+}
+
+TEST(TableCacheTest, ReuseCountsHitsOnlyForResidentEntries) {
+  // A resolved table reference goes through Reuse: a resident entry is a
+  // hit and moves to the LRU front; an evicted one is refused even while
+  // the caller still holds it, so references respect the cache bound.
+  serve::TableCache cache(/*capacity=*/2);
+  std::shared_ptr<const serve::TableCache::Entry> x =
+      cache.Intern(testing_util::RandomEncodedTable(40, 3, 4, 1));
+  std::shared_ptr<const serve::TableCache::Entry> a =
+      cache.Intern(testing_util::RandomEncodedTable(40, 3, 4, 2));
+  EXPECT_EQ(x->digest,
+            serve::TableDigest(testing_util::RandomEncodedTable(40, 3, 4, 1)));
+  EXPECT_TRUE(cache.Reuse(*x));  // LRU now [X, A]
+  EXPECT_EQ(cache.hits(), 1);
+  cache.Intern(testing_util::RandomEncodedTable(40, 3, 4, 3));  // evicts A
+  EXPECT_FALSE(cache.Reuse(*a));
+  EXPECT_TRUE(cache.Reuse(*x));
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 3);
 }
 
 // ------------------------------------------------- hostile framing --
