@@ -18,9 +18,13 @@
 // the seam: process startup, table and base shipping, serialization,
 // checksumming and per-batch framing over loopback. Every point is the
 // median of kTimedRepeats timed runs after one untimed warm-up, so the
-// unsharded baseline does not run cold. With --json <path>
-// the series is written as machine-readable JSON (CI uploads it as
-// BENCH_exp8.json).
+// unsharded baseline does not run cold. A last section compares at
+// equal cores on one ncvoter table (shard-proc's shape: 50K rows at
+// scale 1, 10 attributes, no row shards): 2 shards with the coordinator
+// at one thread — two runner processes validating at once — against
+// the unsharded run at one thread and on a 2-worker pool. With --json
+// <path> the series is written as machine-readable JSON (CI uploads it
+// as BENCH_exp8.json).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -57,6 +61,17 @@ struct RowShardPoint {
   int64_t bytes_raw = 0;
   int64_t bytes_wire = 0;
   std::vector<int64_t> bytes_per_shard;
+};
+
+/// One equal-cores configuration's label and timed run.
+struct EqualCoresPoint {
+  std::string config;
+  RunResult run;
+};
+
+struct EqualCoresSeries {
+  int64_t rows = 0;
+  std::vector<EqualCoresPoint> points;
 };
 
 struct DatasetSeries {
@@ -167,8 +182,57 @@ DatasetSeries RunDataset(const char* name, bool flight, int64_t base_rows,
   return series;
 }
 
+/// Two runner processes against two threads in one process: does the
+/// seam beat the pool at equal cores? The first row is the sharded one;
+/// every row must report the same dependency counts.
+EqualCoresSeries RunEqualCores(const std::string& runner) {
+  EqualCoresSeries series;
+  series.rows = ScaledRows(50000);
+  std::printf("\n--- equal cores: ncvoter (%lld rows, 10 attributes,"
+              " eps = 10%%) ---\n",
+              static_cast<long long>(series.rows));
+  EncodedTable enc = EncodeTable(GenerateNcVoterTable(series.rows, 10, 1));
+  exec::ThreadPool pool2(2);
+  struct Config {
+    const char* label;
+    int shards;
+    exec::ThreadPool* pool;
+  };
+  const Config configs[] = {{"2 shards, 1 thread", 2, nullptr},
+                            {"unsharded, 1 thread", 0, nullptr},
+                            {"unsharded, 2-worker pool", 0, &pool2}};
+  std::printf("%26s %12s %9s %8s %8s\n", "configuration", "wall(s)",
+              "vs shards", "#AOC", "#AOFD");
+  for (const Config& c : configs) {
+    DiscoveryOptions options;
+    options.validator = ValidatorKind::kOptimal;
+    options.epsilon = 0.10;
+    options.num_threads = 1;
+    options.pool = c.pool;
+    options.num_shards = c.shards;
+    options.shard_runner_path = runner;
+    EqualCoresPoint point;
+    point.config = c.label;
+    point.run = RunDiscoveryWarmMedian(enc, options);
+    const RunResult& first =
+        series.points.empty() ? point.run : series.points.front().run;
+    const bool deterministic = point.run.ocs == first.ocs &&
+                               point.run.ofds == first.ofds &&
+                               point.run.full.shard_status.ok();
+    std::printf("%26s %12.3f %8.2fx %8lld %8lld%s\n", c.label,
+                point.run.seconds,
+                point.run.seconds > 0 ? first.seconds / point.run.seconds
+                                      : 0.0,
+                static_cast<long long>(point.run.ocs),
+                static_cast<long long>(point.run.ofds),
+                deterministic ? "" : "  <-- DETERMINISM VIOLATION");
+    series.points.push_back(std::move(point));
+  }
+  return series;
+}
+
 int WriteJson(const char* path, const std::vector<DatasetSeries>& all,
-              int threads) {
+              const EqualCoresSeries& equal_cores, int threads) {
   FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", path);
@@ -231,7 +295,20 @@ int WriteJson(const char* path, const std::vector<DatasetSeries>& all,
     }
     std::fprintf(f, "    ]}%s\n", d + 1 < all.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n  \"equal_cores\": {\"name\": \"ncvoter\", "
+                  "\"rows\": %lld, \"points\": [\n",
+               static_cast<long long>(equal_cores.rows));
+  for (size_t i = 0; i < equal_cores.points.size(); ++i) {
+    const EqualCoresPoint& p = equal_cores.points[i];
+    std::fprintf(f,
+                 "    {\"config\": \"%s\", \"seconds\": %.6f, "
+                 "\"ocs\": %lld, \"ofds\": %lld}%s\n",
+                 p.config.c_str(), p.run.seconds,
+                 static_cast<long long>(p.run.ocs),
+                 static_cast<long long>(p.run.ofds),
+                 i + 1 < equal_cores.points.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
   std::printf("\nJSON written to %s\n", path);
   return 0;
@@ -266,7 +343,11 @@ int main(int argc, char** argv) {
             " raw/wire). The row-shards section distributes the base-partition"
             " build over contiguous row ranges (traversal unsharded):"
             " max/shard(MiB) is the largest table slice any one shard"
-            " received, which must fall as O(table/row_shards).");
+            " received, which must fall as O(table/row_shards). The"
+            " equal-cores section times 2 shards with a 1-thread"
+            " coordinator against the unsharded run on 1 thread and on"
+            " a 2-worker pool; vs shards > 1x means faster than the"
+            " sharded run.");
 
   aod::exec::ThreadPool pool(threads);
   std::vector<DatasetSeries> all;
@@ -274,6 +355,9 @@ int main(int argc, char** argv) {
       RunDataset("flight", /*flight=*/true, 100000, runner, &pool));
   all.push_back(
       RunDataset("ncvoter", /*flight=*/false, 100000, runner, &pool));
-  if (json_path != nullptr) return WriteJson(json_path, all, threads);
+  const EqualCoresSeries equal_cores = RunEqualCores(runner);
+  if (json_path != nullptr) {
+    return WriteJson(json_path, all, equal_cores, threads);
+  }
   return 0;
 }

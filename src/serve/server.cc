@@ -80,6 +80,7 @@ void DiscoveryServer::Shutdown() {
   // and deliver over still-open connections, then tear the connections
   // down and join every thread.
   stop_accepting_.store(true, std::memory_order_release);
+  if (listener_ != nullptr) listener_->Wake();
   if (acceptor_.joinable()) acceptor_.join();
   scheduler_->Shutdown();
   std::vector<std::shared_ptr<Connection>> conns;
@@ -128,8 +129,12 @@ ServerStats DiscoveryServer::stats() const {
 
 void DiscoveryServer::AcceptLoop() {
   while (!stop_accepting_.load(std::memory_order_acquire)) {
-    Result<int> fd = listener_->AcceptFd(/*timeout_seconds=*/0.1);
-    if (!fd.ok()) continue;  // timeout tick; re-check the stop flag
+    // No timeout: Shutdown wakes this wait (kClosed) directly.
+    Result<int> fd = listener_->AcceptFd(/*timeout_seconds=*/0.0);
+    if (!fd.ok()) {
+      if (fd.status().code() == StatusCode::kClosed) break;
+      continue;  // a failed accept; the next one may succeed
+    }
     ReapFinishedReaders();
     shard::ChannelOptions copts;
     copts.max_frame_bytes = options_.max_frame_bytes;

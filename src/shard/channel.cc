@@ -285,27 +285,47 @@ Result<std::unique_ptr<SocketListener>> SocketListener::Bind(uint16_t port) {
     ::close(fd);
     return Status::IoError(ErrnoMessage("listen"));
   }
+  // No fallback without the wake pipe: an acceptor that waits with no
+  // timeout would never see Wake.
+  int wake[2];
+  if (::pipe2(wake, O_CLOEXEC | O_NONBLOCK) != 0) {
+    ::close(fd);
+    return Status::IoError(ErrnoMessage("pipe2"));
+  }
   return std::unique_ptr<SocketListener>(
-      new SocketListener(fd, ntohs(addr.sin_port)));
+      new SocketListener(fd, ntohs(addr.sin_port), wake[0], wake[1]));
 }
 
-SocketListener::~SocketListener() { ::close(fd_); }
+SocketListener::~SocketListener() {
+  ::close(fd_);
+  ::close(wake_fds_[0]);
+  ::close(wake_fds_[1]);
+}
+
+void SocketListener::Wake() {
+  const uint8_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fds_[1], &one, 1);
+}
 
 Result<int> SocketListener::AcceptFd(
     double timeout_seconds, const std::function<Status()>& still_waiting) {
   // Slice length between still_waiting checks: short enough that a child
   // that died at once costs milliseconds, long enough not to spin.
   constexpr int kSliceMs = 20;
+  const bool bounded = timeout_seconds > 0.0;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(timeout_seconds));
-  pollfd pfd{fd_, POLLIN, 0};
   for (;;) {
-    const int left = PollTimeoutMs(true, deadline);
-    const int rc =
-        ::poll(&pfd, 1, still_waiting ? std::min(left, kSliceMs) : left);
+    pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    const int left = PollTimeoutMs(bounded, deadline);
+    const int rc = ::poll(
+        pfds, 2,
+        still_waiting ? (left < 0 ? kSliceMs : std::min(left, kSliceMs))
+                      : left);
     if (rc < 0 && errno == EINTR) continue;
     if (rc < 0) return Status::IoError(ErrnoMessage("poll"));
+    if (pfds[1].revents != 0) return Status::Closed("listener woken");
     if (rc > 0) break;
     if (left == 0) return Status::IoError("shard runner never connected");
     if (still_waiting) AOD_RETURN_NOT_OK(still_waiting());

@@ -166,19 +166,30 @@ class SocketListener {
 
   uint16_t port() const { return port_; }
 
-  /// Accepts one connection (poll-bounded); the returned fd is owned by
-  /// the caller (hand it to SocketShardChannel::Adopt). With
-  /// `still_waiting` set, the wait is polled in short slices and the
-  /// check runs between them; a non-OK check ends the wait with its
-  /// status — how SpawnRunner notices a child that exited instead of
-  /// connecting without waiting out the whole timeout.
+  /// Accepts one connection; the returned fd is owned by the caller
+  /// (hand it to SocketShardChannel::Adopt). The wait is bounded by
+  /// `timeout_seconds` (0 = no bound) and ends at once with kClosed
+  /// once Wake was called. With `still_waiting` set, the wait is polled
+  /// in short slices and the check runs between them; a non-OK check
+  /// ends the wait with its status — how SpawnRunner notices a child
+  /// that exited instead of connecting without waiting out the whole
+  /// timeout.
   Result<int> AcceptFd(double timeout_seconds,
                        const std::function<Status()>& still_waiting = {});
 
+  /// Ends every AcceptFd, blocked now or called later, with kClosed —
+  /// how a server's shutdown stops an acceptor that waits with no
+  /// timeout. Thread-safe; idempotent.
+  void Wake();
+
  private:
-  SocketListener(int fd, uint16_t port) : fd_(fd), port_(port) {}
+  SocketListener(int fd, uint16_t port, int wake_read, int wake_write)
+      : fd_(fd), port_(port), wake_fds_{wake_read, wake_write} {}
   const int fd_;
   const uint16_t port_;
+  /// Self-pipe: Wake writes a byte that is never read, so the pipe
+  /// stays readable and every later poll sees it too.
+  const int wake_fds_[2];
 };
 
 }  // namespace shard

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "partition/attribute_set.h"
 #include "partition/stripped_partition.h"
@@ -45,9 +44,10 @@ Status ShardCoordinator::Init(
   bootstrap_.table_frame =
       EncodeTableBlock(*table_, /*compress=*/true, &bootstrap_.table_counts);
   // One kPartitionBlock per base (level-1) partition, each shipped to
-  // every shard as its own frame. Socket sends are buffered by the
-  // channel's writer thread, so even a serial coordinator cannot
-  // deadlock against an unserved peer.
+  // every shard as its own frame. Socket sends are queued by the
+  // channel's writer thread and never block, so this thread can ship
+  // every shard's bootstrap — and later every shard's level batch —
+  // before it reads any reply without deadlocking against a peer.
   const int k = table_->num_columns();
   if (base_partitions != nullptr) {
     AOD_CHECK_MSG(static_cast<int>(base_partitions->size()) == k,
@@ -99,20 +99,23 @@ Status ShardCoordinator::ValidateBatch(
   for (const WireCandidate& c : candidates) {
     batches[static_cast<size_t>(ShardOf(c.context_bits, n))].push_back(c);
   }
-  // Each shard's ship/validate/receive round is one task: chunk decode
-  // and (supervised) retry ladders overlap across shards, while the
-  // serial shard-order fold below keeps delivery deterministic.
-  std::vector<Status> statuses(batches.size());
-  std::vector<std::vector<WireOutcome>> replies(batches.size());
-  exec::TaskGroup group(pool_);
+  // One level is one fan-out on this thread: every live shard gets its
+  // batch before any reply is awaited, so the runners validate at the
+  // same time. The replies are then received in shard order, each
+  // shard's retry / respawn / degrade ladder running in its own turn; a
+  // degraded shard validates here in its turn, while the runners work.
   for (size_t s = 0; s < batches.size(); ++s) {
-    group.Run([this, s, &batches, &cancel, &statuses, &replies] {
-      statuses[s] =
-          supervisors_[s]->ExecuteLevel(batches[s], cancel, &replies[s]);
-    });
+    supervisors_[s]->SendBatch(batches[s]);
   }
-  group.Wait();
-  for (const Status& st : statuses) AOD_RETURN_NOT_OK(st);
+  // The first error in shard order surfaces (strict mode, cancellation,
+  // deadline). A later shard's reply is then never received here;
+  // Finish's CollectFooter drains it ahead of the footer.
+  std::vector<std::vector<WireOutcome>> replies(batches.size());
+  for (size_t s = 0; s < batches.size(); ++s) {
+    AOD_RETURN_NOT_OK(
+        supervisors_[s]->ExecuteLevel(batches[s], cancel, &replies[s]));
+  }
+  // Serial shard-order fold, only once every reply decoded cleanly.
   for (std::vector<WireOutcome>& reply : replies) {
     for (WireOutcome& o : reply) fold(std::move(o));
   }

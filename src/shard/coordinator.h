@@ -16,10 +16,11 @@
 //   per level       candidates are split by ShardOf(context) — all
 //                   candidates sharing a context land on one shard, so
 //                   a context partition is derived (at most) once per
-//                   run, by exactly one shard — batched, shipped,
-//                   validated shard-locally, and the kResultBatch
-//                   replies are folded back into the driver's outcome
-//                   slots in shard order;
+//                   run, by exactly one shard — batched and shipped to
+//                   every shard before any reply is read, validated
+//                   shard-locally and at the same time, and the
+//                   kResultBatch replies are received and folded back
+//                   into the driver's outcome slots in shard order;
 //   supervision     each shard's level execution runs under its
 //                   ShardSupervisor (src/shard/supervisor.h): failures
 //                   are retried with backoff and a fresh process, and a
@@ -101,8 +102,9 @@ class ShardCoordinator {
  public:
   /// Creates `num_shards` supervised runner processes and ships each the
   /// config, the table and the base partitions. `pool` (nullable) runs
-  /// the per-shard level tasks and any degraded shard's validation; both
-  /// `table` and `pool` are borrowed and must outlive the coordinator.
+  /// any degraded shard's validation, and its width sets each runner's
+  /// thread slice; both `table` and `pool` are borrowed and must outlive
+  /// the coordinator.
   /// Fails with a typed Status on any transport or spawn error that
   /// survives the supervision ladder. `base_partitions` (optional, one
   /// per column) seeds the shards with already-computed level-1
@@ -127,15 +129,17 @@ class ShardCoordinator {
   static int ShardOf(uint64_t context_bits, int num_shards);
 
   /// Validates one level's candidates across the shards: splits
-  /// `candidates` by ShardOf, runs every shard's ship/validate/receive
-  /// round as one supervised task (concurrent across shards on the
-  /// pool), and — only once every shard's reply decoded cleanly —
+  /// `candidates` by ShardOf, sends every live shard its batch, then
+  /// receives the replies in shard order under each shard's supervisor
+  /// (so the runners validate at the same time, on the calling thread
+  /// alone), and — only once every shard's reply decoded cleanly —
   /// invokes `fold` per outcome, shard order outside, ascending slots
   /// within a shard. Replies are buffered per shard while in flight, so
   /// a retried level folds exactly one attempt's outcomes and nothing is
-  /// folded on a non-OK return. Candidates a shard did not finish before
-  /// cancellation are simply absent — the driver's merge treats their
-  /// slots as undone.
+  /// folded on a non-OK return, which reports the first failing shard
+  /// in shard order; only Finish may follow it. Candidates a shard did
+  /// not finish before cancellation are simply absent — the driver's
+  /// merge treats their slots as undone.
   Status ValidateBatch(const std::vector<WireCandidate>& candidates,
                        const std::function<bool()>& cancel,
                        const std::function<void(WireOutcome)>& fold);

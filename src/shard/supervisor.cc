@@ -238,18 +238,27 @@ Status ShardSupervisor::EstablishCurrent() {
   return Status::OK();
 }
 
-Status ShardSupervisor::ExecuteLevelOnce(
-    const std::vector<WireCandidate>& batch, std::vector<WireOutcome>* out) {
+Status ShardSupervisor::SendBatchOnce(
+    const std::vector<WireCandidate>& batch) {
+  // A previous level may have torn the attempt down: re-establish
+  // before sending.
+  if (current_ == nullptr) AOD_RETURN_NOT_OK(EstablishCurrent());
   Attempt* attempt = current_.get();
   CodecByteCounts encode_counts;
   AOD_RETURN_NOT_OK(attempt->channel->Send(
       EncodeCandidateBatch(batch, &encode_counts)));
   ++attempt->frames_sent;
   AddTypeCounts(FrameType::kCandidateBatch, encode_counts);
+  return Status::OK();
+}
+
+Status ShardSupervisor::ReceiveReply(size_t batch_size,
+                                     std::vector<WireOutcome>* out) {
+  Attempt* attempt = current_.get();
   // Chunked reply: a well-formed reply is at most |batch|+1 chunks
   // (every chunk but the final carries at least one outcome), so a
   // babbling runner is a typed protocol error, not a loop.
-  const size_t max_chunks = batch.size() + 1;
+  const size_t max_chunks = batch_size + 1;
   size_t chunks = 0;
   CodecByteCounts decode_counts;
   for (;;) {
@@ -348,9 +357,20 @@ Status ShardSupervisor::Start() {
   }
 }
 
+void ShardSupervisor::SendBatch(const std::vector<WireCandidate>& batch) {
+  AOD_CHECK_MSG(!pending_send_.has_value(),
+                "shard %d: the previous batch's reply was never received",
+                shard_id_);
+  if (fallback_ != nullptr) return;  // validates in ExecuteLevel
+  pending_send_ = SendBatchOnce(batch);
+}
+
 Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
                                      const std::function<bool()>& cancel,
                                      std::vector<WireOutcome>* out) {
+  // The first turn picks up the send SendBatch already made, failed or
+  // not; every re-attempt re-sends on its fresh attempt.
+  std::optional<Status> sent = std::exchange(pending_send_, std::nullopt);
   Status st = Status::OK();
   for (int attempt_try = 0;; ++attempt_try) {
     if (fallback_ != nullptr) {
@@ -368,12 +388,15 @@ Status ShardSupervisor::ExecuteLevel(const std::vector<WireCandidate>& batch,
       // the I/O-timeout floor, so overshoot compounds per retry).
       if (DeadlineExpired()) return st;
     }
-    // A previous level may have torn the attempt down: re-establish
-    // before executing.
-    st = current_ == nullptr ? EstablishCurrent() : Status::OK();
+    if (sent.has_value()) {
+      st = std::move(*sent);
+      sent.reset();
+    } else {
+      st = SendBatchOnce(batch);
+    }
     if (st.ok()) {
       std::vector<WireOutcome> buffered;
-      st = ExecuteLevelOnce(batch, &buffered);
+      st = ReceiveReply(batch.size(), &buffered);
       if (st.ok()) {
         *out = std::move(buffered);
         return st;

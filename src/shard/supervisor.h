@@ -28,9 +28,15 @@
 // (tests/shard_channel_conformance_test pins this with retries pinned
 // to 0).
 //
-// Threading: one task at a time drives a supervisor (Start, one
-// ExecuteLevel per level, the Finish-phase calls); its counters are read
-// after those tasks joined.
+// Threading: the coordinator's calling thread drives every supervisor
+// (Start, then per level SendBatch and ExecuteLevel, then the
+// Finish-phase calls). A level is split in two so that one thread can
+// fan it out: SendBatch ships a shard's batch without waiting, and
+// ExecuteLevel later receives that batch's reply. The coordinator sends
+// every shard's batch before it receives any reply, so the runners
+// validate at the same time with no thread added. Send never blocks
+// (the channel's writer thread queues the frame), so a shard whose
+// reply is not yet read cannot stall another.
 #ifndef AOD_SHARD_SUPERVISOR_H_
 #define AOD_SHARD_SUPERVISOR_H_
 
@@ -40,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -145,13 +152,23 @@ class ShardSupervisor {
   /// Finish phase.
   Status Start();
 
-  /// Ships `batch` and receives the chunked reply into `out` (ascending
-  /// slot order). On failure: teardown, backoff, respawn, re-execute —
-  /// up to max_retries re-attempts — then degradation to validation on
-  /// the coordinator; only a failure in strict mode, on cancellation or
-  /// past the run deadline surfaces. Empty batches still make the round
-  /// trip: the request/reply cadence is one frame per shard per level.
-  /// A degraded shard validates `batch` directly.
+  /// Ships `batch` on the current attempt (establishing one when a
+  /// previous level tore it down) and returns without waiting for the
+  /// reply. A failure is kept for ExecuteLevel, whose first turn enters
+  /// the retry ladder with it. A degraded shard sends nothing. Every
+  /// SendBatch must be followed by ExecuteLevel on the same batch before
+  /// the next SendBatch.
+  void SendBatch(const std::vector<WireCandidate>& batch);
+
+  /// Receives the chunked reply to the batch SendBatch shipped into
+  /// `out` (ascending slot order). On failure: teardown, backoff,
+  /// respawn, re-send and receive again — up to max_retries
+  /// re-attempts — then degradation to validation on the coordinator;
+  /// only a failure in strict mode, on cancellation or past the run
+  /// deadline surfaces.
+  /// Empty batches still make the round trip: the request/reply cadence
+  /// is one frame per shard per level. A degraded shard validates
+  /// `batch` directly.
   Status ExecuteLevel(const std::vector<WireCandidate>& batch,
                       const std::function<bool()>& cancel,
                       std::vector<WireOutcome>* out);
@@ -170,7 +187,7 @@ class ShardSupervisor {
   /// coordinator's shared-deadline reap; the supervisor forgets the pid.
   pid_t ReleaseProcess();
 
-  // --- Observability (read after the driving tasks joined) ---
+  // --- Observability (read on the driving thread, between calls) ---
   int shard_id() const { return shard_id_; }
   bool strict() const { return supervision_.max_retries <= 0; }
   int64_t retries() const { return retries_; }
@@ -209,9 +226,12 @@ class ShardSupervisor {
   /// installs it as current_ — even on failure, so strict mode keeps the
   /// half-built attempt for the Finish phase and a retry tears it down.
   Status EstablishCurrent();
-  /// One send/receive round for a level on the current attempt.
-  Status ExecuteLevelOnce(const std::vector<WireCandidate>& batch,
-                          std::vector<WireOutcome>* out);
+  /// Ships a level's batch on the current attempt, establishing one
+  /// first when none is live.
+  Status SendBatchOnce(const std::vector<WireCandidate>& batch);
+  /// Receives the chunked reply to a batch of `batch_size` candidates
+  /// on the current attempt.
+  Status ReceiveReply(size_t batch_size, std::vector<WireOutcome>* out);
   /// Degrades the shard: builds fallback_ from the bootstrap bytes.
   Status Degrade();
   /// Exponential backoff with deterministic jitter before re-attempt
@@ -229,6 +249,9 @@ class ShardSupervisor {
   exec::ThreadPool* const pool_;
 
   std::unique_ptr<Attempt> current_;
+  /// Set by SendBatch and consumed by the next ExecuteLevel: the batch
+  /// is on the current attempt (OK) or failed to get there.
+  std::optional<Status> pending_send_;
   uint32_t attempt_seq_ = 0;
   /// The degraded shard's channel-free core; non-null once the shard
   /// fell back, for the rest of the run.

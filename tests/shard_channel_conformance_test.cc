@@ -218,6 +218,28 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+// -------------------------------------------------------- listener --
+
+TEST(SocketListenerTest, WakeEndsAnUnboundedAcceptWithClosed) {
+  // A server's acceptor waits with no timeout; its shutdown relies on
+  // Wake ending that wait. Whether the acceptor is already parked in
+  // poll or not yet there when Wake lands, it must see kClosed — and so
+  // must every later AcceptFd — so a broken wake hangs this test
+  // instead of passing slowly.
+  Result<std::unique_ptr<SocketListener>> listener = SocketListener::Bind();
+  ASSERT_TRUE(listener.ok());
+  Status observed = Status::OK();
+  std::thread acceptor([&] {
+    Result<int> fd = (*listener)->AcceptFd(/*timeout_seconds=*/0.0);
+    observed = fd.status();
+  });
+  (*listener)->Wake();
+  acceptor.join();
+  EXPECT_EQ(observed.code(), StatusCode::kClosed) << observed.ToString();
+  Result<int> again = (*listener)->AcceptFd(/*timeout_seconds=*/0.0);
+  EXPECT_EQ(again.status().code(), StatusCode::kClosed);
+}
+
 // ------------------------------------------- byte-level stream faults --
 
 TEST(SocketChannelFaultTest, EofMidFrameIsTypedNotAHang) {

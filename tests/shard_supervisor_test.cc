@@ -13,23 +13,32 @@
 //   - the attempt-1-vs-2 tests fault the first AND second attempt of
 //     one shard, forcing the ladder two rungs deep;
 //   - the persistent-fault test breaks every attempt so the shards must
-//     degrade to validation on the coordinator.
+//     degrade to validation on the coordinator;
+//   - the fan-out tests log every coordinator-side Send and Receive in
+//     the order the coordinator made them, and pin that each level
+//     hands every shard its batch before any reply is received — with
+//     and without a fault on a reply after that fan-out.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "flaky_channel.h"
 #include "gen/ncvoter_generator.h"
 #include "od/discovery.h"
 #include "shard/channel.h"
+#include "shard/wire.h"
 #include "test_util.h"
 
 namespace aod {
@@ -59,6 +68,109 @@ std::string OutputFingerprint(const DiscoveryResult& result) {
     out += ';';
   }
   return out;
+}
+
+/// One coordinator-side channel call: which decorated channel (by
+/// creation index), which direction, and the frame's type.
+struct ChannelEvent {
+  int channel = 0;
+  bool send = false;
+  shard::FrameType type = shard::FrameType::kPartitionBlock;
+};
+
+/// Every Send and Receive of every decorated channel, in one order.
+/// The coordinator drives all of its channels from one thread, so the
+/// log order is the order the coordinator made the calls in — no
+/// timing enters it.
+class EventLog {
+ public:
+  void Add(ChannelEvent e) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    events_.push_back(e);
+  }
+  std::vector<ChannelEvent> events() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return events_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<ChannelEvent> events_;
+};
+
+/// A pass-through channel that logs each call once it returned. With
+/// `fail_first_reply`, the first result chunk it receives is consumed
+/// and reported as a typed IoError instead: a reply receive that fails
+/// after the level's batches went out.
+class LoggingChannel final : public ShardChannel {
+ public:
+  LoggingChannel(std::unique_ptr<ShardChannel> inner, int index,
+                 EventLog* log, bool fail_first_reply)
+      : inner_(std::move(inner)),
+        index_(index),
+        log_(log),
+        fail_first_reply_(fail_first_reply) {}
+
+  Status Send(std::vector<uint8_t> frame) override {
+    const shard::FrameType type = TypeOf(frame);
+    Status st = inner_->Send(std::move(frame));
+    log_->Add({index_, /*send=*/true, type});
+    return st;
+  }
+
+  Result<std::vector<uint8_t>> Receive() override {
+    Result<std::vector<uint8_t>> frame = inner_->Receive();
+    if (!frame.ok()) return frame;
+    const shard::FrameType type = TypeOf(*frame);
+    log_->Add({index_, /*send=*/false, type});
+    if (fail_first_reply_ && type == shard::FrameType::kResultBatch) {
+      fail_first_reply_ = false;
+      return Status::IoError("injected reply receive fault");
+    }
+    return frame;
+  }
+
+  void Close() override { inner_->Close(); }
+  int64_t bytes_sent() const override { return inner_->bytes_sent(); }
+  int64_t bytes_received() const override { return inner_->bytes_received(); }
+
+ private:
+  static shard::FrameType TypeOf(const std::vector<uint8_t>& frame) {
+    Result<shard::DecodedFrame> decoded = shard::DecodeFrame(frame);
+    EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+    return decoded.ok() ? decoded->type : shard::FrameType::kPartitionBlock;
+  }
+
+  std::unique_ptr<ShardChannel> inner_;
+  const int index_;
+  EventLog* const log_;
+  bool fail_first_reply_;
+};
+
+/// Decorates every coordinator-side channel with a LoggingChannel that
+/// logs into `log`; the channel created `fail_index`-th (0-based; -1 =
+/// none) fails its first reply receive.
+std::function<std::unique_ptr<ShardChannel>(std::unique_ptr<ShardChannel>)>
+LoggingDecorator(EventLog* log, std::atomic<int>* created,
+                 int fail_index = -1) {
+  return [log, created, fail_index](std::unique_ptr<ShardChannel> inner)
+             -> std::unique_ptr<ShardChannel> {
+    const int index = created->fetch_add(1);
+    return std::make_unique<LoggingChannel>(std::move(inner), index, log,
+                                            index == fail_index);
+  };
+}
+
+bool IsBatchSend(const ChannelEvent& e) {
+  return e.send && e.type == shard::FrameType::kCandidateBatch;
+}
+bool IsReplyReceive(const ChannelEvent& e) {
+  return !e.send && e.type == shard::FrameType::kResultBatch;
+}
+
+/// True when every spawned runner of this process has been reaped.
+bool NoChildLeft() {
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
 }
 
 int64_t RecoveryTotal(const DiscoveryStats& stats) {
@@ -352,6 +464,170 @@ TEST_F(ShardSupervisorTest, TightBudgetBoundsBackoffParks) {
   // surfaced as a partial result, or the persistent fault as a typed
   // error — never a hang (the bound above) or a crash.
   EXPECT_TRUE(result.timed_out || !result.shard_status.ok());
+}
+
+
+// The fan-out: at every level the coordinator sends both shards their
+// batches before it receives the first reply on either channel, so the
+// two runners validate at the same time. Checked from the coordinator's
+// own call order, so it does not depend on timing, at one thread (no
+// pool) and on a 2-worker pool; the output stays bit-identical to the
+// unsharded run.
+TEST_F(ShardSupervisorTest, EveryLevelSendsEveryBatchBeforeAnyReply) {
+  Table t = GenerateNcVoterTable(120, 4, 7);
+  EncodedTable enc = EncodeTable(t);
+  DiscoveryOptions unsharded_options;
+  unsharded_options.epsilon = 0.1;
+  unsharded_options.num_threads = 1;
+  DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
+  ASSERT_TRUE(unsharded.shard_status.ok());
+
+  for (int threads : {1, 2}) {
+    SCOPED_TRACE("num_threads=" + std::to_string(threads));
+    EventLog log;
+    std::atomic<int> created{0};
+    DiscoveryOptions options = Options();
+    options.num_threads = threads;
+    options.shard_channel_decorator = LoggingDecorator(&log, &created);
+    DiscoveryResult result = DiscoverOds(enc, options);
+    testing_util::ExpectServedByRunners(result);
+    EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
+    ASSERT_EQ(created.load(), 2);
+
+    // batches[c] is the number of levels channel c was sent; a reply
+    // received on c answers its latest one, so at that point every
+    // channel must already hold that level's batch.
+    int batches[2] = {0, 0};
+    int replies = 0;
+    for (const ChannelEvent& e : log.events()) {
+      if (IsBatchSend(e)) ++batches[e.channel];
+      if (!IsReplyReceive(e)) continue;
+      ++replies;
+      EXPECT_EQ(batches[0], batches[1])
+          << "a reply on channel " << e.channel
+          << " was received before every shard held its level-"
+          << batches[e.channel] << " batch";
+    }
+    EXPECT_EQ(batches[0], batches[1]);
+    EXPECT_GE(batches[0], 2);  // more than one level was fanned out
+    EXPECT_GE(replies, 2 * batches[0]);
+  }
+}
+
+// A fault after the fan-out, supervised: both batches went out, then
+// shard 1's reply receive fails. Shard 1 alone retries on a fresh
+// attempt (a third channel), shard 0's already received reply is kept —
+// shard 0 is never retried — and the output stays bit-identical.
+TEST_F(ShardSupervisorTest, ReplyFaultAfterFanOutRetriesOnlyThatShard) {
+  Table t = GenerateNcVoterTable(120, 4, 7);
+  EncodedTable enc = EncodeTable(t);
+  DiscoveryOptions unsharded_options;
+  unsharded_options.epsilon = 0.1;
+  unsharded_options.num_threads = 1;
+  DiscoveryResult unsharded = DiscoverOds(enc, unsharded_options);
+  ASSERT_TRUE(unsharded.shard_status.ok());
+
+  EventLog log;
+  std::atomic<int> created{0};
+  DiscoveryOptions options = Options();
+  options.num_threads = 1;
+  options.shard_channel_decorator =
+      LoggingDecorator(&log, &created, /*fail_index=*/1);
+  DiscoveryResult result = DiscoverOds(enc, options);
+  ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
+  EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
+  EXPECT_EQ(result.stats.shard_retries, 1);
+  EXPECT_EQ(result.stats.shard_respawns, 1);
+  EXPECT_EQ(result.stats.shard_fallback_shards, 0);
+  EXPECT_EQ(result.stats.shard_footers_missing, 0);
+  ASSERT_EQ(created.load(), 3);  // shard 0, shard 1, shard 1's respawn
+
+  // The level-1 conversation up to the fault, in the coordinator's
+  // order: both batches, then shard 0's whole reply, then the failing
+  // receive on shard 1; after it, shard 1's respawn is sent the batch
+  // again and answers it.
+  const std::vector<ChannelEvent> events = log.events();
+  size_t fault = events.size();
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].channel == 1 && IsReplyReceive(events[i])) {
+      fault = i;
+      break;
+    }
+  }
+  ASSERT_LT(fault, events.size());
+  int batches_before[3] = {0, 0, 0};
+  int replies_before[3] = {0, 0, 0};
+  for (size_t i = 0; i < fault; ++i) {
+    if (IsBatchSend(events[i])) ++batches_before[events[i].channel];
+    if (IsReplyReceive(events[i])) ++replies_before[events[i].channel];
+  }
+  EXPECT_EQ(batches_before[0], 1);
+  EXPECT_EQ(batches_before[1], 1);
+  EXPECT_GE(replies_before[0], 1);
+  EXPECT_EQ(batches_before[2] + replies_before[2], 0);
+  // Shard 0's reply was received only after shard 1 held its batch.
+  for (size_t i = 0; i < fault; ++i) {
+    if (events[i].channel == 1 && IsBatchSend(events[i])) break;
+    EXPECT_FALSE(IsReplyReceive(events[i])) << "event " << i;
+  }
+  bool resent = false;
+  bool answered = false;
+  for (size_t i = fault + 1; i < events.size(); ++i) {
+    if (events[i].channel != 2) continue;
+    if (IsBatchSend(events[i])) resent = true;
+    if (IsReplyReceive(events[i]) && resent) answered = true;
+  }
+  EXPECT_TRUE(resent);
+  EXPECT_TRUE(answered);
+}
+
+// The same fault on shard 0 in strict mode: the typed error returns
+// without a retry, and shard 1 — whose batch went out in the fan-out
+// but whose reply is never received by the level — still answers the
+// shutdown: Finish drains the stale reply ahead of the footer, collects
+// both footers and reaps both runners.
+TEST_F(ShardSupervisorTest, StrictReplyFaultAfterFanOutStillCollectsFooters) {
+  Table t = GenerateNcVoterTable(120, 4, 7);
+  EncodedTable enc = EncodeTable(t);
+  EventLog log;
+  std::atomic<int> created{0};
+  DiscoveryOptions options = Options();
+  options.num_threads = 1;
+  options.shard_max_retries = 0;
+  options.shard_channel_decorator =
+      LoggingDecorator(&log, &created, /*fail_index=*/0);
+  DiscoveryResult result = DiscoverOds(enc, options);
+  ASSERT_EQ(result.shard_status.code(), StatusCode::kIoError)
+      << result.shard_status.ToString();
+  EXPECT_NE(result.shard_status.message().find("injected"),
+            std::string::npos);
+  EXPECT_EQ(result.stats.shard_retries, 0);
+  EXPECT_EQ(result.stats.shard_footers_missing, 0);
+  EXPECT_EQ(created.load(), 2);
+  EXPECT_TRUE(NoChildLeft());
+
+  const std::vector<ChannelEvent> events = log.events();
+  int batches[2] = {0, 0};
+  bool fault_seen = false;
+  bool stale_reply_drained = false;
+  bool footer[2] = {false, false};
+  for (const ChannelEvent& e : events) {
+    if (IsBatchSend(e)) ++batches[e.channel];
+    if (IsReplyReceive(e) && e.channel == 0 && !fault_seen) {
+      // The failing receive: every shard already held its batch.
+      fault_seen = true;
+      EXPECT_EQ(batches[0], 1);
+      EXPECT_EQ(batches[1], 1);
+    }
+    if (IsReplyReceive(e) && e.channel == 1) stale_reply_drained = true;
+    if (!e.send && e.type == shard::FrameType::kStatsFooter) {
+      footer[e.channel] = true;
+    }
+  }
+  EXPECT_TRUE(fault_seen);
+  EXPECT_TRUE(stale_reply_drained);
+  EXPECT_TRUE(footer[0]);
+  EXPECT_TRUE(footer[1]);
 }
 
 }  // namespace
