@@ -131,6 +131,49 @@ void BM_ValidateAocOptimalManyClasses(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateAocOptimalManyClasses);
 
+// About 20K classes of 2 or 3 rows (50K rows): the shape of deep-lattice
+// contexts, where tiny classes are most of what is validated. Epsilon 0.5
+// keeps early exit from firing, so every class is visited.
+void BM_ValidateAocOptimalTinyClasses(benchmark::State& state) {
+  Table raw = GenerateTable(
+      {{.name = "a", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 16},
+       {.name = "b", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 16}},
+      50000, 13);
+  EncodedTable t = EncodeTable(raw);
+  std::vector<std::vector<int32_t>> classes;
+  for (int32_t r = 0; r < 50000;) {
+    const int32_t m = classes.size() % 2 == 0 ? 2 : 3;
+    classes.emplace_back();
+    for (int32_t i = 0; i < m; ++i) classes.back().push_back(r++);
+  }
+  auto partition = StrippedPartition::FromClasses(std::move(classes));
+  ValidatorScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValidateAocOptimal(
+        t, partition, 0, 1, 0.50, t.num_rows(), {}, &scratch));
+  }
+}
+BENCHMARK(BM_ValidateAocOptimalTinyClasses);
+
+// An invalid whole relation: one 60K-row class whose B follows A except
+// on 80% of the rows, so about 80% of the rows must go at epsilon 0.1 and
+// the large-class sample rejects it before the full sort.
+void BM_ValidateAocOptimalInvalidWholeRelation(benchmark::State& state) {
+  Table raw = GenerateTable(
+      {{.name = "a", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 20},
+       {.name = "b", .kind = ColumnKind::kMonotoneWithErrors,
+        .base_column = 0, .violation_rate = 0.8}},
+      60000, 14);
+  EncodedTable t = EncodeTable(raw);
+  auto whole = StrippedPartition::WholeRelation(t.num_rows());
+  ValidatorScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValidateAocOptimal(
+        t, whole, 0, 1, 0.10, t.num_rows(), {}, &scratch));
+  }
+}
+BENCHMARK(BM_ValidateAocOptimalInvalidWholeRelation);
+
 void BM_ValidateAocIterative(benchmark::State& state) {
   EncodedTable t = MakePairTable(state.range(0));
   auto whole = StrippedPartition::WholeRelation(t.num_rows());

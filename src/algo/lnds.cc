@@ -6,35 +6,52 @@
 namespace aod {
 namespace {
 
-/// Shared patience-DP core: removals |xs| - L, L the length of a longest
-/// strictly increasing (`kStrict`) or non-decreasing subsequence, stopping
-/// once the removals provably exceed `budget` (see LndsRemovals).
-template <bool kStrict>
-int64_t RemovalsImpl(std::span<const int32_t> xs, int64_t budget,
+constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
+
+}  // namespace
+
+int64_t LndsLength(const std::vector<int32_t>& xs) {
+  std::vector<int32_t> tails;
+  return LndsLength(xs, tails);
+}
+
+int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails) {
+  return static_cast<int64_t>(xs.size()) - LndsRemovals(xs, kNoBudget, tails);
+}
+
+int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
                      std::vector<int32_t>& tails) {
-  tails.clear();  // tails[k] = min tail value of length k+1.
+  // t[k] = min tail value of a non-decreasing run of length k+1. Sized once
+  // to the input so the scan writes through a raw pointer.
+  if (tails.size() < xs.size()) tails.resize(xs.size());
+  int32_t* const t = tails.data();
+  size_t len = 0;
   int64_t seen = 0;
   for (int32_t x : xs) {
     ++seen;
     // Extending the longest run is the common case on nearly sorted
     // projections; it needs no search.
-    if (tails.empty() || (kStrict ? tails.back() < x : tails.back() <= x)) {
-      tails.push_back(x);
+    if (len == 0 || t[len - 1] <= x) {
+      t[len++] = x;
       continue;
     }
-    auto it = kStrict ? std::lower_bound(tails.begin(), tails.end(), x)
-                      : std::upper_bound(tails.begin(), tails.end(), x);
-    *it = x;
-    const int64_t removals = seen - static_cast<int64_t>(tails.size());
+    // Upper bound of x in t[0, len), known to lie below len because
+    // t[len-1] > x. The answer stays in [lo, lo + n); the mask form
+    // compiles to setle/and rather than a mispredicting branch.
+    size_t lo = 0;
+    for (size_t n = len; n > 1;) {
+      const size_t half = n >> 1;
+      lo += half & (size_t{0} - static_cast<size_t>(t[lo + half - 1] <= x));
+      n -= half;
+    }
+    t[lo] = x;
+    const int64_t removals = seen - static_cast<int64_t>(len);
     if (removals > budget) return removals;
   }
-  return static_cast<int64_t>(xs.size() - tails.size());
+  return static_cast<int64_t>(xs.size() - len);
 }
 
-constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
-
-template <bool kStrict>
-std::vector<int32_t> IndicesImpl(const std::vector<int32_t>& xs) {
+std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs) {
   const int32_t n = static_cast<int32_t>(xs.size());
   std::vector<int32_t> tail_values;
   std::vector<int32_t> tail_positions;
@@ -42,12 +59,7 @@ std::vector<int32_t> IndicesImpl(const std::vector<int32_t>& xs) {
   tail_values.reserve(xs.size());
   tail_positions.reserve(xs.size());
   for (int32_t i = 0; i < n; ++i) {
-    typename std::vector<int32_t>::iterator it;
-    if constexpr (kStrict) {
-      it = std::lower_bound(tail_values.begin(), tail_values.end(), xs[i]);
-    } else {
-      it = std::upper_bound(tail_values.begin(), tail_values.end(), xs[i]);
-    }
+    auto it = std::upper_bound(tail_values.begin(), tail_values.end(), xs[i]);
     size_t k = static_cast<size_t>(it - tail_values.begin());
     prev[static_cast<size_t>(i)] =
         k == 0 ? -1 : tail_positions[k - 1];
@@ -66,37 +78,6 @@ std::vector<int32_t> IndicesImpl(const std::vector<int32_t>& xs) {
     cur = prev[static_cast<size_t>(cur)];
   }
   return out;
-}
-
-}  // namespace
-
-int64_t LndsLength(const std::vector<int32_t>& xs) {
-  std::vector<int32_t> tails;
-  return LndsLength(xs, tails);
-}
-
-int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails) {
-  return static_cast<int64_t>(xs.size()) -
-         RemovalsImpl<false>(xs, kNoBudget, tails);
-}
-
-int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
-                     std::vector<int32_t>& tails) {
-  return RemovalsImpl<false>(xs, budget, tails);
-}
-
-int64_t LisLength(const std::vector<int32_t>& xs) {
-  std::vector<int32_t> tails;
-  return static_cast<int64_t>(xs.size()) -
-         RemovalsImpl<true>(xs, kNoBudget, tails);
-}
-
-std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs) {
-  return IndicesImpl<false>(xs);
-}
-
-std::vector<int32_t> LisIndices(const std::vector<int32_t>& xs) {
-  return IndicesImpl<true>(xs);
 }
 
 std::vector<int32_t> LndsComplement(const std::vector<int32_t>& xs) {

@@ -1,4 +1,4 @@
-// Longest non-decreasing / increasing subsequence.
+// Longest non-decreasing subsequence.
 //
 // The heart of the paper's Algorithm 2: after sorting an equivalence class
 // by [A ASC, B ASC], the tuples *not* on a longest non-decreasing
@@ -18,8 +18,9 @@ namespace aod {
 int64_t LndsLength(const std::vector<int32_t>& xs);
 
 /// The same over a span, with the patience-DP `tails` owned by the caller:
-/// `tails` is cleared on entry and only grows, so once it has reached the
-/// largest LNDS seen the call performs no heap allocation.
+/// its contents are ignored and it is grown to |xs| if shorter, so once it
+/// has reached the largest input seen the call performs no heap
+/// allocation.
 int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails);
 
 /// |xs| - LNDS(xs), the removal count of one class (Alg. 2 line 5), with
@@ -29,17 +30,18 @@ int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails);
 /// soon as that bound exceeds `budget`: the result is exact when it is
 /// <= `budget` and is otherwise `budget + 1`, a lower bound.
 /// Allocation-free like the span LndsLength.
+///
+/// The search that places a non-extending element in `tails` narrows its
+/// range with a mask (`lo += half & -(t[lo + half - 1] <= x)`) instead of
+/// a branch. This is exact: it is the textbook upper-bound search with
+/// each halving step's choice taken arithmetically, and since the append
+/// fast path has already found t[len-1] > x, the answer lies in
+/// [0, len) and needs no final correction.
 int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
                      std::vector<int32_t>& tails);
 
-/// Length of a longest strictly increasing subsequence of `xs`.
-int64_t LisLength(const std::vector<int32_t>& xs);
-
 /// Positions (ascending) of one longest non-decreasing subsequence.
 std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs);
-
-/// Positions (ascending) of one longest strictly increasing subsequence.
-std::vector<int32_t> LisIndices(const std::vector<int32_t>& xs);
 
 /// Positions NOT on the returned LNDS — i.e. the removal set over local
 /// positions. Equivalent to complementing LndsIndices but fused to avoid

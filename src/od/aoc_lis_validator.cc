@@ -8,6 +8,40 @@
 namespace aod {
 namespace {
 
+/// Classes of at most this many rows skip the sort (ClassOrder::
+/// TinyClassRemovals).
+constexpr size_t kTinyClassRows = 3;
+/// With early exit, a class of at least this many rows, and at least 4x
+/// the remaining budget + 1, first validates a row-stride sample.
+constexpr size_t kSampleMinRows = 4096;
+
+/// |cls| - LNDS of one class under the remaining `budget`: exact when it
+/// is <= budget, else budget + 1 (LndsRemovals' contract).
+int64_t ClassRemovals(const ClassOrder& order, StrippedPartition::ClassSpan cls,
+                      int64_t budget, bool early_exit, ValidatorScratch& s) {
+  const size_t m = cls.size();
+  if (m <= kTinyClassRows) {
+    const int64_t removals = order.TinyClassRemovals(cls);
+    // Without early exit the budget is INT64_MAX and this never clamps.
+    return removals > budget ? budget + 1 : removals;
+  }
+  if (early_exit && m >= kSampleMinRows &&
+      static_cast<int64_t>(m / 4) >= budget + 1) {
+    // Reject from a row-stride sample of ~2 (budget + 1) rows: a minimal
+    // removal set of the class restricted to the sample is a removal set
+    // of the sample, so the sample's removals never exceed the class's.
+    const size_t stride = m / static_cast<size_t>(2 * (budget + 1));
+    std::vector<int32_t>& sample = s.rows();
+    sample.clear();
+    for (size_t i = 0; i < m; i += stride) sample.push_back(cls[i]);
+    order.Sort(sample, &s);
+    const int64_t removals = LndsRemovals(s.projection(), budget, s.tails());
+    if (removals > budget) return removals;  // budget + 1, as the class
+  }
+  order.Sort(cls, &s);
+  return LndsRemovals(s.projection(), budget, s.tails());
+}
+
 /// Shared implementation; `descending_ties` selects the OD variant.
 ValidationOutcome ValidateLis(const EncodedTable& table,
                               const StrippedPartition& context_partition,
@@ -30,12 +64,11 @@ ValidationOutcome ValidateLis(const EncodedTable& table,
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    order.Sort(cls, &s);
-    const std::vector<int32_t>& projection = s.projection();
     // Line 4: longest non-decreasing subsequence of the B-projection;
     // Line 5: the complement is the removal set for this class.
     if (options.collect_removal_set) {
-      std::vector<int32_t> removed_positions = LndsComplement(projection);
+      order.Sort(cls, &s);
+      std::vector<int32_t> removed_positions = LndsComplement(s.projection());
       out.removal_size += static_cast<int64_t>(removed_positions.size());
       for (int32_t pos : removed_positions) {
         out.removal_rows.push_back(s.rows()[static_cast<size_t>(pos)]);
@@ -46,7 +79,8 @@ ValidationOutcome ValidateLis(const EncodedTable& table,
       const int64_t budget = options.early_exit
                                  ? max_removals - out.removal_size
                                  : std::numeric_limits<int64_t>::max();
-      out.removal_size += LndsRemovals(projection, budget, s.tails());
+      out.removal_size +=
+          ClassRemovals(order, cls, budget, options.early_exit, s);
     }
     if (options.early_exit && out.removal_size > max_removals) {
       out.valid = false;

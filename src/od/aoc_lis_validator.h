@@ -10,6 +10,24 @@
 // Sec. 3.3 extension: breaking A-ties by B *DESC*ending instead forces the
 // LNDS to also eliminate splits, which validates the canonical OD
 // X: A -> B (== OC X: A ~ B plus OFD XA: [] -> B) in one pass.
+//
+// The per-class kernel takes three shortcuts, each exact: every
+// ValidationOutcome field equals what sorting each class and running the
+// LNDS on it gives.
+//   - Tiny classes (2 or 3 rows) are not sorted. Their removals are m
+//     minus the largest set of pairwise non-conflicting rows
+//     (ClassOrder::TinyClassRemovals), and they are clamped to the
+//     remaining budget + 1 exactly as LndsRemovals clamps.
+//   - Large classes under early exit (m >= 4096 and m >= 4 (budget + 1))
+//     first sort and LNDS a row-stride sample of about 2 (budget + 1)
+//     rows. A minimal removal set of the class, restricted to the sample,
+//     is a removal set of the sample, so the sample's minimal removals
+//     never exceed the class's: when they exceed the budget the class's
+//     do too, and the class contributes budget + 1, the value the full
+//     scan would stop at. Otherwise the full class is sorted as usual.
+//     This is the monotonicity the hybrid sampler relies on, unscaled.
+//   - The patience search itself is branch-free (see LndsRemovals).
+// The removal set, when collected, always comes from the full sort.
 #ifndef AOD_OD_AOC_LIS_VALIDATOR_H_
 #define AOD_OD_AOC_LIS_VALIDATOR_H_
 

@@ -36,6 +36,34 @@ ClassOrder::ClassOrder(const EncodedTable& table, int a, int b,
              : key_bits_ <= 64 ? KeyWidth::k64
                                : KeyWidth::kPair) {}
 
+uint64_t ClassOrder::KeyAB(int32_t r) const {
+  const int32_t rb = ranks_b_[r];
+  return (static_cast<uint64_t>(ranks_a_[r]) << b_bits_) |
+         static_cast<uint64_t>(flip_key_b_ ? card_b_ - 1 - rb : rb);
+}
+
+int32_t ClassOrder::ProjectedB(int32_t r) const {
+  return options_.opposite ? card_b_ - 1 - ranks_b_[r] : ranks_b_[r];
+}
+
+int64_t ClassOrder::TinyClassRemovals(std::span<const int32_t> rows) const {
+  if (rows.size() < 2) return 0;
+  uint64_t key[3] = {};
+  int32_t proj[3] = {};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    key[i] = KeyAB(rows[i]);
+    proj[i] = ProjectedB(rows[i]);
+  }
+  const auto conflict = [&](size_t i, size_t j) {
+    return static_cast<int>((key[i] < key[j]) & (proj[i] > proj[j])) |
+           static_cast<int>((key[j] < key[i]) & (proj[j] > proj[i]));
+  };
+  if (rows.size() == 2) return conflict(0, 1);
+  const int conflicts = conflict(0, 1) + conflict(0, 2) + conflict(1, 2);
+  // 0 -> 0, 1 -> 1, 2 (a path: keep its two ends) -> 1, 3 -> 2.
+  return (conflicts + 1) >> 1;
+}
+
 void ClassOrder::Sort(std::span<const int32_t> rows,
                       ValidatorScratch* s) const {
   switch (width_) {
@@ -60,9 +88,7 @@ void ClassOrder::SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
   const int32_t b_top = card_b_ - 1;
   for (size_t i = 0; i < m; ++i) {
     const int32_t r = rows[i];
-    const int32_t rb = ranks_b_[r];
-    const uint64_t ab = (static_cast<uint64_t>(ranks_a_[r]) << b_bits_) |
-                        static_cast<uint64_t>(flip_key_b_ ? b_top - rb : rb);
+    const uint64_t ab = KeyAB(r);
     if constexpr (kPacked) {
       // row_bits_ == 0 without row ids, leaving the row field empty.
       keys[i] = static_cast<Key>((ab << row_bits_) |

@@ -47,10 +47,26 @@ class ClassOrder {
   /// only while the scratch buffers grow.
   void Sort(std::span<const int32_t> rows, ValidatorScratch* s) const;
 
+  /// |rows| - LNDS of a class of at most 3 rows, without sorting it. Two
+  /// rows conflict iff, once ordered by the packed (A, tie-adjusted B)
+  /// key, the earlier row's projection is the larger; rows with equal keys
+  /// have equal projections and never conflict. A non-decreasing
+  /// subsequence is exactly a set of pairwise non-conflicting rows, so the
+  /// removals are m minus the largest independent set of the conflict
+  /// graph: for 3 rows, 0 / 1 / 1 / 2 for 0 / 1 / 2 / 3 conflicts. This
+  /// equals sorting and running the LNDS, whatever order the sort gives
+  /// equal keys.
+  int64_t TinyClassRemovals(std::span<const int32_t> rows) const;
+
   /// The key representation this instance sorts (exposed for tests).
   KeyWidth key_width() const { return width_; }
 
  private:
+  /// The packed (A, tie-adjusted B) word of row `r` (no row id).
+  uint64_t KeyAB(int32_t r) const;
+  /// The B value row `r` contributes to the projection.
+  int32_t ProjectedB(int32_t r) const;
+
   template <typename Key>
   void SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
               std::vector<Key>& tmp, ValidatorScratch* s) const;

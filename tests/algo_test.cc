@@ -1,4 +1,4 @@
-// Tests for src/algo: LNDS/LIS, Fenwick trees, inversion counting.
+// Tests for src/algo: LNDS, Fenwick trees, inversion counting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,23 +91,9 @@ TEST(LndsTest, StrictlyDecreasingKeepsOne) {
   EXPECT_EQ(LndsComplement({5, 4, 3, 2, 1}).size(), 4u);
 }
 
-TEST(LndsTest, NonDecreasingVsStrictlyIncreasing) {
+TEST(LndsTest, RepeatedValuesExtendTheRun) {
   std::vector<int32_t> xs = {1, 2, 2, 3, 3, 3};
   EXPECT_EQ(LndsLength(xs), 6);
-  EXPECT_EQ(LisLength(xs), 3);
-}
-
-TEST(LisTest, ClassicCases) {
-  EXPECT_EQ(LisLength({10, 9, 2, 5, 3, 7, 101, 18}), 4);
-  std::vector<int32_t> kept = LisIndices({10, 9, 2, 5, 3, 7, 101, 18});
-  EXPECT_EQ(kept.size(), 4u);
-  // Verify the reconstruction is strictly increasing in value & position.
-  std::vector<int32_t> xs = {10, 9, 2, 5, 3, 7, 101, 18};
-  for (size_t i = 1; i < kept.size(); ++i) {
-    EXPECT_LT(kept[i - 1], kept[i]);
-    EXPECT_LT(xs[static_cast<size_t>(kept[i - 1])],
-              xs[static_cast<size_t>(kept[i])]);
-  }
 }
 
 // Property suite: LNDS against the O(m^2) DP oracle; reconstruction is a

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <set>
 
 #include "algo/lnds.h"
+#include "gen/random.h"
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
 #include "od/class_order.h"
@@ -405,29 +407,45 @@ struct ReferenceOutcome {
   std::vector<int32_t> removal_rows;
 };
 
+/// One class in the comparator order — A, then sign*B (B DESC within
+/// A-ties for the OD variant), then row id — and its B-projection.
+struct ReferenceClass {
+  std::vector<int32_t> rows;
+  std::vector<int32_t> projection;
+};
+
+ReferenceClass ReferenceClassOrder(const EncodedTable& t,
+                                   StrippedPartition::ClassSpan cls, int a,
+                                   int b, bool opposite,
+                                   bool descending_ties) {
+  const auto& ranks_a = t.ranks(a);
+  const auto& ranks_b = t.ranks(b);
+  const int32_t sign = opposite ? -1 : 1;
+  ReferenceClass out;
+  out.rows.assign(cls.begin(), cls.end());
+  std::sort(out.rows.begin(), out.rows.end(), [&](int32_t s, int32_t u) {
+    const size_t si = static_cast<size_t>(s);
+    const size_t ui = static_cast<size_t>(u);
+    if (ranks_a[si] != ranks_a[ui]) return ranks_a[si] < ranks_a[ui];
+    const int32_t sb = sign * ranks_b[si];
+    const int32_t ub = sign * ranks_b[ui];
+    if (sb != ub) return descending_ties ? sb > ub : sb < ub;
+    return s < u;
+  });
+  for (int32_t r : out.rows) {
+    out.projection.push_back(sign * ranks_b[static_cast<size_t>(r)]);
+  }
+  return out;
+}
+
 ReferenceOutcome ReferenceLis(const EncodedTable& t,
                               const StrippedPartition& partition, int a,
                               int b, double epsilon, bool opposite,
                               bool descending_ties) {
-  const auto& ranks_a = t.ranks(a);
-  const auto& ranks_b = t.ranks(b);
-  const int32_t sign = opposite ? -1 : 1;
   ReferenceOutcome out;
   for (StrippedPartition::ClassSpan cls : partition.classes()) {
-    std::vector<int32_t> rows(cls.begin(), cls.end());
-    std::sort(rows.begin(), rows.end(), [&](int32_t s, int32_t u) {
-      const size_t si = static_cast<size_t>(s);
-      const size_t ui = static_cast<size_t>(u);
-      if (ranks_a[si] != ranks_a[ui]) return ranks_a[si] < ranks_a[ui];
-      const int32_t sb = sign * ranks_b[si];
-      const int32_t ub = sign * ranks_b[ui];
-      if (sb != ub) return descending_ties ? sb > ub : sb < ub;
-      return s < u;
-    });
-    std::vector<int32_t> projection;
-    for (int32_t r : rows) {
-      projection.push_back(sign * ranks_b[static_cast<size_t>(r)]);
-    }
+    const auto [rows, projection] =
+        ReferenceClassOrder(t, cls, a, b, opposite, descending_ties);
     out.removal_size +=
         static_cast<int64_t>(projection.size()) - LndsLength(projection);
     for (int32_t pos : LndsComplement(projection)) {
@@ -577,6 +595,208 @@ TEST_P(ClassOrderKernelTest, WiderThan64BitsFallsBackToPairs) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClassOrderKernelTest,
                          ::testing::Values(301, 302, 303));
+
+// ------------------------------ OC kernel vs sort + quadratic LNDS --
+
+/// A mix of every class shape the kernel special-cases: 2- and 3-row
+/// classes (no sort), mid-sized classes, and two classes of >= 4096 rows
+/// (the subsample reject), over shuffled rows and in shuffled class order.
+StrippedPartition MixedClassPartition(int64_t n, Rng& rng) {
+  std::vector<int32_t> rows(static_cast<size_t>(n));
+  std::iota(rows.begin(), rows.end(), 0);
+  rng.Shuffle(&rows);
+  std::vector<std::vector<int32_t>> classes;
+  size_t next = 0;
+  const auto take = [&](int64_t m) {
+    classes.emplace_back(rows.begin() + static_cast<std::ptrdiff_t>(next),
+                         rows.begin() + static_cast<std::ptrdiff_t>(next) +
+                             static_cast<std::ptrdiff_t>(m));
+    next += static_cast<size_t>(m);
+  };
+  take(4096);
+  take(4100);
+  for (int i = 0; i < 12; ++i) take(rng.UniformInt(4, 400));
+  while (next + 3 <= rows.size()) take(rng.UniformInt(1, 3));  // 1: stripped
+  rng.Shuffle(&classes);
+  return StrippedPartition::FromClasses(std::move(classes));
+}
+
+/// Columns with random, near-monotone, noisy and adversarial shapes:
+/// 0 low-cardinality A, 1 random B, 2 and 7 B following column 0 with 5%
+/// and 30% of rows randomized, 3 all equal, 4 sorted, 5 reversed, 6 sorted
+/// with runs of 8 equal values (A-ties with differing B: splits).
+EncodedTable KernelColumns(int64_t n, Rng& rng) {
+  std::vector<std::vector<int64_t>> cols(8);
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t a = rng.UniformInt(0, 39);
+    const auto follow = [&](double noise) {
+      return rng.Bernoulli(noise) ? rng.UniformInt(0, 39999)
+                                  : a * 1000 + rng.UniformInt(0, 999);
+    };
+    cols[0].push_back(a);
+    cols[1].push_back(rng.UniformInt(0, (1 << 16) - 1));
+    cols[2].push_back(follow(0.05));
+    cols[3].push_back(0);
+    cols[4].push_back(r);
+    cols[5].push_back(n - r);
+    cols[6].push_back(r / 8);
+    cols[7].push_back(follow(0.3));
+  }
+  return EncodedTableFromInts({"a", "rnd", "near", "eq", "asc", "desc",
+                               "runs", "noisy"},
+                              cols);
+}
+
+/// Each class sorted by the comparator reference (A, tie-adjusted B, row
+/// id) and measured with the quadratic LNDS oracle.
+std::vector<int64_t> NaiveClassRemovals(const EncodedTable& t,
+                                        const StrippedPartition& partition,
+                                        int a, int b, bool opposite,
+                                        bool descending_ties) {
+  std::vector<int64_t> out;
+  for (StrippedPartition::ClassSpan cls : partition.classes()) {
+    const ReferenceClass ref =
+        ReferenceClassOrder(t, cls, a, b, opposite, descending_ties);
+    out.push_back(static_cast<int64_t>(ref.rows.size()) -
+                  testing_util::LndsLengthNaive(ref.projection));
+  }
+  return out;
+}
+
+/// The outcome of summing `class_removals` in class order; with early exit
+/// the scan stops in the first class that pushes the sum past the
+/// threshold and reports threshold + 1.
+ValidationOutcome ExpectedOutcome(const std::vector<int64_t>& class_removals,
+                                  int64_t max_removals, int64_t n,
+                                  bool early_exit) {
+  ValidationOutcome out;
+  for (int64_t removals : class_removals) {
+    out.removal_size += removals;
+    if (early_exit && out.removal_size > max_removals) {
+      out.removal_size = max_removals + 1;
+      out.early_exit = true;
+      break;
+    }
+  }
+  out.valid = out.removal_size <= max_removals;
+  out.approx_factor =
+      static_cast<double>(out.removal_size) / static_cast<double>(n);
+  return out;
+}
+
+/// Which kernel paths a check reached.
+struct KernelCoverage {
+  int tiny_removals_seen = 0;  // bit k: a 2- or 3-row class with k removals
+  int sampled_rejects = 0;     // sample-eligible class beyond the budget
+  int sampled_passes = 0;      // sample-eligible class within it
+};
+
+/// Every (pair, polarity, OC/OD, epsilon, early exit) outcome of the
+/// optimal validators against ExpectedOutcome over NaiveClassRemovals,
+/// field by field.
+void CheckAgainstNaive(const EncodedTable& t,
+                       const StrippedPartition& partition,
+                       const std::vector<std::pair<int, int>>& pairs,
+                       KernelCoverage* coverage) {
+  const int64_t n = t.num_rows();
+  ValidatorScratch scratch;  // shared by every call, as in discovery
+  for (auto [a, b] : pairs) {
+    for (bool opposite : {false, true}) {
+      for (bool aod : {false, true}) {
+        const std::vector<int64_t> class_removals =
+            NaiveClassRemovals(t, partition, a, b, opposite, aod);
+        for (double epsilon : {0.0, 0.01, 0.1, 0.5}) {
+          const int64_t max_removals = MaxRemovals(epsilon, n);
+          for (bool early : {false, true}) {
+            SCOPED_TRACE(testing::Message()
+                         << "a=" << a << " b=" << b << " opposite="
+                         << opposite << " aod=" << aod << " eps=" << epsilon
+                         << " early=" << early);
+            ValidatorOptions opts;
+            opts.early_exit = early;
+            opts.opposite_polarity = opposite;
+            const ValidationOutcome got =
+                aod ? ValidateAodOptimal(t, partition, a, b, epsilon, n,
+                                         opts, &scratch)
+                    : ValidateAocOptimal(t, partition, a, b, epsilon, n,
+                                         opts, &scratch);
+            const ValidationOutcome want =
+                ExpectedOutcome(class_removals, max_removals, n, early);
+            ASSERT_EQ(got.valid, want.valid);
+            ASSERT_EQ(got.removal_size, want.removal_size);
+            ASSERT_EQ(got.approx_factor, want.approx_factor);
+            ASSERT_EQ(got.early_exit, want.early_exit);
+            ASSERT_TRUE(got.removal_rows.empty());
+          }
+          int64_t used = 0;
+          for (int64_t i = 0; i < partition.num_classes(); ++i) {
+            const int64_t m = static_cast<int64_t>(partition.cls(i).size());
+            const int64_t removals = class_removals[static_cast<size_t>(i)];
+            const int64_t budget = max_removals - used;
+            if (m <= 3) coverage->tiny_removals_seen |= 1 << removals;
+            if (m >= 4096 && m >= 4 * (budget + 1)) {
+              ++(removals > budget ? coverage->sampled_rejects
+                                   : coverage->sampled_passes);
+            }
+            used += removals;
+            if (used > max_removals) break;
+          }
+        }
+      }
+    }
+  }
+}
+
+class OcKernelEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OcKernelEquivalenceTest, EveryOutcomeFieldMatchesSortAndNaiveLnds) {
+  Rng rng(GetParam());
+  const int64_t n = 13000;
+  const EncodedTable t = KernelColumns(n, rng);
+  const StrippedPartition partition = MixedClassPartition(n, rng);
+  KernelCoverage coverage;
+  CheckAgainstNaive(t, partition,
+                    {{0, 1}, {1, 0}, {0, 2}, {0, 7}, {2, 7}, {3, 1},
+                     {1, 3}, {4, 5}, {5, 4}, {6, 4}, {4, 6}, {6, 5}},
+                    &coverage);
+  EXPECT_EQ(coverage.tiny_removals_seen, 0b111);
+  EXPECT_GT(coverage.sampled_rejects, 0);
+  EXPECT_GT(coverage.sampled_passes, 0);
+}
+
+// A large class whose removals all sit on the rows the stride sample
+// takes, so the sample sees as many removals as the class: budget of them
+// must fall through to the full sort and be accepted (a sample verdict
+// scaled like the hybrid sampler's would reject), budget + 1 must reject.
+TEST(OcKernelEquivalenceSampleTest, HoldingTheWholeBudgetIsNotRejected) {
+  const int64_t n = 4096;
+  const int64_t budget = MaxRemovals(0.01, n);
+  const int64_t stride = n / (2 * (budget + 1));
+  for (int64_t bad : {budget, budget + 1}) {
+    // B follows A, except that every other sampled row drops below all
+    // of B, each lower than the last, so no LNDS can use two of them.
+    std::vector<int64_t> a_col, b_col;
+    int64_t dropped = 0;
+    for (int64_t r = 0; r < n; ++r) {
+      const bool drop = r % stride == 0 && (r / stride) % 2 == 1 &&
+                        dropped < bad;
+      dropped += drop;
+      a_col.push_back(r);
+      b_col.push_back(drop ? -r : r);
+    }
+    ASSERT_EQ(dropped, bad);
+    const EncodedTable t = EncodedTableFromInts({"a", "b"}, {a_col, b_col});
+    KernelCoverage coverage;
+    CheckAgainstNaive(t, StrippedPartition::WholeRelation(n), {{0, 1}},
+                      &coverage);
+    EXPECT_GT(bad > budget ? coverage.sampled_rejects
+                           : coverage.sampled_passes,
+              0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OcKernelEquivalenceTest,
+                         ::testing::Values(401, 402));
 
 // MaxRemovals boundary semantics.
 TEST(MaxRemovalsTest, FloorWithGuard) {
