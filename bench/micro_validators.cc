@@ -8,6 +8,8 @@
 // inversion counting vs plain merge-sort total counting.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "algo/inversions.h"
@@ -63,6 +65,39 @@ void BM_LndsIndices(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LndsIndices)->Range(1 << 10, 1 << 17);
+
+// The two LNDS kernels of the optimal validator on one 60K-element
+// projection, without a budget: the patience search (LndsRemovals) and
+// the successor-set tails (LndsRemovalsBySuccessor). Arguments: the
+// projection's domain (15, 3000 or 60000), the input (0: uniform, so most
+// elements are removed; 1: sorted with 5% of the elements redrawn) and the
+// kernel (0: patience, 1: successor).
+void BM_LndsRemovals(benchmark::State& state) {
+  const int32_t domain = static_cast<int32_t>(state.range(0));
+  std::vector<int32_t> xs = RandomSequence(60000, domain, 15);
+  if (state.range(1) == 1) {
+    std::sort(xs.begin(), xs.end());
+    Rng rng(16);
+    for (int32_t& x : xs) {
+      if (rng.Bernoulli(0.05)) {
+        x = static_cast<int32_t>(rng.UniformInt(0, domain - 1));
+      }
+    }
+  }
+  const bool successor = state.range(2) == 1;
+  constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
+  std::vector<int32_t> tails;
+  std::vector<int32_t> counts(static_cast<size_t>(domain), 0);
+  std::vector<uint64_t> bits;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        successor ? LndsRemovalsBySuccessor(xs, domain, kNoBudget, counts, bits)
+                  : LndsRemovals(xs, kNoBudget, tails));
+  }
+}
+BENCHMARK(BM_LndsRemovals)
+    ->ArgNames({"domain", "near_sorted", "successor"})
+    ->ArgsProduct({{15, 3000, 60000}, {0, 1}, {0, 1}});
 
 void BM_CountInversionsMergeSort(benchmark::State& state) {
   auto xs = RandomSequence(state.range(0), 1 << 20, 9);
@@ -173,6 +208,34 @@ void BM_ValidateAocOptimalInvalidWholeRelation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValidateAocOptimalInvalidWholeRelation);
+
+// A table key paired with a low-cardinality column (B follows the key
+// with noise, about 20 values) under a context of 1000 values (classes of
+// about 60 rows), in both argument orders: 0 gives the key first, 1 the
+// low-cardinality column first. The OC kernel sorts by the key either way
+// and radix-sorts its field alone.
+void BM_ValidateAocOptimalKeyPrimary(benchmark::State& state) {
+  Table raw = GenerateTable(
+      {{.name = "ctx", .kind = ColumnKind::kUniformInt, .cardinality = 1000},
+       {.name = "key", .kind = ColumnKind::kSequentialKey},
+       {.name = "low", .kind = ColumnKind::kNoisyLinear, .base_column = 1,
+        .scale = 16.0 / 60000.0, .noise_stddev = 1.0}},
+      60000, 17);
+  EncodedTable t = EncodeTable(raw);
+  auto partition = StrippedPartition::FromColumn(t.column(0));
+  const bool key_first = state.range(0) == 0;
+  const int a = key_first ? 1 : 2;
+  const int b = key_first ? 2 : 1;
+  ValidatorScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ValidateAocOptimal(
+        t, partition, a, b, 0.10, t.num_rows(), {}, &scratch));
+  }
+}
+BENCHMARK(BM_ValidateAocOptimalKeyPrimary)
+    ->ArgName("low_first")
+    ->Arg(0)
+    ->Arg(1);
 
 void BM_ValidateAocIterative(benchmark::State& state) {
   EncodedTable t = MakePairTable(state.range(0));

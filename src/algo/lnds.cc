@@ -1,7 +1,10 @@
 #include "algo/lnds.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
+
+#include "common/macros.h"
 
 namespace aod {
 namespace {
@@ -12,10 +15,6 @@ constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
 
 int64_t LndsLength(const std::vector<int32_t>& xs) {
   std::vector<int32_t> tails;
-  return LndsLength(xs, tails);
-}
-
-int64_t LndsLength(std::span<const int32_t> xs, std::vector<int32_t>& tails) {
   return static_cast<int64_t>(xs.size()) - LndsRemovals(xs, kNoBudget, tails);
 }
 
@@ -49,6 +48,115 @@ int64_t LndsRemovals(std::span<const int32_t> xs, int64_t budget,
     if (removals > budget) return removals;
   }
   return static_cast<int64_t>(xs.size() - len);
+}
+
+namespace {
+
+// A domain of up to 2^31 values needs 6 levels of 64-ary bitsets.
+constexpr int kMaxSuccessorLevels = 6;
+
+/// Word offsets of the levels of 64-ary occupancy bitsets over a domain:
+/// level l + 1 has one bit per word of level l, and the top level is a
+/// single word.
+struct SuccessorLayout {
+  explicit SuccessorLayout(int32_t domain) {
+    size_t words = std::max<size_t>(1, (static_cast<size_t>(domain) + 63) >> 6);
+    for (;;) {
+      offset[levels + 1] = offset[levels] + words;
+      ++levels;
+      if (words <= 1) break;
+      words = (words + 63) >> 6;
+    }
+  }
+  size_t offset[kMaxSuccessorLevels + 1] = {};
+  int levels = 0;
+};
+
+/// Zeroes word `w` of level `l`, and below it every word and count its
+/// bits mark.
+void ClearMarked(int l, size_t w, const size_t* offset, int32_t* count,
+                 uint64_t* bits) {
+  uint64_t word = bits[offset[l] + w];
+  bits[offset[l] + w] = 0;
+  for (; word != 0; word &= word - 1) {
+    const size_t below = (w << 6) | static_cast<size_t>(std::countr_zero(word));
+    if (l == 0) {
+      count[below] = 0;
+    } else {
+      ClearMarked(l - 1, below, offset, count, bits);
+    }
+  }
+}
+
+}  // namespace
+
+int64_t LndsRemovalsBySuccessor(std::span<const int32_t> xs, int32_t domain,
+                                int64_t budget, std::span<int32_t> counts,
+                                std::vector<uint64_t>& bits) {
+  AOD_DCHECK(counts.size() >= static_cast<size_t>(domain));
+  const SuccessorLayout layout(domain);
+  const int levels = layout.levels;
+  const size_t* const offset = layout.offset;
+  if (bits.size() < offset[levels]) bits.resize(offset[levels], 0);
+  uint64_t* const b = bits.data();
+  int32_t* const count = counts.data();
+  const auto insert = [&](size_t v) {
+    for (int l = 0; l < levels; ++l, v >>= 6) {
+      uint64_t& word = b[offset[l] + (v >> 6)];
+      const bool had_bits = word != 0;
+      word |= uint64_t{1} << (v & 63);
+      if (had_bits) return;  // the levels above already mark this word
+    }
+  };
+  const auto erase = [&](size_t v) {
+    for (int l = 0; l < levels; ++l, v >>= 6) {
+      uint64_t& word = b[offset[l] + (v >> 6)];
+      word &= ~(uint64_t{1} << (v & 63));
+      if (word != 0) return;
+    }
+  };
+  // The smallest marked value greater than v; one exists (the top tail).
+  const auto successor = [&](size_t v) {
+    int l = 0;
+    for (;; ++l, v >>= 6) {
+      const uint64_t above =
+          b[offset[l] + (v >> 6)] & (~uint64_t{1} << (v & 63));
+      if (above != 0) {
+        v = (v & ~size_t{63}) | static_cast<size_t>(std::countr_zero(above));
+        break;
+      }
+    }
+    while (l-- > 0) {
+      v = (v << 6) | static_cast<size_t>(std::countr_zero(b[offset[l] + v]));
+    }
+    return v;
+  };
+
+  int32_t top = -1;  // the largest tail; every value is >= 0
+  int64_t len = 0;
+  int64_t seen = 0;
+  for (int32_t x : xs) {
+    ++seen;
+    const size_t v = static_cast<size_t>(x);
+    if (top <= x) {
+      if (count[v]++ == 0) insert(v);
+      top = x;
+      ++len;
+      continue;
+    }
+    // Replace one copy of the smallest tail above x. When that was the
+    // last copy of the largest tail, every tail left is <= x.
+    const size_t succ = successor(v);
+    if (--count[succ] == 0) {
+      erase(succ);
+      if (succ == static_cast<size_t>(top)) top = x;
+    }
+    if (count[v]++ == 0) insert(v);
+    if (seen - len > budget) break;
+  }
+  // Only the tails left hold counts and bits: walk them from the top.
+  ClearMarked(levels - 1, 0, offset, count, b);
+  return seen - len;
 }
 
 std::vector<int32_t> LndsIndices(const std::vector<int32_t>& xs) {

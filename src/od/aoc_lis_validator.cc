@@ -11,36 +11,52 @@ namespace {
 /// Classes of at most this many rows skip the sort (ClassOrder::
 /// TinyClassRemovals).
 constexpr size_t kTinyClassRows = 3;
-/// With early exit, a class of at least this many rows, and at least 4x
-/// the remaining budget + 1, first validates a row-stride sample.
+/// A class of at least this many rows, and at least 4x the remaining
+/// budget + 1, first validates a row-stride sample (so never without a
+/// budget).
 constexpr size_t kSampleMinRows = 4096;
 
-/// |cls| - LNDS of one class under the remaining `budget`: exact when it
-/// is <= budget, else budget + 1 (LndsRemovals' contract).
-int64_t ClassRemovals(const ClassOrder& order, StrippedPartition::ClassSpan cls,
-                      int64_t budget, bool early_exit, ValidatorScratch& s) {
-  const size_t m = cls.size();
+/// LndsRemovals over the sorted projection in `s`: the patience search
+/// below kSuccessorLndsMinRows, the successor-set tails from there on.
+int64_t ProjectionRemovals(const ClassOrder& order, int64_t budget,
+                           ValidatorScratch& s) {
+  const std::vector<int32_t>& xs = s.projection();
+  if (xs.size() < kSuccessorLndsMinRows) {
+    return LndsRemovals(xs, budget, s.tails());
+  }
+  const int32_t domain = order.projection_domain();
+  return LndsRemovalsBySuccessor(xs, domain, budget, s.value_counts(domain),
+                                 s.tail_bits());
+}
+
+}  // namespace
+
+int64_t ClassRemovals(const ClassOrder& order, std::span<const int32_t> rows,
+                      int64_t budget, ValidatorScratch* scratch) {
+  ValidatorScratch& s = *scratch;
+  const size_t m = rows.size();
   if (m <= kTinyClassRows) {
-    const int64_t removals = order.TinyClassRemovals(cls);
-    // Without early exit the budget is INT64_MAX and this never clamps.
+    const int64_t removals = order.TinyClassRemovals(rows);
+    // With no budget (INT64_MAX) this never clamps.
     return removals > budget ? budget + 1 : removals;
   }
-  if (early_exit && m >= kSampleMinRows &&
-      static_cast<int64_t>(m / 4) >= budget + 1) {
+  if (m >= kSampleMinRows && static_cast<int64_t>(m / 4) > budget) {
     // Reject from a row-stride sample of ~2 (budget + 1) rows: a minimal
     // removal set of the class restricted to the sample is a removal set
     // of the sample, so the sample's removals never exceed the class's.
     const size_t stride = m / static_cast<size_t>(2 * (budget + 1));
     std::vector<int32_t>& sample = s.rows();
     sample.clear();
-    for (size_t i = 0; i < m; i += stride) sample.push_back(cls[i]);
+    for (size_t i = 0; i < m; i += stride) sample.push_back(rows[i]);
     order.Sort(sample, &s);
-    const int64_t removals = LndsRemovals(s.projection(), budget, s.tails());
+    const int64_t removals = ProjectionRemovals(order, budget, s);
     if (removals > budget) return removals;  // budget + 1, as the class
   }
-  order.Sort(cls, &s);
-  return LndsRemovals(s.projection(), budget, s.tails());
+  order.Sort(rows, &s);
+  return ProjectionRemovals(order, budget, s);
 }
+
+namespace {
 
 /// Shared implementation; `descending_ties` selects the OD variant.
 ValidationOutcome ValidateLis(const EncodedTable& table,
@@ -54,11 +70,15 @@ ValidationOutcome ValidateLis(const EncodedTable& table,
   // Line 3 of Algorithm 2: order each class by [A ASC, B ASC] (B DESC
   // within A-ties for the OD variant). Bidirectional polarity (see
   // ValidatorOptions): reversing B's rank order reduces A asc ~ B desc to
-  // the unidirectional problem.
-  const ClassOrder order(table, a, b,
-                         {.opposite = options.opposite_polarity,
-                          .descending_ties = descending_ties,
-                          .row_ids = options.collect_removal_set});
+  // the unidirectional problem. A plain OC count may swap A and B
+  // (ClassOrder::ForOc).
+  const ClassOrder order =
+      descending_ties || options.collect_removal_set
+          ? ClassOrder(table, a, b,
+                       {.opposite = options.opposite_polarity,
+                        .descending_ties = descending_ties,
+                        .row_ids = options.collect_removal_set})
+          : ClassOrder::ForOc(table, a, b, options.opposite_polarity);
 
   ValidationOutcome out;
   ValidatorScratch local;
@@ -79,8 +99,7 @@ ValidationOutcome ValidateLis(const EncodedTable& table,
       const int64_t budget = options.early_exit
                                  ? max_removals - out.removal_size
                                  : std::numeric_limits<int64_t>::max();
-      out.removal_size +=
-          ClassRemovals(order, cls, budget, options.early_exit, s);
+      out.removal_size += ClassRemovals(order, cls, budget, &s);
     }
     if (options.early_exit && out.removal_size > max_removals) {
       out.valid = false;

@@ -11,9 +11,12 @@
 // LNDS to also eliminate splits, which validates the canonical OD
 // X: A -> B (== OC X: A ~ B plus OFD XA: [] -> B) in one pass.
 //
-// The per-class kernel takes three shortcuts, each exact: every
-// ValidationOutcome field equals what sorting each class and running the
-// LNDS on it gives.
+// The per-class kernel (ClassRemovals) cuts the constant factor, each
+// step exact: every ValidationOutcome field equals what sorting each class
+// and running the LNDS on it gives.
+//   - A plain OC count sorts by the higher-cardinality attribute first
+//     (ClassOrder::ForOc): the LNDS is a longest chain of the product
+//     order of (A, B), which is symmetric.
 //   - Tiny classes (2 or 3 rows) are not sorted. Their removals are m
 //     minus the largest set of pairwise non-conflicting rows
 //     (ClassOrder::TinyClassRemovals), and they are clamped to the
@@ -26,17 +29,40 @@
 //     do too, and the class contributes budget + 1, the value the full
 //     scan would stop at. Otherwise the full class is sorted as usual.
 //     This is the monotonicity the hybrid sampler relies on, unscaled.
-//   - The patience search itself is branch-free (see LndsRemovals).
-// The removal set, when collected, always comes from the full sort.
+//   - The sort radix-sorts classes of ClassOrder::kRadixMinRows or more,
+//     over A's field alone when A is a table key.
+//   - The LNDS of a class below kSuccessorLndsMinRows uses the
+//     branch-free patience search (LndsRemovals); from there on the tails
+//     are a successor set over B's domain (LndsRemovalsBySuccessor).
+// The removal set, when collected, always comes from the full sort in the
+// given orientation.
 #ifndef AOD_OD_AOC_LIS_VALIDATOR_H_
 #define AOD_OD_AOC_LIS_VALIDATOR_H_
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+
 #include "data/encoder.h"
 #include "od/canonical_od.h"
+#include "od/class_order.h"
 #include "od/validator_scratch.h"
 #include "partition/stripped_partition.h"
 
 namespace aod {
+
+/// Sorted classes at least this large find their LNDS with the successor
+/// set rather than the patience search: below it the binary search over
+/// the short tails array is cheaper than the bitset walk and its reset.
+inline constexpr size_t kSuccessorLndsMinRows = 64;
+
+/// The optimal validators' per-class kernel: |rows| - LNDS of one class in
+/// `order`, exact when it is <= `budget` and otherwise budget + 1 (a lower
+/// bound), as LndsRemovals. `budget` INT64_MAX computes it exactly, which
+/// is how the hybrid sampler counts its sample classes. `rows` may alias
+/// `scratch->rows()` only then: a finite budget may sample into it.
+int64_t ClassRemovals(const ClassOrder& order, std::span<const int32_t> rows,
+                      int64_t budget, ValidatorScratch* scratch);
 
 /// Validates the AOC `context_partition`: a ~ b against `epsilon`.
 /// The removal set is minimal (Thm. 3.3); `removal_size` is exact unless

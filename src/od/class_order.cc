@@ -9,9 +9,6 @@
 namespace aod {
 namespace {
 
-/// Classes at least this large are radix-sorted; below it std::sort on the
-/// keys wins over the per-pass bucket setup.
-constexpr size_t kRadixMinRows = 256;
 constexpr int kDigitBits = 8;
 
 /// Bits needed for values in [0, bound).
@@ -31,10 +28,19 @@ ClassOrder::ClassOrder(const EncodedTable& table, int a, int b,
       b_bits_(BitsFor(table.column(b).cardinality)),
       row_bits_(options.row_ids ? BitsFor(table.num_rows()) : 0),
       key_bits_(BitsFor(table.column(a).cardinality) + b_bits_ + row_bits_),
+      // Ranks are dense in [0, cardinality), so a cardinality equal to the
+      // row count makes them distinct.
+      a_is_key_(table.column(a).cardinality == table.num_rows()),
       // Pairs hold the A-B word (at most 62 bits) and the row id apart.
       width_(key_bits_ <= 32   ? KeyWidth::k32
              : key_bits_ <= 64 ? KeyWidth::k64
                                : KeyWidth::kPair) {}
+
+ClassOrder ClassOrder::ForOc(const EncodedTable& table, int a, int b,
+                             bool opposite) {
+  const bool swap = table.column(b).cardinality > table.column(a).cardinality;
+  return ClassOrder(table, swap ? b : a, swap ? a : b, {.opposite = opposite});
+}
 
 uint64_t ClassOrder::KeyAB(int32_t r) const {
   const int32_t rb = ranks_b_[r];
@@ -100,7 +106,9 @@ void ClassOrder::SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
   }
   if constexpr (kPacked) {
     if (m >= kRadixMinRows) {
-      RadixSort<kDigitBits>(keys, tmp, 0, key_bits_);
+      // A key's field alone decides the order; the lower bits ride along.
+      RadixSort<kDigitBits>(keys, tmp, a_is_key_ ? b_bits_ + row_bits_ : 0,
+                            key_bits_);
     } else {
       std::sort(keys.begin(), keys.end());
     }

@@ -4,10 +4,12 @@
 // [A ASC, B ASC] before the LNDS pass. ClassOrder does that with one packed
 // integer key per row — (rank_A, tie-adjusted B[, row id]), highest bits
 // first — so the sort compares plain integers instead of chasing two rank
-// arrays per comparison. Large classes use an LSD radix sort over the
-// occupied bit width; small ones use std::sort on the keys. Keys are 32 bits
-// wide when the field widths fit, 64 otherwise; when even 64 bits cannot
-// hold A, B and the row id, the same kernel sorts (A-B word, row id) pairs.
+// arrays per comparison. Classes of kRadixMinRows or more use an LSD radix
+// sort over the occupied bit width — over the A field alone when A is a
+// table key, since a key has no ties for B or the row id to break;
+// smaller ones use std::sort on the keys. Keys are 32 bits wide when the
+// field widths fit, 64 otherwise; when even 64 bits cannot hold A, B and
+// the row id, the same kernel sorts (A-B word, row id) pairs.
 #ifndef AOD_OD_CLASS_ORDER_H_
 #define AOD_OD_CLASS_ORDER_H_
 
@@ -38,7 +40,24 @@ class ClassOrder {
 
   enum class KeyWidth { k32, k64, kPair };
 
+  /// Classes at least this large are radix-sorted; below it std::sort on
+  /// the keys wins over the per-pass bucket setup.
+  static constexpr size_t kRadixMinRows = 32;
+
   ClassOrder(const EncodedTable& table, int a, int b, Options options);
+
+  /// The order an OC's removal count is computed in: (a, b) as given, or
+  /// (b, a) when b has the higher cardinality, so that the wider
+  /// attribute is the sort's primary key (and, when it is a table key,
+  /// the radix sort covers its field alone). Exact for |rows| - LNDS: the
+  /// LNDS is the longest chain under the product order of (A, B), which
+  /// is symmetric in A and B. Under the opposite polarity, a chain with A
+  /// ascending and B descending, read backwards, is a chain with B
+  /// ascending and A descending, so the flag carries over unchanged. Not
+  /// for the OD variant's descending ties, nor for removal sets (their
+  /// row order depends on the orientation).
+  static ClassOrder ForOc(const EncodedTable& table, int a, int b,
+                          bool opposite);
 
   /// Orders `rows` by (A ASC, tie-adjusted B ASC[, row id ASC]) and writes
   /// the projection of B in that order to `s->projection()`; with
@@ -58,8 +77,15 @@ class ClassOrder {
   /// equal keys.
   int64_t TinyClassRemovals(std::span<const int32_t> rows) const;
 
+  /// The projection's values lie in [0, projection_domain()): B's
+  /// cardinality.
+  int32_t projection_domain() const { return card_b_; }
+
   /// The key representation this instance sorts (exposed for tests).
   KeyWidth key_width() const { return width_; }
+  /// Whether A is a table key (cardinality == rows), so the radix sort
+  /// orders the A field alone (exposed for tests).
+  bool key_only_radix() const { return a_is_key_; }
 
  private:
   /// The packed (A, tie-adjusted B) word of row `r` (no row id).
@@ -79,6 +105,7 @@ class ClassOrder {
   int b_bits_;
   int row_bits_;
   int key_bits_;     // width of the packed (A, B[, row id]) key
+  bool a_is_key_;    // A's ranks are distinct: sort by the A field alone
   KeyWidth width_;
 };
 

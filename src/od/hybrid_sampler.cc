@@ -1,12 +1,11 @@
 #include "od/hybrid_sampler.h"
 
 #include <algorithm>
+#include <limits>
 
-#include "algo/lnds.h"
 #include "common/macros.h"
 #include "gen/random.h"
 #include "od/aoc_lis_validator.h"
-#include "od/class_order.h"
 
 namespace aod {
 
@@ -31,7 +30,7 @@ double AocSampler::EstimateFactor(const StrippedPartition& context_partition,
                                   int a, int b, bool opposite,
                                   ValidatorScratch* scratch) const {
   if (sampled_rows_ == 0) return 0.0;
-  const ClassOrder order(*table_, a, b, {.opposite = opposite});
+  const ClassOrder order = ClassOrder::ForOc(*table_, a, b, opposite);
 
   int64_t removal = 0;
   ValidatorScratch local;
@@ -43,9 +42,8 @@ double AocSampler::EstimateFactor(const StrippedPartition& context_partition,
       if (in_sample_[static_cast<size_t>(r)]) rows.push_back(r);
     }
     if (rows.size() < 2) continue;
-    order.Sort(rows, &s);
-    removal += static_cast<int64_t>(rows.size()) -
-               LndsLength(s.projection(), s.tails());
+    removal += ClassRemovals(order, rows, std::numeric_limits<int64_t>::max(),
+                             &s);
   }
   return static_cast<double>(removal) / static_cast<double>(sampled_rows_);
 }

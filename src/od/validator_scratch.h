@@ -38,8 +38,12 @@ class ValidatorScratch {
   std::vector<std::pair<uint64_t, uint32_t>>& key_pairs() {
     return key_pairs_;
   }
-  /// Patience-DP tails for the allocation-free LndsLength/LndsRemovals.
+  /// Patience-DP tails for the allocation-free LndsRemovals.
   std::vector<int32_t>& tails() { return tails_; }
+  /// Occupancy bitsets of LndsRemovalsBySuccessor's tail set (its counts
+  /// are value_counts): grown to the largest domain seen and all zero
+  /// between calls, since that function clears the words it set.
+  std::vector<uint64_t>& tail_bits() { return tail_bits_; }
   /// Per-tuple swap counts and liveness (iterative validator).
   std::vector<int64_t>& swap_counts() { return swap_counts_; }
   std::vector<uint8_t>& alive() { return alive_; }
@@ -47,9 +51,10 @@ class ValidatorScratch {
   InversionScratch& inversions() { return inversions_; }
 
   /// Dense per-value counters over [0, cardinality), zeroed on first
-  /// growth. Callers must re-zero every slot they touched before
-  /// returning (decrement back or walk their rows again); that keeps the
-  /// reset O(class) rather than O(cardinality).
+  /// growth: OFD's per-class value counts, and the tail counts of
+  /// LndsRemovalsBySuccessor. Callers must re-zero every slot they
+  /// touched before returning (decrement back or walk their rows again);
+  /// that keeps the reset O(class) rather than O(cardinality).
   std::vector<int32_t>& value_counts(int64_t cardinality) {
     if (static_cast<int64_t>(value_counts_.size()) < cardinality) {
       value_counts_.resize(static_cast<size_t>(cardinality), 0);
@@ -68,6 +73,7 @@ class ValidatorScratch {
   std::vector<uint64_t> keys64_tmp_;
   std::vector<std::pair<uint64_t, uint32_t>> key_pairs_;
   std::vector<int32_t> tails_;
+  std::vector<uint64_t> tail_bits_;
   std::vector<int64_t> swap_counts_;
   std::vector<uint8_t> alive_;
   std::vector<int32_t> value_counts_;

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "algo/fenwick.h"
@@ -123,11 +124,12 @@ TEST_P(LndsPropertyTest, MatchesQuadraticOracle) {
     std::vector<int32_t> removed = LndsComplement(xs);
     ASSERT_EQ(removed.size() + kept.size(), xs.size());
 
-    // The span form with a reused tails buffer, and the in-class bound:
-    // exact within the budget, budget + 1 (a lower bound) beyond it.
+    // A reused tails buffer, and the in-class bound: exact within the
+    // budget, budget + 1 (a lower bound) beyond it.
     std::vector<int32_t> tails = {99, 98};  // stale contents are ignored
-    ASSERT_EQ(LndsLength(std::span<const int32_t>(xs), tails), expect);
     const int64_t full = n - expect;
+    ASSERT_EQ(LndsRemovals(xs, std::numeric_limits<int64_t>::max(), tails),
+              full);
     for (int64_t budget : {int64_t{0}, full / 2, full - 1, full, full + 3}) {
       if (budget < 0) continue;
       const int64_t got = LndsRemovals(xs, budget, tails);
@@ -142,6 +144,85 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<uint64_t>(11, 22, 33),
                        ::testing::Values(1, 5, 40, 120),
                        ::testing::Values(2, 8, 1000)));
+
+// --------------------------------------------------- Successor-set LNDS --
+
+enum class Shape { kRandom, kSorted, kReversed, kAllEqual };
+
+/// `n` values in [0, domain): uniform, then sorted, reverse-sorted or
+/// collapsed to one value.
+std::vector<int32_t> ShapedSequence(Shape shape, int64_t n, int32_t domain,
+                                    Rng& rng) {
+  std::vector<int32_t> xs;
+  for (int64_t i = 0; i < n; ++i) {
+    xs.push_back(static_cast<int32_t>(rng.UniformInt(0, domain - 1)));
+  }
+  switch (shape) {
+    case Shape::kRandom:
+      break;
+    case Shape::kSorted:
+      std::sort(xs.begin(), xs.end());
+      break;
+    case Shape::kReversed:
+      std::sort(xs.rbegin(), xs.rend());
+      break;
+    case Shape::kAllEqual:
+      if (n > 0) xs.assign(xs.size(), xs[0]);
+      break;
+  }
+  return xs;
+}
+
+// LndsRemovalsBySuccessor against the quadratic oracle and the patience
+// LndsRemovals, over domains on both sides of every 64-ary level boundary,
+// and with one counts/bits scratch shared by every call in a shuffled
+// domain order, so a count or bit left behind by one call's reset shows
+// up in the next call or in the all-zero check.
+class LndsSuccessorTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LndsSuccessorTest, MatchesPatienceAndQuadraticOracle) {
+  Rng rng(GetParam());
+  std::vector<int32_t> domains = {1,       2,    63,   64,   65,
+                                  4095,    4096, 4097, 1 << 18,
+                                  (1 << 18) + 1, 1 << 20};
+  rng.Shuffle(&domains);
+  std::vector<int32_t> counts(size_t{1} << 20, 0);
+  std::vector<uint64_t> bits;
+  std::vector<int32_t> tails;
+  constexpr int64_t kNoBudget = std::numeric_limits<int64_t>::max();
+  for (int32_t domain : domains) {
+    for (Shape shape : {Shape::kRandom, Shape::kSorted, Shape::kReversed,
+                        Shape::kAllEqual}) {
+      // The oracle is quadratic, so the long sequences meet only the
+      // patience search.
+      for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{70}, int64_t{300},
+                        int64_t{5000}}) {
+        const std::vector<int32_t> xs = ShapedSequence(shape, n, domain, rng);
+        const int64_t full = LndsRemovals(xs, kNoBudget, tails);
+        if (n <= 300) {
+          ASSERT_EQ(full, n - testing_util::LndsLengthNaive(xs));
+        }
+        for (int64_t budget : {int64_t{0}, full / 3, kNoBudget}) {
+          SCOPED_TRACE(testing::Message()
+                       << "domain=" << domain << " shape="
+                       << static_cast<int>(shape) << " n=" << n
+                       << " budget=" << budget);
+          const int64_t got =
+              LndsRemovalsBySuccessor(xs, domain, budget, counts, bits);
+          ASSERT_EQ(got, full <= budget ? full : budget + 1);
+          ASSERT_EQ(got, LndsRemovals(xs, budget, tails));
+          ASSERT_TRUE(std::all_of(counts.begin(), counts.end(),
+                                  [](int32_t c) { return c == 0; }));
+          ASSERT_TRUE(std::all_of(bits.begin(), bits.end(),
+                                  [](uint64_t w) { return w == 0; }));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LndsSuccessorTest,
+                         ::testing::Values<uint64_t>(51, 52));
 
 // ------------------------------------------------------------ Inversions --
 

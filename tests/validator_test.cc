@@ -624,7 +624,9 @@ StrippedPartition MixedClassPartition(int64_t n, Rng& rng) {
 /// Columns with random, near-monotone, noisy and adversarial shapes:
 /// 0 low-cardinality A, 1 random B, 2 and 7 B following column 0 with 5%
 /// and 30% of rows randomized, 3 all equal, 4 sorted, 5 reversed, 6 sorted
-/// with runs of 8 equal values (A-ties with differing B: splits).
+/// with runs of 8 equal values (A-ties with differing B: splits), 8 a
+/// shuffled key holding one null (still a key: the null is one more
+/// distinct value). 4, 5 and 8 are table keys.
 EncodedTable KernelColumns(int64_t n, Rng& rng) {
   std::vector<std::vector<int64_t>> cols(8);
   for (int64_t r = 0; r < n; ++r) {
@@ -642,9 +644,26 @@ EncodedTable KernelColumns(int64_t n, Rng& rng) {
     cols[6].push_back(r / 8);
     cols[7].push_back(follow(0.3));
   }
-  return EncodedTableFromInts({"a", "rnd", "near", "eq", "asc", "desc",
-                               "runs", "noisy"},
-                              cols);
+  const EncodedTable ints = EncodedTableFromInts(
+      {"a", "rnd", "near", "eq", "asc", "desc", "runs", "noisy"}, cols);
+  std::vector<EncodedColumn> columns;
+  for (int c = 0; c < ints.num_columns(); ++c) {
+    columns.push_back(ints.column(c));
+  }
+  std::vector<int64_t> perm(static_cast<size_t>(n));
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng perm_rng(static_cast<uint64_t>(n));  // leaves `rng`'s draws as they were
+  perm_rng.Shuffle(&perm);
+  Column null_key("null_key", DataType::kInt64);
+  for (int64_t r = 0; r < n; ++r) {
+    if (r == n / 2) {
+      null_key.AppendNull();
+    } else {
+      null_key.AppendInt(perm[static_cast<size_t>(r)]);
+    }
+  }
+  columns.push_back(EncodeColumn(null_key));
+  return EncodedTable(std::move(columns), n);
 }
 
 /// Each class sorted by the comparator reference (A, tie-adjusted B, row
@@ -689,6 +708,8 @@ struct KernelCoverage {
   int tiny_removals_seen = 0;  // bit k: a 2- or 3-row class with k removals
   int sampled_rejects = 0;     // sample-eligible class beyond the budget
   int sampled_passes = 0;      // sample-eligible class within it
+  int key_only_radix = 0;      // radix-sized class with a key as primary
+  int successor_lnds = 0;      // class sized for the successor-set LNDS
 };
 
 /// Every (pair, polarity, OC/OD, epsilon, early exit) outcome of the
@@ -705,6 +726,11 @@ void CheckAgainstNaive(const EncodedTable& t,
       for (bool aod : {false, true}) {
         const std::vector<int64_t> class_removals =
             NaiveClassRemovals(t, partition, a, b, opposite, aod);
+        // The order the validator sorts in: an OC may swap a and b.
+        const ClassOrder order =
+            aod ? ClassOrder(t, a, b,
+                             {.opposite = opposite, .descending_ties = true})
+                : ClassOrder::ForOc(t, a, b, opposite);
         for (double epsilon : {0.0, 0.01, 0.1, 0.5}) {
           const int64_t max_removals = MaxRemovals(epsilon, n);
           for (bool early : {false, true}) {
@@ -734,6 +760,13 @@ void CheckAgainstNaive(const EncodedTable& t,
             const int64_t removals = class_removals[static_cast<size_t>(i)];
             const int64_t budget = max_removals - used;
             if (m <= 3) coverage->tiny_removals_seen |= 1 << removals;
+            if (order.key_only_radix() &&
+                m >= static_cast<int64_t>(ClassOrder::kRadixMinRows)) {
+              ++coverage->key_only_radix;
+            }
+            if (m >= static_cast<int64_t>(kSuccessorLndsMinRows)) {
+              ++coverage->successor_lnds;
+            }
             if (m >= 4096 && m >= 4 * (budget + 1)) {
               ++(removals > budget ? coverage->sampled_rejects
                                    : coverage->sampled_passes);
@@ -747,21 +780,62 @@ void CheckAgainstNaive(const EncodedTable& t,
   }
 }
 
+/// An OC's outcome does not depend on which attribute the kernel sorts
+/// by first: ValidateAocOptimal(a, b) equals ValidateAocOptimal(b, a),
+/// field by field, in both polarities and with early exit on and off.
+void CheckOrientationSymmetry(const EncodedTable& t,
+                              const StrippedPartition& partition,
+                              const std::vector<std::pair<int, int>>& pairs) {
+  const int64_t n = t.num_rows();
+  ValidatorScratch scratch;
+  for (auto [a, b] : pairs) {
+    for (bool opposite : {false, true}) {
+      for (double epsilon : {0.0, 0.01, 0.1, 0.5}) {
+        for (bool early : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "a=" << a << " b=" << b << " opposite=" << opposite
+                       << " eps=" << epsilon << " early=" << early);
+          ValidatorOptions opts;
+          opts.early_exit = early;
+          opts.opposite_polarity = opposite;
+          const ValidationOutcome ab = ValidateAocOptimal(
+              t, partition, a, b, epsilon, n, opts, &scratch);
+          const ValidationOutcome ba = ValidateAocOptimal(
+              t, partition, b, a, epsilon, n, opts, &scratch);
+          ASSERT_EQ(ab.valid, ba.valid);
+          ASSERT_EQ(ab.removal_size, ba.removal_size);
+          ASSERT_EQ(ab.approx_factor, ba.approx_factor);
+          ASSERT_EQ(ab.early_exit, ba.early_exit);
+        }
+      }
+    }
+  }
+}
+
 class OcKernelEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(OcKernelEquivalenceTest, EveryOutcomeFieldMatchesSortAndNaiveLnds) {
   Rng rng(GetParam());
   const int64_t n = 13000;
   const EncodedTable t = KernelColumns(n, rng);
+  ASSERT_EQ(t.column(8).cardinality, n);  // the null-holding key
   const StrippedPartition partition = MixedClassPartition(n, rng);
   KernelCoverage coverage;
+  // Low- against high-cardinality pairs come in both argument orders, so
+  // the OC kernel sorts by the wider one whichever is given first.
   CheckAgainstNaive(t, partition,
                     {{0, 1}, {1, 0}, {0, 2}, {0, 7}, {2, 7}, {3, 1},
-                     {1, 3}, {4, 5}, {5, 4}, {6, 4}, {4, 6}, {6, 5}},
+                     {1, 3}, {4, 5}, {5, 4}, {6, 4}, {4, 6}, {6, 5},
+                     {8, 0}, {0, 8}, {8, 7}, {7, 8}},
                     &coverage);
   EXPECT_EQ(coverage.tiny_removals_seen, 0b111);
   EXPECT_GT(coverage.sampled_rejects, 0);
   EXPECT_GT(coverage.sampled_passes, 0);
+  EXPECT_GT(coverage.key_only_radix, 0);
+  EXPECT_GT(coverage.successor_lnds, 0);
+  CheckOrientationSymmetry(t, partition,
+                           {{0, 1}, {0, 4}, {0, 8}, {3, 8}, {6, 4}, {7, 8},
+                            {2, 7}});
 }
 
 // A large class whose removals all sit on the rows the stride sample
