@@ -5,6 +5,8 @@
 //   ncvoter       ncvoter 200K x 12: integer columns and two string ones
 //   ncvoter_quoted the ncvoter table with every field quoted, an escaped
 //                 quote in every string cell, and CRLF record ends
+//   flight_60k    flight 60K x 10, the table of perfbench's flight-aoc
+//   ncvoter_60k   ncvoter 60K x 12, the table of ncvoter-fd-budget
 //
 // Each row reports the median and minimum of several timed repetitions
 // after one warm-up, plus parse throughput in MiB/s of CSV text. Rows
@@ -150,8 +152,11 @@ int main(int argc, char** argv) {
   const char* json_path = JsonPathArg(argc, argv);
   PrintHeaderLine("micro_ingest: ParseCsv and EncodeTable");
   const int64_t rows = ScaledRows(200000);
-  std::printf("scale=%.2f (%lld rows), median of %d after one warm-up\n",
-              Scale(), static_cast<long long>(rows), kRepetitions);
+  const int64_t small = ScaledRows(60000);  // perfbench's row count
+  std::printf("scale=%.2f (%lld rows; the _60k shapes %lld), median of %d "
+              "after one warm-up\n",
+              Scale(), static_cast<long long>(rows),
+              static_cast<long long>(small), kRepetitions);
 
   const aod::Table flight = aod::GenerateFlightTable(rows, 10, 1);
   const aod::Table ncvoter = aod::GenerateNcVoterTable(rows, 12, 1);
@@ -159,6 +164,10 @@ int main(int argc, char** argv) {
   all.push_back(Measure("flight", aod::WriteCsv(flight)));
   all.push_back(Measure("ncvoter", aod::WriteCsv(ncvoter)));
   all.push_back(Measure("ncvoter_quoted", QuotedCsv(ncvoter)));
+  all.push_back(Measure("flight_60k", aod::WriteCsv(aod::GenerateFlightTable(
+                                          small, 10, 1))));
+  all.push_back(Measure("ncvoter_60k", aod::WriteCsv(aod::GenerateNcVoterTable(
+                                           small, 12, 1))));
 
   std::printf("%16s %8s %4s %10s %10s %10s %10s %10s\n", "shape", "rows",
               "cols", "csv(MiB)", "parse(s)", "MiB/s", "encode(s)", "min enc");

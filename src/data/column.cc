@@ -7,6 +7,12 @@ namespace aod {
 Column::Column(std::string name, DataType type)
     : name_(std::move(name)), type_(type) {}
 
+Column::Column(std::string name, std::vector<int64_t> values)
+    : name_(std::move(name)),
+      type_(DataType::kInt64),
+      valid_(values.size(), 1),
+      ints_(std::move(values)) {}
+
 void Column::Reserve(int64_t n) {
   const size_t rows = static_cast<size_t>(n);
   valid_.reserve(rows);

@@ -20,6 +20,9 @@ class Column {
  public:
   Column(std::string name, DataType type);
 
+  /// An int64 column with no nulls, taking `values` as its cells.
+  Column(std::string name, std::vector<int64_t> values);
+
   const std::string& name() const { return name_; }
   DataType type() const { return type_; }
   int64_t size() const { return static_cast<int64_t>(valid_.size()); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <string_view>
 
@@ -114,6 +115,62 @@ void RankNumeric(const Column& column, const std::vector<T>& values,
   out->cardinality = rank + 1;
 }
 
+/// Ranks an int64 column whose non-null values span fewer than
+/// 8 * rows + 64 integers with a presence bitmap over [min, max]: a
+/// value's rank is the number of set bits below its own, the popcount of
+/// the words before its word plus that of the bits below it in the word.
+/// O(rows + span / 64), and the dictionary comes out of the bitmap in
+/// rank order. False, with `out` untouched, for a wider span. Nulls keep
+/// rank 0.
+bool RankDenseInts(const Column& column, EncodedColumn* out) {
+  const std::vector<int64_t>& values = column.ints();
+  const size_t n = values.size();
+  const bool nulls = column.null_count() > 0;
+  if (column.null_count() == static_cast<int64_t>(n)) return false;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
+  for (size_t r = 0; r < n; ++r) {
+    if (nulls && column.IsNull(static_cast<int64_t>(r))) continue;
+    lo = std::min(lo, values[r]);
+    hi = std::max(hi, values[r]);
+  }
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (span >= 8 * uint64_t{n} + 64) return false;
+
+  const auto offset = [lo](int64_t v) {
+    return static_cast<uint64_t>(v) - static_cast<uint64_t>(lo);
+  };
+  std::vector<uint64_t> bits(static_cast<size_t>(span / 64) + 1, 0);
+  for (size_t r = 0; r < n; ++r) {
+    if (nulls && column.IsNull(static_cast<int64_t>(r))) continue;
+    const uint64_t o = offset(values[r]);
+    bits[o / 64] |= uint64_t{1} << (o % 64);
+  }
+  // below[w]: the rank of the smallest value in word w.
+  std::vector<int32_t> below(bits.size());
+  int32_t rank = out->cardinality;
+  for (size_t w = 0; w < bits.size(); ++w) {
+    below[w] = rank;
+    rank += std::popcount(bits[w]);
+  }
+  out->dictionary.reserve(static_cast<size_t>(rank));
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      const uint64_t o = 64 * w + std::countr_zero(word);
+      out->dictionary.emplace_back(
+          static_cast<int64_t>(static_cast<uint64_t>(lo) + o));
+    }
+  }
+  for (size_t r = 0; r < n; ++r) {
+    if (nulls && column.IsNull(static_cast<int64_t>(r))) continue;
+    const uint64_t o = offset(values[r]);
+    const uint64_t below_bit = (uint64_t{1} << (o % 64)) - 1;
+    out->ranks[r] = below[o / 64] + std::popcount(bits[o / 64] & below_bit);
+  }
+  out->cardinality = rank;
+  return true;
+}
+
 /// Ranks a string column: rows are hash-deduplicated to first-seen ids,
 /// only the distinct strings are sorted, and the ids are remapped to
 /// ranks. Nulls keep rank 0.
@@ -176,7 +233,9 @@ EncodedColumn EncodeColumn(const Column& column) {
   }
   switch (column.type()) {
     case DataType::kInt64:
-      RankNumeric(column, column.ints(), IntKey, &out);
+      if (!RankDenseInts(column, &out)) {
+        RankNumeric(column, column.ints(), IntKey, &out);
+      }
       break;
     case DataType::kDouble:
       RankNumeric(column, column.doubles(), DoubleKey, &out);

@@ -64,10 +64,14 @@ class EncodedTable {
 EncodedTable EncodeTable(const Table& table);
 
 /// Encodes a single column (exposed for tests and custom pipelines) with
-/// no comparator sort: int64 and double columns radix-sort order-preserving
-/// 64-bit keys (one pass per byte on which the keys differ); string
-/// columns hash-deduplicate and sort only the distinct strings. Each
-/// dictionary entry is the value at the smallest row id of its group.
+/// no comparator sort. An int64 column whose non-null values span fewer
+/// than 8 * rows + 64 integers is ranked with a presence bitmap over the
+/// span: a value's rank is the popcount of the bits below its own, in
+/// O(rows + span / 64). Other int64 and double columns radix-sort
+/// order-preserving 64-bit keys (one pass per byte on which the keys
+/// differ); string columns hash-deduplicate and sort only the distinct
+/// strings. Each dictionary entry is the value at the smallest row id of
+/// its group.
 EncodedColumn EncodeColumn(const Column& column);
 
 /// Builds an EncodedTable directly from pre-ranked integer columns — used

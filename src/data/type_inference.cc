@@ -1,5 +1,6 @@
 #include "data/type_inference.h"
 
+#include <cctype>
 #include <optional>
 
 #include "common/string_util.h"
@@ -7,6 +8,15 @@
 namespace aod {
 
 bool IsNullToken(std::string_view cell) {
+  // Every null token starts, untrimmed, with whitespace, 'n', 'N' or '?';
+  // most cells are ruled out here, before any trim or compare.
+  if (!cell.empty()) {
+    const char c = cell[0];
+    if (c != 'n' && c != 'N' && c != '?' &&
+        !std::isspace(static_cast<unsigned char>(c))) {
+      return false;
+    }
+  }
   cell = TrimWhitespace(cell);
   if (cell.empty()) return true;
   // "nan" is how R and numpy spell a missing numeric; non-finite values
@@ -17,25 +27,6 @@ bool IsNullToken(std::string_view cell) {
 }
 
 namespace {
-
-/// Fast path for the common numeric cell: a trimmed `cell` matching
-/// -?[0-9]{1,18} exactly. Eighteen digits cannot overflow, and the
-/// magnitude converts to double exactly as strtod rounds the same digits,
-/// so this agrees with ParseInt64 and ParseDouble on every cell it takes.
-bool MatchSmallInt(std::string_view cell, uint64_t* magnitude,
-                   bool* negative) {
-  *negative = !cell.empty() && cell[0] == '-';
-  if (*negative) cell.remove_prefix(1);
-  if (cell.empty() || cell.size() > 18) return false;
-  uint64_t v = 0;
-  for (char c : cell) {
-    const unsigned digit = static_cast<unsigned>(c - '0');
-    if (digit > 9) return false;
-    v = v * 10 + digit;
-  }
-  *magnitude = v;
-  return true;
-}
 
 /// Fills `col` from `cells` as int64; false at the first non-null cell
 /// that is not an integer.

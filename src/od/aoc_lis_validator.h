@@ -29,8 +29,9 @@
 //     do too, and the class contributes budget + 1, the value the full
 //     scan would stop at. Otherwise the full class is sorted as usual.
 //     This is the monotonicity the hybrid sampler relies on, unscaled.
-//   - The sort radix-sorts classes of ClassOrder::kRadixMinRows or more,
-//     over A's field alone when A is a table key.
+//   - The sort radix-sorts classes of ClassOrder::RadixMinRows(bits) or
+//     more (32 rows up to 40-bit fields, 8 per 8-bit digit beyond the
+//     fourth), over A's field alone when A is a table key.
 //   - The LNDS of a class below kSuccessorLndsMinRows uses the
 //     branch-free patience search (LndsRemovals); from there on the tails
 //     are a successor set over B's domain (LndsRemovalsBySuccessor).

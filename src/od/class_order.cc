@@ -105,10 +105,10 @@ void ClassOrder::SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
     }
   }
   if constexpr (kPacked) {
-    if (m >= kRadixMinRows) {
-      // A key's field alone decides the order; the lower bits ride along.
-      RadixSort<kDigitBits>(keys, tmp, a_is_key_ ? b_bits_ + row_bits_ : 0,
-                            key_bits_);
+    // A key's field alone decides the order; the lower bits ride along.
+    const int lo_bit = a_is_key_ ? b_bits_ + row_bits_ : 0;
+    if (m >= RadixMinRows(key_bits_ - lo_bit)) {
+      RadixSort<kDigitBits>(keys, tmp, lo_bit, key_bits_);
     } else {
       std::sort(keys.begin(), keys.end());
     }

@@ -4,9 +4,9 @@
 // [A ASC, B ASC] before the LNDS pass. ClassOrder does that with one packed
 // integer key per row — (rank_A, tie-adjusted B[, row id]), highest bits
 // first — so the sort compares plain integers instead of chasing two rank
-// arrays per comparison. Classes of kRadixMinRows or more use an LSD radix
-// sort over the occupied bit width — over the A field alone when A is a
-// table key, since a key has no ties for B or the row id to break;
+// arrays per comparison. Classes of RadixMinRows(bits) or more use an LSD
+// radix sort over the occupied bit width — over the A field alone when A
+// is a table key, since a key has no ties for B or the row id to break;
 // smaller ones use std::sort on the keys. Keys are 32 bits wide when the
 // field widths fit, 64 otherwise; when even 64 bits cannot hold A, B and
 // the row id, the same kernel sorts (A-B word, row id) pairs.
@@ -40,9 +40,20 @@ class ClassOrder {
 
   enum class KeyWidth { k32, k64, kPair };
 
-  /// Classes at least this large are radix-sorted; below it std::sort on
-  /// the keys wins over the per-pass bucket setup.
+  /// No class below this many rows is radix-sorted: std::sort on the
+  /// keys wins over the per-pass bucket setup.
   static constexpr size_t kRadixMinRows = 32;
+
+  /// The smallest class radix-sorted over a field of `bits` bits. Each
+  /// 8-bit digit costs a pass over 256 buckets, so std::sort wins longer
+  /// the more passes there are: random keys cross over near 32 rows up
+  /// to 40 bits, near 40 at 48 bits and near 56–64 at 64 bits, 8 rows per
+  /// pass beyond the fourth. A table key's field alone never needs more
+  /// than 4 passes.
+  static constexpr size_t RadixMinRows(int bits) {
+    const auto passes = static_cast<size_t>((bits + 7) / 8);
+    return passes > 5 ? 8 * (passes - 1) : kRadixMinRows;
+  }
 
   ClassOrder(const EncodedTable& table, int a, int b, Options options);
 

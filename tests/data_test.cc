@@ -8,10 +8,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -767,6 +769,169 @@ TEST(CsvDifferentialTest, MaxRowsIsAPrefix) {
   }
 }
 
+/// `text` copied into a heap buffer of exactly its size, so that ASan
+/// reports any load past its last byte.
+class ExactBuffer {
+ public:
+  explicit ExactBuffer(const std::string& text)
+      : size_(text.size()), data_(new char[text.size()]) {
+    std::memcpy(data_.get(), text.data(), size_);
+  }
+  std::string_view view() const { return {data_.get(), size_}; }
+
+ private:
+  size_t size_;
+  std::unique_ptr<char[]> data_;
+};
+
+/// A wide, long CSV input: 1-16 columns of 20-300 data records, with
+/// fields of 1-24 bytes, so that fields start and end at every offset of
+/// an 8-byte word. Integer columns hold 18- and 19-digit integers, "-0"
+/// and " 42 " among short ones; a column may hold one quoted integer, and
+/// one non-integer cell in its last data row. Header names may be digits.
+/// Sets `*data_rows` to the number of data records.
+std::string WideCsv(Rng* rng, char delimiter, bool header,
+                    int64_t* data_rows) {
+  const auto width = static_cast<int>(rng->UniformInt(1, 16));
+  const int64_t records = rng->UniformInt(20, 300);
+  *data_rows = records;
+  auto digits = [rng](int64_t len) {
+    std::string s;
+    for (int64_t i = 0; i < len; ++i) {
+      s += static_cast<char>('0' + rng->UniformInt(0, 9));
+    }
+    return s;
+  };
+  auto integer = [&](int64_t max_digits) -> std::string {
+    const std::string sign = rng->Bernoulli(0.3) ? "-" : "";
+    switch (rng->UniformInt(0, 9)) {
+      case 0:
+        return "-0";
+      case 1:
+        return " 42 ";
+      case 2:
+        return sign + digits(18);
+      case 3:
+        return sign + digits(19);
+      default:
+        return sign + digits(rng->UniformInt(1, max_digits));
+    }
+  };
+  auto text = [&]() {
+    static const std::string kAlphabet = "abcxyz0123456789 -.";
+    std::string s(1, static_cast<char>('a' + rng->UniformInt(0, 25)));
+    const int64_t len = rng->UniformInt(1, 24);
+    while (static_cast<int64_t>(s.size()) < len) {
+      s += kAlphabet[static_cast<size_t>(
+          rng->UniformInt(0, static_cast<int64_t>(kAlphabet.size()) - 1))];
+    }
+    return s;
+  };
+  static const std::vector<std::string> kOdd = {"x",   "",   "NULL", "2.5",
+                                                "1e3", "-",  "12a",  "+7",
+                                                "-0.0", "007x"};
+  // 0: integers of up to 17 digits (the fast path), 1: of up to 24
+  // digits (past it), 2: text.
+  std::vector<int> kind(static_cast<size_t>(width));
+  std::vector<int64_t> quoted_row(static_cast<size_t>(width), -1);
+  std::vector<bool> odd_last(static_cast<size_t>(width));
+  for (size_t c = 0; c < kind.size(); ++c) {
+    kind[c] =
+        rng->Bernoulli(0.7) ? 0 : static_cast<int>(rng->UniformInt(1, 2));
+    if (rng->Bernoulli(0.15)) quoted_row[c] = rng->UniformInt(0, records - 1);
+    odd_last[c] = rng->Bernoulli(0.3);
+  }
+  std::string out;
+  if (header) {
+    for (int c = 0; c < width; ++c) {
+      if (c > 0) out += delimiter;
+      out += rng->Bernoulli(0.3) ? digits(rng->UniformInt(1, 12)) : text();
+    }
+    out += "\n";
+  }
+  for (int64_t r = 0; r < records; ++r) {
+    for (size_t c = 0; c < kind.size(); ++c) {
+      if (c > 0) out += delimiter;
+      std::string cell =
+          kind[c] == 2 ? text() : integer(kind[c] == 0 ? 17 : 24);
+      if (r == quoted_row[c]) cell = "\"" + cell + "\"";
+      if (r + 1 == records && odd_last[c]) {
+        cell = kOdd[static_cast<size_t>(
+            rng->UniformInt(0, static_cast<int64_t>(kOdd.size()) - 1))];
+      }
+      out += cell;
+    }
+    if (r + 1 < records || rng->Bernoulli(0.5)) {
+      out += rng->Bernoulli(0.2) ? "\r\n" : "\n";
+    }
+  }
+  return out;
+}
+
+TEST(CsvDifferentialTest, WideLongInputsFromExactBuffers) {
+  Rng rng(20261019);
+  int typed_int = 0;
+  for (int i = 0; i < 300; ++i) {
+    CsvOptions options;
+    options.delimiter = ",|;\t"[rng.UniformInt(0, 3)];
+    options.has_header = rng.Bernoulli(0.75);
+    options.infer_types = !rng.Bernoulli(0.1);
+    int64_t n = 0;
+    const std::string text =
+        WideCsv(&rng, options.delimiter, options.has_header, &n);
+    const ExactBuffer buffer(text);
+    for (int64_t max_rows : {int64_t{-1}, int64_t{0}, int64_t{1}, n / 2,
+                             n - 1, n + 1}) {
+      options.max_rows = max_rows;
+      SCOPED_TRACE("max_rows=" + std::to_string(max_rows));
+      const Result<Table> got = ParseCsv(buffer.view(), options);
+      ExpectMatchesOracle(got, csv_oracle::ParseCsv(text, options), text);
+      ASSERT_TRUE(got.ok());
+      for (int c = 0; c < got->num_columns(); ++c) {
+        typed_int += got->schema().field(c).type == DataType::kInt64;
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(typed_int, 1000);
+}
+
+TEST(CsvDifferentialTest, LateNonIntegerKeepsEarlierText) {
+  // The column reads its first rows as integers and leaves that path at
+  // the last one; the earlier cells must come back as their text ("-0"
+  // as -0.0, "007" as "007"), also when a column before it is quoted or
+  // escaped and the record ends are CRLF.
+  const std::string text =
+      "q,a,b\r\n"
+      "\"x,\"\"y\",-0,007\r\n"
+      "\"z\",12,1\r\n"
+      "w,-34,2\r\n"
+      "v,2.5,word";
+  for (bool exact : {false, true}) {
+    const ExactBuffer buffer(text);
+    const Result<Table> got =
+        ParseCsv(exact ? buffer.view() : std::string_view(text));
+    ExpectMatchesOracle(got, csv_oracle::ParseCsv(text, {}), text);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->schema().field(1).type, DataType::kDouble);
+    EXPECT_TRUE(std::signbit(got->GetValue(0, 1).as_double()));
+    EXPECT_EQ(got->GetValue(0, 2), Value(std::string("007")));
+    EXPECT_EQ(got->GetValue(0, 0), Value(std::string("x,\"y")));
+  }
+}
+
+TEST(CsvDifferentialTest, DigitDelimiter) {
+  // An integer field ends at the digit delimiter, and so does the text
+  // the second walk recovers for a column that leaves the integer path.
+  for (const std::string text : {"a9b\n1297\n3394\n", "a9b\n1297\nx97\n",
+                                 "a9b\n-0912\n2.593\n"}) {
+    CsvOptions options;
+    options.delimiter = '9';
+    ExpectMatchesOracle(ParseCsv(text, options),
+                        csv_oracle::ParseCsv(text, options), text);
+  }
+}
+
 // -------------------------------------------------------------- Encoder --
 
 TEST(EncoderTest, RanksAreDenseAndOrderPreserving) {
@@ -954,6 +1119,97 @@ TEST(EncoderDifferentialTest, Int64MatchesStableSort) {
     ExpectSameEncoding(EncodeColumn(col), ReferenceEncode(col));
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+/// An int64 column of `n` rows spanning exactly [lo, lo + span]: both
+/// ends appear, the rest is drawn from the span, and about `null_p` of
+/// the rows after the first two are null.
+Column SpanColumn(Rng* rng, int64_t n, int64_t lo, uint64_t span,
+                  double null_p) {
+  Column col("c", DataType::kInt64);
+  const auto hi = static_cast<int64_t>(static_cast<uint64_t>(lo) + span);
+  for (int64_t r = 0; r < n; ++r) {
+    if (r == 0) {
+      col.AppendInt(hi);
+    } else if (r == 1) {
+      col.AppendInt(lo);
+    } else if (rng->Bernoulli(null_p)) {
+      col.AppendNull();
+    } else {
+      const uint64_t offset = span == UINT64_MAX
+                                  ? rng->NextUint64()
+                                  : rng->NextUint64() % (span + 1);
+      col.AppendInt(static_cast<int64_t>(static_cast<uint64_t>(lo) + offset));
+    }
+  }
+  return col;
+}
+
+TEST(EncoderDifferentialTest, DenseSpansMatchStableSort) {
+  // EncodeColumn ranks an int64 column with a presence bitmap when its
+  // non-null span is below 8 * rows + 64, and radix-sorts it otherwise:
+  // spans at the threshold and one past it, at both ends of the int64
+  // range, all negative, with nulls, and of one value.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  Rng rng(15);
+  for (int64_t n : {2, 3, 17, 64, 65, 1000, 4097}) {
+    const uint64_t last = 8 * static_cast<uint64_t>(n) + 63;  // widest bitmap
+    for (uint64_t span : {uint64_t{0}, uint64_t{1}, uint64_t{63},
+                          uint64_t{64}, static_cast<uint64_t>(n), last,
+                          last + 1, last + 2, uint64_t{1} << 40,
+                          UINT64_MAX}) {
+      // From the bottom of the int64 range, around zero, all negative, and
+      // up to the top of the range.
+      const auto top = static_cast<int64_t>(
+          static_cast<uint64_t>(kMax) - std::min<uint64_t>(span, kMax));
+      for (int64_t lo : {kMin, kMin + 1, int64_t{-5}, int64_t{0},
+                         -static_cast<int64_t>(last) - 9, top}) {
+        // Skip a lo whose lo + span would pass kMax.
+        if (static_cast<uint64_t>(kMax) - static_cast<uint64_t>(lo) < span) {
+          continue;
+        }
+        for (double null_p : {0.0, 0.3}) {
+          SCOPED_TRACE(testing::Message() << "n=" << n << " span=" << span
+                                          << " lo=" << lo
+                                          << " null_p=" << null_p);
+          const Column col = SpanColumn(&rng, n, lo, span, null_p);
+          ExpectSameEncoding(EncodeColumn(col), ReferenceEncode(col));
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(EncoderDifferentialTest, DenseSpanEdgeColumns) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const std::vector<std::vector<int64_t>> cases = {
+      {kMin, kMax},                 // the full range: radix
+      {kMax, kMin, kMax, 0, kMin},  // the same, with a value between
+      {kMin, kMin + 1, kMin + 1},   // dense at the bottom
+      {kMax, kMax - 70, kMax - 3},  // dense at the top
+      {-1, -7, -64, -65, -1},       // all negative
+      {42},                         // one row
+      {9, 9, 9, 9},                 // one distinct value
+  };
+  for (const auto& values : cases) {
+    for (bool with_null : {false, true}) {
+      Column col("c", DataType::kInt64);
+      if (with_null) col.AppendNull();
+      for (int64_t v : values) col.AppendInt(v);
+      if (with_null) col.AppendNull();
+      SCOPED_TRACE(testing::Message() << "first=" << values[0]
+                                      << " with_null=" << with_null);
+      ExpectSameEncoding(EncodeColumn(col), ReferenceEncode(col));
+    }
+  }
+  // A column of nulls alone has one rank, the null's.
+  Column nulls("c", DataType::kInt64);
+  nulls.AppendNull();
+  nulls.AppendNull();
+  ExpectSameEncoding(EncodeColumn(nulls), ReferenceEncode(nulls));
 }
 
 TEST(EncoderDifferentialTest, DoubleMatchesStableSort) {
