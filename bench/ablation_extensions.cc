@@ -1,8 +1,6 @@
 // Ablations for the extension modules (DESIGN.md "beyond the paper"):
 //   A. parallel level processing — discovery wall-clock vs worker count
 //      (the shared-nothing analogue of Saxena et al. [8]);
-//   B. hybrid sampling fast-rejection — validation cost and safety of the
-//      sampling filter proposed in the paper's future work (after [6]);
 //   C. bidirectional search [10] — the cost of also exploring the
 //      A asc ~ B desc polarity class.
 #include <cstdio>
@@ -12,10 +10,7 @@
 #include "data/encoder.h"
 #include "gen/flight_generator.h"
 #include "gen/ncvoter_generator.h"
-#include "od/aoc_lis_validator.h"
-#include "od/hybrid_sampler.h"
 #include "od/discovery.h"
-#include "partition/partition_cache.h"
 
 namespace aod {
 namespace bench {
@@ -50,68 +45,6 @@ void ParallelAblation() {
     std::printf("%8d  %10.3f  %7.2fx  %6zu\n", threads, secs,
                 base / (secs > 0 ? secs : 1e-9), result.Ocs().size());
   }
-}
-
-void SamplingAblation() {
-  const int64_t rows = ScaledRows(30000);
-  Table t = GenerateNcVoterTable(rows, 10, 1729);
-  EncodedTable enc = EncodeTable(t);
-  PartitionCache cache(&enc);
-  const int k = enc.num_columns();
-  const double eps = 0.10;
-
-  std::printf("\n--- B. hybrid sampling filter (ncvoter, %lld rows, "
-              "eps = 10%%) ---\n",
-              static_cast<long long>(rows));
-
-  // Full validation only.
-  Stopwatch full_clock;
-  int64_t full_valid = 0;
-  for (int ctx_attr = -1; ctx_attr < k; ++ctx_attr) {
-    AttributeSet ctx =
-        ctx_attr < 0 ? AttributeSet() : AttributeSet::Of({ctx_attr});
-    auto partition = cache.Get(ctx);
-    for (int a = 0; a < k; ++a) {
-      for (int b = a + 1; b < k; ++b) {
-        if (a == ctx_attr || b == ctx_attr) continue;
-        if (ValidateAocOptimal(enc, *partition, a, b, eps, enc.num_rows())
-                .valid) {
-          ++full_valid;
-        }
-      }
-    }
-  }
-  double full_secs = full_clock.ElapsedSeconds();
-
-  // Hybrid: sampling fast-reject in front.
-  SamplerConfig config;
-  config.sample_size = 2000;
-  AocSampler sampler(&enc, config);
-  Stopwatch hybrid_clock;
-  int64_t hybrid_valid = 0;
-  for (int ctx_attr = -1; ctx_attr < k; ++ctx_attr) {
-    AttributeSet ctx =
-        ctx_attr < 0 ? AttributeSet() : AttributeSet::Of({ctx_attr});
-    auto partition = cache.Get(ctx);
-    for (int a = 0; a < k; ++a) {
-      for (int b = a + 1; b < k; ++b) {
-        if (a == ctx_attr || b == ctx_attr) continue;
-        if (sampler.Validate(*partition, a, b, eps).valid) ++hybrid_valid;
-      }
-    }
-  }
-  double hybrid_secs = hybrid_clock.ElapsedSeconds();
-
-  std::printf("full validation:   %.3fs, %lld valid AOCs\n", full_secs,
-              static_cast<long long>(full_valid));
-  std::printf("hybrid validation: %.3fs, %lld valid AOCs (%lld fast-"
-              "rejected, %lld full)\n",
-              hybrid_secs, static_cast<long long>(hybrid_valid),
-              static_cast<long long>(sampler.fast_rejections()),
-              static_cast<long long>(sampler.full_validations()));
-  std::printf("agreement on accepted candidates: %s (the filter only ever"
-              " rejects)\n",
-              full_valid == hybrid_valid ? "exact" : "DIVERGED");
 }
 
 void BidirectionalAblation() {
@@ -149,7 +82,6 @@ int main() {
   using namespace aod::bench;
   PrintHeaderLine("Ablations: extensions beyond the paper's core");
   ParallelAblation();
-  SamplingAblation();
   BidirectionalAblation();
   return 0;
 }

@@ -70,44 +70,6 @@ Table Table::FromColumns(std::vector<Column> columns) {
   return t;
 }
 
-Table Table::Head(int64_t n) const {
-  n = std::min(n, num_rows_);
-  Table out(schema_);
-  for (int64_t r = 0; r < n; ++r) {
-    std::vector<Value> row;
-    row.reserve(static_cast<size_t>(num_columns()));
-    for (int c = 0; c < num_columns(); ++c) row.push_back(GetValue(r, c));
-    out.AppendRow(row);
-  }
-  return out;
-}
-
-Result<Table> Table::SelectColumns(
-    const std::vector<std::string>& names) const {
-  std::vector<int> indices;
-  Schema out_schema;
-  for (const auto& name : names) {
-    AOD_ASSIGN_OR_RETURN(int idx, schema_.FieldIndex(name));
-    indices.push_back(idx);
-    out_schema.AddField(schema_.field(idx));
-  }
-  Table out(std::move(out_schema));
-  for (int64_t r = 0; r < num_rows_; ++r) {
-    std::vector<Value> row;
-    row.reserve(indices.size());
-    for (int idx : indices) row.push_back(GetValue(r, idx));
-    out.AppendRow(row);
-  }
-  return out;
-}
-
-Table Table::SelectFirstColumns(int k) const {
-  AOD_CHECK(k >= 0 && k <= num_columns());
-  std::vector<std::string> names;
-  for (int i = 0; i < k; ++i) names.push_back(schema_.field(i).name);
-  return std::move(SelectColumns(names)).value();
-}
-
 std::string Table::ToString(int64_t limit) const {
   int64_t n = std::min(limit, num_rows_);
   std::vector<std::vector<std::string>> cells;

@@ -46,17 +46,6 @@ class Table {
   /// the columns' names and types, in order. The CSV reader's output path.
   static Table FromColumns(std::vector<Column> columns);
 
-  /// Copies the first `n` rows (or all rows if n >= num_rows). Mirrors the
-  /// paper's row-count scalability sweeps over dataset prefixes.
-  Table Head(int64_t n) const;
-
-  /// Copies a subset of columns, in the given order. Mirrors the paper's
-  /// attribute-count sweeps.
-  Result<Table> SelectColumns(const std::vector<std::string>& names) const;
-
-  /// Projects the first `k` columns.
-  Table SelectFirstColumns(int k) const;
-
   /// Renders rows [0, limit) as an aligned ASCII table (for examples).
   std::string ToString(int64_t limit = 20) const;
 

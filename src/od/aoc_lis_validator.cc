@@ -1,6 +1,8 @@
 #include "od/aoc_lis_validator.h"
 
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "algo/lnds.h"
 #include "od/class_order.h"
@@ -29,8 +31,9 @@ int64_t ProjectionRemovals(const ClassOrder& order, int64_t budget,
                                  s.tail_bits());
 }
 
-}  // namespace
-
+/// The optimal validators' per-class kernel: |rows| - LNDS of one class in
+/// `order`, exact when it is <= `budget` and otherwise budget + 1 (a lower
+/// bound), as LndsRemovals. `budget` INT64_MAX computes it exactly.
 int64_t ClassRemovals(const ClassOrder& order, std::span<const int32_t> rows,
                       int64_t budget, ValidatorScratch* scratch) {
   ValidatorScratch& s = *scratch;
@@ -55,8 +58,6 @@ int64_t ClassRemovals(const ClassOrder& order, std::span<const int32_t> rows,
   order.Sort(rows, &s);
   return ProjectionRemovals(order, budget, s);
 }
-
-namespace {
 
 /// Shared implementation; `descending_ties` selects the OD variant.
 ValidationOutcome ValidateLis(const EncodedTable& table,

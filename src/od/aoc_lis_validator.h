@@ -28,7 +28,6 @@
 //     never exceed the class's: when they exceed the budget the class's
 //     do too, and the class contributes budget + 1, the value the full
 //     scan would stop at. Otherwise the full class is sorted as usual.
-//     This is the monotonicity the hybrid sampler relies on, unscaled.
 //   - The sort radix-sorts classes of ClassOrder::RadixMinRows(bits) or
 //     more (32 rows up to 40-bit fields, 8 per 8-bit digit beyond the
 //     fourth), over A's field alone when A is a table key.
@@ -42,11 +41,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "data/encoder.h"
 #include "od/canonical_od.h"
-#include "od/class_order.h"
 #include "od/validator_scratch.h"
 #include "partition/stripped_partition.h"
 
@@ -56,14 +53,6 @@ namespace aod {
 /// set rather than the patience search: below it the binary search over
 /// the short tails array is cheaper than the bitset walk and its reset.
 inline constexpr size_t kSuccessorLndsMinRows = 64;
-
-/// The optimal validators' per-class kernel: |rows| - LNDS of one class in
-/// `order`, exact when it is <= `budget` and otherwise budget + 1 (a lower
-/// bound), as LndsRemovals. `budget` INT64_MAX computes it exactly, which
-/// is how the hybrid sampler counts its sample classes. `rows` may alias
-/// `scratch->rows()` only then: a finite budget may sample into it.
-int64_t ClassRemovals(const ClassOrder& order, std::span<const int32_t> rows,
-                      int64_t budget, ValidatorScratch* scratch);
 
 /// Validates the AOC `context_partition`: a ~ b against `epsilon`.
 /// The removal set is minimal (Thm. 3.3); `removal_size` is exact unless

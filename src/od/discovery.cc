@@ -150,12 +150,8 @@ struct Driver {
         fd_enabled(o.kinds.Contains(DependencyKind::kFd)),
         afd_enabled(o.kinds.Contains(DependencyKind::kAfd)),
         cache(&t, PartitionCache::DeferBasePartitions{}),
-        // A sharded run's driver never validates, so it builds no sampler.
         validator(&t, o.validator, o.epsilon, o.afd_error,
-                  o.collect_removal_sets,
-                  o.enable_sampling_filter && o.num_shards < 1
-                      ? &o.sampler_config
-                      : nullptr) {
+                  o.collect_removal_sets) {
     // Base partitions are built exactly once per run: into this cache
     // for unsharded validation, or by the coordinator (which ships them
     // to the shard caches) when sharding is on — the driver cache then
@@ -225,8 +221,6 @@ struct Driver {
       ropts.kinds = options.kinds;
       ropts.afd_error = options.afd_error;
       ropts.collect_removal_sets = options.collect_removal_sets;
-      ropts.enable_sampling_filter = options.enable_sampling_filter;
-      ropts.sampler_config = options.sampler_config;
       ropts.partition_memory_budget_bytes =
           options.partition_memory_budget_bytes;
       shard::ShardTransportOptions topts;

@@ -22,7 +22,6 @@
 #include "od/canonical_od.h"
 #include "od/dependency_kind.h"
 #include "od/discovery_stats.h"
-#include "od/hybrid_sampler.h"
 
 namespace aod {
 
@@ -160,14 +159,6 @@ struct DiscoveryOptions {
   /// spawning threads per run; its worker count overrides num_threads.
   /// The pool is borrowed, never owned, and must outlive the call.
   exec::ThreadPool* pool = nullptr;
-  /// Put the hybrid sampling fast-rejection (od/hybrid_sampler.h, the
-  /// paper's future-work direction after [6]) in front of every AOC
-  /// validation. Only meaningful with ValidatorKind::kOptimal. Accepted
-  /// dependencies are always exactly validated; with adversarial data a
-  /// borderline-valid candidate can be fast-rejected with probability
-  /// decaying in sampler_config.sample_size.
-  bool enable_sampling_filter = false;
-  SamplerConfig sampler_config;
   /// Byte budget for materialized partitions (0 = unlimited). When the
   /// cache exceeds it at a level boundary, the coldest derived partitions
   /// are evicted in deterministic order and re-derived on demand through

@@ -54,14 +54,9 @@ DependencyVerdict ValidateDependency(const ValidationRequest& request) {
               table, partition, pair.a, pair.b, request.epsilon,
               request.table_rows, vopts, request.scratch));
         case ValidatorKind::kOptimal:
-          return FromOutcome(
-              request.sampler != nullptr
-                  ? request.sampler->Validate(partition, pair.a, pair.b,
-                                              request.epsilon, vopts,
-                                              request.scratch)
-                  : ValidateAocOptimal(table, partition, pair.a, pair.b,
-                                       request.epsilon, request.table_rows,
-                                       vopts, request.scratch));
+          return FromOutcome(ValidateAocOptimal(
+              table, partition, pair.a, pair.b, request.epsilon,
+              request.table_rows, vopts, request.scratch));
       }
       break;
     }
@@ -81,20 +76,13 @@ DependencyVerdict ValidateDependency(const ValidationRequest& request) {
 CandidateValidator::CandidateValidator(const EncodedTable* table,
                                        ValidatorKind algorithm,
                                        double epsilon, double afd_error,
-                                       bool collect_removal_sets,
-                                       const SamplerConfig* sampler_config) {
+                                       bool collect_removal_sets) {
   template_.table = table;
   template_.algorithm = algorithm;
   template_.epsilon = algorithm == ValidatorKind::kExact ? 0.0 : epsilon;
   template_.afd_error = afd_error;
   template_.table_rows = table->num_rows();
   template_.options.collect_removal_set = collect_removal_sets;
-  if (sampler_config != nullptr && algorithm == ValidatorKind::kOptimal) {
-    // Seeded: every site given the same config draws the same sample, so
-    // fast-reject decisions match across the driver and all shards.
-    sampler_ = std::make_unique<AocSampler>(table, *sampler_config);
-    template_.sampler = sampler_.get();
-  }
 }
 
 CandidateVerdict CandidateValidator::Validate(

@@ -17,12 +17,11 @@
 //   kFd    exact refinement test            0 (exact by definition)
 //   kAfd   g1 pair counting                 g1 violating-pair fraction
 //
-// The dispatch is a pure function of the request (the sampler, when
-// present, is seeded per run), which is what lets a shard runner and the
-// in-process driver produce bit-identical outcomes from the same
-// candidate. CandidateValidator wraps the dispatch in the per-run
-// environment both call sites need (pooled scratch, the seeded sampler,
-// the exact validator's ε = 0), so neither keeps its own copy.
+// The dispatch is a pure function of the request, which is what lets a
+// shard runner and the in-process driver produce bit-identical outcomes
+// from the same candidate. CandidateValidator wraps the dispatch in the
+// per-run environment both call sites need (pooled scratch, the exact
+// validator's ε = 0), so neither keeps its own copy.
 #ifndef AOD_OD_VALIDATOR_REGISTRY_H_
 #define AOD_OD_VALIDATOR_REGISTRY_H_
 
@@ -35,7 +34,6 @@
 #include "od/canonical_od.h"
 #include "od/dependency_kind.h"
 #include "od/discovery.h"
-#include "od/hybrid_sampler.h"
 #include "od/lattice.h"
 #include "od/validator_scratch.h"
 #include "partition/stripped_partition.h"
@@ -59,9 +57,6 @@ struct ValidationRequest {
   double afd_error = 0.05;
   int64_t table_rows = 0;
   ValidatorOptions options;
-  /// Optional sampling fast-reject, consulted only for kOc under the
-  /// optimal validator (mirrors the pre-registry behavior).
-  AocSampler* sampler = nullptr;
   ValidatorScratch* scratch = nullptr;
 };
 
@@ -91,18 +86,14 @@ struct CandidateVerdict : DependencyVerdict {
 
 /// The per-candidate validation routine of one discovery run, shared by
 /// the in-process driver and every shard runner. It owns the request
-/// template (ε zeroed for ValidatorKind::kExact), the seeded sampler and
-/// a free list of ValidatorScratch — one instance is borrowed per call,
-/// so steady-state validation does no heap allocation. Validate is
-/// thread-safe.
+/// template (ε zeroed for ValidatorKind::kExact) and a free list of
+/// ValidatorScratch — one instance is borrowed per call, so steady-state
+/// validation does no heap allocation. Validate is thread-safe.
 class CandidateValidator {
  public:
-  /// `sampler_config` non-null enables the sampling fast-reject, which
-  /// only the optimal validator consults.
   CandidateValidator(const EncodedTable* table, ValidatorKind algorithm,
                      double epsilon, double afd_error,
-                     bool collect_removal_sets,
-                     const SamplerConfig* sampler_config);
+                     bool collect_removal_sets);
 
   /// Validates one candidate in `context`, whose partition is
   /// `partition`; `target` is the RHS of the target kinds, `pair` the OC
@@ -114,7 +105,6 @@ class CandidateValidator {
 
  private:
   ValidationRequest template_;
-  std::unique_ptr<AocSampler> sampler_;
   std::mutex scratch_mutex_;
   std::vector<std::unique_ptr<ValidatorScratch>> free_scratch_;
 };

@@ -47,10 +47,6 @@ WireJobOptions WireJobOptionsFrom(const DiscoveryOptions& options) {
   wire.max_lhs_arity = options.max_lhs_arity;
   wire.bidirectional = options.bidirectional;
   wire.collect_removal_sets = options.collect_removal_sets;
-  wire.enable_sampling_filter = options.enable_sampling_filter;
-  wire.sampler_sample_size = options.sampler_config.sample_size;
-  wire.sampler_reject_margin = options.sampler_config.reject_margin;
-  wire.sampler_seed = options.sampler_config.seed;
   wire.partition_memory_budget_bytes = options.partition_memory_budget_bytes;
   wire.deadline_seconds = options.time_budget_seconds;
   return wire;
@@ -67,10 +63,6 @@ DiscoveryOptions ToDiscoveryOptions(const WireJobOptions& wire) {
   options.max_lhs_arity = wire.max_lhs_arity;
   options.bidirectional = wire.bidirectional;
   options.collect_removal_sets = wire.collect_removal_sets;
-  options.enable_sampling_filter = wire.enable_sampling_filter;
-  options.sampler_config.sample_size = wire.sampler_sample_size;
-  options.sampler_config.reject_margin = wire.sampler_reject_margin;
-  options.sampler_config.seed = wire.sampler_seed;
   options.partition_memory_budget_bytes = wire.partition_memory_budget_bytes;
   options.time_budget_seconds = wire.deadline_seconds;
   return options;
@@ -89,10 +81,6 @@ std::vector<uint8_t> EncodeJobSubmit(const WireJobSubmit& submit) {
   w.PutI32(o.max_lhs_arity);
   w.PutU8(o.bidirectional ? 1 : 0);
   w.PutU8(o.collect_removal_sets ? 1 : 0);
-  w.PutU8(o.enable_sampling_filter ? 1 : 0);
-  w.PutVarintI64(o.sampler_sample_size);
-  w.PutDouble(o.sampler_reject_margin);
-  w.PutU64(o.sampler_seed);
   w.PutVarintI64(o.partition_memory_budget_bytes);
   w.PutDouble(o.deadline_seconds);
   if (submit.table_ref.has_value()) {
@@ -139,11 +127,6 @@ Result<WireJobSubmit> DecodeJobSubmit(const DecodedFrame& frame) {
   o.bidirectional = flag != 0;
   AOD_RETURN_NOT_OK(r.GetU8(&flag));
   o.collect_removal_sets = flag != 0;
-  AOD_RETURN_NOT_OK(r.GetU8(&flag));
-  o.enable_sampling_filter = flag != 0;
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&o.sampler_sample_size));
-  AOD_RETURN_NOT_OK(r.GetDouble(&o.sampler_reject_margin));
-  AOD_RETURN_NOT_OK(r.GetU64(&o.sampler_seed));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&o.partition_memory_budget_bytes));
   AOD_RETURN_NOT_OK(r.GetDouble(&o.deadline_seconds));
   if (!(o.epsilon >= 0.0 && o.epsilon <= 1.0)) {

@@ -79,10 +79,6 @@ struct WireJobOptions {
   int32_t max_lhs_arity = 0;
   bool bidirectional = false;
   bool collect_removal_sets = false;
-  bool enable_sampling_filter = false;
-  int64_t sampler_sample_size = 2000;
-  double sampler_reject_margin = 0.5;
-  uint64_t sampler_seed = 7;
   int64_t partition_memory_budget_bytes = 0;
   /// Per-job wall-clock deadline in seconds (0 = none). The server
   /// additionally caps it at its own max_job_seconds and enforces it

@@ -44,9 +44,9 @@
 //
 // Determinism: the assignment rule is a pure hash of the context set, a
 // runner's outcomes are pure functions of its batch (canonical
-// partition values, deterministic planned derivation, seeded
-// sampler), replayed attempts receive byte-identical inputs, a
-// degraded shard validates through the same ShardRunner core, and
+// partition values, deterministic planned derivation), replayed
+// attempts receive byte-identical inputs, a degraded shard validates
+// through the same ShardRunner core, and
 // exactly one attempt's buffered reply per shard is folded — in shard
 // order, ascending slots within a shard — so sharded discovery output
 // is bit-identical to the unsharded run for any shard count, any thread

@@ -133,10 +133,6 @@ int ShardRunnerMain(int argc, char** argv) {
   options.validator = static_cast<ValidatorKind>(config->validator);
   options.epsilon = config->epsilon;
   options.collect_removal_sets = config->collect_removal_sets;
-  options.enable_sampling_filter = config->enable_sampling_filter;
-  options.sampler_config.sample_size = config->sampler_sample_size;
-  options.sampler_config.reject_margin = config->sampler_reject_margin;
-  options.sampler_config.seed = config->sampler_seed;
   options.partition_memory_budget_bytes =
       config->partition_memory_budget_bytes;
   options.kinds = DependencyKindSet(config->kinds);

@@ -21,9 +21,7 @@ ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
       pool_(pool),
       cache_(table, PartitionCache::DeferBasePartitions{}),
       validator_(table, options.validator, options.epsilon,
-                 options.afd_error, options.collect_removal_sets,
-                 options.enable_sampling_filter ? &options.sampler_config
-                                                : nullptr) {
+                 options.afd_error, options.collect_removal_sets) {
   AOD_CHECK(table != nullptr);
 }
 

@@ -63,8 +63,6 @@ struct ShardRunnerOptions {
   /// Maximum g1 error for kAfd candidates (DiscoveryOptions::afd_error).
   double afd_error = 0.05;
   bool collect_removal_sets = false;
-  bool enable_sampling_filter = false;
-  SamplerConfig sampler_config;
   /// Partition byte budget *per shard*, enforced on the runner's cache
   /// after every batch (0 = unlimited).
   int64_t partition_memory_budget_bytes = 0;

@@ -214,10 +214,6 @@ Status ShardSupervisor::EstablishCurrent() {
   config.validator = static_cast<uint8_t>(ropts.validator);
   config.epsilon = ropts.epsilon;
   config.collect_removal_sets = ropts.collect_removal_sets;
-  config.enable_sampling_filter = ropts.enable_sampling_filter;
-  config.sampler_sample_size = ropts.sampler_config.sample_size;
-  config.sampler_reject_margin = ropts.sampler_config.reject_margin;
-  config.sampler_seed = ropts.sampler_config.seed;
   config.partition_memory_budget_bytes = ropts.partition_memory_budget_bytes;
   config.kinds = ropts.kinds.bits();
   config.afd_error = ropts.afd_error;

@@ -538,10 +538,6 @@ std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config) {
   writer.PutU8(config.validator);
   writer.PutDouble(config.epsilon);
   writer.PutU8(config.collect_removal_sets ? 1 : 0);
-  writer.PutU8(config.enable_sampling_filter ? 1 : 0);
-  writer.PutI64(config.sampler_sample_size);
-  writer.PutDouble(config.sampler_reject_margin);
-  writer.PutU64(config.sampler_seed);
   writer.PutI64(config.partition_memory_budget_bytes);
   writer.PutU32(config.num_threads);
   writer.PutU32(config.kinds);
@@ -558,16 +554,11 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   WireReader reader(frame.payload, frame.size);
   WireRunnerConfig config;
   uint8_t removal = 0;
-  uint8_t sampling = 0;
   AOD_RETURN_NOT_OK(reader.GetU32(&config.shard_id));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.attempt_id));
   AOD_RETURN_NOT_OK(reader.GetU8(&config.validator));
   AOD_RETURN_NOT_OK(reader.GetDouble(&config.epsilon));
   AOD_RETURN_NOT_OK(reader.GetU8(&removal));
-  AOD_RETURN_NOT_OK(reader.GetU8(&sampling));
-  AOD_RETURN_NOT_OK(reader.GetI64(&config.sampler_sample_size));
-  AOD_RETURN_NOT_OK(reader.GetDouble(&config.sampler_reject_margin));
-  AOD_RETURN_NOT_OK(reader.GetU64(&config.sampler_seed));
   AOD_RETURN_NOT_OK(reader.GetI64(&config.partition_memory_budget_bytes));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.num_threads));
   AOD_RETURN_NOT_OK(reader.GetU32(&config.kinds));
@@ -576,7 +567,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   AOD_RETURN_NOT_OK(reader.GetI64(&config.row_end));
   AOD_RETURN_NOT_OK(reader.ExpectEnd());
   config.collect_removal_sets = removal != 0;
-  config.enable_sampling_filter = sampling != 0;
   if (config.validator > 2) {
     return Status::ParseError("unknown validator kind " +
                               std::to_string(config.validator));

@@ -88,7 +88,10 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// (HashWords) instead of byte-wise FNV-1a, and kJobSubmit carries a
 /// table-source byte: an inline kTableBlock, or a 128-bit TableDigest
 /// naming a table uploaded earlier on the same connection.
-inline constexpr uint16_t kWireVersion = 10;
+/// Version 11: the hybrid AOC sampler is gone, so the config block drops
+/// its four sampler fields (25 bytes) and kJobSubmit its four sampler
+/// options (19 bytes at the default sample size).
+inline constexpr uint16_t kWireVersion = 11;
 /// The retired batch-envelope frame id (wire versions 2-8). Ids are never
 /// renumbered, so DecodeFrame names it instead of misreading a frame.
 inline constexpr uint16_t kRetiredFrameTypeBatch = 8;
@@ -374,10 +377,6 @@ struct WireRunnerConfig {
   uint8_t validator = 2;
   double epsilon = 0.1;
   bool collect_removal_sets = false;
-  bool enable_sampling_filter = false;
-  int64_t sampler_sample_size = 2000;
-  double sampler_reject_margin = 0.5;
-  uint64_t sampler_seed = 7;
   int64_t partition_memory_budget_bytes = 0;
   /// Worker threads for the runner's own pool (determinism does not
   /// depend on it).

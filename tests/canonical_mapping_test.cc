@@ -1,13 +1,12 @@
 // Cross-module property tests for the canonical mapping (paper Sec. 2.2):
 // a list-based OD holds exactly iff every member of its canonical
 // decomposition holds — the theorem the whole set-based framework rests
-// on. Also: sampler concentration sweeps and interestingness ordering.
+// on. Also: interestingness ordering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "gen/random.h"
-#include "od/hybrid_sampler.h"
 #include "od/interestingness.h"
 #include "od/list_od.h"
 #include "od/list_od_validator.h"
@@ -88,66 +87,6 @@ TEST(MappingEquivalenceTest2, OcSplitsIntoPrefixOcs) {
     }
     ASSERT_EQ(direct, parts) << od.ToString();
   }
-}
-
-// --------------------------------------------------------- sampler --
-
-struct SamplerSweepParam {
-  uint64_t seed;
-  int64_t rows;
-  int64_t sample;
-};
-
-class SamplerConcentrationTest
-    : public ::testing::TestWithParam<SamplerSweepParam> {};
-
-TEST_P(SamplerConcentrationTest, EstimateIsConsistentUnderestimate) {
-  const auto& p = GetParam();
-  // Global (opposite-end) violations at a known ~12% rate: the regime
-  // where sampling is reliable.
-  Rng rng(p.seed);
-  std::vector<int64_t> base;
-  std::vector<int64_t> derived;
-  for (int64_t i = 0; i < p.rows; ++i) {
-    int64_t v = rng.UniformInt(0, int64_t{1} << 30);
-    base.push_back(v);
-    derived.push_back(rng.Bernoulli(0.12) ? (int64_t{3} << 29) - v
-                                          : 2 * v);
-  }
-  EncodedTable t = EncodedTableFromInts({"a", "b"}, {base, derived});
-  auto whole = StrippedPartition::WholeRelation(p.rows);
-  SamplerConfig config;
-  config.sample_size = p.sample;
-  config.seed = p.seed + 1;
-  AocSampler sampler(&t, config);
-  double estimate = sampler.EstimateFactor(whole, 0, 1);
-  ValidatorOptions full;
-  full.early_exit = false;
-  double truth =
-      ValidateAocOptimal(t, whole, 0, 1, 1.0, p.rows, full).approx_factor;
-  // Underestimate (up to small sampling noise), but in the ballpark.
-  EXPECT_LE(estimate, truth + 0.03);
-  EXPECT_GT(estimate, truth / 2.5);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SamplerConcentrationTest,
-    ::testing::Values(SamplerSweepParam{1, 4000, 500},
-                      SamplerSweepParam{2, 4000, 1500},
-                      SamplerSweepParam{3, 12000, 1000},
-                      SamplerSweepParam{4, 12000, 4000}));
-
-TEST(SamplerDeterminismTest, SameSeedSameDecisions) {
-  EncodedTable t = testing_util::RandomEncodedTable(5000, 2, 50, 31);
-  auto whole = StrippedPartition::WholeRelation(t.num_rows());
-  SamplerConfig config;
-  config.sample_size = 800;
-  config.seed = 5;
-  AocSampler s1(&t, config);
-  AocSampler s2(&t, config);
-  EXPECT_EQ(s1.sampled_rows(), s2.sampled_rows());
-  EXPECT_DOUBLE_EQ(s1.EstimateFactor(whole, 0, 1),
-                   s2.EstimateFactor(whole, 0, 1));
 }
 
 // ------------------------------------------------- interestingness --

@@ -151,32 +151,6 @@ TEST(TableTest, FromRowsRoundTrip) {
   EXPECT_FALSE(t.ColumnByName("nope").ok());
 }
 
-TEST(TableTest, HeadTakesPrefix) {
-  Table t = testing_util::PaperTable1();
-  Table h = t.Head(3);
-  EXPECT_EQ(h.num_rows(), 3);
-  EXPECT_EQ(h.GetValue(2, 0), Value("dev"));
-  EXPECT_EQ(t.Head(100).num_rows(), 9);
-}
-
-TEST(TableTest, SelectColumnsReordersAndSubsets) {
-  Table t = testing_util::PaperTable1();
-  Table s = t.SelectColumns({"sal", "pos"}).value();
-  EXPECT_EQ(s.num_columns(), 2);
-  EXPECT_EQ(s.schema().field(0).name, "sal");
-  EXPECT_EQ(s.GetValue(0, 0), Value(int64_t{20}));
-  EXPECT_EQ(s.GetValue(0, 1), Value("sec"));
-  EXPECT_FALSE(t.SelectColumns({"nope"}).ok());
-}
-
-TEST(TableTest, SelectFirstColumns) {
-  Table t = testing_util::PaperTable1();
-  Table s = t.SelectFirstColumns(3);
-  EXPECT_EQ(s.num_columns(), 3);
-  EXPECT_EQ(s.schema().field(2).name, "sal");
-  EXPECT_EQ(s.num_rows(), 9);
-}
-
 TEST(TableTest, ToStringListsRowsAndTruncates) {
   Table t = testing_util::PaperTable1();
   std::string s = t.ToString(2);

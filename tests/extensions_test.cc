@@ -1,6 +1,5 @@
 // Tests for the extension modules built on top of the paper's core:
-// bidirectional OCs [10], parallel level processing (after [8]), the
-// hybrid sampling validator (the paper's stated future work, after [6]),
+// bidirectional OCs [10], parallel level processing (after [8]),
 // OD-driven repair suggestions (after [7]), and rank decoding.
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
 #include "od/discovery.h"
-#include "od/hybrid_sampler.h"
 #include "od/oc_validator.h"
 #include "od/repair.h"
 #include "test_util.h"
@@ -206,95 +204,6 @@ TEST(ParallelDiscoveryTest2, ExactAndBidirectionalModes) {
   }
 }
 
-// ------------------------------------------------------------- sampler --
-
-TEST(HybridSamplerTest, EstimateTracksTrueFactorForGlobalViolations) {
-  // depDelay ~ arrDelay: violations are opposite-end outliers, each of
-  // which stays violating inside any subsample — the structure where
-  // sampling estimates are reliable.
-  Table raw = GenerateFlightTable(20000, 10, 42);
-  EncodedTable t = EncodeTable(raw);
-  int dep = t.ColumnIndex("depDelay");
-  int arr = t.ColumnIndex("arrDelay");
-  auto whole = StrippedPartition::WholeRelation(t.num_rows());
-  SamplerConfig config;
-  config.sample_size = 4000;
-  AocSampler sampler(&t, config);
-  double estimate = sampler.EstimateFactor(whole, dep, arr);
-  ValidatorOptions full;
-  full.early_exit = false;
-  double truth =
-      ValidateAocOptimal(t, whole, dep, arr, 1.0, t.num_rows(), full)
-          .approx_factor;
-  EXPECT_LE(estimate, truth + 0.02);
-  EXPECT_GT(estimate, truth - 0.03);
-}
-
-TEST(HybridSamplerTest, LocalizedViolationsAreUnderestimated) {
-  // arrDelay ~ lateAircraftDelay: the clustered-error violations live
-  // inside 9-value blocks, which a thin uniform sample rarely keeps
-  // intact — the sample factor *must* underestimate. This is why the
-  // hybrid fast path only ever rejects, never accepts.
-  Table raw = GenerateFlightTable(20000, 10, 42);
-  EncodedTable t = EncodeTable(raw);
-  int arr = t.ColumnIndex("arrDelay");
-  int late = t.ColumnIndex("lateAircraftDelay");
-  auto whole = StrippedPartition::WholeRelation(t.num_rows());
-  SamplerConfig config;
-  config.sample_size = 4000;
-  AocSampler sampler(&t, config);
-  double estimate = sampler.EstimateFactor(whole, arr, late);
-  ValidatorOptions full;
-  full.early_exit = false;
-  double truth =
-      ValidateAocOptimal(t, whole, arr, late, 1.0, t.num_rows(), full)
-          .approx_factor;
-  EXPECT_LT(estimate, truth);
-}
-
-TEST(HybridSamplerTest, FastRejectsClearLosersOnly) {
-  Table raw = GenerateNcVoterTable(20000, 10, 1729);
-  EncodedTable t = EncodeTable(raw);
-  int age = t.ColumnIndex("age");
-  int birth = t.ColumnIndex("birthYear");
-  int zip = t.ColumnIndex("zip");
-  int county = t.ColumnIndex("county");
-  auto whole = StrippedPartition::WholeRelation(t.num_rows());
-  AocSampler sampler(&t, {});
-  // age ~ birthYear is maximally violated: must fast-reject.
-  ValidationOutcome rejected = sampler.Validate(whole, age, birth, 0.10);
-  EXPECT_FALSE(rejected.valid);
-  EXPECT_EQ(sampler.fast_rejections(), 1);
-  // zip ~ county holds exactly: must fall through to full validation and
-  // accept with the exact factor.
-  ValidationOutcome accepted = sampler.Validate(whole, zip, county, 0.10);
-  EXPECT_TRUE(accepted.valid);
-  EXPECT_EQ(accepted.removal_size, 0);
-  EXPECT_EQ(sampler.full_validations(), 1);
-}
-
-TEST(HybridSamplerTest, NeverRejectsExactOcs) {
-  // Any exactly-valid OC has sample factor 0 <= threshold: the fast path
-  // can never reject it, for any margin.
-  EncodedTable t = EncodedTableFromInts(
-      {"a", "b"}, {{1, 2, 3, 4, 5, 6}, {2, 4, 6, 8, 10, 12}});
-  auto whole = StrippedPartition::WholeRelation(6);
-  SamplerConfig config;
-  config.sample_size = 3;
-  config.reject_margin = 0.0;
-  AocSampler sampler(&t, config);
-  ValidationOutcome out = sampler.Validate(whole, 0, 1, 0.0);
-  EXPECT_TRUE(out.valid);
-}
-
-TEST(HybridSamplerTest, TinyTables) {
-  EncodedTable t = EncodedTableFromInts({"a", "b"}, {{1}, {2}});
-  auto whole = StrippedPartition::WholeRelation(1);
-  AocSampler sampler(&t, {});
-  EXPECT_EQ(sampler.EstimateFactor(whole, 0, 1), 0.0);
-  EXPECT_TRUE(sampler.Validate(whole, 0, 1, 0.0).valid);
-}
-
 // -------------------------------------------------------------- repair --
 
 TEST(RepairTest, PaperTableSalTaxSuggestions) {
@@ -404,68 +313,6 @@ TEST(EncoderDictionaryTest, NullsDecodeToNull) {
   EncodedColumn enc = EncodeColumn(col);
   EXPECT_TRUE(enc.Decode(0).is_null());
   EXPECT_EQ(enc.Decode(1), Value(int64_t{5}));
-}
-
-}  // namespace
-}  // namespace aod
-
-namespace aod {
-namespace {
-
-// -------------------------------------------- sampling inside discovery --
-
-TEST(SamplingDiscoveryTest, FilterPreservesDiscoveredDependencies) {
-  Table raw = GenerateNcVoterTable(8000, 10, 1729);
-  EncodedTable t = EncodeTable(raw);
-  DiscoveryOptions plain;
-  plain.epsilon = 0.10;
-  DiscoveryOptions sampled = plain;
-  sampled.enable_sampling_filter = true;
-  sampled.sampler_config.sample_size = 1500;
-  DiscoveryResult rp = DiscoverOds(t, plain);
-  DiscoveryResult rs = DiscoverOds(t, sampled);
-  // Accepted dependencies are always exactly validated, so everything
-  // the sampled run reports must appear in the full run with identical
-  // factors; on this (deterministic) input nothing borderline exists and
-  // the outputs coincide.
-  const auto rp_ocs = rp.Ocs(), rs_ocs = rs.Ocs();
-  ASSERT_EQ(rp_ocs.size(), rs_ocs.size());
-  for (size_t i = 0; i < rp_ocs.size(); ++i) {
-    EXPECT_TRUE(rp_ocs[i]->Oc() == rs_ocs[i]->Oc());
-    EXPECT_EQ(rp_ocs[i]->removal_size, rs_ocs[i]->removal_size);
-  }
-  ASSERT_EQ(rp.CountOfKind(DependencyKind::kOfd),
-            rs.CountOfKind(DependencyKind::kOfd));
-}
-
-TEST(SamplingDiscoveryTest, FilterIgnoredForOtherValidators) {
-  EncodedTable t = testing_util::RandomEncodedTable(200, 3, 4, 77);
-  DiscoveryOptions options;
-  options.validator = ValidatorKind::kExact;
-  options.enable_sampling_filter = true;  // must be a no-op
-  DiscoveryResult exact = DiscoverOds(t, options);
-  options.enable_sampling_filter = false;
-  DiscoveryResult plain = DiscoverOds(t, options);
-  ASSERT_EQ(exact.CountOfKind(DependencyKind::kOc),
-            plain.CountOfKind(DependencyKind::kOc));
-}
-
-TEST(SamplingDiscoveryTest, ParallelAndSampledTogether) {
-  Table raw = GenerateFlightTable(3000, 9, 5);
-  EncodedTable t = EncodeTable(raw);
-  DiscoveryOptions options;
-  options.epsilon = 0.10;
-  options.enable_sampling_filter = true;
-  options.num_threads = 4;
-  DiscoveryOptions serial = options;
-  serial.num_threads = 1;
-  DiscoveryResult rp = DiscoverOds(t, options);
-  DiscoveryResult rs = DiscoverOds(t, serial);
-  const auto rp_ocs = rp.Ocs(), rs_ocs = rs.Ocs();
-  ASSERT_EQ(rp_ocs.size(), rs_ocs.size());
-  for (size_t i = 0; i < rp_ocs.size(); ++i) {
-    EXPECT_TRUE(rp_ocs[i]->Oc() == rs_ocs[i]->Oc());
-  }
 }
 
 }  // namespace

@@ -155,21 +155,6 @@ TEST(ParallelDeterminismTest, HardwareConcurrencyRequestMatchesSerial) {
   EXPECT_EQ(Fingerprint(hw), expected);
 }
 
-TEST(ParallelDeterminismTest, SamplingFilterIsThreadCountInvariant) {
-  // The hybrid sampler fixes one row sample per run (seeded), so even the
-  // heuristic fast-reject path must not depend on scheduling.
-  Table t = GenerateFlightTable(600, 7, 31);
-  EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.enable_sampling_filter = true;
-  options.sampler_config.sample_size = 128;
-  options.num_threads = 1;
-  std::string expected = Fingerprint(DiscoverOds(enc, options));
-  options.num_threads = 8;
-  EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), expected);
-}
-
 TEST(ParallelDeterminismTest, SerialRunCountsInlinePrefetchAsPartitionWall) {
   // Without a pool the merge loop derives each survivor's partition
   // inline. That time belongs to the partition phase: it contains every
@@ -425,24 +410,6 @@ TEST(ParallelDeterminismTest, ShardedMatchesAcrossValidatorsAndPolarity) {
     EXPECT_EQ(OutputFingerprint(sharded), expected)
         << ValidatorKindToString(validator);
   }
-}
-
-TEST(ParallelDeterminismTest, ShardedSamplingFilterMatchesUnsharded) {
-  // Each shard runner instantiates its own sampler from the same seeded
-  // config, so even heuristic fast-rejections are shard-count invariant.
-  Table t = GenerateFlightTable(600, 7, 31);
-  EncodedTable enc = EncodeTable(t);
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.enable_sampling_filter = true;
-  options.sampler_config.sample_size = 128;
-  options.num_threads = 1;
-  const std::string expected = OutputFingerprint(DiscoverOds(enc, options));
-  options.num_shards = 4;
-  options.num_threads = 4;
-  DiscoveryResult sharded = DiscoverOds(enc, options);
-  testing_util::ExpectServedByRunners(sharded);
-  EXPECT_EQ(OutputFingerprint(sharded), expected);
 }
 
 TEST(ParallelDeterminismTest, MixedKindRunsAreThreadAndShardInvariant) {

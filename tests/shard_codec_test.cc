@@ -427,9 +427,9 @@ TEST(ShardCodecTest, RetiredCodecIdsAreTypedErrors) {
                     "retired wire frame type 8 (batch envelope");
   }
 
-  // Version-7 and version-8 frames fail the version check before any
-  // payload decode.
-  for (uint8_t version : {7, 8}) {
+  // Version-7, version-8 and version-10 frames fail the version check
+  // before any payload decode.
+  for (uint8_t version : {7, 8, 10}) {
     std::vector<uint8_t> old = shard::EncodeCandidateBatch({});
     old[4] = version;
     old[5] = 0;

@@ -341,10 +341,6 @@ TEST(ShardWireTest, ConfigBlockRoundTripAndRejection) {
   config.validator = 1;
   config.epsilon = 0.1 + 1e-17;  // bit-exact or bust
   config.collect_removal_sets = true;
-  config.enable_sampling_filter = true;
-  config.sampler_sample_size = 512;
-  config.sampler_reject_margin = 0.25;
-  config.sampler_seed = 99;
   config.partition_memory_budget_bytes = 1 << 20;
   config.num_threads = 4;
 
@@ -357,10 +353,6 @@ TEST(ShardWireTest, ConfigBlockRoundTripAndRejection) {
   EXPECT_EQ(back->validator, 1);
   EXPECT_EQ(back->epsilon, config.epsilon);
   EXPECT_TRUE(back->collect_removal_sets);
-  EXPECT_TRUE(back->enable_sampling_filter);
-  EXPECT_EQ(back->sampler_sample_size, 512);
-  EXPECT_EQ(back->sampler_reject_margin, 0.25);
-  EXPECT_EQ(back->sampler_seed, 99u);
   EXPECT_EQ(back->partition_memory_budget_bytes, 1 << 20);
   EXPECT_EQ(back->num_threads, 4u);
 

@@ -107,8 +107,7 @@ TEST(ValidatorAllocationTest, CandidateValidatorReusesPooledScratch) {
   for (ValidatorKind algorithm :
        {ValidatorKind::kOptimal, ValidatorKind::kExact}) {
     CandidateValidator validator(&t, algorithm, 0.1, 0.05,
-                                 /*collect_removal_sets=*/false,
-                                 /*sampler_config=*/nullptr);
+                                 /*collect_removal_sets=*/false);
     const auto call = [&] {
       validator.Validate(context, by_c0, DependencyKind::kOc, -1,
                          AttributePair::Of(1, 2, false));

@@ -841,7 +841,7 @@ TEST_P(OcKernelEquivalenceTest, EveryOutcomeFieldMatchesSortAndNaiveLnds) {
 // A large class whose removals all sit on the rows the stride sample
 // takes, so the sample sees as many removals as the class: budget of them
 // must fall through to the full sort and be accepted (a sample verdict
-// scaled like the hybrid sampler's would reject), budget + 1 must reject.
+// scaled up to the class size would reject), budget + 1 must reject.
 TEST(OcKernelEquivalenceSampleTest, HoldingTheWholeBudgetIsNotRejected) {
   const int64_t n = 4096;
   const int64_t budget = MaxRemovals(0.01, n);
