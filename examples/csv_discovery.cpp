@@ -264,13 +264,9 @@ int main(int argc, char** argv) {
     result = DiscoverOds(enc, options);
   }
   if (!result.shard_status.ok()) {
-    // Reaching here means the fault survived the whole supervision
-    // ladder (retries, backoff, fallback to the coordinator) — or
-    // supervision was disabled. One human-readable line, nonzero exit.
-    std::fprintf(stderr,
-                 "error: shard validation failed unrecoverably after "
-                 "%lld retries: %s\n",
-                 static_cast<long long>(result.stats.shard_retries),
+    // Sharded runs are fail-stop: a runner fault ends the run. One
+    // human-readable line, nonzero exit.
+    std::fprintf(stderr, "error: shard validation failed: %s\n",
                  result.shard_status.ToString().c_str());
     return 1;
   }
@@ -316,17 +312,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n%s", result.stats.ToString().c_str());
-  if (args.shards > 0) {
-    // Next to the codec summary above: what the supervisor absorbed —
-    // all zeros on a healthy run.
-    std::printf(
-        "shard supervision: %lld retries, %lld respawns, %lld fallback "
-        "shards, %lld footers lost\n",
-        static_cast<long long>(result.stats.shard_retries),
-        static_cast<long long>(result.stats.shard_respawns),
-        static_cast<long long>(result.stats.shard_fallback_shards),
-        static_cast<long long>(result.stats.shard_footers_missing));
-  }
   if (result.timed_out) {
     std::printf("NOTE: discovery hit the time budget; results partial.\n");
   }

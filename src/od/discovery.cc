@@ -227,13 +227,10 @@ struct Driver {
       topts.runner_path = options.shard_runner_path;
       topts.io_timeout_seconds = options.shard_io_timeout_seconds;
       topts.channel_decorator = options.shard_channel_decorator;
-      topts.supervision.max_retries = options.shard_max_retries;
-      topts.supervision.retry_backoff_ms = options.shard_retry_backoff_ms;
       if (options.time_budget_seconds > 0) {
-        // Clamp every shard-seam wait (and backoff park) to the run
-        // budget: a dead runner costs at most the remaining budget, not
-        // the full I/O timeout.
-        topts.supervision.run_deadline =
+        // Clamp every shard-seam wait to the run budget: a dead runner
+        // costs at most the remaining budget, not the full I/O timeout.
+        topts.run_deadline =
             std::chrono::steady_clock::now() +
             std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                 std::chrono::duration<double>(options.time_budget_seconds));
@@ -654,15 +651,14 @@ struct Driver {
           wire.push_back(w);
         }
         // Outcomes land in their slots once every shard has replied (the
-        // supervisor buffers each shard's whole reply); the slot keys are
+        // coordinator buffers each shard's whole reply); the slot keys are
         // deterministic, so fold order never affects the merge below.
         // Slots come from (possibly separate-process) runners, so they
         // cross a trust boundary: a skewed or misbehaving runner must
         // yield a typed abort, not a CHECK crash.
         Status fold_status;
         Status st = coordinator->ValidateBatch(
-            wire, [this] { return OverBudget(); },
-            [&](shard::WireOutcome o) {
+            wire, [&](shard::WireOutcome o) {
               if (o.slot >= outcomes.size()) {
                 if (fold_status.ok()) {
                   fold_status = Status::InvalidArgument(
@@ -859,7 +855,7 @@ struct Driver {
     if (coordinator != nullptr) {
       // The shutdown handshake: every shard answers with its stats
       // footer, the single mechanism partition-side counters cross the
-      // seam by (a degraded shard's footer is read off its core).
+      // seam by.
       Status finish = coordinator->Finish();
       if (result.shard_status.ok() && !finish.ok()) {
         result.shard_status = std::move(finish);
@@ -901,11 +897,6 @@ struct Driver {
         result.stats.shard_frame_bytes.push_back(
             {name, counts.raw, counts.wire});
       }
-      // Supervision observability: every recovery the run survived.
-      result.stats.shard_retries = coordinator->shard_retries();
-      result.stats.shard_respawns = coordinator->shard_respawns();
-      result.stats.shard_fallback_shards = coordinator->fallback_shards();
-      result.stats.shard_footers_missing = coordinator->footers_missing();
     } else {
       result.stats.partitions_computed = cache.products_computed();
       result.stats.planner_derivations = cache.planner_derivations();

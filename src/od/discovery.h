@@ -194,15 +194,14 @@ struct DiscoveryOptions {
   /// unsharded driver's cache preload or, with num_shards >= 1, the
   /// candidate-space coordinator's bootstrap. Each row shard is one
   /// spawned shard_runner_main; fail-stop via
-  /// DiscoveryResult::shard_status (no retry ladder — the phase is a
-  /// short bounded prologue), a runner that cannot be resolved or
+  /// DiscoveryResult::shard_status, a runner that cannot be resolved or
   /// started included.
   int row_shards = 0;
   /// Has one value, kProcess, and is not consulted: every sharded run
   /// spawns runner processes. Kept only so perfbench builds until a
   /// benchmark change drops it. The time budget is enforced between
   /// levels (runner processes validate their batch to completion), and
-  /// an unrecovered shard failure aborts the run with
+  /// a shard failure aborts the run with
   /// DiscoveryResult::shard_status set instead of crashing.
   ShardTransport shard_transport = ShardTransport::kProcess;
   /// shard_runner_main binary for sharded runs (num_shards or
@@ -211,23 +210,13 @@ struct DiscoveryOptions {
   std::string shard_runner_path;
   /// Bound on every shard-seam connect/accept/receive, so a dead runner
   /// surfaces as a typed error instead of a hang. When a time budget is
-  /// set, each wait is additionally clamped to the budget's remaining
-  /// time, so a dead runner cannot overshoot a budgeted run.
+  /// set, the candidate seam's waits are additionally clamped to the
+  /// budget, so no single wait on a dead runner outlasts it. Sharded
+  /// runs are fail-stop: there is no retry or respawn, and any spawn,
+  /// transport, decode or runner fault ends the run with
+  /// DiscoveryResult::shard_status set and the dependencies of the
+  /// levels that finished before it (src/shard/coordinator.h).
   double shard_io_timeout_seconds = 300.0;
-  /// Re-attempts allowed per shard per level before the shard degrades:
-  /// a failed attempt is torn down, a fresh runner process is re-seeded
-  /// from the coordinator's encode-once bootstrap frames and the level
-  /// is re-executed; once the budget is spent, that shard's slice is
-  /// validated on the coordinator's pool — directly, with no channel —
-  /// for the rest of the run. 0 disables ALL supervision (retry, fallback):
-  /// any shard fault is the typed fail-stop abort via
-  /// DiscoveryResult::shard_status, exactly the pre-supervision
-  /// behavior. Output stays bit-identical under any fault schedule that
-  /// completes (src/shard/supervisor.h).
-  int shard_max_retries = 2;
-  /// Base backoff before a shard's first re-attempt; doubles per
-  /// attempt with deterministic jitter, capped at 2s.
-  double shard_retry_backoff_ms = 25.0;
   /// Test seam: wraps every coordinator-side shard channel (e.g. in the
   /// fault-injecting FlakyChannel decorator). Identity when empty.
   std::function<std::unique_ptr<shard::ShardChannel>(

@@ -153,16 +153,6 @@ std::string DiscoveryStats::ToString() const {
                         2) +
                     " MiB raw)\n"
               : "")
-      << (shard_retries + shard_respawns + shard_fallback_shards +
-                      shard_footers_missing >
-                  0
-              ? "  shard recovery: " + std::to_string(shard_retries) +
-                    " retries, " + std::to_string(shard_respawns) +
-                    " respawns, " + std::to_string(shard_fallback_shards) +
-                    " shards fell back in-process, " +
-                    std::to_string(shard_footers_missing) +
-                    " footers lost\n"
-              : "")
       << "candidates: " << oc_candidates_validated << " OC validated, "
       << oc_candidates_pruned << " OC pruned, " << ofd_candidates_validated
       << " OFD validated"

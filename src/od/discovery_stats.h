@@ -82,20 +82,12 @@ struct DiscoveryStats {
   int64_t row_shard_bytes_shipped = 0;
   int64_t row_shard_bytes_raw = 0;
   int64_t row_shard_bytes_wire = 0;
-  /// Supervision counters (src/shard/supervisor.h): the recoveries the
-  /// run survived. All zero on a fault-free run or with supervision off
-  /// (shard_max_retries == 0).
-  /// Level re-attempts across all shards (each respawn-and-re-execute
-  /// after a fault counts once).
+  /// Always 0: sharded runs are fail-stop, with no retry, respawn or
+  /// fallback. Only perfbench's shard-proc layer reads these three; they
+  /// go with the shard seam (ROADMAP item 4).
   int64_t shard_retries = 0;
-  /// Runner processes respawned after the first per shard.
   int64_t shard_respawns = 0;
-  /// Shards that degraded to validation on the coordinator after retry
-  /// exhaustion and stayed there for the rest of the run.
   int64_t shard_fallback_shards = 0;
-  /// Shards whose stats footer was lost to a tolerated shutdown fault
-  /// (their partition-side counters above contribute 0).
-  int64_t shard_footers_missing = 0;
 
   // Exact partition-cache memory accounting (StrippedPartition::bytes(),
   // i.e. CSR payload + object headers). Peak is sampled at level

@@ -213,7 +213,9 @@ namespace {
 /// Version 3: DiscoveryStats lost its backup-attempt win/loss counters.
 /// Version 4: the row-shard counters (row_shards_used and its byte
 /// accounting) are carried too.
-constexpr uint16_t kResultBlobVersion = 4;
+/// Version 5: the four shard supervision counters are gone; sharded runs
+/// are fail-stop.
+constexpr uint16_t kResultBlobVersion = 5;
 
 void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutDouble(s.total_seconds);
@@ -239,10 +241,6 @@ void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
     w.PutVarintI64(fb.bytes_raw);
     w.PutVarintI64(fb.bytes_wire);
   }
-  w.PutVarintI64(s.shard_retries);
-  w.PutVarintI64(s.shard_respawns);
-  w.PutVarintI64(s.shard_fallback_shards);
-  w.PutVarintI64(s.shard_footers_missing);
   w.PutVarintI64(s.row_shards_used);
   w.PutVarint(s.row_shard_bytes_per_shard.size());
   for (int64_t b : s.row_shard_bytes_per_shard) w.PutVarintI64(b);
@@ -329,10 +327,6 @@ Status GetStats(shard::WireReader& r, DiscoveryStats* s) {
     AOD_RETURN_NOT_OK(r.GetVarintI64(&fb.bytes_wire));
     s->shard_frame_bytes.push_back(std::move(fb));
   }
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_retries));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_respawns));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_fallback_shards));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&s->shard_footers_missing));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&v));
   s->row_shards_used = static_cast<int>(v);
   AOD_RETURN_NOT_OK(GetI64Vector(r, &s->row_shard_bytes_per_shard));

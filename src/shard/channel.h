@@ -9,8 +9,6 @@
 // coordinator, the runner, or any encoder: everything protocol-level
 // lives in the frames themselves (versioning, typing, checksums). Each
 // Send carries exactly one frame and each Receive returns exactly one.
-// A shard that degrades to validation on the coordinator uses no
-// channel at all (supervisor.h).
 //
 // Shutdown contract (every endpoint):
 //   - Close() stops further sends; frames already accepted remain

@@ -12,9 +12,8 @@ namespace aod {
 namespace shard {
 
 ShardCoordinator::ShardCoordinator(
-    const EncodedTable* table, const ShardTransportOptions& transport_options,
-    exec::ThreadPool* pool)
-    : table_(table), transport_(transport_options), pool_(pool) {}
+    const ShardTransportOptions& transport_options)
+    : transport_(transport_options) {}
 
 Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
     const EncodedTable* table, int num_shards,
@@ -25,58 +24,58 @@ Result<std::unique_ptr<ShardCoordinator>> ShardCoordinator::Create(
   AOD_CHECK_MSG(num_shards >= 1, "num_shards must be >= 1, got %d",
                 num_shards);
   std::unique_ptr<ShardCoordinator> coordinator(
-      new ShardCoordinator(table, transport_options, pool));
-  AOD_RETURN_NOT_OK(
-      coordinator->Init(num_shards, runner_options, base_partitions));
+      new ShardCoordinator(transport_options));
+  AOD_RETURN_NOT_OK(coordinator->Init(
+      *table, num_shards, runner_options,
+      pool != nullptr ? pool->num_workers() : 1, base_partitions));
   return coordinator;
 }
 
 Status ShardCoordinator::Init(
-    int num_shards, const ShardRunnerOptions& runner_options,
+    const EncodedTable& table, int num_shards,
+    const ShardRunnerOptions& runner_options, int pool_workers,
     const std::vector<StrippedPartition>* base_partitions) {
-  // Everything a fresh attempt needs, encoded — and checksummed — once:
-  // the same bytes bootstrap the first attempt and every respawn, so
-  // re-seeding costs sends, not re-encodes.
-  bootstrap_.table = table_;
-  bootstrap_.runner_options = runner_options;
-  bootstrap_.num_shards = num_shards;
-  bootstrap_.pool_workers = pool_ != nullptr ? pool_->num_workers() : 1;
-  bootstrap_.table_frame =
-      EncodeTableBlock(*table_, /*compress=*/true, &bootstrap_.table_counts);
+  // Everything a shard is seeded with, encoded — and checksummed — once
+  // and shipped to every shard; freed when Init returns.
+  ShardBootstrap bootstrap;
+  bootstrap.runner_options = runner_options;
+  bootstrap.num_shards = num_shards;
+  bootstrap.pool_workers = pool_workers;
+  bootstrap.table_frame =
+      EncodeTableBlock(table, /*compress=*/true, &bootstrap.table_counts);
   // One kPartitionBlock per base (level-1) partition, each shipped to
   // every shard as its own frame. Socket sends are queued by the
   // channel's writer thread and never block, so this thread can ship
   // every shard's bootstrap — and later every shard's level batch —
   // before it reads any reply without deadlocking against a peer.
-  const int k = table_->num_columns();
+  const int k = table.num_columns();
   if (base_partitions != nullptr) {
     AOD_CHECK_MSG(static_cast<int>(base_partitions->size()) == k,
                   "preloaded bases cover %d attributes, table has %d",
                   static_cast<int>(base_partitions->size()), k);
   }
-  bootstrap_.base_frames.reserve(static_cast<size_t>(k));
+  bootstrap.base_frames.reserve(static_cast<size_t>(k));
   for (int a = 0; a < k; ++a) {
     // Preloaded bases (the row-shard phase's stitched partitions) are
-    // bit-identical to FromColumn, so the shipped frames — and every
-    // attempt they seed — do not depend on which path produced them.
-    bootstrap_.base_frames.push_back(EncodePartitionBlock(
+    // bit-identical to FromColumn, so the shipped frames do not depend
+    // on which path produced them.
+    bootstrap.base_frames.push_back(EncodePartitionBlock(
         AttributeSet().With(a),
         base_partitions != nullptr
             ? (*base_partitions)[static_cast<size_t>(a)]
-            : StrippedPartition::FromColumn(table_->column(a)),
-        /*compress=*/true, &bootstrap_.base_counts));
+            : StrippedPartition::FromColumn(table.column(a)),
+        /*compress=*/true, &bootstrap.base_counts));
   }
 
   supervisors_.reserve(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
-    supervisors_.push_back(std::make_unique<ShardSupervisor>(
-        s, &bootstrap_, &transport_, transport_.supervision, pool_));
+    supervisors_.push_back(std::make_unique<ShardSupervisor>(s, &transport_));
   }
-  // Started serially in shard order: attempt (and decorated-channel)
-  // creation order stays deterministic, which the fault-injection tests
-  // key their schedules on.
+  // Started serially in shard order: decorated-channel creation order
+  // stays deterministic, which the fault-injection tests key their
+  // schedules on.
   for (auto& sup : supervisors_) {
-    AOD_RETURN_NOT_OK(sup->Start());
+    AOD_RETURN_NOT_OK(sup->Start(bootstrap));
   }
   return Status::OK();
 }
@@ -92,28 +91,24 @@ int ShardCoordinator::ShardOf(uint64_t context_bits, int num_shards) {
 
 Status ShardCoordinator::ValidateBatch(
     const std::vector<WireCandidate>& candidates,
-    const std::function<bool()>& cancel,
     const std::function<void(WireOutcome)>& fold) {
   const int n = num_shards();
   std::vector<std::vector<WireCandidate>> batches(static_cast<size_t>(n));
   for (const WireCandidate& c : candidates) {
     batches[static_cast<size_t>(ShardOf(c.context_bits, n))].push_back(c);
   }
-  // One level is one fan-out on this thread: every live shard gets its
-  // batch before any reply is awaited, so the runners validate at the
-  // same time. The replies are then received in shard order, each
-  // shard's retry / respawn / degrade ladder running in its own turn; a
-  // degraded shard validates here in its turn, while the runners work.
+  // One level is one fan-out on this thread: every shard gets its batch
+  // before any reply is awaited, so the runners validate at the same
+  // time. The first error surfaces; a reply still in flight is then
+  // never received here, and Finish's CollectFooter drains it ahead of
+  // the footer.
   for (size_t s = 0; s < batches.size(); ++s) {
-    supervisors_[s]->SendBatch(batches[s]);
+    AOD_RETURN_NOT_OK(supervisors_[s]->SendBatch(batches[s]));
   }
-  // The first error in shard order surfaces (strict mode, cancellation,
-  // deadline). A later shard's reply is then never received here;
-  // Finish's CollectFooter drains it ahead of the footer.
   std::vector<std::vector<WireOutcome>> replies(batches.size());
   for (size_t s = 0; s < batches.size(); ++s) {
     AOD_RETURN_NOT_OK(
-        supervisors_[s]->ExecuteLevel(batches[s], cancel, &replies[s]));
+        supervisors_[s]->ReceiveReply(batches[s].size(), &replies[s]));
   }
   // Serial shard-order fold, only once every reply decoded cleanly.
   for (std::vector<WireOutcome>& reply : replies) {
@@ -130,12 +125,6 @@ Status ShardCoordinator::Finish() {
   const auto record = [&result](Status st) {
     if (result.ok() && !st.ok()) result = std::move(st);
   };
-  // Supervised mode tolerates shutdown-path faults: the merged results
-  // are already correct, and every tolerated loss is counted
-  // (footers_missing). The supervisor methods themselves return OK for
-  // tolerated faults, so `record` only ever sees strict-mode errors and
-  // genuine supervised-mode breakage.
-
   // Shutdown handshake, pushed to every shard even if one fails — each
   // link must reach its terminal state before the channels close.
   for (auto& sup : supervisors_) {
@@ -151,8 +140,7 @@ Status ShardCoordinator::Finish() {
   // answering the shutdown (or on EOF once its socket closed); a wedged
   // one — stuck without reading, so it never sees EOF — is killed once
   // the shared deadline lapses, so shutdown costs at most one I/O
-  // timeout total, not one per child. Abnormal exits count in strict
-  // mode only.
+  // timeout total, not one per child.
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -160,11 +148,10 @@ Status ShardCoordinator::Finish() {
   for (auto& sup : supervisors_) {
     const pid_t pid = sup->ReleaseProcess();
     if (pid < 0) continue;
-    const Status reaped = KillAndReap(
+    record(KillAndReap(
         pid, std::chrono::duration<double>(deadline -
                                            std::chrono::steady_clock::now())
-                 .count());
-    if (strict()) record(reaped);
+                 .count()));
   }
   finish_status_ = result;
   return finish_status_;
@@ -212,30 +199,6 @@ ShardStatsFooter ShardCoordinator::FooterTotals() const {
     total.partition_bytes_peak += f.partition_bytes_peak;
     total.partition_seconds += f.partition_seconds;
   }
-  return total;
-}
-
-int64_t ShardCoordinator::shard_retries() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->retries();
-  return total;
-}
-
-int64_t ShardCoordinator::shard_respawns() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->respawns();
-  return total;
-}
-
-int64_t ShardCoordinator::fallback_shards() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->fell_back() ? 1 : 0;
-  return total;
-}
-
-int64_t ShardCoordinator::footers_missing() const {
-  int64_t total = 0;
-  for (const auto& sup : supervisors_) total += sup->footer_missing() ? 1 : 0;
   return total;
 }
 

@@ -110,7 +110,6 @@ Status ServeRowShardAfterConfig(const WireRunnerConfig& config,
 
   ShardStatsFooter footer;
   footer.shard_id = config.shard_id;
-  footer.attempt_id = config.attempt_id;
   footer.frames_served = 3;  // config + table slice + shutdown
   return channel->Send(EncodeStatsFooter(footer));
 }

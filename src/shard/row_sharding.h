@@ -25,9 +25,8 @@
 // drains the reply. The row phase is fail-stop: shards run
 // sequentially, any spawn, transport or decode error — a runner that
 // cannot be resolved or started included — aborts the phase with a
-// typed Status (surfaced as DiscoveryResult::shard_status), and there is
-// no retry/supervision ladder — the phase is a short bounded prologue,
-// not a long-lived conversation worth supervising.
+// typed Status (surfaced as DiscoveryResult::shard_status), like the
+// candidate-space coordinator.
 //
 // Determinism: fragments are pure functions of (column ranks, range),
 // the stitch is a pure function of the fragments, and
@@ -85,9 +84,8 @@ struct RowShardStats {
 /// runner, and stitches the fragments into one canonical base
 /// partition per attribute — bit-identical to
 /// StrippedPartition::FromColumn on each column. Only `runner_path`,
-/// `io_timeout_seconds` and `max_frame_bytes` are consulted; supervision
-/// and the channel decorator do not apply to this phase (see file
-/// comment).
+/// `io_timeout_seconds` and `max_frame_bytes` are consulted; the run
+/// deadline and the channel decorator do not apply to this phase.
 /// Empty-range shards are not contacted; their empty fragments are
 /// synthesized locally.
 Result<std::vector<StrippedPartition>> ComputeRowShardedBases(

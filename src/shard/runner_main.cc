@@ -1,6 +1,5 @@
 #include "shard/runner_main.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -54,24 +53,15 @@ Result<BootstrapFrame> ReceiveExpected(ShardChannel* channel,
   return out;
 }
 
-/// Test-only crash injection for the supervised-recovery e2e suite:
+/// Test-only crash injection for the fail-stop e2e suite:
 /// AOD_TEST_RUNNER_CRASH_BEFORE_FRAME=N makes the runner die abruptly
 /// (no footer, no orderly close — what SIGKILL or an OOM kill looks
-/// like from the coordinator) just before serving its Nth frame. With
-/// AOD_TEST_RUNNER_CRASH_ONCE_FLAG=<path> additionally set, only the one
-/// runner process that wins the O_EXCL creation of <path> crashes — so a
-/// fleet of shards loses exactly one attempt and every respawn runs
-/// clean. Returns -1 (never crash) when the seam is off.
+/// like from the coordinator) just before serving its Nth frame.
+/// Returns -1 (never crash) when the seam is off.
 int64_t CrashBeforeFrame() {
   const char* env = std::getenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME");
   if (env == nullptr) return -1;
-  const int64_t frame = std::strtoll(env, nullptr, 10);
-  if (const char* flag = std::getenv("AOD_TEST_RUNNER_CRASH_ONCE_FLAG")) {
-    const int fd = ::open(flag, O_CREAT | O_EXCL | O_WRONLY, 0644);
-    if (fd < 0) return -1;  // a sibling already claimed the one crash
-    ::close(fd);
-  }
-  return frame;
+  return std::strtoll(env, nullptr, 10);
 }
 
 }  // namespace
@@ -129,7 +119,6 @@ int ShardRunnerMain(int argc, char** argv) {
   if (!table.ok()) return Fail(2, "table decode", table.status());
 
   ShardRunnerOptions options;
-  options.attempt_id = config->attempt_id;
   options.validator = static_cast<ValidatorKind>(config->validator);
   options.epsilon = config->epsilon;
   options.collect_removal_sets = config->collect_removal_sets;
@@ -158,7 +147,7 @@ int ShardRunnerMain(int argc, char** argv) {
     for (;;) {
       if (loop.frames_served() + 1 >= crash_before) ::_exit(57);
       bool shutdown = false;
-      served = loop.ServeOne({}, &shutdown);
+      served = loop.ServeOne(&shutdown);
       if (!served.ok() || shutdown) break;
     }
   }

@@ -45,7 +45,6 @@ void ShardRunner::SampleResidency() {
 ShardStatsFooter ShardRunner::FooterStats() const {
   ShardStatsFooter footer;
   footer.shard_id = static_cast<uint32_t>(shard_id_);
-  footer.attempt_id = options_.attempt_id;
   footer.products_computed = cache_.products_computed();
   footer.planner_derivations = cache_.planner_derivations();
   footer.planner_cost_estimated = cache_.planner_cost_estimated();
@@ -61,32 +60,17 @@ ShardStatsFooter ShardRunner::FooterStats() const {
 }
 
 std::vector<WireOutcome> ShardRunner::ValidateBatch(
-    const std::vector<WireCandidate>& batch,
-    const std::function<bool()>& cancel) {
-  // Parallel over the batch on the shared pool (nested fork/join is safe;
-  // the coordinator runs each shard as one pool task). Every outcome slot
-  // is written by exactly one iteration; `done` marks the candidates that
-  // finished before a deadline cancellation.
+    const std::vector<WireCandidate>& batch) {
+  // Parallel over the batch on the runner's pool. Every outcome slot is
+  // written by exactly one iteration, so the reply is in batch (=
+  // ascending slot) order.
   std::vector<WireOutcome> outcomes(batch.size());
-  std::vector<uint8_t> done(batch.size(), 0);
-  exec::ParallelForOptions popts;
-  popts.cancel = cancel;
   exec::ParallelFor(pool_, 0, static_cast<int64_t>(batch.size()),
                     [&](int64_t i) {
                       ValidateOne(batch[static_cast<size_t>(i)],
                                   &outcomes[static_cast<size_t>(i)]);
-                      done[static_cast<size_t>(i)] = 1;
-                    },
-                    popts);
-
-  // Batch (= ascending slot) order with whatever completed, so the reply
-  // is deterministic whenever the batch ran to the end.
-  std::vector<WireOutcome> completed;
-  completed.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (done[i]) completed.push_back(std::move(outcomes[i]));
-  }
-  return completed;
+                    });
+  return outcomes;
 }
 
 void ShardRunner::FinishBatch(const std::vector<WireCandidate>& batch) {
@@ -96,8 +80,8 @@ void ShardRunner::FinishBatch(const std::vector<WireCandidate>& batch) {
   // contexts lets the next batch's misses derive from them; the catalog
   // changes only here, between batches, so plans (and the product
   // counter) are pure functions of the validated batches, as in the
-  // driver. A context a cancelled batch never reached is not resident,
-  // and publishing it would derive it.
+  // driver. Only resident contexts are published: publishing one that
+  // is not would derive it.
   for (const WireCandidate& c : batch) {
     const AttributeSet context(c.context_bits);
     if (cache_.Contains(context)) cache_.PublishCost(context);
@@ -142,8 +126,7 @@ ShardServeLoop::ShardServeLoop(ShardRunner* runner, ShardChannel* channel)
   AOD_CHECK(runner != nullptr && channel != nullptr);
 }
 
-Status ShardServeLoop::ServeOne(const std::function<bool()>& cancel,
-                                bool* shutdown) {
+Status ShardServeLoop::ServeOne(bool* shutdown) {
   if (shutdown != nullptr) *shutdown = false;
   AOD_ASSIGN_OR_RETURN(std::vector<uint8_t> raw, channel_->Receive());
   AOD_ASSIGN_OR_RETURN(DecodedFrame frame, DecodeFrame(raw));
@@ -152,7 +135,7 @@ Status ShardServeLoop::ServeOne(const std::function<bool()>& cancel,
     case FrameType::kPartitionBlock:
       return runner_->PreloadBlock(frame);
     case FrameType::kCandidateBatch:
-      return HandleCandidateBatch(frame, cancel);
+      return HandleCandidateBatch(frame);
     case FrameType::kShutdown: {
       if (shutdown != nullptr) *shutdown = true;
       ShardStatsFooter footer = runner_->FooterStats();
@@ -174,16 +157,15 @@ Status ShardServeLoop::ServeOne(const std::function<bool()>& cancel,
   return Status::InvalidArgument("unexpected frame type on shard inbox");
 }
 
-Status ShardServeLoop::Serve(const std::function<bool()>& cancel) {
+Status ShardServeLoop::Serve() {
   for (;;) {
     bool shutdown = false;
-    AOD_RETURN_NOT_OK(ServeOne(cancel, &shutdown));
+    AOD_RETURN_NOT_OK(ServeOne(&shutdown));
     if (shutdown) return Status::OK();
   }
 }
 
-Status ShardServeLoop::HandleCandidateBatch(
-    const DecodedFrame& frame, const std::function<bool()>& cancel) {
+Status ShardServeLoop::HandleCandidateBatch(const DecodedFrame& frame) {
   AOD_ASSIGN_OR_RETURN(std::vector<WireCandidate> batch,
                        DecodeCandidateBatch(frame));
 
@@ -199,7 +181,7 @@ Status ShardServeLoop::HandleCandidateBatch(
           "' outside the configured set " + kinds.ToString());
     }
   }
-  std::vector<WireOutcome> completed = runner_->ValidateBatch(batch, cancel);
+  std::vector<WireOutcome> completed = runner_->ValidateBatch(batch);
 
   // Reply as chunks of at most kChunkOutcomes outcomes (last one
   // final-flagged), which bound the frame size; each chunk is one frame.

@@ -5,9 +5,7 @@
 // off kPartitionBlock frames, never derived from the table — plus the
 // CandidateValidator the discovery driver also uses. Larger context
 // partitions are derived shard-locally through the cache's cost
-// planner, whose catalog FinishBatch publishes between batches. The
-// supervisor's degraded fallback drives this core directly on the
-// coordinator, with no channel and no frame round trip.
+// planner, whose catalog FinishBatch publishes between batches.
 //
 // ShardServeLoop is the wire side of a runner process: it receives
 // frames from a channel, decodes them, calls the core and encodes the
@@ -24,7 +22,6 @@
 #define AOD_SHARD_SHARD_RUNNER_H_
 
 #include <atomic>
-#include <functional>
 #include <vector>
 
 #include "common/status.h"
@@ -48,11 +45,6 @@ namespace shard {
 /// subset of DiscoveryOptions, fixed for the lifetime of the run.
 struct ShardRunnerOptions {
   ValidatorKind validator = ValidatorKind::kOptimal;
-  /// Which supervised (re)establishment this runner serves (see
-  /// WireRunnerConfig::attempt_id); echoed in the stats footer so the
-  /// coordinator can reject a superseded attempt's footer. Validation
-  /// outcomes never depend on it.
-  uint32_t attempt_id = 0;
   /// Raw threshold; CandidateValidator zeroes it for the exact validator.
   double epsilon = 0.1;
   /// Dependency kinds this run may ship to the shard. The serve loop
@@ -81,15 +73,13 @@ class ShardRunner {
 
   /// Decodes one kPartitionBlock frame (canonical-validated) and
   /// Preloads it — the one place a base frame is turned into a cache
-  /// entry, for the serve loop and the supervisor's fallback alike.
+  /// entry.
   Status PreloadBlock(const DecodedFrame& frame);
 
-  /// Validates every candidate (parallel over the batch on the pool,
-  /// `cancel` polled between candidates) and returns the completed
-  /// outcomes in batch order — all of them unless cancelled.
+  /// Validates every candidate (parallel over the batch on the pool)
+  /// and returns the outcomes in batch order.
   std::vector<WireOutcome> ValidateBatch(
-      const std::vector<WireCandidate>& batch,
-      const std::function<bool()>& cancel = {});
+      const std::vector<WireCandidate>& batch);
 
   /// Closes a validated batch: publishes its resident contexts to the
   /// planner catalog and enforces the per-shard budget. Call once after
@@ -150,11 +140,10 @@ class ShardServeLoop {
   ///                      set `*shutdown` (when given): the conversation
   ///                      is over and no further frame should be served.
   /// Any decode or channel failure surfaces as a non-OK Status.
-  Status ServeOne(const std::function<bool()>& cancel = {},
-                  bool* shutdown = nullptr);
+  Status ServeOne(bool* shutdown = nullptr);
 
   /// Serves frames until the shutdown handshake or a failure.
-  Status Serve(const std::function<bool()>& cancel = {});
+  Status Serve();
 
   /// Frames served so far (the footer's cross-check counter); exposed
   /// so shard_runner_main's crash-injection test seam can die at a
@@ -162,8 +151,7 @@ class ShardServeLoop {
   int64_t frames_served() const { return frames_served_; }
 
  private:
-  Status HandleCandidateBatch(const DecodedFrame& frame,
-                              const std::function<bool()>& cancel);
+  Status HandleCandidateBatch(const DecodedFrame& frame);
 
   ShardRunner* const runner_;
   ShardChannel* const channel_;

@@ -534,7 +534,6 @@ Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame,
 std::vector<uint8_t> EncodeConfigBlock(const WireRunnerConfig& config) {
   WireWriter writer;
   writer.PutU32(config.shard_id);
-  writer.PutU32(config.attempt_id);
   writer.PutU8(config.validator);
   writer.PutDouble(config.epsilon);
   writer.PutU8(config.collect_removal_sets ? 1 : 0);
@@ -555,7 +554,6 @@ Result<WireRunnerConfig> DecodeConfigBlock(const DecodedFrame& frame) {
   WireRunnerConfig config;
   uint8_t removal = 0;
   AOD_RETURN_NOT_OK(reader.GetU32(&config.shard_id));
-  AOD_RETURN_NOT_OK(reader.GetU32(&config.attempt_id));
   AOD_RETURN_NOT_OK(reader.GetU8(&config.validator));
   AOD_RETURN_NOT_OK(reader.GetDouble(&config.epsilon));
   AOD_RETURN_NOT_OK(reader.GetU8(&removal));
@@ -965,7 +963,6 @@ std::vector<uint8_t> EncodeShutdown() {
 std::vector<uint8_t> EncodeStatsFooter(const ShardStatsFooter& footer) {
   WireWriter writer;
   writer.PutU32(footer.shard_id);
-  writer.PutU32(footer.attempt_id);
   writer.PutI64(footer.frames_served);
   writer.PutI64(footer.products_computed);
   writer.PutI64(footer.planner_derivations);
@@ -986,7 +983,6 @@ Result<ShardStatsFooter> DecodeStatsFooter(const DecodedFrame& frame) {
   WireReader reader(frame.payload, frame.size);
   ShardStatsFooter footer;
   AOD_RETURN_NOT_OK(reader.GetU32(&footer.shard_id));
-  AOD_RETURN_NOT_OK(reader.GetU32(&footer.attempt_id));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.frames_served));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.products_computed));
   AOD_RETURN_NOT_OK(reader.GetI64(&footer.planner_derivations));

@@ -91,7 +91,9 @@ inline constexpr uint32_t kWireMagic = 0x414F4457;  // "AODW"
 /// Version 11: the hybrid AOC sampler is gone, so the config block drops
 /// its four sampler fields (25 bytes) and kJobSubmit its four sampler
 /// options (19 bytes at the default sample size).
-inline constexpr uint16_t kWireVersion = 11;
+/// Version 12: shards are fail-stop with no respawn, so the config block
+/// and the stats footer drop their attempt id (4 bytes each).
+inline constexpr uint16_t kWireVersion = 12;
 /// The retired batch-envelope frame id (wire versions 2-8). Ids are never
 /// renumbered, so DecodeFrame names it instead of misreading a frame.
 inline constexpr uint16_t kRetiredFrameTypeBatch = 8;
@@ -367,12 +369,6 @@ Result<WireResultChunk> DecodeResultBatch(const DecodedFrame& frame,
 /// fills it from ShardRunnerOptions; shard_runner_main converts it back.
 struct WireRunnerConfig {
   uint32_t shard_id = 0;
-  /// Which supervised (re)establishment of this shard the config belongs
-  /// to: 0 for the first attempt, bumped by the coordinator on every
-  /// respawn. The runner
-  /// echoes it in its stats footer so the coordinator can reject a
-  /// footer that belongs to an abandoned attempt.
-  uint32_t attempt_id = 0;
   /// ValidatorKind's underlying value; decoders reject anything > 2.
   uint8_t validator = 2;
   double epsilon = 0.1;
@@ -465,11 +461,6 @@ std::vector<uint8_t> EncodeShutdown();
 /// the shard served.
 struct ShardStatsFooter {
   uint32_t shard_id = 0;
-  /// Echo of WireRunnerConfig::attempt_id — which supervised attempt
-  /// produced these counters. The coordinator checks it against the
-  /// attempt it is finishing so duplicate footers (a superseded attempt
-  /// that still managed to answer its shutdown) are distinguishable.
-  uint32_t attempt_id = 0;
   /// Frames the runner served after its bootstrap (bases + batches +
   /// shutdown) — a cheap conversation-length cross-check for the
   /// coordinator.

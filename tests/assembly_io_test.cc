@@ -166,7 +166,7 @@ TEST(ResultIoTest, CsvHasOneRowPerDependency) {
 TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   // A real result with removal sets, then every field that does NOT
   // come out of a local fault-free run forced to a non-default value:
-  // the supervision counters, per-shard and row-shard byte accounting, a
+  // per-shard and row-shard byte accounting, a
   // non-OK shard_status and both terminal flags. The blob must carry all
   // of it.
   EncodedTable t = testing_util::PaperEncoded();
@@ -183,10 +183,6 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   result.stats.shard_bytes_wire = 123456;
   result.stats.shard_frame_bytes = {{"partition", 5000, 2500},
                                     {"result", 800, 700}};
-  result.stats.shard_retries = 4;
-  result.stats.shard_respawns = 2;
-  result.stats.shard_fallback_shards = 1;
-  result.stats.shard_footers_missing = 2;
   result.stats.row_shards_used = 2;
   result.stats.row_shard_bytes_per_shard = {7000, 7100};
   result.stats.row_shard_bytes_shipped = 14100;
@@ -225,10 +221,6 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   EXPECT_EQ(s.shard_frame_bytes[0].frame_type, "partition");
   EXPECT_EQ(s.shard_frame_bytes[0].bytes_raw, 5000);
   EXPECT_EQ(s.shard_frame_bytes[1].bytes_wire, 700);
-  EXPECT_EQ(s.shard_retries, 4);
-  EXPECT_EQ(s.shard_respawns, 2);
-  EXPECT_EQ(s.shard_fallback_shards, 1);
-  EXPECT_EQ(s.shard_footers_missing, 2);
   EXPECT_EQ(s.row_shards_used, 2);
   EXPECT_EQ(s.row_shard_bytes_per_shard,
             result.stats.row_shard_bytes_per_shard);

@@ -18,7 +18,6 @@
 #ifndef AOD_TESTS_FLAKY_CHANNEL_H_
 #define AOD_TESTS_FLAKY_CHANNEL_H_
 
-#include <atomic>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -43,9 +42,6 @@ class FlakyChannel final : public shard::ShardChannel {
     /// Frames forwarded cleanly (in the faulted direction) before the
     /// fault fires; the fault fires once.
     int trigger_after = 0;
-    /// Shared across decorated channels so a fleet of links injects one
-    /// fault total, wherever it lands first. Optional.
-    std::atomic<int>* shared_budget = nullptr;
   };
 
   FlakyChannel(std::unique_ptr<shard::ShardChannel> inner, Plan plan)
@@ -81,18 +77,11 @@ class FlakyChannel final : public shard::ShardChannel {
 
  private:
   /// True exactly once: when `fault` is armed and trigger_after clean
-  /// frames in its direction have passed (and the shared budget, if
-  /// any, has not been spent by a sibling).
+  /// frames in its direction have passed.
   bool Due(Fault fault) {
     if (plan_.fault != fault) return false;
     if (fired_) return false;
-    if (plan_.shared_budget != nullptr && plan_.shared_budget->load() <= 0) {
-      return false;
-    }
     if (clean_count_++ < plan_.trigger_after) return false;
-    if (plan_.shared_budget != nullptr) {
-      if (plan_.shared_budget->fetch_sub(1) <= 0) return false;
-    }
     fired_ = true;
     return true;
   }

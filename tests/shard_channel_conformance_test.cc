@@ -14,6 +14,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -339,23 +340,21 @@ TEST(SocketChannelFaultTest, PartialWritesAreReassembled) {
 // -------------------------------------- coordinator fault injection --
 
 /// A fault-injection discovery run: every coordinator-side endpoint is
-/// wrapped in a FlakyChannel armed with `plan`.
+/// wrapped in a FlakyChannel armed with `plan`. Any injected fault is a
+/// typed fail-stop abort. The short default I/O timeout makes a dropped
+/// frame surface as a typed timeout in test time, not in the production
+/// default.
 DiscoveryResult RunWithFault(const EncodedTable& table,
-                             FlakyChannel::Plan plan) {
+                             FlakyChannel::Plan plan,
+                             double io_timeout_seconds = 1.0,
+                             double time_budget_seconds = 0.0) {
   DiscoveryOptions options;
   options.epsilon = 0.1;
   options.num_threads = 2;
   options.num_shards = 2;
   options.shard_runner_path = testing_util::RunnerBinaryPath();
-  // Short timeout: a dropped frame must surface as a typed timeout in
-  // test time, not in the production default.
-  options.shard_io_timeout_seconds = 1.0;
-  // Strict mode: this suite pins the PRE-supervision failure contract —
-  // any injected fault is a typed fail-stop abort, the behavior
-  // shard_max_retries == 0 promises. The supervised-recovery
-  // matrix (same faults, run completes) lives in
-  // tests/shard_supervisor_test.cc.
-  options.shard_max_retries = 0;
+  options.shard_io_timeout_seconds = io_timeout_seconds;
+  options.time_budget_seconds = time_budget_seconds;
   options.shard_channel_decorator =
       [plan](std::unique_ptr<shard::ShardChannel> inner)
       -> std::unique_ptr<shard::ShardChannel> {
@@ -428,6 +427,28 @@ TEST_F(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
       EXPECT_LE(d.level, faulted.stats.levels_processed);
     }
   }
+}
+
+// The receive-side deadline clamp under a mid-level fault: the level-1
+// candidate batch is dropped, so its reply never comes. With a 30 s I/O
+// timeout and a 1 s run budget, the reply wait is clamped to the budget
+// and the run returns a typed error in well under the I/O timeout.
+TEST_F(CoordinatorFaultInjectionTest, LostReplyWaitIsClampedToTheRunBudget) {
+  Table t = GenerateNcVoterTable(120, 4, 7);
+  EncodedTable enc = EncodeTable(t);
+  FlakyChannel::Plan plan;
+  plan.fault = FlakyChannel::Fault::kDropFrame;
+  // Sends before the level-1 batch: config, table, one frame per base.
+  plan.trigger_after = 2 + enc.num_columns();
+  const auto start = std::chrono::steady_clock::now();
+  DiscoveryResult faulted = RunWithFault(enc, plan, /*io_timeout_seconds=*/30.0,
+                                         /*time_budget_seconds=*/1.0);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_FALSE(faulted.shard_status.ok());
+  EXPECT_TRUE(faulted.dependencies.empty());
+  EXPECT_LT(elapsed, 10.0) << "the reply wait was not clamped to the budget";
 }
 
 TEST_F(CoordinatorFaultInjectionTest, FaultDuringBaseShippingIsTyped) {

@@ -99,7 +99,6 @@ TEST(ShardProcessE2eTest, ShardedRunsMatchUnshardedBitExactly) {
     options.num_shards = shards;
     DiscoveryResult sharded = DiscoverOds(enc, options);
     ASSERT_TRUE(sharded.shard_status.ok()) << sharded.shard_status.ToString();
-    testing_util::ExpectServedByRunners(sharded);
     EXPECT_EQ(OutputFingerprint(sharded), expected);
     EXPECT_EQ(sharded.stats.shards_used, shards);
     EXPECT_GT(sharded.stats.shard_bytes_shipped, 0);
@@ -124,7 +123,7 @@ TEST(ShardProcessE2eTest, RunnersReceiveTheTable) {
   const auto table_wire = [&](int shards) -> int64_t {
     options.num_shards = shards;
     DiscoveryResult result = DiscoverOds(enc, options);
-    testing_util::ExpectServedByRunners(result);
+    EXPECT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
     for (const auto& f : result.stats.shard_frame_bytes) {
       if (f.frame_type == "table") return f.bytes_wire;
     }
@@ -144,10 +143,6 @@ TEST(ShardProcessE2eTest, MissingRunnerBinaryIsTypedNotACrash) {
   options.num_shards = 2;
   options.shard_runner_path = "/nonexistent/aod_shard_runner";
   options.shard_io_timeout_seconds = 1.0;
-  // Strict mode: with supervision on, a missing binary degrades to
-  // validation on the coordinator and the run *completes* — that
-  // contract is pinned by MissingRunnerBinaryFallsBackToTheCoordinator below.
-  options.shard_max_retries = 0;
   DiscoveryResult result = DiscoverOds(enc, options);
   ASSERT_FALSE(result.shard_status.ok());
   EXPECT_TRUE(result.dependencies.empty());
@@ -179,7 +174,6 @@ TEST(ShardProcessE2eTest, RunnerThatNeverConnectsTimesOutTyped) {
   // must end at the I/O timeout with a typed error, not hang.
   options.shard_runner_path = stalling.path();
   options.shard_io_timeout_seconds = 0.5;
-  options.shard_max_retries = 0;  // strict: pin the typed fail-stop
   const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
   const double elapsed = SecondsSince(start);
@@ -195,15 +189,14 @@ TEST(ShardProcessE2eTest, RunnerThatNeverConnectsTimesOutTyped) {
 
 TEST(ShardProcessE2eTest, RunnerThatExitsBeforeConnectingFailsFast) {
   // A runner that exits at once must not cost the whole I/O timeout
-  // (here 30 s; 300 s by default, per retry): the spawn notices the
+  // (here 30 s; 300 s by default): the spawn notices the
   // dead child between accept polls and fails with its exit status.
   Table t = GenerateNcVoterTable(60, 3, 5);
   EncodedTable enc = EncodeTable(t);
   DiscoveryOptions options;
   options.num_shards = 1;
   options.shard_runner_path = "/bin/true";
-  options.shard_io_timeout_seconds = 30.0;
-  options.shard_max_retries = 0;  // strict; no time budget
+  options.shard_io_timeout_seconds = 30.0;  // no time budget
   const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
   const double elapsed = SecondsSince(start);
@@ -216,78 +209,12 @@ TEST(ShardProcessE2eTest, RunnerThatExitsBeforeConnectingFailsFast) {
   EXPECT_LT(elapsed, 5.0);
 }
 
-// ---------------------------------------------------------------------
-// Supervised execution: the same faults that abort in strict mode are
-// absorbed by the retry / respawn / fallback ladder, and the completed
-// run is bit-identical to the unsharded one.
-// ---------------------------------------------------------------------
-
-TEST(ShardProcessE2eTest, MissingRunnerBinaryFallsBackToTheCoordinator) {
-  Table t = GenerateNcVoterTable(120, 4, 5);
-  EncodedTable enc = EncodeTable(t);
-
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.num_threads = 2;
-  DiscoveryResult unsharded = DiscoverOds(enc, options);
-  ASSERT_TRUE(unsharded.shard_status.ok());
-
-  options.num_shards = 2;
-  options.shard_runner_path = "/nonexistent/aod_shard_runner";
-  options.shard_io_timeout_seconds = 1.0;
-  options.shard_max_retries = 1;
-  options.shard_retry_backoff_ms = 1.0;
-  DiscoveryResult result = DiscoverOds(enc, options);
-  ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
-  EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
-  // Every shard exhausted its retries and degraded to the coordinator.
-  EXPECT_EQ(result.stats.shard_fallback_shards, 2);
-  EXPECT_GT(result.stats.shard_retries, 0);
-}
-
-TEST(ShardProcessE2eTest, RunnerKilledMidLevelIsRespawnedBitExactly) {
-  const std::string runner = testing_util::RunnerBinaryPath();
-  if (runner.empty()) {
-    GTEST_SKIP() << "shard_runner_main not found next to the test binary";
-  }
-  Table t = GenerateNcVoterTable(200, 5, 9);
-  EncodedTable enc = EncodeTable(t);
-
-  DiscoveryOptions options;
-  options.epsilon = 0.1;
-  options.collect_removal_sets = true;
-  options.num_threads = 2;
-  DiscoveryResult unsharded = DiscoverOds(enc, options);
-  ASSERT_TRUE(unsharded.shard_status.ok());
-  const std::string expected = OutputFingerprint(unsharded);
-
-  options.num_shards = 2;
-  options.shard_runner_path = runner;
-  options.shard_io_timeout_seconds = 5.0;
-  options.shard_retry_backoff_ms = 1.0;
-
-  // Exactly one runner in the fleet _exit(57)s mid-protocol (the flag
-  // file makes the crash once-per-fleet); its respawned successor must
-  // finish the level and the merged output must not change.
-  const std::string flag =
-      ::testing::TempDir() + "/aod_crash_once_" +
-      std::to_string(static_cast<long long>(::getpid()));
-  std::remove(flag.c_str());
-  ::setenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME", "4", 1);
-  ::setenv("AOD_TEST_RUNNER_CRASH_ONCE_FLAG", flag.c_str(), 1);
-  DiscoveryResult result = DiscoverOds(enc, options);
-  ::unsetenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME");
-  ::unsetenv("AOD_TEST_RUNNER_CRASH_ONCE_FLAG");
-  std::remove(flag.c_str());
-
-  ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
-  EXPECT_EQ(OutputFingerprint(result), expected);
-  EXPECT_GT(result.stats.shard_retries, 0);
-  EXPECT_GT(result.stats.shard_respawns, 0);
-  EXPECT_EQ(result.stats.shard_fallback_shards, 0);
-}
-
-TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackToTheCoordinator) {
+// A real runner process that dies mid-run (no footer, no orderly close):
+// the run fails stop with a typed error as soon as the coordinator sees
+// the lost connection — well inside the I/O timeout — and reports only
+// the levels merged before the crash, a prefix of the unsharded run's
+// dependency list.
+TEST(ShardProcessE2eTest, CrashingRunnerFailsStopWithAPrefix) {
   const std::string runner = testing_util::RunnerBinaryPath();
   if (runner.empty()) {
     GTEST_SKIP() << "shard_runner_main not found next to the test binary";
@@ -298,28 +225,29 @@ TEST(ShardProcessE2eTest, PersistentlyCrashingRunnerFallsBackToTheCoordinator) {
   DiscoveryOptions options;
   options.epsilon = 0.1;
   options.num_threads = 2;
-  DiscoveryResult unsharded = DiscoverOds(enc, options);
-  ASSERT_TRUE(unsharded.shard_status.ok());
+  const std::string expected = OutputFingerprint(DiscoverOds(enc, options));
 
   options.num_shards = 2;
   options.shard_runner_path = runner;
-  options.shard_io_timeout_seconds = 5.0;
-  options.shard_max_retries = 1;
-  options.shard_retry_backoff_ms = 1.0;
+  options.shard_io_timeout_seconds = 30.0;
 
-  // No once-flag: every spawned runner crashes before its first served
-  // frame, so retries can never succeed and both shards must degrade.
-  ::setenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME", "1", 1);
+  // Every runner serves its k base frames and three levels' batches,
+  // then dies. Its last reply may or may not leave the process before
+  // the exit, so levels 1 and 2 are merged, and maybe level 3.
+  const std::string crash_before = std::to_string(enc.num_columns() + 4);
+  ::setenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME", crash_before.c_str(), 1);
+  const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
+  const double elapsed = SecondsSince(start);
   ::unsetenv("AOD_TEST_RUNNER_CRASH_BEFORE_FRAME");
 
-  ASSERT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
-  EXPECT_EQ(OutputFingerprint(result), OutputFingerprint(unsharded));
-  EXPECT_EQ(result.stats.shard_fallback_shards, 2);
-  EXPECT_GT(result.stats.shard_retries, 0);
-  // The degraded cores' footers are read directly, never lost.
-  EXPECT_EQ(result.stats.shard_footers_missing, 0);
-  EXPECT_GT(result.stats.partitions_computed, 0);
+  ASSERT_FALSE(result.shard_status.ok());
+  EXPECT_GE(result.stats.levels_processed, 2);
+  EXPECT_FALSE(result.dependencies.empty());
+  const std::string got = OutputFingerprint(result);
+  EXPECT_EQ(expected.compare(0, got.size(), got), 0)
+      << "not a prefix of the unsharded run";
+  EXPECT_LT(elapsed, 10.0) << "the crash was noticed only by a timeout";
 }
 
 TEST(ShardProcessE2eTest, IoTimeoutIsClampedToTheRunDeadline) {
@@ -331,10 +259,9 @@ TEST(ShardProcessE2eTest, IoTimeoutIsClampedToTheRunDeadline) {
   options.shard_runner_path = stalling.path();  // never connects
   // A generous I/O timeout clamped by a 1-second run budget: the accept
   // wait must shrink to the remaining budget instead of parking for
-  // 30 s. Strict mode, so the failure surfaces instead of falling back.
+  // 30 s.
   options.shard_io_timeout_seconds = 30.0;
   options.time_budget_seconds = 1.0;
-  options.shard_max_retries = 0;
   const auto start = std::chrono::steady_clock::now();
   DiscoveryResult result = DiscoverOds(enc, options);
   const double elapsed = SecondsSince(start);

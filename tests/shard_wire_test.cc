@@ -337,7 +337,6 @@ TEST(ShardWireTest, ResultBatchRoundTripIsBitExact) {
 TEST(ShardWireTest, ConfigBlockRoundTripAndRejection) {
   shard::WireRunnerConfig config;
   config.shard_id = 3;
-  config.attempt_id = 5;
   config.validator = 1;
   config.epsilon = 0.1 + 1e-17;  // bit-exact or bust
   config.collect_removal_sets = true;
@@ -349,7 +348,6 @@ TEST(ShardWireTest, ConfigBlockRoundTripAndRejection) {
   Result<shard::WireRunnerConfig> back = shard::DecodeConfigBlock(*frame);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->shard_id, 3u);
-  EXPECT_EQ(back->attempt_id, 5u);
   EXPECT_EQ(back->validator, 1);
   EXPECT_EQ(back->epsilon, config.epsilon);
   EXPECT_TRUE(back->collect_removal_sets);
@@ -607,7 +605,6 @@ TEST(ShardWireTest, ConfigRowRangeRoundTripAndRejection) {
 TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   shard::ShardStatsFooter footer;
   footer.shard_id = 7;
-  footer.attempt_id = 4;
   footer.frames_served = 12;
   footer.products_computed = 34;
   footer.planner_derivations = 21;
@@ -624,7 +621,6 @@ TEST(ShardWireTest, StatsFooterRoundTripAndShutdownFrame) {
   Result<shard::ShardStatsFooter> back = shard::DecodeStatsFooter(*frame);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->shard_id, 7u);
-  EXPECT_EQ(back->attempt_id, 4u);
   EXPECT_EQ(back->frames_served, 12);
   EXPECT_EQ(back->products_computed, 34);
   EXPECT_EQ(back->planner_derivations, 21);

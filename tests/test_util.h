@@ -30,18 +30,6 @@ namespace testing_util {
 /// Empty when nothing resolves.
 inline std::string RunnerBinaryPath() { return shard::ResolveRunnerPath(""); }
 
-/// The guard of every healthy-path sharded test: the run completed on
-/// its runner processes — no retry, respawn, lost footer or shard
-/// degraded to the coordinator. Without it a broken runner could pass
-/// a bit-exactness check, because the fallback's output is identical.
-inline void ExpectServedByRunners(const DiscoveryResult& result) {
-  EXPECT_TRUE(result.shard_status.ok()) << result.shard_status.ToString();
-  EXPECT_EQ(result.stats.shard_fallback_shards, 0);
-  EXPECT_EQ(result.stats.shard_retries, 0);
-  EXPECT_EQ(result.stats.shard_respawns, 0);
-  EXPECT_EQ(result.stats.shard_footers_missing, 0);
-}
-
 /// Both ends of a connected local stream socket, each wrapped as a
 /// SocketShardChannel — a coordinator/runner link without a process.
 struct ChannelPair {
