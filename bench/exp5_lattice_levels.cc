@@ -32,6 +32,16 @@ struct DatasetResult {
   RunResult approx;
 };
 
+/// OCs found per lattice level, up to the last level that found one.
+std::vector<int64_t> OcsPerLevel(const RunResult& run) {
+  std::vector<int64_t> ocs;
+  for (const LevelStats& level : run.full.stats.levels) {
+    ocs.push_back(level.found[static_cast<int>(DependencyKind::kOc)]);
+  }
+  while (!ocs.empty() && ocs.back() == 0) ocs.pop_back();
+  return ocs;
+}
+
 DatasetResult RunDataset(const char* name, bool flight, int64_t base_rows,
                          int attrs) {
   DatasetResult r;
@@ -47,8 +57,8 @@ DatasetResult RunDataset(const char* name, bool flight, int64_t base_rows,
   std::printf("\n--- %s (%lld rows, %d attributes, eps = 10%%) ---\n", name,
               static_cast<long long>(r.rows), attrs);
   std::printf("%7s  %8s  %8s\n", "level", "#OCs", "#AOCs");
-  const auto& exact_levels = r.exact.full.stats.ocs_per_level;
-  const auto& approx_levels = r.approx.full.stats.ocs_per_level;
+  const std::vector<int64_t> exact_levels = OcsPerLevel(r.exact);
+  const std::vector<int64_t> approx_levels = OcsPerLevel(r.approx);
   size_t max_level = std::max(exact_levels.size(), approx_levels.size());
   for (size_t level = 2; level < max_level; ++level) {
     int64_t e = level < exact_levels.size() ? exact_levels[level] : 0;
@@ -95,8 +105,8 @@ int WriteJson(const char* path, const std::vector<DatasetResult>& all) {
                  "\"avg_oc_level_approx\": %.4f,\n",
                  r.exact.seconds, r.approx.seconds, r.exact.avg_oc_level,
                  r.approx.avg_oc_level);
-    WriteLevels(f, "ocs_per_level", r.exact.full.stats.ocs_per_level, ",");
-    WriteLevels(f, "aocs_per_level", r.approx.full.stats.ocs_per_level, "");
+    WriteLevels(f, "ocs_per_level", OcsPerLevel(r.exact), ",");
+    WriteLevels(f, "aocs_per_level", OcsPerLevel(r.approx), "");
     std::fprintf(f, "    }%s\n", d + 1 < all.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

@@ -14,16 +14,9 @@
 // timed runs after one untimed warm-up, so no point pays for a cold
 // start the others skip.
 //
-// Every speedup point runs on a pool, because a poolless run is not the
-// 1-worker point. ParallelFor runs inline on a 1-worker pool, so the
-// caller validates and merges, but TaskGroup::Run forks every
-// next-level partition prefetch onto the pool's worker: a "1-thread"
-// pooled run derives partitions on a second thread while the caller
-// validates. A run without a pool derives them inline on the caller,
-// which is why only it reports partition wall time, and part of why
-// speedup measured against it looked super-linear. The poolless run is
-// still printed, as a separately labelled `serial` row after the pooled
-// ones.
+// The 1-worker point is the serial run: DiscoverOds treats a 1-worker
+// pool as no pool, so the caller validates, merges and derives every
+// partition itself.
 //
 // Speedup is bounded by the machine: on N hardware threads, counts above
 // N add scheduling overhead but no parallelism (the printed "hw" line
@@ -86,13 +79,6 @@ void RunDataset(const char* name, bool flight, int64_t base_rows,
     PrintRow(label.c_str(), r, baseline,
              r.ocs == baseline_ocs && r.ofds == baseline_ofds);
   }
-  // No pool: validation, merge and partition derivation all on the
-  // caller (see the file comment).
-  options.pool = nullptr;
-  options.num_threads = 1;
-  RunResult serial = RunDiscoveryWarmMedian(enc, options);
-  PrintRow("serial", serial, baseline,
-           serial.ocs == baseline_ocs && serial.ofds == baseline_ofds);
 }
 
 }  // namespace
@@ -106,9 +92,9 @@ int main() {
               Scale(), aod::exec::ThreadPool::HardwareConcurrency());
   std::printf("each point: median of %d timed runs after 1 warm-up\n",
               kTimedRepeats);
-  PrintNote("speedup is wall-clock vs the 1-worker pool on the same table;"
-            " `serial` is the poolless run (partitions derived inline);"
-            " counts must match at every point (determinism contract).");
+  PrintNote("speedup is wall-clock vs the 1-worker (serial) run on the same"
+            " table; counts must match at every point (determinism"
+            " contract).");
 
   // One persistent pool per worker count, reused across both datasets —
   // workers are spawned once, never per call.

@@ -190,39 +190,6 @@ void BM_ValidateAocOptimalTinyClasses(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateAocOptimalTinyClasses);
 
-// Classes of a fixed size (the first argument) around the radix
-// thresholds, with A not a table key: random A and B values over 50K rows,
-// 16-bit ranks each. Without a removal set the OC key is 32 bits wide and
-// radix-sorted from ClassOrder::kRadixMinRows rows; with one (the second
-// argument) the row id makes it 48 bits, radix-sorted from
-// RadixMinRows(48) = 40 rows. Epsilon 0.5 keeps early exit from firing,
-// so every class is sorted.
-void BM_ValidateAocOptimalMidClasses(benchmark::State& state) {
-  Table raw = GenerateTable(
-      {{.name = "a", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 22},
-       {.name = "b", .kind = ColumnKind::kUniformInt, .cardinality = 1 << 22}},
-      50000, 18);
-  EncodedTable t = EncodeTable(raw);
-  const auto m = static_cast<int32_t>(state.range(0));
-  std::vector<std::vector<int32_t>> classes;
-  for (int32_t r = 0; r + m <= 50000;) {
-    classes.emplace_back();
-    for (int32_t i = 0; i < m; ++i) classes.back().push_back(r++);
-  }
-  auto partition = StrippedPartition::FromClasses(std::move(classes));
-  ValidatorOptions options;
-  options.collect_removal_set = state.range(1) != 0;
-  ValidatorScratch scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ValidateAocOptimal(
-        t, partition, 0, 1, 0.50, t.num_rows(), options, &scratch));
-  }
-  state.SetItemsProcessed(state.iterations() * partition.num_classes());
-}
-BENCHMARK(BM_ValidateAocOptimalMidClasses)
-    ->ArgNames({"class_rows", "removal_set"})
-    ->ArgsProduct({{32, 36, 40, 48}, {0, 1}});
-
 // An invalid whole relation: one 60K-row class whose B follows A except
 // on 80% of the rows, so about 80% of the rows must go at epsilon 0.1 and
 // the large-class sample rejects it before the full sort.
@@ -305,10 +272,11 @@ void BM_ValidateOfdApprox(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateOfdApprox)->Range(1 << 10, 1 << 17);
 
-// The target is functionally determined by the context, so the holding
-// case is measured: the refinement test must walk every class to the
-// end instead of bailing at the first split.
-void BM_ValidateFdExact(benchmark::State& state) {
+// The exact check of both target kinds it serves (OFD X: [] -> A and FD
+// X -> A). The target is functionally determined by the context, so the
+// holding case is measured: the constancy test must walk every class to
+// the end instead of bailing at the first split.
+void BM_ValidateOfdExact(benchmark::State& state) {
   Table raw = GenerateTable(
       {{.name = "ctx", .kind = ColumnKind::kUniformInt, .cardinality = 64},
        {.name = "a", .kind = ColumnKind::kDerivedPermuted,
@@ -317,10 +285,10 @@ void BM_ValidateFdExact(benchmark::State& state) {
   EncodedTable t = EncodeTable(raw);
   auto partition = StrippedPartition::FromColumn(t.column(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ValidateFdExact(t, partition, 1));
+    benchmark::DoNotOptimize(ValidateOfdExact(t, partition, 1));
   }
 }
-BENCHMARK(BM_ValidateFdExact)->Range(1 << 10, 1 << 17);
+BENCHMARK(BM_ValidateOfdExact)->Range(1 << 10, 1 << 17);
 
 // The g1 frequency pass over every context class: one histogram per
 // class, violations = |c|^2 - sum cnt^2. Same workload shape as the

@@ -1,6 +1,7 @@
 #include "od/discovery.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -21,37 +22,58 @@
 namespace aod {
 namespace {
 
+/// Candidate slot order within a node, which fixes the order of its
+/// dependencies in the result and the layout of the shard wire's slots:
+/// OFDs, OCs, FDs, AFDs. The OFD/OC prefix is the pre-multi-kind layout.
+constexpr DependencyKind kSlotOrder[] = {
+    DependencyKind::kOfd, DependencyKind::kOc, DependencyKind::kFd,
+    DependencyKind::kAfd};
+
+/// The named per-kind counters of DiscoveryStats, indexed by
+/// DependencyKind.
+struct KindCounters {
+  double DiscoveryStats::*seconds;
+  int64_t DiscoveryStats::*validated;
+};
+constexpr KindCounters kKindCounters[kNumDependencyKinds] = {
+    {&DiscoveryStats::oc_validation_seconds,
+     &DiscoveryStats::oc_candidates_validated},
+    {&DiscoveryStats::ofd_validation_seconds,
+     &DiscoveryStats::ofd_candidates_validated},
+    {&DiscoveryStats::fd_validation_seconds,
+     &DiscoveryStats::fd_candidates_validated},
+    {&DiscoveryStats::afd_validation_seconds,
+     &DiscoveryStats::afd_candidates_validated},
+};
+
 /// The candidate lists of one lattice node, computed in the planning
 /// phase from the completed level below (read-only), before any
 /// validation of the current level runs.
 struct NodePlan {
-  /// C_c+(X) = ∩_{A∈X} C_c+(X\{A}), before this level's OFD results.
-  AttributeSet cc;
-  /// OFD targets A ∈ X ∩ cc, ascending.
-  std::vector<int> ofd_targets;
+  /// Per group (LatticeGroup): C+(X) = ∩_{A∈X} C+(X\{A}) before this
+  /// level's results, and whether every (L-1)-subset survived for the
+  /// group, i.e. whether this node is part of the group's standalone
+  /// lattice (consumed by the merge's liveness rule).
+  std::array<AttributeSet, kNumLatticeGroups> cc;
+  std::array<bool, kNumLatticeGroups> present{};
+  /// Per target kind, indexed by DependencyKind (the kOc entry stays
+  /// empty): targets A ∈ X ∩ cc[group], ascending, each validated in
+  /// context X\{A}.
+  std::array<std::vector<int>, kNumDependencyKinds> targets;
   /// OC candidate pairs surviving inheritance and constancy pruning, in
   /// deterministic generation order (lexicographic, polarity inner).
   std::vector<AttributePair> oc_pairs;
   int64_t oc_pruned = 0;
-  /// The FD and AFD groups' TANE candidate sets and their targets
-  /// A ∈ X ∩ cc_{fd,afd}, ascending. Each group is planned only when
-  /// every subset node is alive for that group (see LatticeNode).
-  AttributeSet cc_fd;
-  AttributeSet cc_afd;
-  std::vector<int> fd_targets;
-  std::vector<int> afd_targets;
-  /// Per-group presence: whether every (L-1)-subset survived for the
-  /// group, i.e. whether this node is part of the group's standalone
-  /// lattice. Consumed by the merge's liveness rules.
-  bool od_present = false;
-  bool fd_present = false;
-  bool afd_present = false;
   /// First slot of this node's candidates in the level's flattened
-  /// candidate array; OFDs first, then OCs, then FDs, then AFDs (the
-  /// OFD/OC prefix keeps default-kind slot layout identical to the
-  /// pre-multi-kind wire).
+  /// candidate array, laid out in kSlotOrder.
   size_t first_slot = 0;
   uint8_t planned = 0;
+
+  size_t NumCandidates() const {
+    size_t n = oc_pairs.size();
+    for (const std::vector<int>& t : targets) n += t.size();
+    return n;
+  }
 };
 
 /// One validation unit — the grain of parallelism. A single node may
@@ -99,10 +121,6 @@ struct Driver {
   /// The enabled kind set; the OD group (the original cc/cs machinery)
   /// covers kOc and kOfd jointly.
   DependencyKindSet kinds;
-  bool oc_enabled;
-  bool ofd_enabled;
-  bool fd_enabled;
-  bool afd_enabled;
   PartitionCache cache;
   DiscoveryResult result;
   Stopwatch total_clock;
@@ -112,7 +130,8 @@ struct Driver {
   /// Unsharded validation; with sharding each runner owns its own.
   CandidateValidator validator;
   /// Pool the run executes on: borrowed from options.pool, created for
-  /// the run when only num_threads is set, or null for a serial run.
+  /// the run when only num_threads is set, or null for a serial run
+  /// (one thread, including a borrowed 1-worker pool).
   std::unique_ptr<exec::ThreadPool> owned_pool;
   exec::ThreadPool* pool = nullptr;
   std::atomic<int64_t> partition_nanos{0};
@@ -145,10 +164,6 @@ struct Driver {
       : table(t),
         options(o),
         kinds(o.kinds),
-        oc_enabled(o.kinds.Contains(DependencyKind::kOc)),
-        ofd_enabled(o.kinds.Contains(DependencyKind::kOfd)),
-        fd_enabled(o.kinds.Contains(DependencyKind::kFd)),
-        afd_enabled(o.kinds.Contains(DependencyKind::kAfd)),
         cache(&t, PartitionCache::DeferBasePartitions{}),
         validator(&t, o.validator, o.epsilon, o.afd_error,
                   o.collect_removal_sets) {
@@ -202,15 +217,20 @@ struct Driver {
       }
       row_bases.clear();
     }
-    int threads = options.num_threads == 0
-                      ? exec::ThreadPool::HardwareConcurrency()
-                      : std::max(1, options.num_threads);
-    if (options.pool != nullptr) {
+    // A run on one thread is the serial run, whether or not it was
+    // handed a pool: ParallelFor would run inline on a 1-worker pool, and
+    // with no pool the prefetch runs inline too.
+    const int threads = std::max(
+        1, options.pool != nullptr ? options.pool->num_workers()
+           : options.num_threads == 0
+               ? exec::ThreadPool::HardwareConcurrency()
+               : options.num_threads);
+    if (threads > 1) {
       pool = options.pool;
-      threads = std::max(1, pool->num_workers());
-    } else if (threads > 1) {
-      owned_pool = std::make_unique<exec::ThreadPool>(threads);
-      pool = owned_pool.get();
+      if (pool == nullptr) {
+        owned_pool = std::make_unique<exec::ThreadPool>(threads);
+        pool = owned_pool.get();
+      }
     }
     prefetch_group = std::make_unique<exec::TaskGroup>(pool);
     result.stats.threads_used = threads;
@@ -298,30 +318,21 @@ struct Driver {
     // lattice, so enabling one kind never perturbs another kind's
     // results (a node kept alive by the FD group alone generates no
     // extra OC/OFD candidates, and vice versa).
-    const bool od_enabled = oc_enabled || ofd_enabled;
-    bool od_present = od_enabled;
-    bool fd_present = fd_enabled;
-    bool afd_present = afd_enabled;
-    AttributeSet cc = AttributeSet::FullSet(table.num_columns());
-    AttributeSet cc_fd = cc;
-    AttributeSet cc_afd = cc;
+    for (int k = 0; k < kNumDependencyKinds; ++k) {
+      if (kinds.Contains(static_cast<DependencyKind>(k))) {
+        plan.present[kGroupOfKind[k]] = true;
+      }
+    }
+    plan.cc.fill(AttributeSet::FullSet(table.num_columns()));
     x.ForEach([&](int a) {
       const LatticeNode* sub = previous.Find(x.Without(a));
       AOD_CHECK_MSG(sub != nullptr, "missing subset node at level %d",
                     level - 1);
-      od_present = od_present && sub->od_alive;
-      fd_present = fd_present && sub->fd_alive;
-      afd_present = afd_present && sub->afd_alive;
-      cc = cc.Intersect(sub->cc);
-      cc_fd = cc_fd.Intersect(sub->cc_fd);
-      cc_afd = cc_afd.Intersect(sub->cc_afd);
+      for (int g = 0; g < kNumLatticeGroups; ++g) {
+        plan.present[g] = plan.present[g] && sub->alive[g];
+        plan.cc[g] = plan.cc[g].Intersect(sub->cc[g]);
+      }
     });
-    plan.cc = cc;
-    plan.cc_fd = cc_fd;
-    plan.cc_afd = cc_afd;
-    plan.od_present = od_present;
-    plan.fd_present = fd_present;
-    plan.afd_present = afd_present;
 
     // max_lhs_arity bounds the *context* size of emitted candidates: a
     // target-kind candidate (OFD/FD/AFD) at this level has |context| =
@@ -332,13 +343,20 @@ struct Driver {
     const int arity_bound = options.max_lhs_arity;
     const bool target_arity_ok = arity_bound == 0 || level - 1 <= arity_bound;
 
-    // OFD candidates: A ∈ X ∩ C_c+(X), validated in context X\{A}.
-    if (od_present && ofd_enabled && target_arity_ok) {
-      x.Intersect(cc).ForEach([&](int a) { plan.ofd_targets.push_back(a); });
+    // Target candidates of every group (OFD, FD, AFD): A ∈ X ∩ C+(X)
+    // against the group's own candidate set, validated in context X\{A}.
+    for (int g = 0; g < kNumLatticeGroups; ++g) {
+      const DependencyKind kind = kTargetKindOfGroup[g];
+      if (!plan.present[g] || !kinds.Contains(kind) || !target_arity_ok) {
+        continue;
+      }
+      std::vector<int>& targets = plan.targets[static_cast<int>(kind)];
+      x.Intersect(plan.cc[g]).ForEach([&](int a) { targets.push_back(a); });
     }
 
     // OC candidates, in both polarities when requested.
-    if (od_present && oc_enabled && level >= 2 &&
+    if (plan.present[kOdGroup] && kinds.Contains(DependencyKind::kOc) &&
+        level >= 2 &&
         (arity_bound == 0 || level - 2 <= arity_bound)) {
       std::vector<int> attrs = x.ToVector();
       for (size_t i = 0; i < attrs.size(); ++i) {
@@ -371,7 +389,8 @@ struct Driver {
             const LatticeNode* sub_b = previous.Find(x.Without(pair.b));
             const LatticeNode* sub_a = previous.Find(x.Without(pair.a));
             AOD_CHECK(sub_a != nullptr && sub_b != nullptr);
-            if (!sub_b->cc.Contains(pair.a) || !sub_a->cc.Contains(pair.b)) {
+            if (!sub_b->cc[kOdGroup].Contains(pair.a) ||
+                !sub_a->cc[kOdGroup].Contains(pair.b)) {
               ++plan.oc_pruned;
               continue;
             }
@@ -379,16 +398,6 @@ struct Driver {
           }
         }
       }
-    }
-
-    // FD / AFD candidates: the same target shape as OFDs (A ∈ X against
-    // the group's own TANE candidate set, validated in context X\{A}).
-    if (fd_present && target_arity_ok) {
-      x.Intersect(cc_fd).ForEach([&](int a) { plan.fd_targets.push_back(a); });
-    }
-    if (afd_present && target_arity_ok) {
-      x.Intersect(cc_afd).ForEach(
-          [&](int a) { plan.afd_targets.push_back(a); });
     }
     return plan;
   }
@@ -415,16 +424,24 @@ struct Driver {
     LatticeNode* node = current->Find(x);
     node->cc = plan.cc;
     node->cs.clear();
-    node->cc_fd = plan.cc_fd;
-    node->cc_afd = plan.cc_afd;
     result.stats.oc_candidates_pruned += plan.oc_pruned;
 
-    auto record = [&](DependencyKind kind, const Candidate& c,
-                      CandidateOutcome& out) {
+    // Folds the outcome in the next slot into the per-kind counters and,
+    // when valid, into the result; returns its validity.
+    size_t slot = plan.first_slot;
+    auto merge_next = [&]() {
+      const Candidate& c = candidates[slot];
+      CandidateOutcome& out = outcomes[slot];
+      ++slot;
+      const int k = static_cast<int>(c.kind);
+      result.stats.*kKindCounters[k].seconds += out.seconds;
+      ++(result.stats.*kKindCounters[k].validated);
+      if (!out.valid) return false;
+      ++result.stats.Level(level).found[k];
       DiscoveredDependency found;
-      found.kind = kind;
+      found.kind = c.kind;
       found.context = c.context;
-      if (kind == DependencyKind::kOc) {
+      if (c.kind == DependencyKind::kOc) {
         found.a = c.oc_pair.a;
         found.b = c.oc_pair.b;
         found.opposite = c.oc_pair.opposite;
@@ -437,89 +454,44 @@ struct Driver {
       found.interestingness = out.interestingness;
       found.removal_rows = std::move(out.removal_rows);
       result.dependencies.push_back(std::move(found));
+      return true;
     };
 
-    size_t slot = plan.first_slot;
-    for (size_t t = 0; t < plan.ofd_targets.size(); ++t, ++slot) {
-      const int a = plan.ofd_targets[t];
-      CandidateOutcome& out = outcomes[slot];
-      result.stats.ofd_validation_seconds += out.seconds;
-      ++result.stats.ofd_candidates_validated;
-      if (!out.valid) continue;
-
-      result.stats.RecordOfdAtLevel(level);
-      record(DependencyKind::kOfd, candidates[slot], out);
-      // TANE minimality pruning: the found OFD makes X\{A} -> A minimal;
-      // any superset restatement is redundant, as is any target outside
-      // X (it would have X\{A} -> A as a sub-dependency).
-      node->cc = node->cc.Without(a).Intersect(x);
-      node->constant_here = node->constant_here.With(a);
-    }
-
-    for (size_t t = 0; t < plan.oc_pairs.size(); ++t, ++slot) {
-      const AttributePair pair = plan.oc_pairs[t];
-      CandidateOutcome& out = outcomes[slot];
-      result.stats.oc_validation_seconds += out.seconds;
-      ++result.stats.oc_candidates_validated;
-      if (out.valid) {
-        result.stats.RecordOcAtLevel(level);
-        record(DependencyKind::kOc, candidates[slot], out);
-      } else {
-        // Still open: candidates propagate upward only while invalid.
-        node->cs.push_back(pair);
+    for (DependencyKind kind : kSlotOrder) {
+      if (kind == DependencyKind::kOc) {
+        for (AttributePair pair : plan.oc_pairs) {
+          // Still open: candidates propagate upward only while invalid.
+          if (!merge_next()) node->cs.push_back(pair);
+        }
+        std::sort(node->cs.begin(), node->cs.end());
+        continue;
+      }
+      AttributeSet& cc = node->cc[kGroupOfKind[static_cast<int>(kind)]];
+      for (int a : plan.targets[static_cast<int>(kind)]) {
+        if (!merge_next()) continue;
+        // TANE minimality pruning: the found X\{A} -> A is minimal; any
+        // superset restatement is redundant, as is any target outside X
+        // (it would have X\{A} -> A as a sub-dependency). Sound for AFDs
+        // because g1 is monotone non-increasing in the LHS.
+        cc = cc.Without(a).Intersect(x);
       }
     }
-    std::sort(node->cs.begin(), node->cs.end());
 
-    for (size_t t = 0; t < plan.fd_targets.size(); ++t, ++slot) {
-      const int a = plan.fd_targets[t];
-      CandidateOutcome& out = outcomes[slot];
-      result.stats.fd_validation_seconds += out.seconds;
-      ++result.stats.fd_candidates_validated;
-      if (!out.valid) continue;
-      result.stats.RecordFdAtLevel(level);
-      record(DependencyKind::kFd, candidates[slot], out);
-      // The same TANE rule, against the FD group's own candidate set.
-      node->cc_fd = node->cc_fd.Without(a).Intersect(x);
+    // Per-group liveness: a group keeps X while it can still find
+    // something through X or a superset — a target left in its C+, or an
+    // open OC pair. OC without OFD has no C+ to run out, so its level-1
+    // nodes must survive for the first OC pairs to exist at level 2.
+    // Node deletion: nothing left for any enabled group.
+    bool any_alive = false;
+    for (int g = 0; g < kNumLatticeGroups; ++g) {
+      const bool targets_open = kinds.Contains(kTargetKindOfGroup[g])
+                                    ? !node->cc[g].empty()
+                                    : level == 1;
+      node->alive[g] = plan.present[g] &&
+                       (targets_open || (g == kOdGroup && !node->cs.empty()));
+      any_alive = any_alive || node->alive[g];
     }
-
-    for (size_t t = 0; t < plan.afd_targets.size(); ++t, ++slot) {
-      const int a = plan.afd_targets[t];
-      CandidateOutcome& out = outcomes[slot];
-      result.stats.afd_validation_seconds += out.seconds;
-      ++result.stats.afd_candidates_validated;
-      if (!out.valid) continue;
-      result.stats.RecordAfdAtLevel(level);
-      record(DependencyKind::kAfd, candidates[slot], out);
-      // Sound for AFDs because g1 is monotone non-increasing in the LHS:
-      // every superset restatement of a valid AFD is valid, hence
-      // redundant.
-      node->cc_afd = node->cc_afd.Without(a).Intersect(x);
-    }
-
-    // Per-group liveness. The OD group keeps the original rule when both
-    // OD kinds run; with one of them disabled the rule degenerates to
-    // what that kind alone can still discover upward (OC candidates
-    // propagate only while open; level-1 nodes must survive for the
-    // first OC pairs to exist at level 2).
-    if (oc_enabled && ofd_enabled) {
-      node->od_alive =
-          plan.od_present && !(node->cc.empty() && node->cs.empty());
-    } else if (ofd_enabled) {
-      node->od_alive = plan.od_present && !node->cc.empty();
-    } else if (oc_enabled) {
-      node->od_alive = plan.od_present && (level == 1 || !node->cs.empty());
-    } else {
-      node->od_alive = false;
-    }
-    node->fd_alive = plan.fd_present && !node->cc_fd.empty();
-    node->afd_alive = plan.afd_present && !node->cc_afd.empty();
-
-    // Node deletion: nothing left for any enabled group to find through
-    // X or any superset.
-    if (!node->od_alive && !node->fd_alive && !node->afd_alive) {
-      current->Erase(x);
-    }
+    if (!any_alive) current->Erase(x);
   }
 
   void Run() {
@@ -545,9 +517,7 @@ struct Driver {
     LatticeLevel previous(0);
     {
       LatticeNode root;
-      root.cc = AttributeSet::FullSet(k);
-      root.cc_fd = root.cc;
-      root.cc_afd = root.cc;
+      root.cc.fill(AttributeSet::FullSet(k));
       previous.Insert(std::move(root));
     }
 
@@ -591,35 +561,17 @@ struct Driver {
         }
         plan.first_slot = candidates.size();
         const AttributeSet x = keys[i];
-        // Slot order per node: OFDs, OCs, then FDs, AFDs — the OFD/OC
-        // prefix keeps the default-kind candidate layout (and thus the
-        // shard wire) identical to the pre-multi-kind driver.
-        for (int a : plan.ofd_targets) {
-          Candidate c;
-          c.kind = DependencyKind::kOfd;
-          c.context = x.Without(a);
-          c.target = a;
-          candidates.push_back(c);
-        }
-        for (AttributePair pair : plan.oc_pairs) {
-          Candidate c;
-          c.context = x.Without(pair.a).Without(pair.b);
-          c.oc_pair = pair;
-          candidates.push_back(c);
-        }
-        for (int a : plan.fd_targets) {
-          Candidate c;
-          c.kind = DependencyKind::kFd;
-          c.context = x.Without(a);
-          c.target = a;
-          candidates.push_back(c);
-        }
-        for (int a : plan.afd_targets) {
-          Candidate c;
-          c.kind = DependencyKind::kAfd;
-          c.context = x.Without(a);
-          c.target = a;
-          candidates.push_back(c);
+        for (DependencyKind kind : kSlotOrder) {
+          if (kind == DependencyKind::kOc) {
+            for (AttributePair pair : plan.oc_pairs) {
+              candidates.push_back(
+                  {kind, x.Without(pair.a).Without(pair.b), -1, pair});
+            }
+            continue;
+          }
+          for (int a : plan.targets[static_cast<int>(kind)]) {
+            candidates.push_back({kind, x.Without(a), a, {}});
+          }
         }
       }
       result.stats.candidate_wall_seconds += phase_clock.ElapsedSeconds();
@@ -748,13 +700,12 @@ struct Driver {
       // tasks, so in-flight tasks never read planner state.
       phase_clock.Restart();
       int64_t merged_nodes = 0;
-      // Without a pool the prefetch runs inline inside this loop; that
+      // In a serial run the prefetch runs inline inside this loop; that
       // time is partition derivation, not merge, so it is moved over.
       double inline_prefetch_seconds = 0.0;
       for (size_t i = 0; i < keys.size(); ++i) {
         const NodePlan& plan = plans[i];
-        const size_t total = plan.ofd_targets.size() + plan.oc_pairs.size() +
-                             plan.fd_targets.size() + plan.afd_targets.size();
+        const size_t total = plan.NumCandidates();
         bool complete = true;
         for (size_t s = 0; s < total; ++s) {
           if (!outcomes[plan.first_slot + s].done) {
@@ -800,16 +751,16 @@ struct Driver {
       // the totals at the last completed state.
       if (merged_nodes > 0) {
         result.stats.levels_processed = level;
-        result.stats.RecordNodesAtLevel(level, merged_nodes);
+        result.stats.Level(level).nodes += merged_nodes;
         result.stats.nodes_processed += merged_nodes;
         if (options.progress) {
           DiscoveryProgress progress;
           progress.level = level;
           progress.nodes_merged = merged_nodes;
-          progress.total_ocs = result.stats.TotalOcs();
-          progress.total_ofds = result.stats.TotalOfds();
-          progress.total_fds = result.stats.TotalFds();
-          progress.total_afds = result.stats.TotalAfds();
+          for (int kind = 0; kind < kNumDependencyKinds; ++kind) {
+            progress.totals[kind] =
+                result.stats.Total(static_cast<DependencyKind>(kind));
+          }
           options.progress(progress);
         }
       }

@@ -11,6 +11,7 @@
 #ifndef AOD_OD_DISCOVERY_H_
 #define AOD_OD_DISCOVERY_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -44,11 +45,9 @@ struct DiscoveryProgress {
   int level = 0;
   /// Nodes merged at that level.
   int64_t nodes_merged = 0;
-  /// Dependency totals so far (across all completed levels).
-  int64_t total_ocs = 0;
-  int64_t total_ofds = 0;
-  int64_t total_fds = 0;
-  int64_t total_afds = 0;
+  /// Dependency totals so far (across all completed levels), indexed by
+  /// DependencyKind.
+  std::array<int64_t, kNumDependencyKinds> totals{};
 };
 
 /// Which validation algorithm drives the search.
@@ -148,11 +147,7 @@ struct DiscoveryOptions {
   /// analogue of the distributed dependency discovery of Saxena et al.
   /// [8]. The dependency lists and non-timing stats are bit-identical to
   /// the serial run for any thread count (see ARCHITECTURE.md for the
-  /// determinism contract). Ignored when `pool` is set. A pool of one
-  /// worker is not the serial run: candidate validation then runs
-  /// inline on the caller, but next-level partition prefetches are
-  /// forked onto the worker, so two threads do work; only the poolless
-  /// run (num_threads = 1, no `pool`) derives partitions inline.
+  /// determinism contract). Ignored when `pool` is set.
   int num_threads = 1;
   /// Optional externally owned thread pool to run on. Passing one reuses
   /// its (already warm) workers across DiscoverOds calls instead of

@@ -1,20 +1,10 @@
 #include "od/discovery_stats.h"
 
-#include <numeric>
 #include <sstream>
 
 #include "common/string_util.h"
 
 namespace aod {
-namespace {
-
-void EnsureSize(std::vector<int64_t>* v, int level) {
-  if (static_cast<int>(v->size()) <= level) {
-    v->resize(static_cast<size_t>(level) + 1, 0);
-  }
-}
-
-}  // namespace
 
 double DiscoveryStats::OcValidationShare() const {
   if (total_seconds <= 0.0) return 0.0;
@@ -24,57 +14,27 @@ double DiscoveryStats::OcValidationShare() const {
 double DiscoveryStats::AverageOcLevel() const {
   int64_t count = 0;
   int64_t weighted = 0;
-  for (size_t level = 0; level < ocs_per_level.size(); ++level) {
-    count += ocs_per_level[level];
-    weighted += ocs_per_level[level] * static_cast<int64_t>(level);
+  for (size_t level = 0; level < levels.size(); ++level) {
+    const int64_t ocs =
+        levels[level].found[static_cast<int>(DependencyKind::kOc)];
+    count += ocs;
+    weighted += ocs * static_cast<int64_t>(level);
   }
   if (count == 0) return 0.0;
   return static_cast<double>(weighted) / static_cast<double>(count);
 }
 
-int64_t DiscoveryStats::TotalOcs() const {
-  return std::accumulate(ocs_per_level.begin(), ocs_per_level.end(),
-                         int64_t{0});
+int64_t DiscoveryStats::Total(DependencyKind kind) const {
+  int64_t total = 0;
+  for (const LevelStats& l : levels) total += l.found[static_cast<int>(kind)];
+  return total;
 }
 
-int64_t DiscoveryStats::TotalOfds() const {
-  return std::accumulate(ofds_per_level.begin(), ofds_per_level.end(),
-                         int64_t{0});
-}
-
-int64_t DiscoveryStats::TotalFds() const {
-  return std::accumulate(fds_per_level.begin(), fds_per_level.end(),
-                         int64_t{0});
-}
-
-int64_t DiscoveryStats::TotalAfds() const {
-  return std::accumulate(afds_per_level.begin(), afds_per_level.end(),
-                         int64_t{0});
-}
-
-void DiscoveryStats::RecordOcAtLevel(int level) {
-  EnsureSize(&ocs_per_level, level);
-  ++ocs_per_level[static_cast<size_t>(level)];
-}
-
-void DiscoveryStats::RecordOfdAtLevel(int level) {
-  EnsureSize(&ofds_per_level, level);
-  ++ofds_per_level[static_cast<size_t>(level)];
-}
-
-void DiscoveryStats::RecordFdAtLevel(int level) {
-  EnsureSize(&fds_per_level, level);
-  ++fds_per_level[static_cast<size_t>(level)];
-}
-
-void DiscoveryStats::RecordAfdAtLevel(int level) {
-  EnsureSize(&afds_per_level, level);
-  ++afds_per_level[static_cast<size_t>(level)];
-}
-
-void DiscoveryStats::RecordNodesAtLevel(int level, int64_t count) {
-  EnsureSize(&nodes_per_level, level);
-  nodes_per_level[static_cast<size_t>(level)] += count;
+LevelStats& DiscoveryStats::Level(int level) {
+  if (static_cast<int>(levels.size()) <= level) {
+    levels.resize(static_cast<size_t>(level) + 1);
+  }
+  return levels[static_cast<size_t>(level)];
 }
 
 std::string DiscoveryStats::ToString() const {
@@ -165,28 +125,22 @@ std::string DiscoveryStats::ToString() const {
       << "lattice: " << nodes_processed << " nodes over " << levels_processed
       << " levels\n"
       << "found: " << TotalOcs() << " OCs (avg level "
-      << FormatDouble(AverageOcLevel(), 2) << "), " << TotalOfds() << " OFDs"
-      << (fd_kinds_ran ? ", " + std::to_string(TotalFds()) + " FDs, " +
-                             std::to_string(TotalAfds()) + " AFDs"
-                       : "")
+      << FormatDouble(AverageOcLevel(), 2) << "), "
+      << Total(DependencyKind::kOfd) << " OFDs"
+      << (fd_kinds_ran
+              ? ", " + std::to_string(Total(DependencyKind::kFd)) + " FDs, " +
+                    std::to_string(Total(DependencyKind::kAfd)) + " AFDs"
+              : "")
       << "\n";
   out << (fd_kinds_ran ? "per level (level: nodes / OCs / OFDs / FDs / AFDs):\n"
                        : "per level (level: nodes / OCs / OFDs):\n");
-  size_t max_level = nodes_per_level.size();
-  max_level = std::max(max_level, ocs_per_level.size());
-  max_level = std::max(max_level, ofds_per_level.size());
-  if (fd_kinds_ran) {
-    max_level = std::max(max_level, fds_per_level.size());
-    max_level = std::max(max_level, afds_per_level.size());
-  }
-  for (size_t level = 1; level < max_level; ++level) {
-    auto at = [level](const std::vector<int64_t>& v) {
-      return level < v.size() ? v[level] : 0;
-    };
-    out << "  " << level << ": " << at(nodes_per_level) << " / "
-        << at(ocs_per_level) << " / " << at(ofds_per_level);
-    if (fd_kinds_ran) {
-      out << " / " << at(fds_per_level) << " / " << at(afds_per_level);
+  // Columns in kind order; without FD/AFD only the OC and OFD ones.
+  const int columns = fd_kinds_ran ? kNumDependencyKinds : 2;
+  for (size_t level = 1; level < levels.size(); ++level) {
+    const LevelStats& l = levels[level];
+    out << "  " << level << ": " << l.nodes;
+    for (int k = 0; k < columns; ++k) {
+      out << " / " << l.found[k];
     }
     out << "\n";
   }

@@ -7,11 +7,24 @@
 #ifndef AOD_OD_DISCOVERY_STATS_H_
 #define AOD_OD_DISCOVERY_STATS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "od/dependency_kind.h"
+
 namespace aod {
+
+/// What one lattice level contributed to a run.
+struct LevelStats {
+  /// Nodes merged at this level.
+  int64_t nodes = 0;
+  /// Dependencies found at this level, indexed by DependencyKind.
+  std::array<int64_t, kNumDependencyKinds> found{};
+
+  bool operator==(const LevelStats&) const = default;
+};
 
 struct DiscoveryStats {
   double total_seconds = 0.0;
@@ -33,7 +46,7 @@ struct DiscoveryStats {
   // partition_wall_seconds counts only the residual synchronization —
   // catalog publication blocking on stragglers plus the explicit waits
   // before budget enforcement and at the end of the run — not a
-  // dedicated materialization barrier. Without a pool the prefetch runs
+  // dedicated materialization barrier. In a serial run the prefetch runs
   // inline in the merge loop; that time counts here, not as merge.
   double candidate_wall_seconds = 0.0;
   double validation_wall_seconds = 0.0;
@@ -41,10 +54,8 @@ struct DiscoveryStats {
   /// Wall clock of the serial key-ordered merge phase (the cross-shard
   /// reducer when sharding is on), accumulated over levels.
   double merge_wall_seconds = 0.0;
-  /// Pool workers the run executed on (1 = serial when there is no pool).
-  /// A run on a 1-worker pool also reports 1, yet its partition
-  /// prefetches run on that worker while the caller validates — two
-  /// threads busy (see DiscoveryOptions::num_threads).
+  /// Threads the run executed on: the pool's workers, or 1 for a serial
+  /// run (no pool, or a pool of one worker).
   int threads_used = 1;
 
   /// Logical shards validation was distributed over (0 = unsharded).
@@ -119,30 +130,23 @@ struct DiscoveryStats {
   int64_t partitions_computed = 0;
 
   int levels_processed = 0;
-  /// Index = lattice level (paper Fig. 5 x-axis); level of a dependency is
-  /// the level of the node where it was validated (|context| + 1 for OFDs,
-  /// |context| + 2 for OCs).
-  std::vector<int64_t> ocs_per_level;
-  std::vector<int64_t> ofds_per_level;
-  std::vector<int64_t> fds_per_level;
-  std::vector<int64_t> afds_per_level;
-  std::vector<int64_t> nodes_per_level;
+  /// Index = lattice level (paper Fig. 5 x-axis; entry 0 stays empty).
+  /// The level of a dependency is the level of the node where it was
+  /// validated (|context| + 1 for the target kinds, |context| + 2 for
+  /// OCs).
+  std::vector<LevelStats> levels;
 
   /// Fraction of total runtime spent validating OC candidates. Computed
   /// from summed CPU time, so it can exceed 1 when num_threads > 1.
   double OcValidationShare() const;
   /// Mean lattice level of discovered OCs (paper Exp-5's 5.6 -> 4.3).
   double AverageOcLevel() const;
-  int64_t TotalOcs() const;
-  int64_t TotalOfds() const;
-  int64_t TotalFds() const;
-  int64_t TotalAfds() const;
+  /// Dependencies of `kind` found over all levels.
+  int64_t Total(DependencyKind kind) const;
+  int64_t TotalOcs() const { return Total(DependencyKind::kOc); }
 
-  void RecordOcAtLevel(int level);
-  void RecordOfdAtLevel(int level);
-  void RecordFdAtLevel(int level);
-  void RecordAfdAtLevel(int level);
-  void RecordNodesAtLevel(int level, int64_t count);
+  /// The record of `level`, grown on first use.
+  LevelStats& Level(int level);
 
   std::string ToString() const;
 };

@@ -1,20 +1,8 @@
 #include "od/fd_validator.h"
 
-#include <algorithm>
+#include "od/ofd_validator.h"
 
 namespace aod {
-
-bool ValidateFdExact(const EncodedTable& table,
-                     const StrippedPartition& context_partition, int a) {
-  const auto& ranks = table.ranks(a);
-  for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    const int32_t first = ranks[static_cast<size_t>(cls[0])];
-    for (size_t i = 1; i < cls.size(); ++i) {
-      if (ranks[static_cast<size_t>(cls[i])] != first) return false;
-    }
-  }
-  return true;
-}
 
 ValidationOutcome ValidateAfdG1(const EncodedTable& table,
                                 const StrippedPartition& context_partition,
@@ -38,39 +26,20 @@ ValidationOutcome ValidateAfdG1(const EncodedTable& table,
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
   std::vector<int32_t>& freq = s.value_counts(table.column(a).cardinality);
+  std::vector<int32_t>* removal_rows =
+      options.collect_removal_set ? &out.removal_rows : nullptr;
   int64_t violations = 0;
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    int32_t best = 0;
     // Σ_v cnt_v² incrementally: adding the f-th copy of a value adds
     // f² − (f−1)² = 2f − 1 to the sum of squares.
     int64_t sum_squares = 0;
-    for (int32_t row : cls) {
-      const int32_t f =
-          ++freq[static_cast<size_t>(ranks[static_cast<size_t>(row)])];
-      sum_squares += 2 * static_cast<int64_t>(f) - 1;
-      best = std::max(best, f);
-    }
+    const int32_t best =
+        CountClassMode(cls, ranks, freq, removal_rows, [&](int32_t f) {
+          sum_squares += 2 * static_cast<int64_t>(f) - 1;
+        });
     const int64_t size = static_cast<int64_t>(cls.size());
     violations += size * size - sum_squares;
     out.removal_size += size - best;
-    if (options.collect_removal_set) {
-      int32_t keep_rank = -1;
-      for (int32_t row : cls) {
-        if (freq[static_cast<size_t>(ranks[static_cast<size_t>(row)])] ==
-            best) {
-          keep_rank = ranks[static_cast<size_t>(row)];
-          break;
-        }
-      }
-      for (int32_t row : cls) {
-        if (ranks[static_cast<size_t>(row)] != keep_rank) {
-          out.removal_rows.push_back(row);
-        }
-      }
-    }
-    for (int32_t row : cls) {
-      freq[static_cast<size_t>(ranks[static_cast<size_t>(row)])] = 0;
-    }
     if (options.early_exit && violations > max_violations) {
       out.valid = false;
       out.early_exit = true;

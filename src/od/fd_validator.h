@@ -1,10 +1,12 @@
-// Exact and approximate functional-dependency validators.
+// The approximate functional-dependency validator.
 //
-// Both are degenerate cases of the stripped-partition machinery that
+// FDs are degenerate cases of the stripped-partition machinery that
 // already powers OD discovery (the Desbordante FD guide in SNIPPETS.md):
 // X -> A holds exactly iff every equivalence class of Π_X is constant in
-// A — a refinement test that never materializes Π_{X∪{A}} — and the
-// approximate form replaces "constant" with an error budget.
+// A — a refinement test that never materializes Π_{X∪{A}}, and the same
+// test as the exact OFD X: [] -> A, so ValidateOfdExact serves both
+// kinds — and the approximate form replaces "constant" with an error
+// budget.
 //
 // The AFD error is Kivinen–Mannila's g1, the pair-counting measure the
 // Desbordante guide thresholds on:
@@ -31,13 +33,6 @@
 #include "partition/stripped_partition.h"
 
 namespace aod {
-
-/// Exact FD X -> A over the context partition Π_X: true iff every class
-/// is constant in A's ranks. Mechanically identical to the exact OFD
-/// test (an OFD X: [] -> A *is* the FD X -> A); kept as its own entry
-/// point so the kinds stay independently pluggable.
-bool ValidateFdExact(const EncodedTable& table,
-                     const StrippedPartition& context_partition, int a);
 
 /// Approximate FD under g1. Valid iff g1 <= max_g1_error; the outcome's
 /// approx_factor carries the exact g1 value (0 when table_rows == 0).

@@ -31,7 +31,7 @@ LatticeLevel LatticeLevel::MakeFirstLevel(int num_attributes) {
   for (int a = 0; a < num_attributes; ++a) {
     LatticeNode node;
     node.set = AttributeSet().With(a);
-    node.cc = full;
+    node.cc.fill(full);
     level.Insert(std::move(node));
   }
   return level;

@@ -4,7 +4,8 @@
 // candidate sets of FASTOD [9]:
 //   - cc (C_c+): attributes still viable as OFD targets. TANE invariant:
 //     A ∈ C_c+(X) iff for no B ∈ X does X\{A,B}: [] -> B hold — i.e. no
-//     known constancy makes a dependency through X redundant.
+//     known constancy makes a dependency through X redundant. FD and AFD
+//     discovery keep their own C+ beside it (see LatticeGroup).
 //   - cs (C_s+): unordered attribute pairs {A,B} ⊆ X still viable as OC
 //     candidates with context X\{A,B}.
 // Nodes whose candidate sets empty out are deleted, which prunes every
@@ -15,11 +16,13 @@
 #ifndef AOD_OD_LATTICE_H_
 #define AOD_OD_LATTICE_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "od/dependency_kind.h"
 #include "partition/attribute_set.h"
 
 namespace aod {
@@ -45,41 +48,44 @@ struct AttributePair {
   }
 };
 
+/// The candidate groups that share one level-wise traversal. Each group
+/// prunes its own TANE candidate set C+ with its one target kind:
+///   - kOdGroup: OFD targets, plus the OC pairs (the original cc/cs
+///     machinery of FASTOD),
+///   - kFdGroup: plain FD targets,
+///   - kAfdGroup: AFD targets under the g1 threshold (g1 is monotone in
+///     the LHS, so the same minimality rule is sound).
+enum LatticeGroup : int { kOdGroup = 0, kFdGroup = 1, kAfdGroup = 2 };
+inline constexpr int kNumLatticeGroups = 3;
+
+/// The group each dependency kind belongs to, indexed by DependencyKind.
+inline constexpr LatticeGroup kGroupOfKind[kNumDependencyKinds] = {
+    kOdGroup, kOdGroup, kFdGroup, kAfdGroup};
+/// The target kind of each group, indexed by LatticeGroup.
+inline constexpr DependencyKind kTargetKindOfGroup[kNumLatticeGroups] = {
+    DependencyKind::kOfd, DependencyKind::kFd, DependencyKind::kAfd};
+
 /// One lattice node: the attribute set plus the candidate state of every
-/// dependency-kind group that traverses it.
+/// group that traverses it.
 ///
-/// The multi-kind platform runs up to three independent prunings over the
-/// *same* level-wise traversal:
-///   - the OD group (OC + OFD candidates, the original cc/cs machinery),
-///   - the FD group (TANE C+ for plain FDs),
-///   - the AFD group (the same TANE rule under the g1 threshold).
-/// Each group keeps its own candidate sets and its own liveness flag; a
-/// node stays in the level while ANY enabled group is alive, and each
-/// group generates candidates at a node only when every subset node is
-/// alive *for that group*. That reproduces each kind's standalone lattice
-/// exactly — enabling FD/AFD discovery can never add or remove an OC/OFD
-/// result, and vice versa.
+/// Each group keeps its own candidate set and its own liveness flag,
+/// indexed by LatticeGroup; a node stays in the level while ANY enabled
+/// group is alive, and each group generates candidates at a node only
+/// when every subset node is alive *for that group*. That reproduces each
+/// kind's standalone lattice exactly — enabling FD/AFD discovery can
+/// never add or remove an OC/OFD result, and vice versa.
 struct LatticeNode {
   AttributeSet set;
-  /// C_c+(X): OFD target candidates (attributes of R, not only of X).
-  AttributeSet cc;
-  /// C_s+(X): surviving OC candidate pairs, sorted ascending.
+  /// C+(X) per group: targets A still viable for a minimal dependency
+  /// through X (attributes of R, not only of X). cc[kOdGroup] is FASTOD's
+  /// C_c+(X), the OFD target candidates.
+  std::array<AttributeSet, kNumLatticeGroups> cc;
+  /// C_s+(X): surviving OC candidate pairs, sorted ascending (OD group).
   std::vector<AttributePair> cs;
-  /// Attributes A in X for which the OFD X\{A}: [] -> A was validated at
-  /// this node (consumed by the next level's trivial-OC pruning).
-  AttributeSet constant_here;
-  /// TANE C+(X) of the exact-FD group: targets A still viable for a
-  /// minimal FD through X.
-  AttributeSet cc_fd;
-  /// TANE C+(X) of the AFD group (g1 is monotone in the LHS, so the same
-  /// minimality rule is sound).
-  AttributeSet cc_afd;
   /// Per-group liveness, written by the driver's merge and read by the
-  /// next level's planning. Defaults keep single-kind runs trivially
-  /// correct for the virtual root node, which is never merged.
-  bool od_alive = true;
-  bool fd_alive = true;
-  bool afd_alive = true;
+  /// next level's planning. All true by default, which keeps the virtual
+  /// root node (never merged) alive for every group.
+  std::array<bool, kNumLatticeGroups> alive = {true, true, true};
 };
 
 /// One level of the lattice: nodes of equal set size.
@@ -101,8 +107,8 @@ class LatticeLevel {
   void Insert(LatticeNode node);
   void Erase(AttributeSet set);
 
-  /// Builds level 1: one node per attribute, cc = R (TANE's C+(∅) = R
-  /// intersected over the empty set of subsets).
+  /// Builds level 1: one node per attribute, every group's cc = R
+  /// (TANE's C+(∅) = R intersected over the empty set of subsets).
   static LatticeLevel MakeFirstLevel(int num_attributes);
 
   /// TANE's GENERATE_NEXT_LEVEL via prefix blocks: joins pairs of

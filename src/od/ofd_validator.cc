@@ -1,7 +1,5 @@
 #include "od/ofd_validator.h"
 
-#include <algorithm>
-
 namespace aod {
 
 bool ValidateOfdExact(const EncodedTable& table,
@@ -28,35 +26,14 @@ ValidationOutcome ValidateOfdApprox(const EncodedTable& table,
   ValidatorScratch local;
   ValidatorScratch& s = scratch == nullptr ? local : *scratch;
   // Dense per-rank counters: ranks are already dense in [0, cardinality),
-  // so frequency counting is an array index, not a hash probe. Touched
-  // slots are re-zeroed per class, keeping the reset O(class size).
+  // so frequency counting is an array index, not a hash probe.
   std::vector<int32_t>& freq = s.value_counts(table.column(a).cardinality);
+  std::vector<int32_t>* removal_rows =
+      options.collect_removal_set ? &out.removal_rows : nullptr;
   for (StrippedPartition::ClassSpan cls : context_partition.classes()) {
-    int32_t best = 0;
-    for (int32_t row : cls) {
-      int32_t f = ++freq[static_cast<size_t>(ranks[static_cast<size_t>(row)])];
-      best = std::max(best, f);
-    }
+    const int32_t best =
+        CountClassMode(cls, ranks, freq, removal_rows, [](int32_t) {});
     out.removal_size += static_cast<int64_t>(cls.size()) - best;
-    if (options.collect_removal_set) {
-      // Keep the (first) most frequent value; remove everything else.
-      int32_t keep_rank = -1;
-      for (int32_t row : cls) {
-        if (freq[static_cast<size_t>(ranks[static_cast<size_t>(row)])] ==
-            best) {
-          keep_rank = ranks[static_cast<size_t>(row)];
-          break;
-        }
-      }
-      for (int32_t row : cls) {
-        if (ranks[static_cast<size_t>(row)] != keep_rank) {
-          out.removal_rows.push_back(row);
-        }
-      }
-    }
-    for (int32_t row : cls) {
-      freq[static_cast<size_t>(ranks[static_cast<size_t>(row)])] = 0;
-    }
     if (options.early_exit && out.removal_size > max_removals) {
       out.valid = false;
       out.early_exit = true;

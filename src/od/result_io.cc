@@ -215,7 +215,9 @@ namespace {
 /// accounting) are carried too.
 /// Version 5: the four shard supervision counters are gone; sharded runs
 /// are fail-stop.
-constexpr uint16_t kResultBlobVersion = 5;
+/// Version 6: the five per-level vectors became one list of per-level
+/// records, each its node count and then its found count per kind.
+constexpr uint16_t kResultBlobVersion = 6;
 
 void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutDouble(s.total_seconds);
@@ -262,16 +264,11 @@ void PutStats(shard::WireWriter& w, const DiscoveryStats& s) {
   w.PutVarintI64(s.nodes_processed);
   w.PutVarintI64(s.partitions_computed);
   w.PutVarintI64(s.levels_processed);
-  w.PutVarint(s.ocs_per_level.size());
-  for (int64_t v : s.ocs_per_level) w.PutVarintI64(v);
-  w.PutVarint(s.ofds_per_level.size());
-  for (int64_t v : s.ofds_per_level) w.PutVarintI64(v);
-  w.PutVarint(s.fds_per_level.size());
-  for (int64_t v : s.fds_per_level) w.PutVarintI64(v);
-  w.PutVarint(s.afds_per_level.size());
-  for (int64_t v : s.afds_per_level) w.PutVarintI64(v);
-  w.PutVarint(s.nodes_per_level.size());
-  for (int64_t v : s.nodes_per_level) w.PutVarintI64(v);
+  w.PutVarint(s.levels.size());
+  for (const LevelStats& level : s.levels) {
+    w.PutVarintI64(level.nodes);
+    for (int64_t found : level.found) w.PutVarintI64(found);
+  }
 }
 
 Status GetI64Vector(shard::WireReader& r, std::vector<int64_t>* out) {
@@ -349,11 +346,19 @@ Status GetStats(shard::WireReader& r, DiscoveryStats* s) {
   AOD_RETURN_NOT_OK(r.GetVarintI64(&s->partitions_computed));
   AOD_RETURN_NOT_OK(r.GetVarintI64(&v));
   s->levels_processed = static_cast<int>(v);
-  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->ocs_per_level));
-  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->ofds_per_level));
-  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->fds_per_level));
-  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->afds_per_level));
-  AOD_RETURN_NOT_OK(GetI64Vector(r, &s->nodes_per_level));
+  uint64_t levels = 0;
+  AOD_RETURN_NOT_OK(r.GetVarint(&levels));
+  // A record is 1 + kNumDependencyKinds varints of at least one byte.
+  if (levels > r.remaining() / (1 + kNumDependencyKinds)) {
+    return Status::ParseError("result blob: level count exceeds payload");
+  }
+  s->levels.assign(levels, LevelStats{});
+  for (LevelStats& level : s->levels) {
+    AOD_RETURN_NOT_OK(r.GetVarintI64(&level.nodes));
+    for (int64_t& found : level.found) {
+      AOD_RETURN_NOT_OK(r.GetVarintI64(&found));
+    }
+  }
   return Status::OK();
 }
 

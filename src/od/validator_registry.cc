@@ -28,16 +28,19 @@ DependencyVerdict ValidateDependency(const ValidationRequest& request) {
   const StrippedPartition& partition = *request.context_partition;
   ValidatorOptions vopts = request.options;
   switch (request.kind) {
-    case DependencyKind::kOfd: {
-      if (request.algorithm == ValidatorKind::kExact) {
-        DependencyVerdict verdict;
-        verdict.valid = ValidateOfdExact(table, partition, request.target);
-        return verdict;
+    case DependencyKind::kOfd:
+      if (request.algorithm != ValidatorKind::kExact) {
+        return FromOutcome(ValidateOfdApprox(table, partition, request.target,
+                                             request.epsilon,
+                                             request.table_rows, vopts,
+                                             request.scratch));
       }
-      return FromOutcome(ValidateOfdApprox(table, partition, request.target,
-                                           request.epsilon,
-                                           request.table_rows, vopts,
-                                           request.scratch));
+      [[fallthrough]];
+    case DependencyKind::kFd: {
+      // The exact OFD X: [] -> A is the FD X -> A: one constancy test.
+      DependencyVerdict verdict;
+      verdict.valid = ValidateOfdExact(table, partition, request.target);
+      return verdict;
     }
     case DependencyKind::kOc: {
       const AttributePair pair = request.pair;
@@ -59,11 +62,6 @@ DependencyVerdict ValidateDependency(const ValidationRequest& request) {
               request.table_rows, vopts, request.scratch));
       }
       break;
-    }
-    case DependencyKind::kFd: {
-      DependencyVerdict verdict;
-      verdict.valid = ValidateFdExact(table, partition, request.target);
-      return verdict;
     }
     case DependencyKind::kAfd:
       return FromOutcome(ValidateAfdG1(table, partition, request.target,

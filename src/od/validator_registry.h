@@ -14,7 +14,7 @@
 //   ----   -------------------------------  -------------------------
 //   kOc    exact / iterative / optimal AOC  removal fraction |s|/|r|
 //   kOfd   exact / approx constancy         removal fraction |s|/|r|
-//   kFd    exact refinement test            0 (exact by definition)
+//   kFd    exact constancy, as exact kOfd   0 (exact by definition)
 //   kAfd   g1 pair counting                 g1 violating-pair fraction
 //
 // The dispatch is a pure function of the request, which is what lets a
@@ -51,7 +51,7 @@ struct ValidationRequest {
   int target = -1;
   AttributePair pair;
   /// Algorithm for the OC/OFD kinds; kFd/kAfd ignore it (exact FD is a
-  /// single refinement test, AFD is always the g1 counter).
+  /// single constancy test, AFD is always the g1 counter).
   ValidatorKind algorithm = ValidatorKind::kOptimal;
   double epsilon = 0.0;
   double afd_error = 0.05;

@@ -221,10 +221,9 @@ void JobScheduler::RunJob(const std::shared_ptr<ServeJob>& job) {
   options.warm_base_partitions = &job->table->bases;
   options.progress = [raw](const DiscoveryProgress& p) {
     raw->level.store(p.level, std::memory_order_relaxed);
-    raw->total_ocs.store(p.total_ocs, std::memory_order_relaxed);
-    raw->total_ofds.store(p.total_ofds, std::memory_order_relaxed);
-    raw->total_fds.store(p.total_fds, std::memory_order_relaxed);
-    raw->total_afds.store(p.total_afds, std::memory_order_relaxed);
+    for (int k = 0; k < kNumDependencyKinds; ++k) {
+      raw->totals[k].store(p.totals[k], std::memory_order_relaxed);
+    }
     if (raw->on_progress) raw->on_progress(*raw, p);
   };
   DiscoveryResult result = DiscoverOds(*job->table->table, options);

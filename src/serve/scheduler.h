@@ -31,6 +31,7 @@
 #ifndef AOD_SERVE_SCHEDULER_H_
 #define AOD_SERVE_SCHEDULER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -68,10 +69,8 @@ struct ServeJob {
   std::atomic<bool> cancel_requested{false};
   /// Progress mirror for status queries (updated by the running driver).
   std::atomic<int32_t> level{0};
-  std::atomic<int64_t> total_ocs{0};
-  std::atomic<int64_t> total_ofds{0};
-  std::atomic<int64_t> total_fds{0};
-  std::atomic<int64_t> total_afds{0};
+  /// Dependency totals so far, indexed by DependencyKind.
+  std::array<std::atomic<int64_t>, kNumDependencyKinds> totals{};
 
   /// Invoked from the executor on every completed level.
   std::function<void(const ServeJob&, const DiscoveryProgress&)> on_progress;

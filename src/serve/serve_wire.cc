@@ -163,10 +163,7 @@ std::vector<uint8_t> EncodeJobStatus(const WireJobStatus& status) {
   w.PutU8(static_cast<uint8_t>(status.state));
   w.PutI32(status.queue_position);
   w.PutI32(status.level);
-  w.PutVarintI64(status.total_ocs);
-  w.PutVarintI64(status.total_ofds);
-  w.PutVarintI64(status.total_fds);
-  w.PutVarintI64(status.total_afds);
+  for (int64_t total : status.totals) w.PutVarintI64(total);
   return w.SealFrame(FrameType::kJobStatus);
 }
 
@@ -184,13 +181,11 @@ Result<WireJobStatus> DecodeJobStatus(const DecodedFrame& frame) {
   status.state = static_cast<JobState>(state);
   AOD_RETURN_NOT_OK(r.GetI32(&status.queue_position));
   AOD_RETURN_NOT_OK(r.GetI32(&status.level));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&status.total_ocs));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&status.total_ofds));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&status.total_fds));
-  AOD_RETURN_NOT_OK(r.GetVarintI64(&status.total_afds));
-  if (status.total_ocs < 0 || status.total_ofds < 0 ||
-      status.total_fds < 0 || status.total_afds < 0) {
-    return Status::ParseError("job status: negative dependency count");
+  for (int64_t& total : status.totals) {
+    AOD_RETURN_NOT_OK(r.GetVarintI64(&total));
+    if (total < 0) {
+      return Status::ParseError("job status: negative dependency count");
+    }
   }
   AOD_RETURN_NOT_OK(r.ExpectEnd());
   return status;

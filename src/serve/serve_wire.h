@@ -33,6 +33,7 @@
 #ifndef AOD_SERVE_SERVE_WIRE_H_
 #define AOD_SERVE_SERVE_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -133,13 +134,11 @@ struct WireJobStatus {
   int32_t queue_position = -1;
   /// Last completed lattice level while running.
   int32_t level = 0;
-  /// Dependency totals so far, all four kinds — a mixed-kind job's
-  /// progress is mostly FD/AFD counts, so dropping them made status
-  /// frames claim an idle job. Decode rejects negative counts.
-  int64_t total_ocs = 0;
-  int64_t total_ofds = 0;
-  int64_t total_fds = 0;
-  int64_t total_afds = 0;
+  /// Dependency totals so far, indexed by DependencyKind and sent as
+  /// four varints in kind order — a mixed-kind job's progress is mostly
+  /// FD/AFD counts, so dropping them made status frames claim an idle
+  /// job. Decode rejects negative counts.
+  std::array<int64_t, kNumDependencyKinds> totals{};
 };
 
 std::vector<uint8_t> EncodeJobStatus(const WireJobStatus& status);

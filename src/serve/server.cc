@@ -264,10 +264,7 @@ Status DiscoveryServer::HandleSubmit(const std::shared_ptr<Connection>& conn,
     status.job_id = j.id;
     status.state = JobState::kRunning;
     status.level = p.level;
-    status.total_ocs = p.total_ocs;
-    status.total_ofds = p.total_ofds;
-    status.total_fds = p.total_fds;
-    status.total_afds = p.total_afds;
+    status.totals = p.totals;
     server->SendNow(c, EncodeJobStatus(status));
   };
   job->on_done = [server, conn, gate](const ServeJob& j,
@@ -374,10 +371,9 @@ Status DiscoveryServer::HandleStatusQuery(
                               ? scheduler_->QueuePosition(job->id)
                               : -1;
   status.level = job->level.load(std::memory_order_relaxed);
-  status.total_ocs = job->total_ocs.load(std::memory_order_relaxed);
-  status.total_ofds = job->total_ofds.load(std::memory_order_relaxed);
-  status.total_fds = job->total_fds.load(std::memory_order_relaxed);
-  status.total_afds = job->total_afds.load(std::memory_order_relaxed);
+  for (int k = 0; k < kNumDependencyKinds; ++k) {
+    status.totals[k] = job->totals[k].load(std::memory_order_relaxed);
+  }
   SendNow(conn, EncodeJobStatus(status));
   return Status::OK();
 }

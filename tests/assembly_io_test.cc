@@ -12,6 +12,7 @@
 #include "od/od_assembly.h"
 #include "od/result_io.h"
 #include "partition/partition_cache.h"
+#include "shard/wire.h"
 #include "test_util.h"
 
 namespace aod {
@@ -228,7 +229,7 @@ TEST(ResultIoTest, BinaryBlobRoundTripIsLossless) {
   EXPECT_EQ(s.row_shard_bytes_raw, 30000);
   EXPECT_EQ(s.row_shard_bytes_wire, 14100);
   EXPECT_EQ(s.nodes_processed, result.stats.nodes_processed);
-  EXPECT_EQ(s.ocs_per_level, result.stats.ocs_per_level);
+  EXPECT_EQ(s.levels, result.stats.levels);
   EXPECT_TRUE(back->timed_out);
   EXPECT_TRUE(back->cancelled);
   EXPECT_EQ(back->shard_status.code(), StatusCode::kIoError);
@@ -263,18 +264,39 @@ TEST(ResultIoTest, BinaryBlobRejectsTruncationAndCorruption) {
 }
 
 TEST(ResultIoTest, BinaryBlobWithPreviousVersionIsRejectedTyped) {
-  // Version 3 blobs lack the row-shard counters; a v4 decoder must refuse
-  // one outright (typed ParseError) rather than read its stats block
-  // shifted by those fields.
+  // Version 5 blobs carry five per-level vectors where v6 carries one
+  // list of level records; a v6 decoder must refuse one outright (typed
+  // ParseError) rather than read its per-level block in the wrong shape.
   EncodedTable t = testing_util::PaperEncoded();
   std::vector<uint8_t> blob = SerializeResult(DiscoverOds(t, {}));
   ASSERT_GE(blob.size(), 2u);
-  blob[0] = 3;  // the version is the leading little-endian u16
+  blob[0] = 5;  // the version is the leading little-endian u16
   blob[1] = 0;
   Result<DiscoveryResult> r = DeserializeResult(blob);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kParseError);
-  EXPECT_NE(r.status().message().find("version 3"), std::string::npos)
+  EXPECT_NE(r.status().message().find("version 5"), std::string::npos)
+      << r.status().ToString();
+}
+
+TEST(ResultIoTest, BinaryBlobRejectsALevelCountBeyondThePayload) {
+  // The level count is checked against the bytes left before anything
+  // is allocated: a forged count is a typed ParseError.
+  // An empty result ends in its level count (one zero byte) and an
+  // 11-byte tail (two flags, the status code, an empty message).
+  const std::vector<uint8_t> blob = SerializeResult(DiscoveryResult{});
+  const size_t count_at = blob.size() - 12;
+  ASSERT_EQ(blob[count_at], 0);
+  shard::WireWriter count;
+  count.PutVarint(uint64_t{1} << 40);
+  std::vector<uint8_t> forged(blob.begin(), blob.begin() + count_at);
+  forged.insert(forged.end(), count.payload().begin(), count.payload().end());
+  forged.insert(forged.end(), blob.begin() + count_at + 1, blob.end());
+  Result<DiscoveryResult> r = DeserializeResult(forged);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_NE(r.status().message().find("level count exceeds payload"),
+            std::string::npos)
       << r.status().ToString();
 }
 
@@ -315,8 +337,7 @@ TEST(ResultIoTest, BinaryBlobRoundTripsMixedKindRecords) {
             result.stats.fd_candidates_validated);
   EXPECT_EQ(back->stats.afd_candidates_validated,
             result.stats.afd_candidates_validated);
-  EXPECT_EQ(back->stats.fds_per_level, result.stats.fds_per_level);
-  EXPECT_EQ(back->stats.afds_per_level, result.stats.afds_per_level);
+  EXPECT_EQ(back->stats.levels, result.stats.levels);
   EXPECT_EQ(SerializeResult(*back), blob);
 }
 

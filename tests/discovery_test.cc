@@ -28,7 +28,7 @@ TEST(LatticeTest, FirstLevel) {
   EXPECT_EQ(l1.size(), 4);
   const LatticeNode* node = l1.Find(AttributeSet::Of({2}));
   ASSERT_NE(node, nullptr);
-  EXPECT_EQ(node->cc, AttributeSet::FullSet(4));
+  for (AttributeSet cc : node->cc) EXPECT_EQ(cc, AttributeSet::FullSet(4));
 }
 
 TEST(LatticeTest, GenerateNextJoinsPrefixBlocks) {
@@ -162,7 +162,8 @@ TEST_F(PaperDiscoveryTest, StatsAreConsistent) {
   DiscoveryResult result = DiscoverOds(table_, options);
   const DiscoveryStats& s = result.stats;
   EXPECT_EQ(s.TotalOcs(), result.CountOfKind(DependencyKind::kOc));
-  EXPECT_EQ(s.TotalOfds(), result.CountOfKind(DependencyKind::kOfd));
+  EXPECT_EQ(s.Total(DependencyKind::kOfd),
+            result.CountOfKind(DependencyKind::kOfd));
   EXPECT_GT(s.nodes_processed, 0);
   EXPECT_GT(s.levels_processed, 1);
   EXPECT_GT(s.oc_candidates_validated, 0);

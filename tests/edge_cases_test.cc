@@ -169,10 +169,9 @@ TEST(PruningTest, ExactChainStopsLatticeEarly) {
   DiscoveryResult result = DiscoverOds(t, options);
   EXPECT_LE(result.stats.levels_processed, 3);
   // a ~ b, a ~ c, b ~ c all hold with empty context.
-  EXPECT_EQ(result.stats.ocs_per_level.size() > 2
-                ? result.stats.ocs_per_level[2]
-                : 0,
-            3);
+  ASSERT_GT(result.stats.levels.size(), 2u);
+  EXPECT_EQ(
+      result.stats.levels[2].found[static_cast<int>(DependencyKind::kOc)], 3);
 }
 
 TEST(PruningTest, OfdMinimalityPruning) {

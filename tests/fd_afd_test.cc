@@ -359,8 +359,8 @@ TEST(MultiKindDiscoveryTest, DefaultKindsNeverMineFdOrAfd) {
   EXPECT_EQ(result.CountOfKind(DependencyKind::kAfd), 0);
   EXPECT_EQ(result.stats.fd_candidates_validated, 0);
   EXPECT_EQ(result.stats.afd_candidates_validated, 0);
-  EXPECT_TRUE(result.stats.fds_per_level.empty());
-  EXPECT_TRUE(result.stats.afds_per_level.empty());
+  EXPECT_EQ(result.stats.Total(DependencyKind::kFd), 0);
+  EXPECT_EQ(result.stats.Total(DependencyKind::kAfd), 0);
 }
 
 TEST(MultiKindDiscoveryTest, TopKIsARankedPrefixOfTheFullRun) {
@@ -387,7 +387,8 @@ TEST(MultiKindDiscoveryTest, TopKIsARankedPrefixOfTheFullRun) {
   }
   // Stats still describe the full discovery, not the truncated list.
   EXPECT_EQ(pruned.stats.TotalOcs(), full.stats.TotalOcs());
-  EXPECT_EQ(pruned.stats.TotalOfds(), full.stats.TotalOfds());
+  EXPECT_EQ(pruned.stats.Total(DependencyKind::kOfd),
+            full.stats.Total(DependencyKind::kOfd));
 
   // top_k larger than the result set is a no-op.
   DiscoveryOptions huge = options;

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -67,15 +69,11 @@ std::string Fingerprint(const DiscoveryResult& result) {
   AppendInt(&out, s.planner_cost_estimated);
   AppendInt(&out, s.planner_cost_realized);
   AppendInt(&out, s.levels_processed);
-  for (int64_t v : s.ocs_per_level) AppendInt(&out, v);
-  out += '|';
-  for (int64_t v : s.ofds_per_level) AppendInt(&out, v);
-  out += '|';
-  for (int64_t v : s.fds_per_level) AppendInt(&out, v);
-  out += '|';
-  for (int64_t v : s.afds_per_level) AppendInt(&out, v);
-  out += '|';
-  for (int64_t v : s.nodes_per_level) AppendInt(&out, v);
+  for (const LevelStats& level : s.levels) {
+    out += '|';
+    AppendInt(&out, level.nodes);
+    for (int64_t found : level.found) AppendInt(&out, found);
+  }
   AppendInt(&out, result.timed_out ? 1 : 0);
   return out;
 }
@@ -156,23 +154,79 @@ TEST(ParallelDeterminismTest, HardwareConcurrencyRequestMatchesSerial) {
 }
 
 TEST(ParallelDeterminismTest, SerialRunCountsInlinePrefetchAsPartitionWall) {
-  // Without a pool the merge loop derives each survivor's partition
-  // inline. That time belongs to the partition phase: it contains every
+  // A serial run — no pool, or a borrowed 1-worker pool, which takes the
+  // same path — derives each survivor's partition inline in the merge
+  // loop. That time belongs to the partition phase: it contains every
   // derivation's CPU time, so the partition wall clock cannot be smaller.
   // The move is timing-only; the counters match a pooled run.
   EncodedTable enc = EncodeTable(GenerateFlightTable(3000, 8, 5));
   DiscoveryOptions options;
   options.epsilon = 0.1;
-  options.num_threads = 1;
-  DiscoveryResult serial = DiscoverOds(enc, options);
-  ASSERT_EQ(serial.stats.threads_used, 1);
-  ASSERT_GT(serial.stats.partitions_computed, 0);
-  EXPECT_GT(serial.stats.partition_wall_seconds, 0.0);
-  EXPECT_GE(serial.stats.partition_wall_seconds + 1e-9,
-            serial.stats.partition_seconds);
-  EXPECT_GE(serial.stats.merge_wall_seconds, 0.0);
   options.num_threads = 4;
-  EXPECT_EQ(Fingerprint(DiscoverOds(enc, options)), Fingerprint(serial));
+  const std::string pooled = Fingerprint(DiscoverOds(enc, options));
+  exec::ThreadPool one_worker(1);
+  for (exec::ThreadPool* pool : {static_cast<exec::ThreadPool*>(nullptr),
+                                 &one_worker}) {
+    SCOPED_TRACE(pool == nullptr ? "no pool" : "1-worker pool");
+    options.num_threads = 1;
+    options.pool = pool;
+    DiscoveryResult serial = DiscoverOds(enc, options);
+    ASSERT_EQ(serial.stats.threads_used, 1);
+    ASSERT_GT(serial.stats.partitions_computed, 0);
+    EXPECT_GT(serial.stats.partition_wall_seconds, 0.0);
+    EXPECT_GE(serial.stats.partition_wall_seconds + 1e-9,
+              serial.stats.partition_seconds);
+    EXPECT_GE(serial.stats.merge_wall_seconds, 0.0);
+    EXPECT_EQ(Fingerprint(serial), pooled);
+  }
+}
+
+TEST(ParallelDeterminismTest, MixedKindLevelRecordMatchesTheResult) {
+  // The per-level record must agree with the dependency list it counts,
+  // for every kind group alone and all four together, at any thread
+  // count: found[k] at level l is the number of kind-k dependencies
+  // reported at level l, the node counts sum to nodes_processed, and
+  // Total(k) is CountOfKind(k).
+  const EncodedTable tables[] = {EncodeTable(GenerateNcVoterTable(800, 8, 3)),
+                                 EncodeTable(GenerateFlightTable(800, 8, 3))};
+  const DependencyKindSet kind_sets[] = {
+      DependencyKindSet::OdDefault(),
+      DependencyKindSet().With(DependencyKind::kFd),
+      DependencyKindSet().With(DependencyKind::kAfd),
+      DependencyKindSet::All()};
+  for (size_t t = 0; t < std::size(tables); ++t) {
+    for (DependencyKindSet kinds : kind_sets) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE((t == 0 ? "ncvoter " : "flight ") + kinds.ToString() +
+                     " threads=" + std::to_string(threads));
+        DiscoveryOptions options;
+        options.epsilon = 0.1;
+        options.afd_error = 0.05;
+        options.kinds = kinds;
+        options.num_threads = threads;
+        DiscoveryResult result = DiscoverOds(tables[t], options);
+        const DiscoveryStats& s = result.stats;
+        ASSERT_FALSE(result.dependencies.empty());
+
+        std::vector<std::array<int64_t, kNumDependencyKinds>> found(
+            s.levels.size());
+        for (const DiscoveredDependency& d : result.dependencies) {
+          ASSERT_LT(static_cast<size_t>(d.level), found.size());
+          ++found[static_cast<size_t>(d.level)][static_cast<int>(d.kind)];
+        }
+        int64_t nodes = 0;
+        for (size_t l = 0; l < s.levels.size(); ++l) {
+          EXPECT_EQ(s.levels[l].found, found[l]) << "level " << l;
+          nodes += s.levels[l].nodes;
+        }
+        EXPECT_EQ(nodes, s.nodes_processed);
+        for (int k = 0; k < kNumDependencyKinds; ++k) {
+          const auto kind = static_cast<DependencyKind>(k);
+          EXPECT_EQ(s.Total(kind), result.CountOfKind(kind));
+        }
+      }
+    }
+  }
 }
 
 /// Output-only fingerprint (both dependency lists, all payload fields):
@@ -654,12 +708,12 @@ TEST(ParallelDeterminismTest, BudgetExpiryStillFlagsTimeoutInParallel) {
 void ExpectDeadlineCoherentStats(const DiscoveryResult& result) {
   const DiscoveryStats& s = result.stats;
   int64_t nodes = 0;
-  for (int64_t v : s.nodes_per_level) nodes += v;
+  for (const LevelStats& level : s.levels) nodes += level.nodes;
   EXPECT_EQ(s.nodes_processed, nodes);
   EXPECT_EQ(s.TotalOcs(), result.CountOfKind(DependencyKind::kOc));
-  EXPECT_EQ(s.TotalOfds(), result.CountOfKind(DependencyKind::kOfd));
-  EXPECT_LE(static_cast<int>(s.nodes_per_level.size()),
-            s.levels_processed + 1);
+  EXPECT_EQ(s.Total(DependencyKind::kOfd),
+            result.CountOfKind(DependencyKind::kOfd));
+  EXPECT_LE(static_cast<int>(s.levels.size()), s.levels_processed + 1);
   for (const DiscoveredDependency& d : result.dependencies) {
     EXPECT_LE(d.level, s.levels_processed);
   }

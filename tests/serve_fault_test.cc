@@ -293,10 +293,7 @@ TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
   status.state = JobState::kRunning;
   status.queue_position = -1;
   status.level = 3;
-  status.total_ocs = 11;
-  status.total_ofds = 2;
-  status.total_fds = 6;
-  status.total_afds = 4;
+  status.totals = {11, 2, 6, 4};
   {
     // DecodedFrame views the encoded bytes, so they must outlive it.
     const std::vector<uint8_t> bytes = EncodeJobStatus(status);
@@ -307,10 +304,7 @@ TEST(ServeWireTest, StatusErrorResultCancelRoundTrips) {
     EXPECT_EQ(back->job_id, 7u);
     EXPECT_EQ(back->state, JobState::kRunning);
     EXPECT_EQ(back->level, 3);
-    EXPECT_EQ(back->total_ocs, 11);
-    EXPECT_EQ(back->total_ofds, 2);
-    EXPECT_EQ(back->total_fds, 6);
-    EXPECT_EQ(back->total_afds, 4);
+    EXPECT_EQ(back->totals, status.totals);
   }
   serve::WireJobError error;
   error.job_id = 0;
@@ -380,10 +374,10 @@ TEST(ServeWireTest, DecodersRejectStructuralViolations) {
     writer.PutU8(static_cast<uint8_t>(JobState::kRunning));
     writer.PutI32(-1);
     writer.PutI32(2);
-    writer.PutVarintI64(which == 0 ? -1 : 3);  // total_ocs
-    writer.PutVarintI64(which == 1 ? -1 : 3);  // total_ofds
-    writer.PutVarintI64(which == 2 ? -1 : 3);  // total_fds
-    writer.PutVarintI64(which == 3 ? -1 : 3);  // total_afds
+    writer.PutVarintI64(which == 0 ? -1 : 3);  // totals[kOc]
+    writer.PutVarintI64(which == 1 ? -1 : 3);  // totals[kOfd]
+    writer.PutVarintI64(which == 2 ? -1 : 3);  // totals[kFd]
+    writer.PutVarintI64(which == 3 ? -1 : 3);  // totals[kAfd]
     std::vector<uint8_t> bad = writer.SealFrame(shard::FrameType::kJobStatus);
     Result<shard::DecodedFrame> f = shard::DecodeFrame(bad);
     ASSERT_TRUE(f.ok());
@@ -845,10 +839,10 @@ TEST(ServeFaultTest, MixedKindProgressCarriesFdAndAfdCounts) {
       });
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   ASSERT_GT(progress_frames, 0);
-  EXPECT_EQ(last.total_ocs, direct.CountOfKind(DependencyKind::kOc));
-  EXPECT_EQ(last.total_ofds, direct.CountOfKind(DependencyKind::kOfd));
-  EXPECT_EQ(last.total_fds, direct.CountOfKind(DependencyKind::kFd));
-  EXPECT_EQ(last.total_afds, direct.CountOfKind(DependencyKind::kAfd));
+  for (int k = 0; k < kNumDependencyKinds; ++k) {
+    EXPECT_EQ(last.totals[k],
+              direct.CountOfKind(static_cast<DependencyKind>(k)));
+  }
   server->Shutdown();
 }
 

@@ -421,7 +421,7 @@ TEST_F(CoordinatorFaultInjectionTest, EveryFaultYieldsTypedErrorNoHang) {
               clean.CountOfKind(DependencyKind::kOfd));
     EXPECT_EQ(faulted.stats.TotalOcs(),
               faulted.CountOfKind(DependencyKind::kOc));
-    EXPECT_EQ(faulted.stats.TotalOfds(),
+    EXPECT_EQ(faulted.stats.Total(DependencyKind::kOfd),
               faulted.CountOfKind(DependencyKind::kOfd));
     for (const DiscoveredDependency& d : faulted.dependencies) {
       EXPECT_LE(d.level, faulted.stats.levels_processed);
