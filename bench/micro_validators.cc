@@ -237,6 +237,55 @@ BENCHMARK(BM_ValidateAocOptimalKeyPrimary)
     ->Arg(0)
     ->Arg(1);
 
+// k OCs sharing a shuffled table key as sort attribute over a context of
+// 1000 values (classes of about 60 rows): validated as one group
+// (singles 0), which sorts each class once, or as k single validations
+// (singles 1). The members pair the key with four columns, in both
+// polarities: noisy followers over about 16 and 1000 values, a uniform
+// column and a monotone one with 10% errors.
+void BM_ValidateAocOptimalGroup(benchmark::State& state) {
+  constexpr int64_t kRows = 60000;
+  Table raw = GenerateTable(
+      {{.name = "ctx", .kind = ColumnKind::kUniformInt, .cardinality = 1000},
+       {.name = "seq", .kind = ColumnKind::kSequentialKey},
+       {.name = "key", .kind = ColumnKind::kDerivedPermuted, .base_column = 1},
+       {.name = "low", .kind = ColumnKind::kNoisyLinear, .base_column = 2,
+        .scale = 16.0 / kRows, .noise_stddev = 1.0},
+       {.name = "mid", .kind = ColumnKind::kNoisyLinear, .base_column = 2,
+        .scale = 1000.0 / kRows, .noise_stddev = 20.0},
+       {.name = "rnd", .kind = ColumnKind::kUniformInt, .cardinality = 4096},
+       {.name = "mono", .kind = ColumnKind::kMonotoneWithErrors,
+        .base_column = 2, .violation_rate = 0.1}},
+      kRows, 18);
+  EncodedTable t = EncodeTable(raw);
+  auto partition = StrippedPartition::FromColumn(t.column(0));
+  const auto k = static_cast<size_t>(state.range(0));
+  const bool singles = state.range(1) == 1;
+  std::vector<OcGroupMember> members;
+  for (int b = 3; b <= 6; ++b) {
+    for (bool opposite : {false, true}) members.push_back({2, b, opposite});
+  }
+  members.resize(k);
+  std::vector<ValidationOutcome> out(k);
+  ValidatorScratch scratch;
+  for (auto _ : state) {
+    if (singles) {
+      for (const OcGroupMember& m : members) {
+        benchmark::DoNotOptimize(ValidateAocOptimal(
+            t, partition, m.a, m.b, 0.10, kRows,
+            {.opposite_polarity = m.opposite}, &scratch));
+      }
+    } else {
+      ValidateAocOptimalGroup(t, partition, members, 0.10, kRows,
+                              /*early_exit=*/true, &scratch, out);
+      benchmark::DoNotOptimize(out.data());
+    }
+  }
+}
+BENCHMARK(BM_ValidateAocOptimalGroup)
+    ->ArgNames({"k", "singles"})
+    ->ArgsProduct({{1, 4, 8}, {0, 1}});
+
 void BM_ValidateAocIterative(benchmark::State& state) {
   EncodedTable t = MakePairTable(state.range(0));
   auto whole = StrippedPartition::WholeRelation(t.num_rows());

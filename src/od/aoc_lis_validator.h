@@ -34,6 +34,20 @@
 //   - The LNDS of a class below kSuccessorLndsMinRows uses the
 //     branch-free patience search (LndsRemovals); from there on the tails
 //     are a successor set over B's domain (LndsRemovalsBySuccessor).
+// OC counts are validated in groups (ValidateAocOptimalGroup): OCs of one
+// context whose sort attribute is the same table key. A key has no ties,
+// so the order of a class by [A ASC, B ASC] is its order by A alone,
+// whatever B and its polarity are. While two or more members are still
+// below their threshold, the group
+//   - sorts each class of 4 to 4095 rows once by the key, and each member
+//     projects its own B over the sorted rows and runs its LNDS;
+//   - reads the whole relation (a class of all n rows) in the key's rank
+//     order, order[rank[r]] = r, built once per group: no sort at all,
+//     and the stride sample takes every stride-th row of that order;
+//   - keeps tiny classes and other classes of >= 4096 rows per member.
+// A single OC count is a group of one, so every count runs the same
+// per-class loop; each member leaves it at the class and with the clamp
+// its own scan would.
 // The removal set, when collected, always comes from the full sort in the
 // given orientation.
 #ifndef AOD_OD_AOC_LIS_VALIDATOR_H_
@@ -41,6 +55,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "data/encoder.h"
 #include "od/canonical_od.h"
@@ -64,6 +79,36 @@ ValidationOutcome ValidateAocOptimal(const EncodedTable& table,
                                      int64_t table_rows,
                                      const ValidatorOptions& options = {},
                                      ValidatorScratch* scratch = nullptr);
+
+/// One OC of a group: the pair and its polarity (ValidatorOptions::
+/// opposite_polarity).
+struct OcGroupMember {
+  int a = -1;
+  int b = -1;
+  bool opposite = false;
+};
+
+/// The shared branches a group validation took.
+struct OcGroupBranches {
+  /// Classes of 4 to 4095 rows sorted once for two or more members.
+  int64_t shared_sorts = 0;
+  /// Rank orders of the whole relation built instead of a sort.
+  int64_t rank_orders = 0;
+};
+
+/// Validates several OCs over one context partition as one unit. out[i]
+/// equals, field by field, ValidateAocOptimal(table, context_partition,
+/// members[i].a, members[i].b, epsilon, table_rows, {.early_exit =
+/// early_exit, .opposite_polarity = members[i].opposite}); no removal
+/// sets. The classes are shared (see the header) only when every member
+/// sorts by the same table key (ClassOrder::OcPrimary); any other member
+/// list is still valid and costs what separate calls would. `out` holds
+/// one slot per member.
+OcGroupBranches ValidateAocOptimalGroup(
+    const EncodedTable& table, const StrippedPartition& context_partition,
+    std::span<const OcGroupMember> members, double epsilon,
+    int64_t table_rows, bool early_exit, ValidatorScratch* scratch,
+    std::span<ValidationOutcome> out);
 
 /// Validates the canonical AOD `context_partition`: a -> b (order *and*
 /// constancy of b per a-group) via the descending-tie variant. The removal

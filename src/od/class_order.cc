@@ -36,10 +36,27 @@ ClassOrder::ClassOrder(const EncodedTable& table, int a, int b,
              : key_bits_ <= 64 ? KeyWidth::k64
                                : KeyWidth::kPair) {}
 
+int ClassOrder::OcPrimary(const EncodedTable& table, int a, int b) {
+  return table.column(b).cardinality > table.column(a).cardinality ? b : a;
+}
+
+ClassOrder ClassOrder::ByKey(const EncodedTable& table, int key) {
+  ClassOrder order(table, key, key, {.row_ids = true});
+  // B is the key itself with a field of no bits: KeyAB ORs the key's
+  // rank onto itself, and the decode reads B as 0.
+  order.b_bits_ = 0;
+  order.key_bits_ = BitsFor(table.column(key).cardinality) + order.row_bits_;
+  order.width_ = order.key_bits_ <= 32   ? KeyWidth::k32
+                 : order.key_bits_ <= 64 ? KeyWidth::k64
+                                         : KeyWidth::kPair;
+  return order;
+}
+
 ClassOrder ClassOrder::ForOc(const EncodedTable& table, int a, int b,
                              bool opposite) {
-  const bool swap = table.column(b).cardinality > table.column(a).cardinality;
-  return ClassOrder(table, swap ? b : a, swap ? a : b, {.opposite = opposite});
+  const int primary = OcPrimary(table, a, b);
+  return ClassOrder(table, primary, primary == a ? b : a,
+                    {.opposite = opposite});
 }
 
 uint64_t ClassOrder::KeyAB(int32_t r) const {
@@ -68,6 +85,14 @@ int64_t ClassOrder::TinyClassRemovals(std::span<const int32_t> rows) const {
   const int conflicts = conflict(0, 1) + conflict(0, 2) + conflict(1, 2);
   // 0 -> 0, 1 -> 1, 2 (a path: keep its two ends) -> 1, 3 -> 2.
   return (conflicts + 1) >> 1;
+}
+
+void ClassOrder::Project(std::span<const int32_t> rows, size_t stride,
+                         std::vector<int32_t>& projection) const {
+  const size_t m = rows.size();
+  projection.resize((m + stride - 1) / stride);
+  int32_t* out = projection.data();
+  for (size_t i = 0; i < m; i += stride) *out++ = ProjectedB(rows[i]);
 }
 
 void ClassOrder::Sort(std::span<const int32_t> rows,

@@ -55,7 +55,19 @@ class ClassOrder {
     return passes > 5 ? 8 * (passes - 1) : kRadixMinRows;
   }
 
+  ClassOrder() = default;
   ClassOrder(const EncodedTable& table, int a, int b, Options options);
+
+  /// The attribute an OC on (a, b) sorts by first (ForOc): b when its
+  /// cardinality is higher, else a.
+  static int OcPrimary(const EncodedTable& table, int a, int b);
+
+  /// The order of the table key `key` alone, with row ids: Sort() emits
+  /// the rows in key order (its projection is all zeros). A key has no
+  /// ties, so this is the order every ForOc order with `key` as primary
+  /// gives a class, whatever its B; without a B field the packed key is
+  /// narrower (32 bits up to 65536 rows).
+  static ClassOrder ByKey(const EncodedTable& table, int key);
 
   /// The order an OC's removal count is computed in: (a, b) as given, or
   /// (b, a) when b has the higher cardinality, so that the wider
@@ -88,6 +100,13 @@ class ClassOrder {
   /// equal keys.
   int64_t TinyClassRemovals(std::span<const int32_t> rows) const;
 
+  /// Writes the projection of B over every `stride`-th row of `rows`,
+  /// in the given order, to `projection`. When A is a table key and
+  /// `rows` are ordered by A, stride 1 gives the projection Sort() writes
+  /// for them.
+  void Project(std::span<const int32_t> rows, size_t stride,
+               std::vector<int32_t>& projection) const;
+
   /// The projection's values lie in [0, projection_domain()): B's
   /// cardinality.
   int32_t projection_domain() const { return card_b_; }
@@ -108,16 +127,16 @@ class ClassOrder {
   void SortAs(std::span<const int32_t> rows, std::vector<Key>& keys,
               std::vector<Key>& tmp, ValidatorScratch* s) const;
 
-  const int32_t* ranks_a_;
-  const int32_t* ranks_b_;
-  int32_t card_b_;
+  const int32_t* ranks_a_ = nullptr;
+  const int32_t* ranks_b_ = nullptr;
+  int32_t card_b_ = 0;
   Options options_;
-  bool flip_key_b_;  // key stores card_B-1-rank_B instead of rank_B
-  int b_bits_;
-  int row_bits_;
-  int key_bits_;     // width of the packed (A, B[, row id]) key
-  bool a_is_key_;    // A's ranks are distinct: sort by the A field alone
-  KeyWidth width_;
+  bool flip_key_b_ = false;  // key stores card_B-1-rank_B, not rank_B
+  int b_bits_ = 0;
+  int row_bits_ = 0;
+  int key_bits_ = 0;         // width of the packed (A, B[, row id]) key
+  bool a_is_key_ = false;    // A's ranks are distinct: sort by A alone
+  KeyWidth width_ = KeyWidth::k32;
 };
 
 }  // namespace aod

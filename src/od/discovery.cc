@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "common/logging.h"
@@ -76,20 +77,9 @@ struct NodePlan {
   }
 };
 
-/// One validation unit — the grain of parallelism. A single node may
-/// contribute hundreds of these; flattening them across the level lets
-/// the work-stealing loop balance them individually, so one huge node no
-/// longer stalls a whole chunk of nodes.
-struct Candidate {
-  DependencyKind kind = DependencyKind::kOc;
-  AttributeSet context;
-  /// RHS attribute for the target kinds (kOfd/kFd/kAfd).
-  int target = -1;
-  AttributePair oc_pair;
-};
-
 /// Outcome slot, written exclusively by the worker that claimed the
-/// candidate (or the shard fold) and read only after the phase join.
+/// candidate's validation unit (or the shard fold) and read only after
+/// the phase join.
 struct CandidateOutcome : CandidateVerdict {
   uint8_t done = 0;
 };
@@ -402,15 +392,21 @@ struct Driver {
     return plan;
   }
 
-  /// Phase 2 (parallel over candidates): one validation, writing only
-  /// its own outcome slot. Contexts were prefetched while the level below
-  /// merged, so the Get is normally a cache hit; it stays safe (and
-  /// value-deterministic) either way.
-  void ValidateCandidate(const Candidate& c, CandidateOutcome* out) {
-    auto partition = cache.Get(c.context);
-    static_cast<CandidateVerdict&>(*out) = validator.Validate(
-        c.context, *partition, c.kind, c.target, c.oc_pair);
-    out->done = 1;
+  /// Phase 2 (parallel over validation units): one candidate or one OC
+  /// group, writing only its members' outcome slots. Contexts were
+  /// prefetched while the level below merged, so the Get is normally a
+  /// cache hit; it stays safe (and value-deterministic) either way.
+  void ValidateUnit(const std::vector<Candidate>& candidates,
+                    std::span<const uint32_t> unit,
+                    std::vector<CandidateOutcome>& outcomes) {
+    auto partition = cache.Get(candidates[unit[0]].context);
+    validator.ValidateUnit(candidates, unit, *partition,
+                           [&](uint32_t i, CandidateVerdict&& verdict) {
+                             CandidateOutcome& out = outcomes[i];
+                             static_cast<CandidateVerdict&>(out) =
+                                 std::move(verdict);
+                             out.done = 1;
+                           });
   }
 
   /// Phase 3 (serial, sorted key order): folds one node's outcomes into
@@ -580,11 +576,12 @@ struct Driver {
         break;
       }
 
-      // Phase 2: validate all candidates of the level — as individually
-      // stealable tasks in-process, or shipped out as per-shard batches
-      // over the wire when sharding is on. Either way the deadline is
-      // checked between candidates and each outcome slot is written by
-      // exactly one producer.
+      // Phase 2: validate all candidates of the level — as stealable
+      // validation units in-process (one candidate or one OC group each),
+      // or shipped out as per-shard batches over the wire when sharding
+      // is on, where each runner forms its own units. Either way the
+      // deadline is checked between units and each outcome slot is
+      // written by exactly one producer.
       std::vector<CandidateOutcome> outcomes(candidates.size());
       phase_clock.Restart();
       if (coordinator != nullptr) {
@@ -658,11 +655,12 @@ struct Driver {
           break;
         }
       } else {
+        const ValidationUnits units = validator.FormUnits(candidates);
         exec::ParallelFor(
-            pool, 0, static_cast<int64_t>(candidates.size()),
-            [&](int64_t i) {
-              ValidateCandidate(candidates[static_cast<size_t>(i)],
-                                &outcomes[static_cast<size_t>(i)]);
+            pool, 0, static_cast<int64_t>(units.size()),
+            [&](int64_t u) {
+              ValidateUnit(candidates, units.Unit(static_cast<size_t>(u)),
+                           outcomes);
             },
             PhaseOptions());
       }

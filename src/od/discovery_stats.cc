@@ -38,11 +38,7 @@ LevelStats& DiscoveryStats::Level(int level) {
 }
 
 std::string DiscoveryStats::ToString() const {
-  // FD/AFD lines and columns appear only when those kinds actually ran,
-  // so the report for a default-kind (OC/OFD) run is byte-identical to
-  // the pre-multi-kind format.
-  const bool fd_kinds_ran =
-      fd_candidates_validated + afd_candidates_validated > 0;
+  const bool fd_kinds_ran = FdKindsRan();
   std::ostringstream out;
   out << "total time: " << FormatDouble(total_seconds, 3) << " s wall, "
       << threads_used << (threads_used == 1 ? " thread" : " threads") << "\n"

@@ -148,6 +148,13 @@ struct DiscoveryStats {
   /// The record of `level`, grown on first use.
   LevelStats& Level(int level);
 
+  /// Whether the FD or AFD kind validated any candidate. The text report
+  /// and the JSON stats print their FD/AFD lines only then, so a
+  /// default-kind (OC/OFD) report keeps the pre-multi-kind format.
+  bool FdKindsRan() const {
+    return fd_candidates_validated + afd_candidates_validated > 0;
+  }
+
   std::string ToString() const;
 };
 

@@ -124,9 +124,7 @@ std::string ResultToJson(const DiscoveryResult& result,
     }
     out << "  ],\n";
   }
-  const bool fd_kinds_ran = result.stats.fd_candidates_validated +
-                                result.stats.afd_candidates_validated >
-                            0;
+  const bool fd_kinds_ran = result.stats.FdKindsRan();
   out << "  \"stats\": {\n"
       << "    \"total_seconds\": "
       << FormatDouble(result.stats.total_seconds, 6) << ",\n"

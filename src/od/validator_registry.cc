@@ -1,8 +1,11 @@
 #include "od/validator_registry.h"
 
+#include <algorithm>
+
 #include "common/stopwatch.h"
 #include "od/aoc_iterative_validator.h"
 #include "od/aoc_lis_validator.h"
+#include "od/class_order.h"
 #include "od/fd_validator.h"
 #include "od/interestingness.h"
 #include "od/oc_validator.h"
@@ -83,19 +86,28 @@ CandidateValidator::CandidateValidator(const EncodedTable* table,
   template_.options.collect_removal_set = collect_removal_sets;
 }
 
-CandidateVerdict CandidateValidator::Validate(
-    AttributeSet context, const StrippedPartition& partition,
-    DependencyKind kind, int target, AttributePair pair) {
-  std::unique_ptr<ValidatorScratch> scratch;
+std::unique_ptr<ValidatorScratch> CandidateValidator::Borrow() {
   {
     std::lock_guard<std::mutex> lock(scratch_mutex_);
     if (!free_scratch_.empty()) {
-      scratch = std::move(free_scratch_.back());
+      std::unique_ptr<ValidatorScratch> scratch =
+          std::move(free_scratch_.back());
       free_scratch_.pop_back();
+      return scratch;
     }
   }
-  if (scratch == nullptr) scratch = std::make_unique<ValidatorScratch>();
+  return std::make_unique<ValidatorScratch>();
+}
 
+void CandidateValidator::Return(std::unique_ptr<ValidatorScratch> scratch) {
+  std::lock_guard<std::mutex> lock(scratch_mutex_);
+  free_scratch_.push_back(std::move(scratch));
+}
+
+CandidateVerdict CandidateValidator::Validate(
+    AttributeSet context, const StrippedPartition& partition,
+    DependencyKind kind, int target, AttributePair pair) {
+  std::unique_ptr<ValidatorScratch> scratch = Borrow();
   ValidationRequest request = template_;
   request.context_partition = &partition;
   request.kind = kind;
@@ -107,13 +119,102 @@ CandidateVerdict CandidateValidator::Validate(
   Stopwatch sw;
   static_cast<DependencyVerdict&>(out) = ValidateDependency(request);
   out.seconds = sw.ElapsedSeconds();
-  {
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    free_scratch_.push_back(std::move(scratch));
-  }
+  Return(std::move(scratch));
   out.interestingness = InterestingnessScore(partition, context.size(),
                                              template_.table_rows);
   return out;
+}
+
+ValidationUnits CandidateValidator::FormUnits(
+    std::span<const Candidate> candidates) const {
+  const size_t n = candidates.size();
+  // Each candidate's unit is named by its first member.
+  std::vector<uint32_t> leader(n);
+  for (size_t i = 0; i < n; ++i) leader[i] = static_cast<uint32_t>(i);
+  if (template_.algorithm == ValidatorKind::kOptimal &&
+      !template_.options.collect_removal_set) {
+    const EncodedTable& table = *template_.table;
+    struct Keyed {
+      uint64_t context;
+      int key;
+      uint32_t index;
+      bool operator<(const Keyed& o) const {
+        if (context != o.context) return context < o.context;
+        if (key != o.key) return key < o.key;
+        return index < o.index;
+      }
+    };
+    std::vector<Keyed> grouped;
+    for (size_t i = 0; i < n; ++i) {
+      const Candidate& c = candidates[i];
+      if (c.kind != DependencyKind::kOc) continue;
+      const int key = ClassOrder::OcPrimary(table, c.oc_pair.a, c.oc_pair.b);
+      if (table.column(key).cardinality != table.num_rows()) continue;
+      grouped.push_back({c.context.bits(), key, static_cast<uint32_t>(i)});
+    }
+    std::sort(grouped.begin(), grouped.end());
+    for (size_t g = 1; g < grouped.size(); ++g) {
+      const Keyed& prev = grouped[g - 1];
+      if (grouped[g].context == prev.context && grouped[g].key == prev.key) {
+        leader[grouped[g].index] = leader[prev.index];
+      }
+    }
+  }
+  // Lay the units out in order of their leaders, members ascending.
+  std::vector<uint32_t> size(n, 0);
+  for (uint32_t l : leader) ++size[l];
+  ValidationUnits units;
+  units.members.resize(n);
+  std::vector<uint32_t> next(n);
+  uint32_t offset = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (leader[i] != i) continue;
+    units.begin.push_back(offset);
+    next[i] = offset;
+    offset += size[i];
+  }
+  units.begin.push_back(offset);
+  for (size_t i = 0; i < n; ++i) {
+    units.members[next[leader[i]]++] = static_cast<uint32_t>(i);
+  }
+  return units;
+}
+
+void CandidateValidator::ValidateUnit(
+    std::span<const Candidate> candidates, std::span<const uint32_t> unit,
+    const StrippedPartition& partition,
+    const std::function<void(uint32_t, CandidateVerdict&&)>& emit) {
+  if (unit.size() == 1) {
+    const Candidate& c = candidates[unit[0]];
+    emit(unit[0], Validate(c.context, partition, c.kind, c.target, c.oc_pair));
+    return;
+  }
+  const size_t k = unit.size();
+  std::vector<OcGroupMember> members;
+  members.reserve(k);
+  for (uint32_t i : unit) {
+    const AttributePair& p = candidates[i].oc_pair;
+    members.push_back({p.a, p.b, p.opposite});
+  }
+  std::vector<ValidationOutcome> outcomes(k);
+  std::unique_ptr<ValidatorScratch> scratch = Borrow();
+  Stopwatch sw;
+  ValidateAocOptimalGroup(*template_.table, partition, members,
+                          template_.epsilon, template_.table_rows,
+                          template_.options.early_exit, scratch.get(),
+                          outcomes);
+  const double seconds = sw.ElapsedSeconds() / static_cast<double>(k);
+  Return(std::move(scratch));
+  const double interestingness = InterestingnessScore(
+      partition, candidates[unit[0]].context.size(), template_.table_rows);
+  for (size_t j = 0; j < k; ++j) {
+    CandidateVerdict verdict;
+    static_cast<DependencyVerdict&>(verdict) = FromOutcome(
+        std::move(outcomes[j]));
+    verdict.interestingness = interestingness;
+    verdict.seconds = seconds;
+    emit(unit[j], std::move(verdict));
+  }
 }
 
 }  // namespace aod

@@ -21,13 +21,19 @@
 // shard runner and the in-process driver produce bit-identical outcomes
 // from the same candidate. CandidateValidator wraps the dispatch in the
 // per-run environment both call sites need (pooled scratch, the exact
-// validator's ε = 0), so neither keeps its own copy.
+// validator's ε = 0), so neither keeps its own copy. It also cuts a
+// level's candidates into validation units (FormUnits), the grain both
+// call sites parallelize over: a unit is one candidate, or one OC group —
+// the optimal validator's OC counts that share a context and a table key
+// as sort attribute, validated in one pass (ValidateAocOptimalGroup).
 #ifndef AOD_OD_VALIDATOR_REGISTRY_H_
 #define AOD_OD_VALIDATOR_REGISTRY_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "data/encoder.h"
@@ -84,11 +90,35 @@ struct CandidateVerdict : DependencyVerdict {
   double seconds = 0.0;
 };
 
+/// One candidate of a level.
+struct Candidate {
+  DependencyKind kind = DependencyKind::kOc;
+  AttributeSet context;
+  /// RHS attribute for the target kinds (kOfd/kFd/kAfd).
+  int target = -1;
+  AttributePair oc_pair;
+};
+
+/// A level's candidates cut into validation units: unit u is the
+/// candidate indices members[begin[u], begin[u + 1]), ascending. Units are
+/// ordered by their first member.
+struct ValidationUnits {
+  std::vector<uint32_t> members;
+  std::vector<uint32_t> begin;
+
+  size_t size() const { return begin.size() - 1; }
+  std::span<const uint32_t> Unit(size_t u) const {
+    return std::span(members).subspan(begin[u], begin[u + 1] - begin[u]);
+  }
+};
+
 /// The per-candidate validation routine of one discovery run, shared by
 /// the in-process driver and every shard runner. It owns the request
 /// template (ε zeroed for ValidatorKind::kExact) and a free list of
-/// ValidatorScratch — one instance is borrowed per call, so steady-state
-/// validation does no heap allocation. Validate is thread-safe.
+/// ValidatorScratch — one instance is borrowed per call, so the
+/// validators do no steady-state heap allocation (an OC group unit only
+/// allocates its member and outcome lists). Validate and ValidateUnit are
+/// thread-safe.
 class CandidateValidator {
  public:
   CandidateValidator(const EncodedTable* table, ValidatorKind algorithm,
@@ -103,7 +133,25 @@ class CandidateValidator {
                             DependencyKind kind, int target,
                             AttributePair pair);
 
+  /// Cuts `candidates` into units: each OC group (optimal validator, no
+  /// removal sets; the OCs of one context whose ClassOrder::OcPrimary is
+  /// the same table key) is one unit, every other candidate a unit of
+  /// its own.
+  ValidationUnits FormUnits(std::span<const Candidate> candidates) const;
+
+  /// Validates one unit of `candidates` (a FormUnits unit; its members
+  /// share the context whose partition is `partition`) and calls
+  /// `emit(index, verdict)` once per member, in member order. A group's
+  /// members split its measured time equally.
+  void ValidateUnit(
+      std::span<const Candidate> candidates, std::span<const uint32_t> unit,
+      const StrippedPartition& partition,
+      const std::function<void(uint32_t, CandidateVerdict&&)>& emit);
+
  private:
+  std::unique_ptr<ValidatorScratch> Borrow();
+  void Return(std::unique_ptr<ValidatorScratch> scratch);
+
   ValidationRequest template_;
   std::mutex scratch_mutex_;
   std::vector<std::unique_ptr<ValidatorScratch>> free_scratch_;

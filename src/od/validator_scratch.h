@@ -26,6 +26,9 @@ class ValidatorScratch {
   std::vector<int32_t>& projection() { return projection_; }
   /// Class-index ordering buffer (largest-first iteration).
   std::vector<int32_t>& order() { return order_; }
+  /// The rows of the whole relation in a table key's rank order (the
+  /// OC group kernel): rank_order[rank[r]] = r.
+  std::vector<int32_t>& rank_order() { return rank_order_; }
   /// A-ranks of the sorted class (iterative validator).
   std::vector<int32_t>& ranks_a() { return ranks_a_; }
   /// Packed (A, B[, row id]) sort keys of one class and the radix sort's
@@ -66,6 +69,7 @@ class ValidatorScratch {
   std::vector<int32_t> rows_;
   std::vector<int32_t> projection_;
   std::vector<int32_t> order_;
+  std::vector<int32_t> rank_order_;
   std::vector<int32_t> ranks_a_;
   std::vector<uint32_t> keys32_;
   std::vector<uint32_t> keys32_tmp_;

@@ -61,14 +61,22 @@ ShardStatsFooter ShardRunner::FooterStats() const {
 
 std::vector<WireOutcome> ShardRunner::ValidateBatch(
     const std::vector<WireCandidate>& batch) {
-  // Parallel over the batch on the runner's pool. Every outcome slot is
-  // written by exactly one iteration, so the reply is in batch (=
-  // ascending slot) order.
+  // Parallel over the batch's validation units on the runner's pool.
+  // Every outcome slot is written by exactly one unit, so the reply is in
+  // batch (= ascending slot) order.
+  std::vector<Candidate> candidates;
+  candidates.reserve(batch.size());
+  for (const WireCandidate& w : batch) {
+    candidates.push_back({w.kind, AttributeSet(w.context_bits), w.target,
+                          AttributePair{w.pair_a, w.pair_b, w.opposite}});
+  }
+  const ValidationUnits units = validator_.FormUnits(candidates);
   std::vector<WireOutcome> outcomes(batch.size());
-  exec::ParallelFor(pool_, 0, static_cast<int64_t>(batch.size()),
-                    [&](int64_t i) {
-                      ValidateOne(batch[static_cast<size_t>(i)],
-                                  &outcomes[static_cast<size_t>(i)]);
+  exec::ParallelFor(pool_, 0, static_cast<int64_t>(units.size()),
+                    [&](int64_t u) {
+                      ValidateUnit(batch, candidates,
+                                   units.Unit(static_cast<size_t>(u)),
+                                   outcomes);
                     });
   return outcomes;
 }
@@ -93,9 +101,11 @@ void ShardRunner::FinishBatch(const std::vector<WireCandidate>& batch) {
   }
 }
 
-void ShardRunner::ValidateOne(const WireCandidate& candidate,
-                              WireOutcome* out) {
-  const AttributeSet context(candidate.context_bits);
+void ShardRunner::ValidateUnit(const std::vector<WireCandidate>& batch,
+                               const std::vector<Candidate>& candidates,
+                               std::span<const uint32_t> unit,
+                               std::vector<WireOutcome>& outcomes) {
+  const AttributeSet context = candidates[unit[0]].context;
   std::shared_ptr<const StrippedPartition> partition;
   if (cache_.Contains(context)) {
     partition = cache_.Get(context);
@@ -105,18 +115,20 @@ void ShardRunner::ValidateOne(const WireCandidate& candidate,
     partition_nanos_.fetch_add(derive_sw.ElapsedNanos(),
                                std::memory_order_relaxed);
   }
-  CandidateVerdict verdict = validator_.Validate(
-      context, *partition, candidate.kind, candidate.target,
-      AttributePair{candidate.pair_a, candidate.pair_b, candidate.opposite});
-  out->slot = candidate.slot;
-  out->kind = candidate.kind;
-  out->valid = verdict.valid;
-  out->early_exit = verdict.early_exit;
-  out->removal_size = verdict.removal_size;
-  out->approx_factor = verdict.error;
-  out->removal_rows = std::move(verdict.removal_rows);
-  out->interestingness = verdict.interestingness;
-  out->seconds = verdict.seconds;
+  validator_.ValidateUnit(
+      candidates, unit, *partition,
+      [&](uint32_t i, CandidateVerdict&& verdict) {
+        WireOutcome& out = outcomes[i];
+        out.slot = batch[i].slot;
+        out.kind = batch[i].kind;
+        out.valid = verdict.valid;
+        out.early_exit = verdict.early_exit;
+        out.removal_size = verdict.removal_size;
+        out.approx_factor = verdict.error;
+        out.removal_rows = std::move(verdict.removal_rows);
+        out.interestingness = verdict.interestingness;
+        out.seconds = verdict.seconds;
+      });
 }
 
 // ------------------------------------------------------------ serve loop --

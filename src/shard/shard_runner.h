@@ -15,13 +15,16 @@
 // Determinism: a runner's outcomes are pure functions of (table, batch,
 // installed base partitions) — canonical partition values make the
 // derived contexts byte-identical to any other derivation site, and
-// validation goes through the same CandidateValidator as the driver —
+// validation goes through the same CandidateValidator as the driver,
+// whose outcomes do not depend on how a batch cuts a level into units —
 // so the coordinator's merged output is bit-identical to an unsharded
 // run (see ARCHITECTURE.md).
 #ifndef AOD_SHARD_SHARD_RUNNER_H_
 #define AOD_SHARD_SHARD_RUNNER_H_
 
 #include <atomic>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -76,8 +79,9 @@ class ShardRunner {
   /// entry.
   Status PreloadBlock(const DecodedFrame& frame);
 
-  /// Validates every candidate (parallel over the batch on the pool)
-  /// and returns the outcomes in batch order.
+  /// Validates every candidate (parallel over the batch's validation
+  /// units on the pool, CandidateValidator::FormUnits) and returns the
+  /// outcomes in batch order.
   std::vector<WireOutcome> ValidateBatch(
       const std::vector<WireCandidate>& batch);
 
@@ -96,9 +100,13 @@ class ShardRunner {
 
  private:
   void SampleResidency();
-  /// One validation through the CandidateValidator the discovery driver
-  /// also uses, so sharded and unsharded outcomes are bit-identical.
-  void ValidateOne(const WireCandidate& candidate, WireOutcome* out);
+  /// One validation unit through the CandidateValidator the discovery
+  /// driver also uses, so sharded and unsharded outcomes are
+  /// bit-identical; `candidates` is `batch` as the validator reads it.
+  void ValidateUnit(const std::vector<WireCandidate>& batch,
+                    const std::vector<Candidate>& candidates,
+                    std::span<const uint32_t> unit,
+                    std::vector<WireOutcome>& outcomes);
 
   const int shard_id_;
   const EncodedTable* table_;

@@ -355,6 +355,53 @@ TEST(ParallelDeterminismTest, ShardedDiscoveryMatchesUnshardedBitExactly) {
   }
 }
 
+TEST(ParallelDeterminismTest, GroupedOcValidationMatchesAcrossGroupings) {
+  // Phase 2 validates the optimal validator's OCs in groups that share a
+  // context and a key column. A shard batch holds only part of a level,
+  // so each runner cuts different groups than the driver does, and a
+  // pool interleaves them differently again; the output must not move.
+  Table t = GenerateFlightTable(3000, 10, 7);
+  EncodedTable enc = EncodeTable(t);
+  bool has_key = false;
+  for (int c = 0; c < enc.num_columns(); ++c) {
+    has_key = has_key || enc.column(c).cardinality == enc.num_rows();
+  }
+  ASSERT_TRUE(has_key);  // else no OC group forms
+  for (bool bidirectional : {false, true}) {
+    DiscoveryOptions options;
+    options.epsilon = 0.1;
+    options.validator = ValidatorKind::kOptimal;
+    options.bidirectional = bidirectional;
+    options.num_threads = 1;
+    const DiscoveryResult serial = DiscoverOds(enc, options);
+    ASSERT_GT(serial.stats.oc_candidates_validated, 0);
+    const std::string expected_full = Fingerprint(serial);
+    const std::string expected_output = OutputFingerprint(serial);
+    for (int shards : {0, 2}) {
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "bidirectional=" << bidirectional
+                     << " shards=" << shards << " threads=" << threads);
+        options.num_shards = shards;
+        options.num_threads = threads;
+        const DiscoveryResult run = DiscoverOds(enc, options);
+        ASSERT_TRUE(run.shard_status.ok()) << run.shard_status.ToString();
+        // Shard-local derivation legitimately moves the partition
+        // counters; the output and the candidate counters may not move.
+        if (shards == 0) {
+          EXPECT_EQ(Fingerprint(run), expected_full);
+        }
+        EXPECT_EQ(OutputFingerprint(run), expected_output);
+        EXPECT_EQ(run.stats.oc_candidates_validated,
+                  serial.stats.oc_candidates_validated);
+        EXPECT_EQ(run.stats.ofd_candidates_validated,
+                  serial.stats.ofd_candidates_validated);
+        EXPECT_EQ(run.stats.nodes_processed, serial.stats.nodes_processed);
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminismTest, RowShardedDiscoveryMatchesUnshardedBitExactly) {
   // The row-sharding tentpole's acceptance gate: row_shards {1,2,4} ×
   // threads {1,4,hw}, each row shard a spawned runner — the stitched bases

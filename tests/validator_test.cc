@@ -872,6 +872,147 @@ TEST(OcKernelEquivalenceSampleTest, HoldingTheWholeBudgetIsNotRejected) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OcKernelEquivalenceTest,
                          ::testing::Values(401, 402));
 
+/// Columns for OC groups: 0 a table key shuffled against the row order,
+/// then columns that follow it ascending with 2% noise (1), descending
+/// with 5% (2) and with 30% (4), ignore it (3), follow it over 8 values
+/// with 1% noise (5), stay constant (6), and two more keys: one shuffled
+/// on its own (7) and the key reversed (8).
+EncodedTable GroupColumns(int64_t n, Rng& rng) {
+  std::vector<int64_t> key(static_cast<size_t>(n));
+  std::iota(key.begin(), key.end(), 0);
+  rng.Shuffle(&key);
+  std::vector<int64_t> other_key = key;
+  rng.Shuffle(&other_key);
+  std::vector<std::vector<int64_t>> cols(9);
+  for (int64_t r = 0; r < n; ++r) {
+    const int64_t k = key[static_cast<size_t>(r)];
+    const auto noisy = [&](double noise, int64_t value) {
+      return rng.Bernoulli(noise) ? rng.UniformInt(0, n) : value;
+    };
+    cols[0].push_back(k);
+    cols[1].push_back(noisy(0.02, k / 4));
+    cols[2].push_back(noisy(0.05, (n - k) / 8));
+    cols[3].push_back(rng.UniformInt(0, 999));
+    cols[4].push_back(noisy(0.3, k / 16));
+    cols[5].push_back(rng.Bernoulli(0.01) ? rng.UniformInt(0, 7) : k * 8 / n);
+    cols[6].push_back(7);
+    cols[7].push_back(other_key[static_cast<size_t>(r)]);
+    cols[8].push_back(n - k);
+  }
+  return EncodedTableFromInts(
+      {"key", "near", "desc", "rnd", "noisy", "low", "const", "key2", "rev"},
+      cols);
+}
+
+/// Per-class removals of `member` by the comparator sort and the plain
+/// LNDS length: an oracle that shares no code with the validators.
+std::vector<int64_t> ReferenceRemovals(const EncodedTable& t,
+                                       const StrippedPartition& partition,
+                                       const OcGroupMember& member) {
+  std::vector<int64_t> out;
+  for (StrippedPartition::ClassSpan cls : partition.classes()) {
+    const ReferenceClass ref = ReferenceClassOrder(
+        t, cls, member.a, member.b, member.opposite, false);
+    out.push_back(static_cast<int64_t>(ref.projection.size()) -
+                  LndsLength(ref.projection));
+  }
+  return out;
+}
+
+/// Every member of every group equals ValidateAocOptimal on it alone and
+/// the oracle, field by field. Groups of 1 to 8 members are drawn from
+/// the OCs whose sort attribute is the key column 0, in both polarities
+/// and both argument orders; `branches` sums what the groups shared.
+void CheckGroupsAgainstSingles(const EncodedTable& t,
+                               const StrippedPartition& partition, Rng& rng,
+                               OcGroupBranches* branches) {
+  const int64_t n = t.num_rows();
+  std::vector<OcGroupMember> pool;
+  for (int b = 1; b <= 8; ++b) {
+    for (bool opposite : {false, true}) {
+      pool.push_back({0, b, opposite});
+      // Keys 7 and 8 tie with column 0, which then sorts first only when
+      // given first.
+      if (b != 7 && b != 8) pool.push_back({b, 0, opposite});
+    }
+  }
+  std::vector<std::vector<int64_t>> reference;
+  for (const OcGroupMember& m : pool) {
+    ASSERT_EQ(ClassOrder::OcPrimary(t, m.a, m.b), 0);
+    reference.push_back(ReferenceRemovals(t, partition, m));
+  }
+  ValidatorScratch group_scratch;
+  ValidatorScratch single_scratch;
+  for (size_t size = 1; size <= 8; ++size) {
+    for (int draw = 0; draw < 3; ++draw) {
+      std::vector<size_t> picks(pool.size());
+      std::iota(picks.begin(), picks.end(), 0);
+      rng.Shuffle(&picks);
+      picks.resize(size);
+      std::vector<OcGroupMember> members;
+      for (size_t p : picks) members.push_back(pool[p]);
+      for (double epsilon : {0.0, 0.01, 0.1, 0.5}) {
+        const int64_t max_removals = MaxRemovals(epsilon, n);
+        for (bool early : {true, false}) {
+          std::vector<ValidationOutcome> got(size);
+          const OcGroupBranches taken = ValidateAocOptimalGroup(
+              t, partition, members, epsilon, n, early, &group_scratch,
+              got);
+          branches->shared_sorts += taken.shared_sorts;
+          branches->rank_orders += taken.rank_orders;
+          for (size_t i = 0; i < size; ++i) {
+            const OcGroupMember& m = members[i];
+            SCOPED_TRACE(testing::Message()
+                         << "group of " << size << ", member " << i
+                         << ": a=" << m.a << " b=" << m.b << " opposite="
+                         << m.opposite << " eps=" << epsilon
+                         << " early=" << early);
+            ValidatorOptions opts;
+            opts.early_exit = early;
+            opts.opposite_polarity = m.opposite;
+            const ValidationOutcome alone = ValidateAocOptimal(
+                t, partition, m.a, m.b, epsilon, n, opts, &single_scratch);
+            const ValidationOutcome want = ExpectedOutcome(
+                reference[picks[i]], max_removals, n, early);
+            for (const ValidationOutcome* other : {&alone, &want}) {
+              ASSERT_EQ(got[i].valid, other->valid);
+              ASSERT_EQ(got[i].removal_size, other->removal_size);
+              ASSERT_EQ(got[i].approx_factor, other->approx_factor);
+              ASSERT_EQ(got[i].early_exit, other->early_exit);
+            }
+            ASSERT_TRUE(got[i].removal_rows.empty());
+          }
+        }
+      }
+    }
+  }
+}
+
+class OcGroupEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OcGroupEquivalenceTest, EveryMemberMatchesItsSingleValidation) {
+  Rng rng(GetParam());
+  OcGroupBranches branches;
+  // Tiny, mid-size and >= 4096-row classes in one context.
+  const EncodedTable mixed = GroupColumns(13000, rng);
+  CheckGroupsAgainstSingles(mixed, MixedClassPartition(13000, rng), rng,
+                            &branches);
+  EXPECT_GT(branches.shared_sorts, 0);
+  EXPECT_EQ(branches.rank_orders, 0);
+  // The whole relation below and above the sample threshold.
+  for (int64_t n : {3000, 13000}) {
+    SCOPED_TRACE(testing::Message() << "whole relation of " << n);
+    const EncodedTable t = n == 13000 ? mixed : GroupColumns(n, rng);
+    const int64_t before = branches.rank_orders;
+    CheckGroupsAgainstSingles(t, StrippedPartition::WholeRelation(n), rng,
+                              &branches);
+    EXPECT_GT(branches.rank_orders, before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OcGroupEquivalenceTest,
+                         ::testing::Values(501, 502));
+
 // MaxRemovals boundary semantics.
 TEST(MaxRemovalsTest, FloorWithGuard) {
   EXPECT_EQ(MaxRemovals(0.0, 100), 0);
