@@ -12,7 +12,6 @@
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "exec/parallel_for.h"
-#include "exec/task_group.h"
 #include "exec/thread_pool.h"
 #include "od/lattice.h"
 #include "od/validator_registry.h"
@@ -91,20 +90,18 @@ struct CandidateOutcome : CandidateVerdict {
 ///   2. validate  — per candidate: the fine-grained parallel unit
 ///   3. merge     — serial, in sorted key order: deterministic output
 ///
-/// Next-level context partitions are *prefetched*, not phase-built: as a
-/// node survives the merge, its partition starts deriving on the pool
-/// (fire-and-forget TaskGroup task), so partition work overlaps the rest
-/// of the merge and the next level's planning instead of sitting behind
-/// a materialize barrier. Validators that reach a partition before its
-/// prefetch finishes block on the cache's once-per-key future.
+/// Between phases 1 and 2 the driver derives the context partitions the
+/// level's candidates name and the cache lacks — only those, so no
+/// partition is built that no candidate reads — and phase 2 validates
+/// against a warm cache.
 ///
-/// Workers in phases 1/2 and the prefetch tasks read shared state
-/// (`previous`, the cache) and write only their own plan/outcome slot;
-/// the merge alone mutates the lattice and the result. Combined with the
-/// cache's canonical partition values and deterministic derivation plans
-/// (published catalog, see partition_cache.h) this makes the dependency
-/// lists and every non-timing counter bit-identical for any thread
-/// count.
+/// Workers in phases 1/2 and the derive step read shared state
+/// (`previous`, the cache) and write only their own plan/outcome slot or
+/// cache key; the merge alone mutates the lattice and the result.
+/// Combined with the cache's canonical partition values and deterministic
+/// derivation plans (published catalog, see partition_cache.h) this makes
+/// the dependency lists and every non-timing counter bit-identical for
+/// any thread count.
 struct Driver {
   const EncodedTable& table;
   const DiscoveryOptions& options;
@@ -125,20 +122,11 @@ struct Driver {
   std::unique_ptr<exec::ThreadPool> owned_pool;
   exec::ThreadPool* pool = nullptr;
   std::atomic<int64_t> partition_nanos{0};
-  /// Fire-and-forget prefetch of next-level context partitions, forked
-  /// during the merge. Declared after the pool members so it joins before
-  /// the pool dies; the driver also waits explicitly before budget
-  /// eviction (which needs a quiescent cache) and before final stats.
-  std::unique_ptr<exec::TaskGroup> prefetch_group;
-  /// Survivors of the previous level, in merge (= sorted key) order;
-  /// their realized costs are published to the planner catalog at the
-  /// next level's merge start.
-  std::vector<AttributeSet> pending_costs;
   /// Sharded validation (options.num_shards >= 1): candidate batches go
   /// out to runner processes and results come back over the CSR wire
-  /// format; the driver's own cache, validator and prefetch pipeline
-  /// sit idle — partitions live shard-side. Null in unsharded runs and
-  /// when coordinator setup failed (coordinator_status says why).
+  /// format; the driver's own cache and validator sit idle — partitions
+  /// live shard-side. Null in unsharded runs and when coordinator setup
+  /// failed (coordinator_status says why).
   std::unique_ptr<shard::ShardCoordinator> coordinator;
   Status coordinator_status;
   /// Row-shard phase products (options.row_shards >= 1): the stitched
@@ -208,8 +196,8 @@ struct Driver {
       row_bases.clear();
     }
     // A run on one thread is the serial run, whether or not it was
-    // handed a pool: ParallelFor would run inline on a 1-worker pool, and
-    // with no pool the prefetch runs inline too.
+    // handed a pool: ParallelFor runs inline on a 1-worker pool as it
+    // does with none.
     const int threads = std::max(
         1, options.pool != nullptr ? options.pool->num_workers()
            : options.num_threads == 0
@@ -222,7 +210,6 @@ struct Driver {
         pool = owned_pool.get();
       }
     }
-    prefetch_group = std::make_unique<exec::TaskGroup>(pool);
     result.stats.threads_used = threads;
     if (options.num_shards >= 1) {
       shard::ShardRunnerOptions ropts;
@@ -393,9 +380,8 @@ struct Driver {
   }
 
   /// Phase 2 (parallel over validation units): one candidate or one OC
-  /// group, writing only its members' outcome slots. Contexts were
-  /// prefetched while the level below merged, so the Get is normally a
-  /// cache hit; it stays safe (and value-deterministic) either way.
+  /// group, writing only its members' outcome slots. The derive step
+  /// resolved every context beforehand, so the Get is a cache hit.
   void ValidateUnit(const std::vector<Candidate>& candidates,
                     std::span<const uint32_t> unit,
                     std::vector<CandidateOutcome>& outcomes) {
@@ -576,6 +562,41 @@ struct Driver {
         break;
       }
 
+      // Derive the contexts of size >= 2 the candidates name and the
+      // cache lacks (with sharding, each runner derives its own). Plans
+      // are made serially against the catalog as the level below left it,
+      // so each is a pure function of (set, catalog); the keys are
+      // distinct and every base is resident, so no two workers compute or
+      // wait on the same key.
+      std::vector<AttributeSet> derived;
+      if (coordinator == nullptr) {
+        phase_clock.Restart();
+        for (const Candidate& c : candidates) {
+          if (c.context.size() >= 2) derived.push_back(c.context);
+        }
+        std::sort(derived.begin(), derived.end());
+        derived.erase(std::unique(derived.begin(), derived.end()),
+                      derived.end());
+        std::erase_if(derived,
+                      [&](AttributeSet set) { return cache.Contains(set); });
+        std::vector<DerivationPlan> derivations;
+        derivations.reserve(derived.size());
+        for (AttributeSet set : derived) {
+          derivations.push_back(cache.PlanDerivation(set));
+        }
+        exec::ParallelFor(
+            pool, 0, static_cast<int64_t>(derived.size()),
+            [&](int64_t i) {
+              Stopwatch sw;
+              cache.Get(derived[static_cast<size_t>(i)],
+                        &derivations[static_cast<size_t>(i)]);
+              partition_nanos.fetch_add(sw.ElapsedNanos(),
+                                        std::memory_order_relaxed);
+            },
+            PhaseOptions());
+        result.stats.partition_wall_seconds += phase_clock.ElapsedSeconds();
+      }
+
       // Phase 2: validate all candidates of the level — as stealable
       // validation units in-process (one candidate or one OC group each),
       // or shipped out as per-shard batches over the wire when sharding
@@ -666,41 +687,20 @@ struct Driver {
       }
       result.stats.validation_wall_seconds += phase_clock.ElapsedSeconds();
 
-      // Publish the completed level's partition costs to the planner
-      // catalog before any derivation of this level's survivors is
-      // planned. PublishCost resolves each partition (blocking on the
-      // rare prefetch straggler), so the catalog — and every plan made
-      // from it below — is a deterministic function of the traversal,
-      // not of scheduling. Skipped once the deadline is hit: the catalog
-      // no longer matters and publishing could trigger derivations.
-      phase_clock.Restart();
-      if (coordinator == nullptr && !OverBudget()) {
-        for (AttributeSet key : pending_costs) cache.PublishCost(key);
+      // Publish the derived contexts' costs to the planner catalog, where
+      // the next level's plans may pick them as bases. The catalog thus
+      // changes only here and on eviction, at deterministic points.
+      // Skipped once the deadline is hit: a cancelled derive step leaves
+      // keys underived, and publishing would derive them.
+      if (!OverBudget()) {
+        for (AttributeSet set : derived) cache.PublishCost(set);
       }
-      pending_costs.clear();
-      result.stats.partition_wall_seconds += phase_clock.ElapsedSeconds();
-
-      // With a bounded LHS arity m the last candidates are the OC pairs
-      // of level m+2 (context size m); levels past that emit nothing.
-      const bool expect_next_level =
-          (options.max_level == 0 || level < options.max_level) &&
-          (options.max_lhs_arity == 0 || level < options.max_lhs_arity + 2) &&
-          level < k;
 
       // Phase 3: serial merge in key order. Stop at the first node with
       // an unfinished candidate — everything before it is a complete,
-      // deterministic prefix of the traversal. As each node survives,
-      // its partition — a context for the next level's validation —
-      // starts deriving on the pool immediately (the old materialize
-      // barrier is now a prefetch pipeline overlapping the rest of the
-      // merge and the next level's planning). Plans are computed here,
-      // serially against the just-published catalog, and handed to the
-      // tasks, so in-flight tasks never read planner state.
+      // deterministic prefix of the traversal.
       phase_clock.Restart();
       int64_t merged_nodes = 0;
-      // In a serial run the prefetch runs inline inside this loop; that
-      // time is partition derivation, not merge, so it is moved over.
-      double inline_prefetch_seconds = 0.0;
       for (size_t i = 0; i < keys.size(); ++i) {
         const NodePlan& plan = plans[i];
         const size_t total = plan.NumCandidates();
@@ -717,32 +717,8 @@ struct Driver {
         }
         MergeNode(keys[i], plan, candidates, outcomes, &current);
         ++merged_nodes;
-        // Level-1 partitions are preloaded; prefetch only derived levels.
-        // With sharding the coordinator-side cache is idle — contexts are
-        // derived by the shard that validates them — so there is nothing
-        // to prefetch or to cost-publish.
-        if (coordinator == nullptr && expect_next_level && level >= 2 &&
-            current.Find(keys[i]) != nullptr) {
-          const AttributeSet key = keys[i];
-          pending_costs.push_back(key);
-          DerivationPlan derivation = cache.PlanDerivation(key);
-          Stopwatch run_clock;
-          prefetch_group->Run(
-              [this, key, derivation = std::move(derivation)] {
-                if (OverBudget()) return;
-                Stopwatch sw;
-                cache.Get(key, &derivation);
-                partition_nanos.fetch_add(sw.ElapsedNanos(),
-                                          std::memory_order_relaxed);
-              });
-          if (pool == nullptr) {
-            inline_prefetch_seconds += run_clock.ElapsedSeconds();
-          }
-        }
       }
-      result.stats.merge_wall_seconds +=
-          phase_clock.ElapsedSeconds() - inline_prefetch_seconds;
-      result.stats.partition_wall_seconds += inline_prefetch_seconds;
+      result.stats.merge_wall_seconds += phase_clock.ElapsedSeconds();
       // Deadline-coherent totals: only merged nodes — the ones whose
       // candidates and dependencies the result actually reports — are
       // counted, and a level (or a whole run) that merged nothing leaves
@@ -763,29 +739,26 @@ struct Driver {
         }
       }
       if (result.timed_out) break;
+      // With a bounded LHS arity m the last candidates are the OC pairs
+      // of level m+2 (context size m); levels past that emit nothing.
+      const bool expect_next_level =
+          (options.max_level == 0 || level < options.max_level) &&
+          (options.max_lhs_arity == 0 || level < options.max_lhs_arity + 2) &&
+          level < k;
       if (!expect_next_level) break;
 
-      // Budget enforcement needs a quiescent cache (every future
-      // resolved), so it pays one synchronization with the prefetch
-      // pipeline; without a budget the pipeline runs uninterrupted into
-      // the next level and the peak sample is merely a racy lower bound
-      // (the end-of-run sample is exact).
+      // Nothing derives between levels, so the cache is quiescent here:
+      // the residency sample is exact and eviction may run.
       if (coordinator != nullptr) {
         // Shard caches enforce their own budgets batch by batch and
         // sample their own residency peaks; both fold in from the stats
         // footers at Finish — the coordinator has no object access to a
         // remote cache, so there is nothing to sample here.
-      } else if (options.partition_memory_budget_bytes > 0) {
-        phase_clock.Restart();
-        prefetch_group->Wait();
-        result.stats.partition_wall_seconds += phase_clock.ElapsedSeconds();
+      } else {
         result.stats.partition_bytes_peak = std::max(
             result.stats.partition_bytes_peak, cache.bytes_resident());
         result.stats.partition_bytes_evicted +=
             cache.EnforceBudget(options.partition_memory_budget_bytes);
-      } else {
-        result.stats.partition_bytes_peak = std::max(
-            result.stats.partition_bytes_peak, cache.bytes_resident());
       }
 
       LatticeLevel next = current.GenerateNext();
@@ -793,11 +766,6 @@ struct Driver {
       current = std::move(next);
     }
 
-    {
-      Stopwatch wait_clock;
-      prefetch_group->Wait();
-      result.stats.partition_wall_seconds += wait_clock.ElapsedSeconds();
-    }
     result.stats.partition_seconds =
         static_cast<double>(partition_nanos.load(std::memory_order_relaxed)) /
         1e9;

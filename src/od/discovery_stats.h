@@ -41,13 +41,9 @@ struct DiscoveryStats {
   double partition_seconds = 0.0;
 
   // Wall-clock per driver phase, accumulated over levels: candidate
-  // generation, candidate validation, and the partition pipeline.
-  // Partitions are prefetched on the pool while the merge runs, so
-  // partition_wall_seconds counts only the residual synchronization —
-  // catalog publication blocking on stragglers plus the explicit waits
-  // before budget enforcement and at the end of the run — not a
-  // dedicated materialization barrier. In a serial run the prefetch runs
-  // inline in the merge loop; that time counts here, not as merge.
+  // generation, candidate validation, and the derive step that builds
+  // the level's missing context partitions before validation (with
+  // sharding the runners derive, and this stays 0).
   double candidate_wall_seconds = 0.0;
   double validation_wall_seconds = 0.0;
   double partition_wall_seconds = 0.0;

@@ -169,7 +169,7 @@ bool PartitionCache::Contains(AttributeSet set) const {
 
 int64_t PartitionCache::EnforceBudget(int64_t budget_bytes) {
   if (budget_bytes <= 0 || bytes_resident() <= budget_bytes) return 0;
-  // Futures are resolved here (the driver quiesces prefetch first), so
+  // Futures are resolved here (nothing derives between phases), so
   // every entry's exact size and level are available.
   struct Victim {
     int level;

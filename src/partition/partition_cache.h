@@ -22,10 +22,10 @@
 // FromColumn(table->column(a)) — preloaded ones included (row-shard
 // stitched bases, warm bases, wire-decoded blocks); Preload checks it in
 // debug builds. The catalog
-// is updated only at deterministic points (the driver publishes each
-// completed level's survivors between phases, a shard runner its batch
-// contexts between batches), so plans — and therefore the product
-// counter — are identical for any thread count.
+// is updated only at deterministic points (the driver publishes the
+// contexts it derived for a level once the level is validated, a shard
+// runner its batch contexts between batches), so plans — and therefore
+// the product counter — are identical for any thread count.
 //
 // Concurrency. Get() is safe to call from any number of threads — the
 // driver materializes partitions on the thread pool. The key space is
@@ -59,8 +59,9 @@ namespace aod {
 /// A derivation recipe for one requested partition: start from the cached
 /// Π_base and product with the single attributes of `singles` in
 /// ascending order. Produced by PartitionCache::PlanDerivation; the
-/// driver precomputes plans on its own thread (against a stable catalog)
-/// and hands them to prefetch tasks.
+/// driver plans a level's missing contexts on its own thread (against the
+/// catalog as the level below left it) and hands the plans to the
+/// workers of its derive step.
 struct DerivationPlan {
   AttributeSet base;
   std::vector<int> singles;
@@ -99,10 +100,10 @@ class PartitionCache {
   /// result. A miss derives via PlanDerivation.
   std::shared_ptr<const StrippedPartition> Get(AttributeSet set);
 
-  /// Get with a precomputed derivation plan, used by the driver's
-  /// prefetch tasks: on a miss `plan` is executed as-is instead of
-  /// consulting the catalog, so in-flight tasks never read planner state
-  /// the driver may be about to update. A null plan falls back to Get().
+  /// Get with a precomputed derivation plan, used by the driver's derive
+  /// step: on a miss `plan` is executed as-is instead of consulting the
+  /// catalog, so every plan of one step sees the same catalog. A null
+  /// plan falls back to Get().
   std::shared_ptr<const StrippedPartition> Get(AttributeSet set,
                                                const DerivationPlan* plan);
 
@@ -119,8 +120,8 @@ class PartitionCache {
 
   /// Publishes Π_X's realized cost (rows_covered) to the planner catalog,
   /// materializing Π_X first if needed. The driver calls this for each
-  /// completed level's survivors between phases, a shard runner for each
-  /// resident context of a finished batch — the only points catalog
+  /// context it derived, once the level is validated, a shard runner for
+  /// each resident context of a finished batch — the only points catalog
   /// contents change outside eviction, which keeps plans deterministic.
   void PublishCost(AttributeSet set);
 

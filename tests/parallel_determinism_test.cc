@@ -153,12 +153,12 @@ TEST(ParallelDeterminismTest, HardwareConcurrencyRequestMatchesSerial) {
   EXPECT_EQ(Fingerprint(hw), expected);
 }
 
-TEST(ParallelDeterminismTest, SerialRunCountsInlinePrefetchAsPartitionWall) {
+TEST(ParallelDeterminismTest, SerialRunCountsContextDerivationAsPartitionWall) {
   // A serial run — no pool, or a borrowed 1-worker pool, which takes the
-  // same path — derives each survivor's partition inline in the merge
-  // loop. That time belongs to the partition phase: it contains every
-  // derivation's CPU time, so the partition wall clock cannot be smaller.
-  // The move is timing-only; the counters match a pooled run.
+  // same path — derives each level's missing contexts inline in the
+  // derive step. Its wall clock contains every derivation's CPU time, so
+  // the partition wall clock cannot be smaller; the counters match a
+  // pooled run.
   EncodedTable enc = EncodeTable(GenerateFlightTable(3000, 8, 5));
   DiscoveryOptions options;
   options.epsilon = 0.1;
@@ -178,6 +178,36 @@ TEST(ParallelDeterminismTest, SerialRunCountsInlinePrefetchAsPartitionWall) {
               serial.stats.partition_seconds);
     EXPECT_GE(serial.stats.merge_wall_seconds, 0.0);
     EXPECT_EQ(Fingerprint(serial), pooled);
+  }
+}
+
+TEST(ParallelDeterminismTest, DerivesOnlyNamedContexts) {
+  // A level derives the contexts its candidates name and nothing else.
+  // With LHS arity 1, or OCs alone up to level 3, every context is a
+  // single attribute, which is preloaded, so no product is computed and
+  // no plan executed — at any thread count.
+  EncodedTable enc = EncodeTable(GenerateFlightTable(3000, 8, 5));
+  DiscoveryOptions arity_one;
+  arity_one.max_lhs_arity = 1;
+  DiscoveryOptions oc_to_level_three;
+  oc_to_level_three.kinds = DependencyKindSet().With(DependencyKind::kOc);
+  oc_to_level_three.max_level = 3;
+  for (DiscoveryOptions options : {arity_one, oc_to_level_three}) {
+    options.epsilon = 0.1;
+    std::string expected;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "kinds=" << options.kinds.ToString()
+                   << " max_lhs_arity=" << options.max_lhs_arity
+                   << " threads=" << threads);
+      options.num_threads = threads;
+      const DiscoveryResult run = DiscoverOds(enc, options);
+      ASSERT_FALSE(run.dependencies.empty());
+      EXPECT_EQ(run.stats.partitions_computed, 0);
+      EXPECT_EQ(run.stats.planner_derivations, 0);
+      if (expected.empty()) expected = Fingerprint(run);
+      EXPECT_EQ(Fingerprint(run), expected);
+    }
   }
 }
 
