@@ -55,6 +55,9 @@ void RunDataset(const char* name, bool flight, int max_attrs) {
 
 int main() {
   using namespace aod::bench;
+  // Line-buffered, so a run redirected to a file shows each row as it
+  // finishes rather than only at exit.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   PrintHeaderLine(
       "Exp-2 / Figure 3: scalability in the number of attributes");
   PrintNote("paper reference (flight, ms): OD 0..221460, AOD(opt) 0..115949,"

@@ -96,8 +96,9 @@ struct CandidateOutcome : CandidateVerdict {
 /// against a warm cache.
 ///
 /// Workers in phases 1/2 and the derive step read shared state
-/// (`previous`, the cache) and write only their own plan/outcome slot or
-/// cache key; the merge alone mutates the lattice and the result.
+/// (`previous`, the cache) and write only their own plan, outcome or
+/// derive slot; the derive step installs its results on the driver
+/// thread, and the merge alone mutates the lattice and the result.
 /// Combined with the cache's canonical partition values and deterministic
 /// derivation plans (published catalog, see partition_cache.h) this makes
 /// the dependency lists and every non-timing counter bit-identical for
@@ -121,7 +122,8 @@ struct Driver {
   /// (one thread, including a borrowed 1-worker pool).
   std::unique_ptr<exec::ThreadPool> owned_pool;
   exec::ThreadPool* pool = nullptr;
-  std::atomic<int64_t> partition_nanos{0};
+  /// Summed derivation time of the derive steps (partition_seconds).
+  int64_t partition_nanos = 0;
   /// Sharded validation (options.num_shards >= 1): candidate batches go
   /// out to runner processes and results come back over the CSR wire
   /// format; the driver's own cache and validator sit idle — partitions
@@ -381,11 +383,16 @@ struct Driver {
 
   /// Phase 2 (parallel over validation units): one candidate or one OC
   /// group, writing only its members' outcome slots. The derive step
-  /// resolved every context beforehand, so the Get is a cache hit.
+  /// installed every context beforehand, so the lookup only reads.
   void ValidateUnit(const std::vector<Candidate>& candidates,
                     std::span<const uint32_t> unit,
                     std::vector<CandidateOutcome>& outcomes) {
-    auto partition = cache.Get(candidates[unit[0]].context);
+    const StrippedPartition* partition =
+        cache.Find(candidates[unit[0]].context);
+    // Only a cancelled derive step leaves a context out. Its unit stays
+    // undone, which stops the merge before its node; a worker never
+    // derives.
+    if (partition == nullptr) return;
     validator.ValidateUnit(candidates, unit, *partition,
                            [&](uint32_t i, CandidateVerdict&& verdict) {
                              CandidateOutcome& out = outcomes[i];
@@ -562,38 +569,18 @@ struct Driver {
         break;
       }
 
-      // Derive the contexts of size >= 2 the candidates name and the
-      // cache lacks (with sharding, each runner derives its own). Plans
-      // are made serially against the catalog as the level below left it,
-      // so each is a pure function of (set, catalog); the keys are
-      // distinct and every base is resident, so no two workers compute or
-      // wait on the same key.
-      std::vector<AttributeSet> derived;
+      // Derive the contexts the candidates name and the cache lacks (with
+      // sharding, each runner derives its own), in one step: plans are
+      // made against the catalog as the level below left it, and the
+      // results are installed and published after the step's join, so
+      // phase 2 only reads the cache.
       if (coordinator == nullptr) {
         phase_clock.Restart();
-        for (const Candidate& c : candidates) {
-          if (c.context.size() >= 2) derived.push_back(c.context);
-        }
-        std::sort(derived.begin(), derived.end());
-        derived.erase(std::unique(derived.begin(), derived.end()),
-                      derived.end());
-        std::erase_if(derived,
-                      [&](AttributeSet set) { return cache.Contains(set); });
-        std::vector<DerivationPlan> derivations;
-        derivations.reserve(derived.size());
-        for (AttributeSet set : derived) {
-          derivations.push_back(cache.PlanDerivation(set));
-        }
-        exec::ParallelFor(
-            pool, 0, static_cast<int64_t>(derived.size()),
-            [&](int64_t i) {
-              Stopwatch sw;
-              cache.Get(derived[static_cast<size_t>(i)],
-                        &derivations[static_cast<size_t>(i)]);
-              partition_nanos.fetch_add(sw.ElapsedNanos(),
-                                        std::memory_order_relaxed);
-            },
-            PhaseOptions());
+        std::vector<AttributeSet> contexts;
+        contexts.reserve(candidates.size());
+        for (const Candidate& c : candidates) contexts.push_back(c.context);
+        partition_nanos +=
+            cache.Derive(std::move(contexts), pool, PhaseOptions()).nanos;
         result.stats.partition_wall_seconds += phase_clock.ElapsedSeconds();
       }
 
@@ -687,15 +674,6 @@ struct Driver {
       }
       result.stats.validation_wall_seconds += phase_clock.ElapsedSeconds();
 
-      // Publish the derived contexts' costs to the planner catalog, where
-      // the next level's plans may pick them as bases. The catalog thus
-      // changes only here and on eviction, at deterministic points.
-      // Skipped once the deadline is hit: a cancelled derive step leaves
-      // keys underived, and publishing would derive them.
-      if (!OverBudget()) {
-        for (AttributeSet set : derived) cache.PublishCost(set);
-      }
-
       // Phase 3: serial merge in key order. Stop at the first node with
       // an unfinished candidate — everything before it is a complete,
       // deterministic prefix of the traversal.
@@ -747,16 +725,9 @@ struct Driver {
           level < k;
       if (!expect_next_level) break;
 
-      // Nothing derives between levels, so the cache is quiescent here:
-      // the residency sample is exact and eviction may run.
-      if (coordinator != nullptr) {
-        // Shard caches enforce their own budgets batch by batch and
-        // sample their own residency peaks; both fold in from the stats
-        // footers at Finish — the coordinator has no object access to a
-        // remote cache, so there is nothing to sample here.
-      } else {
-        result.stats.partition_bytes_peak = std::max(
-            result.stats.partition_bytes_peak, cache.bytes_resident());
+      // Nothing derives between levels, so eviction may run. Shard caches
+      // enforce their own budgets batch by batch.
+      if (coordinator == nullptr) {
         result.stats.partition_bytes_evicted +=
             cache.EnforceBudget(options.partition_memory_budget_bytes);
       }
@@ -767,8 +738,7 @@ struct Driver {
     }
 
     result.stats.partition_seconds =
-        static_cast<double>(partition_nanos.load(std::memory_order_relaxed)) /
-        1e9;
+        static_cast<double>(partition_nanos) / 1e9;
     if (coordinator != nullptr) {
       // The shutdown handshake: every shard answers with its stats
       // footer, the single mechanism partition-side counters cross the
@@ -785,8 +755,7 @@ struct Driver {
       result.stats.planner_cost_realized = footers.planner_cost_realized;
       result.stats.partitions_evicted = footers.partitions_evicted;
       result.stats.partition_bytes_evicted = footers.partition_bytes_evicted;
-      result.stats.partition_bytes_peak = std::max(
-          result.stats.partition_bytes_peak, footers.partition_bytes_peak);
+      result.stats.partition_bytes_peak = footers.partition_bytes_peak;
       result.stats.partition_bytes_final = footers.partition_bytes_final;
       result.stats.shard_bytes_shipped = coordinator->bytes_shipped_total();
       result.stats.shard_bytes_per_shard.resize(
@@ -820,8 +789,7 @@ struct Driver {
       result.stats.planner_cost_estimated = cache.planner_cost_estimated();
       result.stats.planner_cost_realized = cache.planner_cost_realized();
       result.stats.partitions_evicted = cache.partitions_evicted();
-      result.stats.partition_bytes_peak =
-          std::max(result.stats.partition_bytes_peak, cache.bytes_resident());
+      result.stats.partition_bytes_peak = cache.bytes_peak();
       result.stats.partition_bytes_final = cache.bytes_resident();
     }
     result.cancelled = cancel_hit.load(std::memory_order_relaxed);

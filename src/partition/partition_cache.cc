@@ -1,20 +1,20 @@
 #include "partition/partition_cache.h"
 
 #include <algorithm>
-#include <chrono>
 #include <tuple>
 #include <utility>
 
 #include "common/macros.h"
+#include "common/stopwatch.h"
 
 namespace aod {
 
 PartitionCache::PartitionCache(const EncodedTable* table,
                                DeferBasePartitions) : table_(table) {
   AOD_CHECK(table != nullptr);
-  PutReady(AttributeSet(),
-           std::make_shared<StrippedPartition>(
-               StrippedPartition::WholeRelation(table_->num_rows())));
+  Install(AttributeSet(),
+          std::make_shared<StrippedPartition>(
+              StrippedPartition::WholeRelation(table_->num_rows())));
 }
 
 PartitionCache::PartitionCache(const EncodedTable* table)
@@ -23,7 +23,7 @@ PartitionCache::PartitionCache(const EncodedTable* table)
     auto partition = std::make_shared<StrippedPartition>(
         StrippedPartition::FromColumn(table_->column(a)));
     catalog_.emplace(AttributeSet().With(a), partition->rows_covered());
-    PutReady(AttributeSet().With(a), std::move(partition));
+    Install(AttributeSet().With(a), std::move(partition));
   }
 }
 
@@ -35,66 +35,76 @@ void PartitionCache::Preload(AttributeSet set, StrippedPartition partition) {
     AOD_DCHECK(value->Serialize() ==
                StrippedPartition::FromColumn(table_->column(set.First()))
                    .Serialize());
-    std::lock_guard<std::mutex> lock(catalog_mutex_);
     catalog_[set] = value->rows_covered();
   }
-  PutReady(set, std::move(value));
+  Install(set, std::move(value));
 }
 
-void PartitionCache::PutReady(AttributeSet set, PartitionPtr value) {
-  bytes_resident_.fetch_add(value->bytes(), std::memory_order_relaxed);
-  std::promise<PartitionPtr> promise;
-  promise.set_value(std::move(value));
-  Shard& shard = ShardFor(set);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(set);
-  if (it != shard.map.end()) {
-    // Replacing an entry: un-count the displaced value (always resolved —
-    // PutReady only ever installs resolved futures).
-    bytes_resident_.fetch_sub(it->second.get()->bytes(),
-                              std::memory_order_relaxed);
+void PartitionCache::Install(AttributeSet set, PartitionPtr value) {
+  PartitionPtr& entry = entries_[set];
+  // Replacing an entry: un-count the displaced value.
+  if (entry != nullptr) bytes_resident_ -= entry->bytes();
+  bytes_resident_ += value->bytes();
+  bytes_peak_ = std::max(bytes_peak_, bytes_resident_);
+  entry = std::move(value);
+}
+
+PartitionCache::DeriveReport PartitionCache::Derive(
+    std::vector<AttributeSet> contexts, exec::ThreadPool* pool,
+    const exec::ParallelForOptions& options) {
+  // Level-0/1 partitions are preloaded and never evicted, so only sets
+  // of size >= 2 are ever derived.
+  std::erase_if(contexts, [](AttributeSet set) { return set.size() <= 1; });
+  std::sort(contexts.begin(), contexts.end());
+  contexts.erase(std::unique(contexts.begin(), contexts.end()),
+                 contexts.end());
+  std::erase_if(contexts, [&](AttributeSet set) { return Contains(set); });
+
+  // Every plan sees the same catalog, and every base it names is
+  // resident, so the workers below only read the cache and no two of
+  // them touch the same key.
+  std::vector<DerivationPlan> plans;
+  plans.reserve(contexts.size());
+  for (AttributeSet set : contexts) plans.push_back(PlanDerivation(set));
+  std::vector<Derived> slots(contexts.size());
+  exec::ParallelFor(
+      pool, 0, static_cast<int64_t>(contexts.size()),
+      [&](int64_t i) {
+        slots[static_cast<size_t>(i)] =
+            ExecutePlan(plans[static_cast<size_t>(i)]);
+      },
+      options);
+
+  DeriveReport report;
+  for (size_t i = 0; i < contexts.size(); ++i) {
+    Derived& slot = slots[i];
+    if (slot.value == nullptr) continue;
+    catalog_[contexts[i]] = slot.value->rows_covered();
+    Install(contexts[i], std::move(slot.value));
+    products_computed_ += slot.products;
+    ++planner_derivations_;
+    planner_cost_estimated_ += plans[i].estimated_cost;
+    planner_cost_realized_ += slot.realized_cost;
+    ++report.keys;
+    report.nanos += slot.nanos;
   }
-  shard.map.insert_or_assign(set, promise.get_future().share());
+  return report;
 }
 
 std::shared_ptr<const StrippedPartition> PartitionCache::Get(
     AttributeSet set) {
-  return Get(set, nullptr);
+  auto it = entries_.find(set);
+  if (it == entries_.end()) {
+    AOD_CHECK(set.size() >= 2);
+    Derive({set});
+    it = entries_.find(set);
+  }
+  return it->second;
 }
 
-std::shared_ptr<const StrippedPartition> PartitionCache::Get(
-    AttributeSet set, const DerivationPlan* plan) {
-  if (get_hook_) get_hook_(GetEvent::kEnter, set);
-  Shard& shard = ShardFor(set);
-  std::promise<PartitionPtr> promise;
-  PartitionFuture existing;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(set);
-    if (it != shard.map.end()) {
-      existing = it->second;
-    } else {
-      shard.map.emplace(set, promise.get_future().share());
-    }
-  }
-  if (existing.valid()) {
-    // Wait with the stripe unlocked: the thread computing `set` may need
-    // another key of this stripe (its base or a single) and would block
-    // forever behind a waiter that held the lock.
-    if (get_hook_ && existing.wait_for(std::chrono::seconds(0)) !=
-                         std::future_status::ready) {
-      get_hook_(GetEvent::kWaitPending, set);
-    }
-    return existing.get();
-  }
-  // Level-0/1 partitions are preloaded and never evicted, so a miss is
-  // always a derivable set.
-  AOD_CHECK(set.size() >= 2);
-  PartitionPtr value = plan != nullptr
-                           ? ExecutePlan(set, *plan)
-                           : ExecutePlan(set, PlanDerivation(set));
-  promise.set_value(value);
-  return value;
+const StrippedPartition* PartitionCache::Find(AttributeSet set) const {
+  auto it = entries_.find(set);
+  return it == entries_.end() ? nullptr : it->second.get();
 }
 
 DerivationPlan PartitionCache::PlanDerivation(AttributeSet set) const {
@@ -105,7 +115,6 @@ DerivationPlan PartitionCache::PlanDerivation(AttributeSet set) const {
   // order and of anything but (set, catalog).
   std::tuple<int64_t, int, uint64_t> best_key{0, 0, 0};
   bool have_best = false;
-  std::lock_guard<std::mutex> lock(catalog_mutex_);
   for (const auto& [base, base_cost] : catalog_) {
     if (base.empty() || base == set || !set.ContainsAll(base)) continue;
     const int steps = set.Difference(base).size();
@@ -125,64 +134,40 @@ DerivationPlan PartitionCache::PlanDerivation(AttributeSet set) const {
   return best;
 }
 
-void PartitionCache::PublishCost(AttributeSet set) {
-  PartitionPtr partition = Get(set);
-  std::lock_guard<std::mutex> lock(catalog_mutex_);
-  catalog_[set] = partition->rows_covered();
-}
-
-PartitionCache::PartitionPtr PartitionCache::ExecutePlan(
-    AttributeSet set, const DerivationPlan& plan) {
-  AOD_CHECK(!plan.base.empty() && set.ContainsAll(plan.base) &&
-            !plan.singles.empty());
-  PartitionPtr current = Get(plan.base);
+PartitionCache::Derived PartitionCache::ExecutePlan(
+    const DerivationPlan& plan) {
+  AOD_CHECK(!plan.singles.empty());
+  Stopwatch clock;
+  const StrippedPartition* base = Find(plan.base);
+  AOD_CHECK(base != nullptr);
   std::unique_ptr<PartitionScratch> scratch = AcquireScratch();
-  int64_t realized = 0;
+  Derived out;
+  PartitionPtr current;
   for (int a : plan.singles) {
+    const StrippedPartition& from = current ? *current : *base;
     // The kernel probes the rank column; Π_{a} itself is never read.
-    realized += 2 * current->rows_covered();
+    out.realized_cost += 2 * from.rows_covered();
     current = std::make_shared<StrippedPartition>(
-        current->ProductWithColumn(table_->column(a), scratch.get()));
-    products_computed_.fetch_add(1, std::memory_order_relaxed);
+        from.ProductWithColumn(table_->column(a), scratch.get()));
+    ++out.products;
   }
   ReleaseScratch(std::move(scratch));
-  planner_derivations_.fetch_add(1, std::memory_order_relaxed);
-  planner_cost_estimated_.fetch_add(plan.estimated_cost,
-                                    std::memory_order_relaxed);
-  planner_cost_realized_.fetch_add(realized, std::memory_order_relaxed);
-  bytes_resident_.fetch_add(current->bytes(), std::memory_order_relaxed);
-  return current;
-}
-
-bool PartitionCache::Contains(AttributeSet set) const {
-  const Shard& shard = ShardFor(set);
-  PartitionFuture future;
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(set);
-    if (it == shard.map.end()) return false;
-    future = it->second;
-  }
-  return future.wait_for(std::chrono::seconds(0)) ==
-         std::future_status::ready;
+  out.value = std::move(current);
+  out.nanos = clock.ElapsedNanos();
+  return out;
 }
 
 int64_t PartitionCache::EnforceBudget(int64_t budget_bytes) {
   if (budget_bytes <= 0 || bytes_resident() <= budget_bytes) return 0;
-  // Futures are resolved here (nothing derives between phases), so
-  // every entry's exact size and level are available.
   struct Victim {
     int level;
     int64_t bytes;
     AttributeSet set;
   };
   std::vector<Victim> victims;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const auto& [key, future] : shard.map) {
-      if (key.size() <= 1) continue;
-      victims.push_back({key.size(), future.get()->bytes(), key});
-    }
+  for (const auto& [key, value] : entries_) {
+    if (key.size() <= 1) continue;
+    victims.push_back({key.size(), value->bytes(), key});
   }
   // Coldest first: lowest level — levels below the two most recent are
   // never needed as contexts again, so during the level-wise traversal
@@ -201,31 +186,14 @@ int64_t PartitionCache::EnforceBudget(int64_t budget_bytes) {
   while (evicted < victims.size() &&
          bytes_resident() - freed > budget_bytes) {
     const Victim& v = victims[evicted];
-    Shard& shard = ShardFor(v.set);
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.map.erase(v.set);
-    }
+    entries_.erase(v.set);
+    catalog_.erase(v.set);
     freed += v.bytes;
     ++evicted;
   }
-  if (evicted > 0) {
-    std::lock_guard<std::mutex> lock(catalog_mutex_);
-    for (size_t i = 0; i < evicted; ++i) catalog_.erase(victims[i].set);
-  }
-  partitions_evicted_.fetch_add(static_cast<int64_t>(evicted),
-                                std::memory_order_relaxed);
-  bytes_resident_.fetch_sub(freed, std::memory_order_relaxed);
+  partitions_evicted_ += static_cast<int64_t>(evicted);
+  bytes_resident_ -= freed;
   return freed;
-}
-
-int64_t PartitionCache::cached_count() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += static_cast<int64_t>(shard.map.size());
-  }
-  return total;
 }
 
 std::unique_ptr<PartitionScratch> PartitionCache::AcquireScratch() {

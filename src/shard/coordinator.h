@@ -108,7 +108,7 @@ class ShardCoordinator {
   AOD_DISALLOW_COPY_AND_ASSIGN(ShardCoordinator);
 
   /// The shard assignment rule: a pure hash (SplitMix64 finalizer, the
-  /// same AttributeSetHash the cache stripes by) of the candidate's
+  /// one AttributeSetHash uses) of the candidate's
   /// context set, mod the shard count. Keying by context — not by slot —
   /// colocates every candidate of a context with the one shard that
   /// derives its partition.

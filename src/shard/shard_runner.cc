@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "common/stopwatch.h"
 #include "exec/parallel_for.h"
 
 namespace aod {
@@ -25,21 +24,11 @@ ShardRunner::ShardRunner(int shard_id, const EncodedTable* table,
   AOD_CHECK(table != nullptr);
 }
 
-void ShardRunner::Preload(AttributeSet attributes,
-                          StrippedPartition partition) {
-  cache_.Preload(attributes, std::move(partition));
-  SampleResidency();
-}
-
 Status ShardRunner::PreloadBlock(const DecodedFrame& frame) {
   AOD_ASSIGN_OR_RETURN(auto block,
                        DecodePartitionBlock(frame, table_->num_rows()));
-  Preload(block.first, std::move(block.second));
+  cache_.Preload(block.first, std::move(block.second));
   return Status::OK();
-}
-
-void ShardRunner::SampleResidency() {
-  bytes_peak_ = std::max(bytes_peak_, cache_.bytes_resident());
 }
 
 ShardStatsFooter ShardRunner::FooterStats() const {
@@ -52,24 +41,27 @@ ShardStatsFooter ShardRunner::FooterStats() const {
   footer.partitions_evicted = cache_.partitions_evicted();
   footer.partition_bytes_evicted = bytes_evicted_;
   footer.partition_bytes_final = cache_.bytes_resident();
-  footer.partition_bytes_peak = bytes_peak_;
-  footer.partition_seconds =
-      static_cast<double>(partition_nanos_.load(std::memory_order_relaxed)) /
-      1e9;
+  footer.partition_bytes_peak = cache_.bytes_peak();
+  footer.partition_seconds = static_cast<double>(partition_nanos_) / 1e9;
   return footer;
 }
 
 std::vector<WireOutcome> ShardRunner::ValidateBatch(
     const std::vector<WireCandidate>& batch) {
-  // Parallel over the batch's validation units on the runner's pool.
-  // Every outcome slot is written by exactly one unit, so the reply is in
-  // batch (= ascending slot) order.
+  // Derive the batch's missing contexts in one step, then validate
+  // parallel over the batch's validation units on the runner's pool,
+  // which only read the cache. Every outcome slot is written by exactly
+  // one unit, so the reply is in batch (= ascending slot) order.
   std::vector<Candidate> candidates;
+  std::vector<AttributeSet> contexts;
   candidates.reserve(batch.size());
+  contexts.reserve(batch.size());
   for (const WireCandidate& w : batch) {
     candidates.push_back({w.kind, AttributeSet(w.context_bits), w.target,
                           AttributePair{w.pair_a, w.pair_b, w.opposite}});
+    contexts.push_back(candidates.back().context);
   }
+  partition_nanos_ += cache_.Derive(std::move(contexts), pool_).nanos;
   const ValidationUnits units = validator_.FormUnits(candidates);
   std::vector<WireOutcome> outcomes(batch.size());
   exec::ParallelFor(pool_, 0, static_cast<int64_t>(units.size()),
@@ -81,20 +73,7 @@ std::vector<WireOutcome> ShardRunner::ValidateBatch(
   return outcomes;
 }
 
-void ShardRunner::FinishBatch(const std::vector<WireCandidate>& batch) {
-  // ValidateBatch's ParallelFor has joined, so every cache future is
-  // resolved — the precondition cost publishing, budget enforcement and
-  // an exact residency sample need. Publishing the batch's resident
-  // contexts lets the next batch's misses derive from them; the catalog
-  // changes only here, between batches, so plans (and the product
-  // counter) are pure functions of the validated batches, as in the
-  // driver. Only resident contexts are published: publishing one that
-  // is not would derive it.
-  for (const WireCandidate& c : batch) {
-    const AttributeSet context(c.context_bits);
-    if (cache_.Contains(context)) cache_.PublishCost(context);
-  }
-  SampleResidency();
+void ShardRunner::FinishBatch() {
   if (options_.partition_memory_budget_bytes > 0) {
     bytes_evicted_ += cache_.EnforceBudget(
         options_.partition_memory_budget_bytes);
@@ -105,16 +84,9 @@ void ShardRunner::ValidateUnit(const std::vector<WireCandidate>& batch,
                                const std::vector<Candidate>& candidates,
                                std::span<const uint32_t> unit,
                                std::vector<WireOutcome>& outcomes) {
-  const AttributeSet context = candidates[unit[0]].context;
-  std::shared_ptr<const StrippedPartition> partition;
-  if (cache_.Contains(context)) {
-    partition = cache_.Get(context);
-  } else {
-    Stopwatch derive_sw;
-    partition = cache_.Get(context);
-    partition_nanos_.fetch_add(derive_sw.ElapsedNanos(),
-                               std::memory_order_relaxed);
-  }
+  const StrippedPartition* partition =
+      cache_.Find(candidates[unit[0]].context);
+  AOD_CHECK(partition != nullptr);
   validator_.ValidateUnit(
       candidates, unit, *partition,
       [&](uint32_t i, CandidateVerdict&& verdict) {
@@ -208,9 +180,9 @@ Status ShardServeLoop::HandleCandidateBatch(const DecodedFrame& frame) {
     AOD_RETURN_NOT_OK(channel_->Send(EncodeResultBatch(chunk, final_chunk)));
     begin = end;
   } while (begin < completed.size());
-  // Publish and evict after the reply is on its way, so the
-  // coordinator's wait for this level never includes eviction time.
-  runner_->FinishBatch(batch);
+  // Evict after the reply is on its way, so the coordinator's wait for
+  // this level never includes eviction time.
+  runner_->FinishBatch();
   return Status::OK();
 }
 

@@ -4,8 +4,8 @@
 // whose base (level-1) partitions are installed with Preload — decoded
 // off kPartitionBlock frames, never derived from the table — plus the
 // CandidateValidator the discovery driver also uses. Larger context
-// partitions are derived shard-locally through the cache's cost
-// planner, whose catalog FinishBatch publishes between batches.
+// partitions are derived shard-locally, one derive step per batch,
+// through the cache's cost planner.
 //
 // ShardServeLoop is the wire side of a runner process: it receives
 // frames from a channel, decodes them, calls the core and encodes the
@@ -22,7 +22,6 @@
 #ifndef AOD_SHARD_SHARD_RUNNER_H_
 #define AOD_SHARD_SHARD_RUNNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -71,25 +70,23 @@ class ShardRunner {
               const ShardRunnerOptions& options, exec::ThreadPool* pool);
   AOD_DISALLOW_COPY_AND_ASSIGN(ShardRunner);
 
-  /// Installs one base partition into the local cache.
-  void Preload(AttributeSet attributes, StrippedPartition partition);
-
   /// Decodes one kPartitionBlock frame (canonical-validated) and
-  /// Preloads it — the one place a base frame is turned into a cache
-  /// entry.
+  /// installs it in the local cache — the one place a base frame is
+  /// turned into a cache entry.
   Status PreloadBlock(const DecodedFrame& frame);
 
-  /// Validates every candidate (parallel over the batch's validation
-  /// units on the pool, CandidateValidator::FormUnits) and returns the
-  /// outcomes in batch order.
+  /// Derives the batch's missing contexts in one PartitionCache::Derive
+  /// step (which publishes them to the planner catalog for later
+  /// batches), validates every candidate (parallel over the batch's
+  /// validation units on the pool, CandidateValidator::FormUnits) and
+  /// returns the outcomes in batch order.
   std::vector<WireOutcome> ValidateBatch(
       const std::vector<WireCandidate>& batch);
 
-  /// Closes a validated batch: publishes its resident contexts to the
-  /// planner catalog and enforces the per-shard budget. Call once after
-  /// every ValidateBatch, before the next one — the serve loop does so
-  /// after the reply is sent.
-  void FinishBatch(const std::vector<WireCandidate>& batch);
+  /// Closes a validated batch: enforces the per-shard budget. Call once
+  /// after every ValidateBatch, before the next one — the serve loop
+  /// does so after the reply is sent.
+  void FinishBatch();
 
   /// The partition-side counters of the kStatsFooter (see wire.h); pure
   /// functions of the validated batches except for the timing field.
@@ -99,7 +96,6 @@ class ShardRunner {
   const ShardRunnerOptions& options() const { return options_; }
 
  private:
-  void SampleResidency();
   /// One validation unit through the CandidateValidator the discovery
   /// driver also uses, so sharded and unsharded outcomes are
   /// bit-identical; `candidates` is `batch` as the validator reads it.
@@ -116,16 +112,10 @@ class ShardRunner {
   CandidateValidator validator_;
   /// Bytes released by per-shard budget enforcement so far.
   int64_t bytes_evicted_ = 0;
-  /// Residency high-water mark, sampled after every installed base and
-  /// every validated batch (quiescent points, so the sample is exact).
-  int64_t bytes_peak_ = 0;
-  /// Wall time spent deriving context partitions (the shard-side
-  /// analogue of the driver's partition_seconds). Counted only when the
-  /// requesting candidate found its context unresolved, so cache hits
-  /// cost nothing; a waiter racing the computing thread may double-count
-  /// the tail of a derivation — like every timing stat, this is outside
+  /// Summed derivation time of the derive steps (the shard-side analogue
+  /// of the driver's partition_seconds); like every timing stat, outside
   /// the determinism contract.
-  std::atomic<int64_t> partition_nanos_{0};
+  int64_t partition_nanos_ = 0;
 };
 
 /// The serve loop of shard_runner_main: one channel (full duplex), one

@@ -1,9 +1,10 @@
-// Tests for src/exec (ThreadPool, TaskGroup, ParallelFor) and for the
-// concurrent behaviour of PartitionCache on top of the pool.
+// Tests for src/exec (ThreadPool, TaskGroup, ParallelFor) and for
+// PartitionCache's derive step on top of the pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "exec/parallel_for.h"
@@ -157,65 +158,62 @@ TEST(ParallelForTest, CancelStopsIssuingIterations) {
   EXPECT_EQ(executed, done.load());
 }
 
-// ---------------------------------------------- concurrent PartitionCache --
+// ------------------------------------------- PartitionCache derive step --
 
-TEST(ConcurrentPartitionCacheTest, ParallelGetsMatchSerialExactly) {
+TEST(ConcurrentPartitionCacheTest, PooledDeriveMatchesSerialGetExactly) {
+  // Level by level, as the driver derives: steps on 8 workers build every
+  // partition byte-identical to serial Gets in level order, with the same
+  // products (a level's plans see only lower levels either way).
   EncodedTable t = testing_util::RandomEncodedTable(300, 5, 4, 99);
-  const int64_t num_sets = int64_t{1} << 5;
-
   PartitionCache serial(&t);
-  std::vector<std::string> expected(static_cast<size_t>(num_sets));
-  for (int64_t bits = 0; bits < num_sets; ++bits) {
-    expected[static_cast<size_t>(bits)] =
-        serial.Get(AttributeSet(static_cast<uint64_t>(bits)))->ToString();
-  }
-
-  // Hammer a fresh cache from 8 workers; every partition must be
-  // byte-identical to the serial derivation (canonical values)
-  // and each derived key must be computed exactly once.
   PartitionCache parallel(&t);
   exec::ThreadPool pool(8);
-  std::vector<std::string> got(static_cast<size_t>(num_sets));
-  exec::ParallelFor(&pool, 0, num_sets, [&](int64_t bits) {
-    got[static_cast<size_t>(bits)] =
-        parallel.Get(AttributeSet(static_cast<uint64_t>(bits)))->ToString();
-  });
-  for (int64_t bits = 0; bits < num_sets; ++bits) {
-    EXPECT_EQ(got[static_cast<size_t>(bits)],
-              expected[static_cast<size_t>(bits)])
-        << AttributeSet(static_cast<uint64_t>(bits)).ToString();
+  for (int size = 2; size <= 5; ++size) {
+    std::vector<AttributeSet> level;
+    for (uint64_t bits = 0; bits < 32; ++bits) {
+      if (AttributeSet(bits).size() == size) level.push_back(AttributeSet(bits));
+    }
+    for (AttributeSet set : level) serial.Get(set);
+    parallel.Derive(level, &pool);
+  }
+  for (uint64_t bits = 0; bits < 32; ++bits) {
+    ASSERT_TRUE(parallel.Contains(AttributeSet(bits)));
+    EXPECT_EQ(parallel.Find(AttributeSet(bits))->ToString(),
+              serial.Find(AttributeSet(bits))->ToString());
   }
   EXPECT_EQ(parallel.products_computed(), serial.products_computed());
 }
 
-TEST(ConcurrentPartitionCacheTest, ContendedKeyComputedOnce) {
+TEST(ConcurrentPartitionCacheTest, RepeatedKeyDerivedOnce) {
   EncodedTable t = testing_util::RandomEncodedTable(500, 4, 3, 41);
   PartitionCache cache(&t);
   exec::ThreadPool pool(8);
-  AttributeSet key = AttributeSet::Of({0, 1, 2, 3});
-  std::vector<std::shared_ptr<const StrippedPartition>> results(64);
-  exec::ParallelFor(&pool, 0, 64, [&](int64_t i) {
-    results[static_cast<size_t>(i)] = cache.Get(key);
-  });
-  for (const auto& p : results) EXPECT_EQ(p.get(), results[0].get());
-  // {0,1}, {0,1,2}, {0,1,2,3}: one product per derived key, no repeats.
+  const AttributeSet key = AttributeSet::Of({0, 1, 2, 3});
+  EXPECT_EQ(cache.Derive(std::vector<AttributeSet>(64, key), &pool).keys, 1);
+  // One plan from the singletons: a base extended by three products.
+  EXPECT_EQ(cache.planner_derivations(), 1);
   EXPECT_EQ(cache.products_computed(), 3);
+  EXPECT_EQ(cache.Derive({key}, &pool).keys, 0);  // resident: not again
 }
 
-TEST(ConcurrentPartitionCacheTest, EvictionThenConcurrentRederive) {
+TEST(ConcurrentPartitionCacheTest, EvictionThenPooledRederive) {
   EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 77);
   PartitionCache cache(&t);
-  cache.Get(AttributeSet::Of({0, 1, 2}));
-  std::string before = cache.Get(AttributeSet::Of({0, 1}))->ToString();
+  exec::ThreadPool pool(8);
+  const std::vector<AttributeSet> keys = {
+      AttributeSet::Of({0, 1}), AttributeSet::Of({2, 3}),
+      AttributeSet::Of({0, 1, 2}), AttributeSet::Of({1, 2, 3})};
+  cache.Derive(keys, &pool);
+  std::vector<std::string> before;
+  for (AttributeSet key : keys) before.push_back(cache.Find(key)->ToString());
+  const int64_t products = cache.products_computed();
   cache.EnforceBudget(1);  // below the base floor: every derived key goes
-  EXPECT_FALSE(cache.Contains(AttributeSet::Of({0, 1})));
-  exec::ThreadPool pool(4);
-  std::vector<std::string> redone(16);
-  exec::ParallelFor(&pool, 0, 16, [&](int64_t i) {
-    redone[static_cast<size_t>(i)] =
-        cache.Get(AttributeSet::Of({0, 1}))->ToString();
-  });
-  for (const auto& s : redone) EXPECT_EQ(s, before);
+  // Evicted keys leave the catalog too, so the plans repeat.
+  EXPECT_EQ(cache.Derive(keys, &pool).keys, static_cast<int64_t>(keys.size()));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(cache.Find(keys[i])->ToString(), before[i]);
+  }
+  EXPECT_EQ(cache.products_computed(), 2 * products);
 }
 
 }  // namespace

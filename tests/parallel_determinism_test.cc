@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -834,6 +835,68 @@ TEST(ParallelDeterminismTest, DeadlineStatsStayCoherentWithPartialResults) {
   for (int threads : {1, 4}) {
     options.num_threads = threads;
     ExpectDeadlineCoherentStats(DiscoverOds(enc, options));
+  }
+}
+
+TEST(ParallelDeterminismTest, CancelDuringLevelThreeLeavesAPrefix) {
+  // Armed once level 2 has merged, cancel turns true on its k-th poll,
+  // for every k up to the polls of level 3: in phase 1, the derive step
+  // (level 3 derives the first contexts) or phase 2. The run must report
+  // a cancelled prefix and derive no more than level 3 does: a unit whose
+  // context the step left out stays undone, never derived on a worker.
+  EncodedTable enc = EncodeTable(GenerateNcVoterTable(600, 8, 17));
+  DiscoveryOptions options;
+  options.epsilon = 0.1;
+  const std::string full = OutputFingerprint(DiscoverOds(enc, options));
+  options.max_level = 3;
+  const int64_t level_three_products =
+      DiscoverOds(enc, options).stats.partitions_computed;
+  ASSERT_GT(level_three_products, 1);
+  options.max_level = 0;
+
+  std::atomic<bool> armed{false};
+  std::atomic<int64_t> polls{0};
+  int64_t cancel_at = 0;  // 0: only count the polls
+  int64_t level_three_polls = 0;
+  options.progress = [&](const DiscoveryProgress& progress) {
+    if (progress.level == 2) armed.store(true);
+    if (progress.level == 3 && cancel_at == 0) level_three_polls = polls;
+  };
+  options.cancel = [&] {
+    return armed.load() && polls.fetch_add(1) + 1 >= cancel_at &&
+           cancel_at > 0;
+  };
+  for (int threads : {1, 4}) {
+    options.num_threads = threads;
+    bool cancelled_mid_derive = false;
+    for (cancel_at = 0; cancel_at <= level_three_polls; ++cancel_at) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " cancel_at=" << cancel_at);
+      armed.store(false);
+      polls.store(0);
+      const DiscoveryResult run = DiscoverOds(enc, options);
+      const std::string output = OutputFingerprint(run);
+      if (cancel_at == 0) {
+        ASSERT_EQ(output, full);
+        ASSERT_GT(level_three_polls, 0);
+        continue;
+      }
+      EXPECT_TRUE(run.cancelled && run.timed_out &&
+                  run.stats.levels_processed >= 2);
+      ExpectDeadlineCoherentStats(run);
+      // Each dependency ends in ';', so a string prefix is a list prefix.
+      EXPECT_TRUE(full.starts_with(output)) << output;
+      EXPECT_LE(run.stats.partitions_computed, level_three_products);
+      if (run.stats.partitions_computed > 0 &&
+          run.stats.partitions_computed < level_three_products) {
+        cancelled_mid_derive = true;
+        EXPECT_EQ(run.stats.levels_processed, 2);  // no level-3 node merged
+      }
+    }
+    // One thread polls deterministically: some k lands mid-step.
+    if (threads == 1) {
+      EXPECT_TRUE(cancelled_mid_derive);
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "data/encoder.h"
+#include "exec/thread_pool.h"
 #include "gen/random.h"
 #include "partition/partition_cache.h"
 #include "partition/partition_stitch.h"
@@ -718,6 +719,28 @@ TEST(ShardWireTest, RunnerPublishesBatchContextsBetweenBatches) {
   EXPECT_EQ(footer.products_computed, 2);
   EXPECT_EQ(footer.planner_derivations, 2);
   EXPECT_LE(footer.planner_cost_realized, footer.planner_cost_estimated);
+}
+
+TEST(ShardWireTest, RunnerDerivesSharedContextOnce) {
+  // Two candidates of one batch name the same missing context: the
+  // batch's derive step builds it once, with the units on 4 workers.
+  EncodedTable t = testing_util::RandomEncodedTable(200, 4, 3, 35);
+  exec::ThreadPool pool(4);
+  shard::ShardRunner runner(0, &t, shard::ShardRunnerOptions{}, &pool);
+  for (int a = 0; a < t.num_columns(); ++a) {
+    HeldFrame frame(shard::EncodePartitionBlock(
+        AttributeSet::Of({a}), StrippedPartition::FromColumn(t.column(a))));
+    ASSERT_TRUE(frame.ok() && runner.PreloadBlock(*frame).ok());
+  }
+  std::vector<WireCandidate> batch(2);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i] = {.slot = i, .context_bits = AttributeSet::Of({0, 1}).bits(),
+                .kind = DependencyKind::kOfd, .target = 2 + static_cast<int>(i)};
+  }
+  EXPECT_EQ(runner.ValidateBatch(batch).size(), 2u);
+  runner.FinishBatch();
+  EXPECT_EQ(runner.FooterStats().products_computed, 1);
+  EXPECT_EQ(runner.FooterStats().planner_derivations, 1);
 }
 
 TEST(ShardWireTest, ShardAssignmentIsStableAndInRange) {
